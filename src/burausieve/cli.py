@@ -42,25 +42,46 @@ def default_cache_dir():
 class RunConfig:
     """Sweep and cache settings, optionally loaded from a JSON file."""
 
-    n_range: tuple = SWEEP_RANGE
     informative_sets: dict = field(default_factory=dict)
     state_cap: int = DEFAULT_STATE_CAP
     cache_dir: str = field(default_factory=default_cache_dir)
-    fmt: str = "text"
 
     @staticmethod
     def load(path):
+        """Read and check a JSON config file; raises OSError or ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         cfg = RunConfig()
         if "informative_sets" in raw:
-            cfg.informative_sets = {int(k): v
-                                    for k, v in raw["informative_sets"].items()}
+            cfg.informative_sets = _checked_word_sets(raw["informative_sets"])
         if "state_cap" in raw:
-            cfg.state_cap = int(raw["state_cap"])
+            cfg.state_cap = positive_int(raw["state_cap"])
         if "cache_dir" in raw:
+            if not isinstance(raw["cache_dir"], str):
+                raise ValueError("cache_dir must be a string")
             cfg.cache_dir = raw["cache_dir"]
         return cfg
+
+
+def positive_int(value):
+    """An integer >= 1, given as command-line text or a JSON config value."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)) \
+            or not str(value).strip().isdigit() or int(value) < 1:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return int(value)
+
+
+def _checked_word_sets(raw):
+    """informative_sets {"N": [[word, ...], ...]}; the sweep rejects a bad
+    word, or two words with one modular projection, with ValueError."""
+    if not isinstance(raw, dict) or not all(
+            isinstance(sets, list) and all(isinstance(ws, list) and all(
+                isinstance(w, str) for w in ws) for ws in sets)
+            for sets in raw.values()):
+        raise ValueError("informative_sets must map N to lists of braid words")
+    return {int(key): sets for key, sets in raw.items()}
 
 
 def _dump(payload):
@@ -76,16 +97,35 @@ def _cache_key(p, min_poly_text, tag, ambient):
     return f"p{p}-{poly}-{tag}-{ambient}.json"
 
 
-def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
-    """enumerate_universal with a transparent on-disk cache."""
-    key = _cache_key(root.p, str(root.min_poly), tag, ambient)
-    path = os.path.join(cache_dir, key) if cache_dir else None
-    if path and os.path.exists(path):
+def _read_cached(path):
+    """The skeleton cached at path, or None when the entry is missing or
+    corrupt: unreadable JSON, wrong keys or schema, or permutations that
+    the Skeleton constructor rejects."""
+    try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if data.get("schemaVersion") == SCHEMA_VERSION:
-            return Skeleton(tuple(data["blackPerm"]), tuple(data["whitePerm"]))
-    sk = enumerate_universal(UniversalGroupSpec(root, tag, ambient), state_cap)
+        if data["schemaVersion"] != SCHEMA_VERSION:
+            return None
+        return Skeleton(tuple(data["blackPerm"]), tuple(data["whitePerm"]))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
+    """enumerate_universal with a transparent on-disk cache.
+
+    A corrupt entry is a miss and gets overwritten.  A cached skeleton with
+    more than state_cap edges raises, as the cold walk would.
+    """
+    spec = UniversalGroupSpec(root, tag, ambient)
+    path = os.path.join(cache_dir, _cache_key(root.p, str(root.min_poly), tag,
+                                              ambient)) if cache_dir else None
+    sk = _read_cached(path) if path else None
+    if sk is not None:
+        if sk.edge_count > state_cap:
+            raise EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
+        return sk
+    sk = enumerate_universal(spec, state_cap)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         payload = {
@@ -104,12 +144,7 @@ def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
 
 
 def cmd_factors(args, cfg, out):
-    poly = substitute_neg(cyclotomic(args.n))
-    try:
-        factors = factor_over_prime(poly, args.p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    factors = factor_over_prime(substitute_neg(cyclotomic(args.n)), args.p)
     texts = [str(f) for f in factors]
     if args.json:
         out(_dump({"schemaVersion": SCHEMA_VERSION, "N": args.n, "p": args.p,
@@ -120,21 +155,11 @@ def cmd_factors(args, cfg, out):
 
 
 def cmd_skeleton(args, cfg, out):
-    try:
-        root = root_spec(args.p, parse_poly(args.min_poly))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    root = root_spec(args.p, parse_poly(args.min_poly))
     if args.type not in admissible_types(root):
-        print(f"error: type {args.type} not admissible for {root}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        sk = cached_enumerate(root, args.type, args.ambient, cfg.state_cap,
-                              cfg.cache_dir if not args.no_cache else None)
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise ValueError(f"type {args.type} not admissible for {root}")
+    sk = cached_enumerate(root, args.type, args.ambient, cfg.state_cap,
+                          cfg.cache_dir if not args.no_cache else None)
     payload = {"schemaVersion": SCHEMA_VERSION, "p": args.p,
                "minPoly": str(root.min_poly), "N": root.N, "M": root.M,
                "type": args.type, "ambient": args.ambient}
@@ -151,45 +176,26 @@ def _parse_range(text):
     if not sep:
         lo = hi = text
     try:
-        lo, hi = int(lo), int(hi)
+        return int(lo), int(hi)
     except ValueError:
         raise ValueError(f"bad range {text!r}")
-    if lo < SWEEP_RANGE[0] or hi > SWEEP_RANGE[1] or lo > hi:
-        raise ValueError(f"range must lie within {SWEEP_RANGE[0]}..{SWEEP_RANGE[1]}")
-    return lo, hi
 
 
 def cmd_sieve(args, cfg, out):
-    try:
-        n_range = _parse_range(args.n_range)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     sweep_cfg = {"informative_sets": cfg.informative_sets or None,
                  "state_cap": cfg.state_cap}
-    try:
-        results = full_sweep(n_range, sweep_cfg)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    results = full_sweep(_parse_range(args.n_range), sweep_cfg, raw=args.raw)
     payload = {"schemaVersion": SCHEMA_VERSION, "results": []}
     for N in sorted(results):
         entry = results[N]
-        branches = {}
-        for tr in entry["candidates"]:
-            br = "p=2" if tr.p == 2 else ("p=3" if tr.p == 3 else "p odd")
-            branches.setdefault(br, []).append(
-                {"p": tr.p, "minPoly": str(tr.min_poly), "type": tr.type_tag})
         payload["results"].append({
             "N": N,
             "sets": entry["sets"],
             "branches": [{"N": N, "branch": br,
-                          "triples": sorted(trs, key=lambda d: (d["p"], d["minPoly"], d["type"]))}
-                         for br, trs in sorted(branches.items())],
-            "survivors": entry["survivors"] if not args.raw else None,
+                          "triples": [{"p": tr.p, "minPoly": str(tr.min_poly),
+                                       "type": tr.type_tag} for tr in trs]}
+                         for br, trs in sorted(entry["branches"].items()) if trs],
+            "survivors": entry["survivors"],
         })
     if args.json:
         out(_dump(payload))
@@ -208,8 +214,7 @@ def cmd_table(args, cfg, out):
     rows = None
     if args.row is not None:
         if not 1 <= args.row <= len(GOLDEN_ROWS):
-            print(f"error: row must be 1..{len(GOLDEN_ROWS)}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"row must be 1..{len(GOLDEN_ROWS)}")
         rows = [args.row]
     if not args.verify:
         for row in GOLDEN_ROWS if rows is None else \
@@ -219,11 +224,7 @@ def cmd_table(args, cfg, out):
                 f"{', '.join(row.factors)}")
         return EXIT_OK
     from .skeleton import table_verify
-    try:
-        report = table_verify(state_cap=cfg.state_cap, rows=rows)
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    report = table_verify(state_cap=cfg.state_cap, rows=rows)
     if args.json:
         out(_dump({"schemaVersion": SCHEMA_VERSION, **report}))
     else:
@@ -290,11 +291,12 @@ def build_parser():
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--cache-dir", help="skeleton cache directory "
                     "(default: BURAU_SIEVE_CACHE or ~/.cache/burau-sieve)")
-    ap.add_argument("--state-cap", type=int, help="coset enumeration state cap")
+    ap.add_argument("--state-cap", type=positive_int,
+                    help="coset enumeration state cap")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factors", help="factor phi_N(-t) over F_p")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_factors)
@@ -338,13 +340,22 @@ def main(argv=None):
         # argparse uses exit code 2 for usage errors already
         return int(exc.code) if exc.code else EXIT_OK
     self_check()
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    if args.cache_dir:
-        cfg.cache_dir = args.cache_dir
-    if args.state_cap:
-        cfg.state_cap = args.state_cap
     lines = []
-    code = args.func(args, cfg, lines.append)
+    # The one error boundary: bad input of any kind raises OSError or
+    # ValueError, and a coset walk raises at the state cap.
+    try:
+        cfg = RunConfig.load(args.config) if args.config else RunConfig()
+        if args.cache_dir:
+            cfg.cache_dir = args.cache_dir
+        if args.state_cap is not None:
+            cfg.state_cap = args.state_cap
+        code = args.func(args, cfg, lines.append)
+    except EnumerationCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if lines:
         print("\n".join(lines))
     return code

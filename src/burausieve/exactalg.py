@@ -65,10 +65,6 @@ class IntPoly:
     def const(c):
         return IntPoly((c,))
 
-    @staticmethod
-    def from_text(text):
-        return parse_poly(text)
-
     # -- structure
 
     @property
@@ -149,9 +145,6 @@ class IntPoly:
             base = base * base
             n >>= 1
         return result
-
-    def shifted(self, k):
-        return IntPoly(self.coeffs, self.shift + k)
 
     def evaluate(self, x):
         """Evaluate at a FieldElem (negative shifts use the inverse)."""

@@ -66,11 +66,6 @@ GOLDEN_ROWS = (
 STARRED_COUNT = sum(1 for r in GOLDEN_ROWS if r.starred)
 
 
-def golden_pairs():
-    """All (p, factor text) pairs of the table, with their N."""
-    return tuple((row.p, f, row.N) for row in GOLDEN_ROWS for f in row.factors)
-
-
 def self_check():
     """Structural sanity of the embedded data (run at CLI startup)."""
     from .skeleton import SkeletonSignature, euler_lhs

@@ -7,7 +7,9 @@ their resultants against phi_N(-t).  If all resultants are nonzero the set
 is informative, and its nonunit resultants carry the only primes p and
 minimal polynomials m that can support a genus-zero realization; those
 (p, m, T) triples are the exceptional candidates handed to the genus
-filter.
+filter.  Each determinant and resultant is computed once: one pass decides
+informativeness, and only an informative set's nonunit resultants are
+then factored.
 
 The coefficient a_T depends on M = ord(xi), which in turn depends on the
 characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
@@ -21,7 +23,7 @@ from itertools import combinations
 
 import sympy
 
-from .burau import BraidWord, modular_projection, to_burau
+from .burau import BraidWord, modular_projection, sigma1_power, to_burau
 from .exactalg import IntPoly, cyclotomic, fp_factor, resultant, \
     substitute_neg, _fp_gcd
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, enumerate_universal, \
@@ -121,8 +123,6 @@ class _BranchTable:
     """Precomputed vectors b_i * v_T and powers of s1 for one (branch, B)."""
 
     def __init__(self, branch, words):
-        self.branch = branch
-        self.words = words
         mats = [to_burau(w) for w in words]
         self.vectors = {}
         for tag in branch.types:
@@ -131,21 +131,14 @@ class _BranchTable:
             v = (a, IntPoly.one())
             for i, m in enumerate(mats):
                 self.vectors[(i, tag)] = m.apply(v)
-        one = IntPoly.one()
-        self.neg_t_pow = []
-        self.phi_tilde = []
-        cur = one
-        acc = IntPoly.zero()
-        for l in range(branch.N):
-            self.neg_t_pow.append(cur)
-            self.phi_tilde.append(acc)
-            acc = acc + cur
-            cur = cur * IntPoly((-1,), 1)
+        self.s1_powers = [sigma1_power(l) for l in range(branch.N)]
 
     def determinant(self, seq):
         u0, u1 = self.vectors[(seq.i, seq.t1)]
         w0, w1 = self.vectors[(seq.j, seq.t2)]
-        top = self.neg_t_pow[seq.l] * u0 + self.phi_tilde[seq.l] * u1
+        s1l = self.s1_powers[seq.l]
+        # s1^l has second row (0, 1), so only its first row moves u
+        top = s1l.a * u0 + s1l.b * u1
         return top * w1 - u1 * w0
 
 
@@ -182,40 +175,39 @@ def parse_word_set(texts):
     return [BraidWord.parse(t) for t in texts]
 
 
-def is_informative(words, N, branch, _cyc=None):
-    """Size at least k_N and every resultant nonzero, on this branch."""
-    if len(words) < k_threshold(N):
-        return False
-    _require_distinct_projections(words)
-    cyc = _cyc if _cyc is not None else substitute_neg(cyclotomic(N))
-    table = _BranchTable(branch, words)
-    for seq in index_sequences(branch, len(words)):
-        d = table.determinant(seq)
-        if d.is_zero or resultant(d, cyc) == 0:
-            return False
-    return True
+def _nonunit_resultants(words, N, branches, cyc):
+    """The one determinant-and-resultant pass over B on each branch.
 
-
-def _extract_branch_triples(words, N, branch, cyc, order_cache):
-    """The exceptional triples E(B) contributed by one branch.
-
-    Returns None if the set fails informativeness on this branch (a zero
-    determinant or zero resultant proves nothing, it only disqualifies B).
+    Returns None if B is not informative for N: it has fewer than k_N
+    words, or some determinant or resultant is zero, which proves nothing
+    else, so the pass stops there.  Otherwise returns branch -> the
+    (seq, D, |Res|) of every nonunit resultant.
     """
-    table = _BranchTable(branch, words)
+    if len(words) < k_threshold(N):
+        return None
+    _require_distinct_projections(words)
+    out = {}
+    for branch in branches:
+        table = _BranchTable(branch, words)
+        out[branch] = []
+        for seq in index_sequences(branch, len(words)):
+            d = table.determinant(seq)
+            if d.is_zero:
+                return None
+            r = abs(resultant(d, cyc))
+            if r == 0:
+                return None
+            if r != 1:
+                out[branch].append((seq, d, r))
+    return out
+
+
+def _branch_triples(nonunit, N, branch, cyc, order_cache):
+    """The exceptional triples carried by one branch's nonunit resultants."""
     cyc_coeffs = cyc.poly_part()
     triples = set()
     factor_cache = {}
-    for seq in index_sequences(branch, len(words)):
-        d = table.determinant(seq)
-        if d.is_zero:
-            return None
-        r = resultant(d, cyc)
-        if r == 0:
-            return None
-        r = abs(r)
-        if r == 1:
-            continue
+    for seq, d, r in nonunit:
         if r not in factor_cache:
             factor_cache[r] = sorted(sympy.factorint(r))
         for p in factor_cache[r]:
@@ -236,35 +228,47 @@ def _extract_branch_triples(words, N, branch, cyc, order_cache):
     return triples
 
 
+def _sieve(N, word_sets):
+    """The informative sets among word_sets, the rest, and branch -> the
+    triples that every informative set recorded on that branch (a genuine
+    root is caught by every informative set)."""
+    branches = branches_for(N)
+    cyc = substitute_neg(cyclotomic(N))
+    order_cache = {}
+    usable, rejected, per_set = [], [], []
+    for words in word_sets:
+        nonunit = _nonunit_resultants(words, N, branches, cyc)
+        if nonunit is None:
+            rejected.append(words)
+            continue
+        usable.append(words)
+        per_set.append({branch: _branch_triples(found, N, branch, cyc, order_cache)
+                        for branch, found in nonunit.items()})
+    by_branch = {branch: set.intersection(*(t[branch] for t in per_set))
+                 for branch in branches} if per_set else {}
+    return usable, rejected, by_branch
+
+
+def is_informative(words, N, branch, _cyc=None):
+    """Size at least k_N and every resultant nonzero, on this branch."""
+    cyc = _cyc if _cyc is not None else substitute_neg(cyclotomic(N))
+    return _nonunit_resultants(words, N, [branch], cyc) is not None
+
+
 def exceptional_triples(N, word_sets):
     """Candidate triples for N: per-branch intersection over the sets.
 
     Every set must be informative for N on every valid branch; the triples
-    recorded by each set are intersected (a genuine root is caught by every
-    informative set), then the branches' contributions are united.
+    recorded by each set are intersected per branch, then the branches'
+    contributions are united.
     """
     if not word_sets:
         raise ValueError("at least one candidate set required")
-    cyc = substitute_neg(cyclotomic(N))
-    order_cache = {}
-    out = set()
-    for branch in branches_for(N):
-        per_set = []
-        for words in word_sets:
-            if len(words) < k_threshold(N):
-                raise ValueError(f"set of size {len(words)} < k_{N}")
-            _require_distinct_projections(words)
-            triples = _extract_branch_triples(words, N, branch, cyc, order_cache)
-            if triples is None:
-                raise ValueError(
-                    f"set {[str(w) for w in words]} is not informative "
-                    f"for N={N} on branch {branch.char_class}")
-            per_set.append(triples)
-        merged = per_set[0]
-        for t in per_set[1:]:
-            merged = merged & t
-        out |= merged
-    return frozenset(out)
+    _, rejected, by_branch = _sieve(N, word_sets)
+    if rejected:
+        raise ValueError(f"set {[str(w) for w in rejected[0]]} is not "
+                         f"informative for N={N}")
+    return frozenset().union(*by_branch.values())
 
 
 # -- default candidate sets -------------------------------------------------
@@ -349,43 +353,36 @@ def search_informative_sets(N, want=2, max_pool=24, max_combos=4000):
 # -- the sweep ---------------------------------------------------------------
 
 
-def full_sweep(n_range=SWEEP_RANGE, config=None):
+def full_sweep(n_range=SWEEP_RANGE, config=None, raw=False):
     """Run the sieve for each N and genus-filter the candidates.
 
     Returns a mapping N -> report with the informative sets used, the
-    candidate triples, and the genus-zero survivors.  Raises if some N has
-    no informative set even after the fallback search, or if a candidate
-    enumeration exceeds the state cap (both make the run unusable).
+    candidate triples per branch label (sorted), and the genus-zero
+    survivors (None when `raw` skips the genus filter).  Raises ValueError
+    if some N has no informative set even after the fallback search, and
+    EnumerationCapExceeded if a candidate enumeration exceeds the state cap.
     """
     lo, hi = n_range
     if lo < SWEEP_RANGE[0] or hi > SWEEP_RANGE[1] or lo > hi:
-        raise ValueError(f"sweep range must lie within {SWEEP_RANGE}")
+        raise ValueError(f"sweep range must lie within "
+                         f"{SWEEP_RANGE[0]}..{SWEEP_RANGE[1]}")
     config = config or {}
     overrides = config.get("informative_sets")
     state_cap = config.get("state_cap", DEFAULT_STATE_CAP)
     results = {}
     for N in range(lo, hi + 1):
-        word_sets = candidate_sets_for(N, overrides)
-        usable, rejected = [], []
-        branches = branches_for(N)
-        cyc = substitute_neg(cyclotomic(N))
-        for words in word_sets:
-            if len(words) >= k_threshold(N) and all(
-                    is_informative(words, N, b, _cyc=cyc) for b in branches):
-                usable.append(words)
-            else:
-                rejected.append(words)
+        usable, rejected, by_branch = _sieve(N, candidate_sets_for(N, overrides))
         if not usable:
-            usable = search_informative_sets(N)
+            usable, _, by_branch = _sieve(N, search_informative_sets(N))
             if not usable:
-                raise RuntimeError(f"no informative set found for N={N}")
-        candidates = exceptional_triples(N, usable)
-        survivors = _genus_filter(candidates, N, state_cap)
+                raise ValueError(f"no informative set found for N={N}")
+        candidates = set().union(*by_branch.values())
         results[N] = {
             "sets": [[str(w) for w in ws] for ws in usable],
             "rejected": [[str(w) for w in ws] for ws in rejected],
-            "candidates": sorted(candidates, key=ExceptionalTriple.sort_key),
-            "survivors": survivors,
+            "branches": {b.char_class: sorted(trs, key=ExceptionalTriple.sort_key)
+                         for b, trs in by_branch.items()},
+            "survivors": None if raw else _genus_filter(candidates, N, state_cap),
         }
     return results
 

@@ -340,7 +340,7 @@ def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
     return Skeleton(black, white, region=region, distinguished_edge=0)
 
 
-def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None, collect_skeletons=False):
+def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
     """Re-enumerate every golden row and compare against the embedded data.
 
     For each row and each of its factors the bu3-ambient skeleton must
@@ -383,8 +383,6 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None, collect_skeletons=False
                 "tableAmbient": "bu3" if sig == want_sig else "unmatched",
                 "ok": ok,
             }
-            if collect_skeletons:
-                fac_entry["skeleton"] = sk
             entry["factors"].append(fac_entry)
             row_ok = row_ok and ok and fac_entry["widthsDivideN"]
         entry["ok"] = row_ok

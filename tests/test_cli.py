@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from burausieve import sieve
 from burausieve.cli import main
 
 
@@ -72,6 +73,38 @@ class TestSkeleton:
         assert code1 == code2 == 0
         assert cold == warm
 
+    def test_warm_cache_honours_state_cap(self, run):
+        # the p=19 t+4 skeleton has 20 edges; a filled cache must not
+        # let it past a cap the cold walk enforces
+        assert run("skeleton", "--p", "19", "--min-poly", "t+4")[0] == 0
+        code, _ = run("--state-cap", "10", "skeleton", "--p", "19",
+                      "--min-poly", "t+4")
+        assert code == 3
+
+    def test_truncated_cache_entry_is_a_miss(self, run, tmp_path):
+        args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
+        _, cold = run(*args)
+        [entry] = (tmp_path / "cache").iterdir()
+        text = entry.read_text()
+        entry.write_text(text[:len(text) // 2])
+        code, warm = run(*args)
+        assert code == 0
+        assert warm == cold
+        assert entry.read_text() == text
+
+    def test_bad_permutation_cache_entry_is_a_miss(self, run, tmp_path):
+        args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
+        _, cold = run(*args)
+        [entry] = (tmp_path / "cache").iterdir()
+        text = entry.read_text()
+        data = json.loads(text)
+        data["blackPerm"][0] = data["blackPerm"][1]
+        entry.write_text(json.dumps(data))
+        code, warm = run(*args)
+        assert code == 0
+        assert warm == cold
+        assert entry.read_text() == text
+
     def test_inadmissible_type(self, run):
         code, _ = run("skeleton", "--p", "2", "--min-poly", "t^3+t+1",
                       "--type", "III+")
@@ -103,11 +136,20 @@ class TestSieve:
         assert code1 == code2 == 0
         assert first == second
 
-    def test_raw_mode_skips_filter(self, run):
+    def test_raw_mode_skips_filter(self, run, monkeypatch):
+        code, out = run("sieve", "--n-range", "13..13", "--json")
+        assert code == 0
+        filtered = json.loads(out)["results"][0]
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a raw sieve walked cosets")
+
+        monkeypatch.setattr(sieve, "enumerate_universal", no_walk)
         code, out = run("sieve", "--n-range", "13..13", "--raw", "--json")
         assert code == 0
-        data = json.loads(out)
-        assert data["results"][0]["survivors"] is None
+        raw = json.loads(out)["results"][0]
+        assert raw["survivors"] is None
+        assert raw["branches"] and raw["branches"] == filtered["branches"]
 
 
 class TestTable:
@@ -134,3 +176,39 @@ class TestTable:
                         "--json")
         assert code == 0
         assert len(json.loads(out)["results"][0]["sets"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sieve", "--n-range", "12..12"),
+    ("addendum",),
+], ids=["sieve", "addendum"])
+def test_state_cap_is_resource_error(run, argv):
+    assert run("--state-cap", "10", *argv)[0] == 3
+
+
+class TestBadInput:
+    """Bad numbers and config end in exit 2, never in a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--state-cap", "0", "skeleton", "--p", "19", "--min-poly", "t+4"),
+        ("--state-cap", "-1", "skeleton", "--p", "19", "--min-poly", "t+4"),
+        ("factors", "--n", "0", "--p", "19"),
+    ], ids=["state-cap-zero", "state-cap-negative", "factors-n-zero"])
+    def test_bad_number(self, run, argv):
+        assert run(*argv)[0] == 2
+
+    def test_missing_config(self, run, tmp_path):
+        code, _ = run("--config", str(tmp_path / "absent.json"), "table")
+        assert code == 2
+
+    @pytest.mark.parametrize("config", [
+        {"state_cap": "abc"},
+        {"informative_sets": {"9": [["e", "s3"]]}},
+        {"informative_sets": {"9": [["e", "T s1 s1^-1"]]}},
+    ], ids=["state-cap-text", "unknown-letter", "shared-projection"])
+    def test_bad_config(self, run, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _ = run("--config", str(cfg), "sieve", "--n-range", "9..9",
+                      "--raw")
+        assert code == 2

@@ -5,6 +5,7 @@ import pytest
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
 from burausieve.exactalg import IntPoly, cyclotomic, parse_poly, resultant, \
     substitute_neg
+from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import (
     DEFAULT_INFORMATIVE_SETS,
     ExceptionalTriple,
@@ -232,6 +233,15 @@ class TestSweep:
     def test_sweep_pairs_flattening(self):
         results = full_sweep((13, 14))
         assert sweep_pairs(results) == []
+
+    def test_uninformative_first_set_is_rejected(self):
+        cfg = {"informative_sets": {9: [["e"], ["e", "T s2^-1 s1"]]}}
+        results = full_sweep((9, 9), cfg)
+        assert results[9]["sets"] == [["e", "T s2^-1 s1"]]
+        assert results[9]["rejected"] == [["e"]]
+        got = {(s["p"], s["minPoly"]) for s in results[9]["survivors"]}
+        assert got == {(row.p, f) for row in GOLDEN_ROWS if row.N == 9
+                       for f in row.factors}
 
     def test_informative_set_override(self):
         cfg = {"informative_sets": {13: [["e"], ["T s2^-1 s1"]]}}
