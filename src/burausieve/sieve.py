@@ -19,15 +19,15 @@ fixed, and extracted primes inconsistent with the branch are discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import sympy
 
 from .burau import BraidWord, modular_projection, sigma1_power, to_burau
 from .exactalg import IntPoly, cyclotomic, fp_factor, resultant, \
     substitute_neg, _fp_gcd
-from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, enumerate_universal, \
-    genus
+from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, euler_lhs, \
+    universal_signature
 from .typesys import epsilon_p, k_threshold, root_spec, type_coefficient_laurent
 
 SWEEP_RANGE = (7, 26)
@@ -207,15 +207,16 @@ def _branch_triples(nonunit, N, branch, cyc, order_cache):
     cyc_coeffs = cyc.poly_part()
     triples = set()
     factor_cache = {}
+    cyc_mod = {}
     for seq, d, r in nonunit:
         if r not in factor_cache:
             factor_cache[r] = sorted(sympy.factorint(r))
         for p in factor_cache[r]:
             if not branch.accepts_prime(p):
                 continue
-            dp = d.reduce_mod(p)
-            cp = tuple(c % p for c in cyc_coeffs)
-            g = _fp_gcd(dp, cp, p)
+            if p not in cyc_mod:
+                cyc_mod[p] = tuple(c % p for c in cyc_coeffs)
+            g = _fp_gcd(d.reduce_mod(p), cyc_mod[p], p)
             if len(g) <= 1:
                 continue
             for fac, _ in fp_factor(g, p):
@@ -234,10 +235,19 @@ def _sieve(N, word_sets):
     root is caught by every informative set)."""
     branches = branches_for(N)
     cyc = substitute_neg(cyclotomic(N))
+    return _intersect_triples(N, [
+        (words, _nonunit_resultants(words, N, branches, cyc))
+        for words in word_sets])
+
+
+def _intersect_triples(N, passes):
+    """_sieve's result for word sets whose _nonunit_resultants results are
+    already known, given as (words, result) pairs."""
+    branches = branches_for(N)
+    cyc = substitute_neg(cyclotomic(N))
     order_cache = {}
     usable, rejected, per_set = [], [], []
-    for words in word_sets:
-        nonunit = _nonunit_resultants(words, N, branches, cyc)
+    for words, nonunit in passes:
         if nonunit is None:
             rejected.append(words)
             continue
@@ -249,9 +259,9 @@ def _sieve(N, word_sets):
     return usable, rejected, by_branch
 
 
-def is_informative(words, N, branch, _cyc=None):
+def is_informative(words, N, branch):
     """Size at least k_N and every resultant nonzero, on this branch."""
-    cyc = _cyc if _cyc is not None else substitute_neg(cyclotomic(N))
+    cyc = substitute_neg(cyclotomic(N))
     return _nonunit_resultants(words, N, [branch], cyc) is not None
 
 
@@ -326,28 +336,31 @@ def _word_pool(max_len=4):
     return pool
 
 
-def search_informative_sets(N, want=2, max_pool=24, max_combos=4000):
+def _search_passes(N, want=2, max_pool=24, max_combos=4000):
     """Fallback search for informative sets of size k_N.
 
     Tries subsets of a pool of short words (breadth-first by word length)
-    until `want` sets informative on every valid branch are found.
+    until `want` sets informative on every valid branch are found, and
+    returns each with its _nonunit_resultants result.
     """
     k = k_threshold(N)
     branches = branches_for(N)
     cyc = substitute_neg(cyclotomic(N))
     pool = _word_pool()[:max_pool]
     found = []
-    tried = 0
-    for combo in combinations(range(len(pool)), k):
-        tried += 1
-        if tried > max_combos:
-            break
+    for combo in islice(combinations(range(len(pool)), k), max_combos):
         words = [pool[i] for i in combo]
-        if all(is_informative(words, N, b, _cyc=cyc) for b in branches):
-            found.append(words)
+        nonunit = _nonunit_resultants(words, N, branches, cyc)
+        if nonunit is not None:
+            found.append((words, nonunit))
             if len(found) >= want:
                 break
     return found
+
+
+def search_informative_sets(N, want=2, max_pool=24, max_combos=4000):
+    """The word sets _search_passes finds."""
+    return [words for words, _ in _search_passes(N, want, max_pool, max_combos)]
 
 
 # -- the sweep ---------------------------------------------------------------
@@ -373,7 +386,7 @@ def full_sweep(n_range=SWEEP_RANGE, config=None, raw=False):
     for N in range(lo, hi + 1):
         usable, rejected, by_branch = _sieve(N, candidate_sets_for(N, overrides))
         if not usable:
-            usable, _, by_branch = _sieve(N, search_informative_sets(N))
+            usable, _, by_branch = _intersect_triples(N, _search_passes(N))
             if not usable:
                 raise ValueError(f"no informative set found for N={N}")
         candidates = set().union(*by_branch.values())
@@ -390,8 +403,10 @@ def full_sweep(n_range=SWEEP_RANGE, config=None, raw=False):
 def _genus_filter(candidates, N, state_cap):
     """Keep the (p, m) pairs whose universal subgroup has genus zero.
 
-    Each candidate triple is enumerated with its own type vector; conjugate
-    types agree on genus, so any recorded type certifies the pair.
+    Each candidate triple gets its signature and genus from the voltage walk
+    over lines with its own type vector; conjugate types agree on genus, so
+    any recorded type certifies the pair.  Every signature must satisfy the
+    flatness identity euler_lhs = 12 - 12 * genus.
     """
     by_pair = {}
     for tr in sorted(candidates, key=ExceptionalTriple.sort_key):
@@ -402,9 +417,12 @@ def _genus_filter(candidates, N, state_cap):
         assert root.N == N
         zero_tags = []
         for tag in tags:
-            sk = enumerate_universal(UniversalGroupSpec(root, tag, "bu3"),
-                                     state_cap)
-            if genus(sk) == 0:
+            spec = UniversalGroupSpec(root, tag, "bu3")
+            sig, g = universal_signature(spec, state_cap)
+            if euler_lhs(sig, N) != 12 - 12 * g:
+                raise AssertionError(f"{spec}: signature {sig} breaks the "
+                                     f"flatness identity for genus {g}")
+            if g == 0:
                 zero_tags.append(tag)
         if zero_tags:
             survivors.append({

@@ -6,13 +6,18 @@ are white vertices); regions are the orbits of the derived third action.
 Universal subgroups are enumerated without ever materializing cosets: a
 coset is represented by the annihilator covector it carries, states are
 covectors up to scalar, and the three permutations are read off the same
-orbit.
+orbit.  The sweep's genus filter needs only the signature and the genus,
+which `universal_signature` reads off a voltage graph on at most q + 1
+projective lines instead of walking the cosets.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
+
+import sympy
 
 from .burau import BraidWord, specialize_word
 from .typesys import RootSpec, root_spec, type_vector
@@ -161,9 +166,11 @@ def signature(sk):
 
 def genus(sk):
     """Genus of the minimal supporting surface, from Euler's formula."""
-    V = len(sk.black_cycles()) + len(sk.white_cycles())
-    E = sk.edge_count
-    F = len(sk.region_cycles())
+    return _euler_genus(len(sk.black_cycles()) + len(sk.white_cycles()),
+                        sk.edge_count, len(sk.region_cycles()))
+
+
+def _euler_genus(V, E, F):
     chi = V - E + F
     if (2 - chi) % 2 != 0 or chi > 2:
         raise AssertionError(f"impossible Euler characteristic {chi}")
@@ -338,6 +345,132 @@ def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
     white = tuple(index[canon(*act(states[k], g_white))] for k in range(n))
     region = tuple(index[canon(*act(states[k], g_region))] for k in range(n))
     return Skeleton(black, white, region=region, distinguished_edge=0)
+
+
+def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
+    """Signature and genus of a universal subgroup, by a walk over lines.
+
+    The states of enumerate_universal are covectors modulo the scalar
+    subgroup S, a cyclic cover of P^1(F_q) with fiber F_q*/S, so its orbit
+    is the lift of a voltage graph on projective lines.  The walk visits
+    the lines reached from the seed line under s2 s1 and s2 s1^2, with
+    representatives (1, x) or (0, 1), and keeps the voltage lambda of each
+    step u g = lambda u'.  The orbit's local group K <= F_q*/S is generated
+    by the net voltages of the non-tree steps, the orbit has lines * |K|
+    edges, and a cycle of g on lines of length L and net voltage mu lifts
+    to |K| / ord(mu) cycles of length L ord(mu), orders taken modulo S.
+    This is exact on every orbit, transitive or not.  Returns
+    (SkeletonSignature, genus); raises EnumerationCapExceeded exactly when
+    enumerate_universal would, i.e. when the orbit has more than state_cap
+    edges.
+    """
+    root = spec.root
+    field = root.field
+    ops = field.ops()
+    q, one = ops.q, ops.one
+    add, mul, inv, power = ops.add, ops.mul, ops.inv, ops.pow
+    tv = type_vector(spec.type_tag, root)
+
+    s = root.M // gcd(root.M, 3 if spec.ambient == "b3" else 1)  # |S|
+    r = (q - 1) // s  # |F_q*/S|
+    primes = sympy.primefactors(r)
+
+    def order_mod_s(x):
+        # x -> x^s maps F_q*/S isomorphically onto the subgroup of order r
+        y, n = power(x, s), r
+        for ell in primes:
+            while n % ell == 0 and power(y, n // ell) == one:
+                n //= ell
+        return n
+
+    def move(line, g):
+        """(line', lambda) with rep(line) g = lambda rep(line'); the line
+        (1, x) has code x and the line (0, 1) has code q."""
+        if line < q:
+            a0 = add(g[0], mul(line, g[2]))
+            a1 = add(g[1], mul(line, g[3]))
+        else:
+            a0, a1 = g[2], g[3]
+        if a0:
+            return mul(a1, inv(a0)), a0
+        return q, a1
+
+    def too_many():
+        return EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
+
+    g_black = _spec_matrix_codes(_BLACK_WORD, field)
+    g_white = _spec_matrix_codes(_WHITE_WORD, field)
+    g_region = _spec_matrix_codes(_REGION_WORD, field)
+
+    vp0, vp1 = (ops.encode(c) for c in tv.v_perp)
+    seed = mul(vp1, inv(vp0)) if vp0 else q
+    index = {seed: 0}
+    lines = [seed]
+    potential = [one]  # net voltage of the tree path from the seed line
+    black, white = [], []  # per line: (index of the image line, voltage)
+    k = 1  # |K|
+    i = 0
+    while i < len(lines):
+        for g, images in ((g_black, black), (g_white, white)):
+            line2, lam = move(lines[i], g)
+            j = index.get(line2)
+            if j is None:
+                if len(lines) >= state_cap:
+                    raise too_many()
+                j = index[line2] = len(lines)
+                lines.append(line2)
+                potential.append(mul(potential[i], lam))
+            elif k < r:
+                # a non-tree step closes a cycle of net voltage x; x lies in
+                # K iff it lies in the preimage of K, of order k * s
+                x = mul(mul(potential[i], lam), inv(potential[j]))
+                if power(x, k * s) != one:
+                    o = order_mod_s(x)
+                    k = k * o // gcd(k, o)
+            images.append((j, lam))
+        i += 1
+    n = len(lines)
+    if n * k > state_cap:
+        raise too_many()
+    region = []
+    for line in lines:
+        line2, lam = move(line, g_region)
+        region.append((index[line2], lam))
+
+    def lifted_cycles(step):
+        """(length, count) of the cycles over each cycle of step on lines."""
+        seen = [False] * n
+        out = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            length, mu, j = 0, one, start
+            while not seen[j]:
+                seen[j] = True
+                length += 1
+                j, lam = step[j]
+                mu = mul(mu, lam)
+            o = order_mod_s(mu)
+            if k % o:
+                raise AssertionError(f"cycle voltage outside the local group "
+                                     f"for {spec}")
+            out.append((length * o, k // o))
+        return out
+
+    black_cycles = lifted_cycles(black)
+    white_cycles = lifted_cycles(white)
+    widths = []
+    for width, count in lifted_cycles(region):
+        widths.extend([width] * count)
+    edges = n * k
+    sig = SkeletonSignature(
+        edges,
+        sum(c for length, c in white_cycles if length == 1),
+        sum(c for length, c in black_cycles if length == 1),
+        tuple(sorted(widths)))
+    vertices = (sum(c for _, c in black_cycles)
+                + sum(c for _, c in white_cycles))
+    return sig, _euler_genus(vertices, edges, len(widths))
 
 
 def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):

@@ -20,7 +20,7 @@ from burausieve.sieve import branches_for, full_sweep, is_informative, \
     resultant_with_cyclotomic, sweep_pairs
 from burausieve.skeleton import Skeleton, UniversalGroupSpec, \
     enumerate_universal, euler_lhs, genus, signature, table_verify, \
-    verify_region_widths
+    universal_signature, verify_region_widths
 from burausieve.typesys import admissible_types, root_spec
 
 
@@ -180,3 +180,23 @@ def test_criterion_7_sieve_soundness(sweep):
             for b in branches_for(N):
                 assert is_informative(words, N, b)
     print("\nACCEPTANCE 7 (sieve soundness controls): PASS")
+
+
+def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):
+    """The genus filter's voltage walk over lines reproduces the covector
+    BFS signature and genus on every sweep candidate of <= 50,000 edges."""
+    results, _ = sweep
+    compared = 0
+    for N in range(7, 27):
+        for triples in results[N]["branches"].values():
+            for tr in triples:
+                spec = UniversalGroupSpec(root_spec(tr.p, tr.min_poly),
+                                          tr.type_tag, "bu3")
+                sig, g = universal_signature(spec)
+                if sig.edges > 50_000:
+                    continue
+                sk = enumerate_universal(spec)
+                assert (sig, g) == (signature(sk), genus(sk)), str(tr)
+                compared += 1
+    assert compared > 0
+    print(f"\nvoltage walk = BFS on {compared} sweep candidates: PASS")

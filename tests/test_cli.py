@@ -142,9 +142,9 @@ class TestSieve:
         filtered = json.loads(out)["results"][0]
 
         def no_walk(*args, **kwargs):
-            raise AssertionError("a raw sieve walked cosets")
+            raise AssertionError("a raw sieve ran the genus filter")
 
-        monkeypatch.setattr(sieve, "enumerate_universal", no_walk)
+        monkeypatch.setattr(sieve, "universal_signature", no_walk)
         code, out = run("sieve", "--n-range", "13..13", "--raw", "--json")
         assert code == 0
         raw = json.loads(out)["results"][0]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from burausieve import sieve
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
 from burausieve.exactalg import IntPoly, cyclotomic, parse_poly, resultant, \
     substitute_neg
@@ -242,6 +243,43 @@ class TestSweep:
         got = {(s["p"], s["minPoly"]) for s in results[9]["survivors"]}
         assert got == {(row.p, f) for row in GOLDEN_ROWS if row.N == 9
                        for f in row.factors}
+
+    def test_fallback_search_resultants_are_reused(self, monkeypatch):
+        # no configured set is informative, so the search supplies the sets;
+        # every resultant of the sweep must be one the search computed
+        calls = []
+        after_search = []
+        real_resultant, real_search = sieve.resultant, sieve._search_passes
+
+        def counting_resultant(*args):
+            calls.append(1)
+            return real_resultant(*args)
+
+        def recording_search(*args, **kwargs):
+            found = real_search(*args, **kwargs)
+            after_search.append(len(calls))
+            return found
+
+        monkeypatch.setattr(sieve, "resultant", counting_resultant)
+        monkeypatch.setattr(sieve, "_search_passes", recording_search)
+        results = full_sweep((9, 9), {"informative_sets": {9: [["e"]]}})
+        assert after_search == [len(calls)] and calls
+        assert results[9]["rejected"] == [["e"]]
+        assert len(results[9]["sets"]) == 2
+        got = {(s["p"], s["minPoly"]) for s in results[9]["survivors"]}
+        assert got == {(row.p, f) for row in GOLDEN_ROWS if row.N == 9
+                       for f in row.factors}
+
+    def test_flatness_identity_is_checked(self, monkeypatch):
+        real = sieve.universal_signature
+
+        def genus_off_by_one(*args, **kwargs):
+            sig, g = real(*args, **kwargs)
+            return sig, g + 1
+
+        monkeypatch.setattr(sieve, "universal_signature", genus_off_by_one)
+        with pytest.raises(AssertionError, match="flatness"):
+            full_sweep((13, 13))
 
     def test_informative_set_override(self):
         cfg = {"informative_sets": {13: [["e"], ["T s2^-1 s1"]]}}

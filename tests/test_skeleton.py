@@ -14,6 +14,7 @@ from burausieve.skeleton import (
     signature,
     skeleton_isomorphic,
     table_verify,
+    universal_signature,
     verify_distinct_lemma,
     verify_region_widths,
 )
@@ -219,3 +220,61 @@ class TestGoldenTable:
         for entry, row in zip(report["rows"], GOLDEN_ROWS):
             for fac in entry["factors"]:
                 assert (fac["b3Genus"] == 0) == row.starred
+
+
+# sweep candidates whose covector orbit is not the whole space
+INTRANSITIVE_CANDIDATES = (
+    (2, "t^6+t^3+1", "III+"),
+    (2, "t^6+t^3+1", "III-"),
+    (2, "t^6+t^3+1", "IV"),
+    (3, "t^4+t^3+t^2+t+1", "I"),
+    (3, "t^4+t^3+t^2+t+1", "III3"),
+    (3, "t^6+2t^5+t^4+2t^3+t^2+2t+1", "III3"),
+    (7, "t^2+3t+1", "I"),
+    (7, "t^2+3t+1", "II"),
+    (7, "t^2+4t+1", "I"),
+    (7, "t^2+4t+1", "II"),
+)
+
+
+def assert_voltage_walk_matches(spec):
+    sig, g = universal_signature(spec)
+    sk = enumerate_universal(spec)
+    assert sig == signature(sk)
+    assert g == genus(sk)
+
+
+class TestVoltageWalk:
+    """universal_signature against the covector BFS."""
+
+    @pytest.mark.parametrize("ambient", ["bu3", "b3"])
+    def test_golden_factors(self, ambient):
+        for row in GOLDEN_ROWS:
+            for text in row.factors:
+                assert_voltage_walk_matches(
+                    UniversalGroupSpec(root_spec(row.p, text), "I", ambient))
+
+    @pytest.mark.parametrize("p, min_poly, tag", INTRANSITIVE_CANDIDATES,
+                             ids=[f"p{p}-{m}-{t}"
+                                  for p, m, t in INTRANSITIVE_CANDIDATES])
+    def test_intransitive_candidates(self, p, min_poly, tag):
+        spec = UniversalGroupSpec(root_spec(p, min_poly), tag, "bu3")
+        q = spec.root.field.order
+        assert enumerate_universal(spec).edge_count < (q * q - 1) // spec.root.M
+        assert_voltage_walk_matches(spec)
+
+    def test_state_cap_boundary(self):
+        # the orbit has 43,956 edges; both paths accept exactly that many
+        spec = UniversalGroupSpec(root_spec(593, "t+201"), "I", "bu3")
+        sig, _ = universal_signature(spec, state_cap=43956)
+        assert sig.edges == 43956
+        assert enumerate_universal(spec, state_cap=43956).edge_count == 43956
+        with pytest.raises(EnumerationCapExceeded):
+            universal_signature(spec, state_cap=43955)
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_universal(spec, state_cap=43955)
+
+    def test_cap_below_the_line_count(self):
+        with pytest.raises(EnumerationCapExceeded):
+            universal_signature(
+                UniversalGroupSpec(root_spec(43, "t+4"), "I", "bu3"), state_cap=10)
