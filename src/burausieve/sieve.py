@@ -229,22 +229,11 @@ def _branch_triples(nonunit, N, branch, cyc, order_cache):
     return triples
 
 
-def _sieve(N, word_sets):
-    """The informative sets among word_sets, the rest, and branch -> the
-    triples that every informative set recorded on that branch (a genuine
-    root is caught by every informative set)."""
-    branches = branches_for(N)
-    cyc = substitute_neg(cyclotomic(N))
-    return _intersect_triples(N, [
-        (words, _nonunit_resultants(words, N, branches, cyc))
-        for words in word_sets])
-
-
-def _intersect_triples(N, passes):
-    """_sieve's result for word sets whose _nonunit_resultants results are
-    already known, given as (words, result) pairs."""
-    branches = branches_for(N)
-    cyc = substitute_neg(cyclotomic(N))
+def _sieve(N, passes, branches, cyc):
+    """Split (words, _nonunit_resultants result) pairs into the informative
+    sets and the rest, and map each branch to the triples that every
+    informative set recorded on it (a genuine root is caught by every
+    informative set)."""
     order_cache = {}
     usable, rejected, per_set = [], [], []
     for words, nonunit in passes:
@@ -274,7 +263,11 @@ def exceptional_triples(N, word_sets):
     """
     if not word_sets:
         raise ValueError("at least one candidate set required")
-    _, rejected, by_branch = _sieve(N, word_sets)
+    branches = branches_for(N)
+    cyc = substitute_neg(cyclotomic(N))
+    _, rejected, by_branch = _sieve(
+        N, [(ws, _nonunit_resultants(ws, N, branches, cyc)) for ws in word_sets],
+        branches, cyc)
     if rejected:
         raise ValueError(f"set {[str(w) for w in rejected[0]]} is not "
                          f"informative for N={N}")
@@ -286,7 +279,7 @@ def exceptional_triples(N, word_sets):
 # beta1 and beta2 below are the denominators-cleared words t*s2*s1^-1 and
 # t*s2^-1*s1; the sets for 7 <= N <= 10 need several elements, the rest get
 # by with singletons.  Informativeness is never assumed: every run
-# re-verifies it and falls back to search_informative_sets.
+# re-verifies it and falls back to _search_passes.
 _B1 = "T s2 s1^-1"
 _B2 = "T s2^-1 s1"
 _B1B2 = _B1 + " " + _B2
@@ -336,16 +329,14 @@ def _word_pool(max_len=4):
     return pool
 
 
-def _search_passes(N, want=2, max_pool=24, max_combos=4000):
+def _search_passes(N, branches, cyc, want=2, max_pool=24, max_combos=4000):
     """Fallback search for informative sets of size k_N.
 
     Tries subsets of a pool of short words (breadth-first by word length)
-    until `want` sets informative on every valid branch are found, and
-    returns each with its _nonunit_resultants result.
+    until `want` sets informative on every branch are found, and returns
+    each as a (words, _nonunit_resultants result) pair.
     """
     k = k_threshold(N)
-    branches = branches_for(N)
-    cyc = substitute_neg(cyclotomic(N))
     pool = _word_pool()[:max_pool]
     found = []
     for combo in islice(combinations(range(len(pool)), k), max_combos):
@@ -356,11 +347,6 @@ def _search_passes(N, want=2, max_pool=24, max_combos=4000):
             if len(found) >= want:
                 break
     return found
-
-
-def search_informative_sets(N, want=2, max_pool=24, max_combos=4000):
-    """The word sets _search_passes finds."""
-    return [words for words, _ in _search_passes(N, want, max_pool, max_combos)]
 
 
 # -- the sweep ---------------------------------------------------------------
@@ -384,9 +370,14 @@ def full_sweep(n_range=SWEEP_RANGE, config=None, raw=False):
     state_cap = config.get("state_cap", DEFAULT_STATE_CAP)
     results = {}
     for N in range(lo, hi + 1):
-        usable, rejected, by_branch = _sieve(N, candidate_sets_for(N, overrides))
+        branches = branches_for(N)
+        cyc = substitute_neg(cyclotomic(N))
+        usable, rejected, by_branch = _sieve(
+            N, [(ws, _nonunit_resultants(ws, N, branches, cyc))
+                for ws in candidate_sets_for(N, overrides)], branches, cyc)
         if not usable:
-            usable, _, by_branch = _intersect_triples(N, _search_passes(N))
+            usable, _, by_branch = _sieve(
+                N, _search_passes(N, branches, cyc), branches, cyc)
             if not usable:
                 raise ValueError(f"no informative set found for N={N}")
         candidates = set().union(*by_branch.values())

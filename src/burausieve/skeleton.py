@@ -6,9 +6,9 @@ are white vertices); regions are the orbits of the derived third action.
 Universal subgroups are enumerated without ever materializing cosets: a
 coset is represented by the annihilator covector it carries, states are
 covectors up to scalar, and the three permutations are read off the same
-orbit.  The sweep's genus filter needs only the signature and the genus,
-which `universal_signature` reads off a voltage graph on at most q + 1
-projective lines instead of walking the cosets.
+orbit.  The sweep's genus filter and the table check need only the
+signature and the genus, which `universal_signature` reads off a voltage
+graph on at most q + 1 projective lines instead of walking the cosets.
 """
 
 from __future__ import annotations
@@ -474,11 +474,12 @@ def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
 
 
 def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
-    """Re-enumerate every golden row and compare against the embedded data.
+    """Recompute every golden row and compare against the embedded data.
 
-    For each row and each of its factors the bu3-ambient skeleton must
-    reproduce the printed signature with genus zero, and the b3-ambient
-    genus must vanish exactly for the starred rows.  Returns a report dict;
+    For each row and each of its factors the bu3-ambient universal subgroup
+    must reproduce the printed signature with genus zero, and the b3-ambient
+    genus must vanish exactly for the starred rows.  Both come from
+    universal_signature; no skeleton is built.  Returns a report dict;
     report['ok'] is the overall verdict.
     """
     from .golden import GOLDEN_ROWS
@@ -498,13 +499,10 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
         row_ok = True
         for text in row.factors:
             root = root_spec(row.p, text)
-            sk = enumerate_universal(
+            sig, g0 = universal_signature(
                 UniversalGroupSpec(root, "I", "bu3"), state_cap)
-            sig = signature(sk)
-            g0 = genus(sk)
-            sk_b3 = enumerate_universal(
+            _, g3 = universal_signature(
                 UniversalGroupSpec(root, "I", "b3"), state_cap)
-            g3 = genus(sk_b3)
             ok = (sig == want_sig and g0 == 0 and (g3 == 0) == row.starred
                   and root.N == row.N)
             fac_entry = {
@@ -512,7 +510,7 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
                 "signature": str(sig),
                 "genus": g0,
                 "b3Genus": g3,
-                "widthsDivideN": verify_region_widths(sk, row.N),
+                "widthsDivideN": all(row.N % w == 0 for w in sig.widths),
                 "tableAmbient": "bu3" if sig == want_sig else "unmatched",
                 "ok": ok,
             }

@@ -19,7 +19,6 @@ from burausieve.sieve import (
     is_informative,
     parse_word_set,
     resultant_with_cyclotomic,
-    search_informative_sets,
     sweep_pairs,
 )
 from burausieve.typesys import root_spec
@@ -208,14 +207,20 @@ class TestExceptionalTriples:
         assert intersected <= only_first
 
 
+def search(N, **kwargs):
+    return sieve._search_passes(N, branches_for(N),
+                                substitute_neg(cyclotomic(N)), **kwargs)
+
+
 class TestSearch:
+    # each found set comes with its resultants on every branch
     def test_search_finds_singletons_at_thirteen(self):
-        found = search_informative_sets(13, want=1)
-        assert found and len(found[0]) == 1
+        (words, nonunit), = search(13, want=1)
+        assert len(words) == 1 and set(nonunit) == set(branches_for(13))
 
     def test_search_finds_pairs_at_nine(self):
-        found = search_informative_sets(9, want=1, max_pool=16, max_combos=150)
-        assert found and len(found[0]) == 2
+        (words, nonunit), = search(9, want=1, max_pool=16, max_combos=150)
+        assert len(words) == 2 and set(nonunit) == set(branches_for(9))
 
 
 class TestSweep:
