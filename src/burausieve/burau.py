@@ -8,9 +8,10 @@ group elements is decided on Burau images, which is faithful for braids.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .exactalg import FieldElem, IntPoly
+from .exactalg import FieldElem, IntPoly, power_by_squaring
 
 # letter codes: +-1 = s1, +-2 = s2, +-3 = T
 _LETTER_NAMES = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1", 3: "T", -3: "T^-1"}
@@ -215,11 +216,4 @@ def power(m, n):
     """Fast exponentiation of a SpecMatrix; negative n inverts first."""
     if n < 0:
         return power(m.inverse(), -n)
-    result = SpecMatrix.identity(m.a.spec)
-    base = m
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
+    return power_by_squaring(m, n, operator.mul, SpecMatrix.identity(m.a.spec))

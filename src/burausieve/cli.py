@@ -20,7 +20,7 @@ from .golden import GOLDEN_ROWS, self_check
 from .intersect import conjugate_to_e2, verify_addendum_pairwise
 from .sieve import SWEEP_RANGE, full_sweep
 from .skeleton import DEFAULT_STATE_CAP, EnumerationCapExceeded, Skeleton, \
-    UniversalGroupSpec, enumerate_universal, genus
+    UniversalGroupSpec, enumerate_universal, universal_signature
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
 SCHEMA_VERSION = 1
@@ -257,17 +257,14 @@ def cmd_addendum(args, cfg, out):
     conj_ok = True
     for row in GOLDEN_ROWS:
         root = root_spec(row.p, row.factors[0])
-        realized = []
-        for tag in sorted(admissible_types(root)):
-            sk = cached_enumerate(root, tag, "bu3", cfg.state_cap, cache)
-            if genus(sk) == 0:
-                realized.append(tag)
-        checks = {tag: conjugate_to_e2(UniversalGroupSpec(root, tag, "bu3"))
-                  for tag in realized}
-        ok = all(checks.values())
+        specs = [UniversalGroupSpec(root, tag, "bu3")
+                 for tag in sorted(admissible_types(root))]
+        realized = [sp for sp in specs
+                    if universal_signature(sp, cfg.state_cap)[1] == 0]
+        ok = all(conjugate_to_e2(sp) for sp in realized)
         conj_ok = conj_ok and ok
         conj.append({"row": row.label, "minPoly": row.factors[0],
-                     "types": realized, "ok": ok})
+                     "types": [sp.type_tag for sp in realized], "ok": ok})
     overall = pair_report["ok"] and conj_ok
     if args.json:
         out(_dump({"schemaVersion": SCHEMA_VERSION, "pairs": pair_report["pairs"],

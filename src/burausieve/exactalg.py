@@ -9,10 +9,23 @@ residues, so results can be compared bit for bit.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 
 import sympy
+
+
+def power_by_squaring(x, n, mul, one):
+    """x^n for n >= 0 by square-and-multiply, in the monoid (mul, one)."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +150,7 @@ class IntPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of an IntPoly")
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power_by_squaring(self, n, operator.mul, IntPoly.one())
 
     def evaluate(self, x):
         """Evaluate at a FieldElem (negative shifts use the inverse)."""
@@ -463,14 +469,9 @@ def _fp_monic(a, p):
 
 
 def _fp_pow_mod(a, n, mod, p):
-    r = (1,)
-    a = _fp_mod(a, mod, p)
-    while n:
-        if n & 1:
-            r = _fp_mod(_fp_mul(r, a, p), mod, p)
-        a = _fp_mod(_fp_mul(a, a, p), mod, p)
-        n >>= 1
-    return r
+    def mul(x, y):
+        return _fp_mod(_fp_mul(x, y, p), mod, p)
+    return power_by_squaring(_fp_mod(a, mod, p), n, mul, (1,))
 
 
 def _fp_deriv(a, p):
@@ -761,14 +762,7 @@ class FieldElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power_by_squaring(self, n, operator.mul, self.spec.one())
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
@@ -821,12 +815,10 @@ class _FieldOps:
         self.spec = spec
         p, d = spec.p, spec.degree
         self.q = spec.order
-        self.zero = 0
         self.one = 1
         self.xi = self.encode(spec.gen())
         if d == 1:
             self.add = lambda a, b: (a + b) % p
-            self.neg = lambda a: (-a) % p
             self.mul = lambda a, b: (a * b) % p
             self.inv = lambda a: pow(a, p - 2, p)
         else:
@@ -881,13 +873,6 @@ class _FieldOps:
                 v = v * p + (da[i] + db[i]) % p
             return v
 
-        def neg(a):
-            da = digits[a]
-            v = 0
-            for i in range(d - 1, -1, -1):
-                v = v * p + (-da[i]) % p
-            return v
-
         def mul(a, b):
             if a == 0 or b == 0:
                 return 0
@@ -898,15 +883,9 @@ class _FieldOps:
                 raise ZeroDivisionError
             return exp_t[(-log_t[a]) % (q - 1)]
 
-        self.add, self.neg, self.mul, self.inv = add, neg, mul, inv
+        self.add, self.mul, self.inv = add, mul, inv
 
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        return power_by_squaring(a, n, self.mul, self.one)

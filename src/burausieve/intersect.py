@@ -5,19 +5,14 @@ skeletons of the intersections of conjugates are exactly the connected
 components of the fibered product over the one-edge base, and every such
 component must have positive genus.  Conjugacy of each realized module to
 the span of e2 is decided on the projective line, where scalars act
-trivially, by a plain orbit computation.
+trivially, by the same walk over lines that gives the genus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .burau import BraidWord, specialize_word
-from .skeleton import Skeleton, genus
-from .typesys import type_vector
-
-_S1 = BraidWord.parse("s1")
-_S2 = BraidWord.parse("s2")
+from .skeleton import Skeleton, _LineWalk, genus
 
 
 @dataclass(frozen=True)
@@ -79,44 +74,16 @@ def fibered_product(s1, s2):
     return FiberedProduct(e1, e2, tuple(skeletons))
 
 
-def projective_orbit_of_e2(field):
-    """Orbit of [0:1] under the specialized braid generators on P^1."""
-    m1 = specialize_word(_S1, field)
-    m2 = specialize_word(_S2, field)
-
-    def norm(v):
-        x, y = v
-        if not x.is_zero:
-            return (field.one(), y / x)
-        return (field.zero(), field.one())
-
-    def act(m, v):
-        x, y = v
-        return norm((m.a * x + m.b * y, m.c * x + m.d * y))
-
-    seed = norm((field.zero(), field.one()))
-    orbit = {seed}
-    frontier = [seed]
-    while frontier:
-        v = frontier.pop()
-        for m in (m1, m2):
-            w = act(m, v)
-            if w not in orbit:
-                orbit.add(w)
-                frontier.append(w)
-    return orbit
-
-
 def conjugate_to_e2(spec):
-    """True iff the line of v_T lies in the braid orbit of the line of e2."""
-    field = spec.root.field
-    tv = type_vector(spec.type_tag, spec.root)
-    a = tv.a
-    if a.is_zero:
-        point = (field.zero(), field.one())
-    else:
-        point = (field.one(), a.inverse())
-    return point in projective_orbit_of_e2(field)
+    """True iff the line of v_T lies in the braid orbit of the line of e2.
+
+    Decided on the dual side by the walk over lines: g e2 is proportional
+    to v_T iff e2_perp g^-1 is proportional to v_T_perp, s2 s1 and s2 s1^2
+    generate the same group as s1 and s2, and T acts trivially on lines, so
+    the answer is whether the annihilator line of e2, the covector (1, 0)
+    with code 0, is among the lines reached from the line of v_T_perp.
+    """
+    return 0 in _LineWalk(spec).index
 
 
 def verify_addendum_pairwise(row_skeletons):

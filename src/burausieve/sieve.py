@@ -28,7 +28,8 @@ from .exactalg import IntPoly, cyclotomic, fp_factor, resultant, \
     substitute_neg, _fp_gcd
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, euler_lhs, \
     universal_signature
-from .typesys import epsilon_p, k_threshold, root_spec, type_coefficient_laurent
+from .typesys import epsilon_p, k_threshold, root_spec, \
+    type_coefficient_laurent, type_tags
 
 SWEEP_RANGE = (7, 26)
 
@@ -50,17 +51,6 @@ class SieveBranch:
         return p % 2 == 1 and p != 3
 
 
-def _branch_types(char_class, M):
-    tags = ["I", "II"]
-    if char_class == "p=3":
-        tags.append("III3")
-    elif M % 3 == 0:
-        tags.extend(["III+", "III-"])
-    if M % 2 == 1:
-        tags.append("IV")
-    return tuple(tags)
-
-
 def branches_for(N):
     """The valid characteristic branches for this N.
 
@@ -69,11 +59,11 @@ def branches_for(N):
     """
     out = []
     if N % 2 == 1:
-        out.append(SieveBranch(N, "p=2", N, _branch_types("p=2", N)))
+        out.append(SieveBranch(N, "p=2", N, type_tags(N, False)))
     M = epsilon_p(N, 0)
-    out.append(SieveBranch(N, "p odd", M, _branch_types("p odd", M)))
+    out.append(SieveBranch(N, "p odd", M, type_tags(M, False)))
     if N % 3 != 0:
-        out.append(SieveBranch(N, "p=3", M, _branch_types("p=3", M)))
+        out.append(SieveBranch(N, "p=3", M, type_tags(M, True)))
     return out
 
 

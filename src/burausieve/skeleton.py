@@ -6,9 +6,11 @@ are white vertices); regions are the orbits of the derived third action.
 Universal subgroups are enumerated without ever materializing cosets: a
 coset is represented by the annihilator covector it carries, states are
 covectors up to scalar, and the three permutations are read off the same
-orbit.  The sweep's genus filter and the table check need only the
-signature and the genus, which `universal_signature` reads off a voltage
-graph on at most q + 1 projective lines instead of walking the cosets.
+orbit.  The sweep's genus filter, the table check and the addendum's
+realized types need only the signature and the genus, which
+`universal_signature` reads off a voltage graph on at most q + 1 projective
+lines instead of walking the cosets; conjugacy to the e2 line reads the
+same walk's lines.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ class Skeleton:
     (s2 s1)^-1 (s2 s1^2)); the constructor asserts that identity.
     """
 
-    __slots__ = ("edge_count", "black", "white", "region", "distinguished_edge",
-                 "_cycles")
+    __slots__ = ("edge_count", "black", "white", "region", "_cycles")
 
-    def __init__(self, black, white, region=None, distinguished_edge=0):
+    def __init__(self, black, white, region=None):
         black = tuple(black)
         white = tuple(white)
         n = len(black)
@@ -86,7 +87,6 @@ class Skeleton:
         object.__setattr__(self, "black", black)
         object.__setattr__(self, "white", white)
         object.__setattr__(self, "region", region)
-        object.__setattr__(self, "distinguished_edge", distinguished_edge)
         object.__setattr__(self, "_cycles", {})
 
     def __setattr__(self, name, value):
@@ -223,7 +223,7 @@ def verify_distinct_lemma(sk, N):
 
 
 def skeleton_isomorphic(s1, s2):
-    """Equivariant bijection test (ignoring the distinguished edge).
+    """Equivariant bijection test.
 
     The action is transitive and generated by the two permutations, so an
     isomorphism is determined by the image of one edge; every candidate
@@ -344,7 +344,61 @@ def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
     black = tuple(index[canon(*act(states[k], g_black))] for k in range(n))
     white = tuple(index[canon(*act(states[k], g_white))] for k in range(n))
     region = tuple(index[canon(*act(states[k], g_region))] for k in range(n))
-    return Skeleton(black, white, region=region, distinguished_edge=0)
+    return Skeleton(black, white, region=region)
+
+
+class _LineWalk:
+    """The projective lines reached from the line of v_T_perp.
+
+    The walk follows s2 s1 and s2 s1^2 breadth-first over the lines of
+    P^1(F_q) that carry the covectors of enumerate_universal's orbit, so it
+    visits at most q + 1 lines and needs no state cap.  The line (1, x) has
+    code x and the line (0, 1) has code q; lines[i] is the i-th line reached
+    and index[line] its position.  black[i] and white[i] are the steps
+    (j, lambda) with rep(lines[i]) g = lambda rep(lines[j]), and
+    potential[i] is the net voltage of the tree path from the seed line.
+    """
+
+    def __init__(self, spec):
+        field = spec.root.field
+        ops = field.ops()
+        q, one = ops.q, ops.one
+        add, mul, inv = ops.add, ops.mul, ops.inv
+
+        def move(line, g):
+            """(line', lambda) with rep(line) g = lambda rep(line')."""
+            if line < q:
+                a0 = add(g[0], mul(line, g[2]))
+                a1 = add(g[1], mul(line, g[3]))
+            else:
+                a0, a1 = g[2], g[3]
+            if a0:
+                return mul(a1, inv(a0)), a0
+            return q, a1
+
+        g_black = _spec_matrix_codes(_BLACK_WORD, field)
+        g_white = _spec_matrix_codes(_WHITE_WORD, field)
+        tv = type_vector(spec.type_tag, spec.root)
+        vp0, vp1 = (ops.encode(c) for c in tv.v_perp)
+        seed = mul(vp1, inv(vp0)) if vp0 else q
+        index = {seed: 0}
+        lines = [seed]
+        potential = [one]
+        black, white = [], []
+        i = 0
+        while i < len(lines):
+            for g, images in ((g_black, black), (g_white, white)):
+                line2, lam = move(lines[i], g)
+                j = index.get(line2)
+                if j is None:
+                    j = index[line2] = len(lines)
+                    lines.append(line2)
+                    potential.append(mul(potential[i], lam))
+                images.append((j, lam))
+            i += 1
+        self.ops, self.move = ops, move
+        self.lines, self.index, self.potential = lines, index, potential
+        self.black, self.white = black, white
 
 
 def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
@@ -352,24 +406,21 @@ def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
 
     The states of enumerate_universal are covectors modulo the scalar
     subgroup S, a cyclic cover of P^1(F_q) with fiber F_q*/S, so its orbit
-    is the lift of a voltage graph on projective lines.  The walk visits
-    the lines reached from the seed line under s2 s1 and s2 s1^2, with
-    representatives (1, x) or (0, 1), and keeps the voltage lambda of each
-    step u g = lambda u'.  The orbit's local group K <= F_q*/S is generated
-    by the net voltages of the non-tree steps, the orbit has lines * |K|
-    edges, and a cycle of g on lines of length L and net voltage mu lifts
-    to |K| / ord(mu) cycles of length L ord(mu), orders taken modulo S.
-    This is exact on every orbit, transitive or not.  Returns
-    (SkeletonSignature, genus); raises EnumerationCapExceeded exactly when
-    enumerate_universal would, i.e. when the orbit has more than state_cap
-    edges.
+    is the lift of a voltage graph on the projective lines of _LineWalk.
+    The orbit's local group K <= F_q*/S is generated by the net voltages of
+    the non-tree steps, the orbit has lines * |K| edges, and a cycle of g
+    on lines of length L and net voltage mu lifts to |K| / ord(mu) cycles
+    of length L ord(mu), orders taken modulo S.  This is exact on every
+    orbit, transitive or not.  Returns (SkeletonSignature, genus); raises
+    EnumerationCapExceeded exactly when enumerate_universal would, i.e.
+    when the orbit has more than state_cap edges.
     """
     root = spec.root
-    field = root.field
-    ops = field.ops()
+    walk = _LineWalk(spec)
+    ops = walk.ops
     q, one = ops.q, ops.one
-    add, mul, inv, power = ops.add, ops.mul, ops.inv, ops.pow
-    tv = type_vector(spec.type_tag, root)
+    mul, inv, power = ops.mul, ops.inv, ops.pow
+    potential = walk.potential
 
     s = root.M // gcd(root.M, 3 if spec.ambient == "b3" else 1)  # |S|
     r = (q - 1) // s  # |F_q*/S|
@@ -383,59 +434,25 @@ def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
                 n //= ell
         return n
 
-    def move(line, g):
-        """(line', lambda) with rep(line) g = lambda rep(line'); the line
-        (1, x) has code x and the line (0, 1) has code q."""
-        if line < q:
-            a0 = add(g[0], mul(line, g[2]))
-            a1 = add(g[1], mul(line, g[3]))
-        else:
-            a0, a1 = g[2], g[3]
-        if a0:
-            return mul(a1, inv(a0)), a0
-        return q, a1
-
-    def too_many():
-        return EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
-
-    g_black = _spec_matrix_codes(_BLACK_WORD, field)
-    g_white = _spec_matrix_codes(_WHITE_WORD, field)
-    g_region = _spec_matrix_codes(_REGION_WORD, field)
-
-    vp0, vp1 = (ops.encode(c) for c in tv.v_perp)
-    seed = mul(vp1, inv(vp0)) if vp0 else q
-    index = {seed: 0}
-    lines = [seed]
-    potential = [one]  # net voltage of the tree path from the seed line
-    black, white = [], []  # per line: (index of the image line, voltage)
     k = 1  # |K|
-    i = 0
-    while i < len(lines):
-        for g, images in ((g_black, black), (g_white, white)):
-            line2, lam = move(lines[i], g)
-            j = index.get(line2)
-            if j is None:
-                if len(lines) >= state_cap:
-                    raise too_many()
-                j = index[line2] = len(lines)
-                lines.append(line2)
-                potential.append(mul(potential[i], lam))
-            elif k < r:
-                # a non-tree step closes a cycle of net voltage x; x lies in
-                # K iff it lies in the preimage of K, of order k * s
-                x = mul(mul(potential[i], lam), inv(potential[j]))
-                if power(x, k * s) != one:
-                    o = order_mod_s(x)
-                    k = k * o // gcd(k, o)
-            images.append((j, lam))
-        i += 1
-    n = len(lines)
+    for i, steps in enumerate(zip(walk.black, walk.white)):
+        if k == r:
+            break
+        for j, lam in steps:
+            # the step closes a cycle of net voltage x (1 on tree steps); x
+            # lies in K iff it lies in the preimage of K, of order k * s
+            x = mul(mul(potential[i], lam), inv(potential[j]))
+            if power(x, k * s) != one:
+                o = order_mod_s(x)
+                k = k * o // gcd(k, o)
+    n = len(walk.lines)
     if n * k > state_cap:
-        raise too_many()
+        raise EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
+    g_region = _spec_matrix_codes(_REGION_WORD, root.field)
     region = []
-    for line in lines:
-        line2, lam = move(line, g_region)
-        region.append((index[line2], lam))
+    for line in walk.lines:
+        line2, lam = walk.move(line, g_region)
+        region.append((walk.index[line2], lam))
 
     def lifted_cycles(step):
         """(length, count) of the cycles over each cycle of step on lines."""
@@ -457,8 +474,8 @@ def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
             out.append((length * o, k // o))
         return out
 
-    black_cycles = lifted_cycles(black)
-    white_cycles = lifted_cycles(white)
+    black_cycles = lifted_cycles(walk.black)
+    white_cycles = lifted_cycles(walk.white)
     widths = []
     for width, count in lifted_cycles(region):
         widths.extend([width] * count)

@@ -77,8 +77,9 @@ def root_spec(p, min_poly):
     return RootSpec(p=p, min_poly=field.min_poly, N=N, M=M, field=field)
 
 
-def admissible_types(spec):
-    """The type tags that can occur for this root.
+def type_tags(M, p_is_3):
+    """The type tags that can occur for a root with M = ord(xi), in the
+    order I, II, III..., IV.
 
     I and II are always possible; III+/III- need p != 3 and 3 | M; III3 is
     the p = 3 branch; IV needs M odd.  The extra type-II parity condition
@@ -86,15 +87,19 @@ def admissible_types(spec):
     type_ii_odd_width_excluded: the sieve cannot know widths in advance, so
     II is never excluded here.
     """
-    tags = {"I", "II"}
-    if spec.p == 3:
-        tags.add("III3")
-    elif spec.M % 3 == 0:
-        tags.add("III+")
-        tags.add("III-")
-    if spec.M % 2 == 1:
-        tags.add("IV")
-    return frozenset(tags)
+    tags = ["I", "II"]
+    if p_is_3:
+        tags.append("III3")
+    elif M % 3 == 0:
+        tags.extend(["III+", "III-"])
+    if M % 2 == 1:
+        tags.append("IV")
+    return tuple(tags)
+
+
+def admissible_types(spec):
+    """The type tags that can occur for this root, see type_tags."""
+    return frozenset(type_tags(spec.M, spec.p == 3))
 
 
 def type_ii_odd_width_excluded(spec):

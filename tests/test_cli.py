@@ -178,6 +178,16 @@ class TestTable:
         assert len(json.loads(out)["results"][0]["sets"]) == 2
 
 
+class TestAddendum:
+    def test_cold_run_caches_only_the_row_skeletons(self, run, tmp_path):
+        # the realized types come from the walk over lines; only the 13
+        # row representatives of the fibered products are enumerated
+        cache = tmp_path / "addendum-cache"
+        code, _ = run("--cache-dir", str(cache), "addendum")
+        assert code == 0
+        assert len(os.listdir(cache)) == 13
+
+
 @pytest.mark.parametrize("argv", [
     ("sieve", "--n-range", "12..12"),
     ("addendum",),

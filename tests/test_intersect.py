@@ -4,12 +4,12 @@ from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import (
     conjugate_to_e2,
     fibered_product,
-    projective_orbit_of_e2,
     verify_addendum_pairwise,
 )
 from burausieve.skeleton import (
     Skeleton,
     UniversalGroupSpec,
+    _LineWalk,
     enumerate_universal,
     genus,
     signature,
@@ -97,9 +97,9 @@ class TestConjugacy:
 
     def test_proper_orbit_negative_control(self):
         # at xi = 1 over F_5 the braid image fixes a 3-point orbit on the
-        # projective line; the type II line falls outside it
+        # projective line; the type II line falls outside it.  Type I is the
+        # line of e2, so its walk visits exactly that orbit
         root = root_spec(5, "t-1")
-        orbit = projective_orbit_of_e2(root.field)
-        assert len(orbit) == 3
+        assert len(_LineWalk(UniversalGroupSpec(root, "I", "bu3")).lines) == 3
         assert not conjugate_to_e2(UniversalGroupSpec(root, "II", "bu3"))
         assert conjugate_to_e2(UniversalGroupSpec(root, "IV", "bu3"))

@@ -3,6 +3,7 @@
 import pytest
 
 from burausieve.golden import GOLDEN_ROWS, self_check
+from burausieve.intersect import conjugate_to_e2
 from burausieve.skeleton import (
     EnumerationCapExceeded,
     Skeleton,
@@ -18,7 +19,7 @@ from burausieve.skeleton import (
     verify_distinct_lemma,
     verify_region_widths,
 )
-from burausieve.typesys import root_spec
+from burausieve.typesys import admissible_types, root_spec
 
 
 def golden_row(p, N):
@@ -236,6 +237,13 @@ INTRANSITIVE_CANDIDATES = (
     (7, "t^2+4t+1", "II"),
 )
 
+# the intransitive candidates whose type line is not conjugate to e2
+NOT_CONJUGATE_TO_E2 = (
+    (2, "t^6+t^3+1", "IV"),
+    (3, "t^4+t^3+t^2+t+1", "III3"),
+    (3, "t^6+2t^5+t^4+2t^3+t^2+2t+1", "III3"),
+)
+
 
 def assert_voltage_walk_matches(spec):
     sig, g = universal_signature(spec)
@@ -251,8 +259,10 @@ class TestVoltageWalk:
     def test_golden_factors(self, ambient):
         for row in GOLDEN_ROWS:
             for text in row.factors:
-                assert_voltage_walk_matches(
-                    UniversalGroupSpec(root_spec(row.p, text), "I", ambient))
+                root = root_spec(row.p, text)
+                for tag in sorted(admissible_types(root)):
+                    assert_voltage_walk_matches(
+                        UniversalGroupSpec(root, tag, ambient))
 
     @pytest.mark.parametrize("p, min_poly, tag", INTRANSITIVE_CANDIDATES,
                              ids=[f"p{p}-{m}-{t}"
@@ -262,6 +272,8 @@ class TestVoltageWalk:
         q = spec.root.field.order
         assert enumerate_universal(spec).edge_count < (q * q - 1) // spec.root.M
         assert_voltage_walk_matches(spec)
+        assert conjugate_to_e2(spec) == (
+            (p, min_poly, tag) not in NOT_CONJUGATE_TO_E2)
 
     def test_state_cap_boundary(self):
         # the orbit has 43,956 edges; both paths accept exactly that many

@@ -4,6 +4,7 @@ import pytest
 
 from burausieve.exactalg import element_order
 from burausieve.golden import GOLDEN_ROWS
+from burausieve.sieve import branches_for
 from burausieve.skeleton import Skeleton
 from burausieve.typesys import (
     admissible_types,
@@ -72,6 +73,15 @@ class TestAdmissibleTypes:
     def test_p3_n8(self):
         r = root_spec(3, "t^2+2t+2")
         assert admissible_types(r) == frozenset({"I", "II", "III3"})
+
+    def test_golden_factors_match_their_sieve_branch(self):
+        # the branch's tags, in the order the sieve walks them, are the
+        # admissible tags of every root the branch accepts
+        for row in GOLDEN_ROWS:
+            for f in row.factors:
+                r = root_spec(row.p, f)
+                [br] = [b for b in branches_for(r.N) if b.accepts_prime(r.p)]
+                assert br.types == tuple(sorted(admissible_types(r)))
 
     def test_type_ii_parity_flag(self):
         # p odd with M odd: an odd-width type II region is impossible
