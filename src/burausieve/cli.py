@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 from .exactalg import cyclotomic, factor_over_prime, parse_poly, substitute_neg
 from .golden import GOLDEN_ROWS, self_check
-from .intersect import conjugate_to_e2, verify_addendum_pairwise
+from .intersect import verify_addendum_pairwise
 from .sieve import SWEEP_RANGE, full_sweep
 from .skeleton import DEFAULT_STATE_CAP, EnumerationCapExceeded, Skeleton, \
-    UniversalGroupSpec, enumerate_universal, universal_signature
+    UniversalGroupSpec, _LineWalk, enumerate_universal
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
 SCHEMA_VERSION = 1
@@ -53,6 +53,9 @@ class RunConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
+        unknown = sorted(set(raw) - {"informative_sets", "state_cap", "cache_dir"})
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}")
         cfg = RunConfig()
         if "informative_sets" in raw:
             cfg.informative_sets = _checked_word_sets(raw["informative_sets"])
@@ -81,6 +84,11 @@ def _checked_word_sets(raw):
                 isinstance(w, str) for w in ws) for ws in sets)
             for sets in raw.values()):
         raise ValueError("informative_sets must map N to lists of braid words")
+    lo, hi = SWEEP_RANGE
+    for key in raw:
+        if not (key.isdecimal() and lo <= int(key) <= hi):
+            raise ValueError(f"informative_sets key {key!r} is not an N in "
+                             f"{lo}..{hi}")
     return {int(key): sets for key, sets in raw.items()}
 
 
@@ -257,14 +265,16 @@ def cmd_addendum(args, cfg, out):
     conj_ok = True
     for row in GOLDEN_ROWS:
         root = root_spec(row.p, row.factors[0])
-        specs = [UniversalGroupSpec(root, tag, "bu3")
-                 for tag in sorted(admissible_types(root))]
-        realized = [sp for sp in specs
-                    if universal_signature(sp, cfg.state_cap)[1] == 0]
-        ok = all(conjugate_to_e2(sp) for sp in realized)
+        # one walk per type gives both the genus and the conjugacy to e2
+        realized, ok = [], True
+        for tag in sorted(admissible_types(root)):
+            walk = _LineWalk(UniversalGroupSpec(root, tag, "bu3"))
+            if walk.signature(cfg.state_cap)[1] == 0:
+                realized.append(tag)
+                ok = ok and walk.reaches_e2()
         conj_ok = conj_ok and ok
         conj.append({"row": row.label, "minPoly": row.factors[0],
-                     "types": [sp.type_tag for sp in realized], "ok": ok})
+                     "types": realized, "ok": ok})
     overall = pair_report["ok"] and conj_ok
     if args.json:
         out(_dump({"schemaVersion": SCHEMA_VERSION, "pairs": pair_report["pairs"],

@@ -807,22 +807,39 @@ def element_order(x):
 class _FieldOps:
     """Field arithmetic on integer codes (base-p packed coefficients).
 
-    Used by the coset enumeration, where elements are dictionary keys and
-    FieldElem objects would dominate the runtime.
+    Used by the walk over projective lines, where elements are dictionary
+    keys and FieldElem objects would dominate the runtime.  log[c] is the
+    discrete logarithm of the nonzero code c to a primitive element, the
+    same table for both field kinds; extension fields also multiply by it.
     """
 
     def __init__(self, spec):
         self.spec = spec
         p, d = spec.p, spec.degree
-        self.q = spec.order
-        self.one = 1
-        self.xi = self.encode(spec.gen())
+        self.q = q = spec.order
+        # discrete exp/log tables: the powers of the first element whose
+        # powers reach all q - 1 units
+        for cand in range(1, q):
+            if d == 1:
+                times = lambda c, g=cand: c * g % p
+            else:
+                times = lambda c, g=self.decode(cand): self.encode(self.decode(c) * g)
+            exp_t, code = [1], times(1)
+            while code != 1:
+                exp_t.append(code)
+                code = times(code)
+            if len(exp_t) == q - 1:
+                break
+        log_t = [0] * q
+        for i, code in enumerate(exp_t):
+            log_t[code] = i
+        self.log = log_t
         if d == 1:
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: (a * b) % p
             self.inv = lambda a: pow(a, p - 2, p)
         else:
-            self._build_tables()
+            self._extension_arithmetic(exp_t)
 
     def encode(self, elem):
         v = 0
@@ -839,24 +856,9 @@ class _FieldOps:
             out.append(r)
         return FieldElem(self.spec, out)
 
-    def _build_tables(self):
+    def _extension_arithmetic(self, exp_t):
         p, d, q = self.spec.p, self.spec.degree, self.q
-        # discrete exp/log tables over a multiplicative generator
-        gen_code = None
-        for cand in range(2, q):
-            elem = self.decode(cand)
-            if element_order(elem) == q - 1:
-                gen_code = cand
-                break
-        exp_t = [0] * (q - 1)
-        log_t = [0] * q
-        cur = self.decode(gen_code)
-        acc = self.spec.one()
-        for i in range(q - 1):
-            code = self.encode(acc)
-            exp_t[i] = code
-            log_t[code] = i
-            acc = acc * cur
+        log_t = self.log
         digits = []
         for code in range(q):
             ds = []
@@ -884,8 +886,3 @@ class _FieldOps:
             return exp_t[(-log_t[a]) % (q - 1)]
 
         self.add, self.mul, self.inv = add, mul, inv
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        return power_by_squaring(a, n, self.mul, self.one)

@@ -75,15 +75,9 @@ def fibered_product(s1, s2):
 
 
 def conjugate_to_e2(spec):
-    """True iff the line of v_T lies in the braid orbit of the line of e2.
-
-    Decided on the dual side by the walk over lines: g e2 is proportional
-    to v_T iff e2_perp g^-1 is proportional to v_T_perp, s2 s1 and s2 s1^2
-    generate the same group as s1 and s2, and T acts trivially on lines, so
-    the answer is whether the annihilator line of e2, the covector (1, 0)
-    with code 0, is among the lines reached from the line of v_T_perp.
-    """
-    return 0 in _LineWalk(spec).index
+    """True iff the line of v_T lies in the braid orbit of the line of e2,
+    decided by the walk over lines (see _LineWalk.reaches_e2)."""
+    return _LineWalk(spec).reaches_e2()
 
 
 def verify_addendum_pairwise(row_skeletons):

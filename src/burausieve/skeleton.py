@@ -3,14 +3,13 @@
 A skeleton is a finite edge set with two permutations: an order-dividing-3
 action (orbits are black vertices) and an order-dividing-2 action (orbits
 are white vertices); regions are the orbits of the derived third action.
-Universal subgroups are enumerated without ever materializing cosets: a
-coset is represented by the annihilator covector it carries, states are
-covectors up to scalar, and the three permutations are read off the same
-orbit.  The sweep's genus filter, the table check and the addendum's
-realized types need only the signature and the genus, which
-`universal_signature` reads off a voltage graph on at most q + 1 projective
-lines instead of walking the cosets; conjugacy to the e2 line reads the
-same walk's lines.
+The cosets of a universal subgroup are its annihilator covectors up to
+scalar, a cyclic cover of the projective line.  One walk over at most
+q + 1 projective lines, `_LineWalk`, records each step's voltage in the
+fiber Z/r; every reader works from it.  `universal_signature` reads the
+signature and genus off the walk (the sweep's genus filter, the table
+check and the addendum's realized types), conjugacy to the e2 line reads
+its lines, and `enumerate_universal` lifts it to the permutations.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-
-import sympy
 
 from .burau import BraidWord, specialize_word
 from .typesys import RootSpec, root_spec, type_vector
@@ -186,73 +183,6 @@ def euler_lhs(sig, N):
             + sum((6 - w) * n for w, n in counts.items()))
 
 
-def verify_region_widths(sk, N):
-    """True iff every region width divides N."""
-    return all(N % len(c) == 0 for c in sk.region_cycles())
-
-
-def verify_distinct_lemma(sk, N):
-    """Combinatorial check of the three incidence constraints.
-
-    With 'essential' meaning region width not divisible by N: (1) each
-    trivalent black vertex has at most one corner on an essential region,
-    (2) the region at each monovalent vertex is trivial, (3) no edge joins
-    two monovalent vertices.
-    """
-    region_of = {}
-    essential = {}
-    for idx, cyc in enumerate(sk.region_cycles()):
-        for e in cyc:
-            region_of[e] = idx
-        essential[idx] = len(cyc) % N != 0
-    for cyc in sk.black_cycles():
-        if len(cyc) == 3:
-            corners = sum(1 for e in cyc if essential[region_of[e]])
-            if corners > 1:
-                return False
-        else:
-            if essential[region_of[cyc[0]]]:
-                return False
-    for cyc in sk.white_cycles():
-        if len(cyc) == 1 and essential[region_of[cyc[0]]]:
-            return False
-    for e in range(sk.edge_count):
-        if sk.black[e] == e and sk.white[e] == e:
-            return False
-    return True
-
-
-def skeleton_isomorphic(s1, s2):
-    """Equivariant bijection test.
-
-    The action is transitive and generated by the two permutations, so an
-    isomorphism is determined by the image of one edge; every candidate
-    image is tried and propagated.
-    """
-    if s1.edge_count != s2.edge_count:
-        return False
-    n = s1.edge_count
-    for j0 in range(n):
-        mapping = {0: j0}
-        stack = [0]
-        ok = True
-        while stack and ok:
-            e = stack.pop()
-            f = mapping[e]
-            for p1, p2 in ((s1.black, s2.black), (s1.white, s2.white)):
-                e2, f2 = p1[e], p2[f]
-                if e2 in mapping:
-                    if mapping[e2] != f2:
-                        ok = False
-                        break
-                else:
-                    mapping[e2] = f2
-                    stack.append(e2)
-        if ok and len(mapping) == n and len(set(mapping.values())) == n:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class UniversalGroupSpec:
     """A root, a type tag, and the ambient group (bu3 or b3)."""
@@ -265,6 +195,10 @@ class UniversalGroupSpec:
         if self.ambient not in ("bu3", "b3"):
             raise ValueError("ambient must be 'bu3' or 'b3'")
 
+    def __str__(self):
+        return (f"p={self.root.p} m={self.root.min_poly} type {self.type_tag} "
+                f"in {self.ambient}")
+
 
 def _spec_matrix_codes(word, field):
     ops = field.ops()
@@ -272,222 +206,182 @@ def _spec_matrix_codes(word, field):
     return (ops.encode(m.a), ops.encode(m.b), ops.encode(m.c), ops.encode(m.d))
 
 
-def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
-    """Breadth-first coset enumeration of a universal subgroup.
-
-    States are annihilator covectors w = v_T_perp * m up to scalar multiples
-    xi^s (s in Z for the bu3 ambient, s in 3Z for b3), seeded at w = v_T_perp
-    and expanded by right multiplication by the specialized images of s2*s1
-    and s2*s1^2; the region permutation is the action of s1 on the same
-    states and is cross-checked against the composition convention.
-    """
-    root = spec.root
-    field = root.field
-    ops = field.ops()
-    tv = type_vector(spec.type_tag, root)
-
-    step = 3 if spec.ambient == "b3" else 1
-    scalar = ops.pow(ops.xi, step)
-    scalars = [ops.one]
-    x = scalar
-    while x != ops.one:
-        scalars.append(x)
-        x = ops.mul(x, scalar)
-
-    # canonical scalar-class representatives: one lookup per nonzero element
-    mu = [0] * ops.q
-    assigned = [False] * ops.q
-    inv_scalars = [ops.inv(s) for s in scalars]
-    for leader in range(1, ops.q):
-        if assigned[leader]:
-            continue
-        for s, s_inv in zip(scalars, inv_scalars):
-            y = ops.mul(s, leader)
-            if not assigned[y]:
-                assigned[y] = True
-                mu[y] = s_inv
-    add, mul = ops.add, ops.mul
-
-    def canon(w0, w1):
-        if w0:
-            m = mu[w0]
-            return (mul(m, w0), mul(m, w1))
-        return (0, mul(mu[w1], w1))
-
-    g_black = _spec_matrix_codes(_BLACK_WORD, field)
-    g_white = _spec_matrix_codes(_WHITE_WORD, field)
-    g_region = _spec_matrix_codes(_REGION_WORD, field)
-
-    def act(w, g):
-        w0, w1 = w
-        return (add(mul(w0, g[0]), mul(w1, g[2])),
-                add(mul(w0, g[1]), mul(w1, g[3])))
-
-    vp0, vp1 = tv.v_perp
-    seed = canon(ops.encode(vp0), ops.encode(vp1))
-    index = {seed: 0}
-    states = [seed]
-    i = 0
-    while i < len(states):
-        w = states[i]
-        for g in (g_black, g_white):
-            w2 = canon(*act(w, g))
-            if w2 not in index:
-                if len(states) >= state_cap:
-                    raise EnumerationCapExceeded(
-                        f"more than {state_cap} cosets for {spec}")
-                index[w2] = len(states)
-                states.append(w2)
-        i += 1
-
-    n = len(states)
-    black = tuple(index[canon(*act(states[k], g_black))] for k in range(n))
-    white = tuple(index[canon(*act(states[k], g_white))] for k in range(n))
-    region = tuple(index[canon(*act(states[k], g_region))] for k in range(n))
-    return Skeleton(black, white, region=region)
-
-
 class _LineWalk:
-    """The projective lines reached from the line of v_T_perp.
+    """The projective lines reached from the line of v_T_perp, with voltages.
 
-    The walk follows s2 s1 and s2 s1^2 breadth-first over the lines of
-    P^1(F_q) that carry the covectors of enumerate_universal's orbit, so it
-    visits at most q + 1 lines and needs no state cap.  The line (1, x) has
-    code x and the line (0, 1) has code q; lines[i] is the i-th line reached
-    and index[line] its position.  black[i] and white[i] are the steps
-    (j, lambda) with rep(lines[i]) g = lambda rep(lines[j]), and
-    potential[i] is the net voltage of the tree path from the seed line.
+    The cosets of a universal subgroup are its annihilator covectors modulo
+    the scalar subgroup S, a cyclic cover of P^1(F_q) with fiber
+    F_q*/S = Z/r.  The walk follows s2 s1 and s2 s1^2 breadth-first over
+    the base, so it visits at most q + 1 lines and needs no state cap.  The
+    line (1, x) has code x and the line (0, 1) has code q; lines[i] is the
+    i-th line reached and index[line] its position.  black[i], white[i] and
+    region[i] are the steps (j, d) of s2 s1, s2 s1^2 and s1, where
+    rep(lines[i]) g = lambda rep(lines[j]) and d is the discrete log of
+    lambda mod r; potential[i] is the net voltage of the tree path from the
+    seed line.  The net voltages of the non-tree steps generate the orbit's
+    local group K <= Z/r, of order k, and the orbit has lines * k edges.
     """
 
     def __init__(self, spec):
-        field = spec.root.field
-        ops = field.ops()
-        q, one = ops.q, ops.one
+        root = spec.root
+        ops = root.field.ops()
+        q, log = ops.q, ops.log
         add, mul, inv = ops.add, ops.mul, ops.inv
+        s = root.M // gcd(root.M, 3 if spec.ambient == "b3" else 1)  # |S|
+        r = (q - 1) // s
 
         def move(line, g):
-            """(line', lambda) with rep(line) g = lambda rep(line')."""
+            """(line', d) with rep(line) g = lambda rep(line'), d = log lambda."""
             if line < q:
                 a0 = add(g[0], mul(line, g[2]))
                 a1 = add(g[1], mul(line, g[3]))
             else:
                 a0, a1 = g[2], g[3]
             if a0:
-                return mul(a1, inv(a0)), a0
-            return q, a1
+                return mul(a1, inv(a0)), log[a0] % r
+            return q, log[a1] % r
 
-        g_black = _spec_matrix_codes(_BLACK_WORD, field)
-        g_white = _spec_matrix_codes(_WHITE_WORD, field)
-        tv = type_vector(spec.type_tag, spec.root)
+        g_black = _spec_matrix_codes(_BLACK_WORD, root.field)
+        g_white = _spec_matrix_codes(_WHITE_WORD, root.field)
+        tv = type_vector(spec.type_tag, root)
         vp0, vp1 = (ops.encode(c) for c in tv.v_perp)
         seed = mul(vp1, inv(vp0)) if vp0 else q
         index = {seed: 0}
         lines = [seed]
-        potential = [one]
+        potential = [0]
         black, white = [], []
         i = 0
         while i < len(lines):
             for g, images in ((g_black, black), (g_white, white)):
-                line2, lam = move(lines[i], g)
+                line2, d = move(lines[i], g)
                 j = index.get(line2)
                 if j is None:
                     j = index[line2] = len(lines)
                     lines.append(line2)
-                    potential.append(mul(potential[i], lam))
-                images.append((j, lam))
+                    potential.append((potential[i] + d) % r)
+                images.append((j, d))
             i += 1
-        self.ops, self.move = ops, move
+        g_region = _spec_matrix_codes(_REGION_WORD, root.field)
+        region = []
+        for line in lines:
+            line2, d = move(line, g_region)
+            region.append((index[line2], d))
+        m = r  # K = m Z / r Z: tree steps close no cycle and add 0
+        for i, steps in enumerate(zip(black, white)):
+            for j, d in steps:
+                m = gcd(m, potential[i] + d - potential[j])
+        self.spec, self.r, self.k = spec, r, r // m
         self.lines, self.index, self.potential = lines, index, potential
-        self.black, self.white = black, white
+        self.black, self.white, self.region = black, white, region
+
+    def check_cap(self, state_cap):
+        if len(self.lines) * self.k > state_cap:
+            raise EnumerationCapExceeded(
+                f"more than {state_cap} cosets for {self.spec}")
+
+    def reaches_e2(self):
+        """True iff the line of v_T lies in the braid orbit of the line of e2.
+
+        Decided on the dual side: g e2 is proportional to v_T iff
+        e2_perp g^-1 is proportional to v_T_perp, s2 s1 and s2 s1^2 generate
+        the same group as s1 and s2, and T acts trivially on lines, so the
+        answer is whether the annihilator line of e2, the covector (1, 0)
+        with code 0, is among the lines reached.
+        """
+        return 0 in self.index
+
+    def signature(self, state_cap=DEFAULT_STATE_CAP):
+        """(SkeletonSignature, genus) of the orbit, read off the base.
+
+        A cycle of g on lines of length L and net voltage mu lifts to
+        k / ord(mu) cycles of length L ord(mu), with ord(mu) = r / gcd(r, mu).
+        This is exact on every orbit, transitive or not.
+        """
+        self.check_cap(state_cap)
+        n, r, k = len(self.lines), self.r, self.k
+
+        def lifted_cycles(step):
+            """(length, count) of the cycles over each cycle of step on lines."""
+            seen = [False] * n
+            out = []
+            for start in range(n):
+                if seen[start]:
+                    continue
+                length, mu, j = 0, 0, start
+                while not seen[j]:
+                    seen[j] = True
+                    length += 1
+                    j, d = step[j]
+                    mu += d
+                o = r // gcd(r, mu)
+                if k % o:
+                    raise AssertionError(f"cycle voltage outside the local "
+                                         f"group for {self.spec}")
+                out.append((length * o, k // o))
+            return out
+
+        black_cycles = lifted_cycles(self.black)
+        white_cycles = lifted_cycles(self.white)
+        widths = []
+        for width, count in lifted_cycles(self.region):
+            widths.extend([width] * count)
+        edges = n * k
+        sig = SkeletonSignature(
+            edges,
+            sum(c for length, c in white_cycles if length == 1),
+            sum(c for length, c in black_cycles if length == 1),
+            tuple(sorted(widths)))
+        vertices = (sum(c for _, c in black_cycles)
+                    + sum(c for _, c in white_cycles))
+        return sig, _euler_genus(vertices, edges, len(widths))
+
+
+def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
+    """The skeleton of a universal subgroup, lifted from the walk over lines.
+
+    A coset is a state (line i, y in Z/r), seeded at (0, 0) for the line of
+    v_T_perp, and a step (j, d) of the walk maps (i, y) to (j, y + d).  The
+    states reached are those with y in potential[i] + K, so each has a slot
+    in an array of lines * k.  States are numbered breadth-first, black
+    before white, exactly as a covector orbit walk numbers its cosets; the
+    lifted s1 is cross-checked against the composition convention.
+    """
+    walk = _LineWalk(spec)
+    walk.check_cap(state_cap)
+    n, r, k = len(walk.lines), walk.r, walk.k
+    m = r // k
+    potential = walk.potential
+    slot_of = [-1] * (n * k)
+    slot_of[0] = 0
+    states = [(0, 0)]
+    black, white = [], []
+    e = 0
+    while e < len(states):
+        i, y = states[e]
+        for steps, images in ((walk.black, black), (walk.white, white)):
+            j, d = steps[i]
+            y2 = (y + d) % r
+            t = j * k + (y2 - potential[j]) % r // m
+            f = slot_of[t]
+            if f < 0:
+                f = slot_of[t] = len(states)
+                states.append((j, y2))
+            images.append(f)
+        e += 1
+    region = []
+    for i, y in states:
+        j, d = walk.region[i]
+        region.append(slot_of[j * k + (y + d - potential[j]) % r // m])
+    return Skeleton(black, white, region=region)
 
 
 def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
-    """Signature and genus of a universal subgroup, by a walk over lines.
+    """Signature and genus of a universal subgroup, by the walk over lines.
 
-    The states of enumerate_universal are covectors modulo the scalar
-    subgroup S, a cyclic cover of P^1(F_q) with fiber F_q*/S, so its orbit
-    is the lift of a voltage graph on the projective lines of _LineWalk.
-    The orbit's local group K <= F_q*/S is generated by the net voltages of
-    the non-tree steps, the orbit has lines * |K| edges, and a cycle of g
-    on lines of length L and net voltage mu lifts to |K| / ord(mu) cycles
-    of length L ord(mu), orders taken modulo S.  This is exact on every
-    orbit, transitive or not.  Returns (SkeletonSignature, genus); raises
-    EnumerationCapExceeded exactly when enumerate_universal would, i.e.
-    when the orbit has more than state_cap edges.
+    Raises EnumerationCapExceeded exactly when enumerate_universal would,
+    i.e. when the orbit has more than state_cap edges.
     """
-    root = spec.root
-    walk = _LineWalk(spec)
-    ops = walk.ops
-    q, one = ops.q, ops.one
-    mul, inv, power = ops.mul, ops.inv, ops.pow
-    potential = walk.potential
-
-    s = root.M // gcd(root.M, 3 if spec.ambient == "b3" else 1)  # |S|
-    r = (q - 1) // s  # |F_q*/S|
-    primes = sympy.primefactors(r)
-
-    def order_mod_s(x):
-        # x -> x^s maps F_q*/S isomorphically onto the subgroup of order r
-        y, n = power(x, s), r
-        for ell in primes:
-            while n % ell == 0 and power(y, n // ell) == one:
-                n //= ell
-        return n
-
-    k = 1  # |K|
-    for i, steps in enumerate(zip(walk.black, walk.white)):
-        if k == r:
-            break
-        for j, lam in steps:
-            # the step closes a cycle of net voltage x (1 on tree steps); x
-            # lies in K iff it lies in the preimage of K, of order k * s
-            x = mul(mul(potential[i], lam), inv(potential[j]))
-            if power(x, k * s) != one:
-                o = order_mod_s(x)
-                k = k * o // gcd(k, o)
-    n = len(walk.lines)
-    if n * k > state_cap:
-        raise EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
-    g_region = _spec_matrix_codes(_REGION_WORD, root.field)
-    region = []
-    for line in walk.lines:
-        line2, lam = walk.move(line, g_region)
-        region.append((walk.index[line2], lam))
-
-    def lifted_cycles(step):
-        """(length, count) of the cycles over each cycle of step on lines."""
-        seen = [False] * n
-        out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            length, mu, j = 0, one, start
-            while not seen[j]:
-                seen[j] = True
-                length += 1
-                j, lam = step[j]
-                mu = mul(mu, lam)
-            o = order_mod_s(mu)
-            if k % o:
-                raise AssertionError(f"cycle voltage outside the local group "
-                                     f"for {spec}")
-            out.append((length * o, k // o))
-        return out
-
-    black_cycles = lifted_cycles(walk.black)
-    white_cycles = lifted_cycles(walk.white)
-    widths = []
-    for width, count in lifted_cycles(region):
-        widths.extend([width] * count)
-    edges = n * k
-    sig = SkeletonSignature(
-        edges,
-        sum(c for length, c in white_cycles if length == 1),
-        sum(c for length, c in black_cycles if length == 1),
-        tuple(sorted(widths)))
-    vertices = (sum(c for _, c in black_cycles)
-                + sum(c for _, c in white_cycles))
-    return sig, _euler_genus(vertices, edges, len(widths))
+    return _LineWalk(spec).signature(state_cap)
 
 
 def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):

@@ -9,6 +9,7 @@ import random
 import time
 
 import pytest
+from covector_oracle import covector_bfs, verify_region_widths
 
 from burausieve.burau import BraidWord, power, specialize_word, to_burau
 from burausieve.exactalg import IntPoly, cyclotomic, factor_over_prime, \
@@ -20,7 +21,7 @@ from burausieve.sieve import branches_for, full_sweep, is_informative, \
     resultant_with_cyclotomic, sweep_pairs
 from burausieve.skeleton import Skeleton, UniversalGroupSpec, \
     enumerate_universal, euler_lhs, genus, signature, table_verify, \
-    universal_signature, verify_region_widths
+    universal_signature
 from burausieve.typesys import admissible_types, root_spec
 
 
@@ -183,8 +184,9 @@ def test_criterion_7_sieve_soundness(sweep):
 
 
 def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):
-    """The genus filter's voltage walk over lines reproduces the covector
-    BFS signature and genus on every sweep candidate of <= 50,000 edges."""
+    """The lift of the walk over lines reproduces the covector BFS
+    permutations, and the genus filter's signature and genus, on every
+    sweep candidate of <= 50,000 edges."""
     results, _ = sweep
     compared = 0
     for N in range(7, 27):
@@ -195,8 +197,11 @@ def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):
                 sig, g = universal_signature(spec)
                 if sig.edges > 50_000:
                     continue
+                oracle = covector_bfs(spec, 50_000)
                 sk = enumerate_universal(spec)
-                assert (sig, g) == (signature(sk), genus(sk)), str(tr)
+                assert (sk.black, sk.white, sk.region) == (
+                    oracle.black, oracle.white, oracle.region), str(tr)
+                assert (sig, g) == (signature(oracle), genus(oracle)), str(tr)
                 compared += 1
     assert compared > 0
     print(f"\nvoltage walk = BFS on {compared} sweep candidates: PASS")

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from burausieve import sieve
+from burausieve import sieve, skeleton
 from burausieve.cli import main
 
 
@@ -15,8 +15,9 @@ def run(capsys, tmp_path, monkeypatch):
 
     def invoke(*argv):
         code = main(list(argv))
-        out = capsys.readouterr().out
-        return code, out
+        captured = capsys.readouterr()
+        invoke.err = captured.err
+        return code, captured.out
 
     return invoke
 
@@ -55,6 +56,13 @@ class TestSkeleton:
         code, _ = run("--state-cap", "5", "skeleton", "--p", "43",
                       "--min-poly", "t+4", "--no-cache")
         assert code == 3
+
+    def test_cap_message_names_the_group(self, run):
+        code, _ = run("--state-cap", "5", "skeleton", "--p", "593",
+                      "--min-poly", "t+201", "--no-cache")
+        assert code == 3
+        assert "p=593" in run.err and "t+201" in run.err
+        assert "UniversalGroupSpec(" not in run.err
 
     def test_json_schema(self, run):
         code, out = run("skeleton", "--p", "13", "--min-poly", "t+2", "--json")
@@ -187,6 +195,23 @@ class TestAddendum:
         assert code == 0
         assert len(os.listdir(cache)) == 13
 
+    def test_one_line_walk_per_type(self, run, tmp_path, monkeypatch):
+        # 43 (row, tag) specs; the genus and the conjugacy to e2 read one
+        # walk each.  The cache is warm, so no row skeleton is lifted
+        cache = str(tmp_path / "addendum-cache")
+        assert run("--cache-dir", cache, "addendum", "--json")[0] == 0
+        walks = []
+        init = skeleton._LineWalk.__init__
+
+        def counting_init(self, spec):
+            walks.append(spec)
+            init(self, spec)
+
+        monkeypatch.setattr(skeleton._LineWalk, "__init__", counting_init)
+        assert run("--cache-dir", cache, "addendum", "--json")[0] == 0
+        assert len(walks) == 43
+        assert len({(str(sp.root), sp.type_tag) for sp in walks}) == 43
+
 
 @pytest.mark.parametrize("argv", [
     ("sieve", "--n-range", "12..12"),
@@ -211,14 +236,19 @@ class TestBadInput:
         code, _ = run("--config", str(tmp_path / "absent.json"), "table")
         assert code == 2
 
-    @pytest.mark.parametrize("config", [
-        {"state_cap": "abc"},
-        {"informative_sets": {"9": [["e", "s3"]]}},
-        {"informative_sets": {"9": [["e", "T s1 s1^-1"]]}},
-    ], ids=["state-cap-text", "unknown-letter", "shared-projection"])
-    def test_bad_config(self, run, tmp_path, config):
+    @pytest.mark.parametrize("config, message", [
+        ({"state_cap": "abc"}, "positive integer"),
+        ({"informative_sets": {"9": [["e", "s3"]]}}, "s3"),
+        ({"informative_sets": {"9": [["e", "T s1 s1^-1"]]}}, "projection"),
+        ({"state-cap": 5}, "unknown config key 'state-cap'"),
+        ({"informative_sets": {"99": [["e"]]}}, "informative_sets key '99'"),
+        ({"informative_sets": {"nine": [["e"]]}}, "informative_sets key 'nine'"),
+    ], ids=["state-cap-text", "unknown-letter", "shared-projection",
+            "unknown-key", "n-out-of-range", "n-not-an-integer"])
+    def test_bad_config(self, run, tmp_path, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, _ = run("--config", str(cfg), "sieve", "--n-range", "9..9",
                       "--raw")
         assert code == 2
+        assert message in run.err

@@ -1,5 +1,7 @@
 """Fibered products, pairwise exclusion, and conjugacy to the e2 line."""
 
+from covector_oracle import skeleton_isomorphic
+
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import (
     conjugate_to_e2,
@@ -13,7 +15,6 @@ from burausieve.skeleton import (
     enumerate_universal,
     genus,
     signature,
-    skeleton_isomorphic,
 )
 from burausieve.typesys import admissible_types, root_spec
 

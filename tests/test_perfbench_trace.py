@@ -1,0 +1,34 @@
+"""The benchmark's per-layer tracer names functions that exist.
+
+`perfbench/layertrace.py` wraps the package's functions by name, so a
+renamed or deleted function would break `perfbench/run.py --trace 1`.  The
+module is loaded read-only from its file; nothing is installed.
+"""
+
+import importlib
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_layertrace():
+    path = os.path.join(ROOT, "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    layertrace = load_layertrace()
+    for mod_name in layertrace.PACKAGE_MODULES:
+        importlib.import_module(f"burausieve.{mod_name}")
+    for mod_name, fn_names in layertrace.TRACED.items():
+        module = importlib.import_module(f"burausieve.{mod_name}")
+        for fn_name in fn_names:
+            assert callable(getattr(module, fn_name, None)), \
+                f"{mod_name}.{fn_name}"
+    mod_name, cls_name = layertrace.SKELETON_CTOR.split(".")
+    assert isinstance(getattr(importlib.import_module(f"burausieve.{mod_name}"),
+                              cls_name), type)

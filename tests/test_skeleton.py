@@ -1,6 +1,12 @@
 """Skeleton structure, enumeration, signatures, genus, golden comparison."""
 
 import pytest
+from covector_oracle import (
+    covector_bfs,
+    skeleton_isomorphic,
+    verify_distinct_lemma,
+    verify_region_widths,
+)
 
 from burausieve.golden import GOLDEN_ROWS, self_check
 from burausieve.intersect import conjugate_to_e2
@@ -13,11 +19,8 @@ from burausieve.skeleton import (
     euler_lhs,
     genus,
     signature,
-    skeleton_isomorphic,
     table_verify,
     universal_signature,
-    verify_distinct_lemma,
-    verify_region_widths,
 )
 from burausieve.typesys import admissible_types, root_spec
 
@@ -246,14 +249,17 @@ NOT_CONJUGATE_TO_E2 = (
 
 
 def assert_voltage_walk_matches(spec):
-    sig, g = universal_signature(spec)
+    """The lift numbers the edges as the covector BFS does, and the
+    signature read off the walk is the BFS skeleton's."""
+    oracle = covector_bfs(spec, 10 ** 6)
     sk = enumerate_universal(spec)
-    assert sig == signature(sk)
-    assert g == genus(sk)
+    assert (sk.black, sk.white, sk.region) == (
+        oracle.black, oracle.white, oracle.region)
+    assert universal_signature(spec) == (signature(oracle), genus(oracle))
 
 
 class TestVoltageWalk:
-    """universal_signature against the covector BFS."""
+    """enumerate_universal and universal_signature against the covector BFS."""
 
     @pytest.mark.parametrize("ambient", ["bu3", "b3"])
     def test_golden_factors(self, ambient):
