@@ -247,24 +247,22 @@ def cmd_table(args, cfg, out):
 
 def cmd_addendum(args, cfg, out):
     cache = cfg.cache_dir if not args.no_cache else None
+    # one root per row serves its representative and its conjugacy walks,
+    # which then share the field's specialized matrices
+    row_roots = [root_spec(row.p, row.factors[0]) for row in GOLDEN_ROWS]
     reps = []
-    if args.all_groups:
-        for row in GOLDEN_ROWS:
-            for grp in row.factor_groups:
-                root = root_spec(row.p, grp[0])
-                reps.append((f"{row.label} {grp[0]}",
-                             cached_enumerate(root, "I", "bu3", cfg.state_cap, cache)))
-    else:
-        for row in GOLDEN_ROWS:
-            root = root_spec(row.p, row.factors[0])
-            reps.append((row.label,
-                         cached_enumerate(root, "I", "bu3", cfg.state_cap, cache)))
+    for row, root in zip(GOLDEN_ROWS, row_roots):
+        groups = row.factor_groups if args.all_groups else row.factor_groups[:1]
+        for n, grp in enumerate(groups):
+            label = f"{row.label} {grp[0]}" if args.all_groups else row.label
+            rep_root = root if n == 0 else root_spec(row.p, grp[0])
+            reps.append((label, cached_enumerate(rep_root, "I", "bu3",
+                                                 cfg.state_cap, cache)))
     pair_report = verify_addendum_pairwise(reps)
 
     conj = []
     conj_ok = True
-    for row in GOLDEN_ROWS:
-        root = root_spec(row.p, row.factors[0])
+    for row, root in zip(GOLDEN_ROWS, row_roots):
         # one walk per type gives both the genus and the conjugacy to e2
         realized, ok = [], True
         for tag in sorted(admissible_types(root)):

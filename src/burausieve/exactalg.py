@@ -811,6 +811,8 @@ class _FieldOps:
     keys and FieldElem objects would dominate the runtime.  log[c] is the
     discrete logarithm of the nonzero code c to a primitive element, the
     same table for both field kinds; extension fields also multiply by it.
+    matrix_codes memoizes the codes of specialized Burau matrices, keyed by
+    the matrix, for the walks over this field.
     """
 
     def __init__(self, spec):
@@ -834,6 +836,7 @@ class _FieldOps:
         for i, code in enumerate(exp_t):
             log_t[code] = i
         self.log = log_t
+        self.matrix_codes = {}
         if d == 1:
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: (a * b) % p

@@ -3,7 +3,11 @@
 Two distinct classification rows cannot coexist in one subgroup: the
 skeletons of the intersections of conjugates are exactly the connected
 components of the fibered product over the one-edge base, and every such
-component must have positive genus.  Conjugacy of each realized module to
+component must have positive genus.  The genus of a component is counted
+during the one pass that labels the pairs, so no component skeleton is
+built: its edges, its vertices (from the pairs fixed by black and by
+white) and its regions (from the region widths of the two coordinates)
+go straight into Euler's formula.  Conjugacy of each realized module to
 the span of e2 is decided on the projective line, where scalars act
 trivially, by the same walk over lines that gives the genus.
 """
@@ -11,8 +15,9 @@ trivially, by the same walk over lines that gives the genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .skeleton import Skeleton, _LineWalk, genus
+from .skeleton import _euler_genus, _LineWalk
 
 
 @dataclass(frozen=True)
@@ -21,57 +26,80 @@ class FiberedProduct:
 
     left_edges: int
     right_edges: int
-    components: tuple  # of Skeleton
+    components: tuple  # of (edges, genus), ordered by their first pair
 
     @property
     def total_edges(self):
         return self.left_edges * self.right_edges
 
     def min_genus(self):
-        return min(genus(c) for c in self.components)
+        return min(g for _, g in self.components)
+
+
+def _region_lengths(sk):
+    """The length of the region cycle through each edge."""
+    out = [0] * sk.edge_count
+    for cyc in sk.region_cycles():
+        for e in cyc:
+            out[e] = len(cyc)
+    return out
 
 
 def fibered_product(s1, s2):
-    """Product skeleton over the one-edge base, split into components.
+    """Edges and genus of each component of the product over the one-edge base.
 
-    Edges are pairs, the black and white permutations act coordinatewise,
-    and each orbit of the pair action is returned as its own skeleton (the
-    region permutation is recomputed from the fixed convention).
+    Edges are pairs k = i * e2 + j, and the black and white permutations
+    act coordinatewise; so does the region permutation, so a pair whose
+    coordinates lie on region cycles of lengths x and y lies on one of
+    length lcm(x, y).  One labelling pass sums, per component, its pairs E,
+    its black- and white-fixed pairs and F * L = sum of L / lcm(x, y), with
+    L the lcm of both factors' widths.  Black has order 3 and white order 2
+    because they do on the factors, so V = (E + 2 fix_black) / 3 +
+    (E + fix_white) / 2 and F = (F * L) / L, and Euler's formula gives the
+    genus.  A component is connected because it is labelled by its walk.
     """
     e1, e2 = s1.edge_count, s2.edge_count
+    b1, w1, b2, w2 = s1.black, s1.white, s2.black, s2.white
+    len1, len2 = _region_lengths(s1), _region_lengths(s2)
+    widths1, widths2 = sorted(set(len1)), sorted(set(len2))
+    L = lcm(*widths1, *widths2)
+    # weight[x1[i] + y2[j]] = L / lcm(x, y) for the widths x, y through i, j
+    weight = [L // lcm(x, y) for x in widths1 for y in widths2]
+    row = {x: a * len(widths2) for a, x in enumerate(widths1)}
+    col = {y: c for c, y in enumerate(widths2)}
+    x1 = [row[x] for x in len1]
+    y2 = [col[y] for y in len2]
 
-    def black(k):
-        i, j = divmod(k, e2)
-        return s1.black[i] * e2 + s2.black[j]
-
-    def white(k):
-        i, j = divmod(k, e2)
-        return s1.white[i] * e2 + s2.white[j]
-
-    n = e1 * e2
-    comp_of = [-1] * n
-    comps = []
-    for start in range(n):
-        if comp_of[start] >= 0:
+    seen = bytearray(e1 * e2)
+    components = []
+    for start in range(e1 * e2):
+        if seen[start]:
             continue
+        seen[start] = 1
         stack = [start]
-        comp_of[start] = len(comps)
-        members = [start]
+        edges = fix_black = fix_white = faces_l = 0
         while stack:
             k = stack.pop()
-            for f in (black(k), white(k)):
-                if comp_of[f] < 0:
-                    comp_of[f] = len(comps)
-                    members.append(f)
-                    stack.append(f)
-        comps.append(sorted(members))
-    skeletons = []
-    for members in comps:
-        local = {k: idx for idx, k in enumerate(members)}
-        b = tuple(local[black(k)] for k in members)
-        w = tuple(local[white(k)] for k in members)
-        skeletons.append(Skeleton(b, w))
-    return FiberedProduct(e1, e2, tuple(skeletons))
+            i, j = divmod(k, e2)
+            edges += 1
+            faces_l += weight[x1[i] + y2[j]]
+            f = b1[i] * e2 + b2[j]
+            if f == k:
+                fix_black += 1
+            elif not seen[f]:
+                seen[f] = 1
+                stack.append(f)
+            f = w1[i] * e2 + w2[j]
+            if f == k:
+                fix_white += 1
+            elif not seen[f]:
+                seen[f] = 1
+                stack.append(f)
+        if (edges + 2 * fix_black) % 3 or (edges + fix_white) % 2 or faces_l % L:
+            raise AssertionError("product cycle counts are not integral")
+        vertices = (edges + 2 * fix_black) // 3 + (edges + fix_white) // 2
+        components.append((edges, _euler_genus(vertices, edges, faces_l // L)))
+    return FiberedProduct(e1, e2, tuple(components))
 
 
 def conjugate_to_e2(spec):
@@ -94,7 +122,7 @@ def verify_addendum_pairwise(row_skeletons):
             label_a, sk_a = row_skeletons[i]
             label_b, sk_b = row_skeletons[j]
             prod = fibered_product(sk_a, sk_b)
-            if sum(c.edge_count for c in prod.components) != prod.total_edges:
+            if sum(e for e, _ in prod.components) != prod.total_edges:
                 raise AssertionError("component edges do not partition the product")
             mg = prod.min_genus()
             entry = {

@@ -18,14 +18,15 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .burau import BraidWord, specialize_word
+from .burau import BraidWord, specialize, to_burau
 from .typesys import RootSpec, root_spec, type_vector
 
 DEFAULT_STATE_CAP = 10 ** 6
 
-_BLACK_WORD = BraidWord.parse("s2 s1")
-_WHITE_WORD = BraidWord.parse("s2 s1 s1")
-_REGION_WORD = BraidWord.parse("s1")
+# The Burau images of the black, white and region generators
+_BLACK = to_burau(BraidWord.parse("s2 s1"))
+_WHITE = to_burau(BraidWord.parse("s2 s1 s1"))
+_REGION = to_burau(BraidWord.parse("s1"))
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -200,10 +201,16 @@ class UniversalGroupSpec:
                 f"in {self.ambient}")
 
 
-def _spec_matrix_codes(word, field):
+def _spec_matrix_codes(m, field):
+    """The codes of m specialized to field, computed once per field and
+    shared by every walk over it (all tags, both ambients)."""
     ops = field.ops()
-    m = specialize_word(word, field)
-    return (ops.encode(m.a), ops.encode(m.b), ops.encode(m.c), ops.encode(m.d))
+    codes = ops.matrix_codes.get(m)
+    if codes is None:
+        sm = specialize(m, field)
+        codes = ops.matrix_codes[m] = (ops.encode(sm.a), ops.encode(sm.b),
+                                       ops.encode(sm.c), ops.encode(sm.d))
+    return codes
 
 
 class _LineWalk:
@@ -241,8 +248,8 @@ class _LineWalk:
                 return mul(a1, inv(a0)), log[a0] % r
             return q, log[a1] % r
 
-        g_black = _spec_matrix_codes(_BLACK_WORD, root.field)
-        g_white = _spec_matrix_codes(_WHITE_WORD, root.field)
+        g_black = _spec_matrix_codes(_BLACK, root.field)
+        g_white = _spec_matrix_codes(_WHITE, root.field)
         tv = type_vector(spec.type_tag, root)
         vp0, vp1 = (ops.encode(c) for c in tv.v_perp)
         seed = mul(vp1, inv(vp0)) if vp0 else q
@@ -261,7 +268,7 @@ class _LineWalk:
                     potential.append((potential[i] + d) % r)
                 images.append((j, d))
             i += 1
-        g_region = _spec_matrix_codes(_REGION_WORD, root.field)
+        g_region = _spec_matrix_codes(_REGION, root.field)
         region = []
         for line in lines:
             line2, d = move(line, g_region)

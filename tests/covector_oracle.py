@@ -2,20 +2,23 @@
 
 `covector_bfs` is the breadth-first coset enumeration over covectors that
 the package replaced by the lift of its walk over projective lines; the
-tests compare the lift's permutations with it edge for edge.  The skeleton
-checks below it (width divisibility, the incidence lemma, isomorphism)
-have no caller in the pipeline and serve the tests only.
+tests compare the lift's permutations with it edge for edge.
+`product_skeletons` builds every component of a fibered product as a
+skeleton, which the package replaced by counting each component's edges
+and genus in one labelling pass.  The skeleton checks at the end (width
+divisibility, the incidence lemma, isomorphism) have no caller in the
+pipeline and serve the tests only.
 """
 
-from burausieve.skeleton import (
-    _BLACK_WORD,
-    _REGION_WORD,
-    _WHITE_WORD,
-    EnumerationCapExceeded,
-    Skeleton,
-    _spec_matrix_codes,
-)
+from burausieve.burau import BraidWord, specialize_word
+from burausieve.skeleton import EnumerationCapExceeded, Skeleton
 from burausieve.typesys import type_vector
+
+
+def _codes(text, field):
+    ops = field.ops()
+    m = specialize_word(BraidWord.parse(text), field)
+    return (ops.encode(m.a), ops.encode(m.b), ops.encode(m.c), ops.encode(m.d))
 
 
 def covector_bfs(spec, state_cap):
@@ -60,9 +63,9 @@ def covector_bfs(spec, state_cap):
             return (mul(m, w0), mul(m, w1))
         return (0, mul(mu[w1], w1))
 
-    g_black = _spec_matrix_codes(_BLACK_WORD, field)
-    g_white = _spec_matrix_codes(_WHITE_WORD, field)
-    g_region = _spec_matrix_codes(_REGION_WORD, field)
+    g_black = _codes("s2 s1", field)
+    g_white = _codes("s2 s1 s1", field)
+    g_region = _codes("s1", field)
 
     def act(w, g):
         w0, w1 = w
@@ -91,6 +94,49 @@ def covector_bfs(spec, state_cap):
     white = tuple(index[canon(*act(states[k], g_white))] for k in range(n))
     region = tuple(index[canon(*act(states[k], g_region))] for k in range(n))
     return Skeleton(black, white, region=region)
+
+
+def product_skeletons(s1, s2):
+    """Product skeleton over the one-edge base, split into components.
+
+    Edges are pairs, the black and white permutations act coordinatewise,
+    and each orbit of the pair action is returned as its own skeleton (the
+    region permutation is recomputed from the fixed convention).
+    """
+    e1, e2 = s1.edge_count, s2.edge_count
+
+    def black(k):
+        i, j = divmod(k, e2)
+        return s1.black[i] * e2 + s2.black[j]
+
+    def white(k):
+        i, j = divmod(k, e2)
+        return s1.white[i] * e2 + s2.white[j]
+
+    n = e1 * e2
+    comp_of = [-1] * n
+    comps = []
+    for start in range(n):
+        if comp_of[start] >= 0:
+            continue
+        stack = [start]
+        comp_of[start] = len(comps)
+        members = [start]
+        while stack:
+            k = stack.pop()
+            for f in (black(k), white(k)):
+                if comp_of[f] < 0:
+                    comp_of[f] = len(comps)
+                    members.append(f)
+                    stack.append(f)
+        comps.append(sorted(members))
+    skeletons = []
+    for members in comps:
+        local = {k: idx for idx, k in enumerate(members)}
+        b = tuple(local[black(k)] for k in members)
+        w = tuple(local[white(k)] for k in members)
+        skeletons.append(Skeleton(b, w))
+    return tuple(skeletons)
 
 
 def verify_region_widths(sk, N):

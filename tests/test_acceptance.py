@@ -9,7 +9,8 @@ import random
 import time
 
 import pytest
-from covector_oracle import covector_bfs, verify_region_widths
+from covector_oracle import covector_bfs, product_skeletons, \
+    verify_region_widths
 
 from burausieve.burau import BraidWord, power, specialize_word, to_burau
 from burausieve.exactalg import IntPoly, cyclotomic, factor_over_prime, \
@@ -161,8 +162,10 @@ def test_criterion_6_property_suites(row_skeletons):
     # base-change identity of the fibered product
     for row, sk in row_skeletons[:4]:
         fp = fibered_product(Skeleton.single_edge(), sk)
+        comps = product_skeletons(Skeleton.single_edge(), sk)
+        assert fp.components == tuple((c.edge_count, genus(c)) for c in comps)
         assert len(fp.components) == 1
-        assert signature(fp.components[0]) == signature(sk)
+        assert signature(comps[0]) == signature(sk)
     print("\nACCEPTANCE 6 (property suites): PASS")
 
 

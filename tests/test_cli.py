@@ -2,11 +2,13 @@
 
 import json
 import os
+import sys
 
 import pytest
 
-from burausieve import sieve, skeleton
+from burausieve import burau, sieve, skeleton
 from burausieve.cli import main
+from burausieve.golden import GOLDEN_ROWS
 
 
 @pytest.fixture()
@@ -20,6 +22,25 @@ def run(capsys, tmp_path, monkeypatch):
         return code, captured.out
 
     return invoke
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record the positional arguments of every call of owner.name, also
+    under any other name a package module binds it to."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("burausieve."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
 
 
 class TestFactors:
@@ -175,6 +196,14 @@ class TestTable:
         code, _ = run("table", "--verify", "--row", "99")
         assert code == 2
 
+    def test_three_specializations_per_field(self, run, monkeypatch):
+        # the bu3 and b3 walks of a golden factor share its field, and so
+        # its specialized s2 s1, s2 s1^2 and s1
+        calls = count_calls(monkeypatch, burau, "specialize")
+        assert run("table", "--verify", "--json")[0] == 0
+        assert len(calls) == 3 * sum(len(row.factors) for row in GOLDEN_ROWS)
+        assert len({id(spec) for _, spec in calls}) == len(calls) // 3
+
     def test_config_file(self, run, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -211,6 +240,20 @@ class TestAddendum:
         assert run("--cache-dir", cache, "addendum", "--json")[0] == 0
         assert len(walks) == 43
         assert len({(str(sp.root), sp.type_tag) for sp in walks}) == 43
+
+    @pytest.mark.parametrize("argv, skeletons", [
+        (("addendum", "--json"), 13),
+        (("addendum", "--all-groups", "--json"), 31),
+    ], ids=["rows", "all-groups"])
+    def test_warm_run_builds_only_the_representatives(self, run, tmp_path,
+                                                      monkeypatch, argv, skeletons):
+        # the fibered products count their components' genus; the only
+        # skeletons are the cached representatives read back
+        cache = str(tmp_path / "addendum-cache")
+        assert run("--cache-dir", cache, *argv)[0] == 0
+        calls = count_calls(monkeypatch, skeleton.Skeleton, "__init__")
+        assert run("--cache-dir", cache, *argv)[0] == 0
+        assert len(calls) == skeletons
 
 
 @pytest.mark.parametrize("argv", [

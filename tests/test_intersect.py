@@ -1,6 +1,6 @@
 """Fibered products, pairwise exclusion, and conjugacy to the e2 line."""
 
-from covector_oracle import skeleton_isomorphic
+from covector_oracle import product_skeletons, skeleton_isomorphic
 
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import (
@@ -23,6 +23,16 @@ def enumerate_pair(p, text, tag="I", ambient="bu3"):
     return enumerate_universal(UniversalGroupSpec(root_spec(p, text), tag, ambient))
 
 
+def counted_and_built(s1, s2):
+    """The counting product and the oracle's component skeletons, after
+    checking that both give the same components: those of the counting
+    product come in the order of their first pair, as the oracle's do."""
+    fp = fibered_product(s1, s2)
+    comps = product_skeletons(s1, s2)
+    assert fp.components == tuple((c.edge_count, genus(c)) for c in comps)
+    return fp, comps
+
+
 ROW1 = enumerate_pair(2, "t^3+t+1")
 ROW1B = enumerate_pair(2, "t^3+t^2+1")
 ROW3 = enumerate_pair(3, "t^2+2t+2")
@@ -30,45 +40,55 @@ ROW3 = enumerate_pair(3, "t^2+2t+2")
 
 class TestFiberedProduct:
     def test_base_change_identity(self):
-        fp = fibered_product(Skeleton.single_edge(), ROW1)
+        fp, comps = counted_and_built(Skeleton.single_edge(), ROW1)
         assert len(fp.components) == 1
-        assert signature(fp.components[0]) == signature(ROW1)
+        assert signature(comps[0]) == signature(ROW1)
 
     def test_component_edges_partition(self):
-        fp = fibered_product(ROW1, ROW3)
-        assert sum(c.edge_count for c in fp.components) == fp.total_edges == 90
+        fp, comps = counted_and_built(ROW1, ROW3)
+        assert sum(c.edge_count for c in comps) == fp.total_edges == 90
 
     def test_self_product_has_flat_diagonal(self):
-        fp = fibered_product(ROW1, ROW1)
+        _, comps = counted_and_built(ROW1, ROW1)
         assert any(c.edge_count == ROW1.edge_count and genus(c) == 0
-                   for c in fp.components)
+                   for c in comps)
 
     def test_distinct_rows_exclude_each_other(self):
-        assert fibered_product(ROW1, ROW3).min_genus() >= 1
+        assert counted_and_built(ROW1, ROW3)[0].min_genus() >= 1
 
     def test_comma_partners_share_a_flat_component(self):
         # t^3+t+1 and t^3+t^2+1 have isomorphic skeletons (reciprocal
         # roots), so the product contains a diagonal-type component of
         # genus zero: they act as one entry of the classification, not two
         assert skeleton_isomorphic(ROW1, ROW1B)
-        fp = fibered_product(ROW1, ROW1B)
+        fp, comps = counted_and_built(ROW1, ROW1B)
         assert fp.min_genus() == 0
         assert any(c.edge_count == ROW1.edge_count and genus(c) == 0
-                   for c in fp.components)
+                   for c in comps)
 
     def test_same_row_distinct_groups_exclude_each_other(self):
         # p=11 N=10: t+2 and t+6 sit in different iso-classes
         s_a = enumerate_pair(11, "t+2")
         s_b = enumerate_pair(11, "t+6")
         assert not skeleton_isomorphic(s_a, s_b)
-        assert fibered_product(s_a, s_b).min_genus() >= 1
+        assert counted_and_built(s_a, s_b)[0].min_genus() >= 1
 
     def test_genus_monotone_under_products(self):
         # components cover both factors, so genus never drops
         high = enumerate_pair(19, "t+4", ambient="b3")  # genus 1
         assert genus(high) == 1
-        fp = fibered_product(high, ROW1)
+        fp, _ = counted_and_built(high, ROW1)
         assert fp.min_genus() >= 1
+
+    def test_counting_matches_built_components(self):
+        # every pair of row representatives, the comma partners (a genus-0
+        # diagonal component) and a genus-1 factor against row 1
+        reps = [enumerate_pair(row.p, row.factors[0]) for row in GOLDEN_ROWS]
+        pairs = [(a, b) for n, a in enumerate(reps) for b in reps[n + 1:]]
+        pairs += [(ROW1, ROW1B), (enumerate_pair(19, "t+4", ambient="b3"), ROW1)]
+        assert len(pairs) == 80
+        for s1, s2 in pairs:
+            counted_and_built(s1, s2)
 
 
 class TestAddendumPairs:

@@ -1,4 +1,5 @@
-"""The benchmark's per-layer tracer names functions that exist.
+"""The benchmark's per-layer tracer names functions that exist, and finds
+on their results the attributes it reads.
 
 `perfbench/layertrace.py` wraps the package's functions by name, so a
 renamed or deleted function would break `perfbench/run.py --trace 1`.  The
@@ -8,6 +9,9 @@ module is loaded read-only from its file; nothing is installed.
 import importlib
 import importlib.util
 import os
+
+from burausieve.intersect import fibered_product
+from burausieve.skeleton import Skeleton
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,3 +36,9 @@ def test_traced_names_resolve():
     mod_name, cls_name = layertrace.SKELETON_CTOR.split(".")
     assert isinstance(getattr(importlib.import_module(f"burausieve.{mod_name}"),
                               cls_name), type)
+
+
+def test_fibered_product_reports_total_edges():
+    # the tracer's product observer reads total_edges off every result
+    single = Skeleton.single_edge()
+    assert fibered_product(single, single).total_edges == 1
