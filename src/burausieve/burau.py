@@ -4,14 +4,15 @@ Words live in the central product of the three-strand braid group with the
 scalar matrices <t*id>; the alphabet is {s1, s2, s1^-1, s2^-1, T, T^-1}
 with T the scalar generator.  Words are never normalized: equality of
 group elements is decided on Burau images, which is faithful for braids.
+A matrix is specialized to a finite field entrywise, as the integer codes
+of its entries at xi (see exactalg.FieldSpec).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .exactalg import FieldElem, IntPoly, power_by_squaring
+from .exactalg import IntPoly
 
 # letter codes: +-1 = s1, +-2 = s2, +-3 = T
 _LETTER_NAMES = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1", 3: "T", -3: "T^-1"}
@@ -64,10 +65,6 @@ class BraidWord:
         """Degree homomorphism: s1, s2 count 1, the scalar T counts 2."""
         return sum((2 if abs(c) == 3 else 1) * (1 if c > 0 else -1)
                    for c in self.letters)
-
-
-def bdeg(word):
-    return word.bdeg()
 
 
 @dataclass(frozen=True)
@@ -163,57 +160,8 @@ def modular_projection(word):
     return (a, b, c, d)
 
 
-@dataclass(frozen=True)
-class SpecMatrix:
-    """A 2x2 matrix over a finite field (a specialized Burau image)."""
-
-    a: FieldElem
-    b: FieldElem
-    c: FieldElem
-    d: FieldElem
-
-    @staticmethod
-    def identity(spec):
-        one, zero = spec.one(), spec.zero()
-        return SpecMatrix(one, zero, zero, one)
-
-    def __mul__(self, other):
-        return SpecMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def inverse(self):
-        det = self.det()
-        if det.is_zero:
-            raise ZeroDivisionError("singular matrix")
-        inv = det.inverse()
-        return SpecMatrix(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
-
-    def is_identity(self):
-        spec = self.a.spec
-        return (self.a == spec.one() and self.d == spec.one()
-                and self.b.is_zero and self.c.is_zero)
-
-
-def specialize(m, spec):
-    """Evaluate a BurauMatrix entrywise at xi = class of t."""
-    xi = spec.gen()
-    return SpecMatrix(m.a.evaluate(xi), m.b.evaluate(xi),
-                      m.c.evaluate(xi), m.d.evaluate(xi))
-
-
-def specialize_word(word, spec):
-    return specialize(to_burau(word), spec)
-
-
-def power(m, n):
-    """Fast exponentiation of a SpecMatrix; negative n inverts first."""
-    if n < 0:
-        return power(m.inverse(), -n)
-    return power_by_squaring(m, n, operator.mul, SpecMatrix.identity(m.a.spec))
+def specialize(m, field):
+    """The codes of the entries a, b, c, d of m evaluated at xi, the class
+    of t in the FieldSpec field."""
+    return (field.evaluate(m.a), field.evaluate(m.b),
+            field.evaluate(m.c), field.evaluate(m.d))

@@ -20,7 +20,7 @@ from .golden import GOLDEN_ROWS, self_check
 from .intersect import verify_addendum_pairwise
 from .sieve import SWEEP_RANGE, full_sweep
 from .skeleton import DEFAULT_STATE_CAP, EnumerationCapExceeded, Skeleton, \
-    UniversalGroupSpec, _LineWalk, enumerate_universal
+    UniversalGroupSpec, _cap_exceeded, _LineWalk, enumerate_universal
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
 SCHEMA_VERSION = 1
@@ -131,7 +131,7 @@ def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
     sk = _read_cached(path) if path else None
     if sk is not None:
         if sk.edge_count > state_cap:
-            raise EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
+            raise _cap_exceeded(state_cap, spec)
         return sk
     sk = enumerate_universal(spec, state_cap)
     if path:
@@ -266,8 +266,9 @@ def cmd_addendum(args, cfg, out):
         # one walk per type gives both the genus and the conjugacy to e2
         realized, ok = [], True
         for tag in sorted(admissible_types(root)):
-            walk = _LineWalk(UniversalGroupSpec(root, tag, "bu3"))
-            if walk.signature(cfg.state_cap)[1] == 0:
+            walk = _LineWalk(UniversalGroupSpec(root, tag, "bu3"),
+                             cfg.state_cap)
+            if walk.signature()[1] == 0:
                 realized.append(tag)
                 ok = ok and walk.reaches_e2()
         conj_ok = conj_ok and ok

@@ -1,10 +1,11 @@
 """Exact arithmetic foundation.
 
-Integer Laurent polynomials, resultants, cyclotomic polynomials, prime
-fields and their finite extensions presented as polynomial quotients,
-and polynomial factorization over F_p.  Everything here is exact: integer
-coefficients are arbitrary precision, and field elements are reduced
-residues, so results can be compared bit for bit.
+Integer Laurent polynomials, resultants, cyclotomic polynomials,
+polynomial factorization over F_p, and finite fields: a field is presented
+as a verified quotient F_p[t]/(m), and its elements are integer codes with
+one arithmetic, by log tables.  Everything here is exact: integer
+coefficients are arbitrary precision, so results can be compared bit for
+bit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
+from math import gcd
 
 import sympy
 
@@ -152,15 +154,6 @@ class IntPoly:
             raise ValueError("negative power of an IntPoly")
         return power_by_squaring(self, n, operator.mul, IntPoly.one())
 
-    def evaluate(self, x):
-        """Evaluate at a FieldElem (negative shifts use the inverse)."""
-        acc = x.spec.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + x.spec.from_int(c)
-        if self.shift:
-            acc = acc * x ** self.shift
-        return acc
-
     def reduce_mod(self, p):
         """Shift-cleared coefficients reduced into 0..p-1."""
         return _fp_trim(tuple(c % p for c in self.coeffs))
@@ -264,36 +257,29 @@ def parse_poly(text):
 
 @lru_cache(maxsize=None)
 def cyclotomic(N):
-    """The N-th cyclotomic polynomial over Z (monic, degree phi(N))."""
+    """The N-th cyclotomic polynomial over Z (monic, degree phi(N)).
+
+    phi_N = prod over the squarefree divisors e of N of
+    (t^(N/e) - 1)^mu(e): multiply by each sparse binomial with mu(e) = 1,
+    then divide exactly by each with mu(e) = -1.
+    """
     if N < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    if N == 1:
-        return IntPoly((-1, 1))
-    # divide t^N - 1 by the cyclotomics of all proper divisors
-    num = IntPoly([-1] + [0] * (N - 1) + [1])
-    for d in range(1, N):
-        if N % d == 0:
-            num = _exact_div(num, cyclotomic(d))
-    return num
-
-
-def _exact_div(f, g):
-    """Exact division in Z[t] (raises if not exact)."""
-    fc = list(f.poly_part())
-    gc = list(g.poly_part())
-    if not gc:
-        raise ZeroDivisionError("division by zero polynomial")
-    out = [0] * (len(fc) - len(gc) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(fc[i + len(gc) - 1], gc[-1])
-        if r:
-            raise ValueError("division is not exact")
-        out[i] = q
-        for j, c in enumerate(gc):
-            fc[i + j] -= q * c
-    if any(fc):
-        raise ValueError("division is not exact")
-    return IntPoly(out, (f.shift - g.shift))
+    up, down = [N], []
+    for q in sympy.primefactors(N):
+        up, down = up + [d // q for d in down], down + [d // q for d in up]
+    c = [1]
+    for d in up:
+        # times t^d - 1
+        c = [(c[i - d] if i >= d else 0) - (c[i] if i < len(c) else 0)
+             for i in range(len(c) + d)]
+    for d in down:
+        # divided by t^d - 1: c = g (t^d - 1) means g[i] = g[i - d] - c[i]
+        g = c[:len(c) - d]
+        for i in range(len(g)):
+            g[i] = (g[i - d] if i >= d else 0) - c[i]
+        c = g
+    return IntPoly(c)
 
 
 def substitute_neg(f):
@@ -624,10 +610,18 @@ def factor_over_prime(f, p):
 
 
 class FieldSpec:
-    """The field F_p[t]/(modulus) with its verified presentation.
+    """The field F_p[t]/(modulus), its elements coded as integers.
 
     The modulus must be monic irreducible over F_p and distinct from t, so
-    the class of t is an invertible generator of the presentation.
+    the class of t, xi, is an invertible generator of the presentation.
+    The code of an element is the base-p number whose digits are the
+    coefficients of its residue, lowest power first: 0..p-1 are the prime
+    field, and gen is the code of xi.  log[c] is the discrete logarithm of
+    the nonzero code c to the first code whose powers reach all q - 1
+    units, and exp inverts it; extension fields multiply through them.
+    The tables cost O(q) time and memory.  matrix_codes memoizes the codes
+    of specialized Burau matrices, keyed by the matrix, for the walks over
+    this field.
     """
 
     def __init__(self, p, modulus):
@@ -653,223 +647,28 @@ class FieldSpec:
             raise ValueError(f"modulus {poly_text(coeffs)} is reducible over F_{p}")
         self.p = p
         self.modulus = coeffs
-        self.degree = _deg(coeffs)
-        self.order = p ** self.degree
-        self._ops = None
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldSpec) and self.p == other.p
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.modulus))
-
-    def __repr__(self):
-        return f"FieldSpec(p={self.p}, modulus={poly_text(self.modulus)})"
-
-    @property
-    def min_poly(self):
-        return IntPoly(self.modulus)
-
-    def element(self, coeffs):
-        return FieldElem(self, coeffs)
-
-    def from_int(self, n):
-        return FieldElem(self, (n % self.p,))
-
-    def zero(self):
-        return FieldElem(self, ())
-
-    def one(self):
-        return FieldElem(self, (1,))
-
-    def gen(self):
-        """The class of t (the root xi of the modulus)."""
-        return FieldElem(self, (0, 1))
-
-    def elements(self):
-        """All field elements, in lexicographic coefficient order."""
-        from itertools import product
-        for coeffs in product(range(self.p), repeat=self.degree):
-            yield FieldElem(self, coeffs)
-
-    def ops(self):
-        if self._ops is None:
-            self._ops = _FieldOps(self)
-        return self._ops
-
-
-class FieldElem:
-    """An element of a FieldSpec, always reduced modulo the modulus."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec, coeffs):
-        if isinstance(coeffs, int):
-            coeffs = (coeffs,)
-        c = tuple(x % spec.p for x in coeffs)
-        if _deg(c) >= spec.degree:
-            c = _fp_mod(c, spec.modulus, spec.p)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", _fp_trim(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElem(self.spec, _fp_add(self.coeffs, other.coeffs, self.spec.p))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElem(self.spec, _fp_sub(self.coeffs, other.coeffs, self.spec.p))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElem(self.spec, _fp_mul(self.coeffs, other.coeffs, self.spec.p))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElem(self.spec, tuple(-c for c in self.coeffs))
-
-    def inverse(self):
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in F_p[t]
-        p = self.spec.p
-        r0, r1 = self.spec.modulus, self.coeffs
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
-        inv_lead = pow(r0[0], p - 2, p)
-        return FieldElem(self.spec, tuple((c * inv_lead) % p for c in s0))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power_by_squaring(self, n, operator.mul, self.spec.one())
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.spec != self.spec:
-                raise ValueError("field mismatch")
-            return other
-        if isinstance(other, int):
-            return self.spec.from_int(other)
-        raise TypeError(f"cannot combine FieldElem with {type(other).__name__}")
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.spec.from_int(other)
-        return (isinstance(other, FieldElem) and self.spec == other.spec
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.modulus, self.coeffs))
-
-    def __str__(self):
-        return poly_text(self.coeffs) if self.coeffs else "0"
-
-    def __repr__(self):
-        return f"FieldElem({self}, {self.spec!r})"
-
-
-def element_order(x):
-    """Least n >= 1 with x^n = 1, by descending through the group order."""
-    if x.is_zero:
-        raise ValueError("order of zero")
-    n = x.spec.order - 1
-    for q in sympy.factorint(n):
-        while n % q == 0 and x ** (n // q) == x.spec.one():
-            n //= q
-    return n
-
-
-# ---------------------------------------------------------------------------
-# integer-coded field operations for tight enumeration loops
-
-
-class _FieldOps:
-    """Field arithmetic on integer codes (base-p packed coefficients).
-
-    Used by the walk over projective lines, where elements are dictionary
-    keys and FieldElem objects would dominate the runtime.  log[c] is the
-    discrete logarithm of the nonzero code c to a primitive element, the
-    same table for both field kinds; extension fields also multiply by it.
-    matrix_codes memoizes the codes of specialized Burau matrices, keyed by
-    the matrix, for the walks over this field.
-    """
-
-    def __init__(self, spec):
-        self.spec = spec
-        p, d = spec.p, spec.degree
-        self.q = q = spec.order
-        # discrete exp/log tables: the powers of the first element whose
-        # powers reach all q - 1 units
-        for cand in range(1, q):
-            if d == 1:
-                times = lambda c, g=cand: c * g % p
-            else:
-                times = lambda c, g=self.decode(cand): self.encode(self.decode(c) * g)
-            exp_t, code = [1], times(1)
-            while code != 1:
-                exp_t.append(code)
-                code = times(code)
-            if len(exp_t) == q - 1:
-                break
-        log_t = [0] * q
-        for i, code in enumerate(exp_t):
-            log_t[code] = i
-        self.log = log_t
+        self.degree = d = _deg(coeffs)
+        self.order = q = p ** d
         self.matrix_codes = {}
         if d == 1:
+            self.gen = -coeffs[0] % p
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: (a * b) % p
             self.inv = lambda a: pow(a, p - 2, p)
+            self.exp, self.log = _unit_tables(q, self.mul)
         else:
-            self._extension_arithmetic(exp_t)
+            self.gen = p
+            self._extension_arithmetic()
 
-    def encode(self, elem):
-        v = 0
-        coeffs = elem.coeffs
-        for i in range(self.spec.degree - 1, -1, -1):
-            v = v * self.spec.p + (coeffs[i] if i < len(coeffs) else 0)
-        return v
+    def _extension_arithmetic(self):
+        p, d, q, modulus = self.p, self.degree, self.order, self.modulus
+        digits = [tuple(code // p ** i % p for i in range(d)) for code in range(q)]
 
-    def decode(self, code):
-        p = self.spec.p
-        out = []
-        for _ in range(self.spec.degree):
-            code, r = divmod(code, p)
-            out.append(r)
-        return FieldElem(self.spec, out)
+        def times(a, b):
+            prod = _fp_mod(_fp_mul(digits[a], digits[b], p), modulus, p)
+            return sum(c * p ** i for i, c in enumerate(prod))
 
-    def _extension_arithmetic(self, exp_t):
-        p, d, q = self.spec.p, self.spec.degree, self.q
-        log_t = self.log
-        digits = []
-        for code in range(q):
-            ds = []
-            c = code
-            for _ in range(d):
-                c, r = divmod(c, p)
-                ds.append(r)
-            digits.append(tuple(ds))
+        self.exp, self.log = exp_t, log_t = _unit_tables(q, times)
 
         def add(a, b):
             da, db = digits[a], digits[b]
@@ -889,3 +688,51 @@ class _FieldOps:
             return exp_t[(-log_t[a]) % (q - 1)]
 
         self.add, self.mul, self.inv = add, mul, inv
+
+    def __eq__(self, other):
+        return (isinstance(other, FieldSpec) and self.p == other.p
+                and self.modulus == other.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.modulus))
+
+    def __repr__(self):
+        return f"FieldSpec(p={self.p}, modulus={poly_text(self.modulus)})"
+
+    @property
+    def min_poly(self):
+        return IntPoly(self.modulus)
+
+    def power(self, a, n):
+        """a^n for a nonzero code a and any integer n."""
+        return self.exp[self.log[a] * n % (self.order - 1)]
+
+    def order_of(self, a):
+        """The multiplicative order of the nonzero code a."""
+        if a == 0:
+            raise ValueError("order of zero")
+        return (self.order - 1) // gcd(self.order - 1, self.log[a])
+
+    def evaluate(self, f):
+        """The code of the Laurent polynomial f at xi."""
+        add, mul, xi, p = self.add, self.mul, self.gen, self.p
+        acc = 0
+        for c in reversed(f.coeffs):
+            acc = add(mul(acc, xi), c % p)
+        return mul(acc, self.power(xi, f.shift))
+
+
+def _unit_tables(q, times):
+    """(exp, log): the powers of the first code whose powers reach all
+    q - 1 units, and their discrete logarithms (log[0] is unused)."""
+    for g in range(1, q):
+        exp_t, code = [1], g
+        while code != 1:
+            exp_t.append(code)
+            code = times(code, g)
+        if len(exp_t) == q - 1:
+            break
+    log_t = [0] * q
+    for i, code in enumerate(exp_t):
+        log_t[code] = i
+    return exp_t, log_t

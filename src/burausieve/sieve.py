@@ -14,6 +14,11 @@ then factored.
 The coefficient a_T depends on M = ord(xi), which in turn depends on the
 characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
 fixed, and extracted primes inconsistent with the branch are discarded.
+So are the primes dividing N: phi_N is separable mod p exactly when p
+does not divide N, and its roots are then the primitive N-th roots of
+unity, so every factor of phi_N(-t) mod such a p has ord(-xi) = N, while
+for p | N none does.  The sieve builds no field; the genus filter builds
+one per candidate and asserts the order there.
 """
 
 from __future__ import annotations
@@ -132,25 +137,6 @@ class _BranchTable:
         return top * w1 - u1 * w0
 
 
-def determinant_D(seq, words, branch):
-    """The sieve determinant for one index sequence, shift-cleared.
-
-    Whatever Laurent shift the determinant carries is dropped: the
-    cyclotomic partner has constant term 1, so shifts never change whether
-    a resultant vanishes or which primes divide it.
-    """
-    _require_distinct_projections(words)
-    d = _BranchTable(branch, words).determinant(seq)
-    return IntPoly(d.poly_part())
-
-
-def resultant_with_cyclotomic(D, N):
-    """Resultant of D against phi_N(-t) over Z."""
-    if D.is_zero:
-        raise ValueError("degenerate zero determinant")
-    return resultant(D, substitute_neg(cyclotomic(N)))
-
-
 def _require_distinct_projections(words):
     seen = {}
     for w in words:
@@ -192,8 +178,9 @@ def _nonunit_resultants(words, N, branches, cyc):
     return out
 
 
-def _branch_triples(nonunit, N, branch, cyc, order_cache):
-    """The exceptional triples carried by one branch's nonunit resultants."""
+def _branch_triples(nonunit, N, branch, cyc):
+    """The exceptional triples carried by one branch's nonunit resultants,
+    over the primes the branch accepts that do not divide N."""
     cyc_coeffs = cyc.poly_part()
     triples = set()
     factor_cache = {}
@@ -202,7 +189,7 @@ def _branch_triples(nonunit, N, branch, cyc, order_cache):
         if r not in factor_cache:
             factor_cache[r] = sorted(sympy.factorint(r))
         for p in factor_cache[r]:
-            if not branch.accepts_prime(p):
+            if not branch.accepts_prime(p) or N % p == 0:
                 continue
             if p not in cyc_mod:
                 cyc_mod[p] = tuple(c % p for c in cyc_coeffs)
@@ -210,12 +197,7 @@ def _branch_triples(nonunit, N, branch, cyc, order_cache):
             if len(g) <= 1:
                 continue
             for fac, _ in fp_factor(g, p):
-                key = (p, fac)
-                if key not in order_cache:
-                    rs = root_spec(p, IntPoly(fac))
-                    order_cache[key] = rs.N
-                if order_cache[key] == N:
-                    triples.add(ExceptionalTriple(p, IntPoly(fac), seq.t1))
+                triples.add(ExceptionalTriple(p, IntPoly(fac), seq.t1))
     return triples
 
 
@@ -224,14 +206,13 @@ def _sieve(N, passes, branches, cyc):
     sets and the rest, and map each branch to the triples that every
     informative set recorded on it (a genuine root is caught by every
     informative set)."""
-    order_cache = {}
     usable, rejected, per_set = [], [], []
     for words, nonunit in passes:
         if nonunit is None:
             rejected.append(words)
             continue
         usable.append(words)
-        per_set.append({branch: _branch_triples(found, N, branch, cyc, order_cache)
+        per_set.append({branch: _branch_triples(found, N, branch, cyc)
                         for branch, found in nonunit.items()})
     by_branch = {branch: set.intersection(*(t[branch] for t in per_set))
                  for branch in branches} if per_set else {}
@@ -410,12 +391,3 @@ def _genus_filter(candidates, N, state_cap):
                 "p": p, "minPoly": str(m), "N": N, "types": sorted(zero_tags),
             })
     return survivors
-
-
-def sweep_pairs(results):
-    """The classification a sweep implies: sorted (p, minPoly, N) survivors."""
-    out = []
-    for N in sorted(results):
-        for s in results[N]["survivors"]:
-            out.append((s["p"], s["minPoly"], N))
-    return sorted(out)

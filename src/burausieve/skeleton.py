@@ -204,13 +204,14 @@ class UniversalGroupSpec:
 def _spec_matrix_codes(m, field):
     """The codes of m specialized to field, computed once per field and
     shared by every walk over it (all tags, both ambients)."""
-    ops = field.ops()
-    codes = ops.matrix_codes.get(m)
+    codes = field.matrix_codes.get(m)
     if codes is None:
-        sm = specialize(m, field)
-        codes = ops.matrix_codes[m] = (ops.encode(sm.a), ops.encode(sm.b),
-                                       ops.encode(sm.c), ops.encode(sm.d))
+        codes = field.matrix_codes[m] = specialize(m, field)
     return codes
+
+
+def _cap_exceeded(state_cap, spec):
+    return EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
 
 
 class _LineWalk:
@@ -219,21 +220,23 @@ class _LineWalk:
     The cosets of a universal subgroup are its annihilator covectors modulo
     the scalar subgroup S, a cyclic cover of P^1(F_q) with fiber
     F_q*/S = Z/r.  The walk follows s2 s1 and s2 s1^2 breadth-first over
-    the base, so it visits at most q + 1 lines and needs no state cap.  The
-    line (1, x) has code x and the line (0, 1) has code q; lines[i] is the
-    i-th line reached and index[line] its position.  black[i], white[i] and
-    region[i] are the steps (j, d) of s2 s1, s2 s1^2 and s1, where
+    the base, so it visits at most q + 1 lines.  The line (1, x) has code x
+    and the line (0, 1) has code q; lines[i] is the i-th line reached and
+    index[line] its position.  black[i], white[i] and region[i] are the
+    steps (j, d) of s2 s1, s2 s1^2 and s1, where
     rep(lines[i]) g = lambda rep(lines[j]) and d is the discrete log of
     lambda mod r; potential[i] is the net voltage of the tree path from the
     seed line.  The net voltages of the non-tree steps generate the orbit's
     local group K <= Z/r, of order k, and the orbit has lines * k edges.
+    The walk raises EnumerationCapExceeded when that exceeds state_cap,
+    and already once it holds more than state_cap lines, since k >= 1.
     """
 
-    def __init__(self, spec):
+    def __init__(self, spec, state_cap=DEFAULT_STATE_CAP):
         root = spec.root
-        ops = root.field.ops()
-        q, log = ops.q, ops.log
-        add, mul, inv = ops.add, ops.mul, ops.inv
+        field = root.field
+        q, log = field.order, field.log
+        add, mul, inv = field.add, field.mul, field.inv
         s = root.M // gcd(root.M, 3 if spec.ambient == "b3" else 1)  # |S|
         r = (q - 1) // s
 
@@ -248,10 +251,9 @@ class _LineWalk:
                 return mul(a1, inv(a0)), log[a0] % r
             return q, log[a1] % r
 
-        g_black = _spec_matrix_codes(_BLACK, root.field)
-        g_white = _spec_matrix_codes(_WHITE, root.field)
-        tv = type_vector(spec.type_tag, root)
-        vp0, vp1 = (ops.encode(c) for c in tv.v_perp)
+        g_black = _spec_matrix_codes(_BLACK, field)
+        g_white = _spec_matrix_codes(_WHITE, field)
+        vp0, vp1 = type_vector(spec.type_tag, root)
         seed = mul(vp1, inv(vp0)) if vp0 else q
         index = {seed: 0}
         lines = [seed]
@@ -264,11 +266,13 @@ class _LineWalk:
                 j = index.get(line2)
                 if j is None:
                     j = index[line2] = len(lines)
+                    if j == state_cap:
+                        raise _cap_exceeded(state_cap, spec)
                     lines.append(line2)
                     potential.append((potential[i] + d) % r)
                 images.append((j, d))
             i += 1
-        g_region = _spec_matrix_codes(_REGION, root.field)
+        g_region = _spec_matrix_codes(_REGION, field)
         region = []
         for line in lines:
             line2, d = move(line, g_region)
@@ -277,14 +281,11 @@ class _LineWalk:
         for i, steps in enumerate(zip(black, white)):
             for j, d in steps:
                 m = gcd(m, potential[i] + d - potential[j])
+        if len(lines) * (r // m) > state_cap:
+            raise _cap_exceeded(state_cap, spec)
         self.spec, self.r, self.k = spec, r, r // m
         self.lines, self.index, self.potential = lines, index, potential
         self.black, self.white, self.region = black, white, region
-
-    def check_cap(self, state_cap):
-        if len(self.lines) * self.k > state_cap:
-            raise EnumerationCapExceeded(
-                f"more than {state_cap} cosets for {self.spec}")
 
     def reaches_e2(self):
         """True iff the line of v_T lies in the braid orbit of the line of e2.
@@ -297,14 +298,13 @@ class _LineWalk:
         """
         return 0 in self.index
 
-    def signature(self, state_cap=DEFAULT_STATE_CAP):
+    def signature(self):
         """(SkeletonSignature, genus) of the orbit, read off the base.
 
         A cycle of g on lines of length L and net voltage mu lifts to
         k / ord(mu) cycles of length L ord(mu), with ord(mu) = r / gcd(r, mu).
         This is exact on every orbit, transitive or not.
         """
-        self.check_cap(state_cap)
         n, r, k = len(self.lines), self.r, self.k
 
         def lifted_cycles(step):
@@ -353,8 +353,7 @@ def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
     before white, exactly as a covector orbit walk numbers its cosets; the
     lifted s1 is cross-checked against the composition convention.
     """
-    walk = _LineWalk(spec)
-    walk.check_cap(state_cap)
+    walk = _LineWalk(spec, state_cap)
     n, r, k = len(walk.lines), walk.r, walk.k
     m = r // k
     potential = walk.potential
@@ -388,7 +387,7 @@ def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
     Raises EnumerationCapExceeded exactly when enumerate_universal would,
     i.e. when the orbit has more than state_cap edges.
     """
-    return _LineWalk(spec).signature(state_cap)
+    return _LineWalk(spec, state_cap).signature()
 
 
 def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):

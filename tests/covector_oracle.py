@@ -1,24 +1,193 @@
 """Reference implementations the tests hold the package to.
 
-`covector_bfs` is the breadth-first coset enumeration over covectors that
-the package replaced by the lift of its walk over projective lines; the
-tests compare the lift's permutations with it edge for edge.
-`product_skeletons` builds every component of a fibered product as a
-skeleton, which the package replaced by counting each component's edges
-and genus in one labelling pass.  The skeleton checks at the end (width
-divisibility, the incidence lemma, isomorphism) have no caller in the
-pipeline and serve the tests only.
+`FieldElem` is finite-field arithmetic on reduced coefficient tuples with
+an extended-Euclid inverse; it shares no table with the package's integer
+codes, which the tests check against it.  `covector_bfs` is the
+breadth-first coset enumeration over covectors that the package replaced
+by the lift of its walk over projective lines; the tests compare the
+lift's permutations with it edge for edge.  `product_skeletons` builds
+every component of a fibered product as a skeleton, which the package
+replaced by counting each component's edges and genus in one labelling
+pass.  The skeleton checks at the end (width divisibility, the incidence
+lemma, isomorphism) have no caller in the pipeline and serve the tests
+only.
 """
 
-from burausieve.burau import BraidWord, specialize_word
+import operator
+from collections import namedtuple
+
+import sympy
+
+from burausieve.burau import BraidWord, to_burau
+from burausieve.exactalg import (
+    _fp_add,
+    _fp_divmod,
+    _fp_mod,
+    _fp_mul,
+    _fp_sub,
+    _fp_trim,
+    poly_text,
+    power_by_squaring,
+)
 from burausieve.skeleton import EnumerationCapExceeded, Skeleton
-from burausieve.typesys import type_vector
+from burausieve.typesys import type_coefficient_laurent
+
+
+class Presentation(namedtuple("Presentation", "p modulus degree order")):
+    """F_p[t]/(modulus) as the reference sees it: a FieldSpec without its
+    O(q) tables, so a field of any size can be checked."""
+
+    @staticmethod
+    def of(p, modulus):
+        """modulus is a monic coefficient tuple, lowest power first."""
+        return Presentation(p, tuple(modulus), len(modulus) - 1,
+                            p ** (len(modulus) - 1))
+
+
+class FieldElem:
+    """An element of a FieldSpec's (or a Presentation's) field, always
+    reduced modulo its modulus."""
+
+    __slots__ = ("spec", "coeffs")
+
+    def __init__(self, spec, coeffs):
+        if isinstance(coeffs, int):
+            coeffs = (coeffs,)
+        c = tuple(x % spec.p for x in coeffs)
+        if len(c) > spec.degree:
+            c = _fp_mod(c, spec.modulus, spec.p)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "coeffs", _fp_trim(c))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldElem is immutable")
+
+    @staticmethod
+    def xi(spec):
+        """The class of t."""
+        return FieldElem(spec, (0, 1))
+
+    @staticmethod
+    def decode(spec, code):
+        """The element whose coefficients are the base-p digits of code."""
+        out = []
+        for _ in range(spec.degree):
+            code, r = divmod(code, spec.p)
+            out.append(r)
+        return FieldElem(spec, out)
+
+    def code(self):
+        v = 0
+        for c in reversed(self.coeffs):
+            v = v * self.spec.p + c
+        return v
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FieldElem(self.spec, _fp_add(self.coeffs, other.coeffs, self.spec.p))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return FieldElem(self.spec, _fp_sub(self.coeffs, other.coeffs, self.spec.p))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return FieldElem(self.spec, _fp_mul(self.coeffs, other.coeffs, self.spec.p))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return FieldElem(self.spec, tuple(-c for c in self.coeffs))
+
+    def inverse(self):
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero")
+        # extended Euclid in F_p[t]
+        p = self.spec.p
+        r0, r1 = self.spec.modulus, self.coeffs
+        s0, s1 = (), (1,)
+        while r1:
+            q, r = _fp_divmod(r0, r1, p)
+            r0, r1 = r1, r
+            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+        inv_lead = pow(r0[0], p - 2, p)
+        return FieldElem(self.spec, tuple((c * inv_lead) % p for c in s0))
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        return power_by_squaring(self, n, operator.mul, FieldElem(self.spec, 1))
+
+    def _coerce(self, other):
+        if isinstance(other, FieldElem):
+            if other.spec != self.spec:
+                raise ValueError("field mismatch")
+            return other
+        if isinstance(other, int):
+            return FieldElem(self.spec, other)
+        raise TypeError(f"cannot combine FieldElem with {type(other).__name__}")
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = FieldElem(self.spec, other)
+        return (isinstance(other, FieldElem) and self.spec == other.spec
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.spec.p, self.spec.modulus, self.coeffs))
+
+    def __str__(self):
+        return poly_text(self.coeffs) if self.coeffs else "0"
+
+    def __repr__(self):
+        return f"FieldElem({self}, {self.spec!r})"
+
+
+def evaluate(f, x):
+    """The Laurent polynomial f at the FieldElem x (negative shifts invert)."""
+    acc = FieldElem(x.spec, ())
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc * x ** f.shift
+
+
+def element_order(x):
+    """Least n >= 1 with x^n = 1, by descending through the group order."""
+    if x.is_zero:
+        raise ValueError("order of zero")
+    n = x.spec.order - 1
+    for q in sympy.factorint(n):
+        while n % q == 0 and x ** (n // q) == 1:
+            n //= q
+    return n
+
+
+def specialize(m, spec):
+    """The codes of the BurauMatrix m evaluated entrywise at xi."""
+    xi = FieldElem.xi(spec)
+    return tuple(evaluate(e, xi).code() for e in (m.a, m.b, m.c, m.d))
+
+
+def type_coefficient(tag, root):
+    """a_T(xi) of a RootSpec, evaluated by the reference arithmetic."""
+    a = type_coefficient_laurent(tag, root.M, "p=3" if root.p == 3 else "")
+    return evaluate(a, FieldElem.xi(root.field))
 
 
 def _codes(text, field):
-    ops = field.ops()
-    m = specialize_word(BraidWord.parse(text), field)
-    return (ops.encode(m.a), ops.encode(m.b), ops.encode(m.c), ops.encode(m.d))
+    return specialize(to_burau(BraidWord.parse(text)), field)
 
 
 def covector_bfs(spec, state_cap):
@@ -32,30 +201,29 @@ def covector_bfs(spec, state_cap):
     """
     root = spec.root
     field = root.field
-    ops = field.ops()
-    tv = type_vector(spec.type_tag, root)
+    q = field.order
 
     step = 3 if spec.ambient == "b3" else 1
-    scalar = ops.encode(field.gen() ** step)
+    scalar = (FieldElem.xi(field) ** step).code()
     scalars = [1]
     x = scalar
     while x != 1:
         scalars.append(x)
-        x = ops.mul(x, scalar)
+        x = field.mul(x, scalar)
 
     # canonical scalar-class representatives: one lookup per nonzero element
-    mu = [0] * ops.q
-    assigned = [False] * ops.q
-    inv_scalars = [ops.inv(s) for s in scalars]
-    for leader in range(1, ops.q):
+    mu = [0] * q
+    assigned = [False] * q
+    inv_scalars = [field.inv(s) for s in scalars]
+    for leader in range(1, q):
         if assigned[leader]:
             continue
         for s, s_inv in zip(scalars, inv_scalars):
-            y = ops.mul(s, leader)
+            y = field.mul(s, leader)
             if not assigned[y]:
                 assigned[y] = True
                 mu[y] = s_inv
-    add, mul = ops.add, ops.mul
+    add, mul = field.add, field.mul
 
     def canon(w0, w1):
         if w0:
@@ -72,8 +240,9 @@ def covector_bfs(spec, state_cap):
         return (add(mul(w0, g[0]), mul(w1, g[2])),
                 add(mul(w0, g[1]), mul(w1, g[3])))
 
-    vp0, vp1 = tv.v_perp
-    seed = canon(ops.encode(vp0), ops.encode(vp1))
+    # v_T_perp = (-1, a_T(xi)) annihilates v_T = a_T(xi) e1 + e2
+    seed = canon(FieldElem(field, -1).code(),
+                 type_coefficient(spec.type_tag, root).code())
     index = {seed: 0}
     states = [seed]
     i = 0

@@ -1,0 +1,42 @@
+"""Every public top-level name in the package has a caller in the package.
+
+A function only the tests call belongs in a tests helper module.  The
+allowed exceptions are wrapped by name by `perfbench/layertrace.py`.
+"""
+
+import ast
+import glob
+import os
+
+import burausieve
+
+TRACED_ONLY = {"sieve.is_informative", "sieve.exceptional_triples",
+               "intersect.conjugate_to_e2"}
+
+
+def test_every_public_name_is_used_in_the_package():
+    defined, used = {}, set()
+    for path in sorted(glob.glob(os.path.join(
+            os.path.dirname(burausieve.__file__), "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if not name.startswith("_"):
+                    defined[name] = f"{module}.{name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = {qualified for name, qualified in defined.items() if name not in used}
+    assert unused <= TRACED_ONLY, sorted(unused - TRACED_ONLY)

@@ -232,9 +232,9 @@ class TestAddendum:
         walks = []
         init = skeleton._LineWalk.__init__
 
-        def counting_init(self, spec):
+        def counting_init(self, spec, state_cap):
             walks.append(spec)
-            init(self, spec)
+            init(self, spec, state_cap)
 
         monkeypatch.setattr(skeleton._LineWalk, "__init__", counting_init)
         assert run("--cache-dir", cache, "addendum", "--json")[0] == 0
@@ -259,7 +259,8 @@ class TestAddendum:
 @pytest.mark.parametrize("argv", [
     ("sieve", "--n-range", "12..12"),
     ("addendum",),
-], ids=["sieve", "addendum"])
+    ("skeleton", "--p", "100003", "--min-poly", "t+2", "--no-cache"),
+], ids=["sieve", "addendum", "skeleton-large-field"])
 def test_state_cap_is_resource_error(run, argv):
     assert run("--state-cap", "10", *argv)[0] == 3
 

@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from covector_oracle import FieldElem, element_order, evaluate
 
 from burausieve.exactalg import (
     FieldSpec,
     IntPoly,
     cyclotomic,
-    element_order,
     factor_over_prime,
     parse_poly,
     resultant,
@@ -87,8 +87,11 @@ class TestIntPoly:
     def test_evaluate_with_negative_shift(self):
         spec = FieldSpec(5, "t+2")  # xi = 3
         p = IntPoly((1, 1), -1)  # t^-1 + 1
-        xi = spec.gen()
-        assert p.evaluate(xi) == xi.inverse() * (xi + spec.one())
+        xi = spec.gen
+        assert xi == 3
+        assert spec.evaluate(p) == spec.mul(spec.inv(xi), spec.add(xi, 1))
+        ref_xi = FieldElem.xi(spec)
+        assert spec.evaluate(p) == (ref_xi.inverse() * (ref_xi + 1)).code()
 
 
 class TestCyclotomic:
@@ -99,13 +102,14 @@ class TestCyclotomic:
         assert str(cyclotomic(7)) == "t^6+t^5+t^4+t^3+t^2+t+1"
 
     def test_order_twelve_against_divisor_oracle(self):
-        # independent construction: strip the cyclotomics of proper divisors
-        # off t^12 - 1 by repeated exact root checks over Q via resultants
+        # t^N - 1 is the product of the cyclotomics of the divisors of N
         assert str(cyclotomic(12)) == "t^4-t^2+1"
-        prod = IntPoly.one()
-        for d in (1, 2, 3, 4, 6, 12):
-            prod = prod * cyclotomic(d)
-        assert prod == parse_poly("t^12-1")
+        for N in range(1, 301):
+            prod = IntPoly.one()
+            for d in range(1, N + 1):
+                if N % d == 0:
+                    prod = prod * cyclotomic(d)
+            assert prod == IntPoly([-1] + [0] * (N - 1) + [1]), N
 
     def test_degree_is_totient(self):
         totient = {7: 6, 8: 4, 9: 6, 15: 8, 26: 12}
@@ -231,41 +235,73 @@ class TestFieldSpec:
 
     def test_field_axioms_random_sampling(self):
         spec = FieldSpec(2, "t^3+t+1")
-        elems = list(spec.elements())
-        assert len(elems) == 8
+        q = spec.order
+        assert q == 8
+        add, mul, inv = spec.add, spec.mul, spec.inv
         rng = random.Random(3)
         for _ in range(200):
-            a, b, c = (rng.choice(elems) for _ in range(3))
-            assert (a + b) * c == a * c + b * c
-            assert a * b == b * a
-            assert a + (b + c) == (a + b) + c
-            if not a.is_zero:
-                assert a * a.inverse() == spec.one()
+            a, b, c = (rng.randrange(q) for _ in range(3))
+            assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+            assert mul(a, b) == mul(b, a)
+            assert add(a, add(b, c)) == add(add(a, b), c)
+            if a:
+                assert mul(a, inv(a)) == 1
+
+    @pytest.mark.parametrize("p, modulus", [
+        (2, "t^3+t+1"), (3, "t^2+2t+2"), (5, "t^2+2"), (13, "t+2"),
+    ])
+    def test_arithmetic_against_the_reference(self, p, modulus):
+        spec = FieldSpec(p, modulus)
+        q = spec.order
+        ref = [FieldElem.decode(spec, c) for c in range(q)]
+        assert [x.code() for x in ref] == list(range(q))
+        for a in range(q):
+            for b in range(q):
+                assert spec.add(a, b) == (ref[a] + ref[b]).code()
+                assert spec.mul(a, b) == (ref[a] * ref[b]).code()
+            if a:
+                assert spec.inv(a) == ref[a].inverse().code()
+
+    def test_log_tables_are_inverse(self):
+        for p, modulus in ((2, "t^3+t+1"), (3, "t^2+2t+2"), (13, "t+2")):
+            spec = FieldSpec(p, modulus)
+            assert sorted(spec.exp) == list(range(1, spec.order))
+            for i, code in enumerate(spec.exp):
+                assert spec.log[code] == i
 
     def test_element_text(self):
         spec = FieldSpec(2, "t^3+t+1")
-        xi = spec.gen()
-        assert str(xi ** 3) == "t+1"
+        cube = spec.power(spec.gen, 3)
+        assert str(FieldElem.decode(spec, cube)) == "t+1"
+        assert cube == (FieldElem.xi(spec) ** 3).code()
 
 
 class TestElementOrder:
     def test_generator_of_f8(self):
         spec = FieldSpec(2, "t^3+t+1")
-        assert element_order(spec.gen()) == 7
+        assert spec.order_of(spec.gen) == 7
 
     def test_neg_xi_order_mod_11(self):
         spec = FieldSpec(11, "t+2")
-        assert element_order(-spec.gen()) == 10
+        assert spec.order_of(spec.evaluate(parse_poly("-t"))) == 10
+        assert element_order(-FieldElem.xi(spec)) == 10
 
     def test_one(self):
-        assert element_order(FieldSpec(13, "t+2").one()) == 1
+        assert FieldSpec(13, "t+2").order_of(1) == 1
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            element_order(FieldSpec(5, "t+2").zero())
+            FieldSpec(5, "t+2").order_of(0)
 
     def test_divides_group_order(self):
         spec = FieldSpec(3, "t^2+2t+2")
-        for x in spec.elements():
-            if not x.is_zero:
-                assert (spec.order - 1) % element_order(x) == 0
+        for x in range(1, spec.order):
+            assert (spec.order - 1) % spec.order_of(x) == 0
+            assert spec.order_of(x) == element_order(FieldElem.decode(spec, x))
+
+    def test_power_against_the_reference(self):
+        spec = FieldSpec(3, "t^2+2t+2")
+        xi = FieldElem.xi(spec)
+        for n in range(-10, 11):
+            assert spec.power(spec.gen, n) == (xi ** n).code()
+            assert spec.evaluate(IntPoly.t(n)) == evaluate(IntPoly.t(n), xi).code()

@@ -1,11 +1,14 @@
 """The resultant sieve: determinants, informativeness, candidate extraction."""
 
 import pytest
+import sympy
+from covector_oracle import FieldElem, Presentation, element_order
+from helpers import determinant_D, resultant_with_cyclotomic, sweep_pairs
 
 from burausieve import sieve
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
-from burausieve.exactalg import IntPoly, cyclotomic, parse_poly, resultant, \
-    substitute_neg
+from burausieve.exactalg import IntPoly, _fp_gcd, cyclotomic, fp_factor, \
+    parse_poly, resultant, substitute_neg
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import (
     DEFAULT_INFORMATIVE_SETS,
@@ -13,13 +16,10 @@ from burausieve.sieve import (
     IndexSeq,
     branches_for,
     candidate_sets_for,
-    determinant_D,
     exceptional_triples,
     full_sweep,
     is_informative,
     parse_word_set,
-    resultant_with_cyclotomic,
-    sweep_pairs,
 )
 from burausieve.typesys import root_spec
 
@@ -205,6 +205,58 @@ class TestExceptionalTriples:
         only_first = exceptional_triples(9, sets[:1])
         intersected = exceptional_triples(9, sets)
         assert intersected <= only_first
+
+
+class TestOrderRule:
+    """The sieve keeps a factor of phi_N(-t) mod p exactly when p does not
+    divide N, and builds no field to decide it."""
+
+    def test_rule_matches_the_order_of_every_extracted_factor(self):
+        # every factor of a nonunit resultant's gcd over an accepted prime,
+        # p | N included: ord(-xi) = N exactly when p does not divide N.
+        # The reference order serves every field; root_spec, whose log
+        # table costs O(q), those up to the largest candidate field.
+        divisible = set()
+        for N in (7, 10, 25):
+            branches = branches_for(N)
+            cyc = substitute_neg(cyclotomic(N))
+            factors = set()
+            for words in candidate_sets_for(N):
+                nonunit = sieve._nonunit_resultants(words, N, branches, cyc)
+                for branch, found in (nonunit or {}).items():
+                    for _, d, r in found:
+                        for p in sympy.primefactors(r):
+                            if not branch.accepts_prime(p):
+                                continue
+                            g = _fp_gcd(d.reduce_mod(p), cyc.reduce_mod(p), p)
+                            if len(g) > 1:
+                                factors.update((p, fac) for fac, _ in fp_factor(g, p))
+            for p, fac in factors:
+                spec = Presentation.of(p, fac)
+                order = element_order(-FieldElem.xi(spec))
+                assert (order == N) == (N % p != 0), (N, p, fac)
+                if spec.order <= 4651:
+                    assert root_spec(p, IntPoly(fac)).N == order
+                if N % p == 0:
+                    divisible.add((N, p))
+        assert divisible == {(7, 7), (10, 5), (25, 5)}
+
+    def test_root_spec_calls(self, monkeypatch):
+        # none in the raw sieve; one per candidate pair in the genus filter
+        calls = []
+        real = sieve.root_spec
+
+        def counting(p, m):
+            calls.append((p, str(m)))
+            return real(p, m)
+
+        monkeypatch.setattr(sieve, "root_spec", counting)
+        raw = full_sweep((25, 25), raw=True)
+        assert calls == []
+        full_sweep((25, 25))
+        pairs = {(tr.p, str(tr.min_poly))
+                 for trs in raw[25]["branches"].values() for tr in trs}
+        assert pairs and sorted(calls) == sorted(pairs)
 
 
 def search(N, **kwargs):

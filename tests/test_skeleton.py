@@ -296,3 +296,19 @@ class TestVoltageWalk:
         with pytest.raises(EnumerationCapExceeded):
             universal_signature(
                 UniversalGroupSpec(root_spec(43, "t+4"), "I", "bu3"), state_cap=10)
+
+    def test_walk_stops_at_the_cap(self, monkeypatch):
+        # F_100003 has 100,004 lines; the walk stops at the 101st, having
+        # made a few multiplications per line
+        root = root_spec(100003, "t+2")
+        products = []
+        mul = root.field.mul
+
+        def counting(a, b):
+            products.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(root.field, "mul", counting)
+        with pytest.raises(EnumerationCapExceeded, match="more than 100 cosets"):
+            universal_signature(UniversalGroupSpec(root, "I", "bu3"), state_cap=100)
+        assert len(products) < 1000

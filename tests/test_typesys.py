@@ -1,18 +1,17 @@
 """Order bookkeeping, admissible types, type vectors, lifting conditions."""
 
 import pytest
+from covector_oracle import FieldElem, element_order, type_coefficient
+from helpers import check_type_specification, type_ii_odd_width_excluded
 
-from burausieve.exactalg import element_order
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import branches_for
 from burausieve.skeleton import Skeleton
 from burausieve.typesys import (
     admissible_types,
-    check_type_specification,
     epsilon_p,
     k_threshold,
     root_spec,
-    type_ii_odd_width_excluded,
     type_vector,
 )
 
@@ -53,8 +52,9 @@ class TestRootSpec:
                 r = root_spec(row.p, f)
                 assert r.N == row.N
                 assert r.M == epsilon_p(row.N, row.p)
-                assert element_order(-r.xi) == r.N
-                assert element_order(r.xi) == r.M
+                xi = FieldElem.xi(r.field)
+                assert element_order(-xi) == r.N
+                assert element_order(xi) == r.M
 
     def test_rejects_reducible(self):
         with pytest.raises(ValueError):
@@ -91,39 +91,44 @@ class TestAdmissibleTypes:
 
 
 class TestTypeVector:
+    """type_vector gives the codes of v_T_perp = (-1, a_T(xi))."""
+
     def test_type_i_is_e2(self):
+        # a = 0, so v_T = e2 and v_T_perp = (-1, 0)
         r = root_spec(2, "t^3+t+1")
-        tv = type_vector("I", r)
-        assert tv.a.is_zero
-        assert tv.v == (r.field.zero(), r.field.one())
+        assert type_vector("I", r) == (FieldElem(r.field, -1).code(), 0)
 
     def test_type_ii_value_in_f8(self):
         r = root_spec(2, "t^3+t+1")
-        tv = type_vector("II", r)
-        xi = r.xi
-        assert tv.a == xi.inverse() * (xi + r.field.one())
-        assert tv.a == xi * xi  # reduced form in this field
+        _, a = type_vector("II", r)
+        xi = FieldElem.xi(r.field)
+        assert a == (xi.inverse() * (xi + 1)).code()
+        assert a == (xi * xi).code()  # reduced form in this field
 
     def test_type_iv_exponent(self):
         r = root_spec(2, "t^3+t+1")  # M = 7
-        tv = type_vector("IV", r)
-        assert tv.a == r.xi ** 3
+        _, a = type_vector("IV", r)
+        assert a == (FieldElem.xi(r.field) ** 3).code()
 
     def test_annihilator(self):
         for row in GOLDEN_ROWS:
             r = root_spec(row.p, row.factors[0])
+            field = r.field
             for tag in sorted(admissible_types(r)):
-                tv = type_vector(tag, r)
-                vp, v = tv.v_perp, tv.v
-                assert vp[0] * v[0] + vp[1] * v[1] == r.field.zero()
+                vp = type_vector(tag, r)
+                a = type_coefficient(tag, r).code()
+                assert vp == (FieldElem(field, -1).code(), a)
+                # v_T = (a, 1)
+                assert field.add(field.mul(vp[0], a), field.mul(vp[1], 1)) == 0
 
     def test_iii_exponent_identity(self):
         # xi^(3(s+1)) = 1 since s = +-M/3 - 1
         r = root_spec(19, "t+4")  # M = 18
+        xi = FieldElem.xi(r.field)
         for tag, s in (("III+", r.M // 3 - 1), ("III-", -(r.M // 3) - 1)):
-            tv = type_vector(tag, r)
-            assert tv.a == -(r.xi ** s)
-            assert r.xi ** (3 * (s + 1)) == r.field.one()
+            _, a = type_vector(tag, r)
+            assert a == (-(xi ** s)).code()
+            assert xi ** (3 * (s + 1)) == 1
 
     def test_inadmissible_rejected(self):
         r = root_spec(2, "t^3+t+1")
