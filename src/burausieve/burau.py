@@ -22,7 +22,7 @@ _BASE_NAMES = {"s1": 1, "s2": 2, "T": 3}
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word over {s1, s2, T} and inverses; bdeg is its degree image."""
+    """A word over {s1, s2, T} and inverses."""
 
     letters: tuple = ()
 
@@ -61,11 +61,6 @@ class BraidWord:
             return self.inverse() ** (-n)
         return BraidWord(self.letters * n)
 
-    def bdeg(self):
-        """Degree homomorphism: s1, s2 count 1, the scalar T counts 2."""
-        return sum((2 if abs(c) == 3 else 1) * (1 if c > 0 else -1)
-                   for c in self.letters)
-
 
 @dataclass(frozen=True)
 class BurauMatrix:
@@ -94,9 +89,6 @@ class BurauMatrix:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
 
     def apply(self, vec):
         """Multiply a column vector (pair of IntPoly) on the left."""

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .exactalg import cyclotomic, factor_over_prime, parse_poly, substitute_neg
+from .exactalg import cyclotomic_factors, parse_poly
 from .golden import GOLDEN_ROWS, self_check
 from .intersect import verify_addendum_pairwise
 from .sieve import SWEEP_RANGE, full_sweep
@@ -152,7 +152,7 @@ def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
 
 
 def cmd_factors(args, cfg, out):
-    factors = factor_over_prime(substitute_neg(cyclotomic(args.n)), args.p)
+    factors = cyclotomic_factors(args.n, args.p)
     texts = [str(f) for f in factors]
     if args.json:
         out(_dump({"schemaVersion": SCHEMA_VERSION, "N": args.n, "p": args.p,

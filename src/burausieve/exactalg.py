@@ -1,11 +1,17 @@
 """Exact arithmetic foundation.
 
-Integer Laurent polynomials, resultants, cyclotomic polynomials,
-polynomial factorization over F_p, and finite fields: a field is presented
-as a verified quotient F_p[t]/(m), and its elements are integer codes with
-one arithmetic, by log tables.  Everything here is exact: integer
-coefficients are arbitrary precision, so results can be compared bit for
-bit.
+Integer Laurent polynomials, resultants, cyclotomic polynomials, the
+factors of phi_N(-t) over F_p, and finite fields: a field is presented as a
+verified quotient F_p[t]/(m), and its elements are integer codes with one
+arithmetic, by log tables.  Everything here is exact: integer coefficients
+are arbitrary precision, so results can be compared bit for bit.
+
+Every polynomial factored here divides phi_N(-t) mod p, whose
+factorization is known in closed form (Lidl-Niederreiter, Finite Fields,
+Thm 2.47): for p not dividing N its irreducible factors are distinct and
+all of degree ord_N(p), and for N = p^a m with p not dividing m,
+phi_N = phi_m^(p^(a-1) (p-1)) mod p.  So one equal-degree split at the
+known degree factors each of them.
 """
 
 from __future__ import annotations
@@ -109,9 +115,6 @@ class IntPoly:
     def poly_part(self):
         """Coefficients of the shift-cleared ordinary polynomial."""
         return self.coeffs
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     # -- arithmetic
 
@@ -307,16 +310,7 @@ def _deg(c):
 
 
 def _content(c):
-    g = 0
-    for x in c:
-        g = _gcd_int(g, x)
-    return g if g else 1
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return gcd(*c) or 1
 
 
 def _prem(a, b):
@@ -460,10 +454,6 @@ def _fp_pow_mod(a, n, mod, p):
     return power_by_squaring(_fp_mod(a, mod, p), n, mul, (1,))
 
 
-def _fp_deriv(a, p):
-    return _fp_trim([(i * a[i]) % p for i in range(1, len(a))])
-
-
 def fp_is_irreducible(coeffs, p):
     """Rabin irreducibility test for a polynomial over F_p."""
     f = _fp_monic(tuple(c % p for c in coeffs), p)
@@ -479,7 +469,7 @@ def fp_is_irreducible(coeffs, p):
         x = _fp_pow_mod(x, p, f, p)
     if _fp_sub(x, t, p):
         return False
-    for r in sorted({q for q, _ in sympy.factorint(d).items()}):
+    for r in sympy.primefactors(d):
         x = t
         for _ in range(d // r):
             x = _fp_pow_mod(x, p, f, p)
@@ -488,59 +478,16 @@ def fp_is_irreducible(coeffs, p):
     return True
 
 
-def _fp_pth_root(f, p):
-    # over F_p the p-th power map fixes coefficients, so f(t)=g(t^p) -> g
-    return _fp_trim(tuple(f[i] for i in range(0, len(f), p)))
-
-
-def _fp_squarefree_parts(f, p):
-    """Yield (monic squarefree factor, multiplicity) pairs."""
-    f = _fp_monic(f, p)
-    if _deg(f) == 0:
-        return
-    df = _fp_deriv(f, p)
-    if not df:
-        for g, m in _fp_squarefree_parts(_fp_pth_root(f, p), p):
-            yield g, m * p
-        return
-    c = _fp_gcd(f, df, p)
-    w = _fp_divmod(f, c, p)[0]
-    i = 1
-    while _deg(w) > 0:
-        y = _fp_gcd(w, c, p)
-        z = _fp_divmod(w, y, p)[0]
-        if _deg(z) > 0:
-            yield _fp_monic(z, p), i
-        w = y
-        c = _fp_divmod(c, y, p)[0]
-        i += 1
-    if _deg(c) > 0:
-        for g, m in _fp_squarefree_parts(_fp_pth_root(c, p), p):
-            yield g, m * p
-
-
-def _fp_distinct_degree(f, p):
-    """Split a squarefree monic f into (product, factor degree) pieces."""
-    out = []
-    rest = f
-    h = (0, 1)
-    d = 0
-    while _deg(rest) > 0 and _deg(rest) >= 2 * (d + 1):
-        d += 1
-        h = _fp_pow_mod(h, p, rest, p)
-        g = _fp_gcd(_fp_sub(h, (0, 1), p), rest, p)
-        if _deg(g) > 0:
-            out.append((g, d))
-            rest = _fp_divmod(rest, g, p)[0]
-            h = _fp_mod(h, rest, p)
-    if _deg(rest) > 0:
-        out.append((rest, _deg(rest)))
-    return out
+def order_mod(p, N):
+    """ord_N(p), the multiplicative order of p modulo N (1 for N = 1)."""
+    return sympy.n_order(p, N) if N > 1 else 1
 
 
 def _fp_equal_degree(f, d, p, rng):
-    """Cantor-Zassenhaus split of a product of irreducibles of degree d."""
+    """Cantor-Zassenhaus split of a product of distinct irreducibles of
+    degree d."""
     n = _deg(f)
+    assert n > 0 and n % d == 0, f"degree {n} is not a positive multiple of {d}"
     if n == d:
         return [f]
     while True:
@@ -568,41 +515,32 @@ def _fp_equal_degree(f, d, p, rng):
             return left + right
 
 
-def fp_factor(coeffs, p):
-    """Complete monic irreducible factorization over F_p.
+def fp_factor(g, d, p):
+    """The monic irreducible factors of g over F_p, sorted.
 
-    Returns a sorted list of (coefficient tuple, multiplicity) pairs; the
-    input equals its leading coefficient times the product of the factors.
+    g is a monic divisor of phi_N(-t) mod a prime p that does not divide N,
+    and d = ord_N(p), so its factors are distinct and all of degree d.
     """
-    f = _fp_trim(tuple(c % p for c in coeffs))
-    if not f:
-        raise ValueError("factoring the zero polynomial")
-    f = _fp_monic(f, p)
-    rng = random.Random(0x5EED)
-    found = {}
-    for sq, mult in _fp_squarefree_parts(f, p):
-        for prod, d in _fp_distinct_degree(sq, p):
-            for irr in _fp_equal_degree(prod, d, p, rng):
-                found[irr] = found.get(irr, 0) + mult
-    return sorted(found.items(),
-                  key=lambda kv: (len(kv[0]), tuple(reversed(kv[0]))))
+    return sorted(_fp_equal_degree(g, d, p, random.Random(0x5EED)),
+                  key=lambda f: (len(f), tuple(reversed(f))))
 
 
-def factor_over_prime(f, p):
-    """Irreducible factors of f mod p, as a sorted multiset of IntPoly.
-
-    The product of the returned monic polynomials times the leading unit of
-    f mod p reproduces f mod p (Laurent shifts are units and are dropped).
-    """
+def cyclotomic_factors(N, p):
+    """The irreducible factors of phi_N(-t) mod p, as a sorted multiset of
+    monic IntPoly: for N = p^a m with p not dividing m, those of
+    phi_m(-t), split at degree ord_m(p), each repeated p^(a-1) (p-1)
+    times when a > 0."""
     if not sympy.isprime(p):
         raise ValueError(f"{p} is not prime")
-    coeffs = f.reduce_mod(p)
-    if not coeffs:
-        raise ValueError("polynomial vanishes mod p")
-    out = []
-    for fac, mult in fp_factor(coeffs, p):
-        out.extend([IntPoly(fac)] * mult)
-    return out
+    if N < 1:
+        raise ValueError("cyclotomic order must be >= 1")
+    m, a = N, 0
+    while m % p == 0:
+        m, a = m // p, a + 1
+    mult = p ** (a - 1) * (p - 1) if a else 1
+    cyc = substitute_neg(cyclotomic(m)).reduce_mod(p)
+    return [IntPoly(f) for f in fp_factor(cyc, order_mod(p, m), p)
+            for _ in range(mult)]
 
 
 # ---------------------------------------------------------------------------

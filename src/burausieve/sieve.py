@@ -16,9 +16,11 @@ characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
 fixed, and extracted primes inconsistent with the branch are discarded.
 So are the primes dividing N: phi_N is separable mod p exactly when p
 does not divide N, and its roots are then the primitive N-th roots of
-unity, so every factor of phi_N(-t) mod such a p has ord(-xi) = N, while
-for p | N none does.  The sieve builds no field; the genus filter builds
-one per candidate and asserts the order there.
+unity, so every factor of phi_N(-t) mod such a p has ord(-xi) = N and
+degree ord_N(p), while for p | N none has ord(-xi) = N.  Each nontrivial
+gcd of a determinant with phi_N(-t) mod p is therefore split at that known
+degree.  The sieve builds no field; the genus filter builds one per
+candidate and asserts the order there.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import combinations, islice
 import sympy
 
 from .burau import BraidWord, modular_projection, sigma1_power, to_burau
-from .exactalg import IntPoly, cyclotomic, fp_factor, resultant, \
+from .exactalg import IntPoly, cyclotomic, fp_factor, order_mod, resultant, \
     substitute_neg, _fp_gcd
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, euler_lhs, \
     universal_signature
@@ -121,8 +123,8 @@ class _BranchTable:
         mats = [to_burau(w) for w in words]
         self.vectors = {}
         for tag in branch.types:
-            a = type_coefficient_laurent(
-                tag, branch.M, "p=3" if branch.char_class == "p=3" else "")
+            a = type_coefficient_laurent(tag, branch.M,
+                                         branch.char_class == "p=3")
             v = (a, IntPoly.one())
             for i, m in enumerate(mats):
                 self.vectors[(i, tag)] = m.apply(v)
@@ -180,8 +182,8 @@ def _nonunit_resultants(words, N, branches, cyc):
 
 def _branch_triples(nonunit, N, branch, cyc):
     """The exceptional triples carried by one branch's nonunit resultants,
-    over the primes the branch accepts that do not divide N."""
-    cyc_coeffs = cyc.poly_part()
+    over the primes the branch accepts that do not divide N; each gcd with
+    phi_N(-t) mod p is split at degree ord_N(p)."""
     triples = set()
     factor_cache = {}
     cyc_mod = {}
@@ -192,11 +194,12 @@ def _branch_triples(nonunit, N, branch, cyc):
             if not branch.accepts_prime(p) or N % p == 0:
                 continue
             if p not in cyc_mod:
-                cyc_mod[p] = tuple(c % p for c in cyc_coeffs)
-            g = _fp_gcd(d.reduce_mod(p), cyc_mod[p], p)
+                cyc_mod[p] = cyc.reduce_mod(p), order_mod(p, N)
+            cyc_p, degree = cyc_mod[p]
+            g = _fp_gcd(d.reduce_mod(p), cyc_p, p)
             if len(g) <= 1:
                 continue
-            for fac, _ in fp_factor(g, p):
+            for fac in fp_factor(g, degree, p):
                 triples.add(ExceptionalTriple(p, IntPoly(fac), seq.t1))
     return triples
 

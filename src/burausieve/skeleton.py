@@ -90,11 +90,6 @@ class Skeleton:
     def __setattr__(self, name, value):
         raise AttributeError("Skeleton is immutable")
 
-    @staticmethod
-    def single_edge():
-        """The one-edge skeleton of the full modular group."""
-        return Skeleton((0,), (0,))
-
     def _cycles_of(self, which):
         if which not in self._cycles:
             perm = getattr(self, which)

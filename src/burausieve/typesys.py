@@ -97,26 +97,26 @@ def admissible_types(spec):
     return frozenset(type_tags(spec.M, spec.p == 3))
 
 
-def type_coefficient_laurent(tag, M, p_class):
+def type_coefficient_laurent(tag, M, p_is_3):
     """The Laurent polynomial a_T(t), exponents resolved for this M.
 
-    p_class distinguishes the p = 3 branch, where the monovalent-black
-    exponent is fixed at -1 instead of +-M/3 - 1.
+    p_is_3 selects the p = 3 branch, where the monovalent-black exponent is
+    fixed at -1 instead of +-M/3 - 1.
     """
     if tag == "I":
         return IntPoly.zero()
     if tag == "II":
         return IntPoly((1, 1), -1)
     if tag == "III+":
-        if p_class == "p=3" or M % 3 != 0:
+        if p_is_3 or M % 3 != 0:
             raise ValueError("III+ needs p != 3 and 3 | M")
         return IntPoly((-1,), M // 3 - 1)
     if tag == "III-":
-        if p_class == "p=3" or M % 3 != 0:
+        if p_is_3 or M % 3 != 0:
             raise ValueError("III- needs p != 3 and 3 | M")
         return IntPoly((-1,), -(M // 3) - 1)
     if tag == "III3":
-        if p_class != "p=3":
+        if not p_is_3:
             raise ValueError("III3 is the p = 3 branch only")
         return IntPoly((-1,), -1)
     if tag == "IV":
@@ -131,7 +131,6 @@ def type_vector(tag, spec):
     v_T = a_T(xi) e1 + e2."""
     if tag not in admissible_types(spec):
         raise ValueError(f"type {tag} is not admissible for {spec}")
-    p_class = "p=3" if spec.p == 3 else ("p=2" if spec.p == 2 else "p odd")
-    a_poly = type_coefficient_laurent(tag, spec.M, p_class)
+    a_poly = type_coefficient_laurent(tag, spec.M, spec.p == 3)
     field = spec.field
     return field.evaluate(IntPoly.const(-1)), field.evaluate(a_poly)

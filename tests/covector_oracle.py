@@ -182,7 +182,7 @@ def specialize(m, spec):
 
 def type_coefficient(tag, root):
     """a_T(xi) of a RootSpec, evaluated by the reference arithmetic."""
-    a = type_coefficient_laurent(tag, root.M, "p=3" if root.p == 3 else "")
+    a = type_coefficient_laurent(tag, root.M, root.p == 3)
     return evaluate(a, FieldElem.xi(root.field))
 
 

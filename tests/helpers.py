@@ -4,11 +4,30 @@
 determinant and its resultant in isolation, where the sieve computes them
 in one pass per word set; `sweep_pairs` flattens a sweep to its
 classification; `check_type_specification` and `type_ii_odd_width_excluded`
-state lifting conditions of the paper that the pipeline does not apply.
+state lifting conditions of the paper that the pipeline does not apply;
+`bdeg`, `det` and `single_edge` are a braid word's degree, a Burau
+matrix's determinant and the smallest skeleton.
 """
 
 from burausieve.exactalg import IntPoly, cyclotomic, resultant, substitute_neg
 from burausieve.sieve import _BranchTable, _require_distinct_projections
+from burausieve.skeleton import Skeleton
+
+
+def bdeg(word):
+    """Degree homomorphism: s1, s2 count 1, the scalar T counts 2."""
+    return sum((2 if abs(c) == 3 else 1) * (1 if c > 0 else -1)
+               for c in word.letters)
+
+
+def det(m):
+    """The determinant of a Burau matrix, in Z[t, t^-1]."""
+    return m.a * m.d - m.b * m.c
+
+
+def single_edge():
+    """The one-edge skeleton of the full modular group."""
+    return Skeleton((0,), (0,))
 
 
 def determinant_D(seq, words, branch):

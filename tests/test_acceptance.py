@@ -11,18 +11,17 @@ import time
 import pytest
 from covector_oracle import covector_bfs, product_skeletons, \
     verify_region_widths
-from helpers import resultant_with_cyclotomic, sweep_pairs
+from helpers import bdeg, det, resultant_with_cyclotomic, single_edge, \
+    sweep_pairs
 
 from burausieve.burau import BraidWord, specialize, to_burau
-from burausieve.exactalg import IntPoly, cyclotomic, factor_over_prime, \
-    substitute_neg
+from burausieve.exactalg import IntPoly, cyclotomic_factors
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import conjugate_to_e2, fibered_product, \
     verify_addendum_pairwise
 from burausieve.sieve import branches_for, full_sweep, is_informative
-from burausieve.skeleton import Skeleton, UniversalGroupSpec, \
-    enumerate_universal, euler_lhs, genus, signature, table_verify, \
-    universal_signature
+from burausieve.skeleton import UniversalGroupSpec, enumerate_universal, \
+    euler_lhs, genus, signature, table_verify, universal_signature
 from burausieve.typesys import admissible_types, root_spec
 
 
@@ -73,8 +72,7 @@ def test_criterion_2_factor_lists(sweep):
         survivors = {s["minPoly"] for s in results[row.N]["survivors"]
                      if s["p"] == row.p}
         assert survivors == set(row.factors), (row.label, survivors)
-        mod_factors = {str(f) for f in factor_over_prime(
-            substitute_neg(cyclotomic(row.N)), row.p)}
+        mod_factors = {str(f) for f in cyclotomic_factors(row.N, row.p)}
         assert survivors <= mod_factors
     print("\nACCEPTANCE 2 (factor lists, 13 rows): PASS")
 
@@ -140,8 +138,8 @@ def test_criterion_6_property_suites(row_skeletons):
     for _ in range(1000):
         w = BraidWord(tuple(rng.choice(letters)
                             for _ in range(rng.randint(0, 20))))
-        b = w.bdeg()
-        assert to_burau(w).det() == IntPoly((1 if b % 2 == 0 else -1,), b)
+        b = bdeg(w)
+        assert det(to_burau(w)) == IntPoly((1 if b % 2 == 0 else -1,), b)
     # specialized s1 has order exactly N on every golden field
     for row, sk in row_skeletons:
         root = root_spec(row.p, row.factors[0])
@@ -161,8 +159,8 @@ def test_criterion_6_property_suites(row_skeletons):
         assert sk.edge_count == (q * q - 1) // root.M
     # base-change identity of the fibered product
     for row, sk in row_skeletons[:4]:
-        fp = fibered_product(Skeleton.single_edge(), sk)
-        comps = product_skeletons(Skeleton.single_edge(), sk)
+        fp = fibered_product(single_edge(), sk)
+        comps = product_skeletons(single_edge(), sk)
         assert fp.components == tuple((c.edge_count, genus(c)) for c in comps)
         assert len(fp.components) == 1
         assert signature(comps[0]) == signature(sk)

@@ -1,7 +1,8 @@
-"""Every public top-level name in the package has a caller in the package.
+"""Every public top-level name in the package, and every public method or
+property in its class bodies, has a caller in the package.
 
-A function only the tests call belongs in a tests helper module.  The
-allowed exceptions are wrapped by name by `perfbench/layertrace.py`.
+A function or method only the tests call belongs in a tests helper module.
+The allowed exceptions are wrapped by name by `perfbench/layertrace.py`.
 """
 
 import ast
@@ -31,6 +32,11 @@ def test_every_public_name_is_used_in_the_package():
             for name in names:
                 if not name.startswith("_"):
                     defined[name] = f"{module}.{name}"
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and \
+                            not item.name.startswith("_"):
+                        defined[item.name] = f"{module}.{node.name}.{item.name}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)

@@ -56,6 +56,17 @@ class TestFactors:
         assert data["schemaVersion"] == 1
         assert data["factors"] == ["t^3+t+1", "t^3+t^2+1"]
 
+    def test_p_dividing_n_repeats_the_factors(self, run):
+        # phi_25 = phi_1^20 mod 5, and phi_1(-t) = t+1
+        code, out = run("factors", "--n", "25", "--p", "5", "--json")
+        assert code == 0
+        assert json.loads(out)["factors"] == ["t+1"] * 20
+
+    def test_non_prime_p_is_input_error(self, run):
+        code, _ = run("factors", "--n", "9", "--p", "1")
+        assert code == 2
+        assert "error: 1 is not prime" in run.err
+
 
 class TestSkeleton:
     def test_row_one(self, run):

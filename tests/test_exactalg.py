@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from covector_oracle import FieldElem, element_order, evaluate
 
 from burausieve.exactalg import (
     FieldSpec,
     IntPoly,
     cyclotomic,
-    factor_over_prime,
+    cyclotomic_factors,
+    fp_factor,
     parse_poly,
     resultant,
     substitute_neg,
@@ -178,42 +180,44 @@ class TestResultant:
 
 
 class TestFactorOverPrime:
+    """The closed-form factors of phi_N(-t) mod p."""
+
     def test_phi7_mod_2(self):
-        fs = factor_over_prime(substitute_neg(cyclotomic(7)), 2)
+        fs = cyclotomic_factors(7, 2)
         assert sorted(str(f) for f in fs) == ["t^3+t+1", "t^3+t^2+1"]
 
     def test_phi8_mod_3(self):
-        fs = factor_over_prime(substitute_neg(cyclotomic(8)), 3)
+        fs = cyclotomic_factors(8, 3)
         assert sorted(str(f) for f in fs) == ["t^2+2t+2", "t^2+t+2"]
 
     def test_phi9_mod_19(self):
-        fs = factor_over_prime(substitute_neg(cyclotomic(9)), 19)
+        fs = cyclotomic_factors(9, 19)
         assert sorted(str(f) for f in fs) == sorted(
             ["t+4", "t+5", "t+6", "t+9", "t+16", "t+17"])
 
-    def test_rejects_vanishing(self):
-        with pytest.raises(ValueError):
-            factor_over_prime(parse_poly("7t^2+7"), 7)
-
-    def test_product_reproduces_input(self):
-        rng = random.Random(5)
-        for p in (2, 3, 5, 13):
-            for _ in range(25):
-                coeffs = [rng.randrange(p) for _ in range(rng.randint(2, 8))]
-                f = IntPoly(coeffs)
-                if f.reduce_mod(p) == ():
-                    continue
-                fs = factor_over_prime(f, p)
-                prod = IntPoly((f.poly_part()[-1] % p,))
-                for fac in fs:
-                    prod = prod * fac
-                assert prod.reduce_mod(p) == f.reduce_mod(p)
-                for fac in fs:
-                    assert fac.is_monic()
-
     def test_repeated_factors_are_listed_with_multiplicity(self):
-        f = parse_poly("t^2+2t+1")  # (t+1)^2
-        assert [str(x) for x in factor_over_prime(f, 5)] == ["t+1", "t+1"]
+        # phi_6 = phi_2^2 mod 3, and phi_2(-t) = t-1
+        assert [str(x) for x in cyclotomic_factors(6, 3)] == ["t+2", "t+2"]
+
+    def test_against_sympy(self):
+        # an independent factorizer, p | N included
+        t = sympy.Symbol("t")
+        primes = list(sympy.primerange(2, 40)) + [4651]
+        for N in range(1, 61):
+            cyc = sympy.cyclotomic_poly(N, t).subs(t, -t)
+            for p in primes:
+                _, found = sympy.Poly(cyc, t, modulus=p).factor_list()
+                want = sorted(
+                    (tuple(c % p for c in reversed(f.monic().all_coeffs()))
+                     for f, mult in found for _ in range(mult)),
+                    key=lambda c: (len(c), tuple(reversed(c))))
+                got = [f.poly_part() for f in cyclotomic_factors(N, p)]
+                assert got == want, (N, p)
+
+    def test_split_rejects_a_degree_off_the_order(self):
+        # t^3+t+1 divides phi_7(-t) mod 2, whose factors have degree 3
+        with pytest.raises(AssertionError):
+            fp_factor((1, 1, 0, 1), 2, 2)
 
 
 class TestFieldSpec:

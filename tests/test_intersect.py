@@ -1,6 +1,7 @@
 """Fibered products, pairwise exclusion, and conjugacy to the e2 line."""
 
 from covector_oracle import product_skeletons, skeleton_isomorphic
+from helpers import single_edge
 
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import (
@@ -9,7 +10,6 @@ from burausieve.intersect import (
     verify_addendum_pairwise,
 )
 from burausieve.skeleton import (
-    Skeleton,
     UniversalGroupSpec,
     _LineWalk,
     enumerate_universal,
@@ -40,7 +40,7 @@ ROW3 = enumerate_pair(3, "t^2+2t+2")
 
 class TestFiberedProduct:
     def test_base_change_identity(self):
-        fp, comps = counted_and_built(Skeleton.single_edge(), ROW1)
+        fp, comps = counted_and_built(single_edge(), ROW1)
         assert len(fp.components) == 1
         assert signature(comps[0]) == signature(ROW1)
 

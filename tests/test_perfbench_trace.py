@@ -10,8 +10,9 @@ import importlib
 import importlib.util
 import os
 
+from helpers import single_edge
+
 from burausieve.intersect import fibered_product
-from burausieve.skeleton import Skeleton
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,5 +41,5 @@ def test_traced_names_resolve():
 
 def test_fibered_product_reports_total_edges():
     # the tracer's product observer reads total_edges off every result
-    single = Skeleton.single_edge()
+    single = single_edge()
     assert fibered_product(single, single).total_edges == 1

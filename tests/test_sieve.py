@@ -7,8 +7,9 @@ from helpers import determinant_D, resultant_with_cyclotomic, sweep_pairs
 
 from burausieve import sieve
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
-from burausieve.exactalg import IntPoly, _fp_gcd, cyclotomic, fp_factor, \
-    parse_poly, resultant, substitute_neg
+from burausieve.exactalg import IntPoly, _fp_gcd, _fp_mod, cyclotomic, \
+    cyclotomic_factors, fp_factor, order_mod, parse_poly, resultant, \
+    substitute_neg
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import (
     DEFAULT_INFORMATIVE_SETS,
@@ -215,7 +216,14 @@ class TestOrderRule:
         # every factor of a nonunit resultant's gcd over an accepted prime,
         # p | N included: ord(-xi) = N exactly when p does not divide N.
         # The reference order serves every field; root_spec, whose log
-        # table costs O(q), those up to the largest candidate field.
+        # table costs O(q), those up to the largest candidate field.  For
+        # p | N the gcd's factors are read off phi_N(-t)'s by divisibility.
+        def factors_of(g, N, p):
+            if N % p:
+                return fp_factor(g, order_mod(p, N), p)
+            return {f.poly_part() for f in cyclotomic_factors(N, p)
+                    if not _fp_mod(g, f.poly_part(), p)}
+
         divisible = set()
         for N in (7, 10, 25):
             branches = branches_for(N)
@@ -230,7 +238,7 @@ class TestOrderRule:
                                 continue
                             g = _fp_gcd(d.reduce_mod(p), cyc.reduce_mod(p), p)
                             if len(g) > 1:
-                                factors.update((p, fac) for fac, _ in fp_factor(g, p))
+                                factors.update((p, fac) for fac in factors_of(g, N, p))
             for p, fac in factors:
                 spec = Presentation.of(p, fac)
                 order = element_order(-FieldElem.xi(spec))

@@ -7,6 +7,7 @@ from covector_oracle import (
     verify_distinct_lemma,
     verify_region_widths,
 )
+from helpers import single_edge
 
 from burausieve.golden import GOLDEN_ROWS, self_check
 from burausieve.intersect import conjugate_to_e2
@@ -63,7 +64,7 @@ class TestSkeletonStructure:
         assert sk.region == tuple(sk.white[black_inv[i]] for i in range(sk.edge_count))
 
     def test_single_edge(self):
-        sk = Skeleton.single_edge()
+        sk = single_edge()
         assert str(signature(sk)) == "(1;1,1;1^1)"
         assert genus(sk) == 0
 
@@ -150,7 +151,7 @@ class TestWidthAndDistinctness:
             assert verify_distinct_lemma(enumerate_row(p, N), N)
 
     def test_distinct_lemma_fails_on_bare_skeleton(self):
-        assert not verify_distinct_lemma(Skeleton.single_edge(), 7)
+        assert not verify_distinct_lemma(single_edge(), 7)
 
     def test_distinct_lemma_vacuous_on_regular_trivial(self):
         # two edges, no monovalent vertices impossible; use a golden

@@ -2,7 +2,8 @@
 
 import pytest
 from covector_oracle import FieldElem, element_order, type_coefficient
-from helpers import check_type_specification, type_ii_odd_width_excluded
+from helpers import check_type_specification, single_edge, \
+    type_ii_odd_width_excluded
 
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import branches_for
@@ -148,35 +149,35 @@ class TestTypeSpecification:
     def test_full_group_lift(self):
         # the one-edge skeleton with depth 2 describes the scalar-extended
         # group itself: region 1, black 0, white 1 sum to 2 = 0 in Z/2
-        sk = Skeleton.single_edge()
+        sk = single_edge()
         assert check_type_specification(sk, 2, [1], [0], [1], ambient="bu3")
 
     def test_braid_group_lift(self):
         # depth 6 with d = 6: types (1, 2, 3) sum to 6 = 0 in Z/6
-        sk = Skeleton.single_edge()
+        sk = single_edge()
         assert check_type_specification(sk, 6, [1], [2], [3], ambient="b3")
 
     def test_depth_zero_single_edge_fails_torsion(self):
         # 3*2 and 2*3 are nonzero in Z, so this pair lifts nothing
-        sk = Skeleton.single_edge()
+        sk = single_edge()
         assert not check_type_specification(sk, 0, [-5], [2], [3], ambient="bu3")
 
     def test_sum_violation(self):
-        sk = Skeleton.single_edge()
+        sk = single_edge()
         assert not check_type_specification(sk, 2, [1], [0], [0], ambient="bu3")
 
     def test_congruence_violation(self):
-        sk = Skeleton.single_edge()
+        sk = single_edge()
         # region type must match the width mod 2
         assert not check_type_specification(sk, 2, [0], [0], [1], ambient="bu3")
 
     def test_odd_depth_rejected(self):
-        sk = Skeleton.single_edge()
+        sk = single_edge()
         with pytest.raises(ValueError):
             check_type_specification(sk, 3, [1], [0], [1])
 
     def test_depth_not_multiple_of_d(self):
-        sk = Skeleton.single_edge()
+        sk = single_edge()
         assert not check_type_specification(sk, 2, [1], [2], [3], ambient="b3")
 
     def test_two_edge_skeleton(self):
