@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .exactalg import cyclotomic_factors, parse_poly
+from .exactalg import cyclotomic_factors, field_modulus
 from .golden import GOLDEN_ROWS, self_check
 from .intersect import verify_addendum_pairwise
 from .sieve import SWEEP_RANGE, full_sweep
@@ -143,7 +143,7 @@ def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
         }
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(_dump(payload))
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
     return sk
 
@@ -163,7 +163,11 @@ def cmd_factors(args, cfg, out):
 
 
 def cmd_skeleton(args, cfg, out):
-    root = root_spec(args.p, parse_poly(args.min_poly))
+    q = args.p ** (len(field_modulus(args.p, args.min_poly)) - 1)
+    if q > cfg.state_cap:  # checked before the field's O(q) tables
+        raise EnumerationCapExceeded(f"the field of order {q} for p={args.p} "
+                                     f"m={args.min_poly} exceeds the state cap")
+    root = root_spec(args.p, args.min_poly)
     if args.type not in admissible_types(root):
         raise ValueError(f"type {args.type} not admissible for {root}")
     sk = cached_enumerate(root, args.type, args.ambient, cfg.state_cap,

@@ -547,6 +547,32 @@ def cyclotomic_factors(N, p):
 # finite fields
 
 
+def field_modulus(p, modulus):
+    """A field's modulus (text, IntPoly or coefficients) reduced mod p;
+    ValueError unless p is prime and it is monic, irreducible and not t."""
+    if not sympy.isprime(p):
+        raise ValueError(f"{p} is not prime")
+    if isinstance(modulus, str):
+        modulus = parse_poly(modulus)
+    if isinstance(modulus, IntPoly):
+        if modulus.is_zero or modulus.valuation < 0:
+            raise ValueError("modulus must be an ordinary polynomial")
+        coeffs = tuple(modulus.coefficient(e) % p
+                       for e in range(modulus.degree + 1))
+    else:
+        coeffs = tuple(c % p for c in modulus)
+    coeffs = _fp_trim(coeffs)
+    if _deg(coeffs) < 1:
+        raise ValueError("modulus must have degree >= 1")
+    if coeffs[-1] != 1:
+        raise ValueError("modulus must be monic")
+    if coeffs[0] == 0:
+        raise ValueError("modulus t is rejected: the root must be invertible")
+    if not fp_is_irreducible(coeffs, p):
+        raise ValueError(f"modulus {poly_text(coeffs)} is reducible over F_{p}")
+    return coeffs
+
+
 class FieldSpec:
     """The field F_p[t]/(modulus), its elements coded as integers.
 
@@ -563,28 +589,8 @@ class FieldSpec:
     """
 
     def __init__(self, p, modulus):
-        if not sympy.isprime(p):
-            raise ValueError(f"{p} is not prime")
-        if isinstance(modulus, str):
-            modulus = parse_poly(modulus)
-        if isinstance(modulus, IntPoly):
-            if modulus.is_zero or modulus.valuation < 0:
-                raise ValueError("modulus must be an ordinary polynomial")
-            coeffs = tuple(modulus.coefficient(e) % p
-                           for e in range(modulus.degree + 1))
-        else:
-            coeffs = tuple(c % p for c in modulus)
-        coeffs = _fp_trim(coeffs)
-        if _deg(coeffs) < 1:
-            raise ValueError("modulus must have degree >= 1")
-        if coeffs[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if coeffs[0] == 0:
-            raise ValueError("modulus t is rejected: the root must be invertible")
-        if not fp_is_irreducible(coeffs, p):
-            raise ValueError(f"modulus {poly_text(coeffs)} is reducible over F_{p}")
         self.p = p
-        self.modulus = coeffs
+        self.modulus = coeffs = field_modulus(p, modulus)
         self.degree = d = _deg(coeffs)
         self.order = q = p ** d
         self.matrix_codes = {}

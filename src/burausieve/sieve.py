@@ -7,9 +7,9 @@ their resultants against phi_N(-t).  If all resultants are nonzero the set
 is informative, and its nonunit resultants carry the only primes p and
 minimal polynomials m that can support a genus-zero realization; those
 (p, m, T) triples are the exceptional candidates handed to the genus
-filter.  Each determinant and resultant is computed once: one pass decides
-informativeness, and only an informative set's nonunit resultants are
-then factored.
+filter.  One pass per N serves all its word sets and branches: each
+determinant is built, and its resultant taken and factored, at most once
+per N.  A set stops at its first zero; only informative sets are factored.
 
 The coefficient a_T depends on M = ord(xi), which in turn depends on the
 characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
@@ -26,7 +26,7 @@ candidate and asserts the order there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import sympy
 
@@ -45,7 +45,6 @@ SWEEP_RANGE = (7, 26)
 class SieveBranch:
     """One characteristic class of a sweep value N, with its fixed M."""
 
-    N: int
     char_class: str  # "p=2" | "p odd" | "p=3"
     M: int
     types: tuple
@@ -66,39 +65,12 @@ def branches_for(N):
     """
     out = []
     if N % 2 == 1:
-        out.append(SieveBranch(N, "p=2", N, type_tags(N, False)))
+        out.append(SieveBranch("p=2", N, type_tags(N, False)))
     M = epsilon_p(N, 0)
-    out.append(SieveBranch(N, "p odd", M, type_tags(M, False)))
+    out.append(SieveBranch("p odd", M, type_tags(M, False)))
     if N % 3 != 0:
-        out.append(SieveBranch(N, "p=3", M, type_tags(M, True)))
+        out.append(SieveBranch("p=3", M, type_tags(M, True)))
     return out
-
-
-@dataclass(frozen=True)
-class IndexSeq:
-    """One determinant index (T', T'', i, j, l); the all-equal l=0 case is
-    excluded because its determinant vanishes identically."""
-
-    t1: str
-    t2: str
-    i: int
-    j: int
-    l: int
-
-    def __post_init__(self):
-        if self.t1 == self.t2 and self.i == self.j and self.l == 0:
-            raise ValueError("excluded index sequence (identically zero)")
-
-
-def index_sequences(branch, k):
-    for t1 in branch.types:
-        for t2 in branch.types:
-            for i in range(k):
-                for j in range(k):
-                    for l in range(branch.N):
-                        if t1 == t2 and i == j and l == 0:
-                            continue
-                        yield IndexSeq(t1, t2, i, j, l)
 
 
 @dataclass(frozen=True)
@@ -116,29 +88,6 @@ class ExceptionalTriple:
         return f"({self.p}, {self.min_poly}, {self.type_tag})"
 
 
-class _BranchTable:
-    """Precomputed vectors b_i * v_T and powers of s1 for one (branch, B)."""
-
-    def __init__(self, branch, words):
-        mats = [to_burau(w) for w in words]
-        self.vectors = {}
-        for tag in branch.types:
-            a = type_coefficient_laurent(tag, branch.M,
-                                         branch.char_class == "p=3")
-            v = (a, IntPoly.one())
-            for i, m in enumerate(mats):
-                self.vectors[(i, tag)] = m.apply(v)
-        self.s1_powers = [sigma1_power(l) for l in range(branch.N)]
-
-    def determinant(self, seq):
-        u0, u1 = self.vectors[(seq.i, seq.t1)]
-        w0, w1 = self.vectors[(seq.j, seq.t2)]
-        s1l = self.s1_powers[seq.l]
-        # s1^l has second row (0, 1), so only its first row moves u
-        top = s1l.a * u0 + s1l.b * u1
-        return top * w1 - u1 * w0
-
-
 def _require_distinct_projections(words):
     seen = {}
     for w in words:
@@ -153,79 +102,106 @@ def parse_word_set(texts):
     return [BraidWord.parse(t) for t in texts]
 
 
-def _nonunit_resultants(words, N, branches, cyc):
-    """The one determinant-and-resultant pass over B on each branch.
+class _SievePass:
+    """What one N fixes, shared by every word set and branch sieved at N.
 
-    Returns None if B is not informative for N: it has fewer than k_N
-    words, or some determinant or resultant is zero, which proves nothing
-    else, so the pass stops there.  Otherwise returns branch -> the
-    (seq, D, |Res|) of every nonunit resultant.
+    A determinant depends only on u = b_i v_T', w = b_j v_T'' and l, which
+    recur across word sets (e is in every configured set for N = 7..10)
+    and across branches (v_I and v_II do not depend on M).
     """
-    if len(words) < k_threshold(N):
-        return None
-    _require_distinct_projections(words)
-    out = {}
-    for branch in branches:
-        table = _BranchTable(branch, words)
-        out[branch] = []
-        for seq in index_sequences(branch, len(words)):
-            d = table.determinant(seq)
-            if d.is_zero:
-                return None
-            r = abs(resultant(d, cyc))
-            if r == 0:
-                return None
-            if r != 1:
-                out[branch].append((seq, d, r))
-    return out
 
+    def __init__(self, N):
+        self.N = N
+        self.branches = branches_for(N)
+        self.cyc = substitute_neg(cyclotomic(N))
+        # s1^l has second row (0, 1), so only its first row moves u
+        self.s1_rows = [(m.a, m.b) for m in map(sigma1_power, range(N))]
+        self.resultants = {}  # (u, w, l) -> (D, |Res(D, phi_N(-t))|)
+        self.primes = {}  # |Res| -> its primes not dividing N
+        self.cyc_mod = {}  # p -> (phi_N(-t) mod p, ord_N(p))
 
-def _branch_triples(nonunit, N, branch, cyc):
-    """The exceptional triples carried by one branch's nonunit resultants,
-    over the primes the branch accepts that do not divide N; each gcd with
-    phi_N(-t) mod p is split at degree ord_N(p)."""
-    triples = set()
-    factor_cache = {}
-    cyc_mod = {}
-    for seq, d, r in nonunit:
-        if r not in factor_cache:
-            factor_cache[r] = sorted(sympy.factorint(r))
-        for p in factor_cache[r]:
-            if not branch.accepts_prime(p) or N % p == 0:
+    def vectors(self, words, branch):
+        """Type tag -> the vectors b_i v_T of the words, on this branch."""
+        mats = [to_burau(w) for w in words]
+        out = {}
+        for tag in branch.types:
+            a = type_coefficient_laurent(tag, branch.M,
+                                         branch.char_class == "p=3")
+            out[tag] = [m.apply((a, IntPoly.one())) for m in mats]
+        return out
+
+    def determinant(self, u, w, l):
+        """D = det[s1^l u | w] and |Res(D, phi_N(-t))|, 0 when D is 0."""
+        key = (u, w, l)
+        if key not in self.resultants:
+            a, b = self.s1_rows[l]
+            d = (a * u[0] + b * u[1]) * w[1] - u[1] * w[0]
+            self.resultants[key] = d, 0 if d.is_zero else abs(resultant(d, self.cyc))
+        return self.resultants[key]
+
+    def nonunit(self, words, branches=None):
+        """Branch -> the (T', D, |Res|) of each nonunit resultant of B, on
+        every branch by default; None if B is not informative for N: it has
+        fewer than k_N words, or some determinant or resultant is zero,
+        which proves nothing else, so the pass stops there."""
+        if len(words) < k_threshold(self.N):
+            return None
+        _require_distinct_projections(words)
+        out = {}
+        for branch in branches or self.branches:
+            vecs = self.vectors(words, branch)
+            out[branch] = found = []
+            for t1, t2 in product(branch.types, repeat=2):
+                for (i, u), (j, w) in product(enumerate(vecs[t1]),
+                                              enumerate(vecs[t2])):
+                    # (T, T, i, i, 0) is skipped: its determinant is 0
+                    for l in range(int(t1 == t2 and i == j), self.N):
+                        d, r = self.determinant(u, w, l)
+                        if r == 0:
+                            return None
+                        if r != 1:
+                            found.append((t1, d, r))
+        return out
+
+    def triples(self, found, branch):
+        """The exceptional triples carried by one branch's nonunit
+        resultants, over the primes the branch accepts; each gcd with
+        phi_N(-t) mod p is split at degree ord_N(p)."""
+        triples = set()
+        for tag, d, r in found:
+            if r not in self.primes:
+                self.primes[r] = [p for p in sympy.primefactors(r) if self.N % p]
+            for p in filter(branch.accepts_prime, self.primes[r]):
+                if p not in self.cyc_mod:
+                    self.cyc_mod[p] = self.cyc.reduce_mod(p), order_mod(p, self.N)
+                cyc_p, degree = self.cyc_mod[p]
+                g = _fp_gcd(d.reduce_mod(p), cyc_p, p)
+                if len(g) > 1:
+                    triples.update(ExceptionalTriple(p, IntPoly(fac), tag)
+                                   for fac in fp_factor(g, degree, p))
+        return triples
+
+    def sieve(self, word_sets):
+        """Split the word sets into the informative ones and the rest, and
+        map each branch to the triples that every informative set recorded
+        on it (a genuine root is caught by every informative set)."""
+        usable, rejected, per_set = [], [], []
+        for words in word_sets:
+            nonunit = self.nonunit(words)
+            if nonunit is None:
+                rejected.append(words)
                 continue
-            if p not in cyc_mod:
-                cyc_mod[p] = cyc.reduce_mod(p), order_mod(p, N)
-            cyc_p, degree = cyc_mod[p]
-            g = _fp_gcd(d.reduce_mod(p), cyc_p, p)
-            if len(g) <= 1:
-                continue
-            for fac in fp_factor(g, degree, p):
-                triples.add(ExceptionalTriple(p, IntPoly(fac), seq.t1))
-    return triples
-
-
-def _sieve(N, passes, branches, cyc):
-    """Split (words, _nonunit_resultants result) pairs into the informative
-    sets and the rest, and map each branch to the triples that every
-    informative set recorded on it (a genuine root is caught by every
-    informative set)."""
-    usable, rejected, per_set = [], [], []
-    for words, nonunit in passes:
-        if nonunit is None:
-            rejected.append(words)
-            continue
-        usable.append(words)
-        per_set.append({branch: _branch_triples(found, N, branch, cyc)
-                        for branch, found in nonunit.items()})
-    by_branch = {branch: set.intersection(*(t[branch] for t in per_set))
-                 for branch in branches} if per_set else {}
-    return usable, rejected, by_branch
+            usable.append(words)
+            per_set.append({branch: self.triples(found, branch)
+                            for branch, found in nonunit.items()})
+        by_branch = {branch: set.intersection(*(t[branch] for t in per_set))
+                     for branch in self.branches} if per_set else {}
+        return usable, rejected, by_branch
 
 
 def is_informative(words, N, branch):
     """Size at least k_N and every resultant nonzero, on this branch."""
-    cyc = substitute_neg(cyclotomic(N))
-    return _nonunit_resultants(words, N, [branch], cyc) is not None
+    return _SievePass(N).nonunit(words, [branch]) is not None
 
 
 def exceptional_triples(N, word_sets):
@@ -237,11 +213,7 @@ def exceptional_triples(N, word_sets):
     """
     if not word_sets:
         raise ValueError("at least one candidate set required")
-    branches = branches_for(N)
-    cyc = substitute_neg(cyclotomic(N))
-    _, rejected, by_branch = _sieve(
-        N, [(ws, _nonunit_resultants(ws, N, branches, cyc)) for ws in word_sets],
-        branches, cyc)
+    _, rejected, by_branch = _SievePass(N).sieve(word_sets)
     if rejected:
         raise ValueError(f"set {[str(w) for w in rejected[0]]} is not "
                          f"informative for N={N}")
@@ -303,21 +275,18 @@ def _word_pool(max_len=4):
     return pool
 
 
-def _search_passes(N, branches, cyc, want=2, max_pool=24, max_combos=4000):
+def _search_passes(sieve_pass, want=2, max_pool=24, max_combos=4000):
     """Fallback search for informative sets of size k_N.
 
     Tries subsets of a pool of short words (breadth-first by word length)
     until `want` sets informative on every branch are found, and returns
-    each as a (words, _nonunit_resultants result) pair.
+    them; their resultants stay in the pass for the sieve to reuse.
     """
-    k = k_threshold(N)
     pool = _word_pool()[:max_pool]
     found = []
-    for combo in islice(combinations(range(len(pool)), k), max_combos):
-        words = [pool[i] for i in combo]
-        nonunit = _nonunit_resultants(words, N, branches, cyc)
-        if nonunit is not None:
-            found.append((words, nonunit))
+    for combo in islice(combinations(pool, k_threshold(sieve_pass.N)), max_combos):
+        if sieve_pass.nonunit(list(combo)) is not None:
+            found.append(list(combo))
             if len(found) >= want:
                 break
     return found
@@ -344,14 +313,11 @@ def full_sweep(n_range=SWEEP_RANGE, config=None, raw=False):
     state_cap = config.get("state_cap", DEFAULT_STATE_CAP)
     results = {}
     for N in range(lo, hi + 1):
-        branches = branches_for(N)
-        cyc = substitute_neg(cyclotomic(N))
-        usable, rejected, by_branch = _sieve(
-            N, [(ws, _nonunit_resultants(ws, N, branches, cyc))
-                for ws in candidate_sets_for(N, overrides)], branches, cyc)
+        sieve_pass = _SievePass(N)
+        usable, rejected, by_branch = sieve_pass.sieve(
+            candidate_sets_for(N, overrides))
         if not usable:
-            usable, _, by_branch = _sieve(
-                N, _search_passes(N, branches, cyc), branches, cyc)
+            usable, _, by_branch = sieve_pass.sieve(_search_passes(sieve_pass))
             if not usable:
                 raise ValueError(f"no informative set found for N={N}")
         candidates = set().union(*by_branch.values())

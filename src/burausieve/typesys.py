@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import FieldSpec, IntPoly, _fp_mod, cyclotomic, parse_poly, \
-    substitute_neg
+from .exactalg import FieldSpec, IntPoly, _fp_mod, cyclotomic, substitute_neg
 
 TYPE_TAGS = ("I", "II", "III+", "III-", "III3", "IV")
 
@@ -60,8 +59,6 @@ def root_spec(p, min_poly):
     verifies the epsilon-involution between them and that the minimal
     polynomial divides the N-th cyclotomic polynomial in -t over F_p.
     """
-    if isinstance(min_poly, str):
-        min_poly = parse_poly(min_poly)
     field = FieldSpec(p, min_poly)
     N = field.order_of(field.evaluate(IntPoly((-1,), 1)))
     M = field.order_of(field.gen)

@@ -2,7 +2,7 @@
 
 `determinant_D` and `resultant_with_cyclotomic` compute one sieve
 determinant and its resultant in isolation, where the sieve computes them
-in one pass per word set; `sweep_pairs` flattens a sweep to its
+in one pass per N; `sweep_pairs` flattens a sweep to its
 classification; `check_type_specification` and `type_ii_odd_width_excluded`
 state lifting conditions of the paper that the pipeline does not apply;
 `bdeg`, `det` and `single_edge` are a braid word's degree, a Burau
@@ -10,7 +10,7 @@ matrix's determinant and the smallest skeleton.
 """
 
 from burausieve.exactalg import IntPoly, cyclotomic, resultant, substitute_neg
-from burausieve.sieve import _BranchTable, _require_distinct_projections
+from burausieve.sieve import _SievePass, _require_distinct_projections
 from burausieve.skeleton import Skeleton
 
 
@@ -30,15 +30,17 @@ def single_edge():
     return Skeleton((0,), (0,))
 
 
-def determinant_D(seq, words, branch):
-    """The sieve determinant for one index sequence, shift-cleared.
+def determinant_D(words, N, branch, t1, t2, i, j, l):
+    """The sieve determinant det[s1^l b_i v_T' | b_j v_T''], shift-cleared.
 
     Whatever Laurent shift the determinant carries is dropped: the
     cyclotomic partner has constant term 1, so shifts never change whether
     a resultant vanishes or which primes divide it.
     """
     _require_distinct_projections(words)
-    d = _BranchTable(branch, words).determinant(seq)
+    sieve_pass = _SievePass(N)
+    vecs = sieve_pass.vectors(words, branch)
+    d, _ = sieve_pass.determinant(vecs[t1][i], vecs[t2][j], l)
     return IntPoly(d.poly_part())
 
 

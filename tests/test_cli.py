@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from burausieve import burau, sieve, skeleton
+from burausieve import burau, exactalg, sieve, skeleton
 from burausieve.cli import main
 from burausieve.golden import GOLDEN_ROWS
 
@@ -85,12 +85,14 @@ class TestSkeleton:
         assert code == 2
 
     def test_state_cap_is_resource_error(self, run):
-        code, _ = run("--state-cap", "5", "skeleton", "--p", "43",
+        # a cap of q = 43 admits the field; the walk stops at its 44th line
+        code, _ = run("--state-cap", "43", "skeleton", "--p", "43",
                       "--min-poly", "t+4", "--no-cache")
         assert code == 3
+        assert "more than 43 cosets" in run.err
 
     def test_cap_message_names_the_group(self, run):
-        code, _ = run("--state-cap", "5", "skeleton", "--p", "593",
+        code, _ = run("--state-cap", "593", "skeleton", "--p", "593",
                       "--min-poly", "t+201", "--no-cache")
         assert code == 3
         assert "p=593" in run.err and "t+201" in run.err
@@ -117,7 +119,7 @@ class TestSkeleton:
         # the p=19 t+4 skeleton has 20 edges; a filled cache must not
         # let it past a cap the cold walk enforces
         assert run("skeleton", "--p", "19", "--min-poly", "t+4")[0] == 0
-        code, _ = run("--state-cap", "10", "skeleton", "--p", "19",
+        code, _ = run("--state-cap", "19", "skeleton", "--p", "19",
                       "--min-poly", "t+4")
         assert code == 3
 
@@ -144,6 +146,15 @@ class TestSkeleton:
         assert code == 0
         assert warm == cold
         assert entry.read_text() == text
+
+    def test_field_over_the_cap_is_resource_error(self, run, monkeypatch):
+        # q = 2^17 exceeds the cap, so the field's O(q) tables are never built
+        tables = count_calls(monkeypatch, exactalg, "_unit_tables")
+        code, _ = run("--state-cap", "100", "skeleton", "--p", "2",
+                      "--min-poly", "t^17+t^3+1", "--no-cache")
+        assert code == 3
+        assert "field of order 131072 for p=2 m=t^17+t^3+1" in run.err
+        assert tables == []
 
     def test_inadmissible_type(self, run):
         code, _ = run("skeleton", "--p", "2", "--min-poly", "t^3+t+1",
@@ -267,13 +278,15 @@ class TestAddendum:
         assert len(calls) == skeletons
 
 
-@pytest.mark.parametrize("argv", [
-    ("sieve", "--n-range", "12..12"),
-    ("addendum",),
-    ("skeleton", "--p", "100003", "--min-poly", "t+2", "--no-cache"),
+@pytest.mark.parametrize("cap, argv", [
+    ("10", ("sieve", "--n-range", "12..12")),
+    ("10", ("addendum",)),
+    # a cap of q admits the field; the walk stops at its (q+1)-th line
+    ("100003", ("skeleton", "--p", "100003", "--min-poly", "t+2", "--no-cache")),
 ], ids=["sieve", "addendum", "skeleton-large-field"])
-def test_state_cap_is_resource_error(run, argv):
-    assert run("--state-cap", "10", *argv)[0] == 3
+def test_state_cap_is_resource_error(run, cap, argv):
+    assert run("--state-cap", cap, *argv)[0] == 3
+    assert f"more than {cap} cosets" in run.err
 
 
 class TestBadInput:

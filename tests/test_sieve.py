@@ -1,5 +1,7 @@
 """The resultant sieve: determinants, informativeness, candidate extraction."""
 
+from itertools import product
+
 import pytest
 import sympy
 from covector_oracle import FieldElem, Presentation, element_order
@@ -14,7 +16,6 @@ from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import (
     DEFAULT_INFORMATIVE_SETS,
     ExceptionalTriple,
-    IndexSeq,
     branches_for,
     candidate_sets_for,
     exceptional_triples,
@@ -68,26 +69,13 @@ class TestBranches:
         assert branch(7, "p=3").accepts_prime(3)
 
 
-class TestIndexSequences:
-    def test_excluded_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            IndexSeq("I", "I", 0, 0, 0)
-
-    def test_cross_type_l_zero_allowed(self):
-        IndexSeq("I", "II", 0, 0, 0)
-
-    def test_same_type_nonzero_l_allowed(self):
-        IndexSeq("I", "I", 0, 0, 3)
-
-
 class TestDeterminant:
     def test_diagonal_family_closed_form(self):
         # B = {id}, T' = T'' = I: the determinant is the truncated
         # geometric sum in -t, derived here by raw matrix multiplication
         b7 = branch(7, "p=2")
         for l in range(1, 7):
-            seq = IndexSeq("I", "I", 0, 0, l)
-            d = determinant_D(seq, ID, b7)
+            d = determinant_D(ID, 7, b7, "I", "I", 0, 0, l)
             mat = BurauMatrix.identity()
             for _ in range(l):
                 mat = mat * to_burau(BraidWord.parse("s1"))
@@ -98,40 +86,42 @@ class TestDeterminant:
 
     def test_cross_type_at_l_zero(self):
         b7 = branch(7, "p=2")
-        d = determinant_D(IndexSeq("I", "II", 0, 0, 0), ID, b7)
+        d = determinant_D(ID, 7, b7, "I", "II", 0, 0, 0)
         assert d == parse_poly("-t-1") or d == parse_poly("t+1")
 
     def test_shift_clearing(self):
         # type IV against I at l = 0 gives a monomial: cleared to a unit
         b7 = branch(7, "p=2")
-        d = determinant_D(IndexSeq("IV", "I", 0, 0, 0), ID, b7)
+        d = determinant_D(ID, 7, b7, "IV", "I", 0, 0, 0)
         assert d.poly_part() in ((1,), (-1,))
 
     def test_duplicate_projections_rejected(self):
         words = parse_word_set(["e", "T s1 s1^-1"])  # both project to id
         with pytest.raises(ValueError):
-            determinant_D(IndexSeq("I", "II", 0, 1, 0), words, branch(7, "p=2"))
+            determinant_D(words, 7, branch(7, "p=2"), "I", "II", 0, 1, 0)
 
 
 class TestExclusionCompleteness:
     def test_excluded_determinants_vanish_identically(self):
         # det[b v_T | b v_T] = 0 for any word and type
-        b9 = branch(9, "p odd")
-        for tag in b9.types:
-            from burausieve.sieve import _BranchTable
-            table = _BranchTable(b9, parse_word_set(["T s2^-1 s1"]))
-            u0, u1 = table.vectors[(0, tag)]
-            assert (u0 * u1 - u1 * u0).is_zero
+        word = parse_word_set(["T s2^-1 s1"])
+        for b in branches_for(9):
+            for tag in b.types:
+                assert determinant_D(word, 9, b, tag, tag, 0, 0, 0).is_zero
 
     def test_no_valid_sequence_vanishes_identically(self):
-        # over {id, beta} with distinct projections every allowed index
+        # over {id, beta} with distinct projections (T, T, i, i, 0) is the
+        # one index whose determinant is identically zero; every other
         # gives a nonzero polynomial (vanishing can only happen at roots)
         words = parse_word_set(["e", "T s2^-1 s1"])
-        for b in branches_for(9):
-            from burausieve.sieve import _BranchTable, index_sequences
-            table = _BranchTable(b, words)
-            for seq in index_sequences(b, 2):
-                assert not table.determinant(seq).is_zero, seq
+        sieve_pass = sieve._SievePass(9)
+        for b in sieve_pass.branches:
+            vecs = sieve_pass.vectors(words, b)
+            for t1, t2, i, j in product(b.types, b.types, range(2), range(2)):
+                for l in range(9):
+                    d, _ = sieve_pass.determinant(vecs[t1][i], vecs[t2][j], l)
+                    assert d.is_zero == (t1 == t2 and i == j and l == 0), \
+                        (b, t1, t2, i, j, l)
 
 
 class TestResultantWithCyclotomic:
@@ -226,12 +216,11 @@ class TestOrderRule:
 
         divisible = set()
         for N in (7, 10, 25):
-            branches = branches_for(N)
-            cyc = substitute_neg(cyclotomic(N))
+            sieve_pass = sieve._SievePass(N)
+            cyc = sieve_pass.cyc
             factors = set()
             for words in candidate_sets_for(N):
-                nonunit = sieve._nonunit_resultants(words, N, branches, cyc)
-                for branch, found in (nonunit or {}).items():
+                for branch, found in (sieve_pass.nonunit(words) or {}).items():
                     for _, d, r in found:
                         for p in sympy.primefactors(r):
                             if not branch.accepts_prime(p):
@@ -268,19 +257,21 @@ class TestOrderRule:
 
 
 def search(N, **kwargs):
-    return sieve._search_passes(N, branches_for(N),
-                                substitute_neg(cyclotomic(N)), **kwargs)
+    sieve_pass = sieve._SievePass(N)
+    return sieve_pass, sieve._search_passes(sieve_pass, **kwargs)
 
 
 class TestSearch:
-    # each found set comes with its resultants on every branch
+    # each found set has k_N words and is informative on every branch
     def test_search_finds_singletons_at_thirteen(self):
-        (words, nonunit), = search(13, want=1)
-        assert len(words) == 1 and set(nonunit) == set(branches_for(13))
+        sieve_pass, (words,) = search(13, want=1)
+        assert len(words) == 1
+        assert set(sieve_pass.nonunit(words)) == set(branches_for(13))
 
     def test_search_finds_pairs_at_nine(self):
-        (words, nonunit), = search(9, want=1, max_pool=16, max_combos=150)
-        assert len(words) == 2 and set(nonunit) == set(branches_for(9))
+        sieve_pass, (words,) = search(9, want=1, max_pool=16, max_combos=150)
+        assert len(words) == 2
+        assert set(sieve_pass.nonunit(words)) == set(branches_for(9))
 
 
 class TestSweep:
@@ -308,6 +299,21 @@ class TestSweep:
         got = {(s["p"], s["minPoly"]) for s in results[9]["survivors"]}
         assert got == {(row.p, f) for row in GOLDEN_ROWS if row.N == 9
                        for f in row.factors}
+
+    def test_one_resultant_per_determinant_of_n(self, monkeypatch):
+        # every word set and branch of an N shares each (u, w, l): the raw
+        # sweep of N = 7..10 takes one resultant per distinct (u, w, l),
+        # 9,190, where a pass per (set, branch) took 16,794
+        calls = []
+        real = sieve.resultant
+
+        def counting_resultant(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sieve, "resultant", counting_resultant)
+        full_sweep((7, 10), raw=True)
+        assert len(calls) == 9190
 
     def test_fallback_search_resultants_are_reused(self, monkeypatch):
         # no configured set is informative, so the search supplies the sets;
