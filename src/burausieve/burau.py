@@ -10,6 +10,7 @@ of its entries at xi (see exactalg.FieldSpec).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .exactalg import IntPoly
@@ -18,6 +19,10 @@ from .exactalg import IntPoly
 _LETTER_NAMES = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1", 3: "T", -3: "T^-1"}
 _NAME_LETTERS = {v: k for k, v in _LETTER_NAMES.items()}
 _BASE_NAMES = {"s1": 1, "s2": 2, "T": 3}
+_EXPONENT = re.compile(r"[+-]?[0-9]+")
+# s1^k has a Burau degree of k, and every word's Burau matrix, vectors and
+# sieve determinants grow with it, so one letter's power is capped here
+MAX_EXPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -32,15 +37,25 @@ class BraidWord:
 
     @staticmethod
     def parse(text):
-        """Parse 's1 s2^-1 T' style text; exponents expand, e.g. 's1^3'."""
+        """Parse 's1 s2^-1 T' style text; exponents expand, e.g. 's1^3'.
+
+        An exponent is an optional sign and decimal digits, at most
+        MAX_EXPONENT in absolute value; anything else is a ValueError.
+        """
         letters = []
         for tok in text.split():
             if tok in ("e", "id"):
                 continue
-            base, _, exp_s = tok.partition("^")
+            base, caret, exp_s = tok.partition("^")
             if base not in _BASE_NAMES:
                 raise ValueError(f"unknown braid letter {tok!r}")
-            exp = int(exp_s) if exp_s else 1
+            if caret and not _EXPONENT.fullmatch(exp_s):
+                raise ValueError(f"malformed exponent in {tok!r}: '^' takes "
+                                 f"an optional sign and decimal digits")
+            exp = int(exp_s) if caret else 1
+            if abs(exp) > MAX_EXPONENT:
+                raise ValueError(f"exponent in {tok!r} exceeds {MAX_EXPONENT} "
+                                 f"in absolute value")
             code = _BASE_NAMES[base]
             letters.extend([code if exp > 0 else -code] * abs(exp))
         return BraidWord(tuple(letters))
@@ -112,18 +127,6 @@ def to_burau(word):
     for c in word.letters:
         m = m * _GEN_MATRICES[c]
     return m
-
-
-def sigma1_power(l):
-    """sigma1^l for l >= 0: [(-t)^l, ((-t)^l - 1)/(-t - 1); 0, 1]."""
-    if l < 0:
-        raise ValueError("negative power not needed here")
-    # sum_{m<l} (-t)^m
-    coeffs = [(-1) ** m for m in range(l)]
-    return BurauMatrix(
-        IntPoly(((-1) ** l,), l), IntPoly(coeffs),
-        IntPoly.zero(), IntPoly.one(),
-    )
 
 
 # modular projections: Burau at t = -1, modulo +-id

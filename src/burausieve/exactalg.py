@@ -1,10 +1,17 @@
 """Exact arithmetic foundation.
 
-Integer Laurent polynomials, resultants, cyclotomic polynomials, the
-factors of phi_N(-t) over F_p, and finite fields: a field is presented as a
-verified quotient F_p[t]/(m), and its elements are integer codes with one
-arithmetic, by log tables.  Everything here is exact: integer coefficients
-are arbitrary precision, so results can be compared bit for bit.
+Integer Laurent polynomials, cyclotomic polynomials, the sieve's
+resultants against phi_N(-t), the factors of phi_N(-t) over F_p, and
+finite fields: a field is presented as a verified quotient F_p[t]/(m), and
+its elements are integer codes with one arithmetic, by log tables.
+Everything here is exact: integer coefficients are arbitrary precision, so
+results can be compared bit for bit.
+
+A resultant against phi_N(-t) is a product of values at the N-th roots of
+unity.  It is taken modulo primes P = 1 (mod N), which hold those roots,
+and recovered exactly from enough of them to exceed twice its bound
+(multi-modular resultants with a CRT bound: Collins, JACM 18, 1971; von
+zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).
 
 Every polynomial factored here divides phi_N(-t) mod p, whose
 factorization is known in closed form (Lidl-Niederreiter, Finite Fields,
@@ -294,92 +301,100 @@ def substitute_neg(f):
     return IntPoly(coeffs, f.shift)
 
 
-def resultant(f, g):
-    """Resultant over Z of the shift-cleared parts of f and g.
+@lru_cache(maxsize=None)
+def unity_prime(N, index):
+    """(P, powers): the index-th largest prime P = 1 (mod N) below 2^62, and
+    z^0, ..., z^(N-1) mod P for a primitive N-th root of unity z.
 
-    Computed by the subresultant PRS, so it is exact for arbitrary integer
-    coefficients.  Zero iff the inputs share a nonconstant factor over Q.
+    The zeros of phi_N(-t) mod P are then -z^k for the k in 1..N-1 prime to
+    N.  z is the first a^((P-1)/N), a = 2, 3, ..., that no prime q of N
+    sends to 1 under x -> x^(N/q); P - 1 is never factored.
     """
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of a zero polynomial")
-    return _resultant_z(f.poly_part(), g.poly_part())
+    if N < 2:
+        raise ValueError("root-of-unity order must be >= 2")
+    P = unity_prime(N, index - 1)[0] if index else (2 ** 62 - 2) // N * N + 1
+    P -= N * bool(index)
+    while not sympy.isprime(P):
+        P -= N
+    qs = sympy.primefactors(N)
+    for a in range(2, P):
+        z = pow(a, (P - 1) // N, P)
+        if all(pow(z, N // q, P) != 1 for q in qs):
+            break
+    powers = [1]
+    for _ in range(N - 1):
+        powers.append(powers[-1] * z % P)
+    return P, tuple(powers)
+
+
+def resultant(u, w, N):
+    """|Res(phi_N(-t), D_l)| for l = 0, ..., N-1, exact, where u = (u0, u1)
+    and w = (w0, w1) are pairs of Laurent polynomials and
+    D_l = det[s1^l u | w] = ((-t)^l u0 + b_l u1) w1 - u1 w0 with
+    b_l = sum_{m<l} (-t)^m.
+
+    phi_N(-t) is monic with zeros -zeta, zeta the primitive N-th roots of
+    unity, so the resultant is prod_zeta D_l(-zeta) up to sign (a Laurent
+    shift of D_l changes only the sign).  At t = -zeta, b_l is
+    (zeta^l - 1)/(zeta - 1), so D_l(-zeta) = zeta^l X - Y for X and Y that
+    do not depend on l.  The product is taken modulo primes P = 1 (mod N),
+    which hold the roots, until their product exceeds 2B, where
+    B = (|u0||w1| + (N-1)|u1||w1| + |u1||w0|)^phi(N) >= |Res| (|.| is the
+    1-norm of the coefficients, and |zeta| = 1).  The balanced CRT value is
+    then the resultant itself, so a zero is exact.  (Collins, JACM 18, 1971;
+    von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6.)
+    """
+    (u0, u1), (w0, w1) = u, w
+    n_u0, n_u1, n_w0, n_w1 = (sum(map(abs, f.coeffs)) for f in (u0, u1, w0, w1))
+    bound = 2 * (n_u0 * n_w1 + (N - 1) * n_u1 * n_w1
+                 + n_u1 * n_w0) ** cyclotomic(N).degree
+    values, modulus, index = [0] * N, 1, 0
+    while modulus <= bound:
+        P, roots = _unity_tables(N, index)
+        prods = [1] * N
+        for zeta_powers, inv in roots:
+            U0, U1, W0, W1 = (_eval_mod(f, zeta_powers, P)
+                              for f in (u0, u1, w0, w1))
+            c = U1 * W1 * inv
+            X, Y = (U0 * W1 + c) % P, (U1 * W0 + c) % P
+            prods = [r * (X * z - Y) % P for r, z in zip(prods, zeta_powers)]
+        # CRT: the value mod modulus * P that is v mod modulus and r mod P
+        lift = pow(modulus, -1, P)
+        values = [v + modulus * ((r - v) * lift % P) for v, r in zip(values, prods)]
+        modulus *= P
+        index += 1
+    half = modulus // 2
+    return tuple(modulus - v if v > half else v for v in values)
+
+
+@lru_cache(maxsize=None)
+def _unity_tables(N, index):
+    """unity_prime(N, index) laid out for resultant: P, and for each zero
+    -zeta of phi_N(-t) mod P, the powers zeta^0..zeta^(N-1) and
+    1/(zeta - 1)."""
+    P, powers = unity_prime(N, index)
+    roots = []
+    for k in range(1, N):
+        if gcd(k, N) == 1:
+            zeta_powers = tuple(powers[k * l % N] for l in range(N))
+            roots.append((zeta_powers, pow(zeta_powers[1] - 1, -1, P)))
+    return P, tuple(roots)
+
+
+def _eval_mod(f, zeta_powers, P):
+    """The Laurent polynomial f = t^e g at x = -zeta mod P: g by Horner,
+    and x^e read off the powers of zeta, x^e = (-1)^e zeta^(e mod N)."""
+    x = P - zeta_powers[1]
+    acc = 0
+    for c in reversed(f.poly_part()):
+        acc = (acc * x + c) % P
+    e = f.shift
+    x_e = zeta_powers[e % len(zeta_powers)]
+    return acc * (P - x_e if e % 2 else x_e) % P
 
 
 def _deg(c):
     return len(c) - 1
-
-
-def _content(c):
-    return gcd(*c) or 1
-
-
-def _prem(a, b):
-    """Pseudo-remainder: lc(b)^(da-db+1) * a modulo b, in Z[t]."""
-    a = list(a)
-    da, db = _deg(a), _deg(b)
-    lb = b[-1]
-    for i in range(da - db, -1, -1):
-        top = a[i + db]
-        for j in range(len(a)):
-            a[j] *= lb
-        if top:
-            for j in range(db + 1):
-                a[i + j] -= top * b[j]
-        a[i + db] = 0
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _resultant_z(a, b):
-    # subresultant PRS with content extraction
-    a, b = list(a), list(b)
-    s = 1
-    if _deg(a) < _deg(b):
-        if _deg(a) % 2 == 1 and _deg(b) % 2 == 1:
-            s = -s
-        a, b = b, a
-    if _deg(b) < 0:
-        raise ValueError("resultant of a zero polynomial")
-    if _deg(a) == 0:
-        return 1
-    if _deg(b) == 0:
-        return s * b[0] ** _deg(a)
-    ca, cb = _content(a), _content(b)
-    a = [x // ca for x in a]
-    b = [x // cb for x in b]
-    scale = ca ** _deg(b) * cb ** _deg(a)
-    g = h = 1
-    while True:
-        da, db = _deg(a), _deg(b)
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        r = _prem(a, b)
-        if not r:
-            return 0
-        a = b
-        denom = g * h ** delta
-        b = [x // denom for x in r]
-        g = a[-1]
-        h = _int_pow_div(g, delta, h)
-        if _deg(b) == 0:
-            break
-    da = _deg(a)
-    h = _int_pow_div(b[0], da, h)
-    return s * scale * h
-
-
-def _int_pow_div(g, delta, h):
-    """h <- g^delta / h^(delta-1), exact by the subresultant theory."""
-    if delta == 0:
-        return h
-    num = g ** delta
-    den = h ** (delta - 1)
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("subresultant invariant violated")
-    return q
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """The resultant sieve.
 
 For a fixed order N >= 7 and a set B of braid words with distinct modular
-projections, the sieve computes the 2x2 determinants
-D_{ij,l}(T', T'') = det[s1^l b_i v_{T'} | b_j v_{T''}] over Z[t, t^-1] and
-their resultants against phi_N(-t).  If all resultants are nonzero the set
-is informative, and its nonunit resultants carry the only primes p and
-minimal polynomials m that can support a genus-zero realization; those
-(p, m, T) triples are the exceptional candidates handed to the genus
-filter.  One pass per N serves all its word sets and branches: each
-determinant is built, and its resultant taken and factored, at most once
-per N.  A set stops at its first zero; only informative sets are factored.
+projections, the sieve takes the resultants against phi_N(-t) of the 2x2
+determinants D_{ij,l}(T', T'') = det[s1^l b_i v_{T'} | b_j v_{T''}] over
+Z[t, t^-1].  If all resultants are nonzero the set is informative, and its
+nonunit resultants carry the only primes p and minimal polynomials m that
+can support a genus-zero realization; those (p, m, T) triples are the
+exceptional candidates handed to the genus filter.  One pass per N serves
+all its word sets and branches.  A determinant depends only on
+u = b_i v_{T'}, w = b_j v_{T''} and l, and exactalg.resultant evaluates u
+and w once at the roots of phi_N(-t) for the resultants of every l; each
+resultant is factored at most once per N.  A set stops at its first zero;
+only informative sets are factored, and only there is (1 + t) D formed,
+from u and w, for its gcd with phi_N(-t) mod each prime.
 
 The coefficient a_T depends on M = ord(xi), which in turn depends on the
 characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
@@ -26,11 +29,12 @@ candidate and asserts the order there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, groupby, islice, product
+from operator import itemgetter
 
 import sympy
 
-from .burau import BraidWord, modular_projection, sigma1_power, to_burau
+from .burau import BraidWord, modular_projection, to_burau
 from .exactalg import IntPoly, cyclotomic, fp_factor, order_mod, resultant, \
     substitute_neg, _fp_gcd
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, euler_lhs, \
@@ -114,9 +118,7 @@ class _SievePass:
         self.N = N
         self.branches = branches_for(N)
         self.cyc = substitute_neg(cyclotomic(N))
-        # s1^l has second row (0, 1), so only its first row moves u
-        self.s1_rows = [(m.a, m.b) for m in map(sigma1_power, range(N))]
-        self.resultants = {}  # (u, w, l) -> (D, |Res(D, phi_N(-t))|)
+        self.resultants = {}  # (u, w) -> |Res(phi_N(-t), D_l)| for each l
         self.primes = {}  # |Res| -> its primes not dividing N
         self.cyc_mod = {}  # p -> (phi_N(-t) mod p, ord_N(p))
 
@@ -130,20 +132,19 @@ class _SievePass:
             out[tag] = [m.apply((a, IntPoly.one())) for m in mats]
         return out
 
-    def determinant(self, u, w, l):
-        """D = det[s1^l u | w] and |Res(D, phi_N(-t))|, 0 when D is 0."""
-        key = (u, w, l)
+    def resultants_of(self, u, w):
+        """|Res(phi_N(-t), D_l)| for D_l = det[s1^l u | w], indexed by l and
+        0 where D_l is 0: one evaluation pass per (u, w) serves every l."""
+        key = (u, w)
         if key not in self.resultants:
-            a, b = self.s1_rows[l]
-            d = (a * u[0] + b * u[1]) * w[1] - u[1] * w[0]
-            self.resultants[key] = d, 0 if d.is_zero else abs(resultant(d, self.cyc))
+            self.resultants[key] = resultant(u, w, self.N)
         return self.resultants[key]
 
     def nonunit(self, words, branches=None):
-        """Branch -> the (T', D, |Res|) of each nonunit resultant of B, on
-        every branch by default; None if B is not informative for N: it has
-        fewer than k_N words, or some determinant or resultant is zero,
-        which proves nothing else, so the pass stops there."""
+        """Branch -> the (T', u, w, l, |Res|) of each nonunit resultant of B,
+        on every branch by default; None if B is not informative for N: it
+        has fewer than k_N words, or some resultant is zero, which proves
+        nothing else, so the pass stops there."""
         if len(words) < k_threshold(self.N):
             return None
         _require_distinct_projections(words)
@@ -154,31 +155,48 @@ class _SievePass:
             for t1, t2 in product(branch.types, repeat=2):
                 for (i, u), (j, w) in product(enumerate(vecs[t1]),
                                               enumerate(vecs[t2])):
+                    res = self.resultants_of(u, w)
                     # (T, T, i, i, 0) is skipped: its determinant is 0
                     for l in range(int(t1 == t2 and i == j), self.N):
-                        d, r = self.determinant(u, w, l)
+                        r = res[l]
                         if r == 0:
                             return None
                         if r != 1:
-                            found.append((t1, d, r))
+                            found.append((t1, u, w, l, r))
         return out
 
     def triples(self, found, branch):
         """The exceptional triples carried by one branch's nonunit
-        resultants, over the primes the branch accepts; each gcd with
-        phi_N(-t) mod p is split at degree ord_N(p)."""
+        resultants, over the primes the branch accepts; each gcd of a
+        determinant with phi_N(-t) mod p is split at degree ord_N(p).
+
+        With s = -t, (1 - s) D_l = s^l X + Y for X = (1 - s) u0 w1 - u1 w1
+        and Y = u1 w1 - (1 - s) u1 w0, which depend on (u, w) only.  For p
+        not dividing N, neither 1 - s = 1 + t nor t divides phi_N(-t) mod p
+        (phi_N(1) is 1 or the prime whose power N is), so the gcd is taken
+        of s^l X + Y, shift-cleared, and no D_l is built.
+        """
         triples = set()
-        for tag, d, r in found:
-            if r not in self.primes:
-                self.primes[r] = [p for p in sympy.primefactors(r) if self.N % p]
-            for p in filter(branch.accepts_prime, self.primes[r]):
-                if p not in self.cyc_mod:
-                    self.cyc_mod[p] = self.cyc.reduce_mod(p), order_mod(p, self.N)
-                cyc_p, degree = self.cyc_mod[p]
-                g = _fp_gcd(d.reduce_mod(p), cyc_p, p)
-                if len(g) > 1:
-                    triples.update(ExceptionalTriple(p, IntPoly(fac), tag)
-                                   for fac in fp_factor(g, degree, p))
+        for (tag, u, w), entries in groupby(found, itemgetter(0, 1, 2)):
+            xy = None
+            for _, _, _, l, r in entries:
+                if r not in self.primes:
+                    self.primes[r] = [p for p in sympy.primefactors(r) if self.N % p]
+                primes = list(filter(branch.accepts_prime, self.primes[r]))
+                if not primes:
+                    continue
+                if xy is None:
+                    xy = _twisted_parts(u, w)
+                x, y = xy
+                d = IntPoly(((-1) ** l,), l) * x + y  # (-t)^l X + Y
+                for p in primes:
+                    if p not in self.cyc_mod:
+                        self.cyc_mod[p] = self.cyc.reduce_mod(p), order_mod(p, self.N)
+                    cyc_p, degree = self.cyc_mod[p]
+                    g = _fp_gcd(d.reduce_mod(p), cyc_p, p)
+                    if len(g) > 1:
+                        triples.update(ExceptionalTriple(p, IntPoly(fac), tag)
+                                       for fac in fp_factor(g, degree, p))
         return triples
 
     def sieve(self, word_sets):
@@ -197,6 +215,14 @@ class _SievePass:
         by_branch = {branch: set.intersection(*(t[branch] for t in per_set))
                      for branch in self.branches} if per_set else {}
         return usable, rejected, by_branch
+
+
+def _twisted_parts(u, w):
+    """(X, Y) with (1 + t) det[s1^l u | w] = (-t)^l X + Y for every l."""
+    (u0, u1), (w0, w1) = u, w
+    one_plus_t = IntPoly((1, 1))
+    a, b = one_plus_t * u0 * w1, u1 * w1
+    return a - b, b - one_plus_t * u1 * w0
 
 
 def is_informative(words, N, branch):

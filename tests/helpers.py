@@ -1,17 +1,116 @@
 """Checks and conveniences the tests use that nothing in the pipeline calls.
 
-`determinant_D` and `resultant_with_cyclotomic` compute one sieve
-determinant and its resultant in isolation, where the sieve computes them
-in one pass per N; `sweep_pairs` flattens a sweep to its
-classification; `check_type_specification` and `type_ii_odd_width_excluded`
-state lifting conditions of the paper that the pipeline does not apply;
-`bdeg`, `det` and `single_edge` are a braid word's degree, a Burau
-matrix's determinant and the smallest skeleton.
+`resultant` is the subresultant PRS over Z, the reference for the sieve's
+resultants by evaluation at the roots of unity.  `sigma1_power`,
+`sieve_determinant`, `determinant_D` and `resultant_with_cyclotomic`
+build one sieve determinant and take its resultant in isolation, where
+the sieve evaluates each (u, w) pair once for every l; `sweep_pairs`
+flattens a sweep to its classification; `check_type_specification` and
+`type_ii_odd_width_excluded` state lifting conditions of the paper that
+the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
+word's degree, a Burau matrix's determinant and the smallest skeleton.
 """
 
-from burausieve.exactalg import IntPoly, cyclotomic, resultant, substitute_neg
+from math import gcd
+
+from burausieve.burau import BurauMatrix
+from burausieve.exactalg import IntPoly, cyclotomic, substitute_neg
 from burausieve.sieve import _SievePass, _require_distinct_projections
 from burausieve.skeleton import Skeleton
+
+
+# -- the subresultant PRS ----------------------------------------------------
+
+
+def resultant(f, g):
+    """Resultant over Z of the shift-cleared parts of f and g.
+
+    Computed by the subresultant PRS, so it is exact for arbitrary integer
+    coefficients.  Zero iff the inputs share a nonconstant factor over Q.
+    """
+    if f.is_zero or g.is_zero:
+        raise ValueError("resultant of a zero polynomial")
+    return _resultant_z(f.poly_part(), g.poly_part())
+
+
+def _deg(c):
+    return len(c) - 1
+
+
+def _content(c):
+    return gcd(*c) or 1
+
+
+def _prem(a, b):
+    """Pseudo-remainder: lc(b)^(da-db+1) * a modulo b, in Z[t]."""
+    a = list(a)
+    da, db = _deg(a), _deg(b)
+    lb = b[-1]
+    for i in range(da - db, -1, -1):
+        top = a[i + db]
+        for j in range(len(a)):
+            a[j] *= lb
+        if top:
+            for j in range(db + 1):
+                a[i + j] -= top * b[j]
+        a[i + db] = 0
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _resultant_z(a, b):
+    # subresultant PRS with content extraction
+    a, b = list(a), list(b)
+    s = 1
+    if _deg(a) < _deg(b):
+        if _deg(a) % 2 == 1 and _deg(b) % 2 == 1:
+            s = -s
+        a, b = b, a
+    if _deg(b) < 0:
+        raise ValueError("resultant of a zero polynomial")
+    if _deg(a) == 0:
+        return 1
+    if _deg(b) == 0:
+        return s * b[0] ** _deg(a)
+    ca, cb = _content(a), _content(b)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    scale = ca ** _deg(b) * cb ** _deg(a)
+    g = h = 1
+    while True:
+        da, db = _deg(a), _deg(b)
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return 0
+        a = b
+        denom = g * h ** delta
+        b = [x // denom for x in r]
+        g = a[-1]
+        h = _int_pow_div(g, delta, h)
+        if _deg(b) == 0:
+            break
+    da = _deg(a)
+    h = _int_pow_div(b[0], da, h)
+    return s * scale * h
+
+
+def _int_pow_div(g, delta, h):
+    """h <- g^delta / h^(delta-1), exact by the subresultant theory."""
+    if delta == 0:
+        return h
+    num = g ** delta
+    den = h ** (delta - 1)
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("subresultant invariant violated")
+    return q
+
+
+# -- sieve determinants ------------------------------------------------------
 
 
 def bdeg(word):
@@ -30,6 +129,24 @@ def single_edge():
     return Skeleton((0,), (0,))
 
 
+def sigma1_power(l):
+    """sigma1^l for l >= 0: [(-t)^l, ((-t)^l - 1)/(-t - 1); 0, 1]."""
+    if l < 0:
+        raise ValueError("negative power not needed here")
+    # sum_{m<l} (-t)^m
+    coeffs = [(-1) ** m for m in range(l)]
+    return BurauMatrix(
+        IntPoly(((-1) ** l,), l), IntPoly(coeffs),
+        IntPoly.zero(), IntPoly.one(),
+    )
+
+
+def sieve_determinant(u, w, l):
+    """D = det[s1^l u | w] over Z[t, t^-1], for the sieve's vectors u, w."""
+    s1 = sigma1_power(l)
+    return (s1.a * u[0] + s1.b * u[1]) * w[1] - u[1] * w[0]
+
+
 def determinant_D(words, N, branch, t1, t2, i, j, l):
     """The sieve determinant det[s1^l b_i v_T' | b_j v_T''], shift-cleared.
 
@@ -38,10 +155,8 @@ def determinant_D(words, N, branch, t1, t2, i, j, l):
     a resultant vanishes or which primes divide it.
     """
     _require_distinct_projections(words)
-    sieve_pass = _SievePass(N)
-    vecs = sieve_pass.vectors(words, branch)
-    d, _ = sieve_pass.determinant(vecs[t1][i], vecs[t2][j], l)
-    return IntPoly(d.poly_part())
+    vecs = _SievePass(N).vectors(words, branch)
+    return IntPoly(sieve_determinant(vecs[t1][i], vecs[t2][j], l).poly_part())
 
 
 def resultant_with_cyclotomic(D, N):
@@ -49,6 +164,16 @@ def resultant_with_cyclotomic(D, N):
     if D.is_zero:
         raise ValueError("degenerate zero determinant")
     return resultant(D, substitute_neg(cyclotomic(N)))
+
+
+def reference_resultants(u, w, N):
+    """The PRS counterpart of exactalg.resultant(u, w, N): |Res| of each
+    sieve determinant D_l against phi_N(-t), 0 where D_l is 0."""
+    out = []
+    for l in range(N):
+        d = sieve_determinant(u, w, l)
+        out.append(0 if d.is_zero else abs(resultant_with_cyclotomic(d, N)))
+    return tuple(out)
 
 
 def sweep_pairs(results):

@@ -11,9 +11,10 @@ import time
 import pytest
 from covector_oracle import covector_bfs, product_skeletons, \
     verify_region_widths
-from helpers import bdeg, det, resultant_with_cyclotomic, single_edge, \
-    sweep_pairs
+from helpers import bdeg, det, reference_resultants, \
+    resultant_with_cyclotomic, single_edge, sweep_pairs
 
+from burausieve import sieve
 from burausieve.burau import BraidWord, specialize, to_burau
 from burausieve.exactalg import IntPoly, cyclotomic_factors
 from burausieve.golden import GOLDEN_ROWS
@@ -182,6 +183,27 @@ def test_criterion_7_sieve_soundness(sweep):
             for b in branches_for(N):
                 assert is_informative(words, N, b)
     print("\nACCEPTANCE 7 (sieve soundness controls): PASS")
+
+
+def test_sweep_resultants_match_the_prs(monkeypatch):
+    """Every resultant of the sweep 7..26, taken by evaluation at the roots
+    of unity, equals the subresultant PRS of its determinant: each (u, w)
+    is compared at every l, which covers all 24,541 keys the sieve reads."""
+    groups = []
+    real = sieve.resultant
+
+    def recording_resultant(u, w, N):
+        values = real(u, w, N)
+        groups.append((u, w, N, values))
+        return values
+
+    monkeypatch.setattr(sieve, "resultant", recording_resultant)
+    full_sweep((7, 26), raw=True)
+    assert len(groups) == 1975
+    for u, w, N, values in groups:
+        assert values == reference_resultants(u, w, N), (u, w, N)
+    assert sum(len(values) for *_, values in groups) == 24828
+    print("\nresultants by evaluation = PRS on 24,828 sweep values: PASS")
 
 
 def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):

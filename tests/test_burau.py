@@ -5,13 +5,12 @@ import random
 import pytest
 from covector_oracle import FieldElem, evaluate
 from covector_oracle import specialize as reference_specialize
-from helpers import bdeg, det
+from helpers import bdeg, det, sigma1_power
 
 from burausieve.burau import (
     BraidWord,
     BurauMatrix,
     modular_projection,
-    sigma1_power,
     specialize,
     to_burau,
 )

@@ -311,8 +311,15 @@ class TestBadInput:
         ({"state-cap": 5}, "unknown config key 'state-cap'"),
         ({"informative_sets": {"99": [["e"]]}}, "informative_sets key '99'"),
         ({"informative_sets": {"nine": [["e"]]}}, "informative_sets key 'nine'"),
+        ({"informative_sets": {"9": [["e", "s1^99999999999"]]}}, "exceeds 1000"),
+        ({"informative_sets": {"9": [["e", "s1^-1001"]]}}, "exceeds 1000"),
+        ({"informative_sets": {"9": [["e", "s1^"]]}}, "malformed exponent"),
+        ({"informative_sets": {"9": [["e", "s1^1_000"]]}}, "malformed exponent"),
+        ({"informative_sets": {"9": [["e", "s1^٣"]]}}, "malformed exponent"),
     ], ids=["state-cap-text", "unknown-letter", "shared-projection",
-            "unknown-key", "n-out-of-range", "n-not-an-integer"])
+            "unknown-key", "n-out-of-range", "n-not-an-integer",
+            "exponent-too-large", "exponent-too-small", "exponent-empty",
+            "exponent-underscore", "exponent-non-ascii"])
     def test_bad_config(self, run, tmp_path, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

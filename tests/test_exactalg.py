@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from covector_oracle import FieldElem, element_order, evaluate
+from helpers import reference_resultants, resultant, sieve_determinant
 
+from burausieve import exactalg
 from burausieve.exactalg import (
     FieldSpec,
     IntPoly,
@@ -14,8 +17,8 @@ from burausieve.exactalg import (
     cyclotomic_factors,
     fp_factor,
     parse_poly,
-    resultant,
     substitute_neg,
+    unity_prime,
 )
 
 
@@ -177,6 +180,104 @@ class TestResultant:
             for text in ("t^2-3t+1", "2t^3+t+5", "t-1"):
                 f = parse_poly(text)
                 assert abs(resultant(f, cyc)) == abs(resultant(f * IntPoly.t(), cyc))
+
+
+def totient(N):
+    return sum(1 for k in range(1, N) if gcd(k, N) == 1)
+
+
+def random_laurent(rng, span, low=-3, high=3):
+    return IntPoly([rng.randint(-span, span) for _ in range(rng.randint(0, 5))],
+                   rng.randint(low, high))
+
+
+class TestUnityPrime:
+    """The primes P = 1 (mod N) and the zeros of phi_N(-t) mod P that the
+    sieve's resultants are evaluated at."""
+
+    def test_primes_and_roots_for_every_sweep_n(self):
+        for N in range(7, 27):
+            cyc = substitute_neg(cyclotomic(N))
+            found = []
+            for index in range(2):
+                P, powers = unity_prime(N, index)
+                assert sympy.isprime(P) and P % N == 1 and P < 2 ** 62, (N, P)
+                roots = {-powers[k] % P for k in range(1, N) if gcd(k, N) == 1}
+                assert len(roots) == totient(N) == cyc.degree
+                for x in roots:
+                    value = 0
+                    for c in reversed(cyc.coeffs):
+                        value = (value * x + c) % P
+                    assert value == 0, (N, P, x)
+                found.append(P)
+            assert found[0] > found[1]
+
+    def test_cached_per_n(self):
+        assert unity_prime(9, 1) is unity_prime(9, 1)
+
+    def test_rejects_order_below_two(self):
+        with pytest.raises(ValueError):
+            unity_prime(1, 0)
+
+
+class TestResultantByEvaluation:
+    """exactalg.resultant(u, w, N) against the PRS reference, for
+    D_l = det[s1^l u | w]; every sweep key is compared in test_sieve and in
+    the acceptance sweep."""
+
+    def test_random_laurent_pairs(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            N = rng.randint(2, 26)
+            u = (random_laurent(rng, 6), random_laurent(rng, 6))
+            w = (random_laurent(rng, 6), random_laurent(rng, 6))
+            assert exactalg.resultant(u, w, N) == reference_resultants(u, w, N)
+
+    def test_laurent_shifts_of_u_and_w(self):
+        # shifting a whole vector by t^k moves every D_l by t^k, which
+        # changes only the resultant's sign
+        rng = random.Random(14)
+        for N in (7, 12, 25):
+            for _ in range(5):
+                u = (random_laurent(rng, 4), random_laurent(rng, 4))
+                w = (random_laurent(rng, 4), random_laurent(rng, 4))
+                base = exactalg.resultant(u, w, N)
+                assert base == reference_resultants(u, w, N)
+                for su, sw in ((1, 0), (0, -2), (-3, 5)):
+                    shifted_u = tuple(f * IntPoly.t(su) for f in u)
+                    shifted_w = tuple(f * IntPoly.t(sw) for f in w)
+                    assert exactalg.resultant(shifted_u, shifted_w, N) == base
+
+    def test_exact_zero_at_one_l(self):
+        # u = (0, 1) and w = (w0, 1) give D_l = b_l - w0; w0 is chosen so
+        # that D_3 = phi_N(-t) (t^2 + 1), divisible by phi_N(-t)
+        for N in (7, 9, 26):
+            cyc = substitute_neg(cyclotomic(N))
+            b3 = IntPoly([1, -1, 1])
+            u = (IntPoly.zero(), IntPoly.one())
+            w = (b3 - cyc * parse_poly("t^2+1"), IntPoly.one())
+            assert sieve_determinant(u, w, 3) == cyc * parse_poly("t^2+1")
+            values = exactalg.resultant(u, w, N)
+            assert values == reference_resultants(u, w, N)
+            assert [l for l, r in enumerate(values) if r == 0] == [3]
+
+    def test_identically_zero_determinant(self):
+        u = (parse_poly("t^2-t+3"), parse_poly("2t-1"))
+        assert exactalg.resultant(u, u, 10)[0] == 0
+        assert exactalg.resultant(u, u, 10) == reference_resultants(u, u, 10)
+
+    def test_bound_needing_three_primes(self):
+        # B = (|u0||w1| + (N-1)|u1||w1| + |u1||w0|)^phi(N) with 1-norms;
+        # the first two primes, each below 2^62, do not exceed 2B
+        N = 26
+        u = (parse_poly("1999t^3-1500t+1777"), parse_poly("-1234t^2+999"))
+        w = (parse_poly("1501t^4+1733"), parse_poly("1103t-1999"))
+        n_u0, n_u1, n_w0, n_w1 = (sum(map(abs, f.coeffs)) for f in (*u, *w))
+        bound = (n_u0 * n_w1 + (N - 1) * n_u1 * n_w1 + n_u1 * n_w0) ** totient(N)
+        assert unity_prime(N, 0)[0] * unity_prime(N, 1)[0] <= 2 * bound
+        values = exactalg.resultant(u, w, N)
+        assert values == reference_resultants(u, w, N)
+        assert max(values).bit_length() > 124
 
 
 class TestFactorOverPrime:

@@ -5,13 +5,13 @@ from itertools import product
 import pytest
 import sympy
 from covector_oracle import FieldElem, Presentation, element_order
-from helpers import determinant_D, resultant_with_cyclotomic, sweep_pairs
+from helpers import determinant_D, reference_resultants, \
+    resultant_with_cyclotomic, sieve_determinant, sweep_pairs
 
 from burausieve import sieve
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
 from burausieve.exactalg import IntPoly, _fp_gcd, _fp_mod, cyclotomic, \
-    cyclotomic_factors, fp_factor, order_mod, parse_poly, resultant, \
-    substitute_neg
+    cyclotomic_factors, fp_factor, order_mod, parse_poly, substitute_neg
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import (
     DEFAULT_INFORMATIVE_SETS,
@@ -112,16 +112,20 @@ class TestExclusionCompleteness:
     def test_no_valid_sequence_vanishes_identically(self):
         # over {id, beta} with distinct projections (T, T, i, i, 0) is the
         # one index whose determinant is identically zero; every other
-        # gives a nonzero polynomial (vanishing can only happen at roots)
+        # gives a nonzero polynomial (vanishing can only happen at roots).
+        # The pass's resultant is 0 at the zero determinant.
         words = parse_word_set(["e", "T s2^-1 s1"])
         sieve_pass = sieve._SievePass(9)
         for b in sieve_pass.branches:
             vecs = sieve_pass.vectors(words, b)
             for t1, t2, i, j in product(b.types, b.types, range(2), range(2)):
+                u, w = vecs[t1][i], vecs[t2][j]
                 for l in range(9):
-                    d, _ = sieve_pass.determinant(vecs[t1][i], vecs[t2][j], l)
-                    assert d.is_zero == (t1 == t2 and i == j and l == 0), \
+                    zero = t1 == t2 and i == j and l == 0
+                    assert sieve_determinant(u, w, l).is_zero == zero, \
                         (b, t1, t2, i, j, l)
+                    if zero:
+                        assert sieve_pass.resultants_of(u, w)[l] == 0
 
 
 class TestResultantWithCyclotomic:
@@ -221,7 +225,8 @@ class TestOrderRule:
             factors = set()
             for words in candidate_sets_for(N):
                 for branch, found in (sieve_pass.nonunit(words) or {}).items():
-                    for _, d, r in found:
+                    for _, u, w, l, r in found:
+                        d = sieve_determinant(u, w, l)
                         for p in sympy.primefactors(r):
                             if not branch.accepts_prime(p):
                                 continue
@@ -237,6 +242,28 @@ class TestOrderRule:
                 if N % p == 0:
                     divisible.add((N, p))
         assert divisible == {(7, 7), (10, 5), (25, 5)}
+
+    def test_triples_match_the_gcd_of_each_determinant(self):
+        # the pass takes each gcd of (-t)^l X + Y = (1 + t) D_l; the slow
+        # path builds D_l and takes its gcd with phi_N(-t) mod p
+        for N in (7, 9, 10, 12, 25):
+            sieve_pass = sieve._SievePass(N)
+            for words in candidate_sets_for(N):
+                for branch, found in (sieve_pass.nonunit(words) or {}).items():
+                    slow = set()
+                    for tag, u, w, l, r in found:
+                        d = sieve_determinant(u, w, l)
+                        for p in sympy.primefactors(r):
+                            if N % p == 0 or not branch.accepts_prime(p):
+                                continue
+                            cyc_p = sieve_pass.cyc.reduce_mod(p)
+                            g = _fp_gcd(d.reduce_mod(p), cyc_p, p)
+                            if len(g) > 1:
+                                slow.update(
+                                    ExceptionalTriple(p, IntPoly(fac), tag)
+                                    for fac in fp_factor(g, order_mod(p, N), p))
+                    assert sieve_pass.triples(found, branch) == slow, \
+                        (N, words, branch)
 
     def test_root_spec_calls(self, monkeypatch):
         # none in the raw sieve; one per candidate pair in the genus filter
@@ -302,28 +329,59 @@ class TestSweep:
 
     def test_one_resultant_per_determinant_of_n(self, monkeypatch):
         # every word set and branch of an N shares each (u, w, l): the raw
-        # sweep of N = 7..10 takes one resultant per distinct (u, w, l),
-        # 9,190, where a pass per (set, branch) took 16,794
-        calls = []
-        real = sieve.resultant
+        # sweep of N = 7..10 reads one resultant per distinct (u, w, l),
+        # 9,190, where a pass per (set, branch) took 16,794; and one
+        # evaluation per (u, w) serves all its l: 1,132 resultant calls
+        calls, keys = [], set()
+        real, real_of = sieve.resultant, sieve._SievePass.resultants_of
 
         def counting_resultant(*args):
-            calls.append(1)
+            calls.append(args)
             return real(*args)
 
+        class Reads(tuple):
+            def __getitem__(self, l):
+                keys.add(self.key + (l,))
+                return tuple.__getitem__(self, l)
+
+        def recording_resultants_of(self, u, w):
+            values = Reads(real_of(self, u, w))
+            values.key = (self.N, u, w)
+            return values
+
         monkeypatch.setattr(sieve, "resultant", counting_resultant)
+        monkeypatch.setattr(sieve._SievePass, "resultants_of",
+                            recording_resultants_of)
         full_sweep((7, 10), raw=True)
-        assert len(calls) == 9190
+        assert len(keys) == 9190
+        assert len(calls) == len(set(calls)) == 1132
+
+    def test_resultants_match_the_reference_on_every_key(self, monkeypatch):
+        # every (u, w) the raw sweep of N = 7..10 evaluates, at every l,
+        # against the subresultant PRS of the determinant D_l
+        groups = []
+        real = sieve.resultant
+
+        def recording_resultant(u, w, N):
+            groups.append((u, w, N))
+            return real(u, w, N)
+
+        monkeypatch.setattr(sieve, "resultant", recording_resultant)
+        full_sweep((7, 10), raw=True)
+        assert len(groups) == 1132
+        for u, w, N in groups:
+            assert real(u, w, N) == reference_resultants(u, w, N), (u, w, N)
 
     def test_fallback_search_resultants_are_reused(self, monkeypatch):
         # no configured set is informative, so the search supplies the sets;
-        # every resultant of the sweep must be one the search computed
+        # every (u, w) whose resultants the sweep reads is one the search
+        # evaluated, and none is evaluated twice
         calls = []
         after_search = []
         real_resultant, real_search = sieve.resultant, sieve._search_passes
 
         def counting_resultant(*args):
-            calls.append(1)
+            calls.append(args)
             return real_resultant(*args)
 
         def recording_search(*args, **kwargs):
@@ -335,6 +393,7 @@ class TestSweep:
         monkeypatch.setattr(sieve, "_search_passes", recording_search)
         results = full_sweep((9, 9), {"informative_sets": {9: [["e"]]}})
         assert after_search == [len(calls)] and calls
+        assert len(set(calls)) == len(calls)
         assert results[9]["rejected"] == [["e"]]
         assert len(results[9]["sets"]) == 2
         got = {(s["p"], s["minPoly"]) for s in results[9]["survivors"]}
