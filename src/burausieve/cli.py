@@ -152,6 +152,9 @@ def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
 
 
 def cmd_factors(args, cfg, out):
+    if args.n > cfg.state_cap:  # checked before phi_N's O(N) coefficients
+        raise EnumerationCapExceeded(f"N={args.n} exceeds the state cap "
+                                     f"{cfg.state_cap}")
     factors = cyclotomic_factors(args.n, args.p)
     texts = [str(f) for f in factors]
     if args.json:

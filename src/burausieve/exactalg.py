@@ -447,12 +447,34 @@ def _fp_divmod(a, b, p):
 
 
 def _fp_mod(a, b, p):
-    return _fp_divmod(a, b, p)[1]
+    if not b:
+        raise ZeroDivisionError
+    return tuple(_fp_reduce(list(a), b, p))
+
+
+def _fp_reduce(a, b, p):
+    """a mod b for a list a, in place and returned, for b with a nonzero
+    leading coefficient: each leading term of a is cancelled in turn, and
+    no quotient is formed."""
+    inv = pow(b[-1], -1, p)
+    n = len(b) - 1
+    low = b[:n]
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a.pop() * inv % p
+        if c:
+            i = top - n
+            for j, y in enumerate(low):
+                a[i + j] = (a[i + j] - c * y) % p
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _fp_gcd(a, b, p):
+    """The monic gcd over F_p, by remainders alone (Euclid on lists)."""
+    a, b = list(_fp_trim(a)), list(_fp_trim(b))
     while b:
-        a, b = b, _fp_mod(a, b, p)
+        a, b = b, _fp_reduce(a, b, p)
     return _fp_monic(a, p)
 
 
@@ -502,7 +524,8 @@ def _fp_equal_degree(f, d, p, rng):
     """Cantor-Zassenhaus split of a product of distinct irreducibles of
     degree d."""
     n = _deg(f)
-    assert n > 0 and n % d == 0, f"degree {n} is not a positive multiple of {d}"
+    if n <= 0 or n % d:
+        raise AssertionError(f"degree {n} is not a positive multiple of {d}")
     if n == d:
         return [f]
     while True:

@@ -9,10 +9,16 @@ can support a genus-zero realization; those (p, m, T) triples are the
 exceptional candidates handed to the genus filter.  One pass per N serves
 all its word sets and branches.  A determinant depends only on
 u = b_i v_{T'}, w = b_j v_{T''} and l, and exactalg.resultant evaluates u
-and w once at the roots of phi_N(-t) for the resultants of every l; each
-resultant is factored at most once per N.  A set stops at its first zero;
-only informative sets are factored, and only there is (1 + t) D formed,
-from u and w, for its gcd with phi_N(-t) mod each prime.
+and w once at the roots of phi_N(-t) for the resultants of every l.  A set
+stops at its first zero.  Only the first informative set's resultants are
+factored: the gcds of its determinants with phi_N(-t) mod each of their
+primes give its triples in full, and each distinct gcd is split once per
+N.  A later set can only shrink the intersection, so it tests only the
+triples still held there: (p, m, T) stays when m divides, mod p, some
+determinant of type T whose resultant p divides (m already divides
+phi_N(-t) mod p).  It factors no resultant and takes no gcd.  Each
+determinant enters as (1 + t) D, formed from u and w on coefficient
+lists.
 
 The coefficient a_T depends on M = ord(xi), which in turn depends on the
 characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
@@ -36,7 +42,7 @@ import sympy
 
 from .burau import BraidWord, modular_projection, to_burau
 from .exactalg import IntPoly, cyclotomic, fp_factor, order_mod, resultant, \
-    substitute_neg, _fp_gcd
+    substitute_neg, _fp_gcd, _fp_mod
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, euler_lhs, \
     universal_signature
 from .typesys import epsilon_p, k_threshold, root_spec, \
@@ -121,6 +127,8 @@ class _SievePass:
         self.resultants = {}  # (u, w) -> |Res(phi_N(-t), D_l)| for each l
         self.primes = {}  # |Res| -> its primes not dividing N
         self.cyc_mod = {}  # p -> (phi_N(-t) mod p, ord_N(p))
+        self.parts = {}  # (u, w) -> the coefficients of X and Y
+        self.splits = {}  # (gcd, p) -> its irreducible factors
 
     def vectors(self, words, branch):
         """Type tag -> the vectors b_i v_T of the words, on this branch."""
@@ -168,61 +176,101 @@ class _SievePass:
     def triples(self, found, branch):
         """The exceptional triples carried by one branch's nonunit
         resultants, over the primes the branch accepts; each gcd of a
-        determinant with phi_N(-t) mod p is split at degree ord_N(p).
+        determinant with phi_N(-t) mod p is split at degree ord_N(p),
+        once per pass."""
+        def primes(tag, r):
+            if r not in self.primes:
+                self.primes[r] = [p for p in sympy.primefactors(r) if self.N % p]
+            return [p for p in self.primes[r] if branch.accepts_prime(p)]
+
+        triples = set()
+        for tag, p, d in self.reduced(found, primes):
+            if p not in self.cyc_mod:
+                self.cyc_mod[p] = self.cyc.reduce_mod(p), order_mod(p, self.N)
+            cyc_p, degree = self.cyc_mod[p]
+            g = _fp_gcd(d, cyc_p, p)
+            if len(g) > 1:
+                if (g, p) not in self.splits:
+                    self.splits[g, p] = [IntPoly(f) for f in fp_factor(g, degree, p)]
+                triples.update(ExceptionalTriple(p, f, tag) for f in self.splits[g, p])
+        return triples
+
+    def kept(self, found, earlier):
+        """The triples of `earlier` that one branch's nonunit resultants
+        also carry, which is earlier & self.triples(found, branch) with no
+        factoring: (p, m, T) is carried when m divides (1 + t) D mod p for
+        some determinant D of type T whose resultant p divides, since m
+        divides phi_N(-t) mod p already.  A shown triple is not tested
+        again."""
+        untested = {}  # T -> p -> the triples of (T, p) not yet shown
+        for tr in earlier:
+            untested.setdefault(tr.type_tag, {}).setdefault(tr.p, set()).add(tr)
+
+        def primes(tag, r):
+            return [p for p, trs in untested.get(tag, {}).items() if trs and r % p == 0]
+
+        shown = set()
+        for tag, p, d in self.reduced(found, primes):
+            hits = {tr for tr in untested[tag][p]
+                    if not _fp_mod(d, tr.min_poly.coeffs, p)}
+            untested[tag][p] -= hits
+            shown |= hits
+        return shown
+
+    def reduced(self, found, primes):
+        """(T', p, (1 + t) D_l mod p) for each entry (T', u, w, l, r) of
+        `found` and each p in primes(T', r).
 
         With s = -t, (1 - s) D_l = s^l X + Y for X = (1 - s) u0 w1 - u1 w1
         and Y = u1 w1 - (1 - s) u1 w0, which depend on (u, w) only.  For p
         not dividing N, neither 1 - s = 1 + t nor t divides phi_N(-t) mod p
-        (phi_N(1) is 1 or the prime whose power N is), so the gcd is taken
-        of s^l X + Y, shift-cleared, and no D_l is built.
+        (phi_N(1) is 1 or the prime whose power N is), so s^l X + Y stands
+        for D_l.  It is formed on coefficient lists, up to a power of t,
+        and no D_l is built.
         """
-        triples = set()
         for (tag, u, w), entries in groupby(found, itemgetter(0, 1, 2)):
-            xy = None
+            x = None
             for _, _, _, l, r in entries:
-                if r not in self.primes:
-                    self.primes[r] = [p for p in sympy.primefactors(r) if self.N % p]
-                primes = list(filter(branch.accepts_prime, self.primes[r]))
-                if not primes:
+                ps = primes(tag, r)
+                if not ps:
                     continue
-                if xy is None:
-                    xy = _twisted_parts(u, w)
-                x, y = xy
-                d = IntPoly(((-1) ** l,), l) * x + y  # (-t)^l X + Y
-                for p in primes:
-                    if p not in self.cyc_mod:
-                        self.cyc_mod[p] = self.cyc.reduce_mod(p), order_mod(p, self.N)
-                    cyc_p, degree = self.cyc_mod[p]
-                    g = _fp_gcd(d.reduce_mod(p), cyc_p, p)
-                    if len(g) > 1:
-                        triples.update(ExceptionalTriple(p, IntPoly(fac), tag)
-                                       for fac in fp_factor(g, degree, p))
-        return triples
+                if x is None:
+                    x, y = self.twisted_parts(u, w)
+                d = y + [0] * (len(x) + l - len(y))
+                sign = -1 if l % 2 else 1
+                d[l:l + len(x)] = [a + sign * b for a, b in zip(d[l:], x)]
+                for p in ps:
+                    yield tag, p, [c % p for c in d]
+
+    def twisted_parts(self, u, w):
+        """The coefficients of X and Y (see reduced), at one power of t."""
+        if (u, w) not in self.parts:
+            (u0, u1), (w0, w1) = u, w
+            one_plus_t = IntPoly((1, 1))
+            a, b = one_plus_t * u0 * w1, u1 * w1
+            x, y = a - b, b - one_plus_t * u1 * w0
+            low = min(x.shift, y.shift)
+            self.parts[u, w] = ([0] * (x.shift - low) + list(x.coeffs),
+                                [0] * (y.shift - low) + list(y.coeffs))
+        return self.parts[u, w]
 
     def sieve(self, word_sets):
         """Split the word sets into the informative ones and the rest, and
         map each branch to the triples that every informative set recorded
-        on it (a genuine root is caught by every informative set)."""
-        usable, rejected, per_set = [], [], []
+        on it (a genuine root is caught by every informative set).  The
+        first informative set's triples are found in full; each later set
+        keeps only those of the earlier triples it also carries."""
+        usable, rejected, by_branch = [], [], {}
         for words in word_sets:
             nonunit = self.nonunit(words)
             if nonunit is None:
                 rejected.append(words)
                 continue
+            by_branch = {branch: self.kept(found, by_branch[branch]) if usable
+                         else self.triples(found, branch)
+                         for branch, found in nonunit.items()}
             usable.append(words)
-            per_set.append({branch: self.triples(found, branch)
-                            for branch, found in nonunit.items()})
-        by_branch = {branch: set.intersection(*(t[branch] for t in per_set))
-                     for branch in self.branches} if per_set else {}
         return usable, rejected, by_branch
-
-
-def _twisted_parts(u, w):
-    """(X, Y) with (1 + t) det[s1^l u | w] = (-t)^l X + Y for every l."""
-    (u0, u1), (w0, w1) = u, w
-    one_plus_t = IntPoly((1, 1))
-    a, b = one_plus_t * u0 * w1, u1 * w1
-    return a - b, b - one_plus_t * u1 * w0
 
 
 def is_informative(words, N, branch):
@@ -371,7 +419,9 @@ def _genus_filter(candidates, N, state_cap):
     survivors = []
     for (p, m), tags in sorted(by_pair.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         root = root_spec(p, m)
-        assert root.N == N
+        if root.N != N:
+            raise AssertionError(f"candidate ({p}, {m}) has order {root.N}, "
+                                 f"not {N}")
         zero_tags = []
         for tag in tags:
             spec = UniversalGroupSpec(root, tag, "bu3")

@@ -1,7 +1,9 @@
 """Checks and conveniences the tests use that nothing in the pipeline calls.
 
 `resultant` is the subresultant PRS over Z, the reference for the sieve's
-resultants by evaluation at the roots of unity.  `sigma1_power`,
+resultants by evaluation at the roots of unity, and `reference_fp_gcd`,
+Euclid by quotient and remainder, is the reference for the package's
+remainder-only gcd over F_p.  `sigma1_power`,
 `sieve_determinant`, `determinant_D` and `resultant_with_cyclotomic`
 build one sieve determinant and take its resultant in isolation, where
 the sieve evaluates each (u, w) pair once for every l; `sweep_pairs`
@@ -14,7 +16,8 @@ word's degree, a Burau matrix's determinant and the smallest skeleton.
 from math import gcd
 
 from burausieve.burau import BurauMatrix
-from burausieve.exactalg import IntPoly, cyclotomic, substitute_neg
+from burausieve.exactalg import IntPoly, _fp_divmod, _fp_monic, cyclotomic, \
+    substitute_neg
 from burausieve.sieve import _SievePass, _require_distinct_projections
 from burausieve.skeleton import Skeleton
 
@@ -108,6 +111,14 @@ def _int_pow_div(g, delta, h):
     if r:
         raise ArithmeticError("subresultant invariant violated")
     return q
+
+
+def reference_fp_gcd(a, b, p):
+    """The monic gcd over F_p of two trimmed coefficient tuples, by
+    Euclid with polynomial division."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return _fp_monic(a, p)
 
 
 # -- sieve determinants ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every public top-level name in the package, and every public method or
-property in its class bodies, has a caller in the package.
+property in its class bodies, has a caller in the package; and no check
+in the package is an `assert` statement, which `python -O` strips.
 
 A function or method only the tests call belongs in a tests helper module.
 The allowed exceptions are wrapped by name by `perfbench/layertrace.py`.
@@ -11,14 +12,15 @@ import os
 
 import burausieve
 
+SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(burausieve.__file__),
+                                       "*.py")))
 TRACED_ONLY = {"sieve.is_informative", "sieve.exceptional_triples",
                "intersect.conjugate_to_e2"}
 
 
 def test_every_public_name_is_used_in_the_package():
     defined, used = {}, set()
-    for path in sorted(glob.glob(os.path.join(
-            os.path.dirname(burausieve.__file__), "*.py"))):
+    for path in SOURCES:
         module = os.path.basename(path)[:-3]
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
@@ -46,3 +48,14 @@ def test_every_public_name_is_used_in_the_package():
                 used.update(alias.name for alias in node.names)
     unused = {qualified for name, qualified in defined.items() if name not in used}
     assert unused <= TRACED_ONLY, sorted(unused - TRACED_ONLY)
+
+
+def test_no_assert_statements_in_the_package():
+    # the checks must hold under python -O: raise AssertionError instead
+    found = []
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert SOURCES and not found, found

@@ -67,6 +67,16 @@ class TestFactors:
         assert code == 2
         assert "error: 1 is not prime" in run.err
 
+    @pytest.mark.parametrize("argv", [
+        ("factors", "--n", "100000000000", "--p", "3"),
+        ("--state-cap", "8", "factors", "--n", "9", "--p", "19"),
+    ], ids=["default-cap", "given-cap"])
+    def test_n_above_the_state_cap_is_resource_error(self, run, argv):
+        # refused before phi_N's coefficients are built
+        code, _ = run(*argv)
+        assert code == 3
+        assert "exceeds the state cap" in run.err
+
 
 class TestSkeleton:
     def test_row_one(self, run):

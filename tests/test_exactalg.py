@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 import sympy
 from covector_oracle import FieldElem, element_order, evaluate
-from helpers import reference_resultants, resultant, sieve_determinant
+from helpers import reference_fp_gcd, reference_resultants, resultant, \
+    sieve_determinant
 
 from burausieve import exactalg
 from burausieve.exactalg import (
@@ -319,6 +320,75 @@ class TestFactorOverPrime:
         # t^3+t+1 divides phi_7(-t) mod 2, whose factors have degree 3
         with pytest.raises(AssertionError):
             fp_factor((1, 1, 0, 1), 2, 2)
+
+
+class TestFpRemainders:
+    """The remainder-only mod and gcd against division with a quotient."""
+
+    PRIMES = (2, 3, 5, 19, 4651, 2 ** 31 - 1)
+
+    @staticmethod
+    def random_poly(rng, p, degree):
+        return exactalg._fp_trim([rng.randrange(p) for _ in range(degree + 1)])
+
+    def test_random_inputs(self):
+        rng = random.Random(12)
+        for p in self.PRIMES:
+            for _ in range(150):
+                a = self.random_poly(rng, p, rng.randrange(-1, 30))
+                b = self.random_poly(rng, p, rng.randrange(-1, 30))
+                assert exactalg._fp_gcd(a, b, p) == reference_fp_gcd(a, b, p), (a, b, p)
+
+    def test_mod_against_division(self):
+        rng = random.Random(11)
+        for p in self.PRIMES:
+            for _ in range(150):
+                a = self.random_poly(rng, p, rng.randrange(-1, 30))
+                b = self.random_poly(rng, p, rng.randrange(0, 12)) or (1,)
+                q, r = exactalg._fp_divmod(a, b, p)
+                assert exactalg._fp_mod(a, b, p) == r, (a, b, p)
+                assert len(r) < len(b)
+                assert exactalg._fp_add(exactalg._fp_mul(q, b, p), r, p) == a
+
+    def test_common_factors(self):
+        # products with a shared factor, so the gcd is rarely 1
+        rng = random.Random(13)
+        for p in self.PRIMES:
+            for _ in range(60):
+                common = self.random_poly(rng, p, rng.randrange(1, 6))
+                a, b = (exactalg._fp_mul(common, self.random_poly(
+                    rng, p, rng.randrange(0, 12)), p) for _ in range(2))
+                g = exactalg._fp_gcd(a, b, p)
+                assert g == reference_fp_gcd(a, b, p), (a, b, p)
+                if common:
+                    assert not exactalg._fp_mod(g, common, p), (a, b, p)
+
+    def test_zero_and_equal_inputs(self):
+        f = (3, 0, 5, 2)  # 2t^3 + 5t^2 + 3, not monic
+        monic = exactalg._fp_monic(f, 7)
+        assert exactalg._fp_gcd((), (), 7) == ()
+        assert exactalg._fp_gcd(f, (), 7) == monic
+        assert exactalg._fp_gcd((), f, 7) == monic
+        assert exactalg._fp_gcd(f, f, 7) == monic
+        assert monic[-1] == 1 and monic != f
+
+    def test_non_monic_inputs(self):
+        # (2t + 2)(t + 3) and 5(t + 1)(t + 4) over F_7 share t + 1
+        a = exactalg._fp_mul((2, 2), (3, 1), 7)
+        b = exactalg._fp_mul((5, 5), (4, 1), 7)
+        assert exactalg._fp_gcd(a, b, 7) == (1, 1) == reference_fp_gcd(a, b, 7)
+
+    def test_untrimmed_and_list_inputs(self):
+        # trailing zero coefficients and lists, as the sieve passes them
+        assert exactalg._fp_gcd([1, 2, 1, 0, 0], [1, 1, 0], 5) == (1, 1)
+
+    def test_determinant_zero_mod_p_keeps_all_of_phi(self):
+        # D = 19 t + 38 is 0 mod 19: its gcd is all of phi_9(-t) mod 19,
+        # whether D comes as the zero tuple or as its list of zeros
+        cyc = substitute_neg(cyclotomic(9)).reduce_mod(19)
+        d = [c % 19 for c in (38, 19)]
+        assert exactalg._fp_gcd(d, cyc, 19) == cyc
+        assert exactalg._fp_gcd(cyc, (), 19) == cyc == reference_fp_gcd(cyc, (), 19)
 
 
 class TestFieldSpec:

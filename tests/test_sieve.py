@@ -265,6 +265,21 @@ class TestOrderRule:
                     assert sieve_pass.triples(found, branch) == slow, \
                         (N, words, branch)
 
+    def test_pruned_intersection_matches_the_slow_path(self):
+        # the pass finds the first informative set's triples in full and
+        # tests later sets only for those; the slow path, on a fresh pass,
+        # finds every usable set's triples in full and intersects them
+        for N, sets in [(N, candidate_sets_for(N)) for N in range(7, 27)] + [
+                (9, sieve._search_passes(sieve._SievePass(9)))]:
+            usable, _, by_branch = sieve._SievePass(N).sieve(sets)
+            assert usable, N
+            slow_pass, slow = sieve._SievePass(N), {}
+            for words in usable:
+                for branch, found in slow_pass.nonunit(words).items():
+                    found = slow_pass.triples(found, branch)
+                    slow[branch] = slow[branch] & found if branch in slow else found
+            assert by_branch == slow, N
+
     def test_root_spec_calls(self, monkeypatch):
         # none in the raw sieve; one per candidate pair in the genus filter
         calls = []
@@ -355,6 +370,37 @@ class TestSweep:
         full_sweep((7, 10), raw=True)
         assert len(keys) == 9190
         assert len(calls) == len(set(calls)) == 1132
+
+    def test_one_split_per_gcd_of_n(self, monkeypatch):
+        # only the first informative set of each N takes gcds, and each
+        # distinct gcd of an N is split once; a later set tests the earlier
+        # triples it may carry by division.  The raw sweep takes 2,456 gcds,
+        # makes 463 splits and 8,247 divisions, where taking every set's
+        # triples in full took 9,837 gcds and as many splits, on 1,815
+        # distinct (N, gcd, p)
+        gcds, splits, divisions = [], [], []
+        real_gcd, real_factor, real_mod = sieve._fp_gcd, sieve.fp_factor, sieve._fp_mod
+
+        def counting_gcd(a, b, p):
+            gcds.append(p)
+            return real_gcd(a, b, p)
+
+        def counting_factor(g, d, p):
+            splits.append((N, g, p))
+            return real_factor(g, d, p)
+
+        def counting_mod(a, b, p):
+            divisions.append(p)
+            return real_mod(a, b, p)
+
+        monkeypatch.setattr(sieve, "_fp_gcd", counting_gcd)
+        monkeypatch.setattr(sieve, "fp_factor", counting_factor)
+        monkeypatch.setattr(sieve, "_fp_mod", counting_mod)
+        for N in range(7, 27):
+            full_sweep((N, N), raw=True)
+        assert len(gcds) == 2456
+        assert len(splits) == len(set(splits)) == 463
+        assert len(divisions) == 8247
 
     def test_resultants_match_the_reference_on_every_key(self, monkeypatch):
         # every (u, w) the raw sweep of N = 7..10 evaluates, at every l,
