@@ -20,7 +20,7 @@ from .golden import GOLDEN_ROWS, self_check
 from .intersect import verify_addendum_pairwise
 from .sieve import SWEEP_RANGE, full_sweep
 from .skeleton import DEFAULT_STATE_CAP, EnumerationCapExceeded, Skeleton, \
-    UniversalGroupSpec, _cap_exceeded, _LineWalk, enumerate_universal
+    UniversalGroupSpec, _cap_exceeded, enumerate_universal, orbit_signatures
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
 SCHEMA_VERSION = 1
@@ -270,17 +270,18 @@ def cmd_addendum(args, cfg, out):
     conj = []
     conj_ok = True
     for row, root in zip(GOLDEN_ROWS, row_roots):
-        # one walk per type gives both the genus and the conjugacy to e2
+        # one walk per braid orbit of type lines gives the genus; v_I = e2
+        # and I is always admissible, so an orbit is conjugate to e2
+        # exactly when it holds I
         realized, ok = [], True
-        for tag in sorted(admissible_types(root)):
-            walk = _LineWalk(UniversalGroupSpec(root, tag, "bu3"),
-                             cfg.state_cap)
-            if walk.signature()[1] == 0:
-                realized.append(tag)
-                ok = ok and walk.reaches_e2()
+        for _, g, orbit in orbit_signatures(root, sorted(admissible_types(root)),
+                                            "bu3", cfg.state_cap):
+            if g == 0:
+                realized.extend(orbit)
+                ok = ok and "I" in orbit
         conj_ok = conj_ok and ok
         conj.append({"row": row.label, "minPoly": row.factors[0],
-                     "types": realized, "ok": ok})
+                     "types": sorted(realized), "ok": ok})
     overall = pair_report["ok"] and conj_ok
     if args.json:
         out(_dump({"schemaVersion": SCHEMA_VERSION, "pairs": pair_report["pairs"],

@@ -119,10 +119,6 @@ class IntPoly:
             return self.coeffs[i]
         return 0
 
-    def poly_part(self):
-        """Coefficients of the shift-cleared ordinary polynomial."""
-        return self.coeffs
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -386,7 +382,7 @@ def _eval_mod(f, zeta_powers, P):
     and x^e read off the powers of zeta, x^e = (-1)^e zeta^(e mod N)."""
     x = P - zeta_powers[1]
     acc = 0
-    for c in reversed(f.poly_part()):
+    for c in reversed(f.coeffs):
         acc = (acc * x + c) % P
     e = f.shift
     x_e = zeta_powers[e % len(zeta_powers)]

@@ -7,9 +7,11 @@ component must have positive genus.  The genus of a component is counted
 during the one pass that labels the pairs, so no component skeleton is
 built: its edges, its vertices (from the pairs fixed by black and by
 white) and its regions (from the region widths of the two coordinates)
-go straight into Euler's formula.  Conjugacy of each realized module to
-the span of e2 is decided on the projective line, where scalars act
-trivially, by the same walk over lines that gives the genus.
+go straight into Euler's formula.  Conjugacy of a module to the span of
+e2 is decided on the projective line, where scalars act trivially: it is
+membership of e2's line in the braid orbit of the module's line.  The
+addendum reads the same answer off orbit_signatures, as membership of
+the module's type in the orbit of type I, whose line is e2's.
 """
 
 from __future__ import annotations
@@ -103,9 +105,15 @@ def fibered_product(s1, s2):
 
 
 def conjugate_to_e2(spec):
-    """True iff the line of v_T lies in the braid orbit of the line of e2,
-    decided by the walk over lines (see _LineWalk.reaches_e2)."""
-    return _LineWalk(spec).reaches_e2()
+    """True iff the line of v_T lies in the braid orbit of the line of e2.
+
+    Decided on the dual side: g e2 is proportional to v_T iff
+    e2_perp g^-1 is proportional to v_T_perp, s2 s1 and s2 s1^2 generate
+    the same group as s1 and s2, and T acts trivially on lines, so the
+    answer is whether the annihilator line of e2, the covector (1, 0)
+    with code 0, is among the lines the walk of spec reaches.
+    """
+    return 0 in _LineWalk(spec).index
 
 
 def verify_addendum_pairwise(row_skeletons):

@@ -43,8 +43,7 @@ import sympy
 from .burau import BraidWord, modular_projection, to_burau
 from .exactalg import IntPoly, cyclotomic, fp_factor, order_mod, resultant, \
     substitute_neg, _fp_gcd, _fp_mod
-from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, euler_lhs, \
-    universal_signature
+from .skeleton import DEFAULT_STATE_CAP, euler_lhs, orbit_signatures
 from .typesys import epsilon_p, k_threshold, root_spec, \
     type_coefficient_laurent, type_tags
 
@@ -408,10 +407,11 @@ def full_sweep(n_range=SWEEP_RANGE, config=None, raw=False):
 def _genus_filter(candidates, N, state_cap):
     """Keep the (p, m) pairs whose universal subgroup has genus zero.
 
-    Each candidate triple gets its signature and genus from the voltage walk
-    over lines with its own type vector; conjugate types agree on genus, so
-    any recorded type certifies the pair.  Every signature must satisfy the
-    flatness identity euler_lhs = 12 - 12 * genus.
+    The recorded types of a pair are grouped by braid orbit of their lines
+    (orbit_signatures), and each orbit gets its signature and genus from one
+    voltage walk over lines; conjugate types agree on genus, so any
+    recorded type certifies the pair.  Every orbit's signature must satisfy
+    the flatness identity euler_lhs = 12 - 12 * genus.
     """
     by_pair = {}
     for tr in sorted(candidates, key=ExceptionalTriple.sort_key):
@@ -423,14 +423,13 @@ def _genus_filter(candidates, N, state_cap):
             raise AssertionError(f"candidate ({p}, {m}) has order {root.N}, "
                                  f"not {N}")
         zero_tags = []
-        for tag in tags:
-            spec = UniversalGroupSpec(root, tag, "bu3")
-            sig, g = universal_signature(spec, state_cap)
+        for sig, g, orbit in orbit_signatures(root, tags, "bu3", state_cap):
             if euler_lhs(sig, N) != 12 - 12 * g:
-                raise AssertionError(f"{spec}: signature {sig} breaks the "
-                                     f"flatness identity for genus {g}")
+                raise AssertionError(
+                    f"p={p} m={m} types {','.join(orbit)} in bu3: signature "
+                    f"{sig} breaks the flatness identity for genus {g}")
             if g == 0:
-                zero_tags.append(tag)
+                zero_tags.extend(orbit)
         if zero_tags:
             survivors.append({
                 "p": p, "minPoly": str(m), "N": N, "types": sorted(zero_tags),

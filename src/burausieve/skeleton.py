@@ -7,9 +7,13 @@ The cosets of a universal subgroup are its annihilator covectors up to
 scalar, a cyclic cover of the projective line.  One walk over at most
 q + 1 projective lines, `_LineWalk`, records each step's voltage in the
 fiber Z/r; every reader works from it.  `universal_signature` reads the
-signature and genus off the walk (the sweep's genus filter, the table
-check and the addendum's realized types), conjugacy to the e2 line reads
-its lines, and `enumerate_universal` lifts it to the permutations.
+signature and genus off the walk (the table check), and
+`enumerate_universal` lifts it to the permutations.  Tags whose lines are
+conjugate share a skeleton up to isomorphism, so `orbit_signatures` walks
+once per braid orbit of type lines and folds every later tag whose seed
+line the walk reached into that orbit: the sweep's genus filter and the
+addendum's realized types both read it, and the orbit that holds type I,
+whose line is that of e2, is the one conjugate to e2.
 """
 
 from __future__ import annotations
@@ -209,6 +213,13 @@ def _cap_exceeded(state_cap, spec):
     return EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
 
 
+def _seed_line(root, tag):
+    """The code of the line of v_T_perp, where a walk of type tag starts."""
+    field = root.field
+    vp0, vp1 = type_vector(tag, root)
+    return field.mul(vp1, field.inv(vp0)) if vp0 else field.order
+
+
 class _LineWalk:
     """The projective lines reached from the line of v_T_perp, with voltages.
 
@@ -248,8 +259,7 @@ class _LineWalk:
 
         g_black = _spec_matrix_codes(_BLACK, field)
         g_white = _spec_matrix_codes(_WHITE, field)
-        vp0, vp1 = type_vector(spec.type_tag, root)
-        seed = mul(vp1, inv(vp0)) if vp0 else q
+        seed = _seed_line(root, spec.type_tag)
         index = {seed: 0}
         lines = [seed]
         potential = [0]
@@ -281,17 +291,6 @@ class _LineWalk:
         self.spec, self.r, self.k = spec, r, r // m
         self.lines, self.index, self.potential = lines, index, potential
         self.black, self.white, self.region = black, white, region
-
-    def reaches_e2(self):
-        """True iff the line of v_T lies in the braid orbit of the line of e2.
-
-        Decided on the dual side: g e2 is proportional to v_T iff
-        e2_perp g^-1 is proportional to v_T_perp, s2 s1 and s2 s1^2 generate
-        the same group as s1 and s2, and T acts trivially on lines, so the
-        answer is whether the annihilator line of e2, the covector (1, 0)
-        with code 0, is among the lines reached.
-        """
-        return 0 in self.index
 
     def signature(self):
         """(SkeletonSignature, genus) of the orbit, read off the base.
@@ -383,6 +382,33 @@ def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
     i.e. when the orbit has more than state_cap edges.
     """
     return _LineWalk(spec, state_cap).signature()
+
+
+def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP):
+    """[(signature, genus, tags)], one entry per braid orbit of type lines.
+
+    Conjugate module lines have conjugate universal subgroups: if
+    rep(line of v_T_perp) g = lambda rep(line of v_T'_perp), the
+    stabilizer of v_T'_perp modulo the scalars is the g-conjugate of that
+    of v_T_perp, since scaling a covector leaves its stabilizer alone.
+    Their skeletons are then isomorphic, with one signature and genus.  A
+    walk's index holds every line in the orbit of its seed, so the tags,
+    taken in the given order, join the first group whose walk reached
+    their seed line, and start a walk of their own otherwise.  Only each
+    walk's index is kept.  Raises EnumerationCapExceeded as
+    universal_signature does on the group's first tag.
+    """
+    groups = []  # (index, signature, genus, tags)
+    for tag in tags:
+        seed = _seed_line(root, tag)
+        for index, _, _, members in groups:
+            if seed in index:
+                members.append(tag)
+                break
+        else:
+            walk = _LineWalk(UniversalGroupSpec(root, tag, ambient), state_cap)
+            groups.append((walk.index, *walk.signature(), [tag]))
+    return [(sig, g, members) for _, sig, g, members in groups]
 
 
 def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):

@@ -10,9 +10,11 @@ the sieve evaluates each (u, w) pair once for every l; `sweep_pairs`
 flattens a sweep to its classification; `check_type_specification` and
 `type_ii_odd_width_excluded` state lifting conditions of the paper that
 the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
-word's degree, a Burau matrix's determinant and the smallest skeleton.
+word's degree, a Burau matrix's determinant and the smallest skeleton;
+`count_calls` records the calls of a package function.
 """
 
+import sys
 from math import gcd
 
 from burausieve.burau import BurauMatrix
@@ -33,7 +35,7 @@ def resultant(f, g):
     """
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of a zero polynomial")
-    return _resultant_z(f.poly_part(), g.poly_part())
+    return _resultant_z(f.coeffs, g.coeffs)
 
 
 def _deg(c):
@@ -167,7 +169,7 @@ def determinant_D(words, N, branch, t1, t2, i, j, l):
     """
     _require_distinct_projections(words)
     vecs = _SievePass(N).vectors(words, branch)
-    return IntPoly(sieve_determinant(vecs[t1][i], vecs[t2][j], l).poly_part())
+    return IntPoly(sieve_determinant(vecs[t1][i], vecs[t2][j], l).coeffs)
 
 
 def resultant_with_cyclotomic(D, N):
@@ -237,3 +239,22 @@ def check_type_specification(sk, depth, region_types, black_types, white_types,
             return False
     total = sum(region_types) + sum(black_types) + sum(white_types)
     return is_zero_mod_depth(total)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record the positional arguments of every call of owner.name, also
+    under any other name a package module binds it to."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("burausieve."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls

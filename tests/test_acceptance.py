@@ -11,18 +11,20 @@ import time
 import pytest
 from covector_oracle import covector_bfs, product_skeletons, \
     verify_region_widths
-from helpers import bdeg, det, reference_resultants, \
+from helpers import bdeg, count_calls, det, reference_resultants, \
     resultant_with_cyclotomic, single_edge, sweep_pairs
 
-from burausieve import sieve
+from burausieve import sieve, skeleton
 from burausieve.burau import BraidWord, specialize, to_burau
 from burausieve.exactalg import IntPoly, cyclotomic_factors
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import conjugate_to_e2, fibered_product, \
     verify_addendum_pairwise
-from burausieve.sieve import branches_for, full_sweep, is_informative
+from burausieve.sieve import ExceptionalTriple, branches_for, full_sweep, \
+    is_informative
 from burausieve.skeleton import UniversalGroupSpec, enumerate_universal, \
-    euler_lhs, genus, signature, table_verify, universal_signature
+    euler_lhs, genus, orbit_signatures, signature, table_verify, \
+    universal_signature
 from burausieve.typesys import admissible_types, root_spec
 
 
@@ -36,9 +38,13 @@ def table_report():
 
 @pytest.fixture(scope="module")
 def sweep():
-    t0 = time.time()
-    results = full_sweep((7, 26))
-    return results, time.time() - t0
+    """The sweep's results, its wall time and the specs of its line walks."""
+    with pytest.MonkeyPatch.context() as mp:
+        walks = count_calls(mp, skeleton, "_LineWalk")
+        t0 = time.time()
+        results = full_sweep((7, 26))
+        elapsed = time.time() - t0
+    return results, elapsed, walks
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +74,7 @@ def test_criterion_1_table_reproduction(table_report):
 
 def test_criterion_2_factor_lists(sweep):
     """Surviving minimal polynomials reproduce each factor column exactly."""
-    results, _ = sweep
+    results, _, _ = sweep
     for row in GOLDEN_ROWS:
         survivors = {s["minPoly"] for s in results[row.N]["survivors"]
                      if s["p"] == row.p}
@@ -80,7 +86,7 @@ def test_criterion_2_factor_lists(sweep):
 
 def test_criterion_3_end_to_end_classification(sweep):
     """full_sweep(7..26) + genus filter = exactly the golden pairs."""
-    results, elapsed = sweep
+    results, elapsed, _ = sweep
     got = set(sweep_pairs(results))
     want = {(row.p, f, row.N) for row in GOLDEN_ROWS for f in row.factors}
     assert got == want
@@ -176,7 +182,7 @@ def test_criterion_7_sieve_soundness(sweep):
             assert resultant_with_cyclotomic(D, N) != 0
     # every set the sweep used is informative on every branch: all its
     # resultants are nonzero integers, which is what rules out p = 0
-    results, _ = sweep
+    results, _, _ = sweep
     for N in range(7, 27):
         for texts in results[N]["sets"]:
             words = [BraidWord.parse(t) for t in texts]
@@ -210,7 +216,7 @@ def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):
     """The lift of the walk over lines reproduces the covector BFS
     permutations, and the genus filter's signature and genus, on every
     sweep candidate of <= 50,000 edges."""
-    results, _ = sweep
+    results, _, _ = sweep
     compared = 0
     for N in range(7, 27):
         for triples in results[N]["branches"].values():
@@ -228,3 +234,31 @@ def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):
                 compared += 1
     assert compared > 0
     print(f"\nvoltage walk = BFS on {compared} sweep candidates: PASS")
+
+
+def test_orbit_grouping_is_certified_on_the_sweep(sweep):
+    """The genus filter walks once per braid orbit of type lines: 259 walks
+    for the 586 recorded tags of the sweep 7..26.  Every tag folded into an
+    earlier tag's orbit gets the same signature and genus from a walk of
+    its own."""
+    results, _, walks = sweep
+    assert len(walks) == 259
+    tags_seen = groups_seen = 0
+    for N in range(7, 27):
+        by_pair = {}
+        triples = [tr for trs in results[N]["branches"].values() for tr in trs]
+        for tr in sorted(triples, key=ExceptionalTriple.sort_key):
+            by_pair.setdefault((tr.p, tr.min_poly), []).append(tr.type_tag)
+        for (p, m), tags in by_pair.items():
+            root = root_spec(p, m)
+            groups = orbit_signatures(root, tags)
+            assert sorted(t for *_, orbit in groups for t in orbit) == tags
+            for sig, g, orbit in groups:
+                for tag in orbit[1:]:
+                    spec = UniversalGroupSpec(root, tag, "bu3")
+                    assert universal_signature(spec) == (sig, g), str(spec)
+            tags_seen += len(tags)
+            groups_seen += len(groups)
+    assert (tags_seen, groups_seen) == (586, 259)
+    print(f"\norbit grouping certified on {tags_seen} sweep tags, "
+          f"{groups_seen} walks: PASS")

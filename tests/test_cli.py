@@ -2,13 +2,14 @@
 
 import json
 import os
-import sys
 
 import pytest
+from helpers import count_calls
 
 from burausieve import burau, exactalg, sieve, skeleton
 from burausieve.cli import main
 from burausieve.golden import GOLDEN_ROWS
+from burausieve.typesys import root_spec
 
 
 @pytest.fixture()
@@ -22,25 +23,6 @@ def run(capsys, tmp_path, monkeypatch):
         return code, captured.out
 
     return invoke
-
-
-def count_calls(monkeypatch, owner, name):
-    """Record the positional arguments of every call of owner.name, also
-    under any other name a package module binds it to."""
-    original = getattr(owner, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("burausieve."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
-    return calls
 
 
 class TestFactors:
@@ -205,7 +187,7 @@ class TestSieve:
         def no_walk(*args, **kwargs):
             raise AssertionError("a raw sieve ran the genus filter")
 
-        monkeypatch.setattr(sieve, "universal_signature", no_walk)
+        monkeypatch.setattr(sieve, "orbit_signatures", no_walk)
         code, out = run("sieve", "--n-range", "13..13", "--raw", "--json")
         assert code == 0
         raw = json.loads(out)["results"][0]
@@ -256,22 +238,19 @@ class TestAddendum:
         assert code == 0
         assert len(os.listdir(cache)) == 13
 
-    def test_one_line_walk_per_type(self, run, tmp_path, monkeypatch):
-        # 43 (row, tag) specs; the genus and the conjugacy to e2 read one
-        # walk each.  The cache is warm, so no row skeleton is lifted
+    def test_one_line_walk_per_orbit(self, run, tmp_path, monkeypatch):
+        # the 43 admissible (row, tag) lines fall in one braid orbit per
+        # row, that of e2's line, so the genus and the conjugacy to e2 read
+        # one walk per row, of type I.  The cache is warm, so no row
+        # skeleton is lifted
         cache = str(tmp_path / "addendum-cache")
         assert run("--cache-dir", cache, "addendum", "--json")[0] == 0
-        walks = []
-        init = skeleton._LineWalk.__init__
-
-        def counting_init(self, spec, state_cap):
-            walks.append(spec)
-            init(self, spec, state_cap)
-
-        monkeypatch.setattr(skeleton._LineWalk, "__init__", counting_init)
+        walks = count_calls(monkeypatch, skeleton, "_LineWalk")
         assert run("--cache-dir", cache, "addendum", "--json")[0] == 0
-        assert len(walks) == 43
-        assert len({(str(sp.root), sp.type_tag) for sp in walks}) == 43
+        assert len(walks) == 13
+        assert sorted(str(spec.root) for spec, _ in walks) == sorted(
+            str(root_spec(row.p, row.factors[0])) for row in GOLDEN_ROWS)
+        assert {spec.type_tag for spec, _ in walks} == {"I"}
 
     @pytest.mark.parametrize("argv, skeletons", [
         (("addendum", "--json"), 13),

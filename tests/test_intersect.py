@@ -14,7 +14,9 @@ from burausieve.skeleton import (
     _LineWalk,
     enumerate_universal,
     genus,
+    orbit_signatures,
     signature,
+    universal_signature,
 )
 from burausieve.typesys import admissible_types, root_spec
 
@@ -124,3 +126,13 @@ class TestConjugacy:
         assert len(_LineWalk(UniversalGroupSpec(root, "I", "bu3")).lines) == 3
         assert not conjugate_to_e2(UniversalGroupSpec(root, "II", "bu3"))
         assert conjugate_to_e2(UniversalGroupSpec(root, "IV", "bu3"))
+
+    def test_orbit_groups_negative_control(self):
+        # the same 3-point orbit: IV joins the walk of I, II needs its own
+        root = root_spec(5, "t-1")
+        groups = orbit_signatures(root, ["I", "II", "IV"])
+        assert [orbit for *_, orbit in groups] == [["I", "IV"], ["II"]]
+        for sig, g, orbit in groups:
+            for tag in orbit:
+                assert universal_signature(
+                    UniversalGroupSpec(root, tag, "bu3")) == (sig, g)

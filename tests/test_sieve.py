@@ -81,7 +81,7 @@ class TestDeterminant:
                 mat = mat * to_burau(BraidWord.parse("s1"))
             u = mat.apply((IntPoly.zero(), IntPoly.one()))
             oracle = u[0] * IntPoly.one() - u[1] * IntPoly.zero()
-            assert d == IntPoly(oracle.poly_part())
+            assert d == IntPoly(oracle.coeffs)
             assert d == phi_tilde_neg(l)
 
     def test_cross_type_at_l_zero(self):
@@ -93,7 +93,7 @@ class TestDeterminant:
         # type IV against I at l = 0 gives a monomial: cleared to a unit
         b7 = branch(7, "p=2")
         d = determinant_D(ID, 7, b7, "IV", "I", 0, 0, 0)
-        assert d.poly_part() in ((1,), (-1,))
+        assert d.coeffs in ((1,), (-1,))
 
     def test_duplicate_projections_rejected(self):
         words = parse_word_set(["e", "T s1 s1^-1"])  # both project to id
@@ -215,8 +215,8 @@ class TestOrderRule:
         def factors_of(g, N, p):
             if N % p:
                 return fp_factor(g, order_mod(p, N), p)
-            return {f.poly_part() for f in cyclotomic_factors(N, p)
-                    if not _fp_mod(g, f.poly_part(), p)}
+            return {f.coeffs for f in cyclotomic_factors(N, p)
+                    if not _fp_mod(g, f.coeffs, p)}
 
         divisible = set()
         for N in (7, 10, 25):
@@ -447,15 +447,21 @@ class TestSweep:
                        for f in row.factors}
 
     def test_flatness_identity_is_checked(self, monkeypatch):
-        real = sieve.universal_signature
+        real = sieve.orbit_signatures
+        orbits = []
 
-        def genus_off_by_one(*args, **kwargs):
-            sig, g = real(*args, **kwargs)
-            return sig, g + 1
+        def genus_off_by_one(root, *args, **kwargs):
+            out = [(sig, g + 1, tags) for sig, g, tags in real(root, *args, **kwargs)]
+            orbits.append((root, out[0][2]))
+            return out
 
-        monkeypatch.setattr(sieve, "universal_signature", genus_off_by_one)
-        with pytest.raises(AssertionError, match="flatness"):
+        monkeypatch.setattr(sieve, "orbit_signatures", genus_off_by_one)
+        with pytest.raises(AssertionError, match="flatness") as err:
             full_sweep((13, 13))
+        # the first orbit of the first pair breaks it, and is named
+        [(root, tags)] = orbits
+        assert str(err.value).startswith(
+            f"p={root.p} m={root.min_poly} types {','.join(tags)} in bu3: ")
 
     def test_informative_set_override(self):
         cfg = {"informative_sets": {13: [["e"], ["T s2^-1 s1"]]}}
