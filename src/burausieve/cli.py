@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .exactalg import cyclotomic_factors, field_modulus
+from .exactalg import cyclotomic_factors, cyclotomic_split_cost, field_modulus
 from .golden import GOLDEN_ROWS, self_check
 from .intersect import verify_addendum_pairwise
 from .sieve import SWEEP_RANGE, full_sweep
@@ -155,6 +155,11 @@ def cmd_factors(args, cfg, out):
     if args.n > cfg.state_cap:  # checked before phi_N's O(N) coefficients
         raise EnumerationCapExceeded(f"N={args.n} exceeds the state cap "
                                      f"{cfg.state_cap}")
+    cost = cyclotomic_split_cost(args.n, args.p)
+    if cost > 100 * cfg.state_cap:  # checked before the equal-degree split
+        raise EnumerationCapExceeded(
+            f"splitting phi_{args.n}(-t) mod {args.p} costs about {cost} steps, "
+            f"over 100 times the state cap {cfg.state_cap}")
     factors = cyclotomic_factors(args.n, args.p)
     texts = [str(f) for f in factors]
     if args.json:

@@ -323,7 +323,7 @@ def unity_prime(N, index):
     return P, tuple(powers)
 
 
-def resultant(u, w, N):
+def resultant(u, w, N, evaluate=None):
     """|Res(phi_N(-t), D_l)| for l = 0, ..., N-1, exact, where u = (u0, u1)
     and w = (w0, w1) are pairs of Laurent polynomials and
     D_l = det[s1^l u | w] = ((-t)^l u0 + b_l u1) w1 - u1 w0 with
@@ -339,7 +339,23 @@ def resultant(u, w, N):
     1-norm of the coefficients, and |zeta| = 1).  The balanced CRT value is
     then the resultant itself, so a zero is exact.  (Collins, JACM 18, 1971;
     von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6.)
+
+    The swapped pair needs no second evaluation:
+    resultant(w, u, N)[l] == resultant(u, w, N)[-l % N].  s1 has
+    determinant -t, and s1^N = I mod phi_N(-t), since s1^N - I has the
+    entries (-t)^N - 1 and b_N, both multiples of phi_N(-t).  So
+    D_l(u, w) = (-t)^l det[u | s1^-l w] = -(-t)^l D_{-l mod N}(w, u)
+    mod phi_N(-t), and (-t)^l is a unit there.
+
+    evaluate(f, index) gives the values of a Laurent polynomial f at the
+    zeros of phi_N(-t) modulo unity_prime(N, index)[0], as unity_values
+    does by default; a caller that evaluates many pairs passes a memo of
+    it, so a polynomial shared by several pairs is evaluated once per
+    prime.
     """
+    if evaluate is None:
+        def evaluate(f, index):
+            return unity_values(f, N, index)
     (u0, u1), (w0, w1) = u, w
     n_u0, n_u1, n_w0, n_w1 = (sum(map(abs, f.coeffs)) for f in (u0, u1, w0, w1))
     bound = 2 * (n_u0 * n_w1 + (N - 1) * n_u1 * n_w1
@@ -348,11 +364,10 @@ def resultant(u, w, N):
     while modulus <= bound:
         P, roots = _unity_tables(N, index)
         prods = [1] * N
-        for zeta_powers, inv in roots:
-            U0, U1, W0, W1 = (_eval_mod(f, zeta_powers, P)
-                              for f in (u0, u1, w0, w1))
-            c = U1 * W1 * inv
-            X, Y = (U0 * W1 + c) % P, (U1 * W0 + c) % P
+        for (zeta_powers, inv), a0, a1, b0, b1 in zip(
+                roots, *(evaluate(f, index) for f in (u0, u1, w0, w1))):
+            c = a1 * b1 * inv
+            X, Y = (a0 * b1 + c) % P, (a1 * b0 + c) % P
             prods = [r * (X * z - Y) % P for r, z in zip(prods, zeta_powers)]
         # CRT: the value mod modulus * P that is v mod modulus and r mod P
         lift = pow(modulus, -1, P)
@@ -377,16 +392,19 @@ def _unity_tables(N, index):
     return P, tuple(roots)
 
 
-def _eval_mod(f, zeta_powers, P):
-    """The Laurent polynomial f = t^e g at x = -zeta mod P: g by Horner,
-    and x^e read off the powers of zeta, x^e = (-1)^e zeta^(e mod N)."""
-    x = P - zeta_powers[1]
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = (acc * x + c) % P
+def unity_values(f, N, index):
+    """The Laurent polynomial f = t^e g at each zero x = -zeta of
+    phi_N(-t) modulo P = unity_prime(N, index)[0], in resultant's order: g
+    by Horner, and x^e read off the powers of zeta,
+    x^e = (-1)^e zeta^(e mod N)."""
+    P, roots = _unity_tables(N, index)
     e = f.shift
-    x_e = zeta_powers[e % len(zeta_powers)]
-    return acc * (P - x_e if e % 2 else x_e) % P
+    out = []
+    for zeta_powers, _ in roots:
+        x_e = zeta_powers[e % N]
+        out.append(_fp_eval(f.coeffs, P - zeta_powers[1], P)
+                   * (P - x_e if e % 2 else x_e) % P)
+    return tuple(out)
 
 
 def _deg(c):
@@ -446,6 +464,14 @@ def _fp_mod(a, b, p):
     if not b:
         raise ZeroDivisionError
     return tuple(_fp_reduce(list(a), b, p))
+
+
+def _fp_eval(a, x, p):
+    """a(x) mod p by Horner, for coefficients a, ascending powers."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _fp_reduce(a, b, p):
@@ -564,6 +590,29 @@ def cyclotomic_factors(N, p):
     monic IntPoly: for N = p^a m with p not dividing m, those of
     phi_m(-t), split at degree ord_m(p), each repeated p^(a-1) (p-1)
     times when a > 0."""
+    m, a = _prime_free_part(N, p)
+    mult = p ** (a - 1) * (p - 1) if a else 1
+    cyc = substitute_neg(cyclotomic(m)).reduce_mod(p)
+    return [IntPoly(f) for f in fp_factor(cyc, order_mod(p, m), p)
+            for _ in range(mult)]
+
+
+def cyclotomic_split_cost(N, p):
+    """The work cyclotomic_factors(N, p) does, up to a constant:
+    phi(m)^2 ord_m(p) log2(p) for N = p^a m, p not dividing m, when
+    phi_m(-t) mod p splits (ord_m(p) < phi(m)), and 0 when it is
+    irreducible.  The split raises polynomials of degree phi(m) to about
+    the power p^ord_m(p), by squarings that each cost about phi(m)^2."""
+    m, _ = _prime_free_part(N, p)
+    phi, d = m, order_mod(p, m)
+    for q in sympy.primefactors(m):
+        phi = phi // q * (q - 1)
+    return phi * phi * d * p.bit_length() if d < phi else 0
+
+
+def _prime_free_part(N, p):
+    """(m, a) with N = p^a m and p not dividing m; ValueError unless p is
+    prime and N >= 1."""
     if not sympy.isprime(p):
         raise ValueError(f"{p} is not prime")
     if N < 1:
@@ -571,10 +620,7 @@ def cyclotomic_factors(N, p):
     m, a = N, 0
     while m % p == 0:
         m, a = m // p, a + 1
-    mult = p ** (a - 1) * (p - 1) if a else 1
-    cyc = substitute_neg(cyclotomic(m)).reduce_mod(p)
-    return [IntPoly(f) for f in fp_factor(cyc, order_mod(p, m), p)
-            for _ in range(mult)]
+    return m, a
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,26 @@ can support a genus-zero realization; those (p, m, T) triples are the
 exceptional candidates handed to the genus filter.  One pass per N serves
 all its word sets and branches.  A determinant depends only on
 u = b_i v_{T'}, w = b_j v_{T''} and l, and exactalg.resultant evaluates u
-and w once at the roots of phi_N(-t) for the resultants of every l.  A set
-stops at its first zero.  Only the first informative set's resultants are
-factored: the gcds of its determinants with phi_N(-t) mod each of their
-primes give its triples in full, and each distinct gcd is split once per
-N.  A later set can only shrink the intersection, so it tests only the
-triples still held there: (p, m, T) stays when m divides, mod p, some
-determinant of type T whose resultant p divides (m already divides
-phi_N(-t) mod p).  It factors no resultant and takes no gcd.  Each
-determinant enters as (1 + t) D, formed from u and w on coefficient
-lists.
+and w once at the roots of phi_N(-t) for the resultants of every l; the
+pass hands it each polynomial's values at the roots, computed once per
+prime.  The swapped pair (w, u) is not evaluated at all: s1 has
+determinant -t and s1^N = I mod phi_N(-t) (the entries of s1^N - I are
+(-t)^N - 1 and b_N, multiples of phi_N(-t)), so
+
+    D_l(u, w) = (-t)^l det[u | s1^-l w] = -(-t)^l D_{-l mod N}(w, u)
+
+mod phi_N(-t), where (-t)^l is a unit.  So |Res_l(u, w)| equals
+|Res_{-l mod N}(w, u)|, and for p not dividing N the two determinants
+have the same gcd with phi_N(-t) mod p.  A set stops at its first zero.
+Only the first informative set's resultants are factored: the gcds of its
+determinants with phi_N(-t) mod each of their primes, taken once per
+unordered pair and l, give its triples in full, and each distinct gcd is
+split once per N.  A later set can only shrink the intersection, so it
+tests only the triples still held there: (p, m, T) stays when m divides,
+mod p, some determinant of type T whose resultant p divides (m already
+divides phi_N(-t) mod p).  It factors no resultant and takes no gcd, and
+it tests a linear m by one evaluation.  Each determinant enters as
+(1 + t) D, formed from u and w on coefficient lists.
 
 The coefficient a_T depends on M = ord(xi), which in turn depends on the
 characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
@@ -35,14 +45,13 @@ candidate and asserts the order there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby, islice, product
-from operator import itemgetter
+from itertools import combinations, islice, product
 
 import sympy
 
 from .burau import BraidWord, modular_projection, to_burau
 from .exactalg import IntPoly, cyclotomic, fp_factor, order_mod, resultant, \
-    substitute_neg, _fp_gcd, _fp_mod
+    substitute_neg, unity_values, _fp_eval, _fp_gcd, _fp_mod
 from .skeleton import DEFAULT_STATE_CAP, euler_lhs, orbit_signatures
 from .typesys import epsilon_p, k_threshold, root_spec, \
     type_coefficient_laurent, type_tags
@@ -116,7 +125,9 @@ class _SievePass:
 
     A determinant depends only on u = b_i v_T', w = b_j v_T'' and l, which
     recur across word sets (e is in every configured set for N = 7..10)
-    and across branches (v_I and v_II do not depend on M).
+    and across branches (v_I and v_II do not depend on M).  A pair is
+    held in the orientation it was first evaluated in; its swap (w, u) is
+    served from it, at -l mod N (see the module docstring).
     """
 
     def __init__(self, N):
@@ -124,10 +135,13 @@ class _SievePass:
         self.branches = branches_for(N)
         self.cyc = substitute_neg(cyclotomic(N))
         self.resultants = {}  # (u, w) -> |Res(phi_N(-t), D_l)| for each l
+        self.values = {}  # (f, index) -> f at the roots of unity_prime(N, index)
         self.primes = {}  # |Res| -> its primes not dividing N
         self.cyc_mod = {}  # p -> (phi_N(-t) mod p, ord_N(p))
         self.parts = {}  # (u, w) -> the coefficients of X and Y
+        self.factors = {}  # (u, w, l, p) -> the factors of the gcd
         self.splits = {}  # (gcd, p) -> its irreducible factors
+        self.linear = {}  # (u, w, p, a) -> X(a), Y(a) mod p
 
     def vectors(self, words, branch):
         """Type tag -> the vectors b_i v_T of the words, on this branch."""
@@ -141,11 +155,29 @@ class _SievePass:
 
     def resultants_of(self, u, w):
         """|Res(phi_N(-t), D_l)| for D_l = det[s1^l u | w], indexed by l and
-        0 where D_l is 0: one evaluation pass per (u, w) serves every l."""
-        key = (u, w)
-        if key not in self.resultants:
-            self.resultants[key] = resultant(u, w, self.N)
-        return self.resultants[key]
+        0 where D_l is 0: one evaluation pass per unordered {u, w} serves
+        every l of both orientations."""
+        if (u, w) not in self.resultants:
+            if (w, u) in self.resultants:
+                res = self.resultants[w, u]
+                return res[:1] + res[:0:-1]  # res[-l % N] at l
+            self.resultants[u, w] = resultant(u, w, self.N, evaluate=self.evaluate)
+        return self.resultants[u, w]
+
+    def evaluate(self, f, index):
+        """exactalg.unity_values(f, N, index), once per pass."""
+        key = (f, index)
+        if key not in self.values:
+            self.values[key] = unity_values(f, self.N, index)
+        return self.values[key]
+
+    def oriented(self, u, w, l):
+        """(u, w, l) in the orientation the pass holds the pair in: D_l(u, w)
+        and D_{-l mod N}(w, u) differ by a unit mod phi_N(-t), and so mod p,
+        so they have the same gcd with phi_N(-t) mod p."""
+        if (u, w) in self.resultants:
+            return u, w, l
+        return w, u, -l % self.N
 
     def nonunit(self, words, branches=None):
         """Branch -> the (T', u, w, l, |Res|) of each nonunit resultant of B,
@@ -174,72 +206,83 @@ class _SievePass:
 
     def triples(self, found, branch):
         """The exceptional triples carried by one branch's nonunit
-        resultants, over the primes the branch accepts; each gcd of a
-        determinant with phi_N(-t) mod p is split at degree ord_N(p),
-        once per pass."""
-        def primes(tag, r):
+        resultants, over the primes the branch accepts; the gcd of a
+        determinant with phi_N(-t) mod p is taken once per oriented
+        (u, w, l, p) and split at degree ord_N(p) once per distinct gcd."""
+        triples = set()
+        for tag, u, w, l, r in found:
             if r not in self.primes:
                 self.primes[r] = [p for p in sympy.primefactors(r) if self.N % p]
-            return [p for p in self.primes[r] if branch.accepts_prime(p)]
+            for p in self.primes[r]:
+                if branch.accepts_prime(p):
+                    triples.update(ExceptionalTriple(p, f, tag)
+                                   for f in self.gcd_factors(u, w, l, p))
+        return triples
 
-        triples = set()
-        for tag, p, d in self.reduced(found, primes):
+    def gcd_factors(self, u, w, l, p):
+        """The irreducible factors of gcd(D_l, phi_N(-t)) mod p, once per
+        oriented (u, w, l, p)."""
+        key = (*self.oriented(u, w, l), p)
+        if key not in self.factors:
             if p not in self.cyc_mod:
                 self.cyc_mod[p] = self.cyc.reduce_mod(p), order_mod(p, self.N)
             cyc_p, degree = self.cyc_mod[p]
-            g = _fp_gcd(d, cyc_p, p)
-            if len(g) > 1:
-                if (g, p) not in self.splits:
-                    self.splits[g, p] = [IntPoly(f) for f in fp_factor(g, degree, p)]
-                triples.update(ExceptionalTriple(p, f, tag) for f in self.splits[g, p])
-        return triples
+            g = _fp_gcd(self.reduced(*key), cyc_p, p)
+            if len(g) > 1 and (g, p) not in self.splits:
+                self.splits[g, p] = [IntPoly(f) for f in fp_factor(g, degree, p)]
+            self.factors[key] = self.splits.get((g, p), [])
+        return self.factors[key]
 
     def kept(self, found, earlier):
         """The triples of `earlier` that one branch's nonunit resultants
         also carry, which is earlier & self.triples(found, branch) with no
-        factoring: (p, m, T) is carried when m divides (1 + t) D mod p for
-        some determinant D of type T whose resultant p divides, since m
-        divides phi_N(-t) mod p already.  A shown triple is not tested
-        again."""
+        factoring: (p, m, T) is carried when m divides some determinant of
+        type T whose resultant p divides, since m divides phi_N(-t) mod p
+        already.  A shown triple is not tested again."""
         untested = {}  # T -> p -> the triples of (T, p) not yet shown
         for tr in earlier:
             untested.setdefault(tr.type_tag, {}).setdefault(tr.p, set()).add(tr)
-
-        def primes(tag, r):
-            return [p for p, trs in untested.get(tag, {}).items() if trs and r % p == 0]
-
         shown = set()
-        for tag, p, d in self.reduced(found, primes):
-            hits = {tr for tr in untested[tag][p]
-                    if not _fp_mod(d, tr.min_poly.coeffs, p)}
-            untested[tag][p] -= hits
-            shown |= hits
+        for tag, u, w, l, r in found:
+            tests = [(p, trs) for p, trs in untested.get(tag, {}).items()
+                     if trs and r % p == 0]
+            if tests:
+                u, w, l = self.oriented(u, w, l)
+                for p, trs in tests:
+                    hits = {tr for tr in trs if self.carries(tr.min_poly, u, w, l, p)}
+                    trs -= hits
+                    shown |= hits
         return shown
 
-    def reduced(self, found, primes):
-        """(T', p, (1 + t) D_l mod p) for each entry (T', u, w, l, r) of
-        `found` and each p in primes(T', r).
+    def carries(self, m, u, w, l, p):
+        """Whether m, an irreducible factor of phi_N(-t) mod p, divides D_l
+        mod p, for (u, w, l) as the pass holds the pair (see oriented).  A
+        linear m = t - a divides it when (-a)^l X(a) + Y(a) = 0 mod p (see
+        reduced), with X(a) and Y(a) taken once per (u, w, p, a); a longer
+        m is tested by division."""
+        if len(m.coeffs) > 2:
+            return not _fp_mod(self.reduced(u, w, l, p), m.coeffs, p)
+        a = -m.coeffs[0] % p
+        key = (u, w, p, a)
+        if key not in self.linear:
+            self.linear[key] = tuple(_fp_eval(c, a, p) for c in self.twisted_parts(u, w))
+        x, y = self.linear[key]
+        return (pow(-a, l, p) * x + y) % p == 0
+
+    def reduced(self, u, w, l, p):
+        """(1 + t) D_l mod p on coefficient lists, up to a power of t.
 
         With s = -t, (1 - s) D_l = s^l X + Y for X = (1 - s) u0 w1 - u1 w1
         and Y = u1 w1 - (1 - s) u1 w0, which depend on (u, w) only.  For p
         not dividing N, neither 1 - s = 1 + t nor t divides phi_N(-t) mod p
         (phi_N(1) is 1 or the prime whose power N is), so s^l X + Y stands
-        for D_l.  It is formed on coefficient lists, up to a power of t,
-        and no D_l is built.
+        for D_l.  It is formed on coefficient lists, and no D_l is built.
         """
-        for (tag, u, w), entries in groupby(found, itemgetter(0, 1, 2)):
-            x = None
-            for _, _, _, l, r in entries:
-                ps = primes(tag, r)
-                if not ps:
-                    continue
-                if x is None:
-                    x, y = self.twisted_parts(u, w)
-                d = y + [0] * (len(x) + l - len(y))
-                sign = -1 if l % 2 else 1
-                d[l:l + len(x)] = [a + sign * b for a, b in zip(d[l:], x)]
-                for p in ps:
-                    yield tag, p, [c % p for c in d]
+        x, y = self.twisted_parts(u, w)
+        d = y + [0] * (len(x) + l - len(y))
+        sign = -1 if l % 2 else 1
+        d[l:l + len(x)] = [a + sign * b for a, b in zip(d[l:], x)]
+        return [c % p for c in d]
 
     def twisted_parts(self, u, w):
         """The coefficients of X and Y (see reduced), at one power of t."""

@@ -194,21 +194,31 @@ def test_criterion_7_sieve_soundness(sweep):
 def test_sweep_resultants_match_the_prs(monkeypatch):
     """Every resultant of the sweep 7..26, taken by evaluation at the roots
     of unity, equals the subresultant PRS of its determinant: each (u, w)
-    is compared at every l, which covers all 24,541 keys the sieve reads."""
-    groups = []
-    real = sieve.resultant
+    the sieve reads is compared at every l, whether it was evaluated or
+    served from its swap (w, u), which covers all 24,541 keys the sieve
+    reads."""
+    groups, calls = {}, []
+    real_of, real = sieve._SievePass.resultants_of, sieve.resultant
 
-    def recording_resultant(u, w, N):
-        values = real(u, w, N)
-        groups.append((u, w, N, values))
+    def recording_resultants_of(self, u, w):
+        values = real_of(self, u, w)
+        groups[u, w, self.N] = values
         return values
 
-    monkeypatch.setattr(sieve, "resultant", recording_resultant)
+    def counting_resultant(u, w, N, **kwargs):
+        calls.append((u, w, N))
+        return real(u, w, N, **kwargs)
+
+    monkeypatch.setattr(sieve._SievePass, "resultants_of", recording_resultants_of)
+    monkeypatch.setattr(sieve, "resultant", counting_resultant)
     full_sweep((7, 26), raw=True)
-    assert len(groups) == 1975
-    for u, w, N, values in groups:
+    # each unordered pair is evaluated once, and serves both orientations
+    evaluated = {(frozenset((u, w)), N) for u, w, N in calls}
+    assert len(groups) == 1975 and len(evaluated) == len(calls) == 1131
+    assert {(frozenset((u, w)), N) for u, w, N in groups} == evaluated
+    for (u, w, N), values in groups.items():
         assert values == reference_resultants(u, w, N), (u, w, N)
-    assert sum(len(values) for *_, values in groups) == 24828
+    assert sum(len(values) for values in groups.values()) == 24828
     print("\nresultants by evaluation = PRS on 24,828 sweep values: PASS")
 
 

@@ -59,6 +59,28 @@ class TestFactors:
         assert code == 3
         assert "exceeds the state cap" in run.err
 
+    @pytest.mark.parametrize("n", ["2003", "10007"])
+    def test_costly_split_is_resource_error(self, run, monkeypatch, n):
+        # phi(N)^2 ord_N(3) log2(3) is 8.0e9 for N = 2003 and 1.0e12 for
+        # N = 10007, over 100 times the default state cap: refused before
+        # the equal-degree split starts
+        calls = count_calls(monkeypatch, exactalg, "cyclotomic_factors")
+        code, _ = run("factors", "--n", n, "--p", "3")
+        assert code == 3 and calls == []
+        assert "over 100 times the state cap" in run.err
+
+    @pytest.mark.parametrize("n, p, count", [
+        (59, 4651, 2), (301, 3, 6), (401, 3, 1),
+    ], ids=["59-mod-4651", "301-mod-3", "401-mod-3"])
+    def test_affordable_split_prints_its_factors(self, run, n, p, count):
+        # costs 1.3e6 and 5.3e6, and N = 401 needs no split (ord_401(3) =
+        # phi(401)): count factors of degree phi(N) / count each
+        code, out = run("factors", "--n", str(n), "--p", str(p), "--json")
+        factors = json.loads(out)["factors"]
+        assert code == 0 and len(factors) == count
+        degree = len(exactalg.cyclotomic(n).coeffs) - 1
+        assert all(f.startswith(f"t^{degree // count}+") for f in factors)
+
 
 class TestSkeleton:
     def test_row_one(self, run):

@@ -262,6 +262,25 @@ class TestResultantByEvaluation:
             assert values == reference_resultants(u, w, N)
             assert [l for l, r in enumerate(values) if r == 0] == [3]
 
+    def test_swapped_pair_reindexes(self):
+        # D_l(u, w) = -(-t)^l D_{-l mod N}(w, u) mod phi_N(-t), so the
+        # swapped pair's resultants are the same values at -l mod N; the
+        # pair of test_exact_zero_at_one_l keeps its zero, moved to N - 3
+        rng = random.Random(15)
+        pairs = [((random_laurent(rng, 6), random_laurent(rng, 6)),
+                  (random_laurent(rng, 6), random_laurent(rng, 6)), rng.randint(2, 26))
+                 for _ in range(40)]
+        for N in (7, 9, 26):
+            cyc = substitute_neg(cyclotomic(N))
+            pairs.append(((IntPoly.zero(), IntPoly.one()),
+                          (IntPoly([1, -1, 1]) - cyc * parse_poly("t^2+1"), IntPoly.one()),
+                          N))
+        for u, w, N in pairs:
+            forward, swapped = exactalg.resultant(u, w, N), exactalg.resultant(w, u, N)
+            assert all(forward[l] == swapped[-l % N] for l in range(N)), (u, w, N)
+            assert swapped == reference_resultants(w, u, N)
+        assert [l for l, r in enumerate(swapped) if r == 0] == [N - 3]
+
     def test_identically_zero_determinant(self):
         u = (parse_poly("t^2-t+3"), parse_poly("2t-1"))
         assert exactalg.resultant(u, u, 10)[0] == 0
@@ -283,6 +302,17 @@ class TestResultantByEvaluation:
 
 class TestFactorOverPrime:
     """The closed-form factors of phi_N(-t) mod p."""
+
+    def test_split_cost(self):
+        # phi(m)^2 ord_m(p) log2(p) for N = p^a m when phi_m(-t) mod p
+        # splits, 0 when it is irreducible
+        assert exactalg.cyclotomic_split_cost(9, 19) == 6 * 6 * 1 * 5
+        assert exactalg.cyclotomic_split_cost(7, 2) == 6 * 6 * 3 * 2
+        assert exactalg.cyclotomic_split_cost(75, 5) == \
+            exactalg.cyclotomic_split_cost(3, 5) == 0
+        assert exactalg.cyclotomic_split_cost(401, 3) == 0
+        with pytest.raises(ValueError):
+            exactalg.cyclotomic_split_cost(9, 4)
 
     def test_phi7_mod_2(self):
         fs = cyclotomic_factors(7, 2)

@@ -280,6 +280,38 @@ class TestOrderRule:
                     slow[branch] = slow[branch] & found if branch in slow else found
             assert by_branch == slow, N
 
+    def test_linear_factors_by_evaluation_match_division(self, monkeypatch):
+        # over the raw sweep, every linear m = t - a that kept tests gets
+        # the same verdict by evaluation as by dividing D_l, built by the
+        # slow path, mod p; and kept returns earlier & triples(found, branch)
+        tested = []
+        real_carries = sieve._SievePass.carries
+
+        def checking_carries(self, m, u, w, l, p):
+            verdict = real_carries(self, m, u, w, l, p)
+            if m.degree == 1:
+                d = sieve_determinant(u, w, l).reduce_mod(p)
+                assert verdict == (not _fp_mod(d, m.coeffs, p)), (u, w, l, p, m)
+                tested.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(sieve._SievePass, "carries", checking_carries)
+        for N in range(7, 27):
+            sieve_pass, earlier = sieve._SievePass(N), None
+            for words in candidate_sets_for(N):
+                nonunit = sieve_pass.nonunit(words)
+                if nonunit is None:
+                    continue
+                if earlier is None:
+                    earlier = {b: sieve_pass.triples(found, b)
+                               for b, found in nonunit.items()}
+                    continue
+                for b, found in nonunit.items():
+                    kept = sieve_pass.kept(found, earlier[b])
+                    assert kept == earlier[b] & sieve_pass.triples(found, b), (N, b)
+                    earlier[b] = kept
+        assert len(tested) == 7741 and any(tested) and not all(tested)
+
     def test_root_spec_calls(self, monkeypatch):
         # none in the raw sieve; one per candidate pair in the genus filter
         calls = []
@@ -345,14 +377,15 @@ class TestSweep:
     def test_one_resultant_per_determinant_of_n(self, monkeypatch):
         # every word set and branch of an N shares each (u, w, l): the raw
         # sweep of N = 7..10 reads one resultant per distinct (u, w, l),
-        # 9,190, where a pass per (set, branch) took 16,794; and one
-        # evaluation per (u, w) serves all its l: 1,132 resultant calls
+        # 9,190, where a pass per (set, branch) took 16,794; one evaluation
+        # per (u, w) serves all its l, and also (w, u): 606 resultant calls
+        # on as many unordered pairs, where one per ordered pair took 1,132
         calls, keys = [], set()
         real, real_of = sieve.resultant, sieve._SievePass.resultants_of
 
-        def counting_resultant(*args):
-            calls.append(args)
-            return real(*args)
+        def counting_resultant(u, w, N, **kwargs):
+            calls.append((u, w, N))
+            return real(u, w, N, **kwargs)
 
         class Reads(tuple):
             def __getitem__(self, l):
@@ -369,15 +402,19 @@ class TestSweep:
                             recording_resultants_of)
         full_sweep((7, 10), raw=True)
         assert len(keys) == 9190
-        assert len(calls) == len(set(calls)) == 1132
+        assert len({(N, u, w) for N, u, w, _ in keys}) == 1132
+        assert len({(frozenset((u, w)), N) for u, w, N in calls}) \
+            == len(calls) == 606
 
     def test_one_split_per_gcd_of_n(self, monkeypatch):
-        # only the first informative set of each N takes gcds, and each
-        # distinct gcd of an N is split once; a later set tests the earlier
-        # triples it may carry by division.  The raw sweep takes 2,456 gcds,
-        # makes 463 splits and 8,247 divisions, where taking every set's
-        # triples in full took 9,837 gcds and as many splits, on 1,815
-        # distinct (N, gcd, p)
+        # only the first informative set of each N takes gcds, one per
+        # unordered (u, w) and its l, and each distinct gcd of an N is split
+        # once; a later set tests the earlier triples it may carry, a linear
+        # one by evaluation and a longer one by division.  The raw sweep
+        # takes 1,277 gcds, makes 463 splits and 506 divisions, where a gcd
+        # per ordered pair took 2,456 and a division per test 8,247; taking
+        # every set's triples in full took 9,837 gcds and as many splits,
+        # on 1,815 distinct (N, gcd, p)
         gcds, splits, divisions = [], [], []
         real_gcd, real_factor, real_mod = sieve._fp_gcd, sieve.fp_factor, sieve._fp_mod
 
@@ -398,25 +435,28 @@ class TestSweep:
         monkeypatch.setattr(sieve, "_fp_mod", counting_mod)
         for N in range(7, 27):
             full_sweep((N, N), raw=True)
-        assert len(gcds) == 2456
+        assert len(gcds) == 1277
         assert len(splits) == len(set(splits)) == 463
-        assert len(divisions) == 8247
+        assert len(divisions) == 506
 
     def test_resultants_match_the_reference_on_every_key(self, monkeypatch):
-        # every (u, w) the raw sweep of N = 7..10 evaluates, at every l,
-        # against the subresultant PRS of the determinant D_l
-        groups = []
-        real = sieve.resultant
+        # every (u, w) the raw sweep of N = 7..10 reads, at every l, against
+        # the subresultant PRS of the determinant D_l, whether evaluated or
+        # served from its swap (w, u)
+        groups = {}
+        real_of = sieve._SievePass.resultants_of
 
-        def recording_resultant(u, w, N):
-            groups.append((u, w, N))
-            return real(u, w, N)
+        def recording_resultants_of(self, u, w):
+            values = real_of(self, u, w)
+            groups[u, w, self.N] = values
+            return values
 
-        monkeypatch.setattr(sieve, "resultant", recording_resultant)
+        monkeypatch.setattr(sieve._SievePass, "resultants_of",
+                            recording_resultants_of)
         full_sweep((7, 10), raw=True)
         assert len(groups) == 1132
-        for u, w, N in groups:
-            assert real(u, w, N) == reference_resultants(u, w, N), (u, w, N)
+        for (u, w, N), values in groups.items():
+            assert values == reference_resultants(u, w, N), (u, w, N)
 
     def test_fallback_search_resultants_are_reused(self, monkeypatch):
         # no configured set is informative, so the search supplies the sets;
@@ -426,9 +466,9 @@ class TestSweep:
         after_search = []
         real_resultant, real_search = sieve.resultant, sieve._search_passes
 
-        def counting_resultant(*args):
-            calls.append(args)
-            return real_resultant(*args)
+        def counting_resultant(u, w, N, **kwargs):
+            calls.append((frozenset((u, w)), N))
+            return real_resultant(u, w, N, **kwargs)
 
         def recording_search(*args, **kwargs):
             found = real_search(*args, **kwargs)
