@@ -13,16 +13,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .exactalg import IntPoly
+from .exactalg import MAX_EXPONENT, IntPoly
 
 # letter codes: +-1 = s1, +-2 = s2, +-3 = T
 _LETTER_NAMES = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1", 3: "T", -3: "T^-1"}
 _NAME_LETTERS = {v: k for k, v in _LETTER_NAMES.items()}
 _BASE_NAMES = {"s1": 1, "s2": 2, "T": 3}
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
-# s1^k has a Burau degree of k, and every word's Burau matrix, vectors and
-# sieve determinants grow with it, so one letter's power is capped here
-MAX_EXPONENT = 1000
 
 
 @dataclass(frozen=True)

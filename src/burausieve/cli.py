@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: factors (irreducible factors of phi_N(-t) mod p), skeleton
-(universal-subgroup enumeration), sieve (candidate extraction plus genus
-filter over a sweep range), table (golden-data verification), addendum
-(pairwise exclusion and conjugacy).  Exit codes: 0 ok, 1 verification
-failure, 2 bad input, 3 resource cap.
+(universal-subgroup enumeration, the one command with an on-disk cache),
+sieve (candidate extraction plus genus filter over a sweep range), table
+(golden-data verification, skeleton.table_verify), addendum (pairwise
+exclusion and conjugacy, intersect.addendum_report).  Exit codes: 0 ok, 1
+verification failure, 2 bad input, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
-from .exactalg import cyclotomic_factors, cyclotomic_split_cost, field_modulus
+from .exactalg import cyclotomic_factors, cyclotomic_split_cost, monic_modulus
 from .golden import GOLDEN_ROWS, self_check
-from .intersect import verify_addendum_pairwise
+from .intersect import addendum_report
 from .sieve import SWEEP_RANGE, full_sweep
 from .skeleton import DEFAULT_STATE_CAP, EnumerationCapExceeded, Skeleton, \
-    UniversalGroupSpec, _cap_exceeded, enumerate_universal, orbit_signatures
+    UniversalGroupSpec, _cap_exceeded, enumerate_universal
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
 SCHEMA_VERSION = 1
@@ -40,7 +42,8 @@ def default_cache_dir():
 
 @dataclass
 class RunConfig:
-    """Sweep and cache settings, optionally loaded from a JSON file."""
+    """Sweep settings, optionally loaded from a JSON file, and the skeleton
+    cache's directory (from --cache-dir or the environment)."""
 
     informative_sets: dict = field(default_factory=dict)
     state_cap: int = DEFAULT_STATE_CAP
@@ -53,7 +56,7 @@ class RunConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        unknown = sorted(set(raw) - {"informative_sets", "state_cap", "cache_dir"})
+        unknown = sorted(set(raw) - {"informative_sets", "state_cap"})
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
         cfg = RunConfig()
@@ -61,10 +64,6 @@ class RunConfig:
             cfg.informative_sets = _checked_word_sets(raw["informative_sets"])
         if "state_cap" in raw:
             cfg.state_cap = positive_int(raw["state_cap"])
-        if "cache_dir" in raw:
-            if not isinstance(raw["cache_dir"], str):
-                raise ValueError("cache_dir must be a string")
-            cfg.cache_dir = raw["cache_dir"]
         return cfg
 
 
@@ -120,7 +119,7 @@ def _read_cached(path):
 
 
 def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
-    """enumerate_universal with a transparent on-disk cache.
+    """enumerate_universal with a transparent on-disk cache, for skeleton.
 
     A corrupt entry is a miss and gets overwritten.  A cached skeleton with
     more than state_cap edges raises, as the cold walk would.
@@ -171,8 +170,9 @@ def cmd_factors(args, cfg, out):
 
 
 def cmd_skeleton(args, cfg, out):
-    q = args.p ** (len(field_modulus(args.p, args.min_poly)) - 1)
-    if q > cfg.state_cap:  # checked before the field's O(q) tables
+    q = args.p ** (len(monic_modulus(args.p, args.min_poly)) - 1)
+    # checked before the irreducibility test and the field's O(q) tables
+    if q > cfg.state_cap:
         raise EnumerationCapExceeded(f"the field of order {q} for p={args.p} "
                                      f"m={args.min_poly} exceeds the state cap")
     root = root_spec(args.p, args.min_poly)
@@ -192,13 +192,11 @@ def cmd_skeleton(args, cfg, out):
 
 
 def _parse_range(text):
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        lo = hi = text
-    try:
-        return int(lo), int(hi)
-    except ValueError:
+    """'lo..hi' or one N, in ASCII decimal digits."""
+    m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
+    if m is None:
         raise ValueError(f"bad range {text!r}")
+    return int(m.group(1)), int(m.group(2) or m.group(1))
 
 
 def cmd_sieve(args, cfg, out):
@@ -258,47 +256,17 @@ def cmd_table(args, cfg, out):
 
 
 def cmd_addendum(args, cfg, out):
-    cache = cfg.cache_dir if not args.no_cache else None
-    # one root per row serves its representative and its conjugacy walks,
-    # which then share the field's specialized matrices
-    row_roots = [root_spec(row.p, row.factors[0]) for row in GOLDEN_ROWS]
-    reps = []
-    for row, root in zip(GOLDEN_ROWS, row_roots):
-        groups = row.factor_groups if args.all_groups else row.factor_groups[:1]
-        for n, grp in enumerate(groups):
-            label = f"{row.label} {grp[0]}" if args.all_groups else row.label
-            rep_root = root if n == 0 else root_spec(row.p, grp[0])
-            reps.append((label, cached_enumerate(rep_root, "I", "bu3",
-                                                 cfg.state_cap, cache)))
-    pair_report = verify_addendum_pairwise(reps)
-
-    conj = []
-    conj_ok = True
-    for row, root in zip(GOLDEN_ROWS, row_roots):
-        # one walk per braid orbit of type lines gives the genus; v_I = e2
-        # and I is always admissible, so an orbit is conjugate to e2
-        # exactly when it holds I
-        realized, ok = [], True
-        for _, g, orbit in orbit_signatures(root, sorted(admissible_types(root)),
-                                            "bu3", cfg.state_cap):
-            if g == 0:
-                realized.extend(orbit)
-                ok = ok and "I" in orbit
-        conj_ok = conj_ok and ok
-        conj.append({"row": row.label, "minPoly": row.factors[0],
-                     "types": sorted(realized), "ok": ok})
-    overall = pair_report["ok"] and conj_ok
+    report = addendum_report(cfg.state_cap, args.all_groups)
     if args.json:
-        out(_dump({"schemaVersion": SCHEMA_VERSION, "pairs": pair_report["pairs"],
-                   "conjugacy": conj, "ok": overall}))
+        out(_dump({"schemaVersion": SCHEMA_VERSION, **report}))
     else:
-        n = len(pair_report["pairs"])
-        n_ok = sum(1 for p in pair_report["pairs"] if p["minGenus"] >= 1)
+        n = len(report["pairs"])
+        n_ok = sum(1 for p in report["pairs"] if p["minGenus"] >= 1)
         out(f"{n_ok}/{n} pairwise products have all components of genus >= 1")
-        for c in conj:
+        for c in report["conjugacy"]:
             out(f"conjugate-to-e2 {c['row']:12s} types={','.join(c['types'])} "
                 f"{'pass' if c['ok'] else 'FAIL'}")
-    return EXIT_OK if overall else EXIT_VERIFY
+    return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
 def build_parser():
@@ -346,7 +314,6 @@ def build_parser():
     p.add_argument("--all-groups", action="store_true",
                    help="one representative per skeleton iso-class instead of per row")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=cmd_addendum)
     return ap
 

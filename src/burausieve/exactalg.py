@@ -25,10 +25,17 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 from functools import lru_cache
 from math import gcd
 
 import sympy
+
+# The largest exponent in braid-word or polynomial text.  s1^k has a Burau
+# degree of k, and t^e a dense coefficient list of e + 1 entries, so the
+# sizes of every matrix, vector and determinant built from the text grow
+# with it
+MAX_EXPONENT = 1000
 
 
 def power_by_squaring(x, n, mul, one):
@@ -205,56 +212,38 @@ def poly_text(coeffs, shift=0):
     return text
 
 
+# one signed term: an optional coefficient times t or t^e, or a constant;
+# coefficients and exponents are ASCII decimal digits
+_TERM = re.compile(r"([+-]?)(?:([0-9]*)t(?:\^(-?[0-9]+))?|([0-9]+))")
+
+
 def parse_poly(text):
-    """Parse the canonical text form back into an IntPoly (exact round trip)."""
+    """Parse the canonical text form back into an IntPoly (exact round trip).
+
+    Spaces are ignored, and an exponent may be at most MAX_EXPONENT in
+    absolute value; anything else is a ValueError.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
-    if s == "0":
-        return IntPoly()
-    # split into signed terms
-    terms = []
-    i = 0
-    while i < len(s):
-        sign = 1
-        if s[i] == "+":
-            i += 1
-        elif s[i] == "-":
-            sign = -1
-            i += 1
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            # a '-' directly after '^' is part of a negative exponent
-            if s[j] == "^" and j + 1 < len(s) and s[j + 1] == "-":
-                j += 2
-                continue
-            j += 1
-        term = s[i:j]
-        if not term:
-            raise ValueError(f"malformed polynomial text: {text!r}")
-        terms.append((sign, term))
-        i = j
     coeffs = {}
-    for sign, term in terms:
-        if "t" in term:
-            coef_s, _, rest = term.partition("t")
-            coef = int(coef_s) if coef_s else 1
-            if rest.startswith("^"):
-                exp = int(rest[1:])
-            elif rest == "":
-                exp = 1
-            else:
-                raise ValueError(f"malformed term {term!r} in {text!r}")
+    pos = 0
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        if m is None or (pos and not m.group(1)):
+            raise ValueError(f"malformed polynomial text: {text!r}")
+        sign, coef, exp, const = m.groups()
+        if const is None:
+            c, e = int(coef) if coef else 1, int(exp) if exp else 1
         else:
-            coef = int(term)
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-    if not coeffs:
-        return IntPoly()
+            c, e = int(const), 0
+        if abs(e) > MAX_EXPONENT:
+            raise ValueError(f"exponent in {m.group()!r} exceeds {MAX_EXPONENT} "
+                             f"in absolute value")
+        coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
+        pos = m.end()
     lo = min(coeffs)
-    hi = max(coeffs)
-    dense = [coeffs.get(e, 0) for e in range(lo, hi + 1)]
-    return IntPoly(dense, lo)
+    return IntPoly([coeffs.get(e, 0) for e in range(lo, max(coeffs) + 1)], lo)
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +616,10 @@ def _prime_free_part(N, p):
 # finite fields
 
 
-def field_modulus(p, modulus):
-    """A field's modulus (text, IntPoly or coefficients) reduced mod p;
-    ValueError unless p is prime and it is monic, irreducible and not t."""
+def monic_modulus(p, modulus):
+    """A modulus (text, IntPoly or coefficients) reduced mod p; ValueError
+    unless p is prime and it is monic, of degree >= 1 and not t.  Only
+    FieldSpec tests its irreducibility."""
     if not sympy.isprime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(modulus, str):
@@ -648,8 +638,6 @@ def field_modulus(p, modulus):
         raise ValueError("modulus must be monic")
     if coeffs[0] == 0:
         raise ValueError("modulus t is rejected: the root must be invertible")
-    if not fp_is_irreducible(coeffs, p):
-        raise ValueError(f"modulus {poly_text(coeffs)} is reducible over F_{p}")
     return coeffs
 
 
@@ -670,7 +658,9 @@ class FieldSpec:
 
     def __init__(self, p, modulus):
         self.p = p
-        self.modulus = coeffs = field_modulus(p, modulus)
+        self.modulus = coeffs = monic_modulus(p, modulus)
+        if not fp_is_irreducible(coeffs, p):
+            raise ValueError(f"modulus {poly_text(coeffs)} is reducible over F_{p}")
         self.degree = d = _deg(coeffs)
         self.order = q = p ** d
         self.matrix_codes = {}

@@ -9,9 +9,11 @@ built: its edges, its vertices (from the pairs fixed by black and by
 white) and its regions (from the region widths of the two coordinates)
 go straight into Euler's formula.  Conjugacy of a module to the span of
 e2 is decided on the projective line, where scalars act trivially: it is
-membership of e2's line in the braid orbit of the module's line.  The
-addendum reads the same answer off orbit_signatures, as membership of
-the module's type in the orbit of type I, whose line is e2's.
+membership of e2's line in the braid orbit of the module's line.
+addendum_report runs both checks of the paper's addendum: the skeletons
+it multiplies are lifted from the walk over lines, and it reads the
+conjugacy off orbit_signatures, as membership of the module's type in
+the orbit of type I, whose line is e2's.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .skeleton import _euler_genus, _LineWalk
+from .golden import GOLDEN_ROWS
+from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, _euler_genus, \
+    _LineWalk, enumerate_universal, orbit_signatures
+from .typesys import admissible_types, root_spec
 
 
 @dataclass(frozen=True)
@@ -142,4 +147,44 @@ def verify_addendum_pairwise(row_skeletons):
             report["pairs"].append(entry)
             if mg < 1:
                 report["ok"] = False
+    return report
+
+
+def addendum_report(state_cap=DEFAULT_STATE_CAP, all_groups=False):
+    """The addendum: distinct rows exclude each other, and every realized
+    module line is conjugate to the line of e2.
+
+    Each row is represented by the type-I skeleton of its first factor, or
+    with all_groups each of its factor groups by that of the group's first
+    factor; every pair of representatives must pass
+    verify_addendum_pairwise.  A row's realized types are the tags of its
+    genus-zero braid orbits of type lines.  v_I = e2 and I is always
+    admissible, so a realized type is conjugate to e2 exactly when its
+    orbit holds I.  The representatives are lifted first, so a capped run
+    names the first representative over the cap.  Returns {"pairs",
+    "conjugacy", "ok"}.
+    """
+    # one root per row serves its representative and its conjugacy walks,
+    # which then share the field's specialized matrices
+    row_roots = [root_spec(row.p, row.factors[0]) for row in GOLDEN_ROWS]
+    reps = []
+    for row, root in zip(GOLDEN_ROWS, row_roots):
+        groups = row.factor_groups if all_groups else row.factor_groups[:1]
+        for n, grp in enumerate(groups):
+            label = f"{row.label} {grp[0]}" if all_groups else row.label
+            rep_root = root if n == 0 else root_spec(row.p, grp[0])
+            reps.append((label, enumerate_universal(
+                UniversalGroupSpec(rep_root, "I", "bu3"), state_cap)))
+    report = verify_addendum_pairwise(reps)
+    report["conjugacy"] = []
+    for row, root in zip(GOLDEN_ROWS, row_roots):
+        realized, ok = [], True
+        for _, g, orbit in orbit_signatures(root, sorted(admissible_types(root)),
+                                            "bu3", state_cap):
+            if g == 0:
+                realized.extend(orbit)
+                ok = ok and "I" in orbit
+        report["conjugacy"].append({"row": row.label, "minPoly": row.factors[0],
+                                    "types": sorted(realized), "ok": ok})
+        report["ok"] = report["ok"] and ok
     return report

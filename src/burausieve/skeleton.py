@@ -12,8 +12,7 @@ signature and genus off the walk (the table check), and
 conjugate share a skeleton up to isomorphism, so `orbit_signatures` walks
 once per braid orbit of type lines and folds every later tag whose seed
 line the walk reached into that orbit: the sweep's genus filter and the
-addendum's realized types both read it, and the orbit that holds type I,
-whose line is that of e2, is the one conjugate to e2.
+addendum's realized types both read it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ flattens a sweep to its classification; `check_type_specification` and
 `type_ii_odd_width_excluded` state lifting conditions of the paper that
 the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
 word's degree, a Burau matrix's determinant and the smallest skeleton;
-`count_calls` records the calls of a package function.
+`count_calls` records the calls of a package function;
+`realized_types_alone` is the addendum's conjugacy check with each type
+lifted and tested on its own.
 """
 
 import sys
@@ -20,8 +22,11 @@ from math import gcd
 from burausieve.burau import BurauMatrix
 from burausieve.exactalg import IntPoly, _fp_divmod, _fp_monic, cyclotomic, \
     substitute_neg
+from burausieve.intersect import conjugate_to_e2
 from burausieve.sieve import _SievePass, _require_distinct_projections
-from burausieve.skeleton import Skeleton
+from burausieve.skeleton import Skeleton, UniversalGroupSpec, \
+    enumerate_universal, genus
+from burausieve.typesys import admissible_types
 
 
 # -- the subresultant PRS ----------------------------------------------------
@@ -258,3 +263,13 @@ def count_calls(monkeypatch, owner, name):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counting)
     return calls
+
+
+def realized_types_alone(root):
+    """(realized, ok): the admissible tags of root whose skeleton, lifted
+    on its own, has genus zero, and whether conjugate_to_e2 holds for
+    each of them."""
+    realized = [tag for tag in sorted(admissible_types(root)) if genus(
+        enumerate_universal(UniversalGroupSpec(root, tag, "bu3"))) == 0]
+    return realized, all(conjugate_to_e2(UniversalGroupSpec(root, tag, "bu3"))
+                         for tag in realized)

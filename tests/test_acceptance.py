@@ -11,21 +11,20 @@ import time
 import pytest
 from covector_oracle import covector_bfs, product_skeletons, \
     verify_region_widths
-from helpers import bdeg, count_calls, det, reference_resultants, \
-    resultant_with_cyclotomic, single_edge, sweep_pairs
+from helpers import bdeg, count_calls, det, realized_types_alone, \
+    reference_resultants, resultant_with_cyclotomic, single_edge, sweep_pairs
 
 from burausieve import sieve, skeleton
 from burausieve.burau import BraidWord, specialize, to_burau
 from burausieve.exactalg import IntPoly, cyclotomic_factors
 from burausieve.golden import GOLDEN_ROWS
-from burausieve.intersect import conjugate_to_e2, fibered_product, \
-    verify_addendum_pairwise
+from burausieve.intersect import fibered_product, verify_addendum_pairwise
 from burausieve.sieve import ExceptionalTriple, branches_for, full_sweep, \
     is_informative
 from burausieve.skeleton import UniversalGroupSpec, enumerate_universal, \
     euler_lhs, genus, orbit_signatures, signature, table_verify, \
     universal_signature
-from burausieve.typesys import admissible_types, root_spec
+from burausieve.typesys import root_spec
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +115,8 @@ def test_criterion_5_addendum(row_skeletons):
     assert all(p["minGenus"] >= 1 for p in report["pairs"])
     conjugate_rows = 0
     for row in GOLDEN_ROWS:
-        root = root_spec(row.p, row.factors[0])
-        realized = []
-        for tag in sorted(admissible_types(root)):
-            sk = enumerate_universal(UniversalGroupSpec(root, tag, "bu3"))
-            if genus(sk) == 0:
-                realized.append(tag)
-        assert "I" in realized
-        assert all(conjugate_to_e2(UniversalGroupSpec(root, tag, "bu3"))
-                   for tag in realized)
+        realized, ok = realized_types_alone(root_spec(row.p, row.factors[0]))
+        assert "I" in realized and ok
         conjugate_rows += 1
     assert conjugate_rows == 13
     print("\nACCEPTANCE 5 (addendum: 78 pairs + 13 conjugacy rows): PASS")

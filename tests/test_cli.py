@@ -7,7 +7,7 @@ import pytest
 from helpers import count_calls
 
 from burausieve import burau, exactalg, sieve, skeleton
-from burausieve.cli import main
+from burausieve.cli import _cache_key, main
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.typesys import root_spec
 
@@ -161,6 +161,21 @@ class TestSkeleton:
         assert warm == cold
         assert entry.read_text() == text
 
+    def test_field_over_the_cap_skips_the_irreducibility_test(self, run,
+                                                               monkeypatch):
+        # q = 2^600 is known from the text's degree, so the Rabin test's
+        # 600 powerings mod a degree-600 polynomial never start
+        tests = count_calls(monkeypatch, exactalg, "fp_is_irreducible")
+        code, _ = run("--state-cap", "100", "skeleton", "--p", "2",
+                      "--min-poly", "t^600+t^5+1", "--no-cache")
+        assert code == 3 and tests == []
+        assert f"field of order {2 ** 600} for p=2" in run.err
+
+    def test_one_irreducibility_test_per_run(self, run, monkeypatch):
+        tests = count_calls(monkeypatch, exactalg, "fp_is_irreducible")
+        assert run("skeleton", "--p", "2", "--min-poly", "t^3+t+1")[0] == 0
+        assert tests == [((1, 1, 0, 1), 2)]
+
     def test_field_over_the_cap_is_resource_error(self, run, monkeypatch):
         # q = 2^17 exceeds the cap, so the field's O(q) tables are never built
         tables = count_calls(monkeypatch, exactalg, "_unit_tables")
@@ -252,27 +267,37 @@ class TestTable:
 
 
 class TestAddendum:
-    def test_cold_run_caches_only_the_row_skeletons(self, run, tmp_path):
-        # the realized types come from the walk over lines; only the 13
-        # row representatives of the fibered products are enumerated
+    def test_leaves_the_cache_alone(self, run, tmp_path):
+        # the representatives are lifted from the walk, never read from or
+        # written to the skeleton cache, even where it holds a corrupt
+        # entry of row 1's representative
         cache = tmp_path / "addendum-cache"
-        code, _ = run("--cache-dir", str(cache), "addendum")
-        assert code == 0
-        assert len(os.listdir(cache)) == 13
+        cache.mkdir()
+        row = GOLDEN_ROWS[0]
+        entry = cache / _cache_key(row.p, row.factors[0], "I", "bu3")
+        corrupt = '{"schemaVersion": 1, "blackPerm": [0]'
+        entry.write_text(corrupt)
+        for argv in (("addendum",), ("addendum", "--all-groups")):
+            code, cached = run("--cache-dir", str(cache), *argv)
+            assert (code, cached) == run("--cache-dir",
+                                         str(tmp_path / "absent"), *argv)
+            assert code == 0
+        assert os.listdir(cache) == [entry.name]
+        assert entry.read_text() == corrupt
+        assert not (tmp_path / "absent").exists()
 
-    def test_one_line_walk_per_orbit(self, run, tmp_path, monkeypatch):
+    def test_one_line_walk_per_orbit(self, run, monkeypatch):
         # the 43 admissible (row, tag) lines fall in one braid orbit per
         # row, that of e2's line, so the genus and the conjugacy to e2 read
-        # one walk per row, of type I.  The cache is warm, so no row
-        # skeleton is lifted
-        cache = str(tmp_path / "addendum-cache")
-        assert run("--cache-dir", cache, "addendum", "--json")[0] == 0
+        # one walk per row, of type I.  Each row's representative is lifted
+        # from one more walk, of type I over the same root
+        lifts = count_calls(monkeypatch, skeleton, "enumerate_universal")
         walks = count_calls(monkeypatch, skeleton, "_LineWalk")
-        assert run("--cache-dir", cache, "addendum", "--json")[0] == 0
-        assert len(walks) == 13
-        assert sorted(str(spec.root) for spec, _ in walks) == sorted(
-            str(root_spec(row.p, row.factors[0])) for row in GOLDEN_ROWS)
-        assert {spec.type_tag for spec, _ in walks} == {"I"}
+        assert run("addendum", "--json")[0] == 0
+        roots = [str(root_spec(row.p, row.factors[0])) for row in GOLDEN_ROWS]
+        assert sorted(str(spec.root) for spec, _ in lifts) == sorted(roots)
+        assert sorted(str(spec.root) for spec, _ in walks) == sorted(2 * roots)
+        assert {spec.type_tag for spec, _ in lifts + walks} == {"I"}
 
     @pytest.mark.parametrize("argv, skeletons", [
         (("addendum", "--json"), 13),
@@ -281,12 +306,16 @@ class TestAddendum:
     def test_warm_run_builds_only_the_representatives(self, run, tmp_path,
                                                       monkeypatch, argv, skeletons):
         # the fibered products count their components' genus; the only
-        # skeletons are the cached representatives read back
+        # skeletons are the representatives, lifted afresh on every run
         cache = str(tmp_path / "addendum-cache")
         assert run("--cache-dir", cache, *argv)[0] == 0
         calls = count_calls(monkeypatch, skeleton.Skeleton, "__init__")
         assert run("--cache-dir", cache, *argv)[0] == 0
         assert len(calls) == skeletons
+
+    def test_no_cache_flag_is_gone(self, run):
+        assert run("addendum", "--no-cache")[0] == 2
+        assert "unrecognized arguments: --no-cache" in run.err
 
 
 @pytest.mark.parametrize("cap, argv", [
@@ -311,6 +340,32 @@ class TestBadInput:
     def test_bad_number(self, run, argv):
         assert run(*argv)[0] == 2
 
+    @pytest.mark.parametrize("min_poly, message", [
+        # refused before a dense list of 10^11 coefficients is built
+        ("t^99999999999+1", "exceeds 1000"),
+        ("t^1001+1", "exceeds 1000"),
+        ("t^3+t^-1001", "exceeds 1000"),
+        ("t^1_0+1", "malformed polynomial text"),
+        ("t^٢+1", "malformed polynomial text"),
+        ("1_0t+1", "malformed polynomial text"),
+        ("t^", "malformed polynomial text"),
+        ("t+", "malformed polynomial text"),
+        ("2*t+1", "malformed polynomial text"),
+    ], ids=["exponent-huge", "exponent-too-large", "exponent-too-small",
+            "exponent-underscore", "exponent-non-ascii",
+            "coefficient-underscore", "exponent-empty", "term-empty",
+            "star"])
+    def test_bad_polynomial(self, run, min_poly, message):
+        code, _ = run("skeleton", "--p", "2", "--min-poly", min_poly)
+        assert code == 2
+        assert message in run.err
+
+    @pytest.mark.parametrize("text", ["٧..٨", "1_0..12", " 7..8", "7.."],
+                             ids=["non-ascii", "underscore", "space", "no-end"])
+    def test_bad_n_range(self, run, text):
+        assert run("sieve", "--n-range", text, "--raw")[0] == 2
+        assert f"bad range {text!r}" in run.err
+
     def test_missing_config(self, run, tmp_path):
         code, _ = run("--config", str(tmp_path / "absent.json"), "table")
         assert code == 2
@@ -327,10 +382,11 @@ class TestBadInput:
         ({"informative_sets": {"9": [["e", "s1^"]]}}, "malformed exponent"),
         ({"informative_sets": {"9": [["e", "s1^1_000"]]}}, "malformed exponent"),
         ({"informative_sets": {"9": [["e", "s1^٣"]]}}, "malformed exponent"),
+        ({"cache_dir": "elsewhere"}, "unknown config key 'cache_dir'"),
     ], ids=["state-cap-text", "unknown-letter", "shared-projection",
             "unknown-key", "n-out-of-range", "n-not-an-integer",
             "exponent-too-large", "exponent-too-small", "exponent-empty",
-            "exponent-underscore", "exponent-non-ascii"])
+            "exponent-underscore", "exponent-non-ascii", "cache-dir-key"])
     def test_bad_config(self, run, tmp_path, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -18,9 +18,11 @@ from burausieve.exactalg import (
     cyclotomic_factors,
     fp_factor,
     parse_poly,
+    poly_text,
     substitute_neg,
     unity_prime,
 )
+from burausieve.golden import GOLDEN_ROWS
 
 
 # -- independent resultant oracle: Sylvester matrix determinant (Bareiss) ----
@@ -89,6 +91,13 @@ class TestIntPoly:
     ])
     def test_text_round_trip(self, text):
         assert str(parse_poly(text)) == text
+
+    def test_round_trip_on_golden_factors_and_cyclotomics(self):
+        for text in (f for row in GOLDEN_ROWS for f in row.factors):
+            assert str(parse_poly(text)) == text
+        for N in range(1, 61):
+            f = cyclotomic(N)
+            assert parse_poly(poly_text(f.coeffs, f.shift)) == f
 
     def test_evaluate_with_negative_shift(self):
         spec = FieldSpec(5, "t+2")  # xi = 3

@@ -1,10 +1,11 @@
 """Fibered products, pairwise exclusion, and conjugacy to the e2 line."""
 
 from covector_oracle import product_skeletons, skeleton_isomorphic
-from helpers import single_edge
+from helpers import realized_types_alone, single_edge
 
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import (
+    addendum_report,
     conjugate_to_e2,
     fibered_product,
     verify_addendum_pairwise,
@@ -18,7 +19,7 @@ from burausieve.skeleton import (
     signature,
     universal_signature,
 )
-from burausieve.typesys import admissible_types, root_spec
+from burausieve.typesys import root_spec
 
 
 def enumerate_pair(p, text, tag="I", ambient="bu3"):
@@ -112,11 +113,24 @@ class TestConjugacy:
 
     def test_realized_types_on_golden_rows(self):
         for row in GOLDEN_ROWS:
-            root = root_spec(row.p, row.factors[0])
-            for tag in sorted(admissible_types(root)):
-                sk = enumerate_universal(UniversalGroupSpec(root, tag, "bu3"))
-                if genus(sk) == 0:
-                    assert conjugate_to_e2(UniversalGroupSpec(root, tag, "bu3"))
+            assert realized_types_alone(root_spec(row.p, row.factors[0]))[1]
+
+    def test_addendum_report_matches_the_per_tag_slow_path(self):
+        # the report reads one walk per braid orbit of type lines and takes
+        # the orbit of I for e2's; lifting each tag alone and testing it
+        # with conjugate_to_e2 gives the same rows.  Its pairs are those of
+        # the row representatives lifted here
+        report = addendum_report()
+        expected = []
+        for row in GOLDEN_ROWS:
+            realized, ok = realized_types_alone(root_spec(row.p, row.factors[0]))
+            expected.append({"row": row.label, "minPoly": row.factors[0],
+                             "types": realized, "ok": ok})
+        assert report["conjugacy"] == expected
+        reps = [(row.label, enumerate_pair(row.p, row.factors[0]))
+                for row in GOLDEN_ROWS]
+        assert report["pairs"] == verify_addendum_pairwise(reps)["pairs"]
+        assert report["ok"] and len(report["pairs"]) == 78
 
     def test_proper_orbit_negative_control(self):
         # at xi = 1 over F_5 the braid image fixes a 3-point orbit on the
