@@ -68,9 +68,10 @@ class RunConfig:
 
 
 def positive_int(value):
-    """An integer >= 1, given as command-line text or a JSON config value."""
+    """An integer >= 1, given as command-line text in ASCII decimal digits
+    or as a JSON config value."""
     if isinstance(value, bool) or not isinstance(value, (int, str)) \
-            or not str(value).strip().isdigit() or int(value) < 1:
+            or re.fullmatch(r"[0-9]+", str(value)) is None or int(value) < 1:
         raise ValueError(f"expected a positive integer, got {value!r}")
     return int(value)
 
@@ -284,12 +285,12 @@ def build_parser():
 
     p = sub.add_parser("factors", help="factor phi_N(-t) over F_p")
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=positive_int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_factors)
 
     p = sub.add_parser("skeleton", help="enumerate one universal subgroup")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=positive_int, required=True)
     p.add_argument("--min-poly", required=True)
     p.add_argument("--type", default="I", choices=list(TYPE_TAGS))
     p.add_argument("--ambient", default="bu3", choices=["bu3", "b3"])
@@ -306,7 +307,7 @@ def build_parser():
 
     p = sub.add_parser("table", help="print or verify the embedded table")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--row", type=int)
+    p.add_argument("--row", type=positive_int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 

@@ -3,27 +3,30 @@
 Two distinct classification rows cannot coexist in one subgroup: the
 skeletons of the intersections of conjugates are exactly the connected
 components of the fibered product over the one-edge base, and every such
-component must have positive genus.  The genus of a component is counted
-during the one pass that labels the pairs, so no component skeleton is
-built: its edges, its vertices (from the pairs fixed by black and by
-white) and its regions (from the region widths of the two coordinates)
-go straight into Euler's formula.  Conjugacy of a module to the span of
-e2 is decided on the projective line, where scalars act trivially: it is
-membership of e2's line in the braid orbit of the module's line.
-addendum_report runs both checks of the paper's addendum: the skeletons
-it multiplies are lifted from the walk over lines, and it reads the
-conjugacy off orbit_signatures, as membership of the module's type in
-the orbit of type I, whose line is e2's.
+component must have positive genus.  The product is computed on the base
+of the two factors' walks over lines, as a voltage graph over the pairs
+of lines (Gross and Tucker's lifting, as _LineWalk.signature reads one
+walk): one pass over the pairs of each base component gives the
+component's local group, and with it the edges, vertices and regions of
+the isomorphic components that lie over it, which go straight into
+Euler's formula; no skeleton is lifted.  Conjugacy of a module to the
+span of e2 is decided on the projective line, where scalars act
+trivially: it is membership of e2's line in the braid orbit of the
+module's line.  addendum_report runs both checks of the paper's
+addendum from one walk per braid orbit of type lines: the orbit of
+type I, whose line is e2's, gives each row's representative, and the
+conjugacy is membership of the module's type in that orbit.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import lcm
 
 from .golden import GOLDEN_ROWS
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, _euler_genus, \
-    _LineWalk, enumerate_universal, orbit_signatures
+    _LineWalk, _orbit_walks
 from .typesys import admissible_types, root_spec
 
 
@@ -33,7 +36,7 @@ class FiberedProduct:
 
     left_edges: int
     right_edges: int
-    components: tuple  # of (edges, genus), ordered by their first pair
+    components: tuple  # of (edges, genus), grouped by the base component below
 
     @property
     def total_edges(self):
@@ -43,70 +46,129 @@ class FiberedProduct:
         return min(g for _, g in self.components)
 
 
-def _region_lengths(sk):
-    """The length of the region cycle through each edge."""
-    out = [0] * sk.edge_count
-    for cyc in sk.region_cycles():
-        for e in cyc:
-            out[e] = len(cyc)
-    return out
+def _fiber_steps(walk, step):
+    """The lift of step to the edges (i, t), numbered i * k + t.
+
+    Edge (i, t) is the state (i, potential[i] + m t) with m = r / k, and a
+    step (j, d) maps it to (j, t + delta) with delta = (potential[i] + d -
+    potential[j]) / m, which is exact: every such difference lies in the
+    local group K = m Z / r Z.
+    """
+    k = walk.k
+    m, potential = walk.r // k, walk.potential
+    shifted = [[(t + delta) % k for t in range(k)] for delta in range(k)]
+    images = []
+    for i, (j, d) in enumerate(step):
+        delta = (potential[i] + d - potential[j]) // m % k
+        images += [j * k + t for t in shifted[delta]]
+    return images
 
 
-def fibered_product(s1, s2):
+def _region_classes(walk):
+    """(widths, class_of): the distinct widths of the walk's region cycles,
+    and for each line the position in widths of those over it."""
+    cycle_of, cycles = walk.lifted_cycles(walk.region)
+    widths = sorted({width for width, _ in cycles})
+    position = {width: c for c, width in enumerate(widths)}
+    return widths, [position[cycles[c][0]] for c in cycle_of]
+
+
+def _group_order(generators, k1, k2):
+    """The order of the subgroup of Z/k1 x Z/k2 that generators generate."""
+    group = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        a, b = frontier.pop()
+        for da, db in generators:
+            h = ((a + da) % k1, (b + db) % k2)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return len(group)
+
+
+def fibered_product(w1, w2):
     """Edges and genus of each component of the product over the one-edge base.
 
-    Edges are pairs k = i * e2 + j, and the black and white permutations
-    act coordinatewise; so does the region permutation, so a pair whose
-    coordinates lie on region cycles of lengths x and y lies on one of
-    length lcm(x, y).  One labelling pass sums, per component, its pairs E,
-    its black- and white-fixed pairs and F * L = sum of L / lcm(x, y), with
-    L the lcm of both factors' widths.  Black has order 3 and white order 2
-    because they do on the factors, so V = (E + 2 fix_black) / 3 +
-    (E + fix_white) / 2 and F = (F * L) / L, and Euler's formula gives the
-    genus.  A component is connected because it is labelled by its walk.
+    The factors are the skeletons lifted from the walks w1 and w2.  Their
+    edges (i, t) are lines with a fiber coordinate in Z/k, and the black
+    and white steps add a voltage in Z/k (_fiber_steps), so the product is
+    a voltage graph over the pairs of lines with group Z/k1 x Z/k2.  One
+    walk over each base component C keeps, for each pair, its potential:
+    the edge pair over it first reached, as one integer code.  A step that
+    reaches a pair with another potential closes a cycle of nonzero net
+    voltage, and these generate C's local group H.  Over C lie
+    k1 k2 / |H| isomorphic components, each with |H| edges over every pair
+    of C.  An edge pair is fixed by black or white exactly when its base
+    pair is, with zero voltage.  The region permutation acts
+    coordinatewise, so an edge pair whose coordinates lie on region
+    cycles of widths x and y lies on one of width lcm(x, y); the walk sums
+    F * L = sum of L / lcm(x, y) over C's pairs, with L the lcm of both
+    factors' widths.  Black has order 3 and white order 2 because they do
+    on the factors, so V = (E + 2 fix_black) / 3 + (E + fix_white) / 2 and
+    F = (F * L) / L, and Euler's formula gives the genus.
     """
-    e1, e2 = s1.edge_count, s2.edge_count
-    b1, w1, b2, w2 = s1.black, s1.white, s2.black, s2.white
-    len1, len2 = _region_lengths(s1), _region_lengths(s2)
-    widths1, widths2 = sorted(set(len1)), sorted(set(len2))
+    n1, n2, k1, k2 = len(w1.lines), len(w2.lines), w1.k, w2.k
+    e2 = n2 * k2
+    widths1, class1 = _region_classes(w1)
+    widths2, class2 = _region_classes(w2)
     L = lcm(*widths1, *widths2)
-    # weight[x1[i] + y2[j]] = L / lcm(x, y) for the widths x, y through i, j
+    # weight[row1[s1] + col2[s2]] = L / lcm(x, y) for the widths through s1, s2
     weight = [L // lcm(x, y) for x in widths1 for y in widths2]
-    row = {x: a * len(widths2) for a, x in enumerate(widths1)}
-    col = {y: c for c, y in enumerate(widths2)}
-    x1 = [row[x] for x in len1]
-    y2 = [col[y] for y in len2]
+    row1 = [class1[s // k1] * len(widths2) for s in range(n1 * k1)]
+    col2 = [class2[s // k2] for s in range(e2)]
+    # edge s1 of w1 steps to the pair code s1' * e2 + s2' over pair i1' * n2 + i2'
+    black1, white1 = ([(s * e2, s // k1 * n2) for s in _fiber_steps(w1, step)]
+                      for step in (w1.black, w1.white))
+    black2, white2 = ([(s, s // k2) for s in _fiber_steps(w2, step)]
+                      for step in (w2.black, w2.white))
 
-    seen = bytearray(e1 * e2)
+    code = array("q", [-1]) * (n1 * n2)
     components = []
-    for start in range(e1 * e2):
-        if seen[start]:
+    for start in range(len(code)):
+        if code[start] >= 0:
             continue
-        seen[start] = 1
-        stack = [start]
-        edges = fix_black = fix_white = faces_l = 0
+        i1, i2 = divmod(start, n2)
+        code[start] = i1 * k1 * e2 + i2 * k2
+        stack = [code[start]]
+        pairs = fix_black = fix_white = faces_l = 0
+        closing = set()  # (code reached, code held) of the nonzero cycles
         while stack:
-            k = stack.pop()
-            i, j = divmod(k, e2)
-            edges += 1
-            faces_l += weight[x1[i] + y2[j]]
-            f = b1[i] * e2 + b2[j]
-            if f == k:
+            c = stack.pop()
+            s1, s2 = divmod(c, e2)
+            pairs += 1
+            faces_l += weight[row1[s1] + col2[s2]]
+            (x, f1), (y, f2) = black1[s1], black2[s2]
+            c2, f = x + y, f1 + f2
+            held = code[f]
+            if held < 0:
+                code[f] = c2
+                stack.append(c2)
+            elif held != c2:
+                closing.add((c2, held))
+            elif c2 == c:
                 fix_black += 1
-            elif not seen[f]:
-                seen[f] = 1
-                stack.append(f)
-            f = w1[i] * e2 + w2[j]
-            if f == k:
+            (x, f1), (y, f2) = white1[s1], white2[s2]
+            c2, f = x + y, f1 + f2
+            held = code[f]
+            if held < 0:
+                code[f] = c2
+                stack.append(c2)
+            elif held != c2:
+                closing.add((c2, held))
+            elif c2 == c:
                 fix_white += 1
-            elif not seen[f]:
-                seen[f] = 1
-                stack.append(f)
+        # both codes lie over one pair, so their edges differ in t alone
+        h = _group_order({((a // e2 - b // e2) % k1, (a % e2 - b % e2) % k2)
+                          for a, b in closing}, k1, k2)
+        edges, fix_black, fix_white, faces_l = (
+            h * pairs, h * fix_black, h * fix_white, h * faces_l)
         if (edges + 2 * fix_black) % 3 or (edges + fix_white) % 2 or faces_l % L:
             raise AssertionError("product cycle counts are not integral")
         vertices = (edges + 2 * fix_black) // 3 + (edges + fix_white) // 2
-        components.append((edges, _euler_genus(vertices, edges, faces_l // L)))
-    return FiberedProduct(e1, e2, tuple(components))
+        components.extend([(edges, _euler_genus(vertices, edges, faces_l // L))]
+                          * (k1 * k2 // h))
+    return FiberedProduct(n1 * k1, e2, tuple(components))
 
 
 def conjugate_to_e2(spec):
@@ -121,20 +183,21 @@ def conjugate_to_e2(spec):
     return 0 in _LineWalk(spec).index
 
 
-def verify_addendum_pairwise(row_skeletons):
-    """Fibered products of every unordered pair of row skeletons.
+def verify_addendum_pairwise(row_walks):
+    """Fibered products of every unordered pair of row representatives.
 
-    Input: list of (label, Skeleton), one representative per table row.
-    Each pair must produce components of genus >= 1 only; a genus-zero
-    component would mean two distinct factors coexisting in one subgroup.
-    Returns a report dict with per-pair component counts and minimum genus.
+    Input: list of (label, _LineWalk), the walk of one representative per
+    table row.  Each pair must produce components of genus >= 1 only; a
+    genus-zero component would mean two distinct factors coexisting in one
+    subgroup.  Returns a report dict with per-pair component counts and
+    minimum genus.
     """
     report = {"pairs": [], "ok": True}
-    for i in range(len(row_skeletons)):
-        for j in range(i + 1, len(row_skeletons)):
-            label_a, sk_a = row_skeletons[i]
-            label_b, sk_b = row_skeletons[j]
-            prod = fibered_product(sk_a, sk_b)
+    for i in range(len(row_walks)):
+        for j in range(i + 1, len(row_walks)):
+            label_a, walk_a = row_walks[i]
+            label_b, walk_b = row_walks[j]
+            prod = fibered_product(walk_a, walk_b)
             if sum(e for e, _ in prod.components) != prod.total_edges:
                 raise AssertionError("component edges do not partition the product")
             mg = prod.min_genus()
@@ -154,34 +217,36 @@ def addendum_report(state_cap=DEFAULT_STATE_CAP, all_groups=False):
     """The addendum: distinct rows exclude each other, and every realized
     module line is conjugate to the line of e2.
 
-    Each row is represented by the type-I skeleton of its first factor, or
+    Each row is represented by the type-I walk of its first factor, or
     with all_groups each of its factor groups by that of the group's first
     factor; every pair of representatives must pass
     verify_addendum_pairwise.  A row's realized types are the tags of its
     genus-zero braid orbits of type lines.  v_I = e2 and I is always
     admissible, so a realized type is conjugate to e2 exactly when its
-    orbit holds I.  The representatives are lifted first, so a capped run
-    names the first representative over the cap.  Returns {"pairs",
-    "conjugacy", "ok"}.
+    orbit holds I.  I sorts first among the tags, so the row's first
+    orbit is I's, and its walk is the row's representative.  Returns
+    {"pairs", "conjugacy", "ok"}.
     """
-    # one root per row serves its representative and its conjugacy walks,
-    # which then share the field's specialized matrices
-    row_roots = [root_spec(row.p, row.factors[0]) for row in GOLDEN_ROWS]
-    reps = []
-    for row, root in zip(GOLDEN_ROWS, row_roots):
+    reps, row_orbits = [], []
+    for row in GOLDEN_ROWS:
+        # one root per row serves all its walks, which then share the
+        # field's specialized matrices
+        root = root_spec(row.p, row.factors[0])
+        orbits = list(_orbit_walks(root, sorted(admissible_types(root)),
+                                   "bu3", state_cap))
+        row_orbits.append(orbits)
         groups = row.factor_groups if all_groups else row.factor_groups[:1]
         for n, grp in enumerate(groups):
             label = f"{row.label} {grp[0]}" if all_groups else row.label
-            rep_root = root if n == 0 else root_spec(row.p, grp[0])
-            reps.append((label, enumerate_universal(
-                UniversalGroupSpec(rep_root, "I", "bu3"), state_cap)))
+            reps.append((label, orbits[0][0] if n == 0 else _LineWalk(
+                UniversalGroupSpec(root_spec(row.p, grp[0]), "I", "bu3"),
+                state_cap)))
     report = verify_addendum_pairwise(reps)
     report["conjugacy"] = []
-    for row, root in zip(GOLDEN_ROWS, row_roots):
+    for row, orbits in zip(GOLDEN_ROWS, row_orbits):
         realized, ok = [], True
-        for _, g, orbit in orbit_signatures(root, sorted(admissible_types(root)),
-                                            "bu3", state_cap):
-            if g == 0:
+        for walk, orbit in orbits:
+            if walk.signature()[1] == 0:
                 realized.extend(orbit)
                 ok = ok and "I" in orbit
         report["conjugacy"].append({"row": row.label, "minPoly": row.factors[0],

@@ -7,12 +7,14 @@ The cosets of a universal subgroup are its annihilator covectors up to
 scalar, a cyclic cover of the projective line.  One walk over at most
 q + 1 projective lines, `_LineWalk`, records each step's voltage in the
 fiber Z/r; every reader works from it.  `universal_signature` reads the
-signature and genus off the walk (the table check), and
-`enumerate_universal` lifts it to the permutations.  Tags whose lines are
-conjugate share a skeleton up to isomorphism, so `orbit_signatures` walks
-once per braid orbit of type lines and folds every later tag whose seed
-line the walk reached into that orbit: the sweep's genus filter and the
-addendum's realized types both read it.
+signature and genus off the walk (the table check), by the one rule
+`_LineWalk.lifted_cycles` for lifting a cycle on lines, which the fibered
+products share, and `enumerate_universal` lifts it to the permutations.
+Tags whose lines are conjugate share a skeleton up to isomorphism, so
+`_orbit_walks` walks once per braid orbit of type lines and folds every
+later tag whose seed line the walk reached into that orbit: the sweep's
+genus filter reads it through `orbit_signatures`, and the addendum takes
+its walks for the realized types and the rows' representatives.
 """
 
 from __future__ import annotations
@@ -291,41 +293,44 @@ class _LineWalk:
         self.lines, self.index, self.potential = lines, index, potential
         self.black, self.white, self.region = black, white, region
 
-    def signature(self):
-        """(SkeletonSignature, genus) of the orbit, read off the base.
+    def lifted_cycles(self, step):
+        """(cycle_of, cycles): the cycles over each cycle of step on lines.
 
-        A cycle of g on lines of length L and net voltage mu lifts to
-        k / ord(mu) cycles of length L ord(mu), with ord(mu) = r / gcd(r, mu).
-        This is exact on every orbit, transitive or not.
+        cycle_of[i] numbers the cycle of step through line i.  A cycle of
+        length L and net voltage mu lifts to k / ord(mu) cycles of length
+        L ord(mu), with ord(mu) = r / gcd(r, mu), and cycles[c] is that
+        (length, count) for cycle c.  This is exact on every orbit,
+        transitive or not.
         """
-        n, r, k = len(self.lines), self.r, self.k
+        r, k = self.r, self.k
+        cycle_of = [-1] * len(step)
+        cycles = []
+        for start in range(len(step)):
+            if cycle_of[start] >= 0:
+                continue
+            c = len(cycles)
+            length, mu, j = 0, 0, start
+            while cycle_of[j] < 0:
+                cycle_of[j] = c
+                length += 1
+                j, d = step[j]
+                mu += d
+            o = r // gcd(r, mu)
+            if k % o:
+                raise AssertionError(f"cycle voltage outside the local "
+                                     f"group for {self.spec}")
+            cycles.append((length * o, k // o))
+        return cycle_of, cycles
 
-        def lifted_cycles(step):
-            """(length, count) of the cycles over each cycle of step on lines."""
-            seen = [False] * n
-            out = []
-            for start in range(n):
-                if seen[start]:
-                    continue
-                length, mu, j = 0, 0, start
-                while not seen[j]:
-                    seen[j] = True
-                    length += 1
-                    j, d = step[j]
-                    mu += d
-                o = r // gcd(r, mu)
-                if k % o:
-                    raise AssertionError(f"cycle voltage outside the local "
-                                         f"group for {self.spec}")
-                out.append((length * o, k // o))
-            return out
-
-        black_cycles = lifted_cycles(self.black)
-        white_cycles = lifted_cycles(self.white)
+    def signature(self):
+        """(SkeletonSignature, genus) of the orbit, read off the base by
+        lifted_cycles."""
+        black_cycles = self.lifted_cycles(self.black)[1]
+        white_cycles = self.lifted_cycles(self.white)[1]
         widths = []
-        for width, count in lifted_cycles(self.region):
+        for width, count in self.lifted_cycles(self.region)[1]:
             widths.extend([width] * count)
-        edges = n * k
+        edges = len(self.lines) * self.k
         sig = SkeletonSignature(
             edges,
             sum(c for length, c in white_cycles if length == 1),
@@ -383,31 +388,45 @@ def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
     return _LineWalk(spec, state_cap).signature()
 
 
-def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP):
-    """[(signature, genus, tags)], one entry per braid orbit of type lines.
+def _orbit_walks(root, tags, ambient, state_cap):
+    """Yield (walk, tags) for each braid orbit of type lines, as walked.
 
     Conjugate module lines have conjugate universal subgroups: if
     rep(line of v_T_perp) g = lambda rep(line of v_T'_perp), the
     stabilizer of v_T'_perp modulo the scalars is the g-conjugate of that
     of v_T_perp, since scaling a covector leaves its stabilizer alone.
-    Their skeletons are then isomorphic, with one signature and genus.  A
-    walk's index holds every line in the orbit of its seed, so the tags,
-    taken in the given order, join the first group whose walk reached
-    their seed line, and start a walk of their own otherwise.  Only each
-    walk's index is kept.  Raises EnumerationCapExceeded as
-    universal_signature does on the group's first tag.
+    Their skeletons are then isomorphic.  A walk's index holds every line
+    in the orbit of its seed, so the tags, taken in the given order, join
+    the first orbit whose walk reached their seed line, and start a walk
+    of their own otherwise.  Each orbit is yielded when its first tag is
+    walked; its list of tags gains the later tags folded into it, and is
+    complete once the generator is exhausted.  Only each walk's index is
+    kept here.
     """
-    groups = []  # (index, signature, genus, tags)
+    orbits = []  # (index, tags)
     for tag in tags:
         seed = _seed_line(root, tag)
-        for index, _, _, members in groups:
+        for index, members in orbits:
             if seed in index:
                 members.append(tag)
                 break
         else:
             walk = _LineWalk(UniversalGroupSpec(root, tag, ambient), state_cap)
-            groups.append((walk.index, *walk.signature(), [tag]))
-    return [(sig, g, members) for _, sig, g, members in groups]
+            orbits.append((walk.index, [tag]))
+            yield walk, orbits[-1][1]
+
+
+def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP):
+    """[(signature, genus, tags)], one entry per braid orbit of type lines.
+
+    Conjugate lines share a skeleton up to isomorphism, with one signature
+    and genus, so each orbit is walked once, by _orbit_walks, and each
+    walk is dropped once its signature is read.  Raises
+    EnumerationCapExceeded as universal_signature does on the orbit's
+    first tag.
+    """
+    return [(*walk.signature(), members)
+            for walk, members in _orbit_walks(root, tags, ambient, state_cap)]
 
 
 def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):

@@ -10,22 +10,25 @@ the sieve evaluates each (u, w) pair once for every l; `sweep_pairs`
 flattens a sweep to its classification; `check_type_specification` and
 `type_ii_odd_width_excluded` state lifting conditions of the paper that
 the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
-word's degree, a Burau matrix's determinant and the smallest skeleton;
-`count_calls` records the calls of a package function;
+word's degree, a Burau matrix's determinant and the smallest skeleton,
+and `single_edge_walk` is the walk that skeleton lifts from;
+`reference_fibered_product` is the fibered product of two lifted
+skeletons, pair by pair, the reference for the package's product on the
+walks' base; `count_calls` records the calls of a package function;
 `realized_types_alone` is the addendum's conjugacy check with each type
 lifted and tested on its own.
 """
 
 import sys
-from math import gcd
+from math import gcd, lcm
 
 from burausieve.burau import BurauMatrix
 from burausieve.exactalg import IntPoly, _fp_divmod, _fp_monic, cyclotomic, \
     substitute_neg
-from burausieve.intersect import conjugate_to_e2
+from burausieve.intersect import FiberedProduct, conjugate_to_e2
 from burausieve.sieve import _SievePass, _require_distinct_projections
-from burausieve.skeleton import Skeleton, UniversalGroupSpec, \
-    enumerate_universal, genus
+from burausieve.skeleton import Skeleton, UniversalGroupSpec, _euler_genus, \
+    _LineWalk, enumerate_universal, genus
 from burausieve.typesys import admissible_types
 
 
@@ -145,6 +148,16 @@ def det(m):
 def single_edge():
     """The one-edge skeleton of the full modular group."""
     return Skeleton((0,), (0,))
+
+
+def single_edge_walk():
+    """The walk the one-edge skeleton lifts from: one line, which every
+    step fixes with voltage 0, and a trivial fiber."""
+    walk = object.__new__(_LineWalk)
+    walk.spec, walk.r, walk.k = "the one-edge skeleton", 1, 1
+    walk.lines, walk.index, walk.potential = [0], {0: 0}, [0]
+    walk.black = walk.white = walk.region = [(0, 0)]
+    return walk
 
 
 def sigma1_power(l):
@@ -273,3 +286,72 @@ def realized_types_alone(root):
         enumerate_universal(UniversalGroupSpec(root, tag, "bu3"))) == 0]
     return realized, all(conjugate_to_e2(UniversalGroupSpec(root, tag, "bu3"))
                          for tag in realized)
+
+
+# -- the fibered product of lifted skeletons ---------------------------------
+
+
+def _region_lengths(sk):
+    """The length of the region cycle through each edge."""
+    out = [0] * sk.edge_count
+    for cyc in sk.region_cycles():
+        for e in cyc:
+            out[e] = len(cyc)
+    return out
+
+
+def reference_fibered_product(s1, s2):
+    """Edges and genus of each component of the product over the one-edge base.
+
+    Edges are pairs k = i * e2 + j, and the black and white permutations
+    act coordinatewise; so does the region permutation, so a pair whose
+    coordinates lie on region cycles of lengths x and y lies on one of
+    length lcm(x, y).  One labelling pass sums, per component, its pairs E,
+    its black- and white-fixed pairs and F * L = sum of L / lcm(x, y), with
+    L the lcm of both factors' widths.  Black has order 3 and white order 2
+    because they do on the factors, so V = (E + 2 fix_black) / 3 +
+    (E + fix_white) / 2 and F = (F * L) / L, and Euler's formula gives the
+    genus.  A component is connected because it is labelled by its walk.
+    """
+    e1, e2 = s1.edge_count, s2.edge_count
+    b1, w1, b2, w2 = s1.black, s1.white, s2.black, s2.white
+    len1, len2 = _region_lengths(s1), _region_lengths(s2)
+    widths1, widths2 = sorted(set(len1)), sorted(set(len2))
+    L = lcm(*widths1, *widths2)
+    # weight[x1[i] + y2[j]] = L / lcm(x, y) for the widths x, y through i, j
+    weight = [L // lcm(x, y) for x in widths1 for y in widths2]
+    row = {x: a * len(widths2) for a, x in enumerate(widths1)}
+    col = {y: c for c, y in enumerate(widths2)}
+    x1 = [row[x] for x in len1]
+    y2 = [col[y] for y in len2]
+
+    seen = bytearray(e1 * e2)
+    components = []
+    for start in range(e1 * e2):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        stack = [start]
+        edges = fix_black = fix_white = faces_l = 0
+        while stack:
+            k = stack.pop()
+            i, j = divmod(k, e2)
+            edges += 1
+            faces_l += weight[x1[i] + y2[j]]
+            f = b1[i] * e2 + b2[j]
+            if f == k:
+                fix_black += 1
+            elif not seen[f]:
+                seen[f] = 1
+                stack.append(f)
+            f = w1[i] * e2 + w2[j]
+            if f == k:
+                fix_white += 1
+            elif not seen[f]:
+                seen[f] = 1
+                stack.append(f)
+        if (edges + 2 * fix_black) % 3 or (edges + fix_white) % 2 or faces_l % L:
+            raise AssertionError("product cycle counts are not integral")
+        vertices = (edges + 2 * fix_black) // 3 + (edges + fix_white) // 2
+        components.append((edges, _euler_genus(vertices, edges, faces_l // L)))
+    return FiberedProduct(e1, e2, tuple(components))

@@ -12,7 +12,8 @@ import pytest
 from covector_oracle import covector_bfs, product_skeletons, \
     verify_region_widths
 from helpers import bdeg, count_calls, det, realized_types_alone, \
-    reference_resultants, resultant_with_cyclotomic, single_edge, sweep_pairs
+    reference_fibered_product, reference_resultants, \
+    resultant_with_cyclotomic, single_edge, single_edge_walk, sweep_pairs
 
 from burausieve import sieve, skeleton
 from burausieve.burau import BraidWord, specialize, to_burau
@@ -21,9 +22,9 @@ from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import fibered_product, verify_addendum_pairwise
 from burausieve.sieve import ExceptionalTriple, branches_for, full_sweep, \
     is_informative
-from burausieve.skeleton import UniversalGroupSpec, enumerate_universal, \
-    euler_lhs, genus, orbit_signatures, signature, table_verify, \
-    universal_signature
+from burausieve.skeleton import UniversalGroupSpec, _LineWalk, \
+    enumerate_universal, euler_lhs, genus, orbit_signatures, signature, \
+    table_verify, universal_signature
 from burausieve.typesys import root_spec
 
 
@@ -106,9 +107,10 @@ def test_criterion_4_star_classification():
     print("\nACCEPTANCE 4 (star classification, 9 starred / 4 unstarred): PASS")
 
 
-def test_criterion_5_addendum(row_skeletons):
+def test_criterion_5_addendum():
     """78 pairwise products all positive genus; realized types conjugate."""
-    reps = [(row.label, sk) for row, sk in row_skeletons]
+    reps = [(row.label, _LineWalk(UniversalGroupSpec(
+        root_spec(row.p, row.factors[0]), "I", "bu3"))) for row in GOLDEN_ROWS]
     report = verify_addendum_pairwise(reps)
     assert report["ok"]
     assert len(report["pairs"]) == 78
@@ -156,11 +158,17 @@ def test_criterion_6_property_suites(row_skeletons):
         assert verify_region_widths(sk, row.N)
         q = root.field.order
         assert sk.edge_count == (q * q - 1) // root.M
-    # base-change identity of the fibered product
+    # base-change identity of the fibered product, on the walks' base and
+    # pair by pair on the lifted skeletons
     for row, sk in row_skeletons[:4]:
-        fp = fibered_product(single_edge(), sk)
+        walk = _LineWalk(UniversalGroupSpec(root_spec(row.p, row.factors[0]),
+                                            "I", "bu3"))
+        fp = fibered_product(single_edge_walk(), walk)
+        ref = reference_fibered_product(single_edge(), sk)
         comps = product_skeletons(single_edge(), sk)
-        assert fp.components == tuple((c.edge_count, genus(c)) for c in comps)
+        assert fp.components == ref.components == tuple(
+            (c.edge_count, genus(c)) for c in comps)
+        assert fp.total_edges == ref.total_edges == sk.edge_count
         assert len(fp.components) == 1
         assert signature(comps[0]) == signature(sk)
     print("\nACCEPTANCE 6 (property suites): PASS")

@@ -268,7 +268,7 @@ class TestTable:
 
 class TestAddendum:
     def test_leaves_the_cache_alone(self, run, tmp_path):
-        # the representatives are lifted from the walk, never read from or
+        # the representatives are walks over lines, never read from or
         # written to the skeleton cache, even where it holds a corrupt
         # entry of row 1's representative
         cache = tmp_path / "addendum-cache"
@@ -289,24 +289,24 @@ class TestAddendum:
     def test_one_line_walk_per_orbit(self, run, monkeypatch):
         # the 43 admissible (row, tag) lines fall in one braid orbit per
         # row, that of e2's line, so the genus and the conjugacy to e2 read
-        # one walk per row, of type I.  Each row's representative is lifted
-        # from one more walk, of type I over the same root
+        # one walk per row, of type I; the same walk is the row's
+        # representative in the products, and nothing is lifted
         lifts = count_calls(monkeypatch, skeleton, "enumerate_universal")
         walks = count_calls(monkeypatch, skeleton, "_LineWalk")
         assert run("addendum", "--json")[0] == 0
         roots = [str(root_spec(row.p, row.factors[0])) for row in GOLDEN_ROWS]
-        assert sorted(str(spec.root) for spec, _ in lifts) == sorted(roots)
-        assert sorted(str(spec.root) for spec, _ in walks) == sorted(2 * roots)
-        assert {spec.type_tag for spec, _ in lifts + walks} == {"I"}
+        assert lifts == []
+        assert sorted(str(spec.root) for spec, _ in walks) == sorted(roots)
+        assert {spec.type_tag for spec, _ in walks} == {"I"}
 
     @pytest.mark.parametrize("argv, skeletons", [
-        (("addendum", "--json"), 13),
-        (("addendum", "--all-groups", "--json"), 31),
+        (("addendum", "--json"), 0),
+        (("addendum", "--all-groups", "--json"), 0),
     ], ids=["rows", "all-groups"])
     def test_warm_run_builds_only_the_representatives(self, run, tmp_path,
                                                       monkeypatch, argv, skeletons):
-        # the fibered products count their components' genus; the only
-        # skeletons are the representatives, lifted afresh on every run
+        # the fibered products are taken on the walks' base, so not even
+        # the representatives are lifted to skeletons, on any run
         cache = str(tmp_path / "addendum-cache")
         assert run("--cache-dir", cache, *argv)[0] == 0
         calls = count_calls(monkeypatch, skeleton.Skeleton, "__init__")
@@ -336,7 +336,12 @@ class TestBadInput:
         ("--state-cap", "0", "skeleton", "--p", "19", "--min-poly", "t+4"),
         ("--state-cap", "-1", "skeleton", "--p", "19", "--min-poly", "t+4"),
         ("factors", "--n", "0", "--p", "19"),
-    ], ids=["state-cap-zero", "state-cap-negative", "factors-n-zero"])
+        # numbers are ASCII decimal digits, as --n-range takes them
+        ("factors", "--n", "٩", "--p", "19"),
+        ("factors", "--n", "9", "--p", "1_9"),
+        ("table", "--row", "١"),
+    ], ids=["state-cap-zero", "state-cap-negative", "factors-n-zero",
+            "factors-n-non-ascii", "factors-p-underscore", "table-row-non-ascii"])
     def test_bad_number(self, run, argv):
         assert run(*argv)[0] == 2
 

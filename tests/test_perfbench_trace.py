@@ -10,9 +10,10 @@ import importlib
 import importlib.util
 import os
 
-from helpers import single_edge
-
+from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import fibered_product
+from burausieve.skeleton import UniversalGroupSpec, _LineWalk
+from burausieve.typesys import root_spec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,6 +41,8 @@ def test_traced_names_resolve():
 
 
 def test_fibered_product_reports_total_edges():
-    # the tracer's product observer reads total_edges off every result
-    single = single_edge()
-    assert fibered_product(single, single).total_edges == 1
+    # the tracer's product observer reads total_edges off every result: the
+    # edge pairs of the lifted factors, 9 x 9 for row 1's walk with itself
+    row = GOLDEN_ROWS[0]
+    walk = _LineWalk(UniversalGroupSpec(root_spec(row.p, row.factors[0]), "I"))
+    assert fibered_product(walk, walk).total_edges == 81
