@@ -53,7 +53,11 @@ class RunConfig:
     def load(path):
         """Read and check a JSON config file; raises OSError or ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except RecursionError:  # json.JSONDecodeError is a ValueError
+                raise ValueError(f"malformed config file {path}: JSON "
+                                 f"nested too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
         unknown = sorted(set(raw) - {"informative_sets", "state_cap"})
@@ -63,17 +67,19 @@ class RunConfig:
         if "informative_sets" in raw:
             cfg.informative_sets = _checked_word_sets(raw["informative_sets"])
         if "state_cap" in raw:
-            cfg.state_cap = positive_int(raw["state_cap"])
+            cap = raw["state_cap"]
+            if type(cap) is not int or cap < 1:  # a JSON integer, not text
+                raise ValueError(f"state_cap must be a positive integer, "
+                                 f"got {cap!r}")
+            cfg.state_cap = cap
         return cfg
 
 
-def positive_int(value):
-    """An integer >= 1, given as command-line text in ASCII decimal digits
-    or as a JSON config value."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)) \
-            or re.fullmatch(r"[0-9]+", str(value)) is None or int(value) < 1:
-        raise ValueError(f"expected a positive integer, got {value!r}")
-    return int(value)
+def positive_int(text):
+    """An integer >= 1, given as command-line text in ASCII decimal digits."""
+    if re.fullmatch(r"[0-9]+", text) is None or int(text) < 1:
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _checked_word_sets(raw):
@@ -86,7 +92,7 @@ def _checked_word_sets(raw):
         raise ValueError("informative_sets must map N to lists of braid words")
     lo, hi = SWEEP_RANGE
     for key in raw:
-        if not (key.isdecimal() and lo <= int(key) <= hi):
+        if not (re.fullmatch(r"[0-9]+", key) and lo <= int(key) <= hi):
             raise ValueError(f"informative_sets key {key!r} is not an N in "
                              f"{lo}..{hi}")
     return {int(key): sets for key, sets in raw.items()}
@@ -107,15 +113,15 @@ def _cache_key(p, min_poly_text, tag, ambient):
 
 def _read_cached(path):
     """The skeleton cached at path, or None when the entry is missing or
-    corrupt: unreadable JSON, wrong keys or schema, or permutations that
-    the Skeleton constructor rejects."""
+    corrupt: unreadable or too deeply nested JSON, wrong keys or schema, or
+    permutations that the Skeleton constructor rejects."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if data["schemaVersion"] != SCHEMA_VERSION:
             return None
         return Skeleton(tuple(data["blackPerm"]), tuple(data["whitePerm"]))
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
 
 

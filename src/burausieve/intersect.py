@@ -6,10 +6,12 @@ components of the fibered product over the one-edge base, and every such
 component must have positive genus.  The product is computed on the base
 of the two factors' walks over lines, as a voltage graph over the pairs
 of lines (Gross and Tucker's lifting, as _LineWalk.signature reads one
-walk): one pass over the pairs of each base component gives the
-component's local group, and with it the edges, vertices and regions of
-the isomorphic components that lie over it, which go straight into
-Euler's formula; no skeleton is lifted.  Conjugacy of a module to the
+walk).  Each factor's black and white steps are lifted to its edges by
+_LineWalk.edge_steps, the rule enumerate_universal lifts a skeleton by.
+One pass over the pairs of each base component gives the component's
+local group, and with it the edges, vertices and regions of the
+isomorphic components that lie over it, which go straight into Euler's
+formula; no product skeleton is built.  Conjugacy of a module to the
 span of e2 is decided on the projective line, where scalars act
 trivially: it is membership of e2's line in the braid orbit of the
 module's line.  addendum_report runs both checks of the paper's
@@ -46,24 +48,6 @@ class FiberedProduct:
         return min(g for _, g in self.components)
 
 
-def _fiber_steps(walk, step):
-    """The lift of step to the edges (i, t), numbered i * k + t.
-
-    Edge (i, t) is the state (i, potential[i] + m t) with m = r / k, and a
-    step (j, d) maps it to (j, t + delta) with delta = (potential[i] + d -
-    potential[j]) / m, which is exact: every such difference lies in the
-    local group K = m Z / r Z.
-    """
-    k = walk.k
-    m, potential = walk.r // k, walk.potential
-    shifted = [[(t + delta) % k for t in range(k)] for delta in range(k)]
-    images = []
-    for i, (j, d) in enumerate(step):
-        delta = (potential[i] + d - potential[j]) // m % k
-        images += [j * k + t for t in shifted[delta]]
-    return images
-
-
 def _region_classes(walk):
     """(widths, class_of): the distinct widths of the walk's region cycles,
     and for each line the position in widths of those over it."""
@@ -91,9 +75,11 @@ def fibered_product(w1, w2):
     """Edges and genus of each component of the product over the one-edge base.
 
     The factors are the skeletons lifted from the walks w1 and w2.  Their
-    edges (i, t) are lines with a fiber coordinate in Z/k, and the black
-    and white steps add a voltage in Z/k (_fiber_steps), so the product is
-    a voltage graph over the pairs of lines with group Z/k1 x Z/k2.  One
+    edges (i, t) are lines with a fiber coordinate in Z/k, numbered
+    i * k + t, and the black and white steps add a voltage in Z/k: both
+    are lifted to these edges by _LineWalk.edge_steps, the rule that
+    enumerate_universal lifts a skeleton by.  So the product is a voltage
+    graph over the pairs of lines with group Z/k1 x Z/k2.  One
     walk over each base component C keeps, for each pair, its potential:
     the edge pair over it first reached, as one integer code.  A step that
     reaches a pair with another potential closes a cycle of nonzero net
@@ -118,9 +104,9 @@ def fibered_product(w1, w2):
     row1 = [class1[s // k1] * len(widths2) for s in range(n1 * k1)]
     col2 = [class2[s // k2] for s in range(e2)]
     # edge s1 of w1 steps to the pair code s1' * e2 + s2' over pair i1' * n2 + i2'
-    black1, white1 = ([(s * e2, s // k1 * n2) for s in _fiber_steps(w1, step)]
+    black1, white1 = ([(s * e2, s // k1 * n2) for s in w1.edge_steps(step)]
                       for step in (w1.black, w1.white))
-    black2, white2 = ([(s, s // k2) for s in _fiber_steps(w2, step)]
+    black2, white2 = ([(s, s // k2) for s in w2.edge_steps(step)]
                       for step in (w2.black, w2.white))
 
     code = array("q", [-1]) * (n1 * n2)

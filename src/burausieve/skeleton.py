@@ -6,10 +6,12 @@ are white vertices); regions are the orbits of the derived third action.
 The cosets of a universal subgroup are its annihilator covectors up to
 scalar, a cyclic cover of the projective line.  One walk over at most
 q + 1 projective lines, `_LineWalk`, records each step's voltage in the
-fiber Z/r; every reader works from it.  `universal_signature` reads the
-signature and genus off the walk (the table check), by the one rule
-`_LineWalk.lifted_cycles` for lifting a cycle on lines, which the fibered
-products share, and `enumerate_universal` lifts it to the permutations.
+fiber Z/r; every reader works from it.  `_LineWalk.signature` reads the
+signature and genus off the walk (the table check) by the one rule for
+lifting a cycle on lines, `_LineWalk.lifted_cycles`, and every lift of a
+step to the orbit's edges goes through the one rule `_LineWalk.edge_steps`:
+`enumerate_universal` lifts black, white and region with it and numbers
+the edges breadth-first.  The fibered products share both rules.
 Tags whose lines are conjugate share a skeleton up to isomorphism, so
 `_orbit_walks` walks once per braid orbit of type lines and folds every
 later tag whose seed line the walk reached into that orbit: the sweep's
@@ -340,52 +342,49 @@ class _LineWalk:
                     + sum(c for _, c in white_cycles))
         return sig, _euler_genus(vertices, edges, len(widths))
 
+    def edge_steps(self, step):
+        """The lift of step to the edges (i, t), numbered i * k + t.
+
+        Edge (i, t) is the state (i, potential[i] + m t) with m = r / k, and a
+        step (j, d) maps it to (j, t + delta) with delta = (potential[i] + d -
+        potential[j]) / m, which is exact: every such difference lies in the
+        local group K = m Z / r Z.
+        """
+        k = self.k
+        m, potential = self.r // k, self.potential
+        shifted = [[(t + delta) % k for t in range(k)] for delta in range(k)]
+        images = []
+        for i, (j, d) in enumerate(step):
+            delta = (potential[i] + d - potential[j]) // m % k
+            images += [j * k + t for t in shifted[delta]]
+        return images
+
 
 def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
     """The skeleton of a universal subgroup, lifted from the walk over lines.
 
-    A coset is a state (line i, y in Z/r), seeded at (0, 0) for the line of
-    v_T_perp, and a step (j, d) of the walk maps (i, y) to (j, y + d).  The
-    states reached are those with y in potential[i] + K, so each has a slot
-    in an array of lines * k.  States are numbered breadth-first, black
-    before white, exactly as a covector orbit walk numbers its cosets; the
-    lifted s1 is cross-checked against the composition convention.
+    _LineWalk.edge_steps lifts black, white and region to the walk's
+    lines * k edges, edge 0 being the seed's coset.  The edges are then
+    renumbered breadth-first from edge 0, black before white, exactly as a
+    covector orbit walk numbers its cosets; the lifted s1 is cross-checked
+    against the composition convention.  The unnumbered lifts of black and
+    white are dropped before region is lifted, which bounds the peak memory.
     """
     walk = _LineWalk(spec, state_cap)
-    n, r, k = len(walk.lines), walk.r, walk.k
-    m = r // k
-    potential = walk.potential
-    slot_of = [-1] * (n * k)
-    slot_of[0] = 0
-    states = [(0, 0)]
-    black, white = [], []
-    e = 0
-    while e < len(states):
-        i, y = states[e]
-        for steps, images in ((walk.black, black), (walk.white, white)):
-            j, d = steps[i]
-            y2 = (y + d) % r
-            t = j * k + (y2 - potential[j]) % r // m
-            f = slot_of[t]
-            if f < 0:
-                f = slot_of[t] = len(states)
-                states.append((j, y2))
-            images.append(f)
-        e += 1
-    region = []
-    for i, y in states:
-        j, d = walk.region[i]
-        region.append(slot_of[j * k + (y + d - potential[j]) % r // m])
+    black, white = walk.edge_steps(walk.black), walk.edge_steps(walk.white)
+    number = [-1] * len(black)  # the breadth-first number of each edge
+    number[0] = 0
+    order = [0]  # the edges, breadth-first
+    for e in order:
+        for f in (black[e], white[e]):
+            if number[f] < 0:
+                number[f] = len(order)
+                order.append(f)
+    black = [number[black[e]] for e in order]
+    white = [number[white[e]] for e in order]
+    region = walk.edge_steps(walk.region)
+    region = [number[region[e]] for e in order]
     return Skeleton(black, white, region=region)
-
-
-def universal_signature(spec, state_cap=DEFAULT_STATE_CAP):
-    """Signature and genus of a universal subgroup, by the walk over lines.
-
-    Raises EnumerationCapExceeded exactly when enumerate_universal would,
-    i.e. when the orbit has more than state_cap edges.
-    """
-    return _LineWalk(spec, state_cap).signature()
 
 
 def _orbit_walks(root, tags, ambient, state_cap):
@@ -422,8 +421,7 @@ def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP):
     Conjugate lines share a skeleton up to isomorphism, with one signature
     and genus, so each orbit is walked once, by _orbit_walks, and each
     walk is dropped once its signature is read.  Raises
-    EnumerationCapExceeded as universal_signature does on the orbit's
-    first tag.
+    EnumerationCapExceeded as _LineWalk does on the orbit's first tag.
     """
     return [(*walk.signature(), members)
             for walk, members in _orbit_walks(root, tags, ambient, state_cap)]
@@ -434,9 +432,9 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
 
     For each row and each of its factors the bu3-ambient universal subgroup
     must reproduce the printed signature with genus zero, and the b3-ambient
-    genus must vanish exactly for the starred rows.  Both come from
-    universal_signature; no skeleton is built.  Returns a report dict;
-    report['ok'] is the overall verdict.
+    genus must vanish exactly for the starred rows.  Both are read off
+    the walk over lines by _LineWalk.signature; no skeleton is built.
+    Returns a report dict; report['ok'] is the overall verdict.
     """
     from .golden import GOLDEN_ROWS
 
@@ -455,10 +453,10 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
         row_ok = True
         for text in row.factors:
             root = root_spec(row.p, text)
-            sig, g0 = universal_signature(
-                UniversalGroupSpec(root, "I", "bu3"), state_cap)
-            _, g3 = universal_signature(
-                UniversalGroupSpec(root, "I", "b3"), state_cap)
+            sig, g0 = _LineWalk(UniversalGroupSpec(root, "I", "bu3"),
+                                state_cap).signature()
+            _, g3 = _LineWalk(UniversalGroupSpec(root, "I", "b3"),
+                              state_cap).signature()
             ok = (sig == want_sig and g0 == 0 and (g3 == 0) == row.starred
                   and root.N == row.N)
             fac_entry = {

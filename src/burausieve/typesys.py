@@ -98,36 +98,28 @@ def type_coefficient_laurent(tag, M, p_is_3):
     """The Laurent polynomial a_T(t), exponents resolved for this M.
 
     p_is_3 selects the p = 3 branch, where the monovalent-black exponent is
-    fixed at -1 instead of +-M/3 - 1.
+    fixed at -1 instead of +-M/3 - 1.  A tag that type_tags does not list
+    for (M, p_is_3) raises ValueError.
     """
+    if tag not in type_tags(M, p_is_3):
+        raise ValueError(f"type {tag!r} is not admissible for M={M}"
+                         f"{' and p=3' if p_is_3 else ''}")
     if tag == "I":
         return IntPoly.zero()
     if tag == "II":
         return IntPoly((1, 1), -1)
     if tag == "III+":
-        if p_is_3 or M % 3 != 0:
-            raise ValueError("III+ needs p != 3 and 3 | M")
         return IntPoly((-1,), M // 3 - 1)
     if tag == "III-":
-        if p_is_3 or M % 3 != 0:
-            raise ValueError("III- needs p != 3 and 3 | M")
         return IntPoly((-1,), -(M // 3) - 1)
     if tag == "III3":
-        if not p_is_3:
-            raise ValueError("III3 is the p = 3 branch only")
         return IntPoly((-1,), -1)
-    if tag == "IV":
-        if M % 2 == 0:
-            raise ValueError("IV needs M odd")
-        return IntPoly((1,), (M - 1) // 2)
-    raise ValueError(f"unknown type tag {tag!r}")
+    return IntPoly((1,), (M - 1) // 2)  # IV
 
 
 def type_vector(tag, spec):
     """The codes of v_T_perp = (-1, a_T(xi)), the covector annihilating
     v_T = a_T(xi) e1 + e2."""
-    if tag not in admissible_types(spec):
-        raise ValueError(f"type {tag} is not admissible for {spec}")
     a_poly = type_coefficient_laurent(tag, spec.M, spec.p == 3)
     field = spec.field
     return field.evaluate(IntPoly.const(-1)), field.evaluate(a_poly)

@@ -24,7 +24,7 @@ from burausieve.sieve import ExceptionalTriple, branches_for, full_sweep, \
     is_informative
 from burausieve.skeleton import UniversalGroupSpec, _LineWalk, \
     enumerate_universal, euler_lhs, genus, orbit_signatures, signature, \
-    table_verify, universal_signature
+    table_verify
 from burausieve.typesys import root_spec
 
 
@@ -233,7 +233,7 @@ def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):
             for tr in triples:
                 spec = UniversalGroupSpec(root_spec(tr.p, tr.min_poly),
                                           tr.type_tag, "bu3")
-                sig, g = universal_signature(spec)
+                sig, g = _LineWalk(spec).signature()
                 if sig.edges > 50_000:
                     continue
                 oracle = covector_bfs(spec, 50_000)
@@ -266,7 +266,7 @@ def test_orbit_grouping_is_certified_on_the_sweep(sweep):
             for sig, g, orbit in groups:
                 for tag in orbit[1:]:
                     spec = UniversalGroupSpec(root, tag, "bu3")
-                    assert universal_signature(spec) == (sig, g), str(spec)
+                    assert _LineWalk(spec).signature() == (sig, g), str(spec)
             tags_seen += len(tags)
             groups_seen += len(groups)
     assert (tags_seen, groups_seen) == (586, 259)

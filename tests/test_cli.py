@@ -82,6 +82,13 @@ class TestFactors:
         assert all(f.startswith(f"t^{degree // count}+") for f in factors)
 
 
+def _repeat_first_black_image(text):
+    """A cache entry whose black permutation maps edges 0 and 1 alike."""
+    data = json.loads(text)
+    data["blackPerm"][0] = data["blackPerm"][1]
+    return json.dumps(data)
+
+
 class TestSkeleton:
     def test_row_one(self, run):
         code, out = run("skeleton", "--p", "2", "--min-poly", "t^3+t+1",
@@ -137,25 +144,18 @@ class TestSkeleton:
                       "--min-poly", "t+4")
         assert code == 3
 
-    def test_truncated_cache_entry_is_a_miss(self, run, tmp_path):
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[:len(text) // 2],
+        _repeat_first_black_image,
+        # too deep for json's parser, which raises RecursionError
+        lambda text: "[" * 200_000,
+    ], ids=["truncated", "bad-permutation", "nested"])
+    def test_corrupt_cache_entry_is_a_miss(self, run, tmp_path, corrupt):
         args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
         _, cold = run(*args)
         [entry] = (tmp_path / "cache").iterdir()
         text = entry.read_text()
-        entry.write_text(text[:len(text) // 2])
-        code, warm = run(*args)
-        assert code == 0
-        assert warm == cold
-        assert entry.read_text() == text
-
-    def test_bad_permutation_cache_entry_is_a_miss(self, run, tmp_path):
-        args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
-        _, cold = run(*args)
-        [entry] = (tmp_path / "cache").iterdir()
-        text = entry.read_text()
-        data = json.loads(text)
-        data["blackPerm"][0] = data["blackPerm"][1]
-        entry.write_text(json.dumps(data))
+        entry.write_text(corrupt(text))
         code, warm = run(*args)
         assert code == 0
         assert warm == cold
@@ -375,26 +375,35 @@ class TestBadInput:
         code, _ = run("--config", str(tmp_path / "absent.json"), "table")
         assert code == 2
 
-    @pytest.mark.parametrize("config, message", [
-        ({"state_cap": "abc"}, "positive integer"),
-        ({"informative_sets": {"9": [["e", "s3"]]}}, "s3"),
-        ({"informative_sets": {"9": [["e", "T s1 s1^-1"]]}}, "projection"),
-        ({"state-cap": 5}, "unknown config key 'state-cap'"),
-        ({"informative_sets": {"99": [["e"]]}}, "informative_sets key '99'"),
-        ({"informative_sets": {"nine": [["e"]]}}, "informative_sets key 'nine'"),
-        ({"informative_sets": {"9": [["e", "s1^99999999999"]]}}, "exceeds 1000"),
-        ({"informative_sets": {"9": [["e", "s1^-1001"]]}}, "exceeds 1000"),
-        ({"informative_sets": {"9": [["e", "s1^"]]}}, "malformed exponent"),
-        ({"informative_sets": {"9": [["e", "s1^1_000"]]}}, "malformed exponent"),
-        ({"informative_sets": {"9": [["e", "s1^٣"]]}}, "malformed exponent"),
-        ({"cache_dir": "elsewhere"}, "unknown config key 'cache_dir'"),
+    @pytest.mark.parametrize("text, message", [
+        ('{"state_cap": "abc"}', "positive integer"),
+        ('{"informative_sets": {"9": [["e", "s3"]]}}', "s3"),
+        ('{"informative_sets": {"9": [["e", "T s1 s1^-1"]]}}', "projection"),
+        ('{"state-cap": 5}', "unknown config key 'state-cap'"),
+        ('{"informative_sets": {"99": [["e"]]}}', "informative_sets key '99'"),
+        ('{"informative_sets": {"nine": [["e"]]}}',
+         "informative_sets key 'nine'"),
+        ('{"informative_sets": {"9": [["e", "s1^99999999999"]]}}',
+         "exceeds 1000"),
+        ('{"informative_sets": {"9": [["e", "s1^-1001"]]}}', "exceeds 1000"),
+        ('{"informative_sets": {"9": [["e", "s1^"]]}}', "malformed exponent"),
+        ('{"informative_sets": {"9": [["e", "s1^1_000"]]}}',
+         "malformed exponent"),
+        ('{"informative_sets": {"9": [["e", "s1^٣"]]}}', "malformed exponent"),
+        ('{"cache_dir": "elsewhere"}', "unknown config key 'cache_dir'"),
+        # too deep for json's parser, which raises RecursionError
+        ("[" * 200_000, "malformed config file"),
+        # keys are ASCII digits, as --n-range takes them
+        ('{"informative_sets": {"٩": [["e"]]}}', "informative_sets key '٩'"),
+        ('{"state_cap": "12"}', "state_cap must be a positive integer"),
     ], ids=["state-cap-text", "unknown-letter", "shared-projection",
             "unknown-key", "n-out-of-range", "n-not-an-integer",
             "exponent-too-large", "exponent-too-small", "exponent-empty",
-            "exponent-underscore", "exponent-non-ascii", "cache-dir-key"])
-    def test_bad_config(self, run, tmp_path, config, message):
+            "exponent-underscore", "exponent-non-ascii", "cache-dir-key",
+            "nested", "n-non-ascii", "state-cap-digit-text"])
+    def test_bad_config(self, run, tmp_path, text, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(text, encoding="utf-8")
         code, _ = run("--config", str(cfg), "sieve", "--n-range", "9..9",
                       "--raw")
         assert code == 2

@@ -20,7 +20,6 @@ from burausieve.skeleton import (
     genus,
     orbit_signatures,
     signature,
-    universal_signature,
 )
 from burausieve.typesys import root_spec
 
@@ -191,5 +190,5 @@ class TestConjugacy:
         assert [orbit for *_, orbit in groups] == [["I", "IV"], ["II"]]
         for sig, g, orbit in groups:
             for tag in orbit:
-                assert universal_signature(
-                    UniversalGroupSpec(root, tag, "bu3")) == (sig, g)
+                assert _LineWalk(UniversalGroupSpec(
+                    root, tag, "bu3")).signature() == (sig, g)

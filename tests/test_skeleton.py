@@ -16,12 +16,12 @@ from burausieve.skeleton import (
     Skeleton,
     SkeletonSignature,
     UniversalGroupSpec,
+    _LineWalk,
     enumerate_universal,
     euler_lhs,
     genus,
     signature,
     table_verify,
-    universal_signature,
 )
 from burausieve.typesys import admissible_types, root_spec
 
@@ -256,11 +256,11 @@ def assert_voltage_walk_matches(spec):
     sk = enumerate_universal(spec)
     assert (sk.black, sk.white, sk.region) == (
         oracle.black, oracle.white, oracle.region)
-    assert universal_signature(spec) == (signature(oracle), genus(oracle))
+    assert _LineWalk(spec).signature() == (signature(oracle), genus(oracle))
 
 
 class TestVoltageWalk:
-    """enumerate_universal and universal_signature against the covector BFS."""
+    """enumerate_universal and _LineWalk.signature against the covector BFS."""
 
     @pytest.mark.parametrize("ambient", ["bu3", "b3"])
     def test_golden_factors(self, ambient):
@@ -285,18 +285,18 @@ class TestVoltageWalk:
     def test_state_cap_boundary(self):
         # the orbit has 43,956 edges; both paths accept exactly that many
         spec = UniversalGroupSpec(root_spec(593, "t+201"), "I", "bu3")
-        sig, _ = universal_signature(spec, state_cap=43956)
+        sig, _ = _LineWalk(spec, state_cap=43956).signature()
         assert sig.edges == 43956
         assert enumerate_universal(spec, state_cap=43956).edge_count == 43956
         with pytest.raises(EnumerationCapExceeded):
-            universal_signature(spec, state_cap=43955)
+            _LineWalk(spec, state_cap=43955).signature()
         with pytest.raises(EnumerationCapExceeded):
             enumerate_universal(spec, state_cap=43955)
 
     def test_cap_below_the_line_count(self):
         with pytest.raises(EnumerationCapExceeded):
-            universal_signature(
-                UniversalGroupSpec(root_spec(43, "t+4"), "I", "bu3"), state_cap=10)
+            _LineWalk(UniversalGroupSpec(root_spec(43, "t+4"), "I", "bu3"),
+                      state_cap=10).signature()
 
     def test_walk_stops_at_the_cap(self, monkeypatch):
         # F_100003 has 100,004 lines; the walk stops at the 101st, having
@@ -311,5 +311,6 @@ class TestVoltageWalk:
 
         monkeypatch.setattr(root.field, "mul", counting)
         with pytest.raises(EnumerationCapExceeded, match="more than 100 cosets"):
-            universal_signature(UniversalGroupSpec(root, "I", "bu3"), state_cap=100)
+            _LineWalk(UniversalGroupSpec(root, "I", "bu3"),
+                      state_cap=100).signature()
         assert len(products) < 1000
