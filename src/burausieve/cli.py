@@ -113,14 +113,20 @@ def _cache_key(p, min_poly_text, tag, ambient):
 
 def _read_cached(path):
     """The skeleton cached at path, or None when the entry is missing or
-    corrupt: unreadable or too deeply nested JSON, wrong keys or schema, or
-    permutations that the Skeleton constructor rejects."""
+    corrupt: unreadable or too deeply nested JSON, wrong keys or schema,
+    permutations that are not lists of JSON integers (true and false
+    compare equal to 1 and 0, but print otherwise), or permutations that
+    the Skeleton constructor rejects."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if data["schemaVersion"] != SCHEMA_VERSION:
             return None
-        return Skeleton(tuple(data["blackPerm"]), tuple(data["whitePerm"]))
+        perms = data["blackPerm"], data["whitePerm"]
+        if not all(type(perm) is list and set(map(type, perm)) == {int}
+                   for perm in perms):
+            return None
+        return Skeleton(*perms)
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
 

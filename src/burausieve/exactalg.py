@@ -682,7 +682,8 @@ class FieldSpec:
             prod = _fp_mod(_fp_mul(digits[a], digits[b], p), modulus, p)
             return sum(c * p ** i for i, c in enumerate(prod))
 
-        self.exp, self.log = exp_t, log_t = _unit_tables(q, times)
+        # the codes 0..p-1 are the prime field
+        self.exp, self.log = exp_t, log_t = _unit_tables(q, times, first=p)
 
         def add(a, b):
             da, db = digits[a], digits[b]
@@ -736,16 +737,29 @@ class FieldSpec:
         return mul(acc, self.power(xi, f.shift))
 
 
-def _unit_tables(q, times):
+def _unit_tables(q, times, first=1):
     """(exp, log): the powers of the first code whose powers reach all
-    q - 1 units, and their discrete logarithms (log[0] is unused)."""
-    for g in range(1, q):
-        exp_t, code = [1], g
-        while code != 1:
-            exp_t.append(code)
-            code = times(code, g)
-        if len(exp_t) == q - 1:
-            break
+    q - 1 units, and their discrete logarithms (log[0] is unused).
+
+    That code is the first g with g^((q - 1) / l) != 1 for every prime
+    l | q - 1, found by square-and-multiply; only its powers are tabled.
+    The codes below first lie in a proper subfield and are skipped.
+    """
+    def power(a, n):
+        acc = 1
+        while n:
+            if n & 1:
+                acc = times(acc, a)
+            a, n = times(a, a), n >> 1
+        return acc
+
+    cofactors = [(q - 1) // l for l in sympy.primefactors(q - 1)]
+    g = next(g for g in range(first, q)
+             if all(power(g, c) != 1 for c in cofactors))
+    exp_t, code = [1], g
+    while len(exp_t) < q - 1:
+        exp_t.append(code)
+        code = times(code, g)
     log_t = [0] * q
     for i, code in enumerate(exp_t):
         log_t[code] = i

@@ -451,9 +451,11 @@ def _genus_filter(candidates, N, state_cap):
     """Keep the (p, m) pairs whose universal subgroup has genus zero.
 
     The recorded types of a pair are grouped by braid orbit of their lines
-    (orbit_signatures), and each orbit gets its signature and genus from one
-    voltage walk over lines; conjugate types agree on genus, so any
-    recorded type certifies the pair.  Every orbit's signature must satisfy
+    (orbit_signatures).  When the root's trace field is F_q all its types
+    form one orbit, whose signature and genus come in closed form; only a
+    root whose trace field is smaller is walked, once per orbit.
+    Conjugate types agree on genus, so any recorded type certifies the
+    pair.  Every orbit's signature must satisfy
     the flatness identity euler_lhs = 12 - 12 * genus.
     """
     by_pair = {}

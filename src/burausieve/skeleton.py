@@ -6,17 +6,22 @@ are white vertices); regions are the orbits of the derived third action.
 The cosets of a universal subgroup are its annihilator covectors up to
 scalar, a cyclic cover of the projective line.  One walk over at most
 q + 1 projective lines, `_LineWalk`, records each step's voltage in the
-fiber Z/r; every reader works from it.  `_LineWalk.signature` reads the
-signature and genus off the walk (the table check) by the one rule for
-lifting a cycle on lines, `_LineWalk.lifted_cycles`, and every lift of a
-step to the orbit's edges goes through the one rule `_LineWalk.edge_steps`:
+fiber Z/r.  `_LineWalk.signature` reads the signature and genus off the
+walk by `_LineWalk.lifted_cycles`, which lifts each cycle on lines by the
+one rule `_lift`, and every lift of a step to the orbit's edges goes
+through the one rule `_LineWalk.edge_steps`:
 `enumerate_universal` lifts black, white and region with it and numbers
 the edges breadth-first.  The fibered products share both rules.
 Tags whose lines are conjugate share a skeleton up to isomorphism, so
 `_orbit_walks` walks once per braid orbit of type lines and folds every
-later tag whose seed line the walk reached into that orbit: the sweep's
-genus filter reads it through `orbit_signatures`, and the addendum takes
-its walks for the realized types and the rows' representatives.
+later tag whose seed line the walk reached into that orbit; the addendum
+takes its walks for the realized types and the rows' representatives.
+When the trace field F_p(xi + 1/xi) is F_q, the braid image holds
+PSL2(F_q), every line is in one orbit with local group Z/r, and
+`_closed_form` gives the signature and genus from each generator's
+eigenvalues and projective order, without a walk.  So the sweep's genus
+filter (through `orbit_signatures`) and the table check walk only the
+roots whose trace field is smaller than F_q.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .burau import BraidWord, specialize, to_burau
-from .typesys import RootSpec, root_spec, type_vector
+from .typesys import RootSpec, root_spec, type_coefficient_laurent, \
+    type_vector
 
 DEFAULT_STATE_CAP = 10 ** 6
 
@@ -216,6 +222,40 @@ def _cap_exceeded(state_cap, spec):
     return EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
 
 
+def _fiber_order(spec):
+    """r = |F_q*/S|, with S the scalars: xi in bu3, xi^3 in b3."""
+    M = spec.root.M
+    return (spec.root.field.order - 1) // (
+        M // gcd(M, 3 if spec.ambient == "b3" else 1))
+
+
+def _lift(length, mu, r, k, spec):
+    """(L ord(mu), k / ord(mu)): the length and number of the cycles over
+    a cycle of length L and net voltage mu, where ord(mu) = r / gcd(r, mu)
+    must divide the order k of the local group K <= Z/r."""
+    o = r // gcd(r, mu)
+    if k % o:
+        raise AssertionError(f"cycle voltage outside the local group for "
+                             f"{spec}")
+    return length * o, k // o
+
+
+def _signature_of(edges, black_cycles, white_cycles, region_cycles):
+    """(SkeletonSignature, genus) from the lifted (length, count) cycles of
+    black, white and region."""
+    widths = []
+    for width, count in region_cycles:
+        widths.extend([width] * count)
+    sig = SkeletonSignature(
+        edges,
+        sum(c for length, c in white_cycles if length == 1),
+        sum(c for length, c in black_cycles if length == 1),
+        tuple(sorted(widths)))
+    vertices = (sum(c for _, c in black_cycles)
+                + sum(c for _, c in white_cycles))
+    return sig, _euler_genus(vertices, edges, len(widths))
+
+
 def _seed_line(root, tag):
     """The code of the line of v_T_perp, where a walk of type tag starts."""
     field = root.field
@@ -246,8 +286,7 @@ class _LineWalk:
         field = root.field
         q, log = field.order, field.log
         add, mul, inv = field.add, field.mul, field.inv
-        s = root.M // gcd(root.M, 3 if spec.ambient == "b3" else 1)  # |S|
-        r = (q - 1) // s
+        r = _fiber_order(spec)
 
         def move(line, g):
             """(line', d) with rep(line) g = lambda rep(line'), d = log lambda."""
@@ -298,11 +337,9 @@ class _LineWalk:
     def lifted_cycles(self, step):
         """(cycle_of, cycles): the cycles over each cycle of step on lines.
 
-        cycle_of[i] numbers the cycle of step through line i.  A cycle of
-        length L and net voltage mu lifts to k / ord(mu) cycles of length
-        L ord(mu), with ord(mu) = r / gcd(r, mu), and cycles[c] is that
-        (length, count) for cycle c.  This is exact on every orbit,
-        transitive or not.
+        cycle_of[i] numbers the cycle of step through line i, and
+        cycles[c] is the (length, count) that _lift gives for cycle c.
+        This is exact on every orbit, transitive or not.
         """
         r, k = self.r, self.k
         cycle_of = [-1] * len(step)
@@ -317,30 +354,15 @@ class _LineWalk:
                 length += 1
                 j, d = step[j]
                 mu += d
-            o = r // gcd(r, mu)
-            if k % o:
-                raise AssertionError(f"cycle voltage outside the local "
-                                     f"group for {self.spec}")
-            cycles.append((length * o, k // o))
+            cycles.append(_lift(length, mu, r, k, self.spec))
         return cycle_of, cycles
 
     def signature(self):
         """(SkeletonSignature, genus) of the orbit, read off the base by
         lifted_cycles."""
-        black_cycles = self.lifted_cycles(self.black)[1]
-        white_cycles = self.lifted_cycles(self.white)[1]
-        widths = []
-        for width, count in self.lifted_cycles(self.region)[1]:
-            widths.extend([width] * count)
-        edges = len(self.lines) * self.k
-        sig = SkeletonSignature(
-            edges,
-            sum(c for length, c in white_cycles if length == 1),
-            sum(c for length, c in black_cycles if length == 1),
-            tuple(sorted(widths)))
-        vertices = (sum(c for _, c in black_cycles)
-                    + sum(c for _, c in white_cycles))
-        return sig, _euler_genus(vertices, edges, len(widths))
+        return _signature_of(len(self.lines) * self.k,
+                             *(self.lifted_cycles(step)[1] for step in
+                               (self.black, self.white, self.region)))
 
     def edge_steps(self, step):
         """The lift of step to the edges (i, t), numbered i * k + t.
@@ -415,14 +437,127 @@ def _orbit_walks(root, tags, ambient, state_cap):
             yield walk, orbits[-1][1]
 
 
+def _trace_generates(root):
+    """Whether _closed_form applies to root: N >= 7, and s = xi + 1/xi,
+    which generates the trace field of the braid image, generates F_q.
+    That is, s lies in no proper subfield: s^(p^e) != s for every proper
+    divisor e of deg m."""
+    field = root.field
+    s = field.add(field.gen, field.inv(field.gen))
+    d, p = field.degree, field.p
+    return root.N >= 7 and all(s and field.power(s, p ** e) != s
+                               for e in range(1, d) if d % e == 0)
+
+
+def _closed_form_cycles(g, n0, spec, r):
+    """The lifted (length, count) cycles of the codes g of black, white or
+    region on an orbit of all q + 1 lines with K = Z/r.
+
+    g's projective order n divides n0 (3, 2 and N), and g^n = c I.  If
+    n > 1, g's fixed lines are its eigenlines: the eigenvalues are the n-th
+    roots lambda of c, read off the log table, that solve
+    lambda^2 - tr lambda + det = 0, and each fixed line has the voltage
+    log lambda.  A power g^L with L < n is not scalar, so it fixes only g's
+    eigenlines, and the other lines form cycles of length n, each of net
+    voltage log c.  Both kinds lift by _lift with k = r.
+    """
+    field = spec.root.field
+    q, minus_one, log, exp = field.order, field.p - 1, field.log, field.exp
+    add, mul = field.add, field.mul
+    power, n = g, 1
+    while power[1] or power[2] or power[0] != power[3]:
+        if n == n0:
+            raise AssertionError(f"projective order of a generator does not "
+                                 f"divide {n0} for {spec}")
+        a0, a1, a2, a3 = power
+        power = (add(mul(a0, g[0]), mul(a1, g[2])),
+                 add(mul(a0, g[1]), mul(a1, g[3])),
+                 add(mul(a2, g[0]), mul(a3, g[2])),
+                 add(mul(a2, g[1]), mul(a3, g[3])))
+        n += 1
+    if n0 % n:
+        raise AssertionError(f"projective order {n} does not divide {n0} "
+                             f"for {spec}")
+    e = log[power[0]]  # g^n = c I, e = log c
+    eigen = []  # the logs of g's eigenvalues in F_q
+    h = gcd(n, q - 1)
+    if n > 1 and e % h == 0:
+        tr = add(g[0], g[3])
+        det = add(mul(g[0], g[3]), mul(minus_one, mul(g[1], g[2])))
+        m = (q - 1) // h  # n x = e mod q - 1 iff x = x0 mod m
+        x0 = e // h * pow(n // h, -1, m) % m
+        for x in range(x0, q - 1, m):
+            lam = exp[x]
+            if not add(add(mul(lam, lam), mul(minus_one, mul(tr, lam))),
+                       det):
+                eigen.append(x)
+    rest = q + 1 - len(eigen)
+    if rest % n:
+        raise AssertionError(f"{rest} lines do not fall into cycles of "
+                             f"length {n} for {spec}")
+    length, count = _lift(n, e, r, r, spec)
+    return [_lift(1, x, r, r, spec) for x in eigen] + [
+        (length, count * (rest // n))]
+
+
+def _closed_form(spec, state_cap):
+    """(SkeletonSignature, genus) of a root whose trace field is F_q,
+    without a walk over lines.
+
+    Black, white and region have projective orders 3, 2 and N >= 7, so the
+    braid image in PGL2(F_q) is a quotient of the (2, 3, N) triangle group.
+    Among the subgroups of PSL2 (Dickson; Macbeath, "Generators of the
+    linear fractional groups", 1969) such a quotient is not cyclic or
+    dihedral (there a product of elements of orders 2 and 3 has order 6
+    or 2), not A4, S4 or A5 (no element of order N >= 7), and not in a
+    Borel subgroup (there that product has order dividing 6 unless both
+    factors are translations, which needs p = 2 and p = 3).  So it is
+    PSL2 or PGL2 of the field its traces generate, up to conjugacy.  tr^2 / det is
+    invariant under scaling and conjugation, and it is 2 - xi - 1/xi on s1;
+    when _trace_generates holds, the image therefore holds PSL2(F_q) and
+    is transitive on all q + 1 lines.  The commutator subgroup of the
+    braid matrices lies in SL2(F_q) and covers PSL2(F_q), and SL2(F_q) is
+    perfect for q >= 4, so it is SL2(F_q).  In a basis whose first row
+    spans the seed line, diag(a, 1/a) fixes that line with eigenvalue a,
+    for every a in F_q*, so the local group is K = F_q*/S = Z/r and the
+    orbit has (q + 1) r edges.  Raises EnumerationCapExceeded exactly when
+    _LineWalk would: when (q + 1) r exceeds state_cap.
+    """
+    root = spec.root
+    field = root.field
+    r = _fiber_order(spec)
+    edges = (field.order + 1) * r
+    if edges > state_cap:
+        raise _cap_exceeded(state_cap, spec)
+    return _signature_of(edges, *(
+        _closed_form_cycles(_spec_matrix_codes(word, field), n0, spec, r)
+        for word, n0 in ((_BLACK, 3), (_WHITE, 2), (_REGION, root.N))))
+
+
+def _orbit_signature(spec, state_cap):
+    """(SkeletonSignature, genus) of spec's orbit: by the closed form when
+    the root's trace field is F_q, else read off its walk over lines."""
+    if _trace_generates(spec.root):
+        return _closed_form(spec, state_cap)
+    return _LineWalk(spec, state_cap).signature()
+
+
 def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP):
     """[(signature, genus, tags)], one entry per braid orbit of type lines.
 
     Conjugate lines share a skeleton up to isomorphism, with one signature
-    and genus, so each orbit is walked once, by _orbit_walks, and each
-    walk is dropped once its signature is read.  Raises
-    EnumerationCapExceeded as _LineWalk does on the orbit's first tag.
+    and genus.  When the root's trace field is F_q, all q + 1 lines form
+    one orbit, whose signature _closed_form gives without a walk; only the
+    roots whose trace field is smaller than F_q are walked, once per
+    orbit, by _orbit_walks, and each walk is dropped once its signature
+    is read.  Raises EnumerationCapExceeded as _LineWalk does on the
+    orbit's first tag.
     """
+    if tags and _trace_generates(root):
+        for tag in tags:  # rejects an inadmissible tag, as a walk would
+            type_coefficient_laurent(tag, root.M, root.p == 3)
+        spec = UniversalGroupSpec(root, tags[0], ambient)
+        return [(*_closed_form(spec, state_cap), list(tags))]
     return [(*walk.signature(), members)
             for walk, members in _orbit_walks(root, tags, ambient, state_cap)]
 
@@ -432,8 +567,9 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
 
     For each row and each of its factors the bu3-ambient universal subgroup
     must reproduce the printed signature with genus zero, and the b3-ambient
-    genus must vanish exactly for the starred rows.  Both are read off
-    the walk over lines by _LineWalk.signature; no skeleton is built.
+    genus must vanish exactly for the starred rows.  Both come from
+    _orbit_signature: the closed form when the factor's trace field is
+    F_q, else the walk over lines; no skeleton is built.
     Returns a report dict; report['ok'] is the overall verdict.
     """
     from .golden import GOLDEN_ROWS
@@ -453,10 +589,10 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
         row_ok = True
         for text in row.factors:
             root = root_spec(row.p, text)
-            sig, g0 = _LineWalk(UniversalGroupSpec(root, "I", "bu3"),
-                                state_cap).signature()
-            _, g3 = _LineWalk(UniversalGroupSpec(root, "I", "b3"),
-                              state_cap).signature()
+            sig, g0 = _orbit_signature(UniversalGroupSpec(root, "I", "bu3"),
+                                       state_cap)
+            _, g3 = _orbit_signature(UniversalGroupSpec(root, "I", "b3"),
+                                     state_cap)
             ok = (sig == want_sig and g0 == 0 and (g3 == 0) == row.starred
                   and root.N == row.N)
             fac_entry = {

@@ -22,7 +22,8 @@ from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import fibered_product, verify_addendum_pairwise
 from burausieve.sieve import ExceptionalTriple, branches_for, full_sweep, \
     is_informative
-from burausieve.skeleton import UniversalGroupSpec, _LineWalk, \
+from burausieve.skeleton import UniversalGroupSpec, _closed_form, \
+    _LineWalk, _orbit_signature, _orbit_walks, _trace_generates, \
     enumerate_universal, euler_lhs, genus, orbit_signatures, signature, \
     table_verify
 from burausieve.typesys import root_spec
@@ -246,29 +247,90 @@ def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):
     print(f"\nvoltage walk = BFS on {compared} sweep candidates: PASS")
 
 
-def test_orbit_grouping_is_certified_on_the_sweep(sweep):
-    """The genus filter walks once per braid orbit of type lines: 259 walks
-    for the 586 recorded tags of the sweep 7..26.  Every tag folded into an
-    earlier tag's orbit gets the same signature and genus from a walk of
-    its own."""
-    results, _, walks = sweep
-    assert len(walks) == 259
-    tags_seen = groups_seen = 0
+def sweep_roots(results):
+    """(root, tags) for each (p, m) pair the sweep recorded, its tags in
+    the order the genus filter takes them."""
     for N in range(7, 27):
         by_pair = {}
         triples = [tr for trs in results[N]["branches"].values() for tr in trs]
         for tr in sorted(triples, key=ExceptionalTriple.sort_key):
             by_pair.setdefault((tr.p, tr.min_poly), []).append(tr.type_tag)
         for (p, m), tags in by_pair.items():
-            root = root_spec(p, m)
-            groups = orbit_signatures(root, tags)
-            assert sorted(t for *_, orbit in groups for t in orbit) == tags
-            for sig, g, orbit in groups:
-                for tag in orbit[1:]:
-                    spec = UniversalGroupSpec(root, tag, "bu3")
-                    assert _LineWalk(spec).signature() == (sig, g), str(spec)
-            tags_seen += len(tags)
-            groups_seen += len(groups)
+            yield root_spec(p, m), tags
+
+
+def test_orbit_grouping_is_certified_on_the_sweep(sweep):
+    """The genus filter gets one signature per braid orbit of type lines:
+    259 groups for the 586 recorded tags of the sweep 7..26, of which only
+    the 7 orbits of roots whose trace field is smaller than F_q are walked.
+    Every tag folded into an earlier tag's orbit gets the same signature
+    and genus from a walk of its own."""
+    results, _, walks = sweep
+    assert len(walks) == 7
+    tags_seen = groups_seen = 0
+    for root, tags in sweep_roots(results):
+        groups = orbit_signatures(root, tags)
+        assert sorted(t for *_, orbit in groups for t in orbit) == tags
+        for sig, g, orbit in groups:
+            for tag in orbit[1:]:
+                spec = UniversalGroupSpec(root, tag, "bu3")
+                assert _LineWalk(spec).signature() == (sig, g), str(spec)
+        tags_seen += len(tags)
+        groups_seen += len(groups)
     assert (tags_seen, groups_seen) == (586, 259)
     print(f"\norbit grouping certified on {tags_seen} sweep tags, "
-          f"{groups_seen} walks: PASS")
+          f"{groups_seen} groups: PASS")
+
+
+def test_closed_form_is_certified(sweep):
+    """The closed-form signature equals the walk's on every sweep tag whose
+    root passes the trace-field test (576 of the 586), and on every golden
+    factor in bu3 and b3; every tag gets the walk's signature and genus
+    from _orbit_signature."""
+    results, _, _ = sweep
+    tags_seen = closed = 0
+    for root, tags in sweep_roots(results):
+        for tag in tags:
+            spec = UniversalGroupSpec(root, tag, "bu3")
+            walked = _LineWalk(spec).signature()
+            assert _orbit_signature(spec, 10 ** 6) == walked, str(spec)
+            if _trace_generates(root):
+                assert _closed_form(spec, 10 ** 6) == walked, str(spec)
+                closed += 1
+            tags_seen += 1
+    assert (tags_seen, closed) == (586, 576)
+    factors = 0
+    for row in GOLDEN_ROWS:
+        for text in row.factors:
+            root = root_spec(row.p, text)
+            assert _trace_generates(root), text
+            for ambient in ("bu3", "b3"):
+                spec = UniversalGroupSpec(root, "I", ambient)
+                assert _closed_form(spec, 10 ** 6) == \
+                    _LineWalk(spec).signature(), str(spec)
+                factors += 1
+    assert factors == 2 * 52
+    print(f"\nclosed form = walk on {closed} sweep tags and {factors} "
+          f"golden factor groups: PASS")
+
+
+def test_trace_field_test_is_walk_transitivity(sweep):
+    """On all 259 orbits of the sweep, the trace-field test holds exactly
+    when the walk reaches all q + 1 lines with K = Z/r.  Negative control:
+    the 7 orbits that fail it are the sweep's only walks, and none of them
+    is transitive."""
+    results, _, walks = sweep
+    failing = []
+    orbits = 0
+    for root, tags in sweep_roots(results):
+        q = root.field.order
+        for walk, _ in _orbit_walks(root, tags, "bu3", 10 ** 6):
+            transitive = len(walk.lines) == q + 1 and walk.k == walk.r
+            assert _trace_generates(root) == transitive, str(walk.spec)
+            if not transitive:
+                failing.append(walk.spec)
+            orbits += 1
+    assert orbits == 259 and len(failing) == 7
+    assert [spec for spec, _ in walks] == failing
+    print(f"\ntrace-field test = transitivity on {orbits} orbits, "
+          f"{len(failing)} walked: PASS")

@@ -89,6 +89,15 @@ def _repeat_first_black_image(text):
     return json.dumps(data)
 
 
+def _booleans_for_0_and_1(text):
+    """A cache entry whose permutations hold JSON false and true for 0 and
+    1, which compare equal to them."""
+    data = json.loads(text)
+    for key in ("blackPerm", "whitePerm"):
+        data[key] = [bool(e) if e < 2 else e for e in data[key]]
+    return json.dumps(data)
+
+
 class TestSkeleton:
     def test_row_one(self, run):
         code, out = run("skeleton", "--p", "2", "--min-poly", "t^3+t+1",
@@ -147,9 +156,10 @@ class TestSkeleton:
     @pytest.mark.parametrize("corrupt", [
         lambda text: text[:len(text) // 2],
         _repeat_first_black_image,
+        _booleans_for_0_and_1,
         # too deep for json's parser, which raises RecursionError
         lambda text: "[" * 200_000,
-    ], ids=["truncated", "bad-permutation", "nested"])
+    ], ids=["truncated", "bad-permutation", "booleans", "nested"])
     def test_corrupt_cache_entry_is_a_miss(self, run, tmp_path, corrupt):
         args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
         _, cold = run(*args)

@@ -16,7 +16,10 @@ from burausieve.skeleton import (
     Skeleton,
     SkeletonSignature,
     UniversalGroupSpec,
+    _closed_form,
+    _fiber_order,
     _LineWalk,
+    _trace_generates,
     enumerate_universal,
     euler_lhs,
     genus,
@@ -292,6 +295,21 @@ class TestVoltageWalk:
             _LineWalk(spec, state_cap=43955).signature()
         with pytest.raises(EnumerationCapExceeded):
             enumerate_universal(spec, state_cap=43955)
+
+    @pytest.mark.parametrize("path", [
+        _closed_form,
+        lambda spec, state_cap: _LineWalk(spec, state_cap).signature(),
+    ], ids=["closed-form", "walk"])
+    def test_transitive_state_cap_boundary(self, path):
+        # a transitive root: (q + 1) r = 594 * 74 edges pass, one fewer
+        # raises, with the same message on both paths
+        spec = UniversalGroupSpec(root_spec(593, "t+201"), "II", "b3")
+        assert _trace_generates(spec.root)
+        edges = 594 * _fiber_order(spec)
+        assert path(spec, edges)[0].edges == edges
+        with pytest.raises(EnumerationCapExceeded) as raised:
+            path(spec, edges - 1)
+        assert str(raised.value) == f"more than {edges - 1} cosets for {spec}"
 
     def test_cap_below_the_line_count(self):
         with pytest.raises(EnumerationCapExceeded):
