@@ -16,13 +16,15 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
+from . import skeleton
 from .exactalg import cyclotomic_factors, cyclotomic_split_cost, monic_modulus
 from .golden import GOLDEN_ROWS, self_check
 from .intersect import addendum_report
 from .sieve import SWEEP_RANGE, full_sweep
 from .skeleton import DEFAULT_STATE_CAP, EnumerationCapExceeded, Skeleton, \
-    UniversalGroupSpec, _cap_exceeded, enumerate_universal
+    UniversalGroupSpec, _cap_exceeded, enumerate_universal, signature
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
 SCHEMA_VERSION = 1
@@ -99,7 +101,33 @@ def _checked_word_sets(raw):
 
 
 def _dump(payload):
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """json.dumps(payload, sort_keys=True, indent=2), byte for byte, for a
+    non-empty dict with str keys: the one printer of every --json output.
+
+    A value that is a non-empty list of non-empty lists of ints (a
+    skeleton's cycles) is written by json's C encoder without indent and
+    laid out by str.replace.  The shape test runs at C speed and sends
+    anything else, bools and strings included, to json's indenting
+    encoder, which is pure Python.
+    """
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if (type(value) in (list, tuple) and value
+                and set(map(type, value)) <= {list, tuple} and all(value)
+                and set(map(type, chain.from_iterable(value))) == {int}):
+            # "[[0,1],[2]]": one int a line, and each "],[" between two
+            # lists; an int holds no "," or "]"
+            inner = json.dumps(value, separators=(",", ":"))[2:-2]
+            text = ("[\n    [\n      "
+                    + inner.replace(",", ",\n      ").replace(
+                        "],\n      [", "\n    ],\n    [\n      ")
+                    + "\n    ]\n  ]")
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2).replace(
+                "\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 # -- skeleton cache ----------------------------------------------------------
@@ -150,8 +178,8 @@ def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
         os.makedirs(cache_dir, exist_ok=True)
         payload = {
             "schemaVersion": SCHEMA_VERSION,
-            "blackPerm": list(sk.black),
-            "whitePerm": list(sk.white),
+            "blackPerm": sk.black,
+            "whitePerm": sk.white,
         }
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -193,14 +221,14 @@ def cmd_skeleton(args, cfg, out):
         raise ValueError(f"type {args.type} not admissible for {root}")
     sk = cached_enumerate(root, args.type, args.ambient, cfg.state_cap,
                           cfg.cache_dir if not args.no_cache else None)
+    if not args.json:  # genus through its module, where perfbench traces it
+        out(f"{signature(sk)}  genus={skeleton.genus(sk)}")
+        return EXIT_OK
     payload = {"schemaVersion": SCHEMA_VERSION, "p": args.p,
                "minPoly": str(root.min_poly), "N": root.N, "M": root.M,
                "type": args.type, "ambient": args.ambient}
     payload.update(sk.to_json_dict())
-    if args.json:
-        out(_dump(payload))
-    else:
-        out(f"{payload['signature']}  genus={payload['genus']}")
+    out(_dump(payload))
     return EXIT_OK
 
 

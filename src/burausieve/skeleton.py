@@ -57,17 +57,24 @@ class Skeleton:
     __slots__ = ("edge_count", "black", "white", "region", "_cycles")
 
     def __init__(self, black, white, region=None):
+        # Every check but connectedness is a C-level pass of set, map and
+        # list comparison.
         black = tuple(black)
         white = tuple(white)
         n = len(black)
         if len(white) != n or n == 0:
             raise ValueError("permutations must share a nonempty edge set")
-        if sorted(black) != list(range(n)) or sorted(white) != list(range(n)):
+        # n values fill range(n) only as a permutation of it
+        edges = set(range(n))
+        if set(black) != edges or set(white) != edges:
             raise ValueError("not a permutation of the edge set")
-        black_inv = [0] * n
-        for i, j in enumerate(black):
-            black_inv[j] = i
-        derived = tuple(white[black_inv[i]] for i in range(n))
+        identity = list(range(n))
+        black2 = list(map(black.__getitem__, black))
+        if list(map(black.__getitem__, black2)) != identity:
+            raise ValueError("black permutation has order > 3")
+        if list(map(white.__getitem__, white)) != identity:
+            raise ValueError("white permutation has order > 2")
+        derived = tuple(map(white.__getitem__, black2))  # black^2 = black^-1
         if region is None:
             region = derived
         else:
@@ -75,24 +82,20 @@ class Skeleton:
             if region != derived:
                 raise ValueError("region permutation violates the composition "
                                  "convention")
-        for i in range(n):
-            if black[black[black[i]]] != i:
-                raise ValueError("black permutation has order > 3")
-            if white[white[i]] != i:
-                raise ValueError("white permutation has order > 2")
         # connectedness under the two actions
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            e = stack.pop()
-            for f in (black[e], white[e]):
-                if not seen[f]:
-                    seen[f] = True
-                    count += 1
-                    stack.append(f)
-        if count != n:
+        seen = bytearray(n)
+        seen[0] = 1
+        reached = [0]
+        for e in reached:
+            f = black[e]
+            if not seen[f]:
+                seen[f] = 1
+                reached.append(f)
+            f = white[e]
+            if not seen[f]:
+                seen[f] = 1
+                reached.append(f)
+        if len(reached) != n:
             raise ValueError("skeleton is not connected")
         object.__setattr__(self, "edge_count", n)
         object.__setattr__(self, "black", black)
@@ -104,22 +107,33 @@ class Skeleton:
         raise AttributeError("Skeleton is immutable")
 
     def _cycles_of(self, which):
-        if which not in self._cycles:
+        """The cycles of black, white or region, each from its smallest
+        edge, in the order of those edges.  The constructor proved
+        black^3 = 1 and white^2 = 1, so their cycles are read off each
+        edge's images; region's are walked."""
+        cycles = self._cycles.get(which)
+        if cycles is None:
             perm = getattr(self, which)
-            n = self.edge_count
-            seen = [False] * n
-            cycles = []
-            for i in range(n):
-                if not seen[i]:
-                    cyc = []
-                    j = i
-                    while not seen[j]:
-                        seen[j] = True
-                        cyc.append(j)
-                        j = perm[j]
-                    cycles.append(tuple(cyc))
-            self._cycles[which] = tuple(cycles)
-        return self._cycles[which]
+            if which == "black":
+                cycles = [(i,) if b == i else (i, b, perm[b])
+                          for i, b in enumerate(perm) if i <= b and i <= perm[b]]
+            elif which == "white":
+                cycles = [(i,) if w == i else (i, w)
+                          for i, w in enumerate(perm) if i <= w]
+            else:
+                seen = bytearray(self.edge_count)
+                cycles = []
+                for i in range(self.edge_count):
+                    if not seen[i]:
+                        cyc = []
+                        j = i
+                        while not seen[j]:
+                            seen[j] = 1
+                            cyc.append(j)
+                            j = perm[j]
+                        cycles.append(tuple(cyc))
+            cycles = self._cycles[which] = tuple(cycles)
+        return cycles
 
     def black_cycles(self):
         return self._cycles_of("black")
@@ -134,13 +148,14 @@ class Skeleton:
         return sorted(len(c) for c in self.region_cycles())
 
     def to_json_dict(self):
-        sig = signature(self)
+        """The payload of skeleton --json; the cycles stay tuples, which
+        json prints as lists."""
         return {
             "edges": self.edge_count,
-            "black": [list(c) for c in self.black_cycles()],
-            "white": [list(c) for c in self.white_cycles()],
-            "regions": [list(c) for c in self.region_cycles()],
-            "signature": str(sig),
+            "black": self.black_cycles(),
+            "white": self.white_cycles(),
+            "regions": self.region_cycles(),
+            "signature": str(signature(self)),
             "genus": genus(self),
         }
 

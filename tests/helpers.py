@@ -12,6 +12,8 @@ flattens a sweep to its classification; `check_type_specification` and
 the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
 word's degree, a Burau matrix's determinant and the smallest skeleton,
 and `single_edge_walk` is the walk that skeleton lifts from;
+`reference_cycles` walks the cycles of any permutation, the reference for
+the skeleton's cycles, which read black's and white's off their orders;
 `reference_fibered_product` is the fibered product of two lifted
 skeletons, pair by pair, the reference for the package's product on the
 walks' base; `count_calls` records the calls of a package function;
@@ -158,6 +160,23 @@ def single_edge_walk():
     walk.lines, walk.index, walk.potential = [0], {0: 0}, [0]
     walk.black = walk.white = walk.region = [(0, 0)]
     return walk
+
+
+def reference_cycles(perm):
+    """The cycles of perm, each walked from its smallest element, in the
+    order of those elements."""
+    seen = [False] * len(perm)
+    cycles = []
+    for i in range(len(perm)):
+        if not seen[i]:
+            cyc = []
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                cyc.append(j)
+                j = perm[j]
+            cycles.append(tuple(cyc))
+    return tuple(cycles)
 
 
 def sigma1_power(l):

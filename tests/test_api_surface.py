@@ -1,6 +1,7 @@
 """Every public top-level name in the package, and every public method or
-property in its class bodies, has a caller in the package; and no check
-in the package is an `assert` statement, which `python -O` strips.
+property in its class bodies, has a caller in the package; no check in
+the package is an `assert` statement, which `python -O` strips; and
+`cli._dump` is the package's one indenting JSON printer.
 
 A function or method only the tests call belongs in a tests helper module.
 The allowed exceptions are wrapped by name by `perfbench/layertrace.py`.
@@ -59,3 +60,21 @@ def test_no_assert_statements_in_the_package():
         found += [f"{os.path.basename(path)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert SOURCES and not found, found
+
+
+def test_one_indenting_json_printer():
+    # every --json output goes through cli._dump, which alone may ask json
+    # for indented text
+    found = []
+    for path in SOURCES:
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            name = getattr(top, "name", "<module>")
+            found += [f"{module}.{name}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("dumps", "dump")
+                      and any(kw.arg == "indent" for kw in node.keywords)]
+    assert found == ["cli._dump"], found

@@ -6,8 +6,8 @@ import os
 import pytest
 from helpers import count_calls
 
-from burausieve import burau, exactalg, sieve, skeleton
-from burausieve.cli import _cache_key, main
+from burausieve import burau, cli, exactalg, sieve, skeleton
+from burausieve.cli import _cache_key, _dump, main
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.typesys import root_spec
 
@@ -127,6 +127,15 @@ class TestSkeleton:
         assert code == 3
         assert "p=593" in run.err and "t+201" in run.err
         assert "UniversalGroupSpec(" not in run.err
+
+    def test_text_mode_builds_no_payload(self, run, monkeypatch):
+        # the text line reads the signature and genus off the skeleton, the
+        # genus through the module, where perfbench's tracer wraps it
+        payloads = count_calls(monkeypatch, skeleton.Skeleton, "to_json_dict")
+        genera = count_calls(monkeypatch, skeleton, "genus")
+        code, out = run("skeleton", "--p", "19", "--min-poly", "t+4")
+        assert (code, out) == (0, "(20;0,2;1^2 9^2)  genus=0\n")
+        assert payloads == [] and len(genera) == 1
 
     def test_json_schema(self, run):
         code, out = run("skeleton", "--p", "13", "--min-poly", "t+2", "--json")
@@ -337,6 +346,58 @@ class TestAddendum:
 def test_state_cap_is_resource_error(run, cap, argv):
     assert run("--state-cap", cap, *argv)[0] == 3
     assert f"more than {cap} cosets" in run.err
+
+
+class TestPrinter:
+    """_dump prints what json.dumps(payload, sort_keys=True, indent=2)
+    does, byte for byte, on every command's payload."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sieve", "--n-range", "7..26"),
+        ("addendum", "--all-groups"),
+        ("table", "--verify"),
+        ("factors", "--n", "59", "--p", "19"),
+        # row 1: a white fixed edge; p = 19: two black fixed edges
+        ("skeleton", "--p", "2", "--min-poly", "t^3+t+1"),
+        ("skeleton", "--p", "19", "--min-poly", "t+4"),
+        ("skeleton", "--p", "593", "--min-poly", "t+201", "--no-cache"),
+    ], ids=["sieve", "addendum-all-groups", "table-verify", "factors",
+            "skeleton-row-1", "skeleton-fixed-black", "skeleton-593"])
+    def test_command_payloads(self, run, monkeypatch, argv):
+        payloads = []
+
+        def recording(payload):
+            payloads.append(payload)
+            return _dump(payload)
+
+        monkeypatch.setattr(cli, "_dump", recording)
+        code, out = run(*argv, "--json")
+        assert code == 0 and len(payloads) == 1
+        text = json.dumps(payloads[0], sort_keys=True, indent=2)
+        assert _dump(payloads[0]) == text and out == text + "\n"
+
+    @pytest.mark.parametrize("value", [
+        [["a", "b"]],
+        ["a", "b"],
+        [[0, True]],
+        [[False]],
+        [["0,1", "],["], [1]],
+        "],[",
+        "a,b",
+        [],
+        [[]],
+        [[0], []],
+        [[0.5]],
+        [[0, {"a": 1}]],
+        {"b": [[1]], "a": [[2]]},
+        [[-1, 2 ** 70], [3]],
+        ((4,), (5, 6)),
+        [[7]],
+        None,
+    ])
+    def test_hand_made_payloads(self, value):
+        payload = {"schemaVersion": 1, "value": value, "after": [[1, 2]]}
+        assert _dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 class TestBadInput:

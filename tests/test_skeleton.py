@@ -7,7 +7,7 @@ from covector_oracle import (
     verify_distinct_lemma,
     verify_region_widths,
 )
-from helpers import single_edge
+from helpers import reference_cycles, single_edge
 
 from burausieve.golden import GOLDEN_ROWS, self_check
 from burausieve.intersect import conjugate_to_e2
@@ -43,20 +43,35 @@ def enumerate_row(p, N, tag="I", ambient="bu3", factor=0):
 
 
 class TestSkeletonStructure:
+    @pytest.mark.parametrize("black, white, message", [
+        ((), (), "nonempty edge set"),
+        ((0,), (1, 0), "nonempty edge set"),
+        ((0, 0), (1, 0), "not a permutation"),
+        ((0, 2), (1, 0), "not a permutation"),
+        # black[-1] would index from the end: a set of the right size
+        # still refuses it
+        ((0, -1), (1, 0), "not a permutation"),
+        ((1, 0), (1, -1), "not a permutation"),
+    ], ids=["empty", "unequal-lengths", "repeated-value", "value-too-large",
+            "negative-black", "negative-white"])
+    def test_rejects_a_bad_edge_set(self, black, white, message):
+        with pytest.raises(ValueError, match=message):
+            Skeleton(black, white)
+
     def test_rejects_black_of_order_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order > 3"):
             Skeleton((1, 0), (1, 0))
 
     def test_rejects_white_of_order_three(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order > 2"):
             Skeleton((1, 2, 0), (1, 2, 0))
 
     def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not connected"):
             Skeleton((0, 1), (0, 1))
 
     def test_rejects_wrong_region_permutation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="composition convention"):
             Skeleton((0, 1), (1, 0), region=(0, 1))
 
     def test_region_composition_convention(self):
@@ -70,6 +85,18 @@ class TestSkeletonStructure:
         sk = single_edge()
         assert str(signature(sk)) == "(1;1,1;1^1)"
         assert genus(sk) == 0
+
+    @pytest.mark.parametrize("ambient", ["bu3", "b3"])
+    def test_cycles_match_the_general_walk(self, ambient):
+        # black's and white's cycles are read off their orders 3 and 2,
+        # region's walked; all three equal the walk over any permutation
+        for row in GOLDEN_ROWS:
+            for factor in range(len(row.factors)):
+                sk = enumerate_row(row.p, row.N, ambient=ambient,
+                                   factor=factor)
+                assert sk.black_cycles() == reference_cycles(sk.black)
+                assert sk.white_cycles() == reference_cycles(sk.white)
+                assert sk.region_cycles() == reference_cycles(sk.region)
 
 
 class TestSignatureAndGenus:
