@@ -17,7 +17,6 @@ from .exactalg import MAX_EXPONENT, IntPoly
 
 # letter codes: +-1 = s1, +-2 = s2, +-3 = T
 _LETTER_NAMES = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1", 3: "T", -3: "T^-1"}
-_NAME_LETTERS = {v: k for k, v in _LETTER_NAMES.items()}
 _BASE_NAMES = {"s1": 1, "s2": 2, "T": 3}
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
 

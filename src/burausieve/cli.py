@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: factors (irreducible factors of phi_N(-t) mod p), skeleton
-(universal-subgroup enumeration, the one command with an on-disk cache),
-sieve (candidate extraction plus genus filter over a sweep range), table
-(golden-data verification, skeleton.table_verify), addendum (pairwise
-exclusion and conjugacy, intersect.addendum_report).  Exit codes: 0 ok, 1
-verification failure, 2 bad input, 3 resource cap.
+(a universal subgroup's signature and genus, or with --json its whole
+skeleton, the one output with an on-disk cache), sieve (candidate
+extraction plus genus filter over a sweep range), table (golden-data
+verification, skeleton.table_verify), addendum (pairwise exclusion and
+conjugacy, intersect.addendum_report).  Exit codes: 0 ok, 1 verification
+failure, 2 bad input, 3 resource cap.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
-from . import skeleton
 from .exactalg import cyclotomic_factors, cyclotomic_split_cost, monic_modulus
 from .golden import GOLDEN_ROWS, self_check
 from .intersect import addendum_report
 from .sieve import SWEEP_RANGE, full_sweep
 from .skeleton import DEFAULT_STATE_CAP, EnumerationCapExceeded, Skeleton, \
-    UniversalGroupSpec, _cap_exceeded, enumerate_universal, signature
+    UniversalGroupSpec, _cap_exceeded, _orbit_signature, enumerate_universal
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
 SCHEMA_VERSION = 1
@@ -160,7 +160,8 @@ def _read_cached(path):
 
 
 def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
-    """enumerate_universal with a transparent on-disk cache, for skeleton.
+    """enumerate_universal with a transparent on-disk cache, for skeleton
+    --json.
 
     A corrupt entry is a miss and gets overwritten.  A cached skeleton with
     more than state_cap edges raises, as the cold walk would.
@@ -212,18 +213,20 @@ def cmd_factors(args, cfg, out):
 
 def cmd_skeleton(args, cfg, out):
     q = args.p ** (len(monic_modulus(args.p, args.min_poly)) - 1)
-    # checked before the irreducibility test and the field's O(q) tables
+    # checked before the field's O(q) tables, which prove m irreducible
     if q > cfg.state_cap:
         raise EnumerationCapExceeded(f"the field of order {q} for p={args.p} "
                                      f"m={args.min_poly} exceeds the state cap")
     root = root_spec(args.p, args.min_poly)
     if args.type not in admissible_types(root):
         raise ValueError(f"type {args.type} not admissible for {root}")
+    if not args.json:  # one line, read off the orbit without a lift
+        sig, g = _orbit_signature(
+            UniversalGroupSpec(root, args.type, args.ambient), cfg.state_cap)
+        out(f"{sig}  genus={g}")
+        return EXIT_OK
     sk = cached_enumerate(root, args.type, args.ambient, cfg.state_cap,
                           cfg.cache_dir if not args.no_cache else None)
-    if not args.json:  # genus through its module, where perfbench traces it
-        out(f"{signature(sk)}  genus={skeleton.genus(sk)}")
-        return EXIT_OK
     payload = {"schemaVersion": SCHEMA_VERSION, "p": args.p,
                "minPoly": str(root.min_poly), "N": root.N, "M": root.M,
                "type": args.type, "ambient": args.ambient}

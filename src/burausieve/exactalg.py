@@ -2,8 +2,10 @@
 
 Integer Laurent polynomials, cyclotomic polynomials, the sieve's
 resultants against phi_N(-t), the factors of phi_N(-t) over F_p, and
-finite fields: a field is presented as a verified quotient F_p[t]/(m), and
-its elements are integer codes with one arithmetic, by log tables.
+finite fields: a field is presented as a quotient F_p[t]/(m), and its
+elements are integer codes with one arithmetic, by log tables.  The table
+of a generator's powers is also the proof that m is irreducible: the
+quotient is a field exactly when some unit reaches every nonzero element.
 Everything here is exact: integer coefficients are arbitrary precision, so
 results can be compared bit for bit.
 
@@ -417,12 +419,6 @@ def _fp_add(a, b, p):
                      for i in range(n)])
 
 
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _fp_trim([( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
-
-
 def _fp_mul(a, b, p):
     if not a or not b:
         return ()
@@ -502,30 +498,6 @@ def _fp_pow_mod(a, n, mod, p):
     return power_by_squaring(_fp_mod(a, mod, p), n, mul, (1,))
 
 
-def fp_is_irreducible(coeffs, p):
-    """Rabin irreducibility test for a polynomial over F_p."""
-    f = _fp_monic(tuple(c % p for c in coeffs), p)
-    d = _deg(f)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    t = (0, 1)
-    # t^(p^d) == t mod f
-    x = t
-    for _ in range(d):
-        x = _fp_pow_mod(x, p, f, p)
-    if _fp_sub(x, t, p):
-        return False
-    for r in sympy.primefactors(d):
-        x = t
-        for _ in range(d // r):
-            x = _fp_pow_mod(x, p, f, p)
-        if _deg(_fp_gcd(_fp_sub(x, t, p), f, p)) != 0:
-            return False
-    return True
-
-
 def order_mod(p, N):
     """ord_N(p), the multiplicative order of p modulo N (1 for N = 1)."""
     return sympy.n_order(p, N) if N > 1 else 1
@@ -557,7 +529,7 @@ def _fp_equal_degree(f, d, p, rng):
         else:
             e = (p ** d - 1) // 2
             v = _fp_pow_mod(u, e, f, p)
-            g = _fp_gcd(_fp_sub(v, (1,), p), f, p)
+            g = _fp_gcd(_fp_add(v, (p - 1,), p), f, p)
         if 0 < _deg(g) < n:
             left = _fp_equal_degree(g, d, p, rng)
             right = _fp_equal_degree(_fp_divmod(f, g, p)[0], d, p, rng)
@@ -617,21 +589,17 @@ def _prime_free_part(N, p):
 
 
 def monic_modulus(p, modulus):
-    """A modulus (text, IntPoly or coefficients) reduced mod p; ValueError
+    """A modulus (text or IntPoly) as its coefficients mod p; ValueError
     unless p is prime and it is monic, of degree >= 1 and not t.  Only
-    FieldSpec tests its irreducibility."""
+    FieldSpec's unit table proves it irreducible."""
     if not sympy.isprime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(modulus, str):
         modulus = parse_poly(modulus)
-    if isinstance(modulus, IntPoly):
-        if modulus.is_zero or modulus.valuation < 0:
-            raise ValueError("modulus must be an ordinary polynomial")
-        coeffs = tuple(modulus.coefficient(e) % p
-                       for e in range(modulus.degree + 1))
-    else:
-        coeffs = tuple(c % p for c in modulus)
-    coeffs = _fp_trim(coeffs)
+    if modulus.is_zero or modulus.valuation < 0:
+        raise ValueError("modulus must be an ordinary polynomial")
+    coeffs = _fp_trim(modulus.coefficient(e) % p
+                      for e in range(modulus.degree + 1))
     if _deg(coeffs) < 1:
         raise ValueError("modulus must have degree >= 1")
     if coeffs[-1] != 1:
@@ -650,17 +618,17 @@ class FieldSpec:
     coefficients of its residue, lowest power first: 0..p-1 are the prime
     field, and gen is the code of xi.  log[c] is the discrete logarithm of
     the nonzero code c to the first code whose powers reach all q - 1
-    units, and exp inverts it; extension fields multiply through them.
-    The tables cost O(q) time and memory.  matrix_codes memoizes the codes
-    of specialized Burau matrices, keyed by the matrix, for the walks over
+    nonzero codes, and exp inverts it; extension fields multiply through
+    them.  Those tables are the proof that the modulus is irreducible (see
+    _unit_tables): a modulus whose tables fail raises ValueError.  They
+    cost O(q) time and memory.  matrix_codes memoizes the codes of
+    specialized Burau matrices, keyed by the matrix, for the walks over
     this field.
     """
 
     def __init__(self, p, modulus):
         self.p = p
         self.modulus = coeffs = monic_modulus(p, modulus)
-        if not fp_is_irreducible(coeffs, p):
-            raise ValueError(f"modulus {poly_text(coeffs)} is reducible over F_{p}")
         self.degree = d = _deg(coeffs)
         self.order = q = p ** d
         self.matrix_codes = {}
@@ -683,7 +651,11 @@ class FieldSpec:
             return sum(c * p ** i for i, c in enumerate(prod))
 
         # the codes 0..p-1 are the prime field
-        self.exp, self.log = exp_t, log_t = _unit_tables(q, times, first=p)
+        tables = _unit_tables(q, times, first=p)
+        if tables is None:
+            raise ValueError(f"modulus {poly_text(modulus)} is reducible "
+                             f"over F_{p}")
+        self.exp, self.log = exp_t, log_t = tables
 
         def add(a, b):
             da, db = digits[a], digits[b]
@@ -739,27 +711,29 @@ class FieldSpec:
 
 def _unit_tables(q, times, first=1):
     """(exp, log): the powers of the first code whose powers reach all
-    q - 1 units, and their discrete logarithms (log[0] is unused).
+    q - 1 nonzero codes of F_p[t]/(m), q = p^deg m, under times, and their
+    discrete logarithms (log[0] is unused); None when no code's powers do,
+    which is exactly when m is reducible.
 
-    That code is the first g with g^((q - 1) / l) != 1 for every prime
-    l | q - 1, found by square-and-multiply; only its powers are tabled.
-    The codes below first lie in a proper subfield and are skipped.
+    The code tried is the first g with g^((q - 1) / l) != 1 for every
+    prime l | q - 1.  If m is irreducible, F_q* is cyclic
+    (Lidl-Niederreiter, Finite Fields, Thm 2.8) and g generates it; if not,
+    a proper factor of m is a zero divisor, no power of which is 1, so
+    some g is found.  The codes below first are the prime field, whose
+    units have order dividing p - 1, and are skipped.  The powers
+    g^0..g^(q - 2) are tabled, and they close with g^(q - 1) = 1 exactly
+    when g is a unit of order q - 1.  They are then q - 1 distinct units,
+    so every nonzero code is a unit and the quotient is a field.
     """
-    def power(a, n):
-        acc = 1
-        while n:
-            if n & 1:
-                acc = times(acc, a)
-            a, n = times(a, a), n >> 1
-        return acc
-
     cofactors = [(q - 1) // l for l in sympy.primefactors(q - 1)]
     g = next(g for g in range(first, q)
-             if all(power(g, c) != 1 for c in cofactors))
+             if all(power_by_squaring(g, c, times, 1) != 1 for c in cofactors))
     exp_t, code = [1], g
     while len(exp_t) < q - 1:
         exp_t.append(code)
         code = times(code, g)
+    if code != 1:
+        return None
     log_t = [0] * q
     for i, code in enumerate(exp_t):
         log_t[code] = i

@@ -24,7 +24,6 @@ from burausieve.exactalg import (
     _fp_divmod,
     _fp_mod,
     _fp_mul,
-    _fp_sub,
     _fp_trim,
     poly_text,
     power_by_squaring,
@@ -94,7 +93,7 @@ class FieldElem:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return FieldElem(self.spec, _fp_sub(self.coeffs, other.coeffs, self.spec.p))
+        return self + (-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -118,7 +117,7 @@ class FieldElem:
         while r1:
             q, r = _fp_divmod(r0, r1, p)
             r0, r1 = r1, r
-            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+            s0, s1 = s1, _fp_add(s0, [-c for c in _fp_mul(q, s1, p)], p)
         inv_lead = pow(r0[0], p - 2, p)
         return FieldElem(self.spec, tuple((c * inv_lead) % p for c in s0))
 

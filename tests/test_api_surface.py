@@ -1,5 +1,6 @@
 """Every public top-level name in the package, and every public method or
-property in its class bodies, has a caller in the package; no check in
+property in its class bodies, has a caller in the package; every private
+top-level name is referenced in the package; no check in
 the package is an `assert` statement, which `python -O` strips; and
 `cli._dump` is the package's one indenting JSON printer.
 
@@ -19,8 +20,11 @@ TRACED_ONLY = {"sieve.is_informative", "sieve.exceptional_triples",
                "intersect.conjugate_to_e2"}
 
 
-def test_every_public_name_is_used_in_the_package():
-    defined, used = {}, set()
+def scan_package():
+    """(defined, used): each top-level name and each public method of a
+    top-level class, as (name, qualified name) in source order, and every
+    name the package reads or imports."""
+    defined, used = [], set()
     for path in SOURCES:
         module = os.path.basename(path)[:-3]
         with open(path, encoding="utf-8") as fh:
@@ -32,14 +36,12 @@ def test_every_public_name_is_used_in_the_package():
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            for name in names:
-                if not name.startswith("_"):
-                    defined[name] = f"{module}.{name}"
+            defined += [(name, f"{module}.{name}") for name in names]
             if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and \
-                            not item.name.startswith("_"):
-                        defined[item.name] = f"{module}.{node.name}.{item.name}"
+                defined += [(item.name, f"{module}.{node.name}.{item.name}")
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -47,8 +49,25 @@ def test_every_public_name_is_used_in_the_package():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    unused = {qualified for name, qualified in defined.items() if name not in used}
+    return defined, used
+
+
+def test_every_public_name_is_used_in_the_package():
+    defined, used = scan_package()
+    public = {name: qualified for name, qualified in defined
+              if not name.startswith("_")}
+    unused = {qualified for name, qualified in public.items() if name not in used}
     assert unused <= TRACED_ONLY, sorted(unused - TRACED_ONLY)
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    # a private top-level helper that nothing reads is dead code; dunders
+    # are read by Python itself
+    defined, used = scan_package()
+    private = [(name, qualified) for name, qualified in defined
+               if name.startswith("_") and not name.startswith("__")]
+    unused = [qualified for name, qualified in private if name not in used]
+    assert private and not unused, unused
 
 
 def test_no_assert_statements_in_the_package():

@@ -128,14 +128,31 @@ class TestSkeleton:
         assert "p=593" in run.err and "t+201" in run.err
         assert "UniversalGroupSpec(" not in run.err
 
-    def test_text_mode_builds_no_payload(self, run, monkeypatch):
-        # the text line reads the signature and genus off the skeleton, the
-        # genus through the module, where perfbench's tracer wraps it
-        payloads = count_calls(monkeypatch, skeleton.Skeleton, "to_json_dict")
-        genera = count_calls(monkeypatch, skeleton, "genus")
+    def test_text_mode_builds_no_payload(self, run, monkeypatch, tmp_path):
+        # the text line is read off the orbit: no skeleton is lifted or
+        # built, and the cache is neither read nor written
+        lifts = count_calls(monkeypatch, skeleton, "enumerate_universal")
+        skeletons = count_calls(monkeypatch, skeleton.Skeleton, "__init__")
         code, out = run("skeleton", "--p", "19", "--min-poly", "t+4")
         assert (code, out) == (0, "(20;0,2;1^2 9^2)  genus=0\n")
-        assert payloads == [] and len(genera) == 1
+        assert lifts == [] and skeletons == []
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("--p", "2", "--min-poly", "t^3+t+1"),
+        ("--p", "19", "--min-poly", "t+4"),
+        ("--p", "593", "--min-poly", "t+201", "--no-cache"),
+        ("--p", "19", "--min-poly", "t+4", "--ambient", "b3"),
+        # a root whose trace field is smaller than F_49: its orbit is walked
+        ("--p", "7", "--min-poly", "t^2+3t+1"),
+    ], ids=["row-1", "p-19", "p-593", "b3", "walked"])
+    def test_text_line_matches_the_payload(self, run, argv):
+        code, text = run("skeleton", *argv)
+        assert code == 0
+        code, out = run("skeleton", *argv, "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert text == f"{data['signature']}  genus={data['genus']}\n"
 
     def test_json_schema(self, run):
         code, out = run("skeleton", "--p", "13", "--min-poly", "t+2", "--json")
@@ -154,12 +171,14 @@ class TestSkeleton:
         assert code1 == code2 == 0
         assert cold == warm
 
-    def test_warm_cache_honours_state_cap(self, run):
+    def test_warm_cache_honours_state_cap(self, run, tmp_path):
         # the p=19 t+4 skeleton has 20 edges; a filled cache must not
         # let it past a cap the cold walk enforces
-        assert run("skeleton", "--p", "19", "--min-poly", "t+4")[0] == 0
+        assert run("skeleton", "--p", "19", "--min-poly", "t+4",
+                   "--json")[0] == 0
+        assert os.listdir(tmp_path / "cache")
         code, _ = run("--state-cap", "19", "skeleton", "--p", "19",
-                      "--min-poly", "t+4")
+                      "--min-poly", "t+4", "--json")
         assert code == 3
 
     @pytest.mark.parametrize("corrupt", [
@@ -182,18 +201,19 @@ class TestSkeleton:
 
     def test_field_over_the_cap_skips_the_irreducibility_test(self, run,
                                                                monkeypatch):
-        # q = 2^600 is known from the text's degree, so the Rabin test's
-        # 600 powerings mod a degree-600 polynomial never start
-        tests = count_calls(monkeypatch, exactalg, "fp_is_irreducible")
+        # q = 2^600 is known from the text's degree, so the unit table
+        # that would prove t^600+t^5+1 irreducible is never started
+        tables = count_calls(monkeypatch, exactalg, "_unit_tables")
         code, _ = run("--state-cap", "100", "skeleton", "--p", "2",
                       "--min-poly", "t^600+t^5+1", "--no-cache")
-        assert code == 3 and tests == []
+        assert code == 3 and tables == []
         assert f"field of order {2 ** 600} for p=2" in run.err
 
     def test_one_irreducibility_test_per_run(self, run, monkeypatch):
-        tests = count_calls(monkeypatch, exactalg, "fp_is_irreducible")
+        # the field's one unit table is its irreducibility test
+        tables = count_calls(monkeypatch, exactalg, "_unit_tables")
         assert run("skeleton", "--p", "2", "--min-poly", "t^3+t+1")[0] == 0
-        assert tests == [((1, 1, 0, 1), 2)]
+        assert len(tables) == 1 and tables[0][0] == 8
 
     def test_field_over_the_cap_is_resource_error(self, run, monkeypatch):
         # q = 2^17 exceeds the cap, so the field's O(q) tables are never built

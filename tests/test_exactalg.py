@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -446,6 +447,29 @@ class TestFieldSpec:
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
             FieldSpec(5, "2t+1")
+
+    def test_accepts_exactly_the_irreducible_moduli(self):
+        # the unit table is the proof of irreducibility: it must accept
+        # each monic modulus with a nonzero constant term exactly when
+        # sympy finds it irreducible, and refuse the rest as reducible
+        t = sympy.Symbol("t")
+        checked = 0
+        for p, degrees in ((2, range(2, 7)), (3, range(2, 5)),
+                           (5, range(2, 4)), (7, (2,))):
+            for d in degrees:
+                for c0, *middle in product(range(1, p), *[range(p)] * (d - 1)):
+                    coeffs = (c0, *middle, 1)
+                    irreducible = sympy.Poly(coeffs[::-1], t,
+                                             modulus=p).is_irreducible
+                    try:
+                        FieldSpec(p, IntPoly(coeffs))
+                        accepted = True
+                    except ValueError as exc:
+                        assert "is reducible over" in str(exc)
+                        accepted = False
+                    assert accepted == irreducible, (p, coeffs)
+                    checked += 1
+        assert checked == 302
 
     def test_field_axioms_random_sampling(self):
         spec = FieldSpec(2, "t^3+t+1")
