@@ -3,32 +3,26 @@
 Two distinct classification rows cannot coexist in one subgroup: the
 skeletons of the intersections of conjugates are exactly the connected
 components of the fibered product over the one-edge base, and every such
-component must have positive genus.  The product is computed on the base
-of the two factors' walks over lines, as a voltage graph over the pairs
-of lines (Gross and Tucker's lifting, as _LineWalk.signature reads one
-walk).  Each factor's black and white steps are lifted to its edges by
-_LineWalk.edge_steps, the rule enumerate_universal lifts a skeleton by.
-One pass over the pairs of each base component gives the component's
-local group, and with it the edges, vertices and regions of the
-isomorphic components that lie over it, which go straight into Euler's
-formula; no product skeleton is built.  Conjugacy of a module to the
-span of e2 is decided on the projective line, where scalars act
-trivially: it is membership of e2's line in the braid orbit of the
-module's line.  addendum_report runs both checks of the paper's
-addendum from one walk per braid orbit of type lines: the orbit of
-type I, whose line is e2's, gives each row's representative, and the
-conjugacy is membership of the module's type in that orbit.
+component must have positive genus.  fibered_product reads the product in
+closed form from the two factors' generator cycles on lines, the cycles
+skeleton._closed_form lifts a signature from, and visits no pair of lines
+or edges.  Conjugacy of a module to the span of e2 is decided on the
+projective line, where scalars act trivially: it is membership of e2's
+line in the braid orbit of the module's line.  addendum_report runs both
+checks of the paper's addendum without a walk: orbit_signatures gives
+each row's braid orbits of type lines in closed form, and a realized type
+is conjugate to e2 when its orbit holds I, whose line is e2's.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .golden import GOLDEN_ROWS
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, _euler_genus, \
-    _LineWalk, _orbit_walks
+    _fiber_order, _generator_cycles, _LineWalk, _trace_generates, \
+    orbit_signatures
 from .typesys import admissible_types, root_spec
 
 
@@ -38,7 +32,7 @@ class FiberedProduct:
 
     left_edges: int
     right_edges: int
-    components: tuple  # of (edges, genus), grouped by the base component below
+    components: tuple  # of (edges, genus)
 
     @property
     def total_edges(self):
@@ -48,113 +42,106 @@ class FiberedProduct:
         return min(g for _, g in self.components)
 
 
-def _region_classes(walk):
-    """(widths, class_of): the distinct widths of the walk's region cycles,
-    and for each line the position in widths of those over it."""
-    cycle_of, cycles = walk.lifted_cycles(walk.region)
-    widths = sorted({width for width, _ in cycles})
-    position = {width: c for c, width in enumerate(widths)}
-    return widths, [position[cycles[c][0]] for c in cycle_of]
+def _reciprocal(modulus, p):
+    """The monic reciprocal of a modulus over F_p: the minimal polynomial
+    of 1/xi."""
+    inverse = pow(modulus[0], -1, p)
+    return tuple(c * inverse % p for c in reversed(modulus))
 
 
-def _group_order(generators, k1, k2):
-    """The order of the subgroup of Z/k1 x Z/k2 that generators generate."""
-    group = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        a, b = frontier.pop()
-        for da, db in generators:
-            h = ((a + da) % k1, (b + db) % k2)
-            if h not in group:
-                group.add(h)
-                frontier.append(h)
-    return len(group)
+def _cycle_count(cycles, r1, r2):
+    """The cycles over base cycles (a, b, count) of net voltage (a, b) in
+    Z/r1 x Z/r2: each lifts to r1 r2 / o cycles, o the order of (a, b)."""
+    return sum(count * r1 * r2 // lcm(r1 // gcd(r1, a), r2 // gcd(r2, b))
+               for a, b, count in cycles)
 
 
-def fibered_product(w1, w2):
+def _components(n, vertices, edges, faces):
+    """n isomorphic components that share these cycle counts."""
+    if vertices % n or edges % n or faces % n:
+        raise AssertionError("product cycle counts are not integral")
+    edges //= n
+    return [(edges, _euler_genus(vertices // n, edges, faces // n))] * n
+
+
+def fibered_product(spec1, spec2):
     """Edges and genus of each component of the product over the one-edge base.
 
-    The factors are the skeletons lifted from the walks w1 and w2.  Their
-    edges (i, t) are lines with a fiber coordinate in Z/k, numbered
-    i * k + t, and the black and white steps add a voltage in Z/k: both
-    are lifted to these edges by _LineWalk.edge_steps, the rule that
-    enumerate_universal lifts a skeleton by.  So the product is a voltage
-    graph over the pairs of lines with group Z/k1 x Z/k2.  One
-    walk over each base component C keeps, for each pair, its potential:
-    the edge pair over it first reached, as one integer code.  A step that
-    reaches a pair with another potential closes a cycle of nonzero net
-    voltage, and these generate C's local group H.  Over C lie
-    k1 k2 / |H| isomorphic components, each with |H| edges over every pair
-    of C.  An edge pair is fixed by black or white exactly when its base
-    pair is, with zero voltage.  The region permutation acts
-    coordinatewise, so an edge pair whose coordinates lie on region
-    cycles of widths x and y lies on one of width lcm(x, y); the walk sums
-    F * L = sum of L / lcm(x, y) over C's pairs, with L the lcm of both
-    factors' widths.  Black has order 3 and white order 2 because they do
-    on the factors, so V = (E + 2 fix_black) / 3 + (E + fix_white) / 2 and
-    F = (F * L) / L, and Euler's formula gives the genus.
-    """
-    n1, n2, k1, k2 = len(w1.lines), len(w2.lines), w1.k, w2.k
-    e2 = n2 * k2
-    widths1, class1 = _region_classes(w1)
-    widths2, class2 = _region_classes(w2)
-    L = lcm(*widths1, *widths2)
-    # weight[row1[s1] + col2[s2]] = L / lcm(x, y) for the widths through s1, s2
-    weight = [L // lcm(x, y) for x in widths1 for y in widths2]
-    row1 = [class1[s // k1] * len(widths2) for s in range(n1 * k1)]
-    col2 = [class2[s // k2] for s in range(e2)]
-    # edge s1 of w1 steps to the pair code s1' * e2 + s2' over pair i1' * n2 + i2'
-    black1, white1 = ([(s * e2, s // k1 * n2) for s in w1.edge_steps(step)]
-                      for step in (w1.black, w1.white))
-    black2, white2 = ([(s, s // k2) for s in w2.edge_steps(step)]
-                      for step in (w2.black, w2.white))
+    Both roots must pass _trace_generates, so each factor is transitive on
+    its (q + 1) r edges, the nonzero covectors modulo the scalars S, and
+    _generator_cycles gives the cycles (L, mu, count) of black, white and
+    region on its q + 1 lines.  These act coordinatewise on edge pairs:
+    cycles of lengths L1 and L2 meet in gcd(L1, L2) cycles of line pairs,
+    of length l = lcm(L1, L2) and voltage (mu1 l / L1, mu2 l / L2) in
+    Z/r1 x Z/r2, and one of voltage of order o lifts to r1 r2 / o cycles.
+    That gives V and F of all components together, with E = E1 E2.
 
-    code = array("q", [-1]) * (n1 * n2)
-    components = []
-    for start in range(len(code)):
-        if code[start] >= 0:
-            continue
-        i1, i2 = divmod(start, n2)
-        code[start] = i1 * k1 * e2 + i2 * k2
-        stack = [code[start]]
-        pairs = fix_black = fix_white = faces_l = 0
-        closing = set()  # (code reached, code held) of the nonzero cycles
-        while stack:
-            c = stack.pop()
-            s1, s2 = divmod(c, e2)
-            pairs += 1
-            faces_l += weight[row1[s1] + col2[s2]]
-            (x, f1), (y, f2) = black1[s1], black2[s2]
-            c2, f = x + y, f1 + f2
-            held = code[f]
-            if held < 0:
-                code[f] = c2
-                stack.append(c2)
-            elif held != c2:
-                closing.add((c2, held))
-            elif c2 == c:
-                fix_black += 1
-            (x, f1), (y, f2) = white1[s1], white2[s2]
-            c2, f = x + y, f1 + f2
-            held = code[f]
-            if held < 0:
-                code[f] = c2
-                stack.append(c2)
-            elif held != c2:
-                closing.add((c2, held))
-            elif c2 == c:
-                fix_white += 1
-        # both codes lie over one pair, so their edges differ in t alone
-        h = _group_order({((a // e2 - b // e2) % k1, (a % e2 - b % e2) % k2)
-                          for a, b in closing}, k1, k2)
-        edges, fix_black, fix_white, faces_l = (
-            h * pairs, h * fix_black, h * fix_white, h * faces_l)
-        if (edges + 2 * fix_black) % 3 or (edges + fix_white) % 2 or faces_l % L:
-            raise AssertionError("product cycle counts are not integral")
-        vertices = (edges + 2 * fix_black) // 3 + (edges + fix_white) // 2
-        components.extend([(edges, _euler_genus(vertices, edges, faces_l // L))]
-                          * (k1 * k2 // h))
-    return FiberedProduct(n1 * k1, e2, tuple(components))
+    Unlinked roots (m2 neither m1 nor its monic reciprocal) give one
+    component.  The commutator subgroup of the braid group maps onto
+    SL2(F_q) in each factor (see _closed_form), so by Goursat's lemma its
+    image in SL2(F_q1) x SL2(F_q2) is the pairs that agree under an
+    isomorphism of quotients SL2(F_q1)/N1 = SL2(F_q2)/N2.  As q >= 8
+    (N >= 7), the normal subgroups are 1, {+-1} and SL2, and PSL2(F_q) is
+    simple and determines q.  A nontrivial quotient would thus give
+    q1 = q2 and make the image in PSL2(F_q)^2 the graph of an automorphism
+    of PSL2(F_q), conjugation by some beta in PGammaL2(F_q).  The braid
+    image normalizes that graph and only 1 in PGammaL2(F_q) centralizes
+    PSL2(F_q), so every braid would have g2 = beta g1 beta^-1
+    projectively.  On s1, tr^2 / det = 2 - xi - 1/xi, so xi2 + 1/xi2 would
+    be a Frobenius conjugate of xi1 + 1/xi1, and m2 m1 or its reciprocal.
+    So the image is all of SL2 x SL2, which is transitive on the pairs of
+    nonzero covectors.
+
+    Linked roots are read over one prime field, with xi2 = 1/xi1 and one
+    ambient, so r1 = r2 = r.  B(1/xi) = C B(xi) C^-1 / det B(xi) with
+    C = [[1, -1 - 1/xi], [1 + 1/xi, -1/xi]], as it holds on s1, s2 and T
+    (Squier's unitarity of Burau; det C = 1 + 1/xi + 1/xi^2 != 0).  So
+    phi(v) = v C^-1 carries factor 1's lines to factor 2's, and a step of
+    voltage d has voltage d - log det there.  PSL2(F_p) is 2-transitive on
+    lines, so the line pairs form the diagonal D = {(l, phi(l))} and one
+    other orbit O.  On D the cycles are factor 1's, with
+    mu2 = mu1 - L log det g and det g = (-xi)^k, k = 2, 3, 1.  A braid
+    fixing l acts over (l, phi(l)) by (lambda, lambda / det): diag(a, 1/a)
+    in SL2 makes lambda any unit at det 1, and the determinants are the
+    powers of -xi, so r / [<-xi> S : S] = gcd(r, log(-xi)) isomorphic
+    components lie over D.  A braid fixing l and m != l has eigenvalues
+    lambda and mu there and acts over (l, phi(m)) by (lambda, 1 / lambda),
+    so r lie over O, sharing the cycles not on D.
+
+    Any other pair raises ValueError: a root failing _trace_generates, the
+    same root twice, or reciprocal roots over an extension field or in two
+    ambients.
+    """
+    for spec in (spec1, spec2):
+        if not _trace_generates(spec.root):
+            raise ValueError(f"no closed-form product for {spec}: its trace "
+                             f"field is smaller than its field")
+    r1, r2 = _fiber_order(spec1), _fiber_order(spec2)
+    e1 = (spec1.root.field.order + 1) * r1
+    e2 = (spec2.root.field.order + 1) * r2
+    cycles1 = _generator_cycles(spec1)
+    black, white, region = (_cycle_count(
+        [(mu1 * l // L1, mu2 * l // L2, c1 * c2 * gcd(L1, L2))
+         for L1, mu1, c1 in base1 for L2, mu2, c2 in base2
+         for l in [lcm(L1, L2)]], r1, r2)
+        for base1, base2 in zip(cycles1, _generator_cycles(spec2)))
+    field, p = spec1.root.field, spec1.root.p
+    m1, m2 = field.modulus, spec2.root.field.modulus
+    if spec2.root.p != p or m2 not in (m1, _reciprocal(m1, p)):
+        return FiberedProduct(e1, e2, tuple(
+            _components(1, black + white, e1 * e2, region)))
+    if field.degree > 1 or m2 == m1 or spec1.ambient != spec2.ambient:
+        raise ValueError(f"no closed-form product of the linked {spec1} "
+                         f"and {spec2}")
+    log_s1 = field.log[-field.gen % p]  # log det s1 = log(-xi)
+    black_d, white_d, region_d = (_cycle_count(
+        [(mu, mu - L * k * log_s1, count) for L, mu, count in base], r1, r1)
+        for base, k in zip(cycles1, (2, 3, 1)))
+    e_d = (field.order + 1) * r1 * r1
+    return FiberedProduct(e1, e2, tuple(
+        _components(gcd(r1, log_s1), black_d + white_d, e_d, region_d)
+        + _components(r1, black + white - black_d - white_d, e1 * e2 - e_d,
+                      region - region_d)))
 
 
 def conjugate_to_e2(spec):
@@ -169,21 +156,21 @@ def conjugate_to_e2(spec):
     return 0 in _LineWalk(spec).index
 
 
-def verify_addendum_pairwise(row_walks):
+def verify_addendum_pairwise(row_specs):
     """Fibered products of every unordered pair of row representatives.
 
-    Input: list of (label, _LineWalk), the walk of one representative per
+    Input: list of (label, UniversalGroupSpec), one representative per
     table row.  Each pair must produce components of genus >= 1 only; a
     genus-zero component would mean two distinct factors coexisting in one
     subgroup.  Returns a report dict with per-pair component counts and
     minimum genus.
     """
     report = {"pairs": [], "ok": True}
-    for i in range(len(row_walks)):
-        for j in range(i + 1, len(row_walks)):
-            label_a, walk_a = row_walks[i]
-            label_b, walk_b = row_walks[j]
-            prod = fibered_product(walk_a, walk_b)
+    for i in range(len(row_specs)):
+        for j in range(i + 1, len(row_specs)):
+            label_a, spec_a = row_specs[i]
+            label_b, spec_b = row_specs[j]
+            prod = fibered_product(spec_a, spec_b)
             if sum(e for e, _ in prod.components) != prod.total_edges:
                 raise AssertionError("component edges do not partition the product")
             mg = prod.min_genus()
@@ -203,39 +190,32 @@ def addendum_report(state_cap=DEFAULT_STATE_CAP, all_groups=False):
     """The addendum: distinct rows exclude each other, and every realized
     module line is conjugate to the line of e2.
 
-    Each row is represented by the type-I walk of its first factor, or
+    Each row is represented by the type-I subgroup of its first factor, or
     with all_groups each of its factor groups by that of the group's first
     factor; every pair of representatives must pass
     verify_addendum_pairwise.  A row's realized types are the tags of its
-    genus-zero braid orbits of type lines.  v_I = e2 and I is always
-    admissible, so a realized type is conjugate to e2 exactly when its
-    orbit holds I.  I sorts first among the tags, so the row's first
-    orbit is I's, and its walk is the row's representative.  Returns
-    {"pairs", "conjugacy", "ok"}.
+    genus-zero braid orbits of type lines, from orbit_signatures, which
+    raises at the state cap.  v_I = e2 and I is always admissible, so a
+    realized type is conjugate to e2 exactly when its orbit holds I.
+    Returns {"pairs", "conjugacy", "ok"}.
     """
-    reps, row_orbits = [], []
+    reps, conjugacy = [], []
     for row in GOLDEN_ROWS:
-        # one root per row serves all its walks, which then share the
-        # field's specialized matrices
         root = root_spec(row.p, row.factors[0])
-        orbits = list(_orbit_walks(root, sorted(admissible_types(root)),
-                                   "bu3", state_cap))
-        row_orbits.append(orbits)
+        realized, ok = [], True
+        tags = sorted(admissible_types(root))
+        for _, g, orbit in orbit_signatures(root, tags, "bu3", state_cap):
+            if g == 0:
+                realized.extend(orbit)
+                ok = ok and "I" in orbit
+        conjugacy.append({"row": row.label, "minPoly": row.factors[0],
+                          "types": sorted(realized), "ok": ok})
         groups = row.factor_groups if all_groups else row.factor_groups[:1]
         for n, grp in enumerate(groups):
             label = f"{row.label} {grp[0]}" if all_groups else row.label
-            reps.append((label, orbits[0][0] if n == 0 else _LineWalk(
-                UniversalGroupSpec(root_spec(row.p, grp[0]), "I", "bu3"),
-                state_cap)))
+            reps.append((label, UniversalGroupSpec(
+                root if n == 0 else root_spec(row.p, grp[0]), "I", "bu3")))
     report = verify_addendum_pairwise(reps)
-    report["conjugacy"] = []
-    for row, orbits in zip(GOLDEN_ROWS, row_orbits):
-        realized, ok = [], True
-        for walk, orbit in orbits:
-            if walk.signature()[1] == 0:
-                realized.extend(orbit)
-                ok = ok and "I" in orbit
-        report["conjugacy"].append({"row": row.label, "minPoly": row.factors[0],
-                                    "types": sorted(realized), "ok": ok})
-        report["ok"] = report["ok"] and ok
+    report["conjugacy"] = conjugacy
+    report["ok"] = report["ok"] and all(c["ok"] for c in conjugacy)
     return report

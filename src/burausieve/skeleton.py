@@ -11,17 +11,18 @@ walk by `_LineWalk.lifted_cycles`, which lifts each cycle on lines by the
 one rule `_lift`, and every lift of a step to the orbit's edges goes
 through the one rule `_LineWalk.edge_steps`:
 `enumerate_universal` lifts black, white and region with it and numbers
-the edges breadth-first.  The fibered products share both rules.
+the edges breadth-first.
 Tags whose lines are conjugate share a skeleton up to isomorphism, so
 `_orbit_walks` walks once per braid orbit of type lines and folds every
-later tag whose seed line the walk reached into that orbit; the addendum
-takes its walks for the realized types and the rows' representatives.
+later tag whose seed line the walk reached into that orbit.
 When the trace field F_p(xi + 1/xi) is F_q, the braid image holds
 PSL2(F_q), every line is in one orbit with local group Z/r, and
-`_closed_form` gives the signature and genus from each generator's
-eigenvalues and projective order, without a walk.  So the sweep's genus
-filter (through `orbit_signatures`) and the table check walk only the
-roots whose trace field is smaller than F_q.
+`_closed_form_cycles` reads each generator's cycles on lines off its
+eigenvalues and projective order, without a walk: `_closed_form` lifts
+them by `_lift` to the signature and genus, and `intersect`'s fibered
+products multiply them.  So the sweep's genus filter (through
+`orbit_signatures`) and the table check walk only the roots whose trace
+field is smaller than F_q, and the addendum walks none.
 """
 
 from __future__ import annotations
@@ -437,7 +438,8 @@ def _orbit_walks(root, tags, ambient, state_cap):
     of their own otherwise.  Each orbit is yielded when its first tag is
     walked; its list of tags gains the later tags folded into it, and is
     complete once the generator is exhausted.  Only each walk's index is
-    kept here.
+    kept here.  Its one caller is orbit_signatures, for the roots that
+    _closed_form does not read.
     """
     orbits = []  # (index, tags)
     for tag in tags:
@@ -464,9 +466,9 @@ def _trace_generates(root):
                                for e in range(1, d) if d % e == 0)
 
 
-def _closed_form_cycles(g, n0, spec, r):
-    """The lifted (length, count) cycles of the codes g of black, white or
-    region on an orbit of all q + 1 lines with K = Z/r.
+def _closed_form_cycles(g, n0, spec):
+    """The (length, net voltage, count) cycles of the codes g of black,
+    white or region on all q + 1 lines.
 
     g's projective order n divides n0 (3, 2 and N), and g^n = c I.  If
     n > 1, g's fixed lines are its eigenlines: the eigenvalues are the n-th
@@ -474,7 +476,7 @@ def _closed_form_cycles(g, n0, spec, r):
     lambda^2 - tr lambda + det = 0, and each fixed line has the voltage
     log lambda.  A power g^L with L < n is not scalar, so it fixes only g's
     eigenlines, and the other lines form cycles of length n, each of net
-    voltage log c.  Both kinds lift by _lift with k = r.
+    voltage log c.  The voltages are logs in F_q*, not yet reduced mod r.
     """
     field = spec.root.field
     q, minus_one, log, exp = field.order, field.p - 1, field.log, field.exp
@@ -510,9 +512,14 @@ def _closed_form_cycles(g, n0, spec, r):
     if rest % n:
         raise AssertionError(f"{rest} lines do not fall into cycles of "
                              f"length {n} for {spec}")
-    length, count = _lift(n, e, r, r, spec)
-    return [_lift(1, x, r, r, spec) for x in eigen] + [
-        (length, count * (rest // n))]
+    return [(1, x, 1) for x in eigen] + [(n, e, rest // n)]
+
+
+def _generator_cycles(spec):
+    """_closed_form_cycles of black, white and region, in that order."""
+    field = spec.root.field
+    return [_closed_form_cycles(_spec_matrix_codes(word, field), n0, spec)
+            for word, n0 in ((_BLACK, 3), (_WHITE, 2), (_REGION, spec.root.N))]
 
 
 def _closed_form(spec, state_cap):
@@ -535,18 +542,18 @@ def _closed_form(spec, state_cap):
     perfect for q >= 4, so it is SL2(F_q).  In a basis whose first row
     spans the seed line, diag(a, 1/a) fixes that line with eigenvalue a,
     for every a in F_q*, so the local group is K = F_q*/S = Z/r and the
-    orbit has (q + 1) r edges.  Raises EnumerationCapExceeded exactly when
-    _LineWalk would: when (q + 1) r exceeds state_cap.
+    orbit has (q + 1) r edges, and each cycle on lines lifts by _lift with
+    k = r.  Raises EnumerationCapExceeded exactly when _LineWalk would:
+    when (q + 1) r exceeds state_cap.
     """
-    root = spec.root
-    field = root.field
     r = _fiber_order(spec)
-    edges = (field.order + 1) * r
+    edges = (spec.root.field.order + 1) * r
     if edges > state_cap:
         raise _cap_exceeded(state_cap, spec)
     return _signature_of(edges, *(
-        _closed_form_cycles(_spec_matrix_codes(word, field), n0, spec, r)
-        for word, n0 in ((_BLACK, 3), (_WHITE, 2), (_REGION, root.N))))
+        [(length, count * c) for n, mu, count in cycles
+         for length, c in [_lift(n, mu, r, r, spec)]]
+        for cycles in _generator_cycles(spec)))
 
 
 def _orbit_signature(spec, state_cap):

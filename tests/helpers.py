@@ -10,15 +10,14 @@ the sieve evaluates each (u, w) pair once for every l; `sweep_pairs`
 flattens a sweep to its classification; `check_type_specification` and
 `type_ii_odd_width_excluded` state lifting conditions of the paper that
 the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
-word's degree, a Burau matrix's determinant and the smallest skeleton,
-and `single_edge_walk` is the walk that skeleton lifts from;
+word's degree, a Burau matrix's determinant and the smallest skeleton;
 `reference_cycles` walks the cycles of any permutation, the reference for
 the skeleton's cycles, which read black's and white's off their orders;
 `reference_fibered_product` is the fibered product of two lifted
-skeletons, pair by pair, the reference for the package's product on the
-walks' base; `count_calls` records the calls of a package function;
-`realized_types_alone` is the addendum's conjugacy check with each type
-lifted and tested on its own.
+skeletons, pair by pair, the reference for the package's closed-form
+product and the only product of the pairs it refuses; `count_calls`
+records the calls of a package function; `realized_types_alone` is the
+addendum's conjugacy check with each type lifted and tested on its own.
 """
 
 import sys
@@ -30,7 +29,7 @@ from burausieve.exactalg import IntPoly, _fp_divmod, _fp_monic, cyclotomic, \
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
 from burausieve.sieve import _SievePass, _require_distinct_projections
 from burausieve.skeleton import Skeleton, UniversalGroupSpec, _euler_genus, \
-    _LineWalk, enumerate_universal, genus
+    enumerate_universal, genus
 from burausieve.typesys import admissible_types
 
 
@@ -150,16 +149,6 @@ def det(m):
 def single_edge():
     """The one-edge skeleton of the full modular group."""
     return Skeleton((0,), (0,))
-
-
-def single_edge_walk():
-    """The walk the one-edge skeleton lifts from: one line, which every
-    step fixes with voltage 0, and a trivial fiber."""
-    walk = object.__new__(_LineWalk)
-    walk.spec, walk.r, walk.k = "the one-edge skeleton", 1, 1
-    walk.lines, walk.index, walk.potential = [0], {0: 0}, [0]
-    walk.black = walk.white = walk.region = [(0, 0)]
-    return walk
 
 
 def reference_cycles(perm):

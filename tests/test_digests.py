@@ -1,0 +1,99 @@
+"""Every command's output, pinned byte for byte.
+
+`stdout_digests.json` holds, for each command line below, the exit code
+and the sha256 of stdout and of stderr, in the order the commands run.
+`{cache}` in an argv stands for one fresh cache directory shared by the
+whole run, so each `skeleton --json` runs first cold and then warm.  A
+digest changes only with a stated reason: the classification itself is
+fixed.  To rewrite the file after such a change, run
+`PYTHONPATH=src python tests/test_digests.py --write`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+from burausieve.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DIGESTS = os.path.join(HERE, "stdout_digests.json")
+
+SKELETONS = [
+    ("--p", "2", "--min-poly", "t^3+t+1"),
+    ("--p", "19", "--min-poly", "t+4"),
+    ("--p", "593", "--min-poly", "t+201"),
+    ("--p", "19", "--min-poly", "t+4", "--ambient", "b3"),
+    ("--p", "7", "--min-poly", "t^2+3t+1"),
+]
+
+COMMANDS = [
+    ("sieve", "--n-range", "7..26", "--json"),
+    ("sieve", "--n-range", "7..26"),
+    ("table",),
+    ("table", "--verify", "--json"),
+    ("table", "--verify"),
+    ("addendum",),
+    ("addendum", "--all-groups", "--json"),
+    ("factors", "--n", "59", "--p", "19", "--json"),
+    ("factors", "--n", "9", "--p", "19"),
+    *[cmd for args in SKELETONS for cmd in (
+        ("--cache-dir", "{cache}", "skeleton", *args, "--json"),
+        ("--cache-dir", "{cache}", "skeleton", *args, "--json"),
+        ("skeleton", *args))],
+    ("--state-cap", "10", "addendum", "--all-groups"),
+    ("--state-cap", "100", "addendum"),
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_all(cache):
+    """[{argv, exit, stdout, stderr}] for COMMANDS, run in process in order."""
+    entries = []
+    for argv in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([cache if a == "{cache}" else a for a in argv])
+        entries.append({"argv": list(argv), "exit": code,
+                        "stdout": sha256(out.getvalue()),
+                        "stderr": sha256(err.getvalue())})
+    return entries
+
+
+def test_outputs_match_the_digests(tmp_path, monkeypatch):
+    monkeypatch.setenv("BURAU_SIEVE_CACHE", str(tmp_path / "env-cache"))
+    with open(DIGESTS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    got = run_all(str(tmp_path / "cache"))
+    assert [e["argv"] for e in got] == [e["argv"] for e in pinned]
+    for want, have in zip(pinned, got):
+        assert have == want, " ".join(want["argv"])
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    argv = ["sieve", "--n-range", "7..26", "--json"]
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env = dict(os.environ, PYTHONHASHSEED="2", PYTHONPATH=src,
+               BURAU_SIEVE_CACHE=str(tmp_path / "cache"))
+    done = subprocess.run([sys.executable, "-m", "burausieve.cli", *argv],
+                          env=env, capture_output=True, text=True, check=False)
+    with open(DIGESTS, encoding="utf-8") as fh:
+        want, = [e for e in json.load(fh) if e["argv"] == argv]
+    assert (done.returncode, sha256(done.stdout), sha256(done.stderr)) == (
+        want["exit"], want["stdout"], want["stderr"])
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        os.environ["BURAU_SIEVE_CACHE"] = os.path.join(tmp, "env-cache")
+        entries = run_all(os.path.join(tmp, "cache"))
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")

@@ -2,9 +2,10 @@
 
 from collections import Counter
 
+import pytest
 from covector_oracle import product_skeletons, skeleton_isomorphic
 from helpers import realized_types_alone, reference_fibered_product, \
-    single_edge, single_edge_walk
+    single_edge
 
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import (
@@ -29,28 +30,33 @@ def enumerate_pair(p, text, tag="I", ambient="bu3"):
 
 
 def factor(p, text, tag="I", ambient="bu3"):
-    """(walk, skeleton): a universal subgroup's walk over lines and its lift."""
+    """(spec, skeleton): a universal subgroup and its lifted skeleton."""
     spec = UniversalGroupSpec(root_spec(p, text), tag, ambient)
-    return _LineWalk(spec), enumerate_universal(spec)
+    return spec, enumerate_universal(spec)
 
 
-def counted_and_built(f1, f2):
-    """The walks' product and the oracle's component skeletons, after
-    checking that both give the same components.  The product of the
-    lifted skeletons, pair by pair, lists them in the order of their first
-    pair, as the oracle does; the walks' product has the same multiset of
-    components and the same number of edge pairs."""
-    (w1, s1), (w2, s2) = f1, f2
-    fp = fibered_product(w1, w2)
+def built(s1, s2):
+    """The product of two lifted skeletons, pair by pair, and the oracle's
+    component skeletons, after checking that both list the same
+    components in the order of their first pair."""
     ref = reference_fibered_product(s1, s2)
     comps = product_skeletons(s1, s2)
     assert ref.components == tuple((c.edge_count, genus(c)) for c in comps)
+    return ref, comps
+
+
+def counted_and_built(f1, f2):
+    """The closed-form product and the oracle's component skeletons, after
+    checking that the closed form gives the same multiset of components
+    and the same number of edge pairs as the lifted skeletons' product."""
+    (spec1, s1), (spec2, s2) = f1, f2
+    fp = fibered_product(spec1, spec2)
+    ref, comps = built(s1, s2)
     assert Counter(fp.components) == Counter(ref.components)
     assert fp.total_edges == ref.total_edges
     return fp, comps
 
 
-SINGLE = (single_edge_walk(), single_edge())
 ROW1 = factor(2, "t^3+t+1")
 ROW1B = factor(2, "t^3+t^2+1")
 ROW3 = factor(3, "t^2+2t+2")
@@ -58,8 +64,9 @@ ROW3 = factor(3, "t^2+2t+2")
 
 class TestFiberedProduct:
     def test_base_change_identity(self):
-        fp, comps = counted_and_built(SINGLE, ROW1)
-        assert len(fp.components) == 1
+        # the one-edge base is no root, so only the lifted product takes it
+        ref, comps = built(single_edge(), ROW1[1])
+        assert len(ref.components) == 1
         assert signature(comps[0]) == signature(ROW1[1])
 
     def test_component_edges_partition(self):
@@ -68,10 +75,10 @@ class TestFiberedProduct:
         assert sum(e for e, _ in fp.components) == 90
 
     def test_self_product_has_flat_diagonal(self):
-        fp, comps = counted_and_built(ROW1, ROW1)
+        ref, comps = built(ROW1[1], ROW1[1])
         assert any(c.edge_count == ROW1[1].edge_count and genus(c) == 0
                    for c in comps)
-        assert (ROW1[1].edge_count, 0) in fp.components
+        assert (ROW1[1].edge_count, 0) in ref.components
 
     def test_distinct_rows_exclude_each_other(self):
         assert counted_and_built(ROW1, ROW3)[0].min_genus() >= 1
@@ -81,8 +88,8 @@ class TestFiberedProduct:
         # roots), so the product contains a diagonal-type component of
         # genus zero: they act as one entry of the classification, not two
         assert skeleton_isomorphic(ROW1[1], ROW1B[1])
-        fp, comps = counted_and_built(ROW1, ROW1B)
-        assert fp.min_genus() == 0
+        ref, comps = built(ROW1[1], ROW1B[1])
+        assert ref.min_genus() == 0
         assert any(c.edge_count == ROW1[1].edge_count and genus(c) == 0
                    for c in comps)
 
@@ -102,31 +109,63 @@ class TestFiberedProduct:
 
     def test_counting_matches_built_components(self):
         # every pair of row representatives, the comma partners (a genus-0
-        # diagonal component) and a genus-1 factor against row 1
+        # diagonal component, which only the lifted product takes) and a
+        # genus-1 factor against row 1
         reps = [factor(row.p, row.factors[0]) for row in GOLDEN_ROWS]
         pairs = [(a, b) for n, a in enumerate(reps) for b in reps[n + 1:]]
-        pairs += [(ROW1, ROW1B), (factor(19, "t+4", ambient="b3"), ROW1)]
-        assert len(pairs) == 80
+        pairs += [(factor(19, "t+4", ambient="b3"), ROW1)]
         for f1, f2 in pairs:
             counted_and_built(f1, f2)
+        built(ROW1[1], ROW1B[1])
+        assert len(pairs) + 1 == 80
 
     def test_all_groups_products_match_the_reference(self):
-        # the certificate of the product on the walks' base: on each of the
-        # 465 pairs of iso-class representatives that addendum --all-groups
-        # multiplies, the same components as the lifted skeletons' product
-        # and the same number of edge pairs, 1,021,705 in all
+        # the certificate of the closed form: on each of the 465 pairs of
+        # iso-class representatives that addendum --all-groups multiplies,
+        # the same components as the lifted skeletons' product and the same
+        # number of edge pairs, 1,021,705 in all
         reps = [factor(row.p, grp[0]) for row in GOLDEN_ROWS
                 for grp in row.factor_groups]
         pairs = [(a, b) for n, a in enumerate(reps) for b in reps[n + 1:]]
         assert len(pairs) == 465
         total = 0
-        for (w1, s1), (w2, s2) in pairs:
-            fp, ref = fibered_product(w1, w2), reference_fibered_product(s1, s2)
+        for (spec1, s1), (spec2, s2) in pairs:
+            fp = fibered_product(spec1, spec2)
+            ref = reference_fibered_product(s1, s2)
             assert Counter(fp.components) == Counter(ref.components), \
-                (w1.spec, w2.spec)
+                (spec1, spec2)
             assert fp.total_edges == ref.total_edges
             total += fp.total_edges
         assert total == 1_021_705
+
+    @pytest.mark.parametrize("p, m1, m2, ambient, expected", [
+        (37, "t+29", "t+23", "bu3", {(114, 1): 3, (4218, 172): 3}),
+        (37, "t+30", "t+21", "bu3", {(304, 9): 2, (5624, 307): 4}),
+        (61, "t+59", "t+30", "b3", {(558, 40): 1, (11346, 849): 3}),
+        (43, "t+41", "t+21", "bu3", {(132, 0): 3, (5676, 66): 3}),
+        (43, "t+41", "t+21", "b3", {(132, 0): 3, (5676, 66): 3}),
+    ], ids=["37-bu3", "37-two-diagonal", "61-b3", "43-bu3", "43-b3"])
+    def test_linked_pairs_beyond_the_addendum(self, p, m1, m2, ambient,
+                                              expected):
+        # reciprocal roots over a prime field, with r > 2, and with more
+        # than one component over the diagonal where r / n_D allows it
+        fp, _ = counted_and_built(factor(p, m1, ambient=ambient),
+                                  factor(p, m2, ambient=ambient))
+        assert Counter(fp.components) == expected
+
+    @pytest.mark.parametrize("f1, f2", [
+        ((43, "t+41", "bu3"), (43, "t+41", "bu3")),
+        ((2, "t^3+t+1", "bu3"), (2, "t^3+t^2+1", "bu3")),
+        ((43, "t+41", "bu3"), (43, "t+21", "b3")),
+        ((5, "t-1", "bu3"), (2, "t^3+t+1", "bu3")),
+        ((2, "t^3+t+1", "bu3"), (5, "t-1", "bu3")),
+    ], ids=["same-root", "extension-reciprocals", "two-ambients",
+            "non-transitive-left", "non-transitive-right"])
+    def test_refuses_what_it_cannot_read(self, f1, f2):
+        spec1, spec2 = (UniversalGroupSpec(root_spec(p, m), "I", ambient)
+                        for p, m, ambient in (f1, f2))
+        with pytest.raises(ValueError, match="no closed-form product"):
+            fibered_product(spec1, spec2)
 
 
 class TestAddendumPairs:
@@ -151,8 +190,8 @@ class TestConjugacy:
             assert realized_types_alone(root_spec(row.p, row.factors[0]))[1]
 
     def test_addendum_report_matches_the_per_tag_slow_path(self):
-        # the report reads one walk per braid orbit of type lines and takes
-        # the orbit of I for e2's; lifting each tag alone and testing it
+        # the report reads each braid orbit of type lines in closed form and
+        # takes the orbit of I for e2's; lifting each tag alone and testing it
         # with conjugate_to_e2 gives the same rows.  Its pairs are those of
         # the row representatives lifted here, multiplied pair by pair
         report = addendum_report()

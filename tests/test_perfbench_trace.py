@@ -12,7 +12,7 @@ import os
 
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import fibered_product
-from burausieve.skeleton import UniversalGroupSpec, _LineWalk
+from burausieve.skeleton import UniversalGroupSpec
 from burausieve.typesys import root_spec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,7 +42,7 @@ def test_traced_names_resolve():
 
 def test_fibered_product_reports_total_edges():
     # the tracer's product observer reads total_edges off every result: the
-    # edge pairs of the lifted factors, 9 x 9 for row 1's walk with itself
-    row = GOLDEN_ROWS[0]
-    walk = _LineWalk(UniversalGroupSpec(root_spec(row.p, row.factors[0]), "I"))
-    assert fibered_product(walk, walk).total_edges == 81
+    # edge pairs of the lifted factors, 9 x 17 for rows 1 and 2
+    spec1, spec2 = (UniversalGroupSpec(root_spec(row.p, row.factors[0]), "I")
+                    for row in GOLDEN_ROWS[:2])
+    assert fibered_product(spec1, spec2).total_edges == 153
