@@ -24,7 +24,8 @@ from .golden import GOLDEN_ROWS, self_check
 from .intersect import addendum_report
 from .sieve import SWEEP_RANGE, full_sweep
 from .skeleton import DEFAULT_STATE_CAP, EnumerationCapExceeded, Skeleton, \
-    UniversalGroupSpec, _cap_exceeded, _orbit_signature, enumerate_universal
+    UniversalGroupSpec, _cap_exceeded, enumerate_universal, orbit_signatures, \
+    table_verify
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
 SCHEMA_VERSION = 1
@@ -221,8 +222,8 @@ def cmd_skeleton(args, cfg, out):
     if args.type not in admissible_types(root):
         raise ValueError(f"type {args.type} not admissible for {root}")
     if not args.json:  # one line, read off the orbit without a lift
-        sig, g = _orbit_signature(
-            UniversalGroupSpec(root, args.type, args.ambient), cfg.state_cap)
+        (sig, g, _), = orbit_signatures(root, [args.type], args.ambient,
+                                        cfg.state_cap)
         out(f"{sig}  genus={g}")
         return EXIT_OK
     sk = cached_enumerate(root, args.type, args.ambient, cfg.state_cap,
@@ -244,9 +245,9 @@ def _parse_range(text):
 
 
 def cmd_sieve(args, cfg, out):
-    sweep_cfg = {"informative_sets": cfg.informative_sets or None,
-                 "state_cap": cfg.state_cap}
-    results = full_sweep(_parse_range(args.n_range), sweep_cfg, raw=args.raw)
+    results = full_sweep(_parse_range(args.n_range),
+                         informative_sets=cfg.informative_sets,
+                         state_cap=cfg.state_cap, raw=args.raw)
     payload = {"schemaVersion": SCHEMA_VERSION, "results": []}
     for N in sorted(results):
         entry = results[N]
@@ -285,7 +286,6 @@ def cmd_table(args, cfg, out):
             out(f"{star} {row.index:2d} p={row.p:<3d} N={row.N:<3d} "
                 f"{', '.join(row.factors)}")
         return EXIT_OK
-    from .skeleton import table_verify
     report = table_verify(state_cap=cfg.state_cap, rows=rows)
     if args.json:
         out(_dump({"schemaVersion": SCHEMA_VERSION, **report}))

@@ -623,7 +623,8 @@ class FieldSpec:
     _unit_tables): a modulus whose tables fail raises ValueError.  They
     cost O(q) time and memory.  matrix_codes memoizes the codes of
     specialized Burau matrices, keyed by the matrix, for the walks over
-    this field.
+    this field, and generator_cycles the cycles of the braid generators
+    on its lines, once skeleton has read them.
     """
 
     def __init__(self, p, modulus):
@@ -632,6 +633,7 @@ class FieldSpec:
         self.degree = d = _deg(coeffs)
         self.order = q = p ** d
         self.matrix_codes = {}
+        self.generator_cycles = None
         if d == 1:
             self.gen = -coeffs[0] % p
             self.add = lambda a, b: (a + b) % p

@@ -6,9 +6,11 @@ components of the fibered product over the one-edge base, and every such
 component must have positive genus.  fibered_product reads the product in
 closed form from the two factors' generator cycles on lines, the cycles
 skeleton._closed_form lifts a signature from, and visits no pair of lines
-or edges.  Conjugacy of a module to the span of e2 is decided on the
-projective line, where scalars act trivially: it is membership of e2's
-line in the braid orbit of the module's line.  addendum_report runs both
+or edges.  Those cycles are read once per field and kept on it, so every
+product over a field, and that field's own orbits, share them.
+Conjugacy of a module to the span of e2 is decided on the projective
+line, where scalars act trivially: it is membership of e2's line in the
+braid orbit of the module's line.  addendum_report runs both
 checks of the paper's addendum without a walk: orbit_signatures gives
 each row's braid orbits of type lines in closed form, and a realized type
 is conjugate to e2 when its orbit holds I, whose line is e2's.
@@ -119,12 +121,12 @@ def fibered_product(spec1, spec2):
     r1, r2 = _fiber_order(spec1), _fiber_order(spec2)
     e1 = (spec1.root.field.order + 1) * r1
     e2 = (spec2.root.field.order + 1) * r2
-    cycles1 = _generator_cycles(spec1)
+    cycles1 = _generator_cycles(spec1.root)
     black, white, region = (_cycle_count(
         [(mu1 * l // L1, mu2 * l // L2, c1 * c2 * gcd(L1, L2))
          for L1, mu1, c1 in base1 for L2, mu2, c2 in base2
          for l in [lcm(L1, L2)]], r1, r2)
-        for base1, base2 in zip(cycles1, _generator_cycles(spec2)))
+        for base1, base2 in zip(cycles1, _generator_cycles(spec2.root)))
     field, p = spec1.root.field, spec1.root.p
     m1, m2 = field.modulus, spec2.root.field.modulus
     if spec2.root.p != p or m2 not in (m1, _reciprocal(m1, p)):

@@ -411,9 +411,13 @@ def _search_passes(sieve_pass, want=2, max_pool=24, max_combos=4000):
 # -- the sweep ---------------------------------------------------------------
 
 
-def full_sweep(n_range=SWEEP_RANGE, config=None, raw=False):
-    """Run the sieve for each N and genus-filter the candidates.
+def full_sweep(n_range, informative_sets=None, state_cap=DEFAULT_STATE_CAP,
+               raw=False):
+    """Run the sieve for each N in n_range = (lo, hi) and genus-filter the
+    candidates.
 
+    informative_sets maps an N to word sets that replace that N's
+    defaults (candidate_sets_for), and state_cap bounds each coset walk.
     Returns a mapping N -> report with the informative sets used, the
     candidate triples per branch label (sorted), and the genus-zero
     survivors (None when `raw` skips the genus filter).  Raises ValueError
@@ -424,14 +428,11 @@ def full_sweep(n_range=SWEEP_RANGE, config=None, raw=False):
     if lo < SWEEP_RANGE[0] or hi > SWEEP_RANGE[1] or lo > hi:
         raise ValueError(f"sweep range must lie within "
                          f"{SWEEP_RANGE[0]}..{SWEEP_RANGE[1]}")
-    config = config or {}
-    overrides = config.get("informative_sets")
-    state_cap = config.get("state_cap", DEFAULT_STATE_CAP)
     results = {}
     for N in range(lo, hi + 1):
         sieve_pass = _SievePass(N)
         usable, rejected, by_branch = sieve_pass.sieve(
-            candidate_sets_for(N, overrides))
+            candidate_sets_for(N, informative_sets))
         if not usable:
             usable, _, by_branch = sieve_pass.sieve(_search_passes(sieve_pass))
             if not usable:

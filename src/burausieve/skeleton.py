@@ -4,25 +4,22 @@ A skeleton is a finite edge set with two permutations: an order-dividing-3
 action (orbits are black vertices) and an order-dividing-2 action (orbits
 are white vertices); regions are the orbits of the derived third action.
 The cosets of a universal subgroup are its annihilator covectors up to
-scalar, a cyclic cover of the projective line.  One walk over at most
-q + 1 projective lines, `_LineWalk`, records each step's voltage in the
-fiber Z/r.  `_LineWalk.signature` reads the signature and genus off the
-walk by `_LineWalk.lifted_cycles`, which lifts each cycle on lines by the
-one rule `_lift`, and every lift of a step to the orbit's edges goes
-through the one rule `_LineWalk.edge_steps`:
-`enumerate_universal` lifts black, white and region with it and numbers
-the edges breadth-first.
-Tags whose lines are conjugate share a skeleton up to isomorphism, so
-`_orbit_walks` walks once per braid orbit of type lines and folds every
-later tag whose seed line the walk reached into that orbit.
-When the trace field F_p(xi + 1/xi) is F_q, the braid image holds
-PSL2(F_q), every line is in one orbit with local group Z/r, and
-`_closed_form_cycles` reads each generator's cycles on lines off its
-eigenvalues and projective order, without a walk: `_closed_form` lifts
-them by `_lift` to the signature and genus, and `intersect`'s fibered
-products multiply them.  So the sweep's genus filter (through
-`orbit_signatures`) and the table check walk only the roots whose trace
-field is smaller than F_q, and the addendum walks none.
+scalar, a cyclic cover of the projective line.  Each generator's
+(length, net voltage, count) cycles on an orbit's lines describe the
+orbit, and `_signature_of` lifts them to its signature and genus.  They
+come from a walk or in closed form:
+- `_LineWalk` walks at most q + 1 lines, recording each step's voltage
+  in the fiber Z/r, and reads them off its steps.  `enumerate_universal`
+  lifts its steps to the edges by `_LineWalk.edge_steps` and numbers
+  them breadth-first.  `_orbit_walks` walks once per braid orbit of type
+  lines, as conjugate lines share a skeleton up to isomorphism.
+- When the trace field F_p(xi + 1/xi) is F_q, the braid image holds
+  PSL2(F_q) and is transitive on lines, and `_generator_cycles` reads
+  the cycles off each generator's eigenvalues and projective order, once
+  per field, for `_closed_form` and `intersect`'s fibered products.
+`orbit_signatures` dispatches between the two, so the sweep's genus
+filter, the table check and text-mode `skeleton` walk only the roots
+whose trace field is smaller than F_q, and the addendum walks none.
 """
 
 from __future__ import annotations
@@ -245,31 +242,32 @@ def _fiber_order(spec):
         M // gcd(M, 3 if spec.ambient == "b3" else 1))
 
 
-def _lift(length, mu, r, k, spec):
-    """(L ord(mu), k / ord(mu)): the length and number of the cycles over
-    a cycle of length L and net voltage mu, where ord(mu) = r / gcd(r, mu)
-    must divide the order k of the local group K <= Z/r."""
-    o = r // gcd(r, mu)
-    if k % o:
-        raise AssertionError(f"cycle voltage outside the local group for "
-                             f"{spec}")
-    return length * o, k // o
+def _signature_of(spec, lines, k, cycles):
+    """(SkeletonSignature, genus) of spec's orbit, from the (length, net
+    voltage, count) cycles of black, white and region on its lines.
 
-
-def _signature_of(edges, black_cycles, white_cycles, region_cycles):
-    """(SkeletonSignature, genus) from the lifted (length, count) cycles of
-    black, white and region."""
-    widths = []
-    for width, count in region_cycles:
-        widths.extend([width] * count)
-    sig = SkeletonSignature(
-        edges,
-        sum(c for length, c in white_cycles if length == 1),
-        sum(c for length, c in black_cycles if length == 1),
-        tuple(sorted(widths)))
-    vertices = (sum(c for _, c in black_cycles)
-                + sum(c for _, c in white_cycles))
-    return sig, _euler_genus(vertices, edges, len(widths))
+    Its local group K <= Z/r has order k, and k edges lie over each line.
+    A cycle of length L and net voltage mu in K lifts to k / o cycles of
+    length L o, where o = r / gcd(r, mu) is the order of mu.  This is
+    exact on every orbit, transitive or not.
+    """
+    r = _fiber_order(spec)
+    lifted = []  # length -> number of cycles, for black, white and region
+    for base in cycles:
+        lifts = Counter()
+        for length, mu, count in base:
+            o = r // gcd(r, mu)
+            if k % o:
+                raise AssertionError(f"cycle voltage outside the local group "
+                                     f"for {spec}")
+            lifts[length * o] += count * k // o
+        lifted.append(lifts)
+    black, white, region = lifted
+    edges = lines * k
+    sig = SkeletonSignature(edges, white[1], black[1],
+                            tuple(sorted(region.elements())))
+    return sig, _euler_genus(sum(black.values()) + sum(white.values()),
+                             edges, sum(region.values()))
 
 
 def _seed_line(root, tag):
@@ -350,35 +348,29 @@ class _LineWalk:
         self.lines, self.index, self.potential = lines, index, potential
         self.black, self.white, self.region = black, white, region
 
-    def lifted_cycles(self, step):
-        """(cycle_of, cycles): the cycles over each cycle of step on lines.
-
-        cycle_of[i] numbers the cycle of step through line i, and
-        cycles[c] is the (length, count) that _lift gives for cycle c.
-        This is exact on every orbit, transitive or not.
-        """
-        r, k = self.r, self.k
-        cycle_of = [-1] * len(step)
+    def cycles(self, step):
+        """The cycles of step on the walk's lines, in the shape that
+        _closed_form_cycles gives: (length, net voltage, 1) for each."""
+        seen = bytearray(len(step))
         cycles = []
         for start in range(len(step)):
-            if cycle_of[start] >= 0:
-                continue
-            c = len(cycles)
-            length, mu, j = 0, 0, start
-            while cycle_of[j] < 0:
-                cycle_of[j] = c
+            length = mu = 0
+            j = start
+            while not seen[j]:
+                seen[j] = 1
                 length += 1
                 j, d = step[j]
                 mu += d
-            cycles.append(_lift(length, mu, r, k, self.spec))
-        return cycle_of, cycles
+            if length:
+                cycles.append((length, mu, 1))
+        return cycles
 
     def signature(self):
-        """(SkeletonSignature, genus) of the orbit, read off the base by
-        lifted_cycles."""
-        return _signature_of(len(self.lines) * self.k,
-                             *(self.lifted_cycles(step)[1] for step in
-                               (self.black, self.white, self.region)))
+        """(SkeletonSignature, genus) of the orbit, lifted from the cycles
+        of black, white and region on its lines."""
+        return _signature_of(self.spec, len(self.lines), self.k,
+                             [self.cycles(step) for step in
+                              (self.black, self.white, self.region)])
 
     def edge_steps(self, step):
         """The lift of step to the edges (i, t), numbered i * k + t.
@@ -466,7 +458,7 @@ def _trace_generates(root):
                                for e in range(1, d) if d % e == 0)
 
 
-def _closed_form_cycles(g, n0, spec):
+def _closed_form_cycles(g, n0, root):
     """The (length, net voltage, count) cycles of the codes g of black,
     white or region on all q + 1 lines.
 
@@ -478,14 +470,14 @@ def _closed_form_cycles(g, n0, spec):
     eigenlines, and the other lines form cycles of length n, each of net
     voltage log c.  The voltages are logs in F_q*, not yet reduced mod r.
     """
-    field = spec.root.field
+    field = root.field
     q, minus_one, log, exp = field.order, field.p - 1, field.log, field.exp
     add, mul = field.add, field.mul
     power, n = g, 1
     while power[1] or power[2] or power[0] != power[3]:
         if n == n0:
             raise AssertionError(f"projective order of a generator does not "
-                                 f"divide {n0} for {spec}")
+                                 f"divide {n0} for {root}")
         a0, a1, a2, a3 = power
         power = (add(mul(a0, g[0]), mul(a1, g[2])),
                  add(mul(a0, g[1]), mul(a1, g[3])),
@@ -494,7 +486,7 @@ def _closed_form_cycles(g, n0, spec):
         n += 1
     if n0 % n:
         raise AssertionError(f"projective order {n} does not divide {n0} "
-                             f"for {spec}")
+                             f"for {root}")
     e = log[power[0]]  # g^n = c I, e = log c
     eigen = []  # the logs of g's eigenvalues in F_q
     h = gcd(n, q - 1)
@@ -511,15 +503,20 @@ def _closed_form_cycles(g, n0, spec):
     rest = q + 1 - len(eigen)
     if rest % n:
         raise AssertionError(f"{rest} lines do not fall into cycles of "
-                             f"length {n} for {spec}")
+                             f"length {n} for {root}")
     return [(1, x, 1) for x in eigen] + [(n, e, rest // n)]
 
 
-def _generator_cycles(spec):
-    """_closed_form_cycles of black, white and region, in that order."""
-    field = spec.root.field
-    return [_closed_form_cycles(_spec_matrix_codes(word, field), n0, spec)
-            for word, n0 in ((_BLACK, 3), (_WHITE, 2), (_REGION, spec.root.N))]
+def _generator_cycles(root):
+    """_closed_form_cycles of black, white and region, in that order: the
+    same for every tag and ambient, so read once per field and kept on it,
+    next to the generators' codes."""
+    field = root.field
+    if field.generator_cycles is None:
+        field.generator_cycles = [
+            _closed_form_cycles(_spec_matrix_codes(word, field), n0, root)
+            for word, n0 in ((_BLACK, 3), (_WHITE, 2), (_REGION, root.N))]
+    return field.generator_cycles
 
 
 def _closed_form(spec, state_cap):
@@ -542,38 +539,27 @@ def _closed_form(spec, state_cap):
     perfect for q >= 4, so it is SL2(F_q).  In a basis whose first row
     spans the seed line, diag(a, 1/a) fixes that line with eigenvalue a,
     for every a in F_q*, so the local group is K = F_q*/S = Z/r and the
-    orbit has (q + 1) r edges, and each cycle on lines lifts by _lift with
-    k = r.  Raises EnumerationCapExceeded exactly when _LineWalk would:
-    when (q + 1) r exceeds state_cap.
+    orbit has (q + 1) r edges, and _signature_of lifts the generator cycles
+    with k = r.  Raises EnumerationCapExceeded exactly when _LineWalk
+    would: when (q + 1) r exceeds state_cap.
     """
-    r = _fiber_order(spec)
-    edges = (spec.root.field.order + 1) * r
-    if edges > state_cap:
+    lines, r = spec.root.field.order + 1, _fiber_order(spec)
+    if lines * r > state_cap:
         raise _cap_exceeded(state_cap, spec)
-    return _signature_of(edges, *(
-        [(length, count * c) for n, mu, count in cycles
-         for length, c in [_lift(n, mu, r, r, spec)]]
-        for cycles in _generator_cycles(spec)))
-
-
-def _orbit_signature(spec, state_cap):
-    """(SkeletonSignature, genus) of spec's orbit: by the closed form when
-    the root's trace field is F_q, else read off its walk over lines."""
-    if _trace_generates(spec.root):
-        return _closed_form(spec, state_cap)
-    return _LineWalk(spec, state_cap).signature()
+    return _signature_of(spec, lines, r, _generator_cycles(spec.root))
 
 
 def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP):
     """[(signature, genus, tags)], one entry per braid orbit of type lines.
 
-    Conjugate lines share a skeleton up to isomorphism, with one signature
-    and genus.  When the root's trace field is F_q, all q + 1 lines form
-    one orbit, whose signature _closed_form gives without a walk; only the
-    roots whose trace field is smaller than F_q are walked, once per
-    orbit, by _orbit_walks, and each walk is dropped once its signature
-    is read.  Raises EnumerationCapExceeded as _LineWalk does on the
-    orbit's first tag.
+    The one dispatcher between the closed form and the walk.  Conjugate
+    lines share a skeleton up to isomorphism, with one signature and genus.
+    When the root's trace field is F_q, all q + 1 lines form one orbit,
+    whose signature _closed_form gives without a walk; only the roots whose
+    trace field is smaller than F_q are walked, once per orbit, by
+    _orbit_walks, and each walk is dropped once its signature is read.
+    Raises EnumerationCapExceeded as _LineWalk does on the orbit's first
+    tag.
     """
     if tags and _trace_generates(root):
         for tag in tags:  # rejects an inadmissible tag, as a walk would
@@ -590,8 +576,8 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
     For each row and each of its factors the bu3-ambient universal subgroup
     must reproduce the printed signature with genus zero, and the b3-ambient
     genus must vanish exactly for the starred rows.  Both come from
-    _orbit_signature: the closed form when the factor's trace field is
-    F_q, else the walk over lines; no skeleton is built.
+    orbit_signatures on the tag I: the closed form when the factor's trace
+    field is F_q, else the walk over lines; no skeleton is built.
     Returns a report dict; report['ok'] is the overall verdict.
     """
     from .golden import GOLDEN_ROWS
@@ -611,10 +597,8 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
         row_ok = True
         for text in row.factors:
             root = root_spec(row.p, text)
-            sig, g0 = _orbit_signature(UniversalGroupSpec(root, "I", "bu3"),
-                                       state_cap)
-            _, g3 = _orbit_signature(UniversalGroupSpec(root, "I", "b3"),
-                                     state_cap)
+            (sig, g0, _), = orbit_signatures(root, ["I"], "bu3", state_cap)
+            (_, g3, _), = orbit_signatures(root, ["I"], "b3", state_cap)
             ok = (sig == want_sig and g0 == 0 and (g3 == 0) == row.starred
                   and root.N == row.N)
             fac_entry = {

@@ -7,6 +7,7 @@ except for the wall-clock budgets, which are asserted as stated.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from covector_oracle import covector_bfs, product_skeletons, \
@@ -23,7 +24,7 @@ from burausieve.intersect import verify_addendum_pairwise
 from burausieve.sieve import ExceptionalTriple, branches_for, full_sweep, \
     is_informative
 from burausieve.skeleton import UniversalGroupSpec, _closed_form, \
-    _LineWalk, _orbit_signature, _orbit_walks, _trace_generates, \
+    _generator_cycles, _LineWalk, _orbit_walks, _trace_generates, \
     enumerate_universal, euler_lhs, genus, orbit_signatures, signature, \
     table_verify
 from burausieve.typesys import root_spec
@@ -280,21 +281,43 @@ def test_orbit_grouping_is_certified_on_the_sweep(sweep):
           f"{groups_seen} groups: PASS")
 
 
+def closed_form_certified(spec):
+    """The walk of spec and the closed form agree on each generator's
+    cycles on lines, counted by (length, net voltage mod r), and on the
+    signature and genus; returns the walk's signature and genus."""
+    walk = _LineWalk(spec)
+
+    def counted(cycles):
+        counts = Counter()
+        for length, mu, count in cycles:
+            counts[length, mu % walk.r] += count
+        return counts
+
+    assert [counted(walk.cycles(step))
+            for step in (walk.black, walk.white, walk.region)] == \
+        [counted(cycles) for cycles in _generator_cycles(spec.root)], str(spec)
+    walked = walk.signature()
+    assert _closed_form(spec, 10 ** 6) == walked, str(spec)
+    return walked
+
+
 def test_closed_form_is_certified(sweep):
-    """The closed-form signature equals the walk's on every sweep tag whose
-    root passes the trace-field test (576 of the 586), and on every golden
-    factor in bu3 and b3; every tag gets the walk's signature and genus
-    from _orbit_signature."""
+    """The closed form's generator cycles, and its signature, equal the
+    walk's on every sweep tag whose root passes the trace-field test (576
+    of the 586), and on every golden factor in bu3 and b3; every tag gets
+    the walk's signature and genus from orbit_signatures."""
     results, _, _ = sweep
     tags_seen = closed = 0
     for root, tags in sweep_roots(results):
         for tag in tags:
             spec = UniversalGroupSpec(root, tag, "bu3")
-            walked = _LineWalk(spec).signature()
-            assert _orbit_signature(spec, 10 ** 6) == walked, str(spec)
             if _trace_generates(root):
-                assert _closed_form(spec, 10 ** 6) == walked, str(spec)
+                walked = closed_form_certified(spec)
                 closed += 1
+            else:
+                walked = _LineWalk(spec).signature()
+            [(*got, _)] = orbit_signatures(root, [tag], "bu3", 10 ** 6)
+            assert tuple(got) == walked, str(spec)
             tags_seen += 1
     assert (tags_seen, closed) == (586, 576)
     factors = 0
@@ -303,13 +326,11 @@ def test_closed_form_is_certified(sweep):
             root = root_spec(row.p, text)
             assert _trace_generates(root), text
             for ambient in ("bu3", "b3"):
-                spec = UniversalGroupSpec(root, "I", ambient)
-                assert _closed_form(spec, 10 ** 6) == \
-                    _LineWalk(spec).signature(), str(spec)
+                closed_form_certified(UniversalGroupSpec(root, "I", ambient))
                 factors += 1
     assert factors == 2 * 52
-    print(f"\nclosed form = walk on {closed} sweep tags and {factors} "
-          f"golden factor groups: PASS")
+    print(f"\nclosed form = walk, cycle by cycle, on {closed} sweep tags "
+          f"and {factors} golden factor groups: PASS")
 
 
 def test_trace_field_test_is_walk_transitivity(sweep):

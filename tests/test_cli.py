@@ -334,6 +334,19 @@ class TestAddendum:
             assert run(*argv)[0] == 0
         assert lifts == [] and walks == []
 
+    def test_reads_each_fields_cycles_once(self, run, monkeypatch):
+        # every field keeps its generator cycles, shared by its orbits, both
+        # ambients and every product over it: 31 fields for --all-groups,
+        # one per row, one per table factor, three generators each.  Each
+        # command builds its fields afresh, so nothing outlives it.
+        calls = count_calls(monkeypatch, skeleton, "_closed_form_cycles")
+        counts = []
+        for argv in (("addendum", "--all-groups"), ("addendum",),
+                     ("table", "--verify"), ("addendum", "--all-groups")):
+            assert run(*argv)[0] == 0
+            counts.append(len(calls))
+        assert counts == [93, 93 + 39, 93 + 39 + 156, 93 + 39 + 156 + 93]
+
     @pytest.mark.parametrize("argv, skeletons", [
         (("addendum", "--json"), 0),
         (("addendum", "--all-groups", "--json"), 0),

@@ -3,7 +3,8 @@
 `stdout_digests.json` holds, for each command line below, the exit code
 and the sha256 of stdout and of stderr, in the order the commands run.
 `{cache}` in an argv stands for one fresh cache directory shared by the
-whole run, so each `skeleton --json` runs first cold and then warm.  A
+whole run, so each `skeleton --json` runs first cold and then warm, and
+`{config}/NAME` for the config file CONFIGS[NAME], written beside it.  A
 digest changes only with a stated reason: the classification itself is
 fixed.  To rewrite the file after such a change, run
 `PYTHONPATH=src python tests/test_digests.py --write`.
@@ -30,6 +31,11 @@ SKELETONS = [
     ("--p", "7", "--min-poly", "t^2+3t+1"),
 ]
 
+CONFIGS = {
+    "cap5.json": {"state_cap": 5},
+    "sets9.json": {"informative_sets": {"9": [["e"]]}},
+}
+
 COMMANDS = [
     ("sieve", "--n-range", "7..26", "--json"),
     ("sieve", "--n-range", "7..26"),
@@ -46,6 +52,10 @@ COMMANDS = [
         ("skeleton", *args))],
     ("--state-cap", "10", "addendum", "--all-groups"),
     ("--state-cap", "100", "addendum"),
+    ("--state-cap", "19", "skeleton", "--p", "19", "--min-poly", "t+4"),
+    ("--config", "{config}/cap5.json", "table", "--verify"),
+    # {"e"} is not informative for N = 9, so the fallback search runs
+    ("--config", "{config}/sets9.json", "sieve", "--n-range", "9..9", "--json"),
 ]
 
 
@@ -53,13 +63,19 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_all(cache):
-    """[{argv, exit, stdout, stderr}] for COMMANDS, run in process in order."""
+def run_all(tmp):
+    """[{argv, exit, stdout, stderr}] for COMMANDS, run in process in order,
+    with the cache and the config files in the empty directory tmp."""
+    for name, config in CONFIGS.items():
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+    cache = os.path.join(tmp, "cache")
     entries = []
     for argv in COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([cache if a == "{cache}" else a for a in argv])
+            code = main([cache if a == "{cache}" else a.replace("{config}", tmp)
+                         for a in argv])
         entries.append({"argv": list(argv), "exit": code,
                         "stdout": sha256(out.getvalue()),
                         "stderr": sha256(err.getvalue())})
@@ -70,7 +86,7 @@ def test_outputs_match_the_digests(tmp_path, monkeypatch):
     monkeypatch.setenv("BURAU_SIEVE_CACHE", str(tmp_path / "env-cache"))
     with open(DIGESTS, encoding="utf-8") as fh:
         pinned = json.load(fh)
-    got = run_all(str(tmp_path / "cache"))
+    got = run_all(str(tmp_path))
     assert [e["argv"] for e in got] == [e["argv"] for e in pinned]
     for want, have in zip(pinned, got):
         assert have == want, " ".join(want["argv"])
@@ -93,7 +109,7 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["BURAU_SIEVE_CACHE"] = os.path.join(tmp, "env-cache")
-        entries = run_all(os.path.join(tmp, "cache"))
+        entries = run_all(tmp)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1)
         fh.write("\n")

@@ -366,8 +366,8 @@ class TestSweep:
         assert sweep_pairs(results) == []
 
     def test_uninformative_first_set_is_rejected(self):
-        cfg = {"informative_sets": {9: [["e"], ["e", "T s2^-1 s1"]]}}
-        results = full_sweep((9, 9), cfg)
+        results = full_sweep((9, 9), informative_sets={
+            9: [["e"], ["e", "T s2^-1 s1"]]})
         assert results[9]["sets"] == [["e", "T s2^-1 s1"]]
         assert results[9]["rejected"] == [["e"]]
         got = {(s["p"], s["minPoly"]) for s in results[9]["survivors"]}
@@ -477,7 +477,7 @@ class TestSweep:
 
         monkeypatch.setattr(sieve, "resultant", counting_resultant)
         monkeypatch.setattr(sieve, "_search_passes", recording_search)
-        results = full_sweep((9, 9), {"informative_sets": {9: [["e"]]}})
+        results = full_sweep((9, 9), informative_sets={9: [["e"]]})
         assert after_search == [len(calls)] and calls
         assert len(set(calls)) == len(calls)
         assert results[9]["rejected"] == [["e"]]
@@ -504,7 +504,7 @@ class TestSweep:
             f"p={root.p} m={root.min_poly} types {','.join(tags)} in bu3: ")
 
     def test_informative_set_override(self):
-        cfg = {"informative_sets": {13: [["e"], ["T s2^-1 s1"]]}}
-        results = full_sweep((13, 13), cfg)
+        results = full_sweep((13, 13), informative_sets={
+            13: [["e"], ["T s2^-1 s1"]]})
         assert results[13]["survivors"] == []
         assert len(results[13]["sets"]) == 2
