@@ -101,34 +101,47 @@ def _checked_word_sets(raw):
     return {int(key): sets for key, sets in raw.items()}
 
 
+# cycles printed per piece of _dump's text
+_CYCLES_PER_PIECE = 4096
+
+
 def _dump(payload):
-    """json.dumps(payload, sort_keys=True, indent=2), byte for byte, for a
-    non-empty dict with str keys: the one printer of every --json output.
+    """The text of json.dumps(payload, sort_keys=True, indent=2), yielded
+    piece by piece, for a non-empty dict with str keys: the one printer of
+    every --json output.  "".join(_dump(payload)) is that text, byte for
+    byte.
 
     A value that is a non-empty list of non-empty lists of ints (a
-    skeleton's cycles) is written by json's C encoder without indent and
-    laid out by str.replace.  The shape test runs at C speed and sends
-    anything else, bools and strings included, to json's indenting
-    encoder, which is pure Python.
+    skeleton's cycles) is written by json's C encoder without indent,
+    _CYCLES_PER_PIECE cycles at a time, and each piece laid out by
+    str.replace, so no piece holds more than that many cycles' text.  The
+    shape test runs at C speed and sends anything else, bools and strings
+    included, to json's indenting encoder, which is pure Python.
     """
-    items = []
+    sep = "{\n"
     for key in sorted(payload):
         value = payload[key]
+        yield f"{sep}  {json.dumps(key)}: "
+        sep = ",\n"
         if (type(value) in (list, tuple) and value
                 and set(map(type, value)) <= {list, tuple} and all(value)
                 and set(map(type, chain.from_iterable(value))) == {int}):
             # "[[0,1],[2]]": one int a line, and each "],[" between two
             # lists; an int holds no "," or "]"
-            inner = json.dumps(value, separators=(",", ":"))[2:-2]
-            text = ("[\n    [\n      "
-                    + inner.replace(",", ",\n      ").replace(
-                        "],\n      [", "\n    ],\n    [\n      ")
-                    + "\n    ]\n  ]")
+            between = "\n    ],\n    [\n      "
+            yield "[\n    [\n      "
+            for start in range(0, len(value), _CYCLES_PER_PIECE):
+                if start:
+                    yield between
+                inner = json.dumps(value[start:start + _CYCLES_PER_PIECE],
+                                   separators=(",", ":"))[2:-2]
+                yield inner.replace(",", ",\n      ").replace(
+                    "],\n      [", between)
+            yield "\n    ]\n  ]"
         else:
-            text = json.dumps(value, sort_keys=True, indent=2).replace(
+            yield json.dumps(value, sort_keys=True, indent=2).replace(
                 "\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+    yield "\n}"
 
 
 # -- skeleton cache ----------------------------------------------------------
@@ -363,14 +376,23 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
+    """Run one command and print its outputs; return the exit code.
+
+    A command hands main each output through out(): a line of text, or
+    the pieces _dump yields for a --json payload.  Nothing is written
+    until the command has returned, so an error leaves stdout empty.
+    Then each output is written piece by piece, with the separators and
+    the final newline of print("\\n".join(outputs)).
+    """
     try:
-        args = ap.parse_args(argv)
+        # no name keeps the parser, whose reference cycles the collector
+        # then frees young instead of after the command
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code) if exc.code else EXIT_OK
     self_check()
-    lines = []
+    outputs = []
     # The one error boundary: bad input of any kind raises OSError or
     # ValueError, and a coset walk raises at the state cap.
     try:
@@ -379,15 +401,20 @@ def main(argv=None):
             cfg.cache_dir = args.cache_dir
         if args.state_cap is not None:
             cfg.state_cap = args.state_cap
-        code = args.func(args, cfg, lines.append)
+        code = args.func(args, cfg, outputs.append)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if lines:
-        print("\n".join(lines))
+    stdout = sys.stdout
+    for i, text in enumerate(outputs):
+        if i:
+            stdout.write("\n")
+        stdout.writelines((text,) if isinstance(text, str) else text)
+    if outputs:
+        stdout.write("\n")
     return code
 
 

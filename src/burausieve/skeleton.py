@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from operator import eq
 
 from .burau import BraidWord, specialize, to_burau
 from .typesys import RootSpec, root_spec, type_coefficient_laurent, \
@@ -44,6 +45,22 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised when the coset enumeration outgrows the configured cap."""
 
 
+def _permutation_fault(black, white):
+    """Why the Skeleton constructor rejects black and white, two tuples of
+    one nonempty length: the message of the first check they fail, in the
+    constructor's order, tested with sets and lists.  The constructor
+    calls it only for a pair it rejects, so white fails its order when
+    nothing else does."""
+    identity = list(range(len(black)))
+    edges = set(identity)
+    if set(black) != edges or set(white) != edges:
+        return "not a permutation of the edge set"
+    black2 = list(map(black.__getitem__, black))
+    if list(map(black.__getitem__, black2)) != identity:
+        return "black permutation has order > 3"
+    return "white permutation has order > 2"
+
+
 class Skeleton:
     """An edge set with its black/white/region permutations.
 
@@ -55,29 +72,34 @@ class Skeleton:
     __slots__ = ("edge_count", "black", "white", "region", "_cycles")
 
     def __init__(self, black, white, region=None):
-        # Every check but connectedness is a C-level pass of set, map and
-        # list comparison.
+        """Check and keep the permutations, given as sequences of ints.
+
+        Every check but connectedness is a C-level pass of min, max, map
+        and comparison that builds nothing it does not keep: min and max
+        put the values in range(n), and there black^3 = 1 and white^2 = 1
+        make both permutations of range(n), since each has an inverse.
+        Only a rejected pair is diagnosed, by `_permutation_fault`'s
+        set-based tests, so that the message names the first check it
+        fails.  Raises ValueError.
+        """
         black = tuple(black)
         white = tuple(white)
         n = len(black)
         if len(white) != n or n == 0:
             raise ValueError("permutations must share a nonempty edge set")
-        # n values fill range(n) only as a permutation of it
-        edges = set(range(n))
-        if set(black) != edges or set(white) != edges:
-            raise ValueError("not a permutation of the edge set")
-        identity = list(range(n))
-        black2 = list(map(black.__getitem__, black))
-        if list(map(black.__getitem__, black2)) != identity:
-            raise ValueError("black permutation has order > 3")
-        if list(map(white.__getitem__, white)) != identity:
-            raise ValueError("white permutation has order > 2")
-        derived = tuple(map(white.__getitem__, black2))  # black^2 = black^-1
+        if not (0 <= min(black) and max(black) < n
+                and 0 <= min(white) and max(white) < n
+                and all(map(eq, map(black.__getitem__,
+                                    map(black.__getitem__, black)), range(n)))
+                and all(map(eq, map(white.__getitem__, white), range(n)))):
+            raise ValueError(_permutation_fault(black, white))
+        # black^2 = black^-1
+        derived = map(white.__getitem__, map(black.__getitem__, black))
         if region is None:
-            region = derived
+            region = tuple(derived)
         else:
             region = tuple(region)
-            if region != derived:
+            if len(region) != n or not all(map(eq, region, derived)):
                 raise ValueError("region permutation violates the composition "
                                  "convention")
         # connectedness under the two actions

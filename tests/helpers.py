@@ -11,6 +11,8 @@ flattens a sweep to its classification; `check_type_specification` and
 `type_ii_odd_width_excluded` state lifting conditions of the paper that
 the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
 word's degree, a Burau matrix's determinant and the smallest skeleton;
+`reference_skeleton_fault` is the Skeleton constructor's checks made
+with sets, the reference for the constructor's set-free ones;
 `reference_cycles` walks the cycles of any permutation, the reference for
 the skeleton's cycles, which read black's and white's off their orders;
 `reference_fibered_product` is the fibered product of two lifted
@@ -149,6 +151,40 @@ def det(m):
 def single_edge():
     """The one-edge skeleton of the full modular group."""
     return Skeleton((0,), (0,))
+
+
+def reference_skeleton_fault(black, white, region=None):
+    """The Skeleton constructor's checks as sets, lists and a breadth-first
+    walk, in its order: the ValueError message it raises for these
+    permutations, or None when it accepts them.  The reference for the
+    constructor's min/max and lazy comparisons."""
+    black, white = tuple(black), tuple(white)
+    n = len(black)
+    if len(white) != n or n == 0:
+        return "permutations must share a nonempty edge set"
+    edges = set(range(n))
+    if set(black) != edges or set(white) != edges:
+        return "not a permutation of the edge set"
+    identity = list(range(n))
+    black2 = list(map(black.__getitem__, black))
+    if list(map(black.__getitem__, black2)) != identity:
+        return "black permutation has order > 3"
+    if list(map(white.__getitem__, white)) != identity:
+        return "white permutation has order > 2"
+    if region is not None and tuple(region) != tuple(
+            map(white.__getitem__, black2)):
+        return "region permutation violates the composition convention"
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        e = frontier.pop()
+        for f in (black[e], white[e]):
+            if f not in reached:
+                reached.add(f)
+                frontier.append(f)
+    if len(reached) != n:
+        return "skeleton is not connected"
+    return None
 
 
 def reference_cycles(perm):

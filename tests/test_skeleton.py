@@ -1,5 +1,8 @@
 """Skeleton structure, enumeration, signatures, genus, golden comparison."""
 
+import random
+from collections import Counter
+
 import pytest
 from covector_oracle import (
     covector_bfs,
@@ -7,7 +10,8 @@ from covector_oracle import (
     verify_distinct_lemma,
     verify_region_widths,
 )
-from helpers import reference_cycles, single_edge
+from helpers import reference_cycles, reference_skeleton_fault, \
+    single_edge
 
 from burausieve.golden import GOLDEN_ROWS, self_check
 from burausieve.intersect import conjugate_to_e2
@@ -73,6 +77,68 @@ class TestSkeletonStructure:
     def test_rejects_wrong_region_permutation(self):
         with pytest.raises(ValueError, match="composition convention"):
             Skeleton((0, 1), (1, 0), region=(0, 1))
+
+    def test_checks_match_the_set_based_reference(self):
+        # The constructor builds no set; on thousands of small inputs it
+        # accepts exactly what the set-based checks accept and raises
+        # their message otherwise.
+        rng = random.Random(20261019)
+
+        def cycle_perm(n, k):
+            # a permutation of range(n) with cycles of length 1 and k
+            items = rng.sample(range(n), n)
+            perm = list(range(n))
+            i = 0
+            while i < n:
+                size = k if i + k <= n and rng.random() < 0.8 else 1
+                cyc = items[i:i + size]
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    perm[a] = b
+                i += size
+            return perm
+
+        def mutate(perm, n):
+            kind = rng.choice(["none", "none", "repeat", "large", "negative",
+                               "shuffle", "length"])
+            i = rng.randrange(n)
+            if kind == "repeat":
+                perm[i] = perm[rng.randrange(n)]
+            elif kind == "large":
+                perm[i] = rng.randint(n, n + 2)
+            elif kind == "negative":
+                perm[i] = rng.randint(-n, -1)
+            elif kind == "shuffle":
+                perm[:] = rng.sample(range(n), n)
+            elif kind == "length" and rng.random() < 0.5:
+                perm.append(rng.randrange(n + 1))
+            elif kind == "length":
+                perm.pop()
+
+        seen = Counter()
+        for _ in range(4000):
+            n = rng.randint(1, 7)
+            black, white = cycle_perm(n, 3), cycle_perm(n, 2)
+            region = [white[black[black[i]]] for i in range(n)]
+            picked = rng.choice(["black", "white", "region", "both"])
+            if picked in ("black", "both"):
+                mutate(black, n)
+            if picked in ("white", "both"):
+                mutate(white, n)
+            if picked == "region" and rng.random() < 0.5:
+                mutate(region, n)
+            if rng.random() < 0.5:
+                region = None
+            expected = reference_skeleton_fault(black, white, region)
+            seen[expected] += 1
+            if expected is None:
+                sk = Skeleton(black, white, region)
+                assert sk.region == tuple(white[black[black[i]]]
+                                          for i in range(n))
+            else:
+                with pytest.raises(ValueError) as info:
+                    Skeleton(black, white, region)
+                assert str(info.value) == expected
+        assert min(seen.values()) >= 50 and len(seen) == 7, seen
 
     def test_region_composition_convention(self):
         sk = enumerate_row(2, 7)
