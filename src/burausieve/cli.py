@@ -17,15 +17,16 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 
 from .exactalg import cyclotomic_factors, cyclotomic_split_cost, monic_modulus
 from .golden import GOLDEN_ROWS, self_check
 from .intersect import addendum_report
 from .sieve import SWEEP_RANGE, full_sweep
-from .skeleton import DEFAULT_STATE_CAP, EnumerationCapExceeded, Skeleton, \
-    UniversalGroupSpec, _cap_exceeded, enumerate_universal, orbit_signatures, \
-    table_verify
+from .skeleton import DEFAULT_STATE_CAP, Cycles, EnumerationCapExceeded, \
+    Skeleton, UniversalGroupSpec, _cap_exceeded, enumerate_universal, \
+    orbit_signatures, table_verify
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
 SCHEMA_VERSION = 1
@@ -105,39 +106,39 @@ def _checked_word_sets(raw):
 _CYCLES_PER_PIECE = 4096
 
 
+@cache
+def _cycle_template(length):
+    """The %-template of one cycle of length ints in _dump's layout.  The
+    cache holds one per length met: 1, 2, 3 and the region widths."""
+    return "[\n      " + ",\n      ".join(["%d"] * length) + "\n    ]"
+
+
 def _dump(payload):
     """The text of json.dumps(payload, sort_keys=True, indent=2), yielded
     piece by piece, for a non-empty dict with str keys: the one printer of
     every --json output.  "".join(_dump(payload)) is that text, byte for
     byte.
 
-    A value that is a non-empty list of non-empty lists of ints (a
-    skeleton's cycles) is written by json's C encoder without indent,
-    _CYCLES_PER_PIECE cycles at a time, and each piece laid out by
-    str.replace, so no piece holds more than that many cycles' text.  The
-    shape test runs at C speed and sends anything else, bools and strings
-    included, to json's indenting encoder, which is pure Python.
+    A skeleton's cycles, a value of type Cycles, hold nothing but ints, so
+    they are printed _CYCLES_PER_PIECE cycles at a time by filling one
+    _cycle_template per cycle with %, at C speed, and no piece holds more
+    than that many cycles' text.  Every other value goes through json's
+    indenting encoder, which is pure Python; %d would print True as 1.
     """
     sep = "{\n"
     for key in sorted(payload):
         value = payload[key]
         yield f"{sep}  {json.dumps(key)}: "
         sep = ",\n"
-        if (type(value) in (list, tuple) and value
-                and set(map(type, value)) <= {list, tuple} and all(value)
-                and set(map(type, chain.from_iterable(value))) == {int}):
-            # "[[0,1],[2]]": one int a line, and each "],[" between two
-            # lists; an int holds no "," or "]"
-            between = "\n    ],\n    [\n      "
-            yield "[\n    [\n      "
+        if type(value) is Cycles:
+            between = "[\n    "
             for start in range(0, len(value), _CYCLES_PER_PIECE):
-                if start:
-                    yield between
-                inner = json.dumps(value[start:start + _CYCLES_PER_PIECE],
-                                   separators=(",", ":"))[2:-2]
-                yield inner.replace(",", ",\n      ").replace(
-                    "],\n      [", between)
-            yield "\n    ]\n  ]"
+                piece = value[start:start + _CYCLES_PER_PIECE]
+                yield between
+                yield ",\n    ".join(map(_cycle_template, map(len, piece))) \
+                    % tuple(chain.from_iterable(piece))
+                between = ",\n    "
+            yield "\n  ]"
         else:
             yield json.dumps(value, sort_keys=True, indent=2).replace(
                 "\n", "\n  ")
@@ -156,19 +157,15 @@ def _cache_key(p, min_poly_text, tag, ambient):
 def _read_cached(path):
     """The skeleton cached at path, or None when the entry is missing or
     corrupt: unreadable or too deeply nested JSON, wrong keys or schema,
-    permutations that are not lists of JSON integers (true and false
-    compare equal to 1 and 0, but print otherwise), or permutations that
-    the Skeleton constructor rejects."""
+    or permutations that the Skeleton constructor rejects, which takes
+    JSON integers only (true and false compare equal to 1 and 0, but
+    print otherwise)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if data["schemaVersion"] != SCHEMA_VERSION:
             return None
-        perms = data["blackPerm"], data["whitePerm"]
-        if not all(type(perm) is list and set(map(type, perm)) == {int}
-                   for perm in perms):
-            return None
-        return Skeleton(*perms)
+        return Skeleton(data["blackPerm"], data["whitePerm"])
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
-from operator import eq
+from operator import countOf, eq, itemgetter
 
 from .burau import BraidWord, specialize, to_burau
 from .typesys import RootSpec, root_spec, type_coefficient_laurent, \
@@ -47,10 +48,10 @@ class EnumerationCapExceeded(RuntimeError):
 
 def _permutation_fault(black, white):
     """Why the Skeleton constructor rejects black and white, two tuples of
-    one nonempty length: the message of the first check they fail, in the
-    constructor's order, tested with sets and lists.  The constructor
-    calls it only for a pair it rejects, so white fails its order when
-    nothing else does."""
+    ints of one nonempty length: the message of the first check they fail,
+    in the constructor's order, tested with sets and lists.  The
+    constructor calls it only for a pair it rejects, so white fails its
+    order when nothing else does."""
     identity = list(range(len(black)))
     edges = set(identity)
     if set(black) != edges or set(white) != edges:
@@ -59,6 +60,23 @@ def _permutation_fault(black, white):
     if list(map(black.__getitem__, black2)) != identity:
         return "black permutation has order > 3"
     return "white permutation has order > 2"
+
+
+def _compose(outer, inner):
+    """The tuple of outer[i] for i in inner, at C speed: the permutation
+    inner, then outer.  itemgetter of one index would return no tuple."""
+    if len(inner) == 1:
+        return (outer[inner[0]],)
+    return itemgetter(*inner)(outer)
+
+
+class Cycles(tuple):
+    """The cycles of one of a Skeleton's permutations, as tuples of the
+    ints the permutation holds.  Only Skeleton._cycles_of builds one, on
+    permutations the constructor proved to hold ints, so the type marks
+    cycle lists that cli._dump may print with %d templates."""
+
+    __slots__ = ()
 
 
 class Skeleton:
@@ -74,34 +92,38 @@ class Skeleton:
     def __init__(self, black, white, region=None):
         """Check and keep the permutations, given as sequences of ints.
 
-        Every check but connectedness is a C-level pass of min, max, map
-        and comparison that builds nothing it does not keep: min and max
-        put the values in range(n), and there black^3 = 1 and white^2 = 1
-        make both permutations of range(n), since each has an inverse.
-        Only a rejected pair is diagnosed, by `_permutation_fault`'s
-        set-based tests, so that the message names the first check it
-        fails.  Raises ValueError.
+        Every check but connectedness is a C-level pass, and the only
+        temporaries are compositions, tuples of n entries: the entries'
+        types, then min and max put the values in range(n), and there
+        black^3 = 1 and white^2 = 1 make both permutations of range(n),
+        since each has an inverse.  black^2 = black^-1 is composed once,
+        for black^3 and for region = white o black^2.  Region is always
+        derived: a given one is only compared with it, so the kept one
+        holds black's and white's ints.  Only a rejected pair is diagnosed,
+        by `_permutation_fault`'s set-based tests, so that the message
+        names the first check it fails.  Raises ValueError, also for a
+        bool or a float entry, although True == 1 and 0.0 == 0.
         """
         black = tuple(black)
         white = tuple(white)
         n = len(black)
         if len(white) != n or n == 0:
             raise ValueError("permutations must share a nonempty edge set")
+        if {*map(type, black), *map(type, white)} != {int}:
+            raise ValueError("permutations must hold ints")
         if not (0 <= min(black) and max(black) < n
-                and 0 <= min(white) and max(white) < n
-                and all(map(eq, map(black.__getitem__,
-                                    map(black.__getitem__, black)), range(n)))
-                and all(map(eq, map(white.__getitem__, white), range(n)))):
+                and 0 <= min(white) and max(white) < n):
             raise ValueError(_permutation_fault(black, white))
-        # black^2 = black^-1
-        derived = map(white.__getitem__, map(black.__getitem__, black))
-        if region is None:
-            region = tuple(derived)
-        else:
-            region = tuple(region)
-            if len(region) != n or not all(map(eq, region, derived)):
-                raise ValueError("region permutation violates the composition "
-                                 "convention")
+        black2 = _compose(black, black)
+        black3 = _compose(black, black2)
+        if not (all(map(eq, black3, range(n)))
+                and _compose(white, white) == black3):
+            raise ValueError(_permutation_fault(black, white))
+        del black3
+        derived = _compose(white, black2)
+        if region is not None and tuple(region) != derived:
+            raise ValueError("region permutation violates the composition "
+                             "convention")
         # connectedness under the two actions
         seen = bytearray(n)
         seen[0] = 1
@@ -120,39 +142,43 @@ class Skeleton:
         object.__setattr__(self, "edge_count", n)
         object.__setattr__(self, "black", black)
         object.__setattr__(self, "white", white)
-        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "region", derived)
         object.__setattr__(self, "_cycles", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Skeleton is immutable")
 
     def _cycles_of(self, which):
-        """The cycles of black, white or region, each from its smallest
-        edge, in the order of those edges.  The constructor proved
+        """The Cycles of black, white or region, each from its smallest
+        edge, in the order of those edges.  Each cycle holds the
+        permutation's own ints: its first edge i is read back as the image
+        of its last, so no new int is made.  The constructor proved
         black^3 = 1 and white^2 = 1, so their cycles are read off each
-        edge's images; region's are walked."""
+        edge's images; region's are walked from the edges no earlier
+        cycle holds."""
         cycles = self._cycles.get(which)
         if cycles is None:
             perm = getattr(self, which)
             if which == "black":
-                cycles = [(i,) if b == i else (i, b, perm[b])
-                          for i, b in enumerate(perm) if i <= b and i <= perm[b]]
+                cycles = [(b,) if b == i else (perm[c], b, c)
+                          for i, b in enumerate(perm)
+                          if i <= b and i <= (c := perm[b])]
             elif which == "white":
-                cycles = [(i,) if w == i else (i, w)
+                cycles = [(w,) if w == i else (perm[w], w)
                           for i, w in enumerate(perm) if i <= w]
             else:
-                seen = bytearray(self.edge_count)
+                unseen = bytearray(b"\x01") * self.edge_count
                 cycles = []
-                for i in range(self.edge_count):
-                    if not seen[i]:
-                        cyc = []
-                        j = i
-                        while not seen[j]:
-                            seen[j] = 1
-                            cyc.append(j)
-                            j = perm[j]
-                        cycles.append(tuple(cyc))
-            cycles = self._cycles[which] = tuple(cycles)
+                for i in compress(range(self.edge_count), unseen):
+                    cyc = [i]
+                    j = perm[i]
+                    while j != i:
+                        unseen[j] = 0
+                        cyc.append(j)
+                        j = perm[j]
+                    cyc[0] = j
+                    cycles.append(tuple(cyc))
+            cycles = self._cycles[which] = Cycles(cycles)
         return cycles
 
     def black_cycles(self):
@@ -165,11 +191,11 @@ class Skeleton:
         return self._cycles_of("region")
 
     def region_widths(self):
-        return sorted(len(c) for c in self.region_cycles())
+        return sorted(map(len, self.region_cycles()))
 
     def to_json_dict(self):
-        """The payload of skeleton --json; the cycles stay tuples, which
-        json prints as lists."""
+        """The payload of skeleton --json; the cycles stay Cycles, tuples
+        that json prints as lists."""
         return {
             "edges": self.edge_count,
             "black": self.black_cycles(),
@@ -199,8 +225,8 @@ class SkeletonSignature:
 
 def signature(sk):
     """Monovalent vertex counts and the region width partition."""
-    v_black = sum(1 for c in sk.black_cycles() if len(c) == 1)
-    v_white = sum(1 for c in sk.white_cycles() if len(c) == 1)
+    v_black = countOf(map(len, sk.black_cycles()), 1)
+    v_white = countOf(map(len, sk.white_cycles()), 1)
     widths = tuple(sk.region_widths())
     return SkeletonSignature(sk.edge_count, v_white, v_black, widths)
 
@@ -419,23 +445,33 @@ def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
     lines * k edges, edge 0 being the seed's coset.  The edges are then
     renumbered breadth-first from edge 0, black before white, exactly as a
     covector orbit walk numbers its cosets; the lifted s1 is cross-checked
-    against the composition convention.  The unnumbered lifts of black and
-    white are dropped before region is lifted, which bounds the peak memory.
+    against the composition convention.  The numbered black and white are
+    built as the walk numbers each edge's images, and the unnumbered lifts
+    are dropped before region is lifted, which bounds the peak memory.
     """
     walk = _LineWalk(spec, state_cap)
-    black, white = walk.edge_steps(walk.black), walk.edge_steps(walk.white)
-    number = [-1] * len(black)  # the breadth-first number of each edge
+    lifted_black = walk.edge_steps(walk.black)
+    lifted_white = walk.edge_steps(walk.white)
+    number = [-1] * len(lifted_black)  # the breadth-first number of each edge
     number[0] = 0
     order = [0]  # the edges, breadth-first
+    black, white = [], []  # their images, numbered, in that order
     for e in order:
-        for f in (black[e], white[e]):
-            if number[f] < 0:
-                number[f] = len(order)
-                order.append(f)
-    black = [number[black[e]] for e in order]
-    white = [number[white[e]] for e in order]
+        f = lifted_black[e]
+        x = number[f]
+        if x < 0:
+            x = number[f] = len(order)
+            order.append(f)
+        black.append(x)
+        f = lifted_white[e]
+        x = number[f]
+        if x < 0:
+            x = number[f] = len(order)
+            order.append(f)
+        white.append(x)
+    del lifted_black, lifted_white
     region = walk.edge_steps(walk.region)
-    region = [number[region[e]] for e in order]
+    region = list(map(number.__getitem__, map(region.__getitem__, order)))
     return Skeleton(black, white, region=region)
 
 

@@ -162,6 +162,8 @@ def reference_skeleton_fault(black, white, region=None):
     n = len(black)
     if len(white) != n or n == 0:
         return "permutations must share a nonempty edge set"
+    if not all(type(e) is int for e in black + white):
+        return "permutations must hold ints"
     edges = set(range(n))
     if set(black) != edges or set(white) != edges:
         return "not a permutation of the edge set"

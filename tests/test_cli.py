@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import random
 import tracemalloc
 
 import pytest
@@ -425,9 +426,39 @@ class TestPrinter:
         ((4,), (5, 6)),
         [[7]],
         None,
+        ((True,), (2,)),
     ])
     def test_hand_made_payloads(self, value):
         payload = {"schemaVersion": 1, "value": value, "after": [[1, 2]]}
+        assert "".join(_dump(payload)) == json.dumps(payload, sort_keys=True,
+                                                     indent=2)
+
+    @pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
+    def test_skeleton_cycles_across_pieces(self, count):
+        # a random skeleton whose black cycles, three of them fixed edges,
+        # fall one short of a 4,096-cycle piece, fill it, pass it by one,
+        # and pass two pieces by one; white and region have other counts
+        rng = random.Random(count)
+        n = 3 + 3 * (count - 3)
+        edges = rng.sample(range(n), n)
+        black = list(range(n))
+        for k in range(3, n, 3):
+            a, b, c = edges[k:k + 3]
+            black[a], black[b], black[c] = b, c, a
+        fixed_white = 2 + n % 2
+        while True:
+            edges = rng.sample(range(n), n)
+            white = list(range(n))
+            for a, b in zip(edges[fixed_white::2], edges[fixed_white + 1::2]):
+                white[a], white[b] = b, a
+            try:
+                sk = skeleton.Skeleton(black, white)
+                break
+            except ValueError as exc:
+                assert str(exc) == "skeleton is not connected"
+        payload = {"schemaVersion": 1, **sk.to_json_dict()}
+        assert len(payload["black"]) == count
+        assert sum(len(c) == 1 for c in payload["black"]) == 3
         assert "".join(_dump(payload)) == json.dumps(payload, sort_keys=True,
                                                      indent=2)
 

@@ -62,6 +62,27 @@ class TestSkeletonStructure:
         with pytest.raises(ValueError, match=message):
             Skeleton(black, white)
 
+    @pytest.mark.parametrize("black, white", [
+        ((False, True), (1, 0)),
+        ((0, 1), (True, 0)),
+        ((0, 1.0), (1, 0)),
+        ((0, 1), (1.0, 0.0)),
+    ], ids=["bool-black", "bool-white", "float-black", "float-white"])
+    def test_rejects_entries_that_are_not_ints(self, black, white):
+        # True == 1 and 1.0 == 1, but neither prints as the edge 1
+        assert reference_skeleton_fault(black, white) == \
+            "permutations must hold ints"
+        with pytest.raises(ValueError, match="must hold ints"):
+            Skeleton(black, white)
+
+    def test_keeps_the_derived_region(self):
+        # a given region is only compared with white o black^-1, so
+        # booleans equal to it leave no bool in the skeleton
+        sk = Skeleton((0, 1), (1, 0), region=(True, False))
+        assert sk.region == (1, 0)
+        assert {type(e) for e in sk.region} == {int}
+        assert {type(e) for c in sk.region_cycles() for e in c} == {int}
+
     def test_rejects_black_of_order_two(self):
         with pytest.raises(ValueError, match="order > 3"):
             Skeleton((1, 0), (1, 0))
