@@ -340,7 +340,6 @@ def build_parser():
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--p", type=positive_int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_factors)
 
     p = sub.add_parser("skeleton", help="enumerate one universal subgroup")
     p.add_argument("--p", type=positive_int, required=True)
@@ -349,42 +348,42 @@ def build_parser():
     p.add_argument("--ambient", default="bu3", choices=["bu3", "b3"])
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-cache", action="store_true")
-    p.set_defaults(func=cmd_skeleton)
 
     p = sub.add_parser("sieve", help="run the resultant sieve over a range of N")
     p.add_argument("--n-range", default=f"{SWEEP_RANGE[0]}..{SWEEP_RANGE[1]}")
     p.add_argument("--raw", action="store_true",
                    help="report candidates only, skip the genus filter")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("table", help="print or verify the embedded table")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--row", type=positive_int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("addendum", help="pairwise exclusion and conjugacy checks")
     p.add_argument("--all-groups", action="store_true",
                    help="one representative per skeleton iso-class instead of per row")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_addendum)
     return ap
+
+
+# built once: parse_args keeps nothing between calls
+_PARSER = build_parser()
 
 
 def main(argv=None):
     """Run one command and print its outputs; return the exit code.
 
-    A command hands main each output through out(): a line of text, or
-    the pieces _dump yields for a --json payload.  Nothing is written
-    until the command has returned, so an error leaves stdout empty.
-    Then each output is written piece by piece, with the separators and
-    the final newline of print("\\n".join(outputs)).
+    Every call parses with the one _PARSER, and looks up the command's
+    function by its name when it runs.  A command hands main each output
+    through out(): a line of text, or the pieces _dump yields for a
+    --json payload.  Nothing is written until the command has returned,
+    so an error leaves stdout empty.  Then each output is written piece
+    by piece, with the separators and the final newline of
+    print("\\n".join(outputs)).
     """
     try:
-        # no name keeps the parser, whose reference cycles the collector
-        # then frees young instead of after the command
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code) if exc.code else EXIT_OK
@@ -398,7 +397,10 @@ def main(argv=None):
             cfg.cache_dir = args.cache_dir
         if args.state_cap is not None:
             cfg.state_cap = args.state_cap
-        code = args.func(args, cfg, outputs.append)
+        command = {"factors": cmd_factors, "skeleton": cmd_skeleton,
+                   "sieve": cmd_sieve, "table": cmd_table,
+                   "addendum": cmd_addendum}[args.command]
+        code = command(args, cfg, outputs.append)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -25,6 +25,7 @@ known degree factors each of them.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 import re
@@ -325,11 +326,19 @@ def resultant(u, w, N, evaluate=None):
     shift of D_l changes only the sign).  At t = -zeta, b_l is
     (zeta^l - 1)/(zeta - 1), so D_l(-zeta) = zeta^l X - Y for X and Y that
     do not depend on l.  The product is taken modulo primes P = 1 (mod N),
-    which hold the roots, until their product exceeds 2B, where
-    B = (|u0||w1| + (N-1)|u1||w1| + |u1||w0|)^phi(N) >= |Res| (|.| is the
-    1-norm of the coefficients, and |zeta| = 1).  The balanced CRT value is
-    then the resultant itself, so a zero is exact.  (Collins, JACM 18, 1971;
-    von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6.)
+    which hold the roots, until their product exceeds 2B for a bound
+    B >= |Res|.  The balanced CRT value is then the resultant itself, so a
+    zero is exact.  (Collins, JACM 18, 1971; von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 6.)
+
+    B is _resultant_bound(u, w, N), the product over the roots
+    zeta = e^(2 pi i k/N), k prime to N, of
+    n_u0 n_w1 + n_u1 n_w0 + n_u1 n_w1 / sin(pi k/N), where n_f is the
+    1-norm of f's coefficients.  Each factor bounds |D_l(-zeta)| for every
+    l: |f(-zeta)| <= n_f as |zeta| = 1, and
+    |b_l(-zeta)| = |zeta^l - 1|/|zeta - 1| <= 2/|zeta - 1| = 1/sin(pi k/N).
+    That is at most 1/sin(pi/N) <= N/2, as sin x >= 2x/pi on [0, pi/2], so
+    it is never looser than |b_l| <= l <= N - 1 term by term.
 
     The swapped pair needs no second evaluation:
     resultant(w, u, N)[l] == resultant(u, w, N)[-l % N].  s1 has
@@ -338,25 +347,22 @@ def resultant(u, w, N, evaluate=None):
     D_l(u, w) = (-t)^l det[u | s1^-l w] = -(-t)^l D_{-l mod N}(w, u)
     mod phi_N(-t), and (-t)^l is a unit there.
 
-    evaluate(f, index) gives the values of a Laurent polynomial f at the
-    zeros of phi_N(-t) modulo unity_prime(N, index)[0], as unity_values
-    does by default; a caller that evaluates many pairs passes a memo of
-    it, so a polynomial shared by several pairs is evaluated once per
-    prime.
+    evaluate(v, index) gives the values of the two Laurent polynomials of
+    a vector v at the zeros of phi_N(-t) modulo unity_prime(N, index)[0],
+    as unity_values does by default; a caller that evaluates many pairs
+    passes a memo of it, so a vector shared by several pairs is evaluated
+    once per prime.
     """
     if evaluate is None:
-        def evaluate(f, index):
-            return unity_values(f, N, index)
-    (u0, u1), (w0, w1) = u, w
-    n_u0, n_u1, n_w0, n_w1 = (sum(map(abs, f.coeffs)) for f in (u0, u1, w0, w1))
-    bound = 2 * (n_u0 * n_w1 + (N - 1) * n_u1 * n_w1
-                 + n_u1 * n_w0) ** cyclotomic(N).degree
+        def evaluate(v, index):
+            return [unity_values(f, N, index) for f in v]
+    bound = 2 * _resultant_bound(u, w, N)
     values, modulus, index = [0] * N, 1, 0
     while modulus <= bound:
         P, roots = _unity_tables(N, index)
         prods = [1] * N
         for (zeta_powers, inv), a0, a1, b0, b1 in zip(
-                roots, *(evaluate(f, index) for f in (u0, u1, w0, w1))):
+                roots, *evaluate(u, index), *evaluate(w, index)):
             c = a1 * b1 * inv
             X, Y = (a0 * b1 + c) % P, (a1 * b0 + c) % P
             prods = [r * (X * z - Y) % P for r, z in zip(prods, zeta_powers)]
@@ -367,6 +373,44 @@ def resultant(u, w, N, evaluate=None):
         index += 1
     half = modulus // 2
     return tuple(modulus - v if v > half else v for v in values)
+
+
+def _resultant_bound(u, w, N):
+    """The bound B of resultant(u, w, N) on every |Res| (proved there): an
+    integer above the product, over the k in 1..N-1 prime to N, of
+    n_u0 n_w1 + n_u1 n_w0 + n_u1 n_w1 / sin(pi k/N).  It is taken in exact
+    integers, with the C_k >= 2^32 / sin(pi k/N) of _inverse_sines, as 1 +
+    floor(prod_k (2^32 (n_u0 n_w1 + n_u1 n_w0) + n_u1 n_w1 C_k) / 2^(32 phi(N))).
+    """
+    (u0, u1), (w0, w1) = u, w
+    n_u0, n_u1, n_w0, n_w1 = (sum(map(abs, f.coeffs)) for f in (u0, u1, w0, w1))
+    fixed, varying = (n_u0 * n_w1 + n_u1 * n_w0) << _SINE_BITS, n_u1 * n_w1
+    inverse_sines = _inverse_sines(N)
+    product = math.prod(fixed + varying * c for c in inverse_sines)
+    return (product >> _SINE_BITS * len(inverse_sines)) + 1
+
+
+# the binary digits of _inverse_sines after the point
+_SINE_BITS = 32
+
+
+@lru_cache(maxsize=None)
+def _inverse_sines(N):
+    """C_k >= 2^32 / sin(pi k/N) for each k in 1..N-1 prime to N, as ints.
+
+    Each is taken in floating point at k' = min(k, N - k), which has the
+    same sine, so x = pi k'/N lies in (0, pi/2].  math.pi, k' pi and x
+    round with a relative error of at most 2^-53 each, so x is within
+    3 * 2^-53 of pi k'/N relatively, and sin x within as much, since
+    x cot x <= 1 there, plus the ulp (2^-52 relatively) that math.sin may
+    miss by.  The quotient and the product by 1 + 2^-40 round by 2^-53
+    each.  So the float is within a relative 7 * 2^-53 < 2^-49 of
+    (1 + 2^-40) 2^32 / sin(pi k/N), and its ceiling C_k is above
+    2^32 / sin(pi k/N).
+    """
+    return tuple(math.ceil(2.0 ** _SINE_BITS / math.sin(math.pi * min(k, N - k) / N)
+                           * (1 + 2.0 ** -40))
+                 for k in range(1, N) if gcd(k, N) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -624,7 +668,8 @@ class FieldSpec:
     cost O(q) time and memory.  matrix_codes memoizes the codes of
     specialized Burau matrices, keyed by the matrix, for the walks over
     this field, and generator_cycles the cycles of the braid generators
-    on its lines, once skeleton has read them.
+    on its lines and trace_generates whether its trace field is all of
+    it, once skeleton has read them.
     """
 
     def __init__(self, p, modulus):
@@ -634,6 +679,7 @@ class FieldSpec:
         self.order = q = p ** d
         self.matrix_codes = {}
         self.generator_cycles = None
+        self.trace_generates = None
         if d == 1:
             self.gen = -coeffs[0] % p
             self.add = lambda a, b: (a + b) % p

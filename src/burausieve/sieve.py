@@ -10,7 +10,7 @@ exceptional candidates handed to the genus filter.  One pass per N serves
 all its word sets and branches.  A determinant depends only on
 u = b_i v_{T'}, w = b_j v_{T''} and l, and exactalg.resultant evaluates u
 and w once at the roots of phi_N(-t) for the resultants of every l; the
-pass hands it each polynomial's values at the roots, computed once per
+pass hands it each vector's values at the roots, computed once per
 prime.  The swapped pair (w, u) is not evaluated at all: s1 has
 determinant -t and s1^N = I mod phi_N(-t) (the entries of s1^N - I are
 (-t)^N - 1 and b_N, multiples of phi_N(-t)), so
@@ -120,6 +120,18 @@ def parse_word_set(texts):
     return [BraidWord.parse(t) for t in texts]
 
 
+class _Vector(tuple):
+    """A vector b_i v_T, a pair of IntPoly, as a pass hands it out.  The
+    pass interns every vector it makes, one object per distinct value, so
+    identity is equality: its memos key vectors by identity and hash no
+    polynomial."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+
+
 class _SievePass:
     """What one N fixes, shared by every word set and branch sieved at N.
 
@@ -127,15 +139,18 @@ class _SievePass:
     recur across word sets (e is in every configured set for N = 7..10)
     and across branches (v_I and v_II do not depend on M).  A pair is
     held in the orientation it was first evaluated in; its swap (w, u) is
-    served from it, at -l mod N (see the module docstring).
+    served from it, at -l mod N (see the module docstring).  The memos
+    are keyed by the pass's interned vectors (_Vector), and last as long
+    as the pass.
     """
 
     def __init__(self, N):
         self.N = N
         self.branches = branches_for(N)
         self.cyc = substitute_neg(cyclotomic(N))
+        self.interned = {}  # (u0, u1) -> its one _Vector in this pass
         self.resultants = {}  # (u, w) -> |Res(phi_N(-t), D_l)| for each l
-        self.values = {}  # (f, index) -> f at the roots of unity_prime(N, index)
+        self.values = {}  # (v, index) -> v at the roots of unity_prime(N, index)
         self.primes = {}  # |Res| -> its primes not dividing N
         self.cyc_mod = {}  # p -> (phi_N(-t) mod p, ord_N(p))
         self.parts = {}  # (u, w) -> the coefficients of X and Y
@@ -144,13 +159,15 @@ class _SievePass:
         self.linear = {}  # (u, w, p, a) -> X(a), Y(a) mod p
 
     def vectors(self, words, branch):
-        """Type tag -> the vectors b_i v_T of the words, on this branch."""
+        """Type tag -> the vectors b_i v_T of the words, on this branch, each
+        the pass's one _Vector of its value."""
         mats = [to_burau(w) for w in words]
         out = {}
         for tag in branch.types:
             a = type_coefficient_laurent(tag, branch.M,
                                          branch.char_class == "p=3")
-            out[tag] = [m.apply((a, IntPoly.one())) for m in mats]
+            out[tag] = [self.interned.setdefault(v, _Vector(v))
+                        for v in (m.apply((a, IntPoly.one())) for m in mats)]
         return out
 
     def resultants_of(self, u, w):
@@ -164,11 +181,12 @@ class _SievePass:
             self.resultants[u, w] = resultant(u, w, self.N, evaluate=self.evaluate)
         return self.resultants[u, w]
 
-    def evaluate(self, f, index):
-        """exactalg.unity_values(f, N, index), once per pass."""
-        key = (f, index)
+    def evaluate(self, v, index):
+        """exactalg.unity_values(f, N, index) of both entries f of the
+        vector v, once per pass."""
+        key = (v, index)
         if key not in self.values:
-            self.values[key] = unity_values(f, self.N, index)
+            self.values[key] = [unity_values(f, self.N, index) for f in v]
         return self.values[key]
 
     def oriented(self, u, w, l):

@@ -508,12 +508,16 @@ def _trace_generates(root):
     """Whether _closed_form applies to root: N >= 7, and s = xi + 1/xi,
     which generates the trace field of the braid image, generates F_q.
     That is, s lies in no proper subfield: s^(p^e) != s for every proper
-    divisor e of deg m."""
+    divisor e of deg m.  Both depend on the field alone (N = ord(-xi)), so
+    the answer is read once per field and kept on it."""
     field = root.field
-    s = field.add(field.gen, field.inv(field.gen))
-    d, p = field.degree, field.p
-    return root.N >= 7 and all(s and field.power(s, p ** e) != s
-                               for e in range(1, d) if d % e == 0)
+    if field.trace_generates is None:
+        s = field.add(field.gen, field.inv(field.gen))
+        d, p = field.degree, field.p
+        field.trace_generates = root.N >= 7 and all(
+            s and field.power(s, p ** e) != s
+            for e in range(1, d) if d % e == 0)
+    return field.trace_generates
 
 
 def _closed_form_cycles(g, n0, root):

@@ -475,6 +475,24 @@ class TestPrinter:
         assert code == 2 and out == ""
         assert "error: failed after its output" in run.err
 
+    def test_one_parser_keeps_no_state(self, run, monkeypatch):
+        # main parses with the parser the import built; a command run twice
+        # in one process, a usage error and a resource error included, gives
+        # the same stdout, stderr and exit code both times
+        def refuse():
+            raise AssertionError("a parser built after import")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for argv, code, err in [
+                (("sieve", "--n-range", "9..9", "--json"), 0, ""),
+                (("sieve", "--no-such-option"), 2, "usage: burau-sieve"),
+                (("--state-cap", "10", "addendum", "--all-groups"), 3,
+                 "error: ")]:
+            first = (*run(*argv), run.err)
+            assert first == (*run(*argv), run.err), argv
+            assert first[0] == code and (first[1] != "") == (code == 0), argv
+            assert first[2].startswith(err), argv
+
     def test_skeleton_peak_memory_is_bounded_by_its_output(self, tmp_path):
         # Printing holds no whole copy of the text, and the constructor no
         # set of the edges: a cold and a warm skeleton --json each peak

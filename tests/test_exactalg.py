@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import mpmath
 import pytest
 import sympy
 from covector_oracle import FieldElem, element_order, evaluate
@@ -297,17 +298,42 @@ class TestResultantByEvaluation:
         assert exactalg.resultant(u, u, 10) == reference_resultants(u, u, 10)
 
     def test_bound_needing_three_primes(self):
-        # B = (|u0||w1| + (N-1)|u1||w1| + |u1||w0|)^phi(N) with 1-norms;
         # the first two primes, each below 2^62, do not exceed 2B
         N = 26
         u = (parse_poly("1999t^3-1500t+1777"), parse_poly("-1234t^2+999"))
         w = (parse_poly("1501t^4+1733"), parse_poly("1103t-1999"))
-        n_u0, n_u1, n_w0, n_w1 = (sum(map(abs, f.coeffs)) for f in (*u, *w))
-        bound = (n_u0 * n_w1 + (N - 1) * n_u1 * n_w1 + n_u1 * n_w0) ** totient(N)
+        bound = exactalg._resultant_bound(u, w, N)
         assert unity_prime(N, 0)[0] * unity_prime(N, 1)[0] <= 2 * bound
         values = exactalg.resultant(u, w, N)
         assert values == reference_resultants(u, w, N)
         assert max(values).bit_length() > 124
+        assert max(values) <= bound
+
+    def test_bound_on_random_pairs(self):
+        # B = prod_k (|u0||w1| + |u1||w0| + |u1||w1| / sin(pi k/N)) with
+        # 1-norms, rounded up to an integer: it holds every |Res|, and is
+        # never looser than (|u0||w1| + (N-1)|u1||w1| + |u1||w0|)^phi(N)
+        rng = random.Random(16)
+        for _ in range(200):
+            N = rng.randint(2, 40)
+            u = (random_laurent(rng, 5), random_laurent(rng, 5))
+            w = (random_laurent(rng, 5), random_laurent(rng, 5))
+            bound = exactalg._resultant_bound(u, w, N)
+            assert max(exactalg.resultant(u, w, N)) <= bound, (u, w, N)
+            n_u0, n_u1, n_w0, n_w1 = (sum(map(abs, f.coeffs)) for f in (*u, *w))
+            assert bound <= 1 + (n_u0 * n_w1 + (N - 1) * n_u1 * n_w1
+                                 + n_u1 * n_w0) ** totient(N)
+
+    def test_inverse_sines_bound_the_exact_values(self):
+        # C_k >= 2^32 / sin(pi k/N), against the sine to 40 digits, and
+        # within 2^-38 of it relatively, up to the rounding up
+        for N in range(2, 61):
+            ks = [k for k in range(1, N) if gcd(k, N) == 1]
+            assert len(exactalg._inverse_sines(N)) == len(ks) == totient(N)
+            with mpmath.workdps(40):
+                for k, c in zip(ks, exactalg._inverse_sines(N)):
+                    exact = 2 ** 32 / mpmath.sin(mpmath.pi * k / N)
+                    assert exact <= c <= exact * (1 + mpmath.mpf(2) ** -38) + 1, (N, k)
 
 
 class TestFactorOverPrime:

@@ -1,17 +1,19 @@
 """The resultant sieve: determinants, informativeness, candidate extraction."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
 import sympy
 from covector_oracle import FieldElem, Presentation, element_order
-from helpers import determinant_D, reference_resultants, \
+from helpers import count_calls, determinant_D, reference_resultants, \
     resultant_with_cyclotomic, sieve_determinant, sweep_pairs
 
 from burausieve import sieve
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
-from burausieve.exactalg import IntPoly, _fp_gcd, _fp_mod, cyclotomic, \
-    cyclotomic_factors, fp_factor, order_mod, parse_poly, substitute_neg
+from burausieve.exactalg import IntPoly, _fp_gcd, _fp_mod, _resultant_bound, \
+    cyclotomic, cyclotomic_factors, fp_factor, order_mod, parse_poly, \
+    substitute_neg, unity_prime
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import (
     DEFAULT_INFORMATIVE_SETS,
@@ -485,6 +487,37 @@ class TestSweep:
         got = {(s["p"], s["minPoly"]) for s in results[9]["survivors"]}
         assert got == {(row.p, f) for row in GOLDEN_ROWS if row.N == 9
                        for f in row.factors}
+
+    def test_sweep_barely_hashes_polynomials(self, monkeypatch):
+        # a pass interns its vectors and keys every memo by them, so the
+        # sweep hashes a polynomial only to intern a vector or to hold a
+        # triple: 13,475 times, where memos keyed by IntPoly took 211,531
+        hashes = count_calls(monkeypatch, IntPoly, "__hash__")
+        full_sweep((7, 26))
+        assert len(hashes) <= 21153
+
+    def test_sweep_resultants_need_few_primes(self, monkeypatch):
+        # every |Res| of the sweep lies within resultant's bound B, and the
+        # product of primes that exceeds 2B is one prime below 2^62 for
+        # 1,047 of the 1,131 calls and two for 84: 1,215 CRT passes, where
+        # B = (|u0||w1| + (N-1)|u1||w1| + |u1||w0|)^phi(N) took 1,440
+        passes = []
+        real = sieve.resultant
+
+        def checking_resultant(u, w, N, **kwargs):
+            values = real(u, w, N, **kwargs)
+            bound = _resultant_bound(u, w, N)
+            assert max(values) <= bound, (u, w, N)
+            modulus, index = 1, 0
+            while modulus <= 2 * bound:
+                modulus *= unity_prime(N, index)[0]
+                index += 1
+            passes.append(index)
+            return values
+
+        monkeypatch.setattr(sieve, "resultant", checking_resultant)
+        full_sweep((7, 26), raw=True)
+        assert Counter(passes) == {1: 1047, 2: 84}
 
     def test_flatness_identity_is_checked(self, monkeypatch):
         real = sieve.orbit_signatures
