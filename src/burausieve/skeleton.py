@@ -10,9 +10,10 @@ orbit, and `_signature_of` lifts them to its signature and genus.  They
 come from a walk or in closed form:
 - `_LineWalk` walks at most q + 1 lines, recording each step's voltage
   in the fiber Z/r, and reads them off its steps.  `enumerate_universal`
-  lifts its steps to the edges by `_LineWalk.edge_steps` and numbers
-  them breadth-first.  `_orbit_walks` walks once per braid orbit of type
-  lines, as conjugate lines share a skeleton up to isomorphism.
+  checks its s1 steps on the lines, lifts black and white to the edges
+  by `_LineWalk.edge_steps` and numbers them breadth-first.
+  `_orbit_walks` walks once per braid orbit of type lines, as conjugate
+  lines share a skeleton up to isomorphism.
 - When the trace field F_p(xi + 1/xi) is F_q, the braid image holds
   PSL2(F_q) and is transitive on lines, and `_generator_cycles` reads
   the cycles off each generator's eigenvalues and projective order, once
@@ -24,6 +25,7 @@ whose trace field is smaller than F_q, and the addendum walks none.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
@@ -421,40 +423,74 @@ class _LineWalk:
                               (self.black, self.white, self.region)])
 
     def edge_steps(self, step):
-        """The lift of step to the edges (i, t), numbered i * k + t.
+        """The lift of step to the edges (i, t), numbered i * k + t, as an
+        array('q') of their images.
 
         Edge (i, t) is the state (i, potential[i] + m t) with m = r / k, and a
         step (j, d) maps it to (j, t + delta) with delta = (potential[i] + d -
         potential[j]) / m, which is exact: every such difference lies in the
-        local group K = m Z / r Z.
+        local group K = m Z / r Z.  The images of line i's edges are
+        therefore line j's edges rotated by delta: two ranges.
         """
         k = self.k
         m, potential = self.r // k, self.potential
-        shifted = [[(t + delta) % k for t in range(k)] for delta in range(k)]
-        images = []
+        images = array("q")
         for i, (j, d) in enumerate(step):
             delta = (potential[i] + d - potential[j]) // m % k
-            images += [j * k + t for t in shifted[delta]]
+            first = j * k
+            images.extend(range(first + delta, first + k))
+            images.extend(range(first, first + delta))
         return images
+
+    def check_region(self):
+        """Raise ValueError unless every line's s1 step (j, d) is black
+        twice, then white: the three steps (i1, d1), (i2, d2), (i3, d3)
+        from the line end at i3 = j, with d1 + d2 + d3 = d mod r.
+
+        In the braid group (s2 s1)^2 (s2 s1^2) = (s2 s1)^3 s1, and
+        (s2 s1)^3 maps to the scalar xi^3, which lies in S; so on the cover
+        s1 is white o black^2, the Skeleton constructor's convention.  The
+        check is exact for the lifts.  A step (j, d) from line i lifts to
+        (i, t) -> (j, t + (potential[i] + d - potential[j]) / m) mod k, so
+        the potentials telescope along the three steps, whose composite
+        lifts to the shift (potential[i] + d1 + d2 + d3 - potential[i3]) / m.
+        That equals the lifted s1 on the k edges over line i exactly when
+        i3 = j and (d1 + d2 + d3 - d) / m = 0 mod k, that is,
+        d1 + d2 + d3 = d mod m k = r.  So the lifted s1 equals the lifted
+        white o black^2 on every edge exactly when this O(q) pass passes,
+        and no third lift is needed to compare them.
+        """
+        black, white, r = self.black, self.white, self.r
+        for i, (j, d) in enumerate(self.region):
+            i1, d1 = black[i]
+            i2, d2 = black[i1]
+            i3, d3 = white[i2]
+            if i3 != j or (d1 + d2 + d3 - d) % r:
+                raise ValueError(f"region step of line {i} violates the "
+                                 f"composition convention")
 
 
 def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
     """The skeleton of a universal subgroup, lifted from the walk over lines.
 
-    _LineWalk.edge_steps lifts black, white and region to the walk's
-    lines * k edges, edge 0 being the seed's coset.  The edges are then
-    renumbered breadth-first from edge 0, black before white, exactly as a
-    covector orbit walk numbers its cosets; the lifted s1 is cross-checked
-    against the composition convention.  The numbered black and white are
-    built as the walk numbers each edge's images, and the unnumbered lifts
-    are dropped before region is lifted, which bounds the peak memory.
+    The walk's s1 steps are first checked against the composition
+    convention on its lines (_LineWalk.check_region), which proves the
+    lifted s1 equal to white o black^2, so only black and white are
+    lifted: _LineWalk.edge_steps lifts each to the walk's lines * k edges,
+    edge 0 being the seed's coset.  The edges are then renumbered
+    breadth-first from edge 0, black before white, exactly as a covector
+    orbit walk numbers its cosets, and the numbered black and white are
+    built as the walk numbers each edge's images.  The lifts and the
+    numbering are dropped before the Skeleton constructor validates the
+    pair and derives region, which bounds the peak memory.
     """
     walk = _LineWalk(spec, state_cap)
+    walk.check_region()
     lifted_black = walk.edge_steps(walk.black)
     lifted_white = walk.edge_steps(walk.white)
     number = [-1] * len(lifted_black)  # the breadth-first number of each edge
     number[0] = 0
-    order = [0]  # the edges, breadth-first
+    order = array("q", [0])  # the edges, breadth-first, as machine ints
     black, white = [], []  # their images, numbered, in that order
     for e in order:
         f = lifted_black[e]
@@ -469,10 +505,8 @@ def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
             x = number[f] = len(order)
             order.append(f)
         white.append(x)
-    del lifted_black, lifted_white
-    region = walk.edge_steps(walk.region)
-    region = list(map(number.__getitem__, map(region.__getitem__, order)))
-    return Skeleton(black, white, region=region)
+    del lifted_black, lifted_white, number, order
+    return Skeleton(black, white)
 
 
 def _orbit_walks(root, tags, ambient, state_cap):

@@ -594,3 +594,89 @@ class TestBadInput:
                       "--raw")
         assert code == 2
         assert message in run.err
+
+
+# The fuzz's valid command lines, each cheap at a state cap of 2,000
+_FUZZ_LINES = (
+    ("factors", "--n", "9", "--p", "19"),
+    ("factors", "--n", "15", "--p", "2", "--json"),
+    ("skeleton", "--p", "19", "--min-poly", "t+4"),
+    ("skeleton", "--p", "2", "--min-poly", "t^3+t+1", "--json"),
+    ("skeleton", "--p", "43", "--min-poly", "t+4", "--type", "II",
+     "--ambient", "b3", "--json", "--no-cache"),
+    ("sieve", "--n-range", "9..9", "--raw"),
+    ("table", "--verify", "--row", "1", "--json"),
+    ("addendum", "--all-groups"),
+)
+# What a mutation writes: every option and choice, and hostile values.
+# No value names a sweep wider than one N; the widest a case can run is
+# the default 7..26, about half a second.
+_FUZZ_TOKENS = (
+    "factors", "skeleton", "sieve", "table", "addendum", "--help",
+    "--config", "--state-cap", "--n", "--p", "--min-poly", "--type",
+    "--ambient", "--json", "--no-cache", "--n-range", "--raw", "--verify",
+    "--row", "--all-groups", "--", "-", "I", "II", "III+", "IV", "b3",
+    "bu3", "0", "1", "2", "3", "7", "9", "19", "26", "43", "-1", "1_9",
+    "٩", "1" * 40, str(2 ** 127 - 1), "9..9", "9..8", "0..3", "26..27",
+    "t+4", "t^3+t+1", "t^2+1", "t^", "t+", "2*t+1", "t^99999999999+1",
+    "t^3000+1", "t^" + "9" * 3000, "9" * 5000, "", " ", "x",
+)
+_FUZZ_CONFIGS = (
+    '{"state_cap": 100}', '{"state_cap": 0}', '{"state_cap": "12"}',
+    '{"informative_sets": {"9": [["e", "s1"]]}}',
+    '{"informative_sets": {"9": [["e", "s3"]]}}', '{"cache_dir": "x"}',
+    "{", "[]", "", "[" * 5000,
+)
+_FUZZ_CAPS = ("1", "8", "50", "500", "2000")
+
+
+def _fuzz_case(rng, configs):
+    """One mutated command line: 1-3 replacements, insertions, deletions
+    or swaps of a valid one, sometimes after a --config."""
+    argv = list(rng.choice(_FUZZ_LINES))
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        op = rng.randrange(4) if argv else 1
+        i = rng.randrange(len(argv) + (op == 1))
+        if op == 0:
+            argv[i] = rng.choice(_FUZZ_TOKENS)
+        elif op == 1:
+            argv.insert(i, rng.choice(_FUZZ_TOKENS))
+        elif op == 2:
+            del argv[i]
+        elif i + 1 < len(argv):
+            argv[i], argv[i + 1] = argv[i + 1], argv[i]
+    if rng.random() < 0.25:
+        argv[:0] = ["--config", rng.choice(configs)]
+    # a later --state-cap wins: keep every one small, as the factors
+    # guard admits a split that costs up to 100 times the cap
+    for i in range(len(argv) - 1):
+        value = argv[i + 1]
+        if argv[i] == "--state-cap" and value.isascii() and value.isdigit() \
+                and (len(value) > 4 or int(value) > 2000):
+            argv[i + 1] = "2000"
+    return argv
+
+
+def test_seeded_fuzz_never_tracebacks(capsys, tmp_path, monkeypatch):
+    # 1,000 mutated command lines, in process: each exits 0-3 and none
+    # raises or prints a traceback
+    monkeypatch.chdir(tmp_path)
+    configs = []
+    for n, text in enumerate(_FUZZ_CONFIGS):
+        path = tmp_path / f"cfg{n}.json"
+        path.write_text(text, encoding="utf-8")
+        configs.append(str(path))
+    rng = random.Random(26)
+    failures = []
+    for _ in range(1000):
+        argv = ["--state-cap", rng.choice(_FUZZ_CAPS), "--cache-dir",
+                str(tmp_path / "cache"), *_fuzz_case(rng, configs)]
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - reported with its argv
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2, 3) or "Traceback" in err:
+            failures.append((argv, code))
+    assert not failures, "\n".join(f"{code}: {argv!r}"
+                                   for argv, code in failures)

@@ -13,6 +13,7 @@ from covector_oracle import (
 from helpers import reference_cycles, reference_skeleton_fault, \
     single_edge
 
+from burausieve import skeleton
 from burausieve.golden import GOLDEN_ROWS, self_check
 from burausieve.intersect import conjugate_to_e2
 from burausieve.skeleton import (
@@ -277,11 +278,18 @@ class TestWidthAndDistinctness:
         assert verify_distinct_lemma(sk, 8)
 
 
+# the golden rows' 21 comma pairs: two factors listed in one group
+COMMA_PAIRS = tuple((row, *grp) for row in GOLDEN_ROWS
+                    for grp in row.factor_groups if len(grp) == 2)
+
+
 class TestIsomorphism:
-    def test_comma_partners_isomorphic(self):
-        row = golden_row(2, 7)
-        s1 = enumerate_row(2, 7, factor=0)
-        s2 = enumerate_row(2, 7, factor=1)
+    @pytest.mark.parametrize("row, first, second", COMMA_PAIRS,
+                             ids=[f"p{row.p}-N{row.N}-{a}-{b}"
+                                  for row, a, b in COMMA_PAIRS])
+    def test_comma_partners_isomorphic(self, row, first, second):
+        s1, s2 = (enumerate_universal(UniversalGroupSpec(
+            root_spec(row.p, text), "I", "bu3")) for text in (first, second))
         assert skeleton_isomorphic(s1, s2)
 
     def test_semicolon_groups_not_isomorphic(self):
@@ -398,6 +406,24 @@ class TestVoltageWalk:
         assert_voltage_walk_matches(spec)
         assert conjugate_to_e2(spec) == (
             (p, min_poly, tag) not in NOT_CONJUGATE_TO_E2)
+
+    @pytest.mark.parametrize("corrupt", ["line", "voltage"])
+    def test_lift_checks_region_steps_on_lines(self, monkeypatch, corrupt):
+        # one line's s1 step moved to another line, or its voltage shifted
+        # mod r, breaks s1 = white o black^2 on the k edges over that line
+        class CorruptWalk(_LineWalk):
+            def __init__(self, spec, state_cap):
+                super().__init__(spec, state_cap)
+                j, d = self.region[1]
+                self.region[1] = ((j + 1) % len(self.lines), d) \
+                    if corrupt == "line" else (j, (d + 1) % self.r)
+
+        spec = UniversalGroupSpec(root_spec(43, "t+4"), "I", "bu3")
+        walk = _LineWalk(spec)
+        assert walk.r > 1 and len(walk.lines) > 1
+        monkeypatch.setattr(skeleton, "_LineWalk", CorruptWalk)
+        with pytest.raises(ValueError, match="composition convention"):
+            enumerate_universal(spec)
 
     def test_state_cap_boundary(self):
         # the orbit has 43,956 edges; both paths accept exactly that many
