@@ -1,13 +1,20 @@
 """Exact arithmetic foundation.
 
-Integer Laurent polynomials, cyclotomic polynomials, the sieve's
-resultants against phi_N(-t), the factors of phi_N(-t) over F_p, and
-finite fields: a field is presented as a quotient F_p[t]/(m), and its
-elements are integer codes with one arithmetic, by log tables.  The table
-of a generator's powers is also the proof that m is irreducible: the
-quotient is a field exactly when some unit reaches every nonzero element.
-Everything here is exact: integer coefficients are arbitrary precision, so
-results can be compared bit for bit.
+The package's own number theory, integer Laurent polynomials, cyclotomic
+polynomials, the sieve's resultants against phi_N(-t), the factors of
+phi_N(-t) over F_p, and finite fields: a field is presented as a quotient
+F_p[t]/(m), and its elements are integer codes with one arithmetic, by log
+tables.  The table of a generator's powers is also the proof that m is
+irreducible: the quotient is a field exactly when some unit reaches every
+nonzero element.  Everything here is exact: integer coefficients are
+arbitrary precision, so results can be compared bit for bit.
+
+Primality is trial division by the primes below 1000, then Miller-Rabin
+to the first 13 prime bases, which proves primality below 3.3e24
+(Sorenson and Webster, Math. Comp. 86, 2017), and BPSW above that (Baillie
+and Wagstaff, Math. Comp. 35, 1980).  Prime factors are found by the same
+trial division and then Pollard's rho in Brent's form (Brent, BIT 20,
+1980), and ord_N(p) by removing the primes of phi(N) one at a time.
 
 A resultant against phi_N(-t) is a product of values at the N-th roots of
 unity.  It is taken modulo primes P = 1 (mod N), which hold those roots,
@@ -30,9 +37,8 @@ import operator
 import random
 import re
 from functools import lru_cache
+from itertools import product
 from math import gcd
-
-import sympy
 
 # The largest exponent in braid-word or polynomial text.  s1^k has a Burau
 # degree of k, and t^e a dense coefficient list of e + 1 entries, so the
@@ -51,6 +57,188 @@ def power_by_squaring(x, n, mul, one):
         if n:
             x = mul(x, x)
     return result
+
+
+# ---------------------------------------------------------------------------
+# primes, prime factors and multiplicative orders
+
+# the primes below 1000, tried by division first, and their product
+_SMALL_PRIMES = tuple(n for n in range(2, 1000)
+                      if all(n % q for q in range(2, math.isqrt(n) + 1)))
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# Miller-Rabin to the first 13 prime bases proves primality below this bound
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Whether the integer n is prime.
+
+    Trial division by the primes below 1000 settles n < 10^6.  Above that,
+    Miller-Rabin to the bases 2, 3, ..., 41 is a proof below 3.3e24, and
+    BPSW beyond it: a strong probable prime to base 2 that is also a
+    strong Lucas probable prime with Selfridge's parameters (Baillie and
+    Wagstaff, Math. Comp. 35, 1980), which no composite is known to pass.
+    """
+    if n < 2:
+        return False
+    if gcd(n, _PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    if n < 10 ** 6:
+        return True
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n, a):
+    """Miller-Rabin: whether the odd n > a passes the strong test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a / n) for odd n > 0."""
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """The strong Lucas test of the odd n > 1 with Selfridge's parameters:
+    D the first of 5, -7, 9, -11, ... with (D / n) = -1, P = 1 and
+    Q = (1 - D) / 4.  For n + 1 = d 2^s, n passes when U_d = 0 or some
+    V_(d 2^r) = 0 mod n, r < s; U and V are doubled and stepped by one along
+    the bits of d."""
+    if math.isqrt(n) ** 2 == n:  # no such D exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def half(x):
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q^1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def prime_factors(n):
+    """The distinct prime factors of the integer n >= 1, ascending.
+
+    The primes below 1000 are found by division, and what remains is split
+    by Pollard's rho in Brent's form (Brent, BIT 20, 1980) until each part
+    is prime.
+    """
+    if n < 1:
+        raise ValueError(f"prime factors of {n} < 1")
+    found = set()
+    small = gcd(n, _PRIMORIAL)  # the product of n's primes below 1000
+    for q in _SMALL_PRIMES:
+        if small == 1:
+            break
+        if small % q == 0:
+            found.add(q)
+            small //= q
+            while n % q == 0:
+                n //= q
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            found.add(m)
+        else:
+            d = _pollard_brent(m)
+            parts += [d, m // d]
+    return sorted(found)
+
+
+def _pollard_brent(n):
+    """A proper factor of the composite n, which has no prime factor below
+    1000: Brent's cycle search on x -> x^2 + c from x = 2, with the
+    differences multiplied 128 at a time between gcds, for c = 1, 2, ...
+    until some c yields a proper gcd."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def order_mod(p, N):
+    """ord_N(p), the multiplicative order of p modulo N >= 1 (1 for N = 1);
+    ValueError when p is not a unit mod N.  It divides phi(N), and is found
+    by removing from phi(N) each prime factor that keeps p^e = 1."""
+    if N < 1:
+        raise ValueError(f"order modulo {N} < 1")
+    if gcd(p, N) != 1:
+        raise ValueError(f"{p} is not a unit modulo {N}")
+    order = totient(N)
+    for q in prime_factors(order):
+        while order % q == 0 and pow(p, order // q, N) == 1:
+            order //= q
+    return order
+
+
+def totient(N):
+    """Euler's phi(N) for N >= 1."""
+    phi = N
+    for q in prime_factors(N):
+        phi = phi // q * (q - 1)
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +452,7 @@ def cyclotomic(N):
     if N < 1:
         raise ValueError("cyclotomic order must be >= 1")
     up, down = [N], []
-    for q in sympy.primefactors(N):
+    for q in prime_factors(N):
         up, down = up + [d // q for d in down], down + [d // q for d in up]
     c = [1]
     for d in up:
@@ -302,9 +490,9 @@ def unity_prime(N, index):
         raise ValueError("root-of-unity order must be >= 2")
     P = unity_prime(N, index - 1)[0] if index else (2 ** 62 - 2) // N * N + 1
     P -= N * bool(index)
-    while not sympy.isprime(P):
+    while not is_prime(P):
         P -= N
-    qs = sympy.primefactors(N)
+    qs = prime_factors(N)
     for a in range(2, P):
         z = pow(a, (P - 1) // N, P)
         if all(pow(z, N // q, P) != 1 for q in qs):
@@ -542,11 +730,6 @@ def _fp_pow_mod(a, n, mod, p):
     return power_by_squaring(_fp_mod(a, mod, p), n, mul, (1,))
 
 
-def order_mod(p, N):
-    """ord_N(p), the multiplicative order of p modulo N (1 for N = 1)."""
-    return sympy.n_order(p, N) if N > 1 else 1
-
-
 def _fp_equal_degree(f, d, p, rng):
     """Cantor-Zassenhaus split of a product of distinct irreducibles of
     degree d."""
@@ -609,16 +792,14 @@ def cyclotomic_split_cost(N, p):
     irreducible.  The split raises polynomials of degree phi(m) to about
     the power p^ord_m(p), by squarings that each cost about phi(m)^2."""
     m, _ = _prime_free_part(N, p)
-    phi, d = m, order_mod(p, m)
-    for q in sympy.primefactors(m):
-        phi = phi // q * (q - 1)
+    phi, d = totient(m), order_mod(p, m)
     return phi * phi * d * p.bit_length() if d < phi else 0
 
 
 def _prime_free_part(N, p):
     """(m, a) with N = p^a m and p not dividing m; ValueError unless p is
     prime and N >= 1."""
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if N < 1:
         raise ValueError("cyclotomic order must be >= 1")
@@ -636,7 +817,7 @@ def monic_modulus(p, modulus):
     """A modulus (text or IntPoly) as its coefficients mod p; ValueError
     unless p is prime and it is monic, of degree >= 1 and not t.  Only
     FieldSpec's unit table proves it irreducible."""
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(modulus, str):
         modulus = parse_poly(modulus)
@@ -680,30 +861,25 @@ class FieldSpec:
         self.matrix_codes = {}
         self.generator_cycles = None
         self.trace_generates = None
+        tables = _unit_tables(q, p, coeffs)
+        if tables is None:
+            raise ValueError(f"modulus {poly_text(coeffs)} is reducible "
+                             f"over F_{p}")
+        self.exp, self.log = tables
         if d == 1:
             self.gen = -coeffs[0] % p
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: (a * b) % p
             self.inv = lambda a: pow(a, p - 2, p)
-            self.exp, self.log = _unit_tables(q, self.mul)
         else:
             self.gen = p
             self._extension_arithmetic()
 
     def _extension_arithmetic(self):
-        p, d, q, modulus = self.p, self.degree, self.order, self.modulus
-        digits = [tuple(code // p ** i % p for i in range(d)) for code in range(q)]
-
-        def times(a, b):
-            prod = _fp_mod(_fp_mul(digits[a], digits[b], p), modulus, p)
-            return sum(c * p ** i for i, c in enumerate(prod))
-
-        # the codes 0..p-1 are the prime field
-        tables = _unit_tables(q, times, first=p)
-        if tables is None:
-            raise ValueError(f"modulus {poly_text(modulus)} is reducible "
-                             f"over F_{p}")
-        self.exp, self.log = exp_t, log_t = tables
+        p, d, q = self.p, self.degree, self.order
+        exp_t, log_t = self.exp, self.log
+        # product() counts with its last place fastest, a code with its first
+        digits = [c[::-1] for c in product(range(p), repeat=d)]
 
         def add(a, b):
             da, db = digits[a], digits[b]
@@ -757,32 +933,64 @@ class FieldSpec:
         return mul(acc, self.power(xi, f.shift))
 
 
-def _unit_tables(q, times, first=1):
+def _unit_tables(q, p, modulus):
     """(exp, log): the powers of the first code whose powers reach all
-    q - 1 nonzero codes of F_p[t]/(m), q = p^deg m, under times, and their
-    discrete logarithms (log[0] is unused); None when no code's powers do,
-    which is exactly when m is reducible.
+    q - 1 nonzero codes of F_p[t]/(m), q = p^deg m, for the coefficients
+    m = modulus, and their discrete logarithms (log[0] is unused); None
+    when no code's powers do, which is exactly when m is reducible.
 
     The code tried is the first g with g^((q - 1) / l) != 1 for every
     prime l | q - 1.  If m is irreducible, F_q* is cyclic
     (Lidl-Niederreiter, Finite Fields, Thm 2.8) and g generates it; if not,
     a proper factor of m is a zero divisor, no power of which is 1, so
-    some g is found.  The codes below first are the prime field, whose
-    units have order dividing p - 1, and are skipped.  The powers
+    some g is found.  For deg m > 1 the codes below p are the prime field,
+    whose units have order dividing p - 1, and are skipped.  The powers
     g^0..g^(q - 2) are tabled, and they close with g^(q - 1) = 1 exactly
     when g is a unit of order q - 1.  They are then q - 1 distinct units,
     so every nonzero code is a unit and the quotient is a field.
+
+    Each power is stepped from the last with no polynomial product or
+    reduction.  Over F_p it is the last one times g mod p.  Over
+    F_p[t]/(m) multiplication by g is F_p-linear, so a power's digits are
+    the last one's times the matrix whose column i holds the digits of
+    g t^i mod m: deg m dot products mod p.
     """
-    cofactors = [(q - 1) // l for l in sympy.primefactors(q - 1)]
-    g = next(g for g in range(first, q)
-             if all(power_by_squaring(g, c, times, 1) != 1 for c in cofactors))
-    exp_t, code = [1], g
-    while len(exp_t) < q - 1:
-        exp_t.append(code)
-        code = times(code, g)
-    if code != 1:
+    d = _deg(modulus)
+    cofactors = [(q - 1) // l for l in prime_factors(q - 1)]
+    exp_t = [1] * q  # g^0..g^(q - 1), the last of which must be 1
+    if d == 1:
+        g = next(g for g in range(1, p)
+                 if all(pow(g, c, p) != 1 for c in cofactors))
+        code = 1
+        for i in range(1, q):
+            code = code * g % p
+            exp_t[i] = code
+    else:
+        g = next(g for g in range(p, q)
+                 if all(_fp_pow_mod(_code_digits(g, p), c, modulus, p) != (1,)
+                        for c in cofactors))
+        g_digits = _code_digits(g, p)
+        columns = [_fp_mod(_fp_mul((0,) * i + (1,), g_digits, p), modulus, p)
+                   for i in range(d)]
+        rows = [[col[j] if j < len(col) else 0 for col in columns]
+                for j in range(d)]
+        places = [p ** j for j in range(d)]
+        v = [1] + [0] * (d - 1)
+        for i in range(1, q):
+            v = [sum(map(operator.mul, row, v)) % p for row in rows]
+            exp_t[i] = sum(map(operator.mul, v, places))
+    if exp_t.pop() != 1:
         return None
     log_t = [0] * q
     for i, code in enumerate(exp_t):
         log_t[code] = i
     return exp_t, log_t
+
+
+def _code_digits(code, p):
+    """The coefficients of the residue with this code, trimmed."""
+    digits = []
+    while code:
+        code, digit = divmod(code, p)
+        digits.append(digit)
+    return tuple(digits)

@@ -47,11 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 
-import sympy
-
 from .burau import BraidWord, modular_projection, to_burau
-from .exactalg import IntPoly, cyclotomic, fp_factor, order_mod, resultant, \
-    substitute_neg, unity_values, _fp_eval, _fp_gcd, _fp_mod
+from .exactalg import IntPoly, cyclotomic, fp_factor, order_mod, prime_factors, \
+    resultant, substitute_neg, unity_values, _fp_eval, _fp_gcd, _fp_mod
 from .skeleton import DEFAULT_STATE_CAP, euler_lhs, orbit_signatures
 from .typesys import epsilon_p, k_threshold, root_spec, \
     type_coefficient_laurent, type_tags
@@ -149,6 +147,8 @@ class _SievePass:
         self.branches = branches_for(N)
         self.cyc = substitute_neg(cyclotomic(N))
         self.interned = {}  # (u0, u1) -> its one _Vector in this pass
+        self.matrices = {}  # word -> its Burau matrix
+        self.word_vectors = {}  # (word, a_T) -> b v_T, interned
         self.resultants = {}  # (u, w) -> |Res(phi_N(-t), D_l)| for each l
         self.values = {}  # (v, index) -> v at the roots of unity_prime(N, index)
         self.primes = {}  # |Res| -> its primes not dividing N
@@ -161,14 +161,23 @@ class _SievePass:
     def vectors(self, words, branch):
         """Type tag -> the vectors b_i v_T of the words, on this branch, each
         the pass's one _Vector of its value."""
-        mats = [to_burau(w) for w in words]
         out = {}
         for tag in branch.types:
             a = type_coefficient_laurent(tag, branch.M,
                                          branch.char_class == "p=3")
-            out[tag] = [self.interned.setdefault(v, _Vector(v))
-                        for v in (m.apply((a, IntPoly.one())) for m in mats)]
+            out[tag] = [self.vector(w, a) for w in words]
         return out
+
+    def vector(self, word, a):
+        """b v_T = b (a_T, 1) for the word b and a = a_T, built once per
+        pass from the word's one Burau matrix."""
+        key = (word, a)
+        if key not in self.word_vectors:
+            if word not in self.matrices:
+                self.matrices[word] = to_burau(word)
+            v = self.matrices[word].apply((a, IntPoly.one()))
+            self.word_vectors[key] = self.interned.setdefault(v, _Vector(v))
+        return self.word_vectors[key]
 
     def resultants_of(self, u, w):
         """|Res(phi_N(-t), D_l)| for D_l = det[s1^l u | w], indexed by l and
@@ -230,7 +239,7 @@ class _SievePass:
         triples = set()
         for tag, u, w, l, r in found:
             if r not in self.primes:
-                self.primes[r] = [p for p in sympy.primefactors(r) if self.N % p]
+                self.primes[r] = [p for p in prime_factors(r) if self.N % p]
             for p in self.primes[r]:
                 if branch.accepts_prime(p):
                     triples.update(ExceptionalTriple(p, f, tag)

@@ -3,7 +3,9 @@
 `resultant` is the subresultant PRS over Z, the reference for the sieve's
 resultants by evaluation at the roots of unity, and `reference_fp_gcd`,
 Euclid by quotient and remainder, is the reference for the package's
-remainder-only gcd over F_p.  `sigma1_power`,
+remainder-only gcd over F_p; `reference_unit_tables`, which takes each
+power as a polynomial product of the last, is the reference for the field
+tables the package steps by a linear map.  `sigma1_power`,
 `sieve_determinant`, `determinant_D` and `resultant_with_cyclotomic`
 build one sieve determinant and take its resultant in isolation, where
 the sieve evaluates each (u, w) pair once for every l; `sweep_pairs`
@@ -25,9 +27,11 @@ addendum's conjugacy check with each type lifted and tested on its own.
 import sys
 from math import gcd, lcm
 
+import sympy
+
 from burausieve.burau import BurauMatrix
-from burausieve.exactalg import IntPoly, _fp_divmod, _fp_monic, cyclotomic, \
-    substitute_neg
+from burausieve.exactalg import IntPoly, _fp_divmod, _fp_mod, _fp_monic, \
+    _fp_mul, cyclotomic, power_by_squaring, substitute_neg
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
 from burausieve.sieve import _SievePass, _require_distinct_projections
 from burausieve.skeleton import Skeleton, UniversalGroupSpec, _euler_genus, \
@@ -132,6 +136,34 @@ def reference_fp_gcd(a, b, p):
     while b:
         a, b = b, _fp_divmod(a, b, p)[1]
     return _fp_monic(a, p)
+
+
+def reference_unit_tables(p, modulus):
+    """(exp, log) of F_p[t]/(modulus), or None when the monic modulus is
+    reducible, as FieldSpec's _unit_tables defines them, with each power
+    stepped from the last by a product and a reduction of polynomials and
+    the primes of q - 1 taken from sympy."""
+    d = len(modulus) - 1
+    q = p ** d
+    digits = [tuple(code // p ** i % p for i in range(d)) for code in range(q)]
+
+    def times(a, b):
+        prod = _fp_mod(_fp_mul(digits[a], digits[b], p), modulus, p)
+        return sum(c * p ** i for i, c in enumerate(prod))
+
+    cofactors = [(q - 1) // l for l in sympy.primefactors(q - 1)]
+    g = next(g for g in range(1 if d == 1 else p, q)
+             if all(power_by_squaring(g, c, times, 1) != 1 for c in cofactors))
+    exp_t, code = [1], g
+    while len(exp_t) < q - 1:
+        exp_t.append(code)
+        code = times(code, g)
+    if code != 1:
+        return None
+    log_t = [0] * q
+    for i, code in enumerate(exp_t):
+        log_t[code] = i
+    return exp_t, log_t
 
 
 # -- sieve determinants ------------------------------------------------------

@@ -7,10 +7,11 @@ import random
 import tracemalloc
 
 import pytest
-from helpers import count_calls
+from helpers import count_calls, reference_unit_tables
 
 from burausieve import burau, cli, exactalg, sieve, skeleton
 from burausieve.cli import _cache_key, _dump, main
+from burausieve.exactalg import IntPoly
 from burausieve.golden import GOLDEN_ROWS
 
 
@@ -230,6 +231,25 @@ class TestSkeleton:
         code, _ = run("skeleton", "--p", "2", "--min-poly", "t^3+t+1",
                       "--type", "III+")
         assert code == 2
+
+
+class TestFieldTables:
+    def test_tables_match_the_reference(self, run, monkeypatch):
+        # every field the sweep, table --verify and addendum --all-groups
+        # build has the exp and log tables that stepping each power by a
+        # polynomial product gives, with the same generator
+        tables = count_calls(monkeypatch, exactalg, "_unit_tables")
+        for argv in (("sieve", "--n-range", "7..26", "--json"),
+                     ("table", "--verify", "--json"),
+                     ("addendum", "--all-groups", "--json")):
+            assert run(*argv)[0] == 0
+        fields = {(p, modulus) for _, p, modulus in tables}
+        assert len(fields) == 257
+        assert sum(len(m) > 2 for _, m in fields) == 35  # extension fields
+        for p, modulus in fields:
+            field = exactalg.FieldSpec(p, IntPoly(modulus))
+            assert (field.exp, field.log) == reference_unit_tables(p, modulus), \
+                (p, modulus)
 
 
 class TestSieve:

@@ -105,6 +105,50 @@ def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
         want["exit"], want["stdout"], want["stderr"])
 
 
+# run in a fresh interpreter in which `import sympy` fails: each argv's
+# exit code and the sha256 of its stdout and stderr, as JSON
+NO_SYMPY = """
+import contextlib, hashlib, io, json, sys
+sys.modules["sympy"] = None
+from burausieve.cli import main
+entries = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    entries.append([code] + [hashlib.sha256(f.getvalue().encode()).hexdigest()
+                             for f in (out, err)])
+print(json.dumps(entries))
+"""
+
+
+def test_runs_without_sympy(tmp_path):
+    # sympy is a test-only reference: the package neither imports it nor
+    # needs it, and prints the same bytes without it
+    pinned = [["sieve", "--n-range", "7..26", "--json"],
+              ["table", "--verify", "--json"],
+              ["addendum", "--all-groups", "--json"],
+              ["factors", "--n", "59", "--p", "19", "--json"]]
+    # the 39-digit prime 2^127 - 1 and the 32-digit composite 10^31 + 7
+    huge = [["factors", "--n", "9", "--p", str(2 ** 127 - 1)],
+            ["factors", "--n", "9", "--p", str(10 ** 31 + 7)]]
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env = dict(os.environ, PYTHONPATH=src, BURAU_SIEVE_CACHE=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", NO_SYMPY, json.dumps(pinned + huge)],
+                          env=env, capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    with open(DIGESTS, encoding="utf-8") as fh:
+        want = {tuple(e["argv"]): [e["exit"], e["stdout"], e["stderr"]]
+                for e in json.load(fh)}
+    assert got[:len(pinned)] == [want[tuple(argv)] for argv in pinned]
+    assert [code for code, _, _ in got[len(pinned):]] == [0, 2]
+    imported = subprocess.run(
+        [sys.executable, "-c", "import sys, burausieve.cli; "
+         "print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert imported.stdout == "False\n"
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,6 @@
 """Exact arithmetic: polynomials, resultants, cyclotomics, finite fields."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ from math import gcd
 import mpmath
 import pytest
 import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp
 from covector_oracle import FieldElem, element_order, evaluate
 from helpers import reference_fp_gcd, reference_resultants, resultant, \
     sieve_determinant
@@ -230,6 +232,89 @@ class TestUnityPrime:
     def test_rejects_order_below_two(self):
         with pytest.raises(ValueError):
             unity_prime(1, 0)
+
+
+def primes_by_sieve(limit):
+    """Whether each n < limit is prime, by Eratosthenes."""
+    prime = [False, False] + [True] * (limit - 2)
+    for n in range(2, math.isqrt(limit - 1) + 1):
+        if prime[n]:
+            prime[n * n::n] = [False] * len(prime[n * n::n])
+    return prime
+
+
+class TestNumberTheory:
+    """is_prime, prime_factors and order_mod, against trial division and
+    against sympy as an independent reference."""
+
+    def test_prime_factors_against_sympy(self):
+        rng = random.Random(62)
+        numbers = [rng.getrandbits(62) for _ in range(100)]
+        # products of two ~31-bit primes leave Pollard-Brent the most work
+        numbers += [sympy.nextprime(rng.getrandbits(31) | 1 << 30)
+                    * sympy.nextprime(rng.getrandbits(31) | 1 << 30)
+                    for _ in range(4)]
+        for n in numbers + [1, 2, 1000, 997 ** 3, 1009 ** 2 * 2]:
+            factors = exactalg.prime_factors(n)
+            assert factors == sympy.primefactors(n), n
+            rest = n
+            for q in factors:
+                while rest % q == 0:
+                    rest //= q
+            assert rest == 1, n
+
+    def test_prime_factors_rejects_below_one(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError):
+                exactalg.prime_factors(n)
+
+    def test_is_prime_against_trial_division(self):
+        prime = primes_by_sieve(10 ** 5)
+        assert [exactalg.is_prime(n) for n in range(10 ** 5)] == prime
+        # BPSW, which is_prime applies above 3.3e24, on the odd numbers
+        # below 2 * 10^4; among them are the strong Lucas pseudoprimes
+        # 5459, 5777, 10877, 16109 and 18971, which base 2 rejects
+        lucas = exactalg._strong_lucas_probable_prime
+        for n in range(5, 2 * 10 ** 4, 2):
+            assert lucas(n) == is_strong_lucas_prp(n), n
+            assert (exactalg._strong_probable_prime(n, 2) and lucas(n)) == prime[n], n
+        assert not exactalg.is_prime(-7)
+
+    def test_is_prime_against_sympy(self):
+        rng = random.Random(13)
+        numbers = [rng.getrandbits(62) for _ in range(300)]
+        numbers += [unity_prime(N, index)[0] for N in range(7, 27)
+                    for index in range(2)]
+        # Carmichael numbers, and Chernick's (6k+1)(12k+1)(18k+1)
+        numbers += [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                    321197185]
+        numbers += [(6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+                    for k in range(1, 3000)
+                    if all(sympy.isprime(a * k + 1) for a in (6, 12, 18))]
+        # the least strong pseudoprimes to the first 4, 11 and 12 primes
+        numbers += [3215031751, 3825123056546413051, 318665857834031151167461]
+        # from the least one to the first 13 primes on, BPSW decides
+        numbers += [3317044064679887385961981, 3317044064679887385961983,
+                    2 ** 89 - 1, 2 ** 127 - 1, 10 ** 31 + 7]
+        numbers += [rng.getrandbits(100) | 1 for _ in range(100)]
+        numbers += [sympy.nextprime(rng.getrandbits(60))
+                    * sympy.nextprime(rng.getrandbits(60)) for _ in range(10)]
+        numbers += [sympy.nextprime(rng.getrandbits(100)) for _ in range(10)]
+        for n in numbers:
+            assert exactalg.is_prime(n) == sympy.isprime(n), n
+
+    def test_order_mod_against_sympy(self):
+        for N in range(2, 60):
+            for p in range(1, 100):
+                if gcd(p, N) == 1:
+                    assert exactalg.order_mod(p, N) == sympy.n_order(p, N), (p, N)
+        assert exactalg.order_mod(5, 1) == 1
+        assert exactalg.order_mod(2 ** 127 - 1, 9) == sympy.n_order(2 ** 127 - 1, 9)
+
+    @pytest.mark.parametrize("p, N", [(3, 9), (6, 4), (0, 5), (5, 0)])
+    def test_order_mod_rejects_a_non_unit(self, p, N):
+        with pytest.raises(ValueError):
+            exactalg.order_mod(p, N)
 
 
 class TestResultantByEvaluation:

@@ -488,10 +488,22 @@ class TestSweep:
         assert got == {(row.p, f) for row in GOLDEN_ROWS if row.N == 9
                        for f in row.factors}
 
+    def test_one_burau_matrix_per_word_of_n(self, monkeypatch):
+        # a pass builds each word's matrix once for all its word sets,
+        # branches and types: 66 matrices, where building each set's
+        # vectors afresh on each branch took 171
+        matrices = count_calls(monkeypatch, sieve, "to_burau")
+        results = full_sweep((7, 26))
+        assert all(not r["rejected"] for r in results.values())
+        assert len(matrices) == sum(
+            len({w for ws in candidate_sets_for(N) for w in ws})
+            for N in results) == 66
+
     def test_sweep_barely_hashes_polynomials(self, monkeypatch):
         # a pass interns its vectors and keys every memo by them, so the
-        # sweep hashes a polynomial only to intern a vector or to hold a
-        # triple: 13,475 times, where memos keyed by IntPoly took 211,531
+        # sweep hashes a polynomial only to intern a vector, to look up a
+        # word's vector by its a_T or to hold a triple: 14,336 times,
+        # where memos keyed by IntPoly took 211,531
         hashes = count_calls(monkeypatch, IntPoly, "__hash__")
         full_sweep((7, 26))
         assert len(hashes) <= 21153
