@@ -16,9 +16,11 @@ import json
 import os
 import re
 import sys
+import tempfile
+from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain
 
 from .exactalg import cyclotomic_factors, cyclotomic_split_cost, monic_modulus
 from .golden import GOLDEN_ROWS, self_check
@@ -29,7 +31,7 @@ from .skeleton import DEFAULT_STATE_CAP, Cycles, EnumerationCapExceeded, \
     orbit_signatures, table_verify
 from .typesys import TYPE_TAGS, admissible_types, root_spec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # of every --json output; cache entries have their own header
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -120,10 +122,12 @@ def _dump(payload):
     byte.
 
     A skeleton's cycles, a value of type Cycles, hold nothing but ints, so
-    they are printed _CYCLES_PER_PIECE cycles at a time by filling one
-    _cycle_template per cycle with %, at C speed, and no piece holds more
-    than that many cycles' text.  Every other value goes through json's
-    indenting encoder, which is pure Python; %d would print True as 1.
+    they are printed _CYCLES_PER_PIECE cycles at a time: the piece's
+    _cycle_templates, one per cycle length, are joined and filled with %
+    straight from the matching slice of Cycles.flat, at C speed, and no
+    piece holds more than that many cycles' text.  Every other value goes
+    through json's indenting encoder, which is pure Python; %d would print
+    True as 1.
     """
     sep = "{\n"
     for key in sorted(payload):
@@ -131,12 +135,15 @@ def _dump(payload):
         yield f"{sep}  {json.dumps(key)}: "
         sep = ",\n"
         if type(value) is Cycles:
+            lengths, flat = value.lengths, value.flat
             between = "[\n    "
-            for start in range(0, len(value), _CYCLES_PER_PIECE):
-                piece = value[start:start + _CYCLES_PER_PIECE]
+            stop = 0
+            for start in range(0, len(lengths), _CYCLES_PER_PIECE):
+                piece = lengths[start:start + _CYCLES_PER_PIECE]
+                begin, stop = stop, stop + sum(piece)
                 yield between
-                yield ",\n    ".join(map(_cycle_template, map(len, piece))) \
-                    % tuple(chain.from_iterable(piece))
+                yield ",\n    ".join(map(_cycle_template, piece)) \
+                    % flat[begin:stop]
                 between = ",\n    "
             yield "\n  ]"
         else:
@@ -147,35 +154,73 @@ def _dump(payload):
 
 # -- skeleton cache ----------------------------------------------------------
 
+# An entry is one header int, then black's and then white's images as
+# machine ints, array('q') written with tofile: 16 bytes per edge, and n
+# is read off the file size.  The header names the format and its version
+# (2; version 1 was JSON, under *.json names).  It is written in the
+# machine's byte order, so an entry from a machine of the other order
+# reads as a wrong header.  This versions the cache only: every --json
+# output prints schemaVersion SCHEMA_VERSION.
+_CACHE_HEADER = int.from_bytes(b"burausk\x02", "big")
+_INT_BYTES = array("q").itemsize
+
 
 def _cache_key(p, min_poly_text, tag, ambient):
     poly = min_poly_text.replace("^", "").replace("+", "_").replace("-", "m")
     tag = tag.replace("+", "p").replace("-", "m")
-    return f"p{p}-{poly}-{tag}-{ambient}.json"
+    return f"p{p}-{poly}-{tag}-{ambient}.skel"
 
 
 def _read_cached(path):
     """The skeleton cached at path, or None when the entry is missing or
-    corrupt: unreadable or too deeply nested JSON, wrong keys or schema,
-    or permutations that the Skeleton constructor rejects, which takes
-    JSON integers only (true and false compare equal to 1 and 0, but
-    print otherwise)."""
+    corrupt: unreadable, shorter than one edge, a body that is not whole
+    (black, white) records, a wrong header (a foreign file, an old JSON
+    entry, another byte order), or permutations that the Skeleton
+    constructor rejects.  The arrays are read with fromfile, with no
+    intermediate bytes, and every read is validated by the constructor."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data["schemaVersion"] != SCHEMA_VERSION:
-            return None
-        return Skeleton(data["blackPerm"], data["whitePerm"])
-    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        with open(path, "rb") as fh:
+            n, rest = divmod(os.fstat(fh.fileno()).st_size - _INT_BYTES,
+                             2 * _INT_BYTES)
+            if n < 1 or rest:
+                return None
+            header, black, white = array("q"), array("q"), array("q")
+            header.fromfile(fh, 1)
+            if header[0] != _CACHE_HEADER:
+                return None
+            black.fromfile(fh, n)
+            white.fromfile(fh, n)
+        return Skeleton(black, white)
+    except (OSError, EOFError, ValueError):
         return None
+
+
+def _write_cached(path, sk):
+    """Write sk's entry at path through a temp file unique to this writer,
+    moved into place by os.replace, so that concurrent writers of one
+    entry never share a file and a reader sees a whole entry or none."""
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               suffix=".tmp", dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            array("q", (_CACHE_HEADER,)).tofile(fh)
+            array("q", sk.black).tofile(fh)
+            array("q", sk.white).tofile(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
     """enumerate_universal with a transparent on-disk cache, for skeleton
     --json.
 
-    A corrupt entry is a miss and gets overwritten.  A cached skeleton with
-    more than state_cap edges raises, as the cold walk would.
+    A missing or corrupt entry is a miss and gets overwritten.  A cached
+    skeleton with more than state_cap edges raises, as the cold walk
+    would; the cap is compared after the constructor has validated the
+    entry, so a corrupt entry of any size stays a miss.
     """
     spec = UniversalGroupSpec(root, tag, ambient)
     path = os.path.join(cache_dir, _cache_key(root.p, str(root.min_poly), tag,
@@ -188,15 +233,7 @@ def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
     sk = enumerate_universal(spec, state_cap)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "blackPerm": sk.black,
-            "whitePerm": sk.white,
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
-        os.replace(tmp, path)
+        _write_cached(path, sk)
     return sk
 
 

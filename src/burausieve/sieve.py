@@ -45,7 +45,7 @@ candidate and asserts the order there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import product
 
 from .burau import BraidWord, modular_projection, to_burau
 from .exactalg import IntPoly, cyclotomic, fp_factor, order_mod, prime_factors, \
@@ -368,7 +368,8 @@ def exceptional_triples(N, word_sets):
 # beta1 and beta2 below are the denominators-cleared words t*s2*s1^-1 and
 # t*s2^-1*s1; the sets for 7 <= N <= 10 need several elements, the rest get
 # by with singletons.  Informativeness is never assumed: every run
-# re-verifies it and falls back to _search_passes.
+# re-verifies it, and full_sweep falls back to these sets for an N none of
+# whose configured sets is informative.
 _B1 = "T s2 s1^-1"
 _B2 = "T s2^-1 s1"
 _B1B2 = _B1 + " " + _B2
@@ -397,44 +398,6 @@ def candidate_sets_for(N, overrides=None):
     return [parse_word_set(s) for s in DEFAULT_SINGLETONS]
 
 
-def _word_pool(max_len=4):
-    """Short words with pairwise-distinct modular projections, id first."""
-    letters = ["s1", "s2", "s1^-1", "s2^-1"]
-    pool = [BraidWord.identity()]
-    seen = {modular_projection(pool[0])}
-    frontier = [""]
-    for _ in range(max_len):
-        nxt = []
-        for base in frontier:
-            for letter in letters:
-                text = (base + " " + letter).strip()
-                w = BraidWord.parse(text)
-                pr = modular_projection(w)
-                nxt.append(text)
-                if pr not in seen:
-                    seen.add(pr)
-                    pool.append(w)
-        frontier = nxt
-    return pool
-
-
-def _search_passes(sieve_pass, want=2, max_pool=24, max_combos=4000):
-    """Fallback search for informative sets of size k_N.
-
-    Tries subsets of a pool of short words (breadth-first by word length)
-    until `want` sets informative on every branch are found, and returns
-    them; their resultants stay in the pass for the sieve to reuse.
-    """
-    pool = _word_pool()[:max_pool]
-    found = []
-    for combo in islice(combinations(pool, k_threshold(sieve_pass.N)), max_combos):
-        if sieve_pass.nonunit(list(combo)) is not None:
-            found.append(list(combo))
-            if len(found) >= want:
-                break
-    return found
-
-
 # -- the sweep ---------------------------------------------------------------
 
 
@@ -445,11 +408,14 @@ def full_sweep(n_range, informative_sets=None, state_cap=DEFAULT_STATE_CAP,
 
     informative_sets maps an N to word sets that replace that N's
     defaults (candidate_sets_for), and state_cap bounds each coset walk.
-    Returns a mapping N -> report with the informative sets used, the
-    candidate triples per branch label (sorted), and the genus-zero
-    survivors (None when `raw` skips the genus filter).  Raises ValueError
-    if some N has no informative set even after the fallback search, and
-    EnumerationCapExceeded if a candidate enumeration exceeds the state cap.
+    When none of an N's configured sets is informative, the built-in sets
+    of that N are sieved instead, on the same pass.  Returns a mapping
+    N -> report with the informative sets used, the configured sets
+    rejected, the candidate triples per branch label (sorted), and the
+    genus-zero survivors (None when `raw` skips the genus filter).  Raises
+    ValueError if some N has no informative set, the built-in ones
+    included, and EnumerationCapExceeded if a candidate enumeration
+    exceeds the state cap.
     """
     lo, hi = n_range
     if lo < SWEEP_RANGE[0] or hi > SWEEP_RANGE[1] or lo > hi:
@@ -460,10 +426,10 @@ def full_sweep(n_range, informative_sets=None, state_cap=DEFAULT_STATE_CAP,
         sieve_pass = _SievePass(N)
         usable, rejected, by_branch = sieve_pass.sieve(
             candidate_sets_for(N, informative_sets))
+        if not usable and informative_sets and N in informative_sets:
+            usable, _, by_branch = sieve_pass.sieve(candidate_sets_for(N))
         if not usable:
-            usable, _, by_branch = sieve_pass.sieve(_search_passes(sieve_pass))
-            if not usable:
-                raise ValueError(f"no informative set found for N={N}")
+            raise ValueError(f"no informative set found for N={N}")
         candidates = set().union(*by_branch.values())
         results[N] = {
             "sets": [[str(w) for w in ws] for ws in usable],

@@ -72,13 +72,45 @@ def _compose(outer, inner):
     return itemgetter(*inner)(outer)
 
 
-class Cycles(tuple):
-    """The cycles of one of a Skeleton's permutations, as tuples of the
-    ints the permutation holds.  Only Skeleton._cycles_of builds one, on
-    permutations the constructor proved to hold ints, so the type marks
-    cycle lists that cli._dump may print with %d templates."""
+class Cycles:
+    """The cycles of one of a Skeleton's permutations, stored flat: lengths
+    holds each cycle's length and flat the cycles' ints one after another,
+    as a tuple of the ints the permutation holds, with no tuple per cycle.
+    Only Skeleton._cycles_of builds one, on permutations the constructor
+    proved to hold ints, so the type marks cycle lists that cli._dump may
+    print with %d templates, straight from slices of flat."""
 
-    __slots__ = ()
+    __slots__ = ("lengths", "flat")
+
+    def __init__(self, lengths, flat):
+        self.lengths = lengths
+        self.flat = flat
+
+
+def _short_cycles(perm, starts, order):
+    """The Cycles of perm, a permutation with perm^order = 1 for the prime
+    order 3 or 2, from its cycle starts, the smallest edge of each cycle,
+    in increasing order.  Each cycle is (s, perm[s], ...), order ints long, or (s,) when
+    s is fixed.  The images of the starts are composed at C speed and
+    written into flat by extended slices; s itself is read back as perm
+    applied order times, so flat holds perm's own ints.  Only the few
+    fixed edges cost a Python step each, to drop the repeats of s."""
+    count = len(starts)
+    flat = [None] * (order * count)
+    image = nxt = _compose(perm, starts)
+    for k in range(1, order):
+        flat[k::order] = image
+        image = _compose(perm, image)
+    flat[::order] = image
+    lengths = [order] * count
+    fixed = list(compress(range(count), map(eq, image, nxt)))
+    if fixed:
+        keep = bytearray(b"\x01") * len(flat)
+        for k in fixed:
+            lengths[k] = 1
+            keep[k * order + 1:(k + 1) * order] = bytes(order - 1)
+        flat = compress(flat, keep)
+    return Cycles(lengths, tuple(flat))
 
 
 class Skeleton:
@@ -152,35 +184,39 @@ class Skeleton:
 
     def _cycles_of(self, which):
         """The Cycles of black, white or region, each from its smallest
-        edge, in the order of those edges.  Each cycle holds the
-        permutation's own ints: its first edge i is read back as the image
-        of its last, so no new int is made.  The constructor proved
-        black^3 = 1 and white^2 = 1, so their cycles are read off each
-        edge's images; region's are walked from the edges no earlier
-        cycle holds."""
+        edge, in the order of those edges.  flat holds the permutation's
+        own ints: a cycle's first edge i is read back as the image of its
+        last, so no new int is made.  The constructor proved black^3 = 1
+        and white^2 = 1, so their cycle starts are the edges i no greater
+        than black[i] and black^2[i], or than white[i], and _short_cycles
+        composes the rest; region's are walked from the edges no earlier
+        cycle holds, appending to one list."""
         cycles = self._cycles.get(which)
         if cycles is None:
             perm = getattr(self, which)
             if which == "black":
-                cycles = [(b,) if b == i else (perm[c], b, c)
-                          for i, b in enumerate(perm)
-                          if i <= b and i <= (c := perm[b])]
+                cycles = _short_cycles(perm, [
+                    i for i, b in enumerate(perm) if i <= b and i <= perm[b]],
+                    3)
             elif which == "white":
-                cycles = [(w,) if w == i else (perm[w], w)
-                          for i, w in enumerate(perm) if i <= w]
+                cycles = _short_cycles(
+                    perm, [i for i, w in enumerate(perm) if i <= w], 2)
             else:
                 unseen = bytearray(b"\x01") * self.edge_count
-                cycles = []
+                flat, lengths = [], []
+                append = flat.append
                 for i in compress(range(self.edge_count), unseen):
-                    cyc = [i]
+                    start = len(flat)
+                    append(i)
                     j = perm[i]
                     while j != i:
                         unseen[j] = 0
-                        cyc.append(j)
+                        append(j)
                         j = perm[j]
-                    cyc[0] = j
-                    cycles.append(tuple(cyc))
-            cycles = self._cycles[which] = Cycles(cycles)
+                    flat[start] = j
+                    lengths.append(len(flat) - start)
+                cycles = Cycles(lengths, tuple(flat))
+            self._cycles[which] = cycles
         return cycles
 
     def black_cycles(self):
@@ -193,11 +229,12 @@ class Skeleton:
         return self._cycles_of("region")
 
     def region_widths(self):
-        return sorted(map(len, self.region_cycles()))
+        return sorted(self.region_cycles().lengths)
 
     def to_json_dict(self):
-        """The payload of skeleton --json; the cycles stay Cycles, tuples
-        that json prints as lists."""
+        """The payload of skeleton --json.  The cycles stay Cycles, which
+        only cli._dump prints: json.dumps needs a default= hook that
+        renders each as a list of lists."""
         return {
             "edges": self.edge_count,
             "black": self.black_cycles(),
@@ -227,16 +264,17 @@ class SkeletonSignature:
 
 def signature(sk):
     """Monovalent vertex counts and the region width partition."""
-    v_black = countOf(map(len, sk.black_cycles()), 1)
-    v_white = countOf(map(len, sk.white_cycles()), 1)
+    v_black = countOf(sk.black_cycles().lengths, 1)
+    v_white = countOf(sk.white_cycles().lengths, 1)
     widths = tuple(sk.region_widths())
     return SkeletonSignature(sk.edge_count, v_white, v_black, widths)
 
 
 def genus(sk):
     """Genus of the minimal supporting surface, from Euler's formula."""
-    return _euler_genus(len(sk.black_cycles()) + len(sk.white_cycles()),
-                        sk.edge_count, len(sk.region_cycles()))
+    return _euler_genus(
+        len(sk.black_cycles().lengths) + len(sk.white_cycles().lengths),
+        sk.edge_count, len(sk.region_cycles().lengths))
 
 
 def _euler_genus(V, E, F):

@@ -18,6 +18,8 @@ from collections import namedtuple
 
 import sympy
 
+from helpers import cycle_tuples
+
 from burausieve.burau import BraidWord, to_burau
 from burausieve.exactalg import (
     _fp_add,
@@ -309,7 +311,7 @@ def product_skeletons(s1, s2):
 
 def verify_region_widths(sk, N):
     """True iff every region width divides N."""
-    return all(N % len(c) == 0 for c in sk.region_cycles())
+    return all(N % w == 0 for w in sk.region_cycles().lengths)
 
 
 def verify_distinct_lemma(sk, N):
@@ -322,11 +324,11 @@ def verify_distinct_lemma(sk, N):
     """
     region_of = {}
     essential = {}
-    for idx, cyc in enumerate(sk.region_cycles()):
+    for idx, cyc in enumerate(cycle_tuples(sk.region_cycles())):
         for e in cyc:
             region_of[e] = idx
         essential[idx] = len(cyc) % N != 0
-    for cyc in sk.black_cycles():
+    for cyc in cycle_tuples(sk.black_cycles()):
         if len(cyc) == 3:
             corners = sum(1 for e in cyc if essential[region_of[e]])
             if corners > 1:
@@ -334,7 +336,7 @@ def verify_distinct_lemma(sk, N):
         else:
             if essential[region_of[cyc[0]]]:
                 return False
-    for cyc in sk.white_cycles():
+    for cyc in cycle_tuples(sk.white_cycles()):
         if len(cyc) == 1 and essential[region_of[cyc[0]]]:
             return False
     for e in range(sk.edge_count):

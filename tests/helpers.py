@@ -16,7 +16,9 @@ word's degree, a Burau matrix's determinant and the smallest skeleton;
 `reference_skeleton_fault` is the Skeleton constructor's checks made
 with sets, the reference for the constructor's set-free ones;
 `reference_cycles` walks the cycles of any permutation, the reference for
-the skeleton's cycles, which read black's and white's off their orders;
+the skeleton's cycles, which read black's and white's off their orders,
+and `cycle_tuples` cuts a skeleton's flat `Cycles` into one tuple per
+cycle;
 `reference_fibered_product` is the fibered product of two lifted
 skeletons, pair by pair, the reference for the package's closed-form
 product and the only product of the pairs it refuses; `count_calls`
@@ -25,6 +27,7 @@ addendum's conjugacy check with each type lifted and tested on its own.
 """
 
 import sys
+from itertools import islice
 from math import gcd, lcm
 
 import sympy
@@ -221,6 +224,13 @@ def reference_skeleton_fault(black, white, region=None):
     return None
 
 
+def cycle_tuples(cycles):
+    """A skeleton.Cycles as a tuple of its cycles, each the tuple of ints
+    that cycles.lengths cuts from cycles.flat, in order."""
+    ints = iter(cycles.flat)
+    return tuple(tuple(islice(ints, length)) for length in cycles.lengths)
+
+
 def reference_cycles(perm):
     """The cycles of perm, each walked from its smallest element, in the
     order of those elements."""
@@ -317,12 +327,12 @@ def check_type_specification(sk, depth, region_types, black_types, white_types,
 
     if depth % d != 0:
         return False
-    widths = [len(c) for c in sk.region_cycles()]
+    widths = sk.region_cycles().lengths
     if len(region_types) != len(widths):
         raise ValueError("one type value per region required")
-    blacks = [c for c in sk.black_cycles() if len(c) == 1]
-    whites = [c for c in sk.white_cycles() if len(c) == 1]
-    if len(black_types) != len(blacks) or len(white_types) != len(whites):
+    blacks = sk.black_cycles().lengths.count(1)
+    whites = sk.white_cycles().lengths.count(1)
+    if len(black_types) != blacks or len(white_types) != whites:
         raise ValueError("one type value per monovalent vertex required")
     for ty, w in zip(region_types, widths):
         if (ty - w) % d != 0:
@@ -372,7 +382,7 @@ def realized_types_alone(root):
 def _region_lengths(sk):
     """The length of the region cycle through each edge."""
     out = [0] * sk.edge_count
-    for cyc in sk.region_cycles():
+    for cyc in cycle_tuples(sk.region_cycles()):
         for e in cyc:
             out[e] = len(cyc)
     return out

@@ -5,9 +5,10 @@ import json
 import os
 import random
 import tracemalloc
+from array import array
 
 import pytest
-from helpers import count_calls, reference_unit_tables
+from helpers import count_calls, cycle_tuples, reference_unit_tables
 
 from burausieve import burau, cli, exactalg, sieve, skeleton
 from burausieve.cli import _cache_key, _dump, main
@@ -85,20 +86,70 @@ class TestFactors:
         assert all(f.startswith(f"t^{degree // count}+") for f in factors)
 
 
-def _repeat_first_black_image(text):
-    """A cache entry whose black permutation maps edges 0 and 1 alike."""
-    data = json.loads(text)
-    data["blackPerm"][0] = data["blackPerm"][1]
-    return json.dumps(data)
+def _entry_ints(data):
+    """A cache entry's header, black and white, as lists of ints."""
+    ints = array("q", data).tolist()
+    n = (len(ints) - 1) // 2
+    return ints[:1], ints[1:1 + n], ints[1 + n:]
 
 
-def _booleans_for_0_and_1(text):
-    """A cache entry whose permutations hold JSON false and true for 0 and
-    1, which compare equal to them."""
-    data = json.loads(text)
-    for key in ("blackPerm", "whitePerm"):
-        data[key] = [bool(e) if e < 2 else e for e in data[key]]
-    return json.dumps(data)
+def _entry_bytes(header, black, white):
+    return array("q", header + black + white).tobytes()
+
+
+def _repeat_first_black_image(data):
+    """An entry whose black permutation maps edges 0 and 1 alike."""
+    header, black, white = _entry_ints(data)
+    black[0] = black[1]
+    return _entry_bytes(header, black, white)
+
+
+def _out_of_range(data):
+    """An entry whose white permutation maps edge 0 to edge n."""
+    header, black, white = _entry_ints(data)
+    white[0] = len(white)
+    return _entry_bytes(header, black, white)
+
+
+def _black_of_order_twelve(data):
+    """An entry whose black permutation joins a fixed edge d to a 3-cycle
+    (a b c) as the 4-cycle (a b c d): a permutation of order 12."""
+    header, black, white = _entry_ints(data)
+    d = next(e for e, b in enumerate(black) if b == e)
+    a = next(e for e, b in enumerate(black) if b != e)
+    c = black[black[a]]
+    black[c], black[d] = d, a
+    return _entry_bytes(header, black, white)
+
+
+def _two_copies(data):
+    """An entry holding the skeleton twice, on edges 0..n-1 and n..2n-1:
+    valid permutations of a disconnected pair."""
+    header, black, white = _entry_ints(data)
+    n = len(black)
+    return _entry_bytes(header, black + [e + n for e in black],
+                        white + [e + n for e in white])
+
+
+def _old_json_entry(data):
+    """The same skeleton in the JSON format that cache entries had before."""
+    _, black, white = _entry_ints(data)
+    return json.dumps({"schemaVersion": 1, "blackPerm": black,
+                       "whitePerm": white}).encode()
+
+
+def _version_one_header(data):
+    """An entry whose header names version 1 of the format: the header's
+    last byte is its version."""
+    header, black, white = _entry_ints(data)
+    return _entry_bytes([cli._CACHE_HEADER - 1], black, white)
+
+
+def _other_byte_order(data):
+    """The entry as a machine of the other byte order would write it."""
+    ints = array("q", data)
+    ints.byteswap()
+    return ints.tobytes()
 
 
 class TestSkeleton:
@@ -185,22 +236,56 @@ class TestSkeleton:
         assert code == 3
 
     @pytest.mark.parametrize("corrupt", [
-        lambda text: text[:len(text) // 2],
+        # 8 header bytes, then 16 per edge: the p=19 t+4 entry has 20 edges
+        lambda data: data[:8 + 16 * 10],
+        lambda data: data[:-8],
+        lambda data: data[:8],
+        lambda data: data[:5],
+        _old_json_entry,
+        _version_one_header,
+        _other_byte_order,
+        _out_of_range,
         _repeat_first_black_image,
-        _booleans_for_0_and_1,
-        # too deep for json's parser, which raises RecursionError
-        lambda text: "[" * 200_000,
-    ], ids=["truncated", "bad-permutation", "booleans", "nested"])
+        _black_of_order_twelve,
+        _two_copies,
+    ], ids=["truncated", "partial-record", "no-edges", "short-header",
+            "old-json", "wrong-header", "other-byte-order", "out-of-range",
+            "bad-permutation", "black-of-order-12", "disconnected"])
     def test_corrupt_cache_entry_is_a_miss(self, run, tmp_path, corrupt):
         args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
         _, cold = run(*args)
         [entry] = (tmp_path / "cache").iterdir()
-        text = entry.read_text()
-        entry.write_text(corrupt(text))
+        data = entry.read_bytes()
+        assert len(data) == 8 + 16 * 20
+        entry.write_bytes(corrupt(data))
         code, warm = run(*args)
         assert code == 0
         assert warm == cold
-        assert entry.read_text() == text
+        assert entry.read_bytes() == data
+
+    def test_concurrent_writers_of_one_entry(self, run, tmp_path,
+                                             monkeypatch):
+        # a second run of the same query writes its entry while the first
+        # is about to move its own into place: each writes a temp file of
+        # its own, so both print the cold stdout and the entry reads back
+        args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
+        _, cold = run(*args, "--no-cache")
+        real_replace = os.replace
+        nested = []
+
+        def replace_after_a_nested_run(src, dst):
+            if not nested:
+                nested.append(None)  # the nested run replaces at once
+                nested[0] = run(*args)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_a_nested_run)
+        assert run(*args) == (0, cold)
+        assert nested == [(0, cold)]
+        [entry] = (tmp_path / "cache").iterdir()
+        sk = cli._read_cached(entry)
+        assert sk is not None and sk.edge_count == 20
+        assert run(*args) == (0, cold)
 
     def test_field_over_the_cap_skips_the_irreducibility_test(self, run,
                                                                monkeypatch):
@@ -400,9 +485,42 @@ def test_state_cap_is_resource_error(run, cap, argv):
     assert f"more than {cap} cosets" in run.err
 
 
+def _nested(value):
+    """json's default= hook: a Cycles as a list of its cycles, each a list
+    of ints."""
+    if type(value) is not skeleton.Cycles:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return [list(cycle) for cycle in cycle_tuples(value)]
+
+
+def _reference_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, default=_nested)
+
+
+def _random_skeleton(rng, n, fixed_black, fixed_white):
+    """A random connected skeleton on n edges with the given numbers of
+    fixed black and white edges, n - fixed_black divisible by 3 and
+    n - fixed_white by 2."""
+    while True:
+        edges = rng.sample(range(n), n)
+        black = list(range(n))
+        for k in range(fixed_black, n, 3):
+            a, b, c = edges[k:k + 3]
+            black[a], black[b], black[c] = b, c, a
+        edges = rng.sample(range(n), n)
+        white = list(range(n))
+        for a, b in zip(edges[fixed_white::2], edges[fixed_white + 1::2]):
+            white[a], white[b] = b, a
+        try:
+            return skeleton.Skeleton(black, white)
+        except ValueError as exc:
+            assert str(exc) == "skeleton is not connected"
+
+
 class TestPrinter:
     """_dump prints what json.dumps(payload, sort_keys=True, indent=2)
-    does, byte for byte, on every command's payload."""
+    does, byte for byte, on every command's payload, with a skeleton's
+    Cycles rendered as nested lists."""
 
     @pytest.mark.parametrize("argv", [
         ("sieve", "--n-range", "7..26"),
@@ -425,7 +543,7 @@ class TestPrinter:
         monkeypatch.setattr(cli, "_dump", recording)
         code, out = run(*argv, "--json")
         assert code == 0 and len(payloads) == 1
-        text = json.dumps(payloads[0], sort_keys=True, indent=2)
+        text = _reference_text(payloads[0])
         assert "".join(_dump(payloads[0])) == text and out == text + "\n"
 
     @pytest.mark.parametrize("value", [
@@ -455,32 +573,27 @@ class TestPrinter:
 
     @pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
     def test_skeleton_cycles_across_pieces(self, count):
-        # a random skeleton whose black cycles, three of them fixed edges,
-        # fall one short of a 4,096-cycle piece, fill it, pass it by one,
-        # and pass two pieces by one; white and region have other counts
+        # two random skeletons whose black cycles, then white cycles, fall
+        # one short of a 4,096-cycle piece, fill it, pass it by one, and
+        # pass two pieces by one.  Each has fixed black and white edges,
+        # and its regions have mixed widths.
         rng = random.Random(count)
-        n = 3 + 3 * (count - 3)
-        edges = rng.sample(range(n), n)
-        black = list(range(n))
-        for k in range(3, n, 3):
-            a, b, c = edges[k:k + 3]
-            black[a], black[b], black[c] = b, c, a
-        fixed_white = 2 + n % 2
-        while True:
-            edges = rng.sample(range(n), n)
-            white = list(range(n))
-            for a, b in zip(edges[fixed_white::2], edges[fixed_white + 1::2]):
-                white[a], white[b] = b, a
-            try:
-                sk = skeleton.Skeleton(black, white)
-                break
-            except ValueError as exc:
-                assert str(exc) == "skeleton is not connected"
-        payload = {"schemaVersion": 1, **sk.to_json_dict()}
-        assert len(payload["black"]) == count
-        assert sum(len(c) == 1 for c in payload["black"]) == 3
-        assert "".join(_dump(payload)) == json.dumps(payload, sort_keys=True,
-                                                     indent=2)
+        for counted in ("black", "white"):
+            if counted == "black":
+                fixed_black = 3
+                n = 3 * count - 2 * fixed_black
+                fixed_white = 2 + n % 2
+            else:
+                fixed_white = (2 * count) % 3 or 3
+                n = 2 * count - fixed_white
+                fixed_black = 3
+            sk = _random_skeleton(rng, n, fixed_black, fixed_white)
+            payload = {"schemaVersion": 1, **sk.to_json_dict()}
+            assert len(payload[counted].lengths) == count
+            assert payload["black"].lengths.count(1) == fixed_black
+            assert payload["white"].lengths.count(1) == fixed_white
+            assert len(set(payload["regions"].lengths)) > 2
+            assert "".join(_dump(payload)) == _reference_text(payload)
 
     def test_error_after_output_leaves_stdout_empty(self, run, monkeypatch):
         # main writes nothing until the command returns, so a command that
@@ -517,7 +630,9 @@ class TestPrinter:
         # Printing holds no whole copy of the text, and the constructor no
         # set of the edges: a cold and a warm skeleton --json each peak
         # below 5 times their stdout in traced memory (6.5 to 6.9 times
-        # when both were built whole).
+        # when both were built whole).  With flat cycles and binary cache
+        # entries read by fromfile, cold reads 2.24 and warm 2.92 (2.84
+        # and 2.98 with a tuple per cycle and JSON entries).
         argv = ["--cache-dir", str(tmp_path / "cache"), "skeleton", "--p",
                 "593", "--min-poly", "t+201", "--json"]
         for run_kind in ("cold", "warm"):

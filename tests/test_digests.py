@@ -54,7 +54,7 @@ COMMANDS = [
     ("--state-cap", "100", "addendum"),
     ("--state-cap", "19", "skeleton", "--p", "19", "--min-poly", "t+4"),
     ("--config", "{config}/cap5.json", "table", "--verify"),
-    # {"e"} is not informative for N = 9, so the fallback search runs
+    # {"e"} is not informative for N = 9, so the built-in sets of N = 9 run
     ("--config", "{config}/sets9.json", "sieve", "--n-range", "9..9", "--json"),
 ]
 

@@ -271,8 +271,7 @@ class TestOrderRule:
         # the pass finds the first informative set's triples in full and
         # tests later sets only for those; the slow path, on a fresh pass,
         # finds every usable set's triples in full and intersects them
-        for N, sets in [(N, candidate_sets_for(N)) for N in range(7, 27)] + [
-                (9, sieve._search_passes(sieve._SievePass(9)))]:
+        for N, sets in [(N, candidate_sets_for(N)) for N in range(7, 27)]:
             usable, _, by_branch = sieve._SievePass(N).sieve(sets)
             assert usable, N
             slow_pass, slow = sieve._SievePass(N), {}
@@ -330,24 +329,6 @@ class TestOrderRule:
         pairs = {(tr.p, str(tr.min_poly))
                  for trs in raw[25]["branches"].values() for tr in trs}
         assert pairs and sorted(calls) == sorted(pairs)
-
-
-def search(N, **kwargs):
-    sieve_pass = sieve._SievePass(N)
-    return sieve_pass, sieve._search_passes(sieve_pass, **kwargs)
-
-
-class TestSearch:
-    # each found set has k_N words and is informative on every branch
-    def test_search_finds_singletons_at_thirteen(self):
-        sieve_pass, (words,) = search(13, want=1)
-        assert len(words) == 1
-        assert set(sieve_pass.nonunit(words)) == set(branches_for(13))
-
-    def test_search_finds_pairs_at_nine(self):
-        sieve_pass, (words,) = search(9, want=1, max_pool=16, max_combos=150)
-        assert len(words) == 2
-        assert set(sieve_pass.nonunit(words)) == set(branches_for(9))
 
 
 class TestSweep:
@@ -460,33 +441,27 @@ class TestSweep:
         for (u, w, N), values in groups.items():
             assert values == reference_resultants(u, w, N), (u, w, N)
 
-    def test_fallback_search_resultants_are_reused(self, monkeypatch):
-        # no configured set is informative, so the search supplies the sets;
-        # every (u, w) whose resultants the sweep reads is one the search
-        # evaluated, and none is evaluated twice
-        calls = []
-        after_search = []
-        real_resultant, real_search = sieve.resultant, sieve._search_passes
-
-        def counting_resultant(u, w, N, **kwargs):
-            calls.append((frozenset((u, w)), N))
-            return real_resultant(u, w, N, **kwargs)
-
-        def recording_search(*args, **kwargs):
-            found = real_search(*args, **kwargs)
-            after_search.append(len(calls))
-            return found
-
-        monkeypatch.setattr(sieve, "resultant", counting_resultant)
-        monkeypatch.setattr(sieve, "_search_passes", recording_search)
-        results = full_sweep((9, 9), informative_sets={9: [["e"]]})
-        assert after_search == [len(calls)] and calls
-        assert len(set(calls)) == len(calls)
-        assert results[9]["rejected"] == [["e"]]
-        assert len(results[9]["sets"]) == 2
-        got = {(s["p"], s["minPoly"]) for s in results[9]["survivors"]}
-        assert got == {(row.p, f) for row in GOLDEN_ROWS if row.N == 9
+    @pytest.mark.parametrize("N", [7, 9])
+    def test_uninformative_config_falls_back_to_the_built_in_sets(self, N):
+        # {e} is informative for no N in 7..10: the sweep sieves the
+        # built-in sets of that N instead, and finds its golden survivors
+        results = full_sweep((N, N), informative_sets={N: [["e"]]})
+        assert results[N]["rejected"] == [["e"]]
+        assert results[N]["sets"] == [[str(w) for w in ws]
+                                      for ws in candidate_sets_for(N)]
+        got = {(s["p"], s["minPoly"]) for s in results[N]["survivors"]}
+        assert got == {(row.p, f) for row in GOLDEN_ROWS if row.N == N
                        for f in row.factors}
+
+    @pytest.mark.parametrize("configured", [None, {9: [["e"]]}],
+                             ids=["built-in", "configured"])
+    def test_no_informative_set_is_an_input_error(self, monkeypatch,
+                                                  configured):
+        # when the built-in sets of an N fail too, the sweep gives up
+        monkeypatch.setitem(sieve.DEFAULT_INFORMATIVE_SETS, 9, [["e"]])
+        with pytest.raises(ValueError, match="no informative set found "
+                                             "for N=9"):
+            full_sweep((9, 9), informative_sets=configured)
 
     def test_one_burau_matrix_per_word_of_n(self, monkeypatch):
         # a pass builds each word's matrix once for all its word sets,

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 from covector_oracle import (
@@ -10,8 +11,8 @@ from covector_oracle import (
     verify_distinct_lemma,
     verify_region_widths,
 )
-from helpers import reference_cycles, reference_skeleton_fault, \
-    single_edge
+from helpers import cycle_tuples, reference_cycles, \
+    reference_skeleton_fault, single_edge
 
 from burausieve import skeleton
 from burausieve.golden import GOLDEN_ROWS, self_check
@@ -32,6 +33,21 @@ from burausieve.skeleton import (
     table_verify,
 )
 from burausieve.typesys import admissible_types, root_spec
+
+
+def assert_cycles_match_the_walk(sk):
+    """Each of sk's Cycles holds the lengths and, one after another, the
+    ints of the cycles that the walk over a general permutation gives,
+    as the permutation's own int objects."""
+    for which in ("black", "white", "region"):
+        perm = getattr(sk, which)
+        cycles = getattr(sk, f"{which}_cycles")()
+        walked = reference_cycles(perm)
+        assert cycles.lengths == [len(c) for c in walked], which
+        assert cycles.flat == tuple(chain.from_iterable(walked)), which
+        assert cycle_tuples(cycles) == walked, which
+        own = {id(e) for e in perm}
+        assert all(id(e) in own for e in cycles.flat), which
 
 
 def golden_row(p, N):
@@ -82,7 +98,7 @@ class TestSkeletonStructure:
         sk = Skeleton((0, 1), (1, 0), region=(True, False))
         assert sk.region == (1, 0)
         assert {type(e) for e in sk.region} == {int}
-        assert {type(e) for c in sk.region_cycles() for e in c} == {int}
+        assert {type(e) for e in sk.region_cycles().flat} == {int}
 
     def test_rejects_black_of_order_two(self):
         with pytest.raises(ValueError, match="order > 3"):
@@ -180,11 +196,34 @@ class TestSkeletonStructure:
         # region's walked; all three equal the walk over any permutation
         for row in GOLDEN_ROWS:
             for factor in range(len(row.factors)):
-                sk = enumerate_row(row.p, row.N, ambient=ambient,
-                                   factor=factor)
-                assert sk.black_cycles() == reference_cycles(sk.black)
-                assert sk.white_cycles() == reference_cycles(sk.white)
-                assert sk.region_cycles() == reference_cycles(sk.region)
+                assert_cycles_match_the_walk(enumerate_row(
+                    row.p, row.N, ambient=ambient, factor=factor))
+
+    def test_flat_cycles_of_random_skeletons(self):
+        # up to all edges fixed under black or white, down to one edge;
+        # ints above 256 are distinct objects, so the larger skeletons
+        # show that flat holds the permutations' own ints
+        rng = random.Random(28)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(1, 40) if checked % 5 else rng.randint(300, 900)
+            most_fixed = min(n, 40)
+            black, white = list(range(n)), list(range(n))
+            edges = rng.sample(range(n), n)
+            for k in range((n - rng.randint(0, most_fixed)) // 3):
+                a, b, c = edges[3 * k:3 * k + 3]
+                black[a], black[b], black[c] = b, c, a
+            edges = rng.sample(range(n), n)
+            for k in range((n - rng.randint(0, most_fixed)) // 2):
+                a, b = edges[2 * k:2 * k + 2]
+                white[a], white[b] = b, a
+            try:
+                sk = Skeleton(black, white)
+            except ValueError as exc:
+                assert str(exc) == "skeleton is not connected"
+                continue
+            assert_cycles_match_the_walk(sk)
+            checked += 1
 
 
 class TestSignatureAndGenus:
