@@ -2,7 +2,8 @@
 
 Subcommands: factors (irreducible factors of phi_N(-t) mod p), skeleton
 (a universal subgroup's signature and genus, or with --json its whole
-skeleton, the one output with an on-disk cache), sieve (candidate
+skeleton, the one output with an on-disk cache, kept only in the directory
+that --cache-dir names), sieve (candidate
 extraction plus genus filter over a sweep range), table (golden-data
 verification, skeleton.table_verify), addendum (pairwise exclusion and
 conjugacy, intersect.addendum_report).  Exit codes: 0 ok, 1 verification
@@ -39,21 +40,12 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-def default_cache_dir():
-    env = os.environ.get("BURAU_SIEVE_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "burau-sieve")
-
-
 @dataclass
 class RunConfig:
-    """Sweep settings, optionally loaded from a JSON file, and the skeleton
-    cache's directory (from --cache-dir or the environment)."""
+    """Sweep settings, optionally loaded from a JSON file."""
 
     informative_sets: dict = field(default_factory=dict)
     state_cap: int = DEFAULT_STATE_CAP
-    cache_dir: str = field(default_factory=default_cache_dir)
 
     @staticmethod
     def load(path):
@@ -214,26 +206,30 @@ def _write_cached(path, sk):
 
 
 def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
-    """enumerate_universal with a transparent on-disk cache, for skeleton
-    --json.
+    """enumerate_universal with a transparent on-disk cache in cache_dir,
+    for skeleton --json; with cache_dir None it is the lift alone, and no
+    file is read or written.
 
-    A missing or corrupt entry is a miss and gets overwritten.  A cached
-    skeleton with more than state_cap edges raises, as the cold walk
-    would; the cap is compared after the constructor has validated the
-    entry, so a corrupt entry of any size stays a miss.
+    The directory is created before the entry is read, so one that
+    cannot be made (a regular file, an empty name) raises OSError before
+    the lift.  A missing or corrupt entry is a miss and gets overwritten.
+    A cached skeleton with more than state_cap edges raises, as the cold
+    walk would; the cap is compared after the constructor has validated
+    the entry, so a corrupt entry of any size stays a miss.
     """
     spec = UniversalGroupSpec(root, tag, ambient)
+    if cache_dir is None:
+        return enumerate_universal(spec, state_cap)
+    os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, _cache_key(root.p, str(root.min_poly), tag,
-                                              ambient)) if cache_dir else None
-    sk = _read_cached(path) if path else None
+                                              ambient))
+    sk = _read_cached(path)
     if sk is not None:
         if sk.edge_count > state_cap:
             raise _cap_exceeded(state_cap, spec)
         return sk
     sk = enumerate_universal(spec, state_cap)
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        _write_cached(path, sk)
+    _write_cached(path, sk)
     return sk
 
 
@@ -274,7 +270,7 @@ def cmd_skeleton(args, cfg, out):
         out(f"{sig}  genus={g}")
         return EXIT_OK
     sk = cached_enumerate(root, args.type, args.ambient, cfg.state_cap,
-                          cfg.cache_dir if not args.no_cache else None)
+                          None if args.no_cache else args.cache_dir)
     payload = {"schemaVersion": SCHEMA_VERSION, "p": args.p,
                "minPoly": str(root.min_poly), "N": root.N, "M": root.M,
                "type": args.type, "ambient": args.ambient}
@@ -367,8 +363,8 @@ def build_parser():
                     "resultant sieve, universal-subgroup skeletons, genus filter, "
                     "and pairwise exclusion.")
     ap.add_argument("--config", help="JSON config file")
-    ap.add_argument("--cache-dir", help="skeleton cache directory "
-                    "(default: BURAU_SIEVE_CACHE or ~/.cache/burau-sieve)")
+    ap.add_argument("--cache-dir", help="directory of the skeleton --json "
+                    "cache (default: no cache)")
     ap.add_argument("--state-cap", type=positive_int,
                     help="coset enumeration state cap")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -430,8 +426,6 @@ def main(argv=None):
     # ValueError, and a coset walk raises at the state cap.
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
-        if args.cache_dir:
-            cfg.cache_dir = args.cache_dir
         if args.state_cap is not None:
             cfg.state_cap = args.state_cap
         command = {"factors": cmd_factors, "skeleton": cmd_skeleton,

@@ -17,9 +17,7 @@ from burausieve.golden import GOLDEN_ROWS
 
 
 @pytest.fixture()
-def run(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("BURAU_SIEVE_CACHE", str(tmp_path / "cache"))
-
+def run(capsys):
     def invoke(*argv):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -171,13 +169,13 @@ class TestSkeleton:
     def test_state_cap_is_resource_error(self, run):
         # a cap of q = 43 admits the field; the walk stops at its 44th line
         code, _ = run("--state-cap", "43", "skeleton", "--p", "43",
-                      "--min-poly", "t+4", "--no-cache")
+                      "--min-poly", "t+4")
         assert code == 3
         assert "more than 43 cosets" in run.err
 
     def test_cap_message_names_the_group(self, run):
         code, _ = run("--state-cap", "593", "skeleton", "--p", "593",
-                      "--min-poly", "t+201", "--no-cache")
+                      "--min-poly", "t+201")
         assert code == 3
         assert "p=593" in run.err and "t+201" in run.err
         assert "UniversalGroupSpec(" not in run.err
@@ -187,7 +185,8 @@ class TestSkeleton:
         # built, and the cache is neither read nor written
         lifts = count_calls(monkeypatch, skeleton, "enumerate_universal")
         skeletons = count_calls(monkeypatch, skeleton.Skeleton, "__init__")
-        code, out = run("skeleton", "--p", "19", "--min-poly", "t+4")
+        code, out = run("--cache-dir", str(tmp_path / "cache"), "skeleton",
+                        "--p", "19", "--min-poly", "t+4")
         assert (code, out) == (0, "(20;0,2;1^2 9^2)  genus=0\n")
         assert lifts == [] and skeletons == []
         assert not (tmp_path / "cache").exists()
@@ -195,7 +194,7 @@ class TestSkeleton:
     @pytest.mark.parametrize("argv", [
         ("--p", "2", "--min-poly", "t^3+t+1"),
         ("--p", "19", "--min-poly", "t+4"),
-        ("--p", "593", "--min-poly", "t+201", "--no-cache"),
+        ("--p", "593", "--min-poly", "t+201"),
         ("--p", "19", "--min-poly", "t+4", "--ambient", "b3"),
         # a root whose trace field is smaller than F_49: its orbit is walked
         ("--p", "7", "--min-poly", "t^2+3t+1"),
@@ -218,7 +217,8 @@ class TestSkeleton:
         assert sorted(len(c) for c in data["regions"]) == [1, 1, 12]
 
     def test_cache_transparency(self, run, tmp_path):
-        args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
+        args = ("--cache-dir", str(tmp_path / "cache"), "skeleton", "--p",
+                "19", "--min-poly", "t+4", "--json")
         code1, cold = run(*args)
         assert os.listdir(tmp_path / "cache")
         code2, warm = run(*args)
@@ -228,11 +228,12 @@ class TestSkeleton:
     def test_warm_cache_honours_state_cap(self, run, tmp_path):
         # the p=19 t+4 skeleton has 20 edges; a filled cache must not
         # let it past a cap the cold walk enforces
-        assert run("skeleton", "--p", "19", "--min-poly", "t+4",
-                   "--json")[0] == 0
-        assert os.listdir(tmp_path / "cache")
-        code, _ = run("--state-cap", "19", "skeleton", "--p", "19",
-                      "--min-poly", "t+4", "--json")
+        cache = str(tmp_path / "cache")
+        assert run("--cache-dir", cache, "skeleton", "--p", "19",
+                   "--min-poly", "t+4", "--json")[0] == 0
+        assert os.listdir(cache)
+        code, _ = run("--cache-dir", cache, "--state-cap", "19", "skeleton",
+                      "--p", "19", "--min-poly", "t+4", "--json")
         assert code == 3
 
     @pytest.mark.parametrize("corrupt", [
@@ -252,7 +253,8 @@ class TestSkeleton:
             "old-json", "wrong-header", "other-byte-order", "out-of-range",
             "bad-permutation", "black-of-order-12", "disconnected"])
     def test_corrupt_cache_entry_is_a_miss(self, run, tmp_path, corrupt):
-        args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
+        args = ("--cache-dir", str(tmp_path / "cache"), "skeleton", "--p",
+                "19", "--min-poly", "t+4", "--json")
         _, cold = run(*args)
         [entry] = (tmp_path / "cache").iterdir()
         data = entry.read_bytes()
@@ -268,8 +270,9 @@ class TestSkeleton:
         # a second run of the same query writes its entry while the first
         # is about to move its own into place: each writes a temp file of
         # its own, so both print the cold stdout and the entry reads back
-        args = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
-        _, cold = run(*args, "--no-cache")
+        query = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
+        _, cold = run(*query)
+        args = ("--cache-dir", str(tmp_path / "cache"), *query)
         real_replace = os.replace
         nested = []
 
@@ -293,7 +296,7 @@ class TestSkeleton:
         # that would prove t^600+t^5+1 irreducible is never started
         tables = count_calls(monkeypatch, exactalg, "_unit_tables")
         code, _ = run("--state-cap", "100", "skeleton", "--p", "2",
-                      "--min-poly", "t^600+t^5+1", "--no-cache")
+                      "--min-poly", "t^600+t^5+1")
         assert code == 3 and tables == []
         assert f"field of order {2 ** 600} for p=2" in run.err
 
@@ -307,7 +310,7 @@ class TestSkeleton:
         # q = 2^17 exceeds the cap, so the field's O(q) tables are never built
         tables = count_calls(monkeypatch, exactalg, "_unit_tables")
         code, _ = run("--state-cap", "100", "skeleton", "--p", "2",
-                      "--min-poly", "t^17+t^3+1", "--no-cache")
+                      "--min-poly", "t^17+t^3+1")
         assert code == 3
         assert "field of order 131072 for p=2 m=t^17+t^3+1" in run.err
         assert tables == []
@@ -316,6 +319,44 @@ class TestSkeleton:
         code, _ = run("skeleton", "--p", "2", "--min-poly", "t^3+t+1",
                       "--type", "III+")
         assert code == 2
+
+    @pytest.mark.parametrize("home", ["file", "empty-dir"])
+    def test_without_cache_dir_no_file_is_touched(self, run, tmp_path,
+                                                  monkeypatch, home):
+        # the cache lives only where --cache-dir puts it: neither HOME nor
+        # any variable of the package's own names a default
+        for key in list(os.environ):
+            if key.startswith("BURAU_"):
+                monkeypatch.delenv(key)
+        home_path = tmp_path / "home"
+        if home == "file":
+            home_path.write_text("not a directory")
+        else:
+            home_path.mkdir()
+        monkeypatch.setenv("HOME", str(home_path))
+        query = ("skeleton", "--p", "19", "--min-poly", "t+4", "--json")
+        code, cold = run("--cache-dir", str(tmp_path / "cache"), *query)
+        assert code == 0
+        assert run(*query) == (0, cold)
+        # --no-cache wins over --cache-dir
+        assert run("--cache-dir", str(tmp_path / "unused"), *query,
+                   "--no-cache") == (0, cold)
+        assert sorted(path.relative_to(tmp_path).as_posix()
+                      for path in tmp_path.rglob("*")) == [
+            "cache", "cache/" + _cache_key(19, "t+4", "I", "bu3"), "home"]
+
+    @pytest.mark.parametrize("name", ["file", ""], ids=["regular-file", "empty"])
+    def test_unusable_cache_dir_fails_before_the_lift(self, run, tmp_path,
+                                                      monkeypatch, name):
+        monkeypatch.setenv("HOME", str(tmp_path))  # no default to fall back on
+        if name:
+            (tmp_path / name).write_text("")
+            name = str(tmp_path / name)
+        lifts = count_calls(monkeypatch, skeleton, "enumerate_universal")
+        code, out = run("--cache-dir", name, "skeleton", "--p", "19",
+                        "--min-poly", "t+4", "--json")
+        assert (code, out, lifts) == (2, "", [])
+        assert run.err.startswith("error: ")
 
 
 class TestFieldTables:
@@ -478,7 +519,7 @@ class TestAddendum:
     ("10", ("sieve", "--n-range", "12..12")),
     ("10", ("addendum",)),
     # a cap of q admits the field; the walk stops at its (q+1)-th line
-    ("100003", ("skeleton", "--p", "100003", "--min-poly", "t+2", "--no-cache")),
+    ("100003", ("skeleton", "--p", "100003", "--min-poly", "t+2")),
 ], ids=["sieve", "addendum", "skeleton-large-field"])
 def test_state_cap_is_resource_error(run, cap, argv):
     assert run("--state-cap", cap, *argv)[0] == 3
@@ -530,7 +571,7 @@ class TestPrinter:
         # row 1: a white fixed edge; p = 19: two black fixed edges
         ("skeleton", "--p", "2", "--min-poly", "t^3+t+1"),
         ("skeleton", "--p", "19", "--min-poly", "t+4"),
-        ("skeleton", "--p", "593", "--min-poly", "t+201", "--no-cache"),
+        ("skeleton", "--p", "593", "--min-poly", "t+201"),
     ], ids=["sieve", "addendum-all-groups", "table-verify", "factors",
             "skeleton-row-1", "skeleton-fixed-black", "skeleton-593"])
     def test_command_payloads(self, run, monkeypatch, argv):

@@ -82,8 +82,7 @@ def run_all(tmp):
     return entries
 
 
-def test_outputs_match_the_digests(tmp_path, monkeypatch):
-    monkeypatch.setenv("BURAU_SIEVE_CACHE", str(tmp_path / "env-cache"))
+def test_outputs_match_the_digests(tmp_path):
     with open(DIGESTS, encoding="utf-8") as fh:
         pinned = json.load(fh)
     got = run_all(str(tmp_path))
@@ -92,11 +91,10 @@ def test_outputs_match_the_digests(tmp_path, monkeypatch):
         assert have == want, " ".join(want["argv"])
 
 
-def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+def test_stdout_does_not_depend_on_the_hash_seed():
     argv = ["sieve", "--n-range", "7..26", "--json"]
     src = os.path.join(os.path.dirname(HERE), "src")
-    env = dict(os.environ, PYTHONHASHSEED="2", PYTHONPATH=src,
-               BURAU_SIEVE_CACHE=str(tmp_path / "cache"))
+    env = dict(os.environ, PYTHONHASHSEED="2", PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-m", "burausieve.cli", *argv],
                           env=env, capture_output=True, text=True, check=False)
     with open(DIGESTS, encoding="utf-8") as fh:
@@ -122,7 +120,7 @@ print(json.dumps(entries))
 """
 
 
-def test_runs_without_sympy(tmp_path):
+def test_runs_without_sympy():
     # sympy is a test-only reference: the package neither imports it nor
     # needs it, and prints the same bytes without it
     pinned = [["sieve", "--n-range", "7..26", "--json"],
@@ -133,7 +131,7 @@ def test_runs_without_sympy(tmp_path):
     huge = [["factors", "--n", "9", "--p", str(2 ** 127 - 1)],
             ["factors", "--n", "9", "--p", str(10 ** 31 + 7)]]
     src = os.path.join(os.path.dirname(HERE), "src")
-    env = dict(os.environ, PYTHONPATH=src, BURAU_SIEVE_CACHE=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", NO_SYMPY, json.dumps(pinned + huge)],
                           env=env, capture_output=True, text=True, check=True)
     got = json.loads(done.stdout)
@@ -152,7 +150,6 @@ def test_runs_without_sympy(tmp_path):
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        os.environ["BURAU_SIEVE_CACHE"] = os.path.join(tmp, "env-cache")
         entries = run_all(tmp)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1)
