@@ -7,7 +7,8 @@ that --cache-dir names), sieve (candidate
 extraction plus genus filter over a sweep range), table (golden-data
 verification, skeleton.table_verify), addendum (pairwise exclusion and
 conjugacy, intersect.addendum_report).  Exit codes: 0 ok, 1 verification
-failure, 2 bad input, 3 resource cap.
+failure, 2 bad input, 3 resource cap, 141 stdout closed before the output
+was written (128 + SIGPIPE, as a shell reports a process that SIGPIPE ends).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141
 
 
 @dataclass
@@ -413,7 +415,11 @@ def main(argv=None):
     --json payload.  Nothing is written until the command has returned,
     so an error leaves stdout empty.  Then each output is written piece
     by piece, with the separators and the final newline of
-    print("\\n".join(outputs)).
+    print("\\n".join(outputs)), and flushed.  A reader that closes the
+    pipe early (`| head -1`) ends the run with EXIT_PIPE and no traceback:
+    stdout's file descriptor is pointed at os.devnull, so that the text
+    still buffered is dropped silently when the interpreter flushes it at
+    exit.
     """
     try:
         args = _PARSER.parse_args(argv)
@@ -439,12 +445,19 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     stdout = sys.stdout
-    for i, text in enumerate(outputs):
-        if i:
+    try:
+        for i, text in enumerate(outputs):
+            if i:
+                stdout.write("\n")
+            stdout.writelines((text,) if isinstance(text, str) else text)
+        if outputs:
             stdout.write("\n")
-        stdout.writelines((text,) if isinstance(text, str) else text)
-    if outputs:
-        stdout.write("\n")
+        stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     return code
 
 

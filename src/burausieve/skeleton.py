@@ -10,8 +10,9 @@ orbit, and `_signature_of` lifts them to its signature and genus.  They
 come from a walk or in closed form:
 - `_LineWalk` walks at most q + 1 lines, recording each step's voltage
   in the fiber Z/r, and reads them off its steps.  `enumerate_universal`
-  checks its s1 steps on the lines, lifts black and white to the edges
-  by `_LineWalk.edge_steps` and numbers them breadth-first.
+  checks black^3 = 1, white^2 = 1 and s1 = white o black^2 on the lines,
+  lifts black and white to the edges by `_LineWalk.edge_steps` and
+  numbers them breadth-first.
   `_orbit_walks` walks once per braid orbit of type lines, as conjugate
   lines share a skeleton up to isomorphism.
 - When the trace field F_p(xi + 1/xi) is F_q, the braid image holds
@@ -76,9 +77,10 @@ class Cycles:
     """The cycles of one of a Skeleton's permutations, stored flat: lengths
     holds each cycle's length and flat the cycles' ints one after another,
     as a tuple of the ints the permutation holds, with no tuple per cycle.
-    Only Skeleton._cycles_of builds one, on permutations the constructor
-    proved to hold ints, so the type marks cycle lists that cli._dump may
-    print with %d templates, straight from slices of flat."""
+    Only Skeleton._cycles_of builds one, on permutations proved to hold
+    ints, by the constructor or, for a lifted skeleton, by the lift's
+    numbering, so the type marks cycle lists that cli._dump may print with
+    %d templates, straight from slices of flat."""
 
     __slots__ = ("lengths", "flat")
 
@@ -173,10 +175,27 @@ class Skeleton:
                 reached.append(f)
         if len(reached) != n:
             raise ValueError("skeleton is not connected")
-        object.__setattr__(self, "edge_count", n)
+        self._keep(black, white, derived)
+
+    @classmethod
+    def _certified(cls, black, white):
+        """The Skeleton of black and white, lists of ints that the caller
+        proved to be permutations of range(n), n >= 1, with black^3 = 1
+        and white^2 = 1, acting transitively: enumerate_universal proves
+        that on the walk's lines.  Only region = white o black^2 is
+        derived, by two compositions; no check is repeated on the edges."""
+        self = object.__new__(cls)
+        black = tuple(black)
+        white = tuple(white)
+        self._keep(black, white, _compose(white, _compose(black, black)))
+        return self
+
+    def _keep(self, black, white, region):
+        """Set the attributes of an immutable Skeleton, once."""
+        object.__setattr__(self, "edge_count", len(black))
         object.__setattr__(self, "black", black)
         object.__setattr__(self, "white", white)
-        object.__setattr__(self, "region", derived)
+        object.__setattr__(self, "region", region)
         object.__setattr__(self, "_cycles", {})
 
     def __setattr__(self, name, value):
@@ -186,11 +205,13 @@ class Skeleton:
         """The Cycles of black, white or region, each from its smallest
         edge, in the order of those edges.  flat holds the permutation's
         own ints: a cycle's first edge i is read back as the image of its
-        last, so no new int is made.  The constructor proved black^3 = 1
-        and white^2 = 1, so their cycle starts are the edges i no greater
-        than black[i] and black^2[i], or than white[i], and _short_cycles
-        composes the rest; region's are walked from the edges no earlier
-        cycle holds, appending to one list."""
+        last, so no new int is made.  black^3 = 1 and white^2 = 1 were
+        proved by the constructor on the edges or, for a lifted skeleton,
+        by _LineWalk.check_relations on the walk's lines, so their cycle
+        starts are the edges i no greater than black[i] and black^2[i], or
+        than white[i], and _short_cycles composes the rest; region's are
+        walked from the edges no earlier cycle holds, appending to one
+        list."""
         cycles = self._cycles.get(which)
         if cycles is None:
             perm = getattr(self, which)
@@ -480,28 +501,42 @@ class _LineWalk:
             images.extend(range(first, first + delta))
         return images
 
-    def check_region(self):
-        """Raise ValueError unless every line's s1 step (j, d) is black
-        twice, then white: the three steps (i1, d1), (i2, d2), (i3, d3)
-        from the line end at i3 = j, with d1 + d2 + d3 = d mod r.
+    def check_relations(self):
+        """Raise ValueError, naming the line and the relation, unless every
+        line satisfies black^3 = 1, white^2 = 1 and s1 = white o black^2:
+        from line i, black three times returns to i with voltages summing
+        to 0 mod r, white twice does the same, and the s1 step (j, d) is
+        black twice, then white, ending at j with the same voltage mod r.
 
         In the braid group (s2 s1)^2 (s2 s1^2) = (s2 s1)^3 s1, and
         (s2 s1)^3 maps to the scalar xi^3, which lies in S; so on the cover
-        s1 is white o black^2, the Skeleton constructor's convention.  The
+        s1 is white o black^2, the Skeleton constructor's convention.  Each
         check is exact for the lifts.  A step (j, d) from line i lifts to
-        (i, t) -> (j, t + (potential[i] + d - potential[j]) / m) mod k, so
-        the potentials telescope along the three steps, whose composite
-        lifts to the shift (potential[i] + d1 + d2 + d3 - potential[i3]) / m.
-        That equals the lifted s1 on the k edges over line i exactly when
-        i3 = j and (d1 + d2 + d3 - d) / m = 0 mod k, that is,
-        d1 + d2 + d3 = d mod m k = r.  So the lifted s1 equals the lifted
-        white o black^2 on every edge exactly when this O(q) pass passes,
-        and no third lift is needed to compare them.
+        (i, t) -> (j, t + (potential[i] + d - potential[j]) / m) mod k,
+        where m divides every black and white step's numerator, being
+        their gcd with r.  So the potentials telescope along a word of
+        steps (i, d1), ..., ending at line i', whose composite lifts to
+        the shift (potential[i] + d1 + ... - potential[i']) / m.  Two
+        words from line i lift to the same map on its k edges exactly when
+        they end on one line with the same voltage sum mod m k = r; the
+        identity is the empty word, with sum 0.  So the lifted black^3 and
+        white^2 are the identity, and the lifted s1 is white o black^2, on
+        every edge exactly when this O(q) pass passes: both lifts are
+        permutations, and no third lift is needed for s1.
         """
         black, white, r = self.black, self.white, self.r
         for i, (j, d) in enumerate(self.region):
             i1, d1 = black[i]
             i2, d2 = black[i1]
+            i3, d3 = black[i2]
+            if i3 != i or (d1 + d2 + d3) % r:
+                raise ValueError(f"black step of line {i} violates "
+                                 f"black^3 = 1")
+            w1, e1 = white[i]
+            w2, e2 = white[w1]
+            if w2 != i or (e1 + e2) % r:
+                raise ValueError(f"white step of line {i} violates "
+                                 f"white^2 = 1")
             i3, d3 = white[i2]
             if i3 != j or (d1 + d2 + d3 - d) % r:
                 raise ValueError(f"region step of line {i} violates the "
@@ -511,19 +546,24 @@ class _LineWalk:
 def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
     """The skeleton of a universal subgroup, lifted from the walk over lines.
 
-    The walk's s1 steps are first checked against the composition
-    convention on its lines (_LineWalk.check_region), which proves the
-    lifted s1 equal to white o black^2, so only black and white are
+    The walk's steps are first checked on its lines
+    (_LineWalk.check_relations), which proves black^3 = 1, white^2 = 1
+    and s1 = white o black^2 on the lifts, so only black and white are
     lifted: _LineWalk.edge_steps lifts each to the walk's lines * k edges,
-    edge 0 being the seed's coset.  The edges are then renumbered
-    breadth-first from edge 0, black before white, exactly as a covector
-    orbit walk numbers its cosets, and the numbered black and white are
-    built as the walk numbers each edge's images.  The lifts and the
-    numbering are dropped before the Skeleton constructor validates the
-    pair and derives region, which bounds the peak memory.
+    ints in range(lines * k), edge 0 being the seed's coset.  The edges
+    are then renumbered breadth-first from edge 0, black before white,
+    exactly as a covector orbit walk numbers its cosets, and the numbered
+    black and white are built as the walk numbers each edge's images.
+    The numbering must reach all lines * k edges, so it is a bijection
+    onto range(lines * k), the skeleton is connected, and the numbered
+    black and white are permutations of the orders the line check proved.
+    That is every check the Skeleton constructor makes, so the skeleton
+    is built by Skeleton._certified, which only derives region, with no
+    edge-level pass.  The lifts and the numbering are dropped first,
+    which bounds the peak memory.
     """
     walk = _LineWalk(spec, state_cap)
-    walk.check_region()
+    walk.check_relations()
     lifted_black = walk.edge_steps(walk.black)
     lifted_white = walk.edge_steps(walk.white)
     number = [-1] * len(lifted_black)  # the breadth-first number of each edge
@@ -543,8 +583,10 @@ def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
             x = number[f] = len(order)
             order.append(f)
         white.append(x)
+    if len(order) != len(walk.lines) * walk.k:
+        raise ValueError(f"the lift of {spec} is not connected")
     del lifted_black, lifted_white, number, order
-    return Skeleton(black, white)
+    return Skeleton._certified(black, white)
 
 
 def _orbit_walks(root, tags, ambient, state_cap):

@@ -447,22 +447,69 @@ class TestVoltageWalk:
             (p, min_poly, tag) not in NOT_CONJUGATE_TO_E2)
 
     @pytest.mark.parametrize("corrupt", ["line", "voltage"])
-    def test_lift_checks_region_steps_on_lines(self, monkeypatch, corrupt):
-        # one line's s1 step moved to another line, or its voltage shifted
-        # mod r, breaks s1 = white o black^2 on the k edges over that line
+    @pytest.mark.parametrize("step, relation", [
+        ("black", r"black step of line \d+ violates black\^3 = 1"),
+        ("white", r"white step of line \d+ violates white\^2 = 1"),
+        ("region", r"region step of line \d+ violates the composition "
+                   "convention"),
+    ], ids=["black", "white", "s1"])
+    def test_lift_checks_region_steps_on_lines(self, monkeypatch, step,
+                                               relation, corrupt):
+        # one line's black, white or s1 step moved to another line, or its
+        # voltage shifted mod r, breaks black^3 = 1, white^2 = 1 or
+        # s1 = white o black^2 on the k edges over that line; the line
+        # check names that relation and raises before any lift
         class CorruptWalk(_LineWalk):
             def __init__(self, spec, state_cap):
                 super().__init__(spec, state_cap)
-                j, d = self.region[1]
-                self.region[1] = ((j + 1) % len(self.lines), d) \
+                steps = getattr(self, step)
+                j, d = steps[1]
+                steps[1] = ((j + 1) % len(self.lines), d) \
                     if corrupt == "line" else (j, (d + 1) % self.r)
+
+            def edge_steps(self, step):
+                raise AssertionError("lifted before the line check")
 
         spec = UniversalGroupSpec(root_spec(43, "t+4"), "I", "bu3")
         walk = _LineWalk(spec)
         assert walk.r > 1 and len(walk.lines) > 1
         monkeypatch.setattr(skeleton, "_LineWalk", CorruptWalk)
-        with pytest.raises(ValueError, match="composition convention"):
+        with pytest.raises(ValueError, match=relation):
             enumerate_universal(spec)
+
+    def test_lift_checks_that_its_numbering_reaches_every_edge(
+            self, monkeypatch):
+        # with every voltage and potential 0 each relation holds on the
+        # lines, but the cover falls apart into k copies of the base, and
+        # the numbering from edge 0 reaches one of them
+        class FlatWalk(_LineWalk):
+            def __init__(self, spec, state_cap):
+                super().__init__(spec, state_cap)
+                self.potential = [0] * len(self.lines)
+                for steps in (self.black, self.white, self.region):
+                    steps[:] = [(j, 0) for j, _ in steps]
+
+        spec = UniversalGroupSpec(root_spec(43, "t+4"), "I", "bu3")
+        assert _LineWalk(spec).k > 1
+        monkeypatch.setattr(skeleton, "_LineWalk", FlatWalk)
+        with pytest.raises(ValueError, match="is not connected"):
+            enumerate_universal(spec)
+
+    def test_lift_makes_no_edge_level_checks_but_passes_them(
+            self, monkeypatch):
+        # the lift builds its Skeleton without the validating constructor,
+        # whose checks the unpatched constructor then passes on its pair
+        spec = UniversalGroupSpec(root_spec(593, "t+201"), "I", "bu3")
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("Skeleton.__init__ called by the lift")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Skeleton, "__init__", refuse)
+            sk = enumerate_universal(spec)
+        assert sk.edge_count == 43956
+        checked = Skeleton(sk.black, sk.white)
+        assert checked.region == sk.region
 
     def test_state_cap_boundary(self):
         # the orbit has 43,956 edges; both paths accept exactly that many
