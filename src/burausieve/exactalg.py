@@ -513,10 +513,21 @@ def resultant(u, w, N, evaluate=None):
     unity, so the resultant is prod_zeta D_l(-zeta) up to sign (a Laurent
     shift of D_l changes only the sign).  At t = -zeta, b_l is
     (zeta^l - 1)/(zeta - 1), so D_l(-zeta) = zeta^l X - Y for X and Y that
-    do not depend on l.  The product is taken modulo primes P = 1 (mod N),
-    which hold the roots, until their product exceeds 2B for a bound
-    B >= |Res|.  The balanced CRT value is then the resultant itself, so a
-    zero is exact.  (Collins, JACM 18, 1971; von zur Gathen and Gerhard,
+    do not depend on l.  The roots zeta_k = z^k, k prime to N, come in
+    inverse pairs, zeta_{N-k} = zeta_k^-1 (_root_pairs), and each pair's
+    two factors multiply out exactly to
+
+        (X_k zeta_k^l - Y_k)(X_{N-k} zeta_k^-l - Y_{N-k})
+            = A_k - B_k zeta_k^l - C_k zeta_k^-l,
+
+    with A_k = X_k X_{N-k} + Y_k Y_{N-k}, B_k = X_k Y_{N-k} and
+    C_k = X_{N-k} Y_k, again free of l.  So each l takes one product and
+    one reduction mod P per pair of roots.  For N >= 3 no unit k equals
+    N - k; for N = 2 the one root, -1, is its own inverse and enters
+    unpaired, as zeta^l X - Y.  The product is taken modulo primes
+    P = 1 (mod N), which hold the roots, until their product exceeds 2B
+    for a bound B >= |Res|.  The balanced CRT value is then the resultant
+    itself, so a zero is exact.  (Collins, JACM 18, 1971; von zur Gathen and Gerhard,
     Modern Computer Algebra, ch. 6.)
 
     B is _resultant_bound(u, w, N), the product over the roots
@@ -545,19 +556,33 @@ def resultant(u, w, N, evaluate=None):
         def evaluate(v, index):
             return [unity_values(f, N, index) for f in v]
     bound = 2 * _resultant_bound(u, w, N)
-    values, modulus, index = [0] * N, 1, 0
+    values, modulus, index = None, 1, 0
     while modulus <= bound:
         P, roots = _unity_tables(N, index)
-        prods = [1] * N
-        for (zeta_powers, inv), a0, a1, b0, b1 in zip(
-                roots, *evaluate(u, index), *evaluate(w, index)):
-            c = a1 * b1 * inv
-            X, Y = (a0 * b1 + c) % P, (a1 * b0 + c) % P
-            prods = [r * (X * z - Y) % P for r, z in zip(prods, zeta_powers)]
-        # CRT: the value mod modulus * P that is v mod modulus and r mod P
-        lift = pow(modulus, -1, P)
-        values = [v + modulus * ((r - v) * lift % P) for v, r in zip(values, prods)]
-        modulus *= P
+        (a0s, a1s), (b0s, b1s) = evaluate(u, index), evaluate(w, index)
+        xy = [((a0 * b1 + (c := a1 * b1 * inv)) % P, (a1 * b0 + c) % P)
+              for (_, inv), a0, a1, b0, b1 in zip(roots, a0s, a1s, b0s, b1s)]
+        pairs, unpaired = _root_pairs(N, index)
+        prods = None
+        for i, j, zeta_powers, inverse_powers in pairs:
+            (X, Y), (X2, Y2) = xy[i], xy[j]
+            A, B, C = (X * X2 + Y * Y2) % P, X * Y2 % P, X2 * Y % P
+            if prods is None:
+                prods = [(A - B * z - C * y) % P
+                         for z, y in zip(zeta_powers, inverse_powers)]
+            else:
+                prods = [r * (A - B * z - C * y) % P
+                         for r, z, y in zip(prods, zeta_powers, inverse_powers)]
+        for i, zeta_powers in unpaired:  # N = 2 only, which has no pairs
+            X, Y = xy[i]
+            prods = [(X * z - Y) % P for z in zeta_powers]
+        if values is None:
+            values, modulus = prods, P
+        else:
+            # CRT: the value mod modulus * P that is v mod modulus and r mod P
+            lift = pow(modulus, -1, P)
+            values = [v + modulus * ((r - v) * lift % P) for v, r in zip(values, prods)]
+            modulus *= P
         index += 1
     half = modulus // 2
     return tuple(modulus - v if v > half else v for v in values)
@@ -613,6 +638,24 @@ def _unity_tables(N, index):
             zeta_powers = tuple(powers[k * l % N] for l in range(N))
             roots.append((zeta_powers, pow(zeta_powers[1] - 1, -1, P)))
     return P, tuple(roots)
+
+
+@lru_cache(maxsize=None)
+def _root_pairs(N, index):
+    """The roots of _unity_tables(N, index), each next to its inverse, for
+    resultant: (pairs, unpaired).  Each pair is (i, j, zeta_i powers,
+    zeta_j powers) for positions i < j with zeta_i zeta_j = 1, so that
+    zeta_j^l = zeta_i^-l.  The units k prime to N are listed in order, and
+    N - k is a unit with k, so position i pairs with the mirrored position
+    j = phi(N) - 1 - i.  For N >= 3 no unit k equals N - k and unpaired is
+    empty; N = 2's one root, -1, is its own inverse and is the one entry
+    (i, zeta_i powers) of unpaired.  The powers are _unity_tables' own
+    tuples."""
+    roots = _unity_tables(N, index)[1]
+    half, last = len(roots) // 2, len(roots) - 1
+    pairs = tuple((i, last - i, roots[i][0], roots[last - i][0]) for i in range(half))
+    unpaired = tuple((i, roots[i][0]) for i in range(half, len(roots) - half))
+    return pairs, unpaired
 
 
 def unity_values(f, N, index):

@@ -265,7 +265,10 @@ class _SievePass:
         also carry, which is earlier & self.triples(found, branch) with no
         factoring: (p, m, T) is carried when m divides some determinant of
         type T whose resultant p divides, since m divides phi_N(-t) mod p
-        already.  A shown triple is not tested again."""
+        already.  A shown triple is not tested again, and the scan of
+        `found` stops once every triple of `earlier` is shown."""
+        if not earlier:
+            return set()
         untested = {}  # T -> p -> the triples of (T, p) not yet shown
         for tr in earlier:
             untested.setdefault(tr.type_tag, {}).setdefault(tr.p, set()).add(tr)
@@ -279,6 +282,8 @@ class _SievePass:
                     hits = {tr for tr in trs if self.carries(tr.min_poly, u, w, l, p)}
                     trs -= hits
                     shown |= hits
+                if len(shown) == len(earlier):
+                    break
         return shown
 
     def carries(self, m, u, w, l, p):

@@ -23,10 +23,13 @@ cycle;
 skeletons, pair by pair, the reference for the package's closed-form
 product and the only product of the pairs it refuses; `count_calls`
 records the calls of a package function; `realized_types_alone` is the
-addendum's conjugacy check with each type lifted and tested on its own.
+addendum's conjugacy check with each type lifted and tested on its own;
+`closed_form_certified` compares the closed form with the walk over
+lines, cycle by cycle.
 """
 
 import sys
+from collections import Counter
 from itertools import islice
 from math import gcd, lcm
 
@@ -37,8 +40,8 @@ from burausieve.exactalg import IntPoly, _fp_divmod, _fp_mod, _fp_monic, \
     _fp_mul, cyclotomic, power_by_squaring, substitute_neg
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
 from burausieve.sieve import _SievePass, _require_distinct_projections
-from burausieve.skeleton import Skeleton, UniversalGroupSpec, _euler_genus, \
-    enumerate_universal, genus
+from burausieve.skeleton import Skeleton, UniversalGroupSpec, _closed_form, \
+    _euler_genus, _generator_cycles, _LineWalk, enumerate_universal, genus
 from burausieve.typesys import admissible_types
 
 
@@ -443,3 +446,26 @@ def reference_fibered_product(s1, s2):
         vertices = (edges + 2 * fix_black) // 3 + (edges + fix_white) // 2
         components.append((edges, _euler_genus(vertices, edges, faces_l // L)))
     return FiberedProduct(e1, e2, tuple(components))
+
+
+def closed_form_certified(spec):
+    """The walk of spec reaches all q + 1 lines with K = Z/r, and it and
+    the closed form agree on each generator's cycles on lines, counted by
+    (length, net voltage mod r), and on the signature and genus; returns
+    the walk's signature and genus."""
+    walk = _LineWalk(spec)
+    assert len(walk.lines) == spec.root.field.order + 1 and walk.k == walk.r, \
+        str(spec)
+
+    def counted(cycles):
+        counts = Counter()
+        for length, mu, count in cycles:
+            counts[length, mu % walk.r] += count
+        return counts
+
+    assert [counted(walk.cycles(step))
+            for step in (walk.black, walk.white, walk.region)] == \
+        [counted(cycles) for cycles in _generator_cycles(spec.root)], str(spec)
+    walked = walk.signature()
+    assert _closed_form(spec, 10 ** 6) == walked, str(spec)
+    return walked

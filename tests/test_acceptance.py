@@ -7,13 +7,12 @@ except for the wall-clock budgets, which are asserted as stated.
 
 import random
 import time
-from collections import Counter
 
 import pytest
 from covector_oracle import covector_bfs, product_skeletons, \
     verify_region_widths
-from helpers import bdeg, count_calls, det, realized_types_alone, \
-    reference_fibered_product, reference_resultants, \
+from helpers import bdeg, closed_form_certified, count_calls, det, \
+    realized_types_alone, reference_fibered_product, reference_resultants, \
     resultant_with_cyclotomic, single_edge, sweep_pairs
 
 from burausieve import sieve, skeleton
@@ -23,9 +22,8 @@ from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import verify_addendum_pairwise
 from burausieve.sieve import ExceptionalTriple, branches_for, full_sweep, \
     is_informative
-from burausieve.skeleton import UniversalGroupSpec, _closed_form, \
-    _generator_cycles, _LineWalk, _orbit_walks, _trace_generates, \
-    enumerate_universal, euler_lhs, genus, orbit_signatures, signature, \
+from burausieve.skeleton import UniversalGroupSpec, _LineWalk, \
+    _orbit_walks, _trace_generates, enumerate_universal, euler_lhs, genus, orbit_signatures, signature, \
     table_verify
 from burausieve.typesys import root_spec
 
@@ -279,26 +277,6 @@ def test_orbit_grouping_is_certified_on_the_sweep(sweep):
     assert (tags_seen, groups_seen) == (586, 259)
     print(f"\norbit grouping certified on {tags_seen} sweep tags, "
           f"{groups_seen} groups: PASS")
-
-
-def closed_form_certified(spec):
-    """The walk of spec and the closed form agree on each generator's
-    cycles on lines, counted by (length, net voltage mod r), and on the
-    signature and genus; returns the walk's signature and genus."""
-    walk = _LineWalk(spec)
-
-    def counted(cycles):
-        counts = Counter()
-        for length, mu, count in cycles:
-            counts[length, mu % walk.r] += count
-        return counts
-
-    assert [counted(walk.cycles(step))
-            for step in (walk.black, walk.white, walk.region)] == \
-        [counted(cycles) for cycles in _generator_cycles(spec.root)], str(spec)
-    walked = walk.signature()
-    assert _closed_form(spec, 10 ** 6) == walked, str(spec)
-    return walked
 
 
 def test_closed_form_is_certified(sweep):

@@ -330,6 +330,40 @@ class TestResultantByEvaluation:
             w = (random_laurent(rng, 6), random_laurent(rng, 6))
             assert exactalg.resultant(u, w, N) == reference_resultants(u, w, N)
 
+    def test_every_order_up_to_forty(self):
+        # every N, so that each pairing of inverse roots is exercised, N = 2
+        # and its one unpaired root included
+        rng = random.Random(17)
+        for N in range(2, 41):
+            for _ in range(3):
+                u = (random_laurent(rng, 6), random_laurent(rng, 6))
+                w = (random_laurent(rng, 6), random_laurent(rng, 6))
+                assert exactalg.resultant(u, w, N) == reference_resultants(u, w, N), \
+                    (u, w, N)
+
+    def test_root_pairs_cover_each_root_next_to_its_inverse(self):
+        # each root of _unity_tables once: paired with its inverse for
+        # N >= 3, where no unit k is N - k, and left alone only for N = 2,
+        # whose root -1 is its own inverse; the powers are the tables' own
+        for N in range(2, 41):
+            for index in range(2):
+                P, roots = exactalg._unity_tables(N, index)
+                pairs, unpaired = exactalg._root_pairs(N, index)
+                positions = [i for i, *_ in unpaired]
+                for i, j, zeta_powers, inverse_powers in pairs:
+                    assert zeta_powers is roots[i][0]
+                    assert inverse_powers is roots[j][0]
+                    assert zeta_powers[1] * inverse_powers[1] % P == 1, (N, i, j)
+                    positions += [i, j]
+                for i, zeta_powers in unpaired:
+                    assert zeta_powers is roots[i][0]
+                    assert zeta_powers[1] ** 2 % P == 1, (N, i)
+                assert sorted(positions) == list(range(len(roots))) \
+                    and len(roots) == totient(N), (N, index)
+                assert len(unpaired) == (N == 2), N
+        [(_, powers)] = exactalg._root_pairs(2, 0)[1]
+        assert powers[1] == unity_prime(2, 0)[0] - 1  # the root -1
+
     def test_laurent_shifts_of_u_and_w(self):
         # shifting a whole vector by t^k moves every D_l by t^k, which
         # changes only the resultant's sign

@@ -2,19 +2,21 @@
 
 import random
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
 
 import pytest
+import sympy
 from covector_oracle import (
     covector_bfs,
     skeleton_isomorphic,
     verify_distinct_lemma,
     verify_region_widths,
 )
-from helpers import cycle_tuples, reference_cycles, \
+from helpers import closed_form_certified, cycle_tuples, reference_cycles, \
     reference_skeleton_fault, single_edge
 
 from burausieve import skeleton
+from burausieve.exactalg import IntPoly
 from burausieve.golden import GOLDEN_ROWS, self_check
 from burausieve.intersect import conjugate_to_e2
 from burausieve.skeleton import (
@@ -29,10 +31,11 @@ from burausieve.skeleton import (
     enumerate_universal,
     euler_lhs,
     genus,
+    orbit_signatures,
     signature,
     table_verify,
 )
-from burausieve.typesys import admissible_types, root_spec
+from burausieve.typesys import admissible_types, root_spec, type_tags
 
 
 def assert_cycles_match_the_walk(sk):
@@ -558,3 +561,51 @@ class TestVoltageWalk:
             _LineWalk(UniversalGroupSpec(root, "I", "bu3"),
                       state_cap=100).signature()
         assert len(products) < 1000
+
+
+def small_field_roots(max_prime, max_order):
+    """A root for every monic irreducible m of degree 1 to 3 over F_p,
+    p <= max_prime, other than t, whose field has at most max_order
+    elements; at degree 2 and 3 irreducible means without a zero in F_p."""
+    for p in sympy.primerange(2, max_prime + 1):
+        for degree in range(1, 4):
+            if p ** degree > max_order:
+                break
+            for low in product(range(p), repeat=degree):
+                coeffs = (*low, 1)
+                if low[0] and (degree == 1 or all(
+                        sum(c * a ** i for i, c in enumerate(coeffs)) % p
+                        for a in range(p))):
+                    yield root_spec(p, IntPoly(coeffs))
+
+
+class TestClosedFormOverSmallFields:
+    """The closed form against the walk on the roots a user may pass, not
+    only the classification's: every monic irreducible m of degree 1 to 3
+    over F_p with p <= 109 and q <= 200, every admissible tag and both
+    ambients."""
+
+    def test_closed_form_is_the_walk_and_rejected_roots_are_not_transitive(self):
+        # a root that _trace_generates accepts is one orbit of all q + 1
+        # lines with K = Z/r, whose generator cycles, signature and genus
+        # the closed form gives, and orbit_signatures reads it for every
+        # tag; a root with N >= 7 that it rejects walks, from every tag, to
+        # fewer than q + 1 lines or to k < r: to more than one orbit, or to
+        # a local group smaller than the closed form's
+        closed = rejected = 0
+        for root in small_field_roots(109, 200):
+            q, tags = root.field.order, list(type_tags(root.M, root.p == 3))
+            for ambient in ("bu3", "b3"):
+                if _trace_generates(root):
+                    walked = closed_form_certified(
+                        UniversalGroupSpec(root, tags[0], ambient))
+                    assert orbit_signatures(root, tags, ambient, 10 ** 6) == \
+                        [(*walked, tags)], (str(root), ambient)
+                    closed += 1
+                elif root.N >= 7:
+                    for tag in tags:
+                        walk = _LineWalk(UniversalGroupSpec(root, tag, ambient))
+                        assert len(walk.lines) < q + 1 or walk.k < walk.r, \
+                            (str(root), tag, ambient)
+                    rejected += 1
+        assert (closed, rejected) == (2984, 20)
