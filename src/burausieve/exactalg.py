@@ -27,7 +27,8 @@ factorization is known in closed form (Lidl-Niederreiter, Finite Fields,
 Thm 2.47): for p not dividing N its irreducible factors are distinct and
 all of degree ord_N(p), and for N = p^a m with p not dividing m,
 phi_N = phi_m^(p^(a-1) (p-1)) mod p.  So one equal-degree split at the
-known degree factors each of them.
+known degree factors each of them, and at degree 1 the factors are read
+off a primitive root of unity mod p with no split.
 """
 
 from __future__ import annotations
@@ -483,8 +484,7 @@ def unity_prime(N, index):
     z^0, ..., z^(N-1) mod P for a primitive N-th root of unity z.
 
     The zeros of phi_N(-t) mod P are then -z^k for the k in 1..N-1 prime to
-    N.  z is the first a^((P-1)/N), a = 2, 3, ..., that no prime q of N
-    sends to 1 under x -> x^(N/q); P - 1 is never factored.
+    N.  z is _root_of_unity(N, P).
     """
     if N < 2:
         raise ValueError("root-of-unity order must be >= 2")
@@ -492,15 +492,22 @@ def unity_prime(N, index):
     P -= N * bool(index)
     while not is_prime(P):
         P -= N
-    qs = prime_factors(N)
-    for a in range(2, P):
-        z = pow(a, (P - 1) // N, P)
-        if all(pow(z, N // q, P) != 1 for q in qs):
-            break
+    z = _root_of_unity(N, P)
     powers = [1]
     for _ in range(N - 1):
         powers.append(powers[-1] * z % P)
     return P, tuple(powers)
+
+
+def _root_of_unity(N, P):
+    """A primitive N-th root of unity mod a prime P = 1 (mod N): the first
+    a^((P-1)/N), a = 1, 2, ..., that no prime q of N sends to 1 under
+    x -> x^(N/q), so 1 for N = 1; P - 1 is never factored."""
+    qs = prime_factors(N)
+    for a in range(1, P):
+        z = pow(a, (P - 1) // N, P)
+        if all(pow(z, N // q, P) != 1 for q in qs):
+            return z
 
 
 def resultant(u, w, N, evaluate=None):
@@ -819,23 +826,31 @@ def fp_factor(g, d, p):
 def cyclotomic_factors(N, p):
     """The irreducible factors of phi_N(-t) mod p, as a sorted multiset of
     monic IntPoly: for N = p^a m with p not dividing m, those of
-    phi_m(-t), split at degree ord_m(p), each repeated p^(a-1) (p-1)
-    times when a > 0."""
+    phi_m(-t), each repeated p^(a-1) (p-1) times when a > 0.  When
+    ord_m(p) = 1 they are read directly: the t + zeta for the primitive
+    m-th roots of unity zeta = z^k mod p, k prime to m.  Otherwise
+    phi_m(-t) mod p is split at degree ord_m(p)."""
     m, a = _prime_free_part(N, p)
     mult = p ** (a - 1) * (p - 1) if a else 1
-    cyc = substitute_neg(cyclotomic(m)).reduce_mod(p)
-    return [IntPoly(f) for f in fp_factor(cyc, order_mod(p, m), p)
-            for _ in range(mult)]
+    d = order_mod(p, m)
+    if d == 1:
+        z = _root_of_unity(m, p)
+        factors = sorted((pow(z, k, p), 1) for k in range(m) if gcd(k, m) == 1)
+    else:
+        factors = fp_factor(substitute_neg(cyclotomic(m)).reduce_mod(p), d, p)
+    return [IntPoly(f) for f in factors for _ in range(mult)]
 
 
 def cyclotomic_split_cost(N, p):
-    """The work cyclotomic_factors(N, p) does, up to a constant:
-    phi(m)^2 ord_m(p) log2(p) for N = p^a m, p not dividing m, when
-    phi_m(-t) mod p splits (ord_m(p) < phi(m)), and 0 when it is
-    irreducible.  The split raises polynomials of degree phi(m) to about
-    the power p^ord_m(p), by squarings that each cost about phi(m)^2."""
+    """The work cyclotomic_factors(N, p) does, up to a constant, for
+    N = p^a m, p not dividing m: phi(m) log2(p), one power per root, when
+    ord_m(p) = 1; 0 when phi_m(-t) mod p is irreducible; otherwise
+    phi(m)^2 ord_m(p) log2(p), as the split raises polynomials of degree
+    phi(m) to about the power p^ord_m(p), by squarings of cost phi(m)^2."""
     m, _ = _prime_free_part(N, p)
     phi, d = totient(m), order_mod(p, m)
+    if d == 1:
+        return phi * p.bit_length()
     return phi * phi * d * p.bit_length() if d < phi else 0
 
 

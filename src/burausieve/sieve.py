@@ -19,16 +19,16 @@ determinant -t and s1^N = I mod phi_N(-t) (the entries of s1^N - I are
 
 mod phi_N(-t), where (-t)^l is a unit.  So |Res_l(u, w)| equals
 |Res_{-l mod N}(w, u)|, and for p not dividing N the two determinants
-have the same gcd with phi_N(-t) mod p.  A set stops at its first zero.
-Only the first informative set's resultants are factored: the gcds of its
-determinants with phi_N(-t) mod each of their primes, taken once per
-unordered pair and l, give its triples in full, and each distinct gcd is
-split once per N.  A later set can only shrink the intersection, so it
-tests only the triples still held there: (p, m, T) stays when m divides,
-mod p, some determinant of type T whose resultant p divides (m already
-divides phi_N(-t) mod p).  It factors no resultant and takes no gcd, and
-it tests a linear m by one evaluation.  Each determinant enters as
-(1 + t) D, formed from u and w on coefficient lists.
+have the same factors in common with phi_N(-t) mod p.  A set stops at its
+first zero.  Every informative set is decided by one divisibility test:
+(p, m, T) is carried when m, an irreducible factor of phi_N(-t) mod p,
+divides mod p some determinant of type T whose resultant p divides.  The
+first set tests every factor of phi_N(-t) mod each prime of its
+resultants, listed once per pass and prime; a later set can only shrink
+the intersection, so it tests only the triples still held there.  No
+resultant is factored and no gcd is taken.  Each determinant enters as
+(1 + t) D, formed from u and w on coefficient lists, and a linear m is
+tested by one evaluation.
 
 The coefficient a_T depends on M = ord(xi), which in turn depends on the
 characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
@@ -36,10 +36,9 @@ fixed, and extracted primes inconsistent with the branch are discarded.
 So are the primes dividing N: phi_N is separable mod p exactly when p
 does not divide N, and its roots are then the primitive N-th roots of
 unity, so every factor of phi_N(-t) mod such a p has ord(-xi) = N and
-degree ord_N(p), while for p | N none has ord(-xi) = N.  Each nontrivial
-gcd of a determinant with phi_N(-t) mod p is therefore split at that known
-degree.  The sieve builds no field; the genus filter builds one per
-candidate and asserts the order there.
+degree ord_N(p), while for p | N none has ord(-xi) = N.  The sieve builds
+no field; the genus filter builds one per candidate and asserts the order
+there.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .burau import BraidWord, modular_projection, to_burau
-from .exactalg import IntPoly, cyclotomic, fp_factor, order_mod, prime_factors, \
-    resultant, substitute_neg, unity_values, _fp_eval, _fp_gcd, _fp_mod
+from .exactalg import IntPoly, cyclotomic_factors, prime_factors, resultant, \
+    unity_values, _fp_eval, _fp_mod
 from .skeleton import DEFAULT_STATE_CAP, euler_lhs, orbit_signatures
 from .typesys import epsilon_p, k_threshold, root_spec, \
     type_coefficient_laurent, type_tags
@@ -145,17 +144,14 @@ class _SievePass:
     def __init__(self, N):
         self.N = N
         self.branches = branches_for(N)
-        self.cyc = substitute_neg(cyclotomic(N))
         self.interned = {}  # (u0, u1) -> its one _Vector in this pass
         self.matrices = {}  # word -> its Burau matrix
         self.word_vectors = {}  # (word, a_T) -> b v_T, interned
         self.resultants = {}  # (u, w) -> |Res(phi_N(-t), D_l)| for each l
         self.values = {}  # (v, index) -> v at the roots of unity_prime(N, index)
         self.primes = {}  # |Res| -> its primes not dividing N
-        self.cyc_mod = {}  # p -> (phi_N(-t) mod p, ord_N(p))
+        self.cyclotomic = {}  # p -> the irreducible factors of phi_N(-t) mod p
         self.parts = {}  # (u, w) -> the coefficients of X and Y
-        self.factors = {}  # (u, w, l, p) -> the factors of the gcd
-        self.splits = {}  # (gcd, p) -> its irreducible factors
         self.linear = {}  # (u, w, p, a) -> X(a), Y(a) mod p
 
     def vectors(self, words, branch):
@@ -201,7 +197,7 @@ class _SievePass:
     def oriented(self, u, w, l):
         """(u, w, l) in the orientation the pass holds the pair in: D_l(u, w)
         and D_{-l mod N}(w, u) differ by a unit mod phi_N(-t), and so mod p,
-        so they have the same gcd with phi_N(-t) mod p."""
+        so the same factors of phi_N(-t) mod p divide them."""
         if (u, w) in self.resultants:
             return u, w, l
         return w, u, -l % self.N
@@ -231,60 +227,46 @@ class _SievePass:
                             found.append((t1, u, w, l, r))
         return out
 
-    def triples(self, found, branch):
-        """The exceptional triples carried by one branch's nonunit
-        resultants, over the primes the branch accepts; the gcd of a
-        determinant with phi_N(-t) mod p is taken once per oriented
-        (u, w, l, p) and split at degree ord_N(p) once per distinct gcd."""
-        triples = set()
-        for tag, u, w, l, r in found:
-            if r not in self.primes:
-                self.primes[r] = [p for p in prime_factors(r) if self.N % p]
-            for p in self.primes[r]:
-                if branch.accepts_prime(p):
-                    triples.update(ExceptionalTriple(p, f, tag)
-                                   for f in self.gcd_factors(u, w, l, p))
-        return triples
-
-    def gcd_factors(self, u, w, l, p):
-        """The irreducible factors of gcd(D_l, phi_N(-t)) mod p, once per
-        oriented (u, w, l, p)."""
-        key = (*self.oriented(u, w, l), p)
-        if key not in self.factors:
-            if p not in self.cyc_mod:
-                self.cyc_mod[p] = self.cyc.reduce_mod(p), order_mod(p, self.N)
-            cyc_p, degree = self.cyc_mod[p]
-            g = _fp_gcd(self.reduced(*key), cyc_p, p)
-            if len(g) > 1 and (g, p) not in self.splits:
-                self.splits[g, p] = [IntPoly(f) for f in fp_factor(g, degree, p)]
-            self.factors[key] = self.splits.get((g, p), [])
-        return self.factors[key]
-
-    def kept(self, found, earlier):
-        """The triples of `earlier` that one branch's nonunit resultants
-        also carry, which is earlier & self.triples(found, branch) with no
-        factoring: (p, m, T) is carried when m divides some determinant of
-        type T whose resultant p divides, since m divides phi_N(-t) mod p
-        already.  A shown triple is not tested again, and the scan of
-        `found` stops once every triple of `earlier` is shown."""
-        if not earlier:
+    def carried(self, found, branch, earlier=None):
+        """The exceptional triples that one branch's nonunit resultants
+        carry (see carries).  With no `earlier`, the candidates of (T, p)
+        are every factor of phi_N(-t) mod p, seeded when the scan first
+        meets an accepted prime p not dividing N in a |Res| of type T.
+        Neither t nor 1 + t divides phi_N(-t) mod such a p, so m divides
+        gcd(D_l, phi_N(-t)) exactly when it divides (1 + t) D_l.  With
+        `earlier`, the candidates are its triples, and the scan stops once
+        every one is shown.  A shown triple is not tested again."""
+        if earlier is not None and not earlier:
             return set()
         untested = {}  # T -> p -> the triples of (T, p) not yet shown
-        for tr in earlier:
+        for tr in earlier or ():
             untested.setdefault(tr.type_tag, {}).setdefault(tr.p, set()).add(tr)
         shown = set()
         for tag, u, w, l, r in found:
-            tests = [(p, trs) for p, trs in untested.get(tag, {}).items()
-                     if trs and r % p == 0]
+            held = untested.setdefault(tag, {})
+            if earlier is None:
+                if r not in self.primes:
+                    self.primes[r] = [p for p in prime_factors(r) if self.N % p]
+                for p in self.primes[r]:
+                    if p not in held and branch.accepts_prime(p):
+                        held[p] = {ExceptionalTriple(p, m, tag)
+                                   for m in self.cyclotomic_factors(p)}
+            tests = [(p, trs) for p, trs in held.items() if trs and r % p == 0]
             if tests:
                 u, w, l = self.oriented(u, w, l)
                 for p, trs in tests:
                     hits = {tr for tr in trs if self.carries(tr.min_poly, u, w, l, p)}
                     trs -= hits
                     shown |= hits
-                if len(shown) == len(earlier):
+                if earlier is not None and len(shown) == len(earlier):
                     break
         return shown
+
+    def cyclotomic_factors(self, p):
+        """The irreducible factors of phi_N(-t) mod p, once per pass."""
+        if p not in self.cyclotomic:
+            self.cyclotomic[p] = cyclotomic_factors(self.N, p)
+        return self.cyclotomic[p]
 
     def carries(self, m, u, w, l, p):
         """Whether m, an irreducible factor of phi_N(-t) mod p, divides D_l
@@ -340,8 +322,7 @@ class _SievePass:
             if nonunit is None:
                 rejected.append(words)
                 continue
-            by_branch = {branch: self.kept(found, by_branch[branch]) if usable
-                         else self.triples(found, branch)
+            by_branch = {branch: self.carried(found, branch, by_branch.get(branch))
                          for branch, found in nonunit.items()}
             usable.append(words)
         return usable, rejected, by_branch

@@ -8,7 +8,10 @@ power as a polynomial product of the last, is the reference for the field
 tables the package steps by a linear map.  `sigma1_power`,
 `sieve_determinant`, `determinant_D` and `resultant_with_cyclotomic`
 build one sieve determinant and take its resultant in isolation, where
-the sieve evaluates each (u, w) pair once for every l; `sweep_pairs`
+the sieve evaluates each (u, w) pair once for every l;
+`reference_triples` takes a word set's triples by the gcd of each
+determinant with phi_N(-t) mod p, the reference for the sieve's
+divisibility test; `sweep_pairs`
 flattens a sweep to its classification; `check_type_specification` and
 `type_ii_odd_width_excluded` state lifting conditions of the paper that
 the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
@@ -37,9 +40,11 @@ import sympy
 
 from burausieve.burau import BurauMatrix
 from burausieve.exactalg import IntPoly, _fp_divmod, _fp_mod, _fp_monic, \
-    _fp_mul, cyclotomic, power_by_squaring, substitute_neg
+    _fp_mul, cyclotomic, fp_factor, order_mod, power_by_squaring, \
+    substitute_neg
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
-from burausieve.sieve import _SievePass, _require_distinct_projections
+from burausieve.sieve import ExceptionalTriple, _SievePass, \
+    _require_distinct_projections
 from burausieve.skeleton import Skeleton, UniversalGroupSpec, _closed_form, \
     _euler_genus, _generator_cycles, _LineWalk, enumerate_universal, genus
 from burausieve.typesys import admissible_types
@@ -296,6 +301,29 @@ def reference_resultants(u, w, N):
         d = sieve_determinant(u, w, l)
         out.append(0 if d.is_zero else abs(resultant_with_cyclotomic(d, N)))
     return tuple(out)
+
+
+def reference_triples(N, found, branch):
+    """The exceptional triples of one branch's nonunit resultants
+    (_SievePass.nonunit), by the gcd: for each prime p of each |Res| that
+    the branch accepts and that does not divide N, the irreducible factors
+    of gcd(D_l, phi_N(-t)) mod p, with D_l built on its own and the gcd
+    split at degree ord_N(p)."""
+    cyc = substitute_neg(cyclotomic(N))
+    primes, triples = {}, set()
+    for tag, u, w, l, r in found:
+        if r not in primes:
+            primes[r] = [p for p in sympy.primefactors(r)
+                         if N % p and branch.accepts_prime(p)]
+        if not primes[r]:
+            continue
+        d = sieve_determinant(u, w, l)
+        for p in primes[r]:
+            g = reference_fp_gcd(d.reduce_mod(p), cyc.reduce_mod(p), p)
+            if len(g) > 1:
+                triples.update(ExceptionalTriple(p, IntPoly(f), tag)
+                               for f in fp_factor(g, order_mod(p, N), p))
+    return triples
 
 
 def sweep_pairs(results):

@@ -229,6 +229,19 @@ class TestUnityPrime:
     def test_cached_per_n(self):
         assert unity_prime(9, 1) is unity_prime(9, 1)
 
+    def test_root_of_unity_has_exact_order(self):
+        # every m <= 60 and every prime p = 1 (mod m) below 2,000, m = 1
+        # and p = 2 included
+        pairs = 0
+        for m in range(1, 61):
+            for p in sympy.primerange(2, 2000):
+                if p % m == 1 % m:
+                    z = exactalg._root_of_unity(m, p)
+                    assert sympy.n_order(z, p) == m, (m, p, z)
+                    pairs += 1
+        assert exactalg._root_of_unity(1, 2) == 1
+        assert pairs > 2000
+
     def test_rejects_order_below_two(self):
         with pytest.raises(ValueError):
             unity_prime(1, 0)
@@ -459,9 +472,11 @@ class TestFactorOverPrime:
     """The closed-form factors of phi_N(-t) mod p."""
 
     def test_split_cost(self):
-        # phi(m)^2 ord_m(p) log2(p) for N = p^a m when phi_m(-t) mod p
-        # splits, 0 when it is irreducible
-        assert exactalg.cyclotomic_split_cost(9, 19) == 6 * 6 * 1 * 5
+        # phi(m) log2(p) for N = p^a m when ord_m(p) = 1, phi(m)^2
+        # ord_m(p) log2(p) when phi_m(-t) mod p splits at a higher degree,
+        # 0 when it is irreducible
+        assert exactalg.cyclotomic_split_cost(9, 19) == 6 * 5
+        assert exactalg.cyclotomic_split_cost(2, 2) == 1 * 2
         assert exactalg.cyclotomic_split_cost(7, 2) == 6 * 6 * 3 * 2
         assert exactalg.cyclotomic_split_cost(75, 5) == \
             exactalg.cyclotomic_split_cost(3, 5) == 0

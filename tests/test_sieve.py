@@ -7,9 +7,10 @@ import pytest
 import sympy
 from covector_oracle import FieldElem, Presentation, element_order
 from helpers import count_calls, determinant_D, reference_resultants, \
-    resultant_with_cyclotomic, sieve_determinant, sweep_pairs
+    reference_triples, resultant_with_cyclotomic, sieve_determinant, \
+    sweep_pairs
 
-from burausieve import sieve
+from burausieve import exactalg, sieve
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
 from burausieve.exactalg import IntPoly, _fp_gcd, _fp_mod, _resultant_bound, \
     cyclotomic, cyclotomic_factors, fp_factor, order_mod, parse_poly, \
@@ -174,6 +175,19 @@ class TestInformativeness:
                     assert is_informative(words, N, b), (N, texts, b.char_class)
 
 
+@pytest.fixture(scope="module")
+def reference_sets():
+    """(N, i, branch) -> reference_triples of the i-th built-in word set of
+    N on that branch, for every N of the sweep and every informative set."""
+    out = {}
+    for N in range(7, 27):
+        sieve_pass = sieve._SievePass(N)
+        for i, words in enumerate(candidate_sets_for(N)):
+            for b, found in (sieve_pass.nonunit(words) or {}).items():
+                out[N, i, b] = reference_triples(N, found, b)
+    return out
+
+
 class TestExceptionalTriples:
     def test_golden_rows_survive_at_nine(self):
         triples = exceptional_triples(9, candidate_sets_for(9))
@@ -223,7 +237,7 @@ class TestOrderRule:
         divisible = set()
         for N in (7, 10, 25):
             sieve_pass = sieve._SievePass(N)
-            cyc = sieve_pass.cyc
+            cyc = substitute_neg(cyclotomic(N))
             factors = set()
             for words in candidate_sets_for(N):
                 for branch, found in (sieve_pass.nonunit(words) or {}).items():
@@ -245,46 +259,42 @@ class TestOrderRule:
                     divisible.add((N, p))
         assert divisible == {(7, 7), (10, 5), (25, 5)}
 
-    def test_triples_match_the_gcd_of_each_determinant(self):
-        # the pass takes each gcd of (-t)^l X + Y = (1 + t) D_l; the slow
-        # path builds D_l and takes its gcd with phi_N(-t) mod p
-        for N in (7, 9, 10, 12, 25):
+    def test_triples_match_the_gcd_of_each_determinant(self, reference_sets):
+        # the pass tests each factor of phi_N(-t) mod p for division of
+        # (-t)^l X + Y = (1 + t) D_l; the slow path builds D_l and splits
+        # its gcd with phi_N(-t) mod p, on every informative set of the sweep
+        for N in range(7, 27):
             sieve_pass = sieve._SievePass(N)
-            for words in candidate_sets_for(N):
+            for i, words in enumerate(candidate_sets_for(N)):
                 for branch, found in (sieve_pass.nonunit(words) or {}).items():
-                    slow = set()
-                    for tag, u, w, l, r in found:
-                        d = sieve_determinant(u, w, l)
-                        for p in sympy.primefactors(r):
-                            if N % p == 0 or not branch.accepts_prime(p):
-                                continue
-                            cyc_p = sieve_pass.cyc.reduce_mod(p)
-                            g = _fp_gcd(d.reduce_mod(p), cyc_p, p)
-                            if len(g) > 1:
-                                slow.update(
-                                    ExceptionalTriple(p, IntPoly(fac), tag)
-                                    for fac in fp_factor(g, order_mod(p, N), p))
-                    assert sieve_pass.triples(found, branch) == slow, \
-                        (N, words, branch)
+                    assert sieve_pass.carried(found, branch) \
+                        == reference_sets[N, i, branch], (N, words, branch)
+        assert sum(map(len, reference_sets.values())) > 0
 
-    def test_pruned_intersection_matches_the_slow_path(self):
+    def test_pruned_intersection_matches_the_slow_path(self, reference_sets):
         # the pass finds the first informative set's triples in full and
-        # tests later sets only for those; the slow path, on a fresh pass,
-        # finds every usable set's triples in full and intersects them
-        for N, sets in [(N, candidate_sets_for(N)) for N in range(7, 27)]:
+        # tests later sets only for those; the slow path finds every usable
+        # set's triples in full by the gcd and intersects them
+        for N in range(7, 27):
+            sets = candidate_sets_for(N)
             usable, _, by_branch = sieve._SievePass(N).sieve(sets)
             assert usable, N
-            slow_pass, slow = sieve._SievePass(N), {}
-            for words in usable:
-                for branch, found in slow_pass.nonunit(words).items():
-                    found = slow_pass.triples(found, branch)
-                    slow[branch] = slow[branch] & found if branch in slow else found
+            slow = {}
+            for i, words in enumerate(sets):
+                if words in usable:
+                    for branch in by_branch:
+                        found = reference_sets[N, i, branch]
+                        slow[branch] = slow[branch] & found if branch in slow else found
             assert by_branch == slow, N
 
-    def test_linear_factors_by_evaluation_match_division(self, monkeypatch):
-        # over the raw sweep, every linear m = t - a that kept tests gets
-        # the same verdict by evaluation as by dividing D_l, built by the
-        # slow path, mod p; and kept returns earlier & triples(found, branch)
+    def test_linear_factors_by_evaluation_match_division(self, monkeypatch,
+                                                         reference_sets):
+        # over the raw sweep, every linear m = t - a that carried tests,
+        # on the first informative set and the later ones, gets the same
+        # verdict by evaluation as by dividing D_l, built by the slow path,
+        # mod p: 15,754 tests, where the later sets alone took 7,741.  The
+        # first set's triples are reference_triples', and a later set's are
+        # the earlier ones & its reference_triples
         tested = []
         real_carries = sieve._SievePass.carries
 
@@ -298,20 +308,15 @@ class TestOrderRule:
 
         monkeypatch.setattr(sieve._SievePass, "carries", checking_carries)
         for N in range(7, 27):
-            sieve_pass, earlier = sieve._SievePass(N), None
-            for words in candidate_sets_for(N):
-                nonunit = sieve_pass.nonunit(words)
-                if nonunit is None:
-                    continue
-                if earlier is None:
-                    earlier = {b: sieve_pass.triples(found, b)
-                               for b, found in nonunit.items()}
-                    continue
-                for b, found in nonunit.items():
-                    kept = sieve_pass.kept(found, earlier[b])
-                    assert kept == earlier[b] & sieve_pass.triples(found, b), (N, b)
-                    earlier[b] = kept
-        assert len(tested) == 7741 and any(tested) and not all(tested)
+            sieve_pass, earlier = sieve._SievePass(N), {}
+            for i, words in enumerate(candidate_sets_for(N)):
+                for b, found in (sieve_pass.nonunit(words) or {}).items():
+                    want = reference_sets[N, i, b]
+                    if b in earlier:
+                        want = want & earlier[b]
+                    earlier[b] = sieve_pass.carried(found, b, earlier.get(b))
+                    assert earlier[b] == want, (N, b)
+        assert len(tested) == 15754 and any(tested) and not all(tested)
 
     def test_root_spec_calls(self, monkeypatch):
         # none in the raw sieve; one per candidate pair in the genus filter
@@ -389,45 +394,50 @@ class TestSweep:
         assert len({(frozenset((u, w)), N) for u, w, N in calls}) \
             == len(calls) == 606
 
-    def test_one_split_per_gcd_of_n(self, monkeypatch):
-        # only the first informative set of each N takes gcds, one per
-        # unordered (u, w) and its l, and each distinct gcd of an N is split
-        # once; a later set tests the earlier triples it may carry, a linear
-        # one by evaluation and a longer one by division.  The raw sweep
-        # takes 1,277 gcds, makes 463 splits and 506 divisions, where a gcd
-        # per ordered pair took 2,456 and a division per test 8,247; taking
-        # every set's triples in full took 9,837 gcds and as many splits,
-        # on 1,815 distinct (N, gcd, p)
-        gcds, splits, divisions = [], [], []
-        real_gcd, real_factor, real_mod = sieve._fp_gcd, sieve.fp_factor, sieve._fp_mod
+    def test_no_gcd_and_one_split_per_prime_of_n(self, monkeypatch):
+        # every informative set tests the factors of phi_N(-t) mod p for
+        # division, a linear one by evaluation and a longer one by division,
+        # and the factors are listed once per N and prime: read off a root
+        # of unity when ord_N(p) = 1, split otherwise.  The raw sweep takes
+        # no gcd outside those splits, makes 19 splits and 892 divisions,
+        # where a gcd of each determinant with phi_N(-t) mod p took 1,277
+        # gcds, 463 splits and 506 divisions
+        gcds, splits, divisions, splitting = [], [], [], []
+        real_gcd, real_factor = exactalg._fp_gcd, exactalg.fp_factor
+        real_mod = sieve._fp_mod
 
         def counting_gcd(a, b, p):
-            gcds.append(p)
+            if not splitting:
+                gcds.append(p)
             return real_gcd(a, b, p)
 
         def counting_factor(g, d, p):
-            splits.append((N, g, p))
-            return real_factor(g, d, p)
+            splits.append((N, tuple(g), p))
+            splitting.append(p)
+            try:
+                return real_factor(g, d, p)
+            finally:
+                splitting.pop()
 
         def counting_mod(a, b, p):
             divisions.append(p)
             return real_mod(a, b, p)
 
-        monkeypatch.setattr(sieve, "_fp_gcd", counting_gcd)
-        monkeypatch.setattr(sieve, "fp_factor", counting_factor)
+        monkeypatch.setattr(exactalg, "_fp_gcd", counting_gcd)
+        monkeypatch.setattr(exactalg, "fp_factor", counting_factor)
         monkeypatch.setattr(sieve, "_fp_mod", counting_mod)
         for N in range(7, 27):
             full_sweep((N, N), raw=True)
-        assert len(gcds) == 1277
-        assert len(splits) == len(set(splits)) == 463
-        assert len(divisions) == 506
+        assert gcds == []
+        assert len(splits) == len(set(splits)) == 19
+        assert len(divisions) == 892
 
     def test_kept_stops_once_every_triple_is_shown(self, monkeypatch):
-        # a later set's kept scans its nonunit resultants only until every
-        # earlier triple is shown: 14,135 of the 20,391 entries over the
-        # raw sweep, where a scan of all of them tested nothing more
+        # a later set's carried scans its nonunit resultants only until
+        # every earlier triple is shown: 14,135 of the 20,391 entries over
+        # the raw sweep, where a scan of all of them tested nothing more
         scanned, entries = [], []
-        real_kept = sieve._SievePass.kept
+        real_carried = sieve._SievePass.carried
 
         class Scanned(list):
             def __iter__(self):
@@ -435,11 +445,13 @@ class TestSweep:
                     scanned.append(entry)
                     yield entry
 
-        def counting_kept(self, found, earlier):
+        def counting_carried(self, found, branch, earlier=None):
+            if earlier is None:
+                return real_carried(self, found, branch)
             entries.append(len(found))
-            return real_kept(self, Scanned(found), earlier)
+            return real_carried(self, Scanned(found), branch, earlier)
 
-        monkeypatch.setattr(sieve._SievePass, "kept", counting_kept)
+        monkeypatch.setattr(sieve._SievePass, "carried", counting_carried)
         for N in range(7, 27):
             full_sweep((N, N), raw=True)
         assert (len(scanned), sum(entries)) == (14135, 20391)
@@ -499,7 +511,7 @@ class TestSweep:
     def test_sweep_barely_hashes_polynomials(self, monkeypatch):
         # a pass interns its vectors and keys every memo by them, so the
         # sweep hashes a polynomial only to intern a vector, to look up a
-        # word's vector by its a_T or to hold a triple: 14,336 times,
+        # word's vector by its a_T or to hold a triple: 15,852 times,
         # where memos keyed by IntPoly took 211,531
         hashes = count_calls(monkeypatch, IntPoly, "__hash__")
         full_sweep((7, 26))
