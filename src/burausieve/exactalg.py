@@ -510,7 +510,12 @@ def _root_of_unity(N, P):
             return z
 
 
-def resultant(u, w, N, evaluate=None):
+def vector_norms(v):
+    """The 1-norms of the coefficients of a vector's two polynomials."""
+    return tuple(sum(map(abs, f.coeffs)) for f in v)
+
+
+def resultant(u, w, N, evaluate=None, norms=vector_norms):
     """|Res(phi_N(-t), D_l)| for l = 0, ..., N-1, exact, where u = (u0, u1)
     and w = (w0, w1) are pairs of Laurent polynomials and
     D_l = det[s1^l u | w] = ((-t)^l u0 + b_l u1) w1 - u1 w0 with
@@ -557,12 +562,14 @@ def resultant(u, w, N, evaluate=None):
     a vector v at the zeros of phi_N(-t) modulo unity_prime(N, index)[0],
     as unity_values does by default; a caller that evaluates many pairs
     passes a memo of it, so a vector shared by several pairs is evaluated
-    once per prime.
+    once per prime.  Likewise norms(v) gives the 1-norms of v's two
+    polynomials for the bound, as vector_norms does by default, and a
+    caller passes a memo of it.
     """
     if evaluate is None:
         def evaluate(v, index):
             return [unity_values(f, N, index) for f in v]
-    bound = 2 * _resultant_bound(u, w, N)
+    bound = 2 * _resultant_bound(u, w, N, norms)
     values, modulus, index = None, 1, 0
     while modulus <= bound:
         P, roots = _unity_tables(N, index)
@@ -595,15 +602,15 @@ def resultant(u, w, N, evaluate=None):
     return tuple(modulus - v if v > half else v for v in values)
 
 
-def _resultant_bound(u, w, N):
+def _resultant_bound(u, w, N, norms=vector_norms):
     """The bound B of resultant(u, w, N) on every |Res| (proved there): an
     integer above the product, over the k in 1..N-1 prime to N, of
     n_u0 n_w1 + n_u1 n_w0 + n_u1 n_w1 / sin(pi k/N).  It is taken in exact
     integers, with the C_k >= 2^32 / sin(pi k/N) of _inverse_sines, as 1 +
     floor(prod_k (2^32 (n_u0 n_w1 + n_u1 n_w0) + n_u1 n_w1 C_k) / 2^(32 phi(N))).
+    norms(v) gives the 1-norms n_v0 and n_v1, as in resultant.
     """
-    (u0, u1), (w0, w1) = u, w
-    n_u0, n_u1, n_w0, n_w1 = (sum(map(abs, f.coeffs)) for f in (u0, u1, w0, w1))
+    (n_u0, n_u1), (n_w0, n_w1) = norms(u), norms(w)
     fixed, varying = (n_u0 * n_w1 + n_u1 * n_w0) << _SINE_BITS, n_u1 * n_w1
     inverse_sines = _inverse_sines(N)
     product = math.prod(fixed + varying * c for c in inverse_sines)
@@ -765,6 +772,20 @@ def _fp_gcd(a, b, p):
     while b:
         a, b = b, _fp_reduce(a, b, p)
     return _fp_monic(a, p)
+
+
+def _fp_inverse(a, m, p):
+    """1/a modulo m over F_p, for a reduced, nonzero and prime to m, by the
+    extended Euclid: the cofactor s of a in s a + r m = c, c a nonzero
+    constant, divided by c."""
+    r0, r1 = list(m), list(a)
+    s0, s1 = (), (1,)
+    while len(r1) > 1:
+        q, r = _fp_divmod(r0, r1, p)
+        r0, r1 = r1, list(r)
+        s0, s1 = s1, _fp_add(s0, [-c % p for c in _fp_mul(q, s1, p)], p)
+    inv = pow(r1[0], -1, p)
+    return tuple(c * inv % p for c in s1)
 
 
 def _fp_monic(a, p):

@@ -11,24 +11,40 @@ all its word sets and branches.  A determinant depends only on
 u = b_i v_{T'}, w = b_j v_{T''} and l, and exactalg.resultant evaluates u
 and w once at the roots of phi_N(-t) for the resultants of every l; the
 pass hands it each vector's values at the roots, computed once per
-prime.  The swapped pair (w, u) is not evaluated at all: s1 has
-determinant -t and s1^N = I mod phi_N(-t) (the entries of s1^N - I are
-(-t)^N - 1 and b_N, multiples of phi_N(-t)), so
+prime, and the 1-norms its bound reads, once per vector.  The swapped
+pair (w, u) is not evaluated at all: s1 has determinant -t and
+s1^N = I mod phi_N(-t) (the entries of s1^N - I are (-t)^N - 1 and b_N,
+multiples of phi_N(-t)), so
 
     D_l(u, w) = (-t)^l det[u | s1^-l w] = -(-t)^l D_{-l mod N}(w, u)
 
 mod phi_N(-t), where (-t)^l is a unit.  So |Res_l(u, w)| equals
 |Res_{-l mod N}(w, u)|, and for p not dividing N the two determinants
 have the same factors in common with phi_N(-t) mod p.  A set stops at its
-first zero.  Every informative set is decided by one divisibility test:
-(p, m, T) is carried when m, an irreducible factor of phi_N(-t) mod p,
-divides mod p some determinant of type T whose resultant p divides.  The
-first set tests every factor of phi_N(-t) mod each prime of its
-resultants, listed once per pass and prime; a later set can only shrink
-the intersection, so it tests only the triples still held there.  No
-resultant is factored and no gcd is taken.  Each determinant enters as
-(1 + t) D, formed from u and w on coefficient lists, and a linear m is
-tested by one evaluation.
+first zero.
+
+Every informative set is then decided by an orbit rule on the projective
+line.  (p, m, T) is carried when m, an irreducible factor of phi_N(-t) mod
+p, divides mod p some determinant D_l(u, w) with u of type T.  With
+alpha(v) = (1 + t) v0 - v1 and beta(v) = v1,
+
+    (1 + t) D_l = (-t)^l beta(w) alpha(u) - beta(u) alpha(w),
+
+so at the root theta of m, where zeta = -theta has order N (so neither
+theta nor 1 + theta = 1 - zeta is 0), m divides D_l exactly when
+zeta^l [alpha(u) : beta(u)] = [alpha(w) : beta(w)] on P^1(F_q),
+F_q = F_p[t]/(m), or one point is undefined (alpha = beta = 0).
+Some l works exactly when the two points lie in one orbit of mu_N = <zeta>:
+{0}, {infinity}, or the points of one value of sigma^N, sigma = alpha/beta.
+So each vector gets one key per factor (_SievePass.orbit_key), and a type
+is carried when one of its vectors has a point fixed by mu_N (0, infinity
+or undefined: the pair (u, u), l > 0) or shares its key with another
+vector of the set; an undefined point carries every type.  A hit forces p
+to divide that |Res|, so the first set keys only at the factors of its
+nonunit resultants' primes, each |Res| factored once per pass; a later
+set can only shrink the intersection, so it keys only at the (p, m) of
+the triples still held.  No resultant entry is scanned and no gcd is
+taken.
 
 The coefficient a_T depends on M = ord(xi), which in turn depends on the
 characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
@@ -48,12 +64,18 @@ from itertools import product
 
 from .burau import BraidWord, modular_projection, to_burau
 from .exactalg import IntPoly, cyclotomic_factors, prime_factors, resultant, \
-    unity_values, _fp_eval, _fp_mod
+    unity_values, vector_norms, _fp_eval, _fp_inverse, _fp_mod, _fp_mul, \
+    _fp_pow_mod
 from .skeleton import DEFAULT_STATE_CAP, euler_lhs, orbit_signatures
 from .typesys import epsilon_p, k_threshold, root_spec, \
     type_coefficient_laurent, type_tags
 
 SWEEP_RANGE = (7, 26)
+
+# the orbit keys of the points of P^1(F_q) that mu_N fixes (see
+# _SievePass.orbit_key); every other key is an element of F_q^*
+_UNDEFINED, _ZERO, _INFINITY = "undefined", "zero", "infinity"
+_FIXED = frozenset((_UNDEFINED, _ZERO, _INFINITY))
 
 
 @dataclass(frozen=True)
@@ -149,10 +171,12 @@ class _SievePass:
         self.word_vectors = {}  # (word, a_T) -> b v_T, interned
         self.resultants = {}  # (u, w) -> |Res(phi_N(-t), D_l)| for each l
         self.values = {}  # (v, index) -> v at the roots of unity_prime(N, index)
+        self.vector_norms = {}  # v -> the 1-norms of its two entries
         self.primes = {}  # |Res| -> its primes not dividing N
         self.cyclotomic = {}  # p -> the irreducible factors of phi_N(-t) mod p
-        self.parts = {}  # (u, w) -> the coefficients of X and Y
-        self.linear = {}  # (u, w, p, a) -> X(a), Y(a) mod p
+        self.factor_indices = {}  # p -> factor coefficients -> factor index
+        self.points = {}  # v -> the coefficients of alpha(v), beta(v)
+        self.keys = {}  # (v, p, factor index) -> the orbit key of v's point
 
     def vectors(self, words, branch):
         """Type tag -> the vectors b_i v_T of the words, on this branch, each
@@ -183,7 +207,9 @@ class _SievePass:
             if (w, u) in self.resultants:
                 res = self.resultants[w, u]
                 return res[:1] + res[:0:-1]  # res[-l % N] at l
-            self.resultants[u, w] = resultant(u, w, self.N, evaluate=self.evaluate)
+            self.resultants[u, w] = resultant(u, w, self.N,
+                                              evaluate=self.evaluate,
+                                              norms=self.norms)
         return self.resultants[u, w]
 
     def evaluate(self, v, index):
@@ -194,26 +220,25 @@ class _SievePass:
             self.values[key] = [unity_values(f, self.N, index) for f in v]
         return self.values[key]
 
-    def oriented(self, u, w, l):
-        """(u, w, l) in the orientation the pass holds the pair in: D_l(u, w)
-        and D_{-l mod N}(w, u) differ by a unit mod phi_N(-t), and so mod p,
-        so the same factors of phi_N(-t) mod p divide them."""
-        if (u, w) in self.resultants:
-            return u, w, l
-        return w, u, -l % self.N
+    def norms(self, v):
+        """exactalg.vector_norms(v), once per pass."""
+        if v not in self.vector_norms:
+            self.vector_norms[v] = vector_norms(v)
+        return self.vector_norms[v]
 
     def nonunit(self, words, branches=None):
-        """Branch -> the (T', u, w, l, |Res|) of each nonunit resultant of B,
-        on every branch by default; None if B is not informative for N: it
-        has fewer than k_N words, or some resultant is zero, which proves
-        nothing else, so the pass stops there."""
+        """Branch -> (vectors, moduli): the type tag -> vectors map of B on
+        the branch (see vectors) and the set of its distinct nonunit
+        resultants |Res|, on every branch by default; None if B is not
+        informative for N: it has fewer than k_N words, or some resultant
+        is zero, which proves nothing else, so the pass stops there."""
         if len(words) < k_threshold(self.N):
             return None
         _require_distinct_projections(words)
         out = {}
         for branch in branches or self.branches:
             vecs = self.vectors(words, branch)
-            out[branch] = found = []
+            moduli = set()
             for t1, t2 in product(branch.types, repeat=2):
                 for (i, u), (j, w) in product(enumerate(vecs[t1]),
                                               enumerate(vecs[t2])):
@@ -223,44 +248,106 @@ class _SievePass:
                         r = res[l]
                         if r == 0:
                             return None
-                        if r != 1:
-                            found.append((t1, u, w, l, r))
+                        moduli.add(r)
+            moduli.discard(1)
+            out[branch] = vecs, moduli
         return out
 
-    def carried(self, found, branch, earlier=None):
-        """The exceptional triples that one branch's nonunit resultants
-        carry (see carries).  With no `earlier`, the candidates of (T, p)
-        are every factor of phi_N(-t) mod p, seeded when the scan first
-        meets an accepted prime p not dividing N in a |Res| of type T.
-        Neither t nor 1 + t divides phi_N(-t) mod such a p, so m divides
-        gcd(D_l, phi_N(-t)) exactly when it divides (1 + t) D_l.  With
-        `earlier`, the candidates are its triples, and the scan stops once
-        every one is shown.  A shown triple is not tested again."""
-        if earlier is not None and not earlier:
-            return set()
-        untested = {}  # T -> p -> the triples of (T, p) not yet shown
-        for tr in earlier or ():
-            untested.setdefault(tr.type_tag, {}).setdefault(tr.p, set()).add(tr)
-        shown = set()
-        for tag, u, w, l, r in found:
-            held = untested.setdefault(tag, {})
-            if earlier is None:
+    def carried(self, vecs, moduli, branch, earlier=None):
+        """The exceptional triples (p, m, T) that one branch's vectors carry
+        (see carried_types), for the type tag -> vectors map and the
+        nonunit resultants `moduli` that nonunit gives.  With no
+        `earlier`, every factor m of phi_N(-t) mod p is keyed, for each
+        prime p of the moduli that the branch accepts and that does not
+        divide N: a hit puts m in gcd(D_l, phi_N(-t)) mod p, so p divides
+        that |Res|.  With `earlier`, only the (p, m) of its triples are
+        keyed, and those of its triples whose type is carried are kept."""
+        if earlier is None:
+            primes = set()
+            for r in moduli:
                 if r not in self.primes:
                     self.primes[r] = [p for p in prime_factors(r) if self.N % p]
-                for p in self.primes[r]:
-                    if p not in held and branch.accepts_prime(p):
-                        held[p] = {ExceptionalTriple(p, m, tag)
-                                   for m in self.cyclotomic_factors(p)}
-            tests = [(p, trs) for p, trs in held.items() if trs and r % p == 0]
-            if tests:
-                u, w, l = self.oriented(u, w, l)
-                for p, trs in tests:
-                    hits = {tr for tr in trs if self.carries(tr.min_poly, u, w, l, p)}
-                    trs -= hits
-                    shown |= hits
-                if earlier is not None and len(shown) == len(earlier):
-                    break
+                primes.update(p for p in self.primes[r] if branch.accepts_prime(p))
+            return {ExceptionalTriple(p, m, tag)
+                    for p in primes
+                    for k, m in enumerate(self.cyclotomic_factors(p))
+                    for tag in self.carried_types(vecs, p, k)}
+        held = {}  # (p, factor index) -> the earlier triples there
+        for tr in earlier:
+            k = self.factor_index(tr.p)[tr.min_poly.coeffs]
+            held.setdefault((tr.p, k), []).append(tr)
+        shown = set()
+        for (p, k), triples in held.items():
+            types = self.carried_types(vecs, p, k)
+            shown.update(tr for tr in triples if tr.type_tag in types)
         return shown
+
+    def carried_types(self, vecs, p, k):
+        """The type tags T of vecs with a vector u such that the k-th factor
+        m of phi_N(-t) mod p divides D_l(u, w) mod p for some vector w of
+        vecs and some l, l > 0 when w is u, by the orbit rule (see the
+        module docstring): w is hit from u exactly when their points on
+        P^1(F_q) lie in one mu_N-orbit, that is share an orbit_key; u is
+        hit from itself exactly when mu_N fixes its point (0, infinity or
+        undefined); and an undefined point is hit from every u, so it
+        carries every type."""
+        keys = [(tag, self.orbit_key(v, p, k))
+                for tag, vs in vecs.items() for v in vs]
+        seen, shared = set(), set()
+        for _, key in keys:
+            (shared if key in seen else seen).add(key)
+        if _UNDEFINED in seen:
+            return set(vecs)
+        return {tag for tag, key in keys if key in shared or key in _FIXED}
+
+    def orbit_key(self, v, p, k):
+        """The mu_N-orbit of the point [alpha(v) : beta(v)] of P^1(F_q) at
+        the root theta of the k-th factor m of phi_N(-t) mod p (see
+        carried_types), once per pass: _UNDEFINED, _ZERO or _INFINITY at
+        the fixed points, and otherwise sigma^N for sigma = alpha/beta,
+        the same for two points exactly when they lie in one orbit, since
+        mu_N is the whole N-torsion of the cyclic group F_q^*.  For a
+        linear m, theta is in F_p and the key an int; otherwise it is a
+        coefficient tuple modulo m, reached by list arithmetic over F_p,
+        with no table of F_q."""
+        key = (v, p, k)
+        if key not in self.keys:
+            m = self.cyclotomic_factors(p)[k].coeffs
+            alpha, beta = self.point(v)
+            if len(m) == 2:
+                theta = -m[0] % p
+                x, y = _fp_eval(alpha, theta, p), _fp_eval(beta, theta, p)
+            else:
+                x = _fp_mod([c % p for c in alpha], m, p)
+                y = _fp_mod([c % p for c in beta], m, p)
+            if not y:
+                self.keys[key] = _INFINITY if x else _UNDEFINED
+            elif not x:
+                self.keys[key] = _ZERO
+            elif len(m) == 2:
+                self.keys[key] = pow(x * pow(y, -1, p), self.N, p)
+            else:
+                sigma = _fp_mod(_fp_mul(x, _fp_inverse(y, m, p), p), m, p)
+                self.keys[key] = _fp_pow_mod(sigma, self.N, m, p)
+        return self.keys[key]
+
+    def point(self, v):
+        """The coefficient lists of alpha(v) = (1 + t) v0 - v1 and
+        beta(v) = v1 (see carried_types), both multiplied by the one power
+        of t that makes them polynomials, which leaves their point
+        [alpha : beta] unchanged."""
+        if v not in self.points:
+            v0, v1 = v
+            low = min(v0.shift, v1.shift)
+            beta = [0] * (v1.shift - low) + list(v1.coeffs)
+            alpha = [0] * max(v0.shift + len(v0.coeffs) + 1 - low, len(beta))
+            for i, c in enumerate(v0.coeffs, v0.shift - low):
+                alpha[i] += c
+                alpha[i + 1] += c
+            for i, c in enumerate(beta):
+                alpha[i] -= c
+            self.points[v] = alpha, beta
+        return self.points[v]
 
     def cyclotomic_factors(self, p):
         """The irreducible factors of phi_N(-t) mod p, once per pass."""
@@ -268,47 +355,13 @@ class _SievePass:
             self.cyclotomic[p] = cyclotomic_factors(self.N, p)
         return self.cyclotomic[p]
 
-    def carries(self, m, u, w, l, p):
-        """Whether m, an irreducible factor of phi_N(-t) mod p, divides D_l
-        mod p, for (u, w, l) as the pass holds the pair (see oriented).  A
-        linear m = t - a divides it when (-a)^l X(a) + Y(a) = 0 mod p (see
-        reduced), with X(a) and Y(a) taken once per (u, w, p, a); a longer
-        m is tested by division."""
-        if len(m.coeffs) > 2:
-            return not _fp_mod(self.reduced(u, w, l, p), m.coeffs, p)
-        a = -m.coeffs[0] % p
-        key = (u, w, p, a)
-        if key not in self.linear:
-            self.linear[key] = tuple(_fp_eval(c, a, p) for c in self.twisted_parts(u, w))
-        x, y = self.linear[key]
-        return (pow(-a, l, p) * x + y) % p == 0
-
-    def reduced(self, u, w, l, p):
-        """(1 + t) D_l mod p on coefficient lists, up to a power of t.
-
-        With s = -t, (1 - s) D_l = s^l X + Y for X = (1 - s) u0 w1 - u1 w1
-        and Y = u1 w1 - (1 - s) u1 w0, which depend on (u, w) only.  For p
-        not dividing N, neither 1 - s = 1 + t nor t divides phi_N(-t) mod p
-        (phi_N(1) is 1 or the prime whose power N is), so s^l X + Y stands
-        for D_l.  It is formed on coefficient lists, and no D_l is built.
-        """
-        x, y = self.twisted_parts(u, w)
-        d = y + [0] * (len(x) + l - len(y))
-        sign = -1 if l % 2 else 1
-        d[l:l + len(x)] = [a + sign * b for a, b in zip(d[l:], x)]
-        return [c % p for c in d]
-
-    def twisted_parts(self, u, w):
-        """The coefficients of X and Y (see reduced), at one power of t."""
-        if (u, w) not in self.parts:
-            (u0, u1), (w0, w1) = u, w
-            one_plus_t = IntPoly((1, 1))
-            a, b = one_plus_t * u0 * w1, u1 * w1
-            x, y = a - b, b - one_plus_t * u1 * w0
-            low = min(x.shift, y.shift)
-            self.parts[u, w] = ([0] * (x.shift - low) + list(x.coeffs),
-                                [0] * (y.shift - low) + list(y.coeffs))
-        return self.parts[u, w]
+    def factor_index(self, p):
+        """The coefficients of each factor of phi_N(-t) mod p -> its index
+        in cyclotomic_factors(p), once per pass."""
+        if p not in self.factor_indices:
+            self.factor_indices[p] = {m.coeffs: k for k, m in
+                                      enumerate(self.cyclotomic_factors(p))}
+        return self.factor_indices[p]
 
     def sieve(self, word_sets):
         """Split the word sets into the informative ones and the rest, and
@@ -322,8 +375,9 @@ class _SievePass:
             if nonunit is None:
                 rejected.append(words)
                 continue
-            by_branch = {branch: self.carried(found, branch, by_branch.get(branch))
-                         for branch, found in nonunit.items()}
+            by_branch = {branch: self.carried(vecs, moduli, branch,
+                                              by_branch.get(branch))
+                         for branch, (vecs, moduli) in nonunit.items()}
             usable.append(words)
         return usable, rejected, by_branch
 

@@ -9,9 +9,10 @@ tables the package steps by a linear map.  `sigma1_power`,
 `sieve_determinant`, `determinant_D` and `resultant_with_cyclotomic`
 build one sieve determinant and take its resultant in isolation, where
 the sieve evaluates each (u, w) pair once for every l;
-`reference_triples` takes a word set's triples by the gcd of each
-determinant with phi_N(-t) mod p, the reference for the sieve's
-divisibility test; `sweep_pairs`
+`nonunit_entries` lists a word set's nonunit resultants one by one,
+and `reference_triples` takes its triples by the gcd of each
+determinant with phi_N(-t) mod p, the reference for the sieve's orbit
+rule; `sweep_pairs`
 flattens a sweep to its classification; `check_type_specification` and
 `type_ii_odd_width_excluded` state lifting conditions of the paper that
 the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
@@ -33,7 +34,7 @@ lines, cycle by cycle.
 
 import sys
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 from math import gcd, lcm
 
 import sympy
@@ -303,15 +304,32 @@ def reference_resultants(u, w, N):
     return tuple(out)
 
 
-def reference_triples(N, found, branch):
-    """The exceptional triples of one branch's nonunit resultants
-    (_SievePass.nonunit), by the gcd: for each prime p of each |Res| that
-    the branch accepts and that does not divide N, the irreducible factors
-    of gcd(D_l, phi_N(-t)) mod p, with D_l built on its own and the gcd
-    split at degree ord_N(p)."""
+def nonunit_entries(sieve_pass, words, branch):
+    """The (T', u, w, l, |Res|) of each nonunit resultant of the word set on
+    one branch, for every (T', T'', i, j, l) but the zero (T, T, i, i, 0),
+    read from the pass's resultants_of, where the sieve keeps only the
+    distinct |Res|."""
+    vecs = sieve_pass.vectors(words, branch)
+    out = []
+    for t1, t2 in product(branch.types, repeat=2):
+        for (i, u), (j, w) in product(enumerate(vecs[t1]), enumerate(vecs[t2])):
+            res = sieve_pass.resultants_of(u, w)
+            out += [(t1, u, w, l, res[l])
+                    for l in range(int(t1 == t2 and i == j), sieve_pass.N)
+                    if res[l] != 1]
+    return out
+
+
+def reference_triples(sieve_pass, words, branch):
+    """The exceptional triples of one word set on one branch, by the gcd:
+    for each prime p of each nonunit |Res| (nonunit_entries) that the
+    branch accepts and that does not divide N, the irreducible factors of
+    gcd(D_l, phi_N(-t)) mod p, with D_l built on its own and the gcd split
+    at degree ord_N(p)."""
+    N = sieve_pass.N
     cyc = substitute_neg(cyclotomic(N))
     primes, triples = {}, set()
-    for tag, u, w, l, r in found:
+    for tag, u, w, l, r in nonunit_entries(sieve_pass, words, branch):
         if r not in primes:
             primes[r] = [p for p in sympy.primefactors(r)
                          if N % p and branch.accepts_prime(p)]

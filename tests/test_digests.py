@@ -34,6 +34,13 @@ SKELETONS = [
 CONFIGS = {
     "cap5.json": {"state_cap": 5},
     "sets9.json": {"informative_sets": {"9": [["e"]]}},
+    # sets whose raw output holds 96 triples of degree > 1, and whose
+    # vectors' points include 0 and infinity at some factors
+    "wide.json": {"informative_sets": {
+        "11": [["T s2^-1 s1"], ["s1 s2"]],
+        "13": [["s1^-1 T s2^-1 s1"]],
+        "21": [["T s2 s1^-1"], ["T s2^-1 s1 T s2 s1^-1"]],
+        "24": [["s2 T s2 s1^-1"]]}},
 }
 
 COMMANDS = [
@@ -56,6 +63,8 @@ COMMANDS = [
     ("--config", "{config}/cap5.json", "table", "--verify"),
     # {"e"} is not informative for N = 9, so the built-in sets of N = 9 run
     ("--config", "{config}/sets9.json", "sieve", "--n-range", "9..9", "--json"),
+    ("--config", "{config}/wide.json", "sieve", "--n-range", "11..24", "--raw",
+     "--json"),
 ]
 
 

@@ -456,6 +456,23 @@ class TestResultantByEvaluation:
             assert bound <= 1 + (n_u0 * n_w1 + (N - 1) * n_u1 * n_w1
                                  + n_u1 * n_w0) ** totient(N)
 
+    def test_norms_hook(self):
+        # a caller's norms(v) feeds the bound, as vector_norms by default
+        rng = random.Random(17)
+        seen = []
+
+        def norms(v):
+            seen.append(v)
+            return exactalg.vector_norms(v)
+
+        for _ in range(20):
+            N = rng.randint(2, 30)
+            u = (random_laurent(rng, 5), random_laurent(rng, 5))
+            w = (random_laurent(rng, 5), random_laurent(rng, 5))
+            assert exactalg.resultant(u, w, N, norms=norms) == exactalg.resultant(u, w, N)
+            assert seen[-2:] == [u, w]
+            assert exactalg.vector_norms(u) == tuple(sum(map(abs, f.coeffs)) for f in u)
+
     def test_inverse_sines_bound_the_exact_values(self):
         # C_k >= 2^32 / sin(pi k/N), against the sine to 40 digits, and
         # within 2^-38 of it relatively, up to the rounding up
@@ -581,6 +598,25 @@ class TestFpRemainders:
     def test_untrimmed_and_list_inputs(self):
         # trailing zero coefficients and lists, as the sieve passes them
         assert exactalg._fp_gcd([1, 2, 1, 0, 0], [1, 1, 0], 5) == (1, 1)
+
+    def test_inverse_modulo_an_irreducible(self):
+        # a * (1/a) = 1 modulo each factor of phi_N(-t) mod p of degree 1
+        # to 6, for random nonzero residues a, and against sympy's invert
+        rng = random.Random(14)
+        t = sympy.Symbol("t")
+        for N, p in ((9, 19), (8, 3), (7, 2), (10, 3), (21, 2), (11, 3)):
+            for m in cyclotomic_factors(N, p):
+                m = m.coeffs
+                for _ in range(8):
+                    a = self.random_poly(rng, p, len(m) - 2) or (1,)
+                    inverse = exactalg._fp_inverse(a, m, p)
+                    assert len(inverse) < len(m)
+                    assert exactalg._fp_mod(exactalg._fp_mul(a, inverse, p), m, p) == (1,)
+                    want = sympy.Poly(sympy.invert(
+                        sympy.Poly(a[::-1], t, modulus=p).as_expr(),
+                        sympy.Poly(m[::-1], t, modulus=p).as_expr(), t, modulus=p),
+                        t, modulus=p)
+                    assert inverse == tuple(c % p for c in want.all_coeffs()[::-1])
 
     def test_determinant_zero_mod_p_keeps_all_of_phi(self):
         # D = 19 t + 38 is 0 mod 19: its gcd is all of phi_9(-t) mod 19,

@@ -1,14 +1,15 @@
 """The resultant sieve: determinants, informativeness, candidate extraction."""
 
+import random
 from collections import Counter
 from itertools import product
 
 import pytest
 import sympy
 from covector_oracle import FieldElem, Presentation, element_order
-from helpers import count_calls, determinant_D, reference_resultants, \
-    reference_triples, resultant_with_cyclotomic, sieve_determinant, \
-    sweep_pairs
+from helpers import count_calls, determinant_D, nonunit_entries, \
+    reference_fp_gcd, reference_resultants, reference_triples, \
+    resultant_with_cyclotomic, sieve_determinant, sweep_pairs
 
 from burausieve import exactalg, sieve
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
@@ -26,7 +27,7 @@ from burausieve.sieve import (
     is_informative,
     parse_word_set,
 )
-from burausieve.typesys import root_spec
+from burausieve.typesys import k_threshold, root_spec
 
 ID = [BraidWord.identity()]
 
@@ -183,8 +184,8 @@ def reference_sets():
     for N in range(7, 27):
         sieve_pass = sieve._SievePass(N)
         for i, words in enumerate(candidate_sets_for(N)):
-            for b, found in (sieve_pass.nonunit(words) or {}).items():
-                out[N, i, b] = reference_triples(N, found, b)
+            for b in sieve_pass.nonunit(words) or {}:
+                out[N, i, b] = reference_triples(sieve_pass, words, b)
     return out
 
 
@@ -240,8 +241,8 @@ class TestOrderRule:
             cyc = substitute_neg(cyclotomic(N))
             factors = set()
             for words in candidate_sets_for(N):
-                for branch, found in (sieve_pass.nonunit(words) or {}).items():
-                    for _, u, w, l, r in found:
+                for branch in sieve_pass.nonunit(words) or {}:
+                    for _, u, w, l, r in nonunit_entries(sieve_pass, words, branch):
                         d = sieve_determinant(u, w, l)
                         for p in sympy.primefactors(r):
                             if not branch.accepts_prime(p):
@@ -260,14 +261,14 @@ class TestOrderRule:
         assert divisible == {(7, 7), (10, 5), (25, 5)}
 
     def test_triples_match_the_gcd_of_each_determinant(self, reference_sets):
-        # the pass tests each factor of phi_N(-t) mod p for division of
-        # (-t)^l X + Y = (1 + t) D_l; the slow path builds D_l and splits
-        # its gcd with phi_N(-t) mod p, on every informative set of the sweep
+        # the pass keys each vector's point at each factor of phi_N(-t) mod
+        # p by its mu_N-orbit; the slow path builds each D_l and splits its
+        # gcd with phi_N(-t) mod p, on every informative set of the sweep
         for N in range(7, 27):
             sieve_pass = sieve._SievePass(N)
             for i, words in enumerate(candidate_sets_for(N)):
-                for branch, found in (sieve_pass.nonunit(words) or {}).items():
-                    assert sieve_pass.carried(found, branch) \
+                for branch, (vecs, moduli) in (sieve_pass.nonunit(words) or {}).items():
+                    assert sieve_pass.carried(vecs, moduli, branch) \
                         == reference_sets[N, i, branch], (N, words, branch)
         assert sum(map(len, reference_sets.values())) > 0
 
@@ -287,36 +288,50 @@ class TestOrderRule:
                         slow[branch] = slow[branch] & found if branch in slow else found
             assert by_branch == slow, N
 
-    def test_linear_factors_by_evaluation_match_division(self, monkeypatch,
-                                                         reference_sets):
-        # over the raw sweep, every linear m = t - a that carried tests,
-        # on the first informative set and the later ones, gets the same
-        # verdict by evaluation as by dividing D_l, built by the slow path,
-        # mod p: 15,754 tests, where the later sets alone took 7,741.  The
-        # first set's triples are reference_triples', and a later set's are
-        # the earlier ones & its reference_triples
+    def test_orbit_verdicts_match_division(self, monkeypatch):
+        # over the raw sweep, at each factor m of phi_N(-t) mod p that a
+        # set keys on a branch, first sets and later ones, and for each
+        # ordered pair (u, w) of the set's vectors there, the orbit verdict
+        # equals whether m divides D_l(u, w) mod p for some l (l > 0 when w
+        # is u), found by the gcd of D_l with phi_N(-t) mod p and a division
+        # of it by m: 1,891 (set, p, m) over 35,945 pairs, with m of degree
+        # 1, 2, 3, 4 and 6.  The verdict: w is u and its point is fixed, or
+        # w is not u and the two points share a key, or one of them is
+        # undefined.  phi_N(-t) is monic, so the gcd is nontrivial exactly
+        # when p divides |Res_l|, and only those l are divided
         tested = []
-        real_carries = sieve._SievePass.carries
+        real = sieve._SievePass.carried_types
 
-        def checking_carries(self, m, u, w, l, p):
-            verdict = real_carries(self, m, u, w, l, p)
-            if m.degree == 1:
-                d = sieve_determinant(u, w, l).reduce_mod(p)
-                assert verdict == (not _fp_mod(d, m.coeffs, p)), (u, w, l, p, m)
-                tested.append(verdict)
-            return verdict
+        def recording(self, vecs, p, k):
+            tested.append((self, [v for vs in vecs.values() for v in vs], p, k))
+            return real(self, vecs, p, k)
 
-        monkeypatch.setattr(sieve._SievePass, "carries", checking_carries)
+        monkeypatch.setattr(sieve._SievePass, "carried_types", recording)
         for N in range(7, 27):
-            sieve_pass, earlier = sieve._SievePass(N), {}
-            for i, words in enumerate(candidate_sets_for(N)):
-                for b, found in (sieve_pass.nonunit(words) or {}).items():
-                    want = reference_sets[N, i, b]
-                    if b in earlier:
-                        want = want & earlier[b]
-                    earlier[b] = sieve_pass.carried(found, b, earlier.get(b))
-                    assert earlier[b] == want, (N, b)
-        assert len(tested) == 15754 and any(tested) and not all(tested)
+            sieve._SievePass(N).sieve(candidate_sets_for(N))
+        divisors, verdicts, degrees = {}, Counter(), set()
+        for sieve_pass, vs, p, k in tested:
+            N, m = sieve_pass.N, sieve_pass.cyclotomic_factors(p)[k].coeffs
+            degrees.add(len(m) - 1)
+            cyc = substitute_neg(cyclotomic(N)).reduce_mod(p)
+            keys = [sieve_pass.orbit_key(v, p, k) for v in vs]
+            for (u, key_u), (w, key_w) in product(zip(vs, keys), repeat=2):
+                if (N, u, w, p) not in divisors:
+                    res = sieve_pass.resultants_of(u, w)
+                    gcds = [reference_fp_gcd(sieve_determinant(u, w, l).reduce_mod(p),
+                                             cyc, p)
+                            for l in range(int(u is w), N) if res[l] % p == 0]
+                    assert all(len(g) > 1 for g in gcds), (N, p, u, w)
+                    divisors[N, u, w, p] = gcds
+                divides = any(not _fp_mod(g, m, p) for g in divisors[N, u, w, p])
+                if u is w:
+                    orbit = key_u in sieve._FIXED
+                else:
+                    orbit = key_u == key_w or sieve._UNDEFINED in (key_u, key_w)
+                assert orbit == divides, (N, p, m, u, w, key_u, key_w)
+                verdicts[orbit] += 1
+        assert len(tested) == 1891 and sum(verdicts.values()) == 35945
+        assert verdicts[True] > 0 and degrees == {1, 2, 3, 4, 6}
 
     def test_root_spec_calls(self, monkeypatch):
         # none in the raw sieve; one per candidate pair in the genus filter
@@ -334,6 +349,101 @@ class TestOrderRule:
         pairs = {(tr.p, str(tr.min_poly))
                  for trs in raw[25]["branches"].values() for tr in trs}
         assert pairs and sorted(calls) == sorted(pairs)
+
+
+def divided_types(vecs, N, p, m):
+    """The tags T with a vector u such that m divides D_l(u, w) mod p for
+    some vector w of vecs and some l (l > 0 when w is u), by division."""
+    tagged = [(tag, v) for tag, vs in vecs.items() for v in vs]
+    return {tag for tag, u in tagged for _, w in tagged
+            if any(not _fp_mod(sieve_determinant(u, w, l).reduce_mod(p), m, p)
+                   for l in range(int(u is w), N))}
+
+
+class TestOrbitRule:
+    """The orbit rule on vectors placed at each kind of point of P^1(F_q),
+    and on seeded random word sets, against division and the gcd."""
+
+    @pytest.mark.parametrize("N, p", [(9, 19), (8, 3), (7, 2)],
+                             ids=["linear", "quadratic", "cubic"])
+    def test_points_at_zero_infinity_and_undefined(self, N, p):
+        # at the root theta of the first factor m of phi_N(-t) mod p:
+        # alpha = (1 + t) v0 - v1 and beta = v1 give [0:1] for (1, 1 + t - m),
+        # [1:0] for (1, m), no point for (m, m), [theta:1] for (1, 1) and
+        # [-theta^2:1] = zeta [theta:1] for (1 - t, 1), in its orbit
+        sieve_pass = sieve._SievePass(N)
+        factors = sieve_pass.cyclotomic_factors(p)
+        m = factors[0]
+        one, t = IntPoly.one(), IntPoly.t()
+        points = {
+            "zero": sieve._Vector((one, one + t - m)),
+            "infinity": sieve._Vector((one, m)),
+            "undefined": sieve._Vector((m, m)),
+            "generic": sieve._Vector((one, one)),
+            "rotated": sieve._Vector((one - t, one)),
+        }
+        keys = {name: sieve_pass.orbit_key(v, p, 0) for name, v in points.items()}
+        assert keys["zero"] == sieve._ZERO and keys["infinity"] == sieve._INFINITY
+        assert keys["undefined"] == sieve._UNDEFINED
+        assert keys["generic"] == keys["rotated"] not in sieve._FIXED
+        # the diagonal pair (u, u) is hit, at some l > 0, at a fixed point only
+        for name, v in points.items():
+            assert divided_types({name: [v]}, N, p, m.coeffs) \
+                == ({name} if name in ("zero", "infinity", "undefined") else set())
+        cases = [
+            ({"I": [points["zero"]], "II": [points["generic"]]}, {"I"}),
+            ({"I": [points["infinity"]], "II": [points["generic"]]}, {"I"}),
+            ({"I": [points["generic"]], "II": [points["undefined"]]}, {"I", "II"}),
+            ({"I": [points["generic"]], "II": [points["rotated"]]}, {"I", "II"}),
+            ({"I": [points["zero"], points["infinity"]], "II": [points["generic"]]},
+             {"I"}),
+        ]
+        branch, = [b for b in sieve_pass.branches if b.accepts_prime(p)]
+        for vecs, want in cases:
+            assert sieve_pass.carried_types(vecs, p, 0) == want, vecs
+            assert divided_types(vecs, N, p, m.coeffs) == want, vecs
+            # every factor of phi_N(-t) mod p, as carried keys them
+            assert sieve_pass.carried(vecs, {p}, branch) == {
+                ExceptionalTriple(p, f, tag) for f in factors
+                for tag in divided_types(vecs, N, p, f.coeffs)}
+
+    def test_random_word_sets_match_the_slow_path(self):
+        # for each N of the sweep, the first two informative sets of k_N
+        # seeded random words, each a product of 0 to 4 factors from
+        # beta1, beta2, s1, s2^-1 and T: each set's triples and their
+        # intersection, against the gcd of each determinant.  Points at 0
+        # and at infinity occur among them (27 keys each), and factors of
+        # every degree from 1 to 6
+        rng = random.Random(20121)
+        factors = parse_word_set(["T s2 s1^-1", "T s2^-1 s1", "s1", "s2^-1", "T"])
+        fixed, degrees = Counter(), set()
+        for N in range(7, 27):
+            sieve_pass, sets = sieve._SievePass(N), []
+            while len(sets) < 2:
+                words = []
+                for _ in range(k_threshold(N)):
+                    word = BraidWord.identity()
+                    for _ in range(rng.randint(0, 4)):
+                        word = word * rng.choice(factors)
+                    words.append(word)
+                try:
+                    if sieve_pass.nonunit(words) is not None:
+                        sets.append(words)
+                except ValueError:  # two words share a projection
+                    continue
+            slow = {}
+            for words in sets:
+                for b, (vecs, moduli) in sieve_pass.nonunit(words).items():
+                    found = reference_triples(sieve_pass, words, b)
+                    assert sieve_pass.carried(vecs, moduli, b) == found, (N, words)
+                    slow[b] = slow[b] & found if b in slow else found
+                    degrees.update(tr.min_poly.degree for tr in found)
+            usable, _, by_branch = sieve._SievePass(N).sieve(sets)
+            assert usable == sets and by_branch == slow, N
+            fixed.update(key for key in sieve_pass.keys.values()
+                         if key in sieve._FIXED)
+        assert fixed[sieve._ZERO] == fixed[sieve._INFINITY] == 27
+        assert degrees == {1, 2, 3, 4, 5, 6}
 
 
 class TestSweep:
@@ -395,16 +505,18 @@ class TestSweep:
             == len(calls) == 606
 
     def test_no_gcd_and_one_split_per_prime_of_n(self, monkeypatch):
-        # every informative set tests the factors of phi_N(-t) mod p for
-        # division, a linear one by evaluation and a longer one by division,
-        # and the factors are listed once per N and prime: read off a root
-        # of unity when ord_N(p) = 1, split otherwise.  The raw sweep takes
-        # no gcd outside those splits, makes 19 splits and 892 divisions,
-        # where a gcd of each determinant with phi_N(-t) mod p took 1,277
-        # gcds, 463 splits and 506 divisions
-        gcds, splits, divisions, splitting = [], [], [], []
+        # every informative set keys its vectors' points at the factors of
+        # phi_N(-t) mod p, and the factors are listed once per N and prime:
+        # read off a root of unity when ord_N(p) = 1, split otherwise.  The
+        # raw sweep takes no gcd outside those splits, makes 19 splits and
+        # 6,413 orbit keys, one per (vector, p, factor) it reads 7,181
+        # times: 5,851 at a linear factor by evaluation and 562 at a longer
+        # one by arithmetic modulo it.  A divisibility test per determinant
+        # took 15,754 evaluations and 892 divisions, and a gcd of each
+        # determinant 1,277 gcds, 463 splits and 506 divisions
+        gcds, splits, splitting, keys = [], [], [], []
         real_gcd, real_factor = exactalg._fp_gcd, exactalg.fp_factor
-        real_mod = sieve._fp_mod
+        real_key = sieve._SievePass.orbit_key
 
         def counting_gcd(a, b, p):
             if not splitting:
@@ -419,42 +531,47 @@ class TestSweep:
             finally:
                 splitting.pop()
 
-        def counting_mod(a, b, p):
-            divisions.append(p)
-            return real_mod(a, b, p)
+        def counting_key(self, v, p, k):
+            degree = len(self.cyclotomic_factors(p)[k].coeffs) - 1
+            keys.append((self.N, v, p, k, degree))
+            return real_key(self, v, p, k)
 
         monkeypatch.setattr(exactalg, "_fp_gcd", counting_gcd)
         monkeypatch.setattr(exactalg, "fp_factor", counting_factor)
-        monkeypatch.setattr(sieve, "_fp_mod", counting_mod)
+        monkeypatch.setattr(sieve._SievePass, "orbit_key", counting_key)
         for N in range(7, 27):
             full_sweep((N, N), raw=True)
         assert gcds == []
         assert len(splits) == len(set(splits)) == 19
-        assert len(divisions) == 892
+        degrees = Counter(key[4] > 1 for key in set(keys))
+        assert (len(keys), degrees[False], degrees[True]) == (7181, 5851, 562)
 
-    def test_kept_stops_once_every_triple_is_shown(self, monkeypatch):
-        # a later set's carried scans its nonunit resultants only until
-        # every earlier triple is shown: 14,135 of the 20,391 entries over
-        # the raw sweep, where a scan of all of them tested nothing more
-        scanned, entries = [], []
+    def test_later_sets_key_only_the_earlier_factors(self, monkeypatch):
+        # a later set keys its points only at the (p, m) of the triples the
+        # sets before it kept: 715 of the raw sweep's 1,891 (set, p, m),
+        # where the first sets key every factor of each prime of their
+        # nonunit resultants
+        keyed, earlier = [], []
         real_carried = sieve._SievePass.carried
+        real_types = sieve._SievePass.carried_types
 
-        class Scanned(list):
-            def __iter__(self):
-                for entry in list.__iter__(self):
-                    scanned.append(entry)
-                    yield entry
+        def recording_carried(self, vecs, moduli, branch, before=None):
+            earlier.append(before)
+            return real_carried(self, vecs, moduli, branch, before)
 
-        def counting_carried(self, found, branch, earlier=None):
-            if earlier is None:
-                return real_carried(self, found, branch)
-            entries.append(len(found))
-            return real_carried(self, Scanned(found), branch, earlier)
+        def recording_types(self, vecs, p, k):
+            before = earlier[-1]
+            if before is not None:
+                m = self.cyclotomic_factors(p)[k]
+                assert any((tr.p, tr.min_poly) == (p, m) for tr in before)
+            keyed.append(before is not None)
+            return real_types(self, vecs, p, k)
 
-        monkeypatch.setattr(sieve._SievePass, "carried", counting_carried)
+        monkeypatch.setattr(sieve._SievePass, "carried", recording_carried)
+        monkeypatch.setattr(sieve._SievePass, "carried_types", recording_types)
         for N in range(7, 27):
             full_sweep((N, N), raw=True)
-        assert (len(scanned), sum(entries)) == (14135, 20391)
+        assert (sum(keyed), len(keyed)) == (715, 1891)
 
     def test_resultants_match_the_reference_on_every_key(self, monkeypatch):
         # every (u, w) the raw sweep of N = 7..10 reads, at every l, against
@@ -511,11 +628,24 @@ class TestSweep:
     def test_sweep_barely_hashes_polynomials(self, monkeypatch):
         # a pass interns its vectors and keys every memo by them, so the
         # sweep hashes a polynomial only to intern a vector, to look up a
-        # word's vector by its a_T or to hold a triple: 15,852 times,
-        # where memos keyed by IntPoly took 211,531
+        # word's vector by its a_T or to hold a triple: 11,129 times, where
+        # a scan over every nonunit resultant took 15,852 and memos keyed
+        # by IntPoly 211,531
         hashes = count_calls(monkeypatch, IntPoly, "__hash__")
         full_sweep((7, 26))
         assert len(hashes) <= 21153
+
+    def test_norms_once_per_vector(self, monkeypatch):
+        # resultant's bound reads the 1-norms of each vector's two entries
+        # from the pass, which takes them once per vector: 287 vectors for
+        # the raw sweep's 1,131 resultants, where each call took the norms
+        # of both its vectors
+        norms = count_calls(monkeypatch, sieve, "vector_norms")
+        calls = count_calls(monkeypatch, sieve, "resultant")
+        full_sweep((7, 26), raw=True)
+        vectors = {id(v): v for u, w, _ in calls for v in (u, w)}
+        assert len(calls) == 1131
+        assert len(norms) == 287 and {id(v) for v, in norms} == set(vectors)
 
     def test_sweep_resultants_need_few_primes(self, monkeypatch):
         # every |Res| of the sweep lies within resultant's bound B, and the

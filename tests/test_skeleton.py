@@ -609,3 +609,25 @@ class TestClosedFormOverSmallFields:
                             (str(root), tag, ambient)
                     rejected += 1
         assert (closed, rejected) == (2984, 20)
+
+
+class TestLiftOverSmallFields:
+    """The lift against the covector BFS on the roots a user may pass to
+    `skeleton --json`, not only the classification's, N < 7 included."""
+
+    def test_lift_is_the_covector_bfs_on_a_seeded_sample(self):
+        # a seeded sample of 500 of the 10,324 specs of every monic
+        # irreducible m of degree 1 to 3 over F_p with q <= 125, every
+        # admissible tag and both ambients, 45 of them with N < 7: the
+        # lift's black, white and region and the walk's signature and
+        # genus are the covector BFS's.  A walk has at most q + 1 lines
+        # and k <= q - 1, so each has at most 15,624 edges
+        specs = [UniversalGroupSpec(root, tag, ambient)
+                 for root in small_field_roots(113, 125)
+                 for tag in sorted(admissible_types(root))
+                 for ambient in ("bu3", "b3")]
+        sample = random.Random(30).sample(specs, 500)
+        for spec in sample:
+            assert_voltage_walk_matches(spec)
+        assert len(specs) == 10324
+        assert sum(spec.root.N < 7 for spec in sample) == 45
