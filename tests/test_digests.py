@@ -46,6 +46,7 @@ CONFIGS = {
 COMMANDS = [
     ("sieve", "--n-range", "7..26", "--json"),
     ("sieve", "--n-range", "7..26"),
+    ("sieve", "--n-range", "7..26", "--raw", "--json"),
     ("table",),
     ("table", "--verify", "--json"),
     ("table", "--verify"),
