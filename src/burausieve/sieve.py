@@ -11,17 +11,18 @@ all its word sets and branches.  A determinant depends only on
 u = b_i v_{T'}, w = b_j v_{T''} and l, and exactalg.resultant evaluates u
 and w once at the roots of phi_N(-t) for the resultants of every l; the
 pass hands it each vector's values at the roots, computed once per
-prime, and the 1-norms its bound reads, once per vector.  The swapped
-pair (w, u) is not evaluated at all: s1 has determinant -t and
+prime, and the 1-norms its bound reads, once per vector.  The two
+orientations of a pair share their resultants: s1 has determinant -t and
 s1^N = I mod phi_N(-t) (the entries of s1^N - I are (-t)^N - 1 and b_N,
 multiples of phi_N(-t)), so
 
     D_l(u, w) = (-t)^l det[u | s1^-l w] = -(-t)^l D_{-l mod N}(w, u)
 
-mod phi_N(-t), where (-t)^l is a unit.  So |Res_l(u, w)| equals
-|Res_{-l mod N}(w, u)|, and for p not dividing N the two determinants
-have the same factors in common with phi_N(-t) mod p.  A set stops at its
-first zero.
+mod phi_N(-t), where (-t)^l is a unit, and |Res_l(u, w)| equals
+|Res_{-l mod N}(w, u)|.  So each unordered pair {u, w} of a set's vectors
+is read once, in the orientation it was first evaluated in, and (u, u)
+from l = 1, since D_0(u, u) = 0; a set with one vector twice has that
+zero D_0 and is not informative.  A set stops at its first zero.
 
 Every informative set is then decided by an orbit rule on the projective
 line.  (p, m, T) is carried when m, an irreducible factor of phi_N(-t) mod
@@ -42,9 +43,9 @@ or undefined: the pair (u, u), l > 0) or shares its key with another
 vector of the set; an undefined point carries every type.  A hit forces p
 to divide that |Res|, so the first set keys only at the factors of its
 nonunit resultants' primes, each |Res| factored once per pass; a later
-set can only shrink the intersection, so it keys only at the (p, m) of
-the triples still held.  No resultant entry is scanned and no gcd is
-taken.
+set can only shrink the intersection, so it keys only at the (p, m) still
+held, and intersects their type tags.  No resultant entry is scanned and
+no gcd is taken.
 
 The coefficient a_T depends on M = ord(xi), which in turn depends on the
 characteristic, so everything runs per branch (p = 2, p = 3, p odd) with M
@@ -60,7 +61,6 @@ there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .burau import BraidWord, modular_projection, to_burau
 from .exactalg import IntPoly, cyclotomic_factors, prime_factors, resultant, \
@@ -157,8 +157,8 @@ class _SievePass:
     A determinant depends only on u = b_i v_T', w = b_j v_T'' and l, which
     recur across word sets (e is in every configured set for N = 7..10)
     and across branches (v_I and v_II do not depend on M).  A pair is
-    held in the orientation it was first evaluated in; its swap (w, u) is
-    served from it, at -l mod N (see the module docstring).  The memos
+    held in the orientation it was first evaluated in, and read in it
+    whichever way it is asked for (see the module docstring).  The memos
     are keyed by the pass's interned vectors (_Vector), and last as long
     as the pass.
     """
@@ -174,7 +174,6 @@ class _SievePass:
         self.vector_norms = {}  # v -> the 1-norms of its two entries
         self.primes = {}  # |Res| -> its primes not dividing N
         self.cyclotomic = {}  # p -> the irreducible factors of phi_N(-t) mod p
-        self.factor_indices = {}  # p -> factor coefficients -> factor index
         self.points = {}  # v -> the coefficients of alpha(v), beta(v)
         self.keys = {}  # (v, p, factor index) -> the orbit key of v's point
 
@@ -201,16 +200,14 @@ class _SievePass:
 
     def resultants_of(self, u, w):
         """|Res(phi_N(-t), D_l)| for D_l = det[s1^l u | w], indexed by l and
-        0 where D_l is 0: one evaluation pass per unordered {u, w} serves
-        every l of both orientations."""
-        if (u, w) not in self.resultants:
-            if (w, u) in self.resultants:
-                res = self.resultants[w, u]
-                return res[:1] + res[:0:-1]  # res[-l % N] at l
-            self.resultants[u, w] = resultant(u, w, self.N,
-                                              evaluate=self.evaluate,
-                                              norms=self.norms)
-        return self.resultants[u, w]
+        0 where D_l is 0, evaluated once per unordered {u, w}: the tuple
+        held for (w, u) if that one was evaluated first, which is that of
+        (u, w) read at -l mod N."""
+        res = self.resultants.get((u, w)) or self.resultants.get((w, u))
+        if res is None:
+            res = self.resultants[u, w] = resultant(
+                u, w, self.N, evaluate=self.evaluate, norms=self.norms)
+        return res
 
     def evaluate(self, v, index):
         """exactalg.unity_values(f, N, index) of both entries f of the
@@ -230,57 +227,61 @@ class _SievePass:
         """Branch -> (vectors, moduli): the type tag -> vectors map of B on
         the branch (see vectors) and the set of its distinct nonunit
         resultants |Res|, on every branch by default; None if B is not
-        informative for N: it has fewer than k_N words, or some resultant
-        is zero, which proves nothing else, so the pass stops there."""
+        informative for N: it has fewer than k_N words, one vector twice,
+        or some zero resultant, which proves nothing else, so the pass
+        stops there.  The vectors of all types are listed in order, and
+        each unordered pair of them read once (see the module docstring)."""
         if len(words) < k_threshold(self.N):
             return None
         _require_distinct_projections(words)
         out = {}
         for branch in branches or self.branches:
             vecs = self.vectors(words, branch)
+            listed = [v for tag in branch.types for v in vecs[tag]]
+            if len(set(listed)) < len(listed):
+                return None
             moduli = set()
-            for t1, t2 in product(branch.types, repeat=2):
-                for (i, u), (j, w) in product(enumerate(vecs[t1]),
-                                              enumerate(vecs[t2])):
-                    res = self.resultants_of(u, w)
-                    # (T, T, i, i, 0) is skipped: its determinant is 0
-                    for l in range(int(t1 == t2 and i == j), self.N):
-                        r = res[l]
-                        if r == 0:
-                            return None
-                        moduli.add(r)
+            for i, u in enumerate(listed):
+                for w in listed[i:]:
+                    # (u, u, 0) is skipped: its determinant is 0
+                    res = self.resultants_of(u, w)[int(w is u):]
+                    if 0 in res:
+                        return None
+                    moduli.update(res)
             moduli.discard(1)
             out[branch] = vecs, moduli
         return out
 
-    def carried(self, vecs, moduli, branch, earlier=None):
-        """The exceptional triples (p, m, T) that one branch's vectors carry
-        (see carried_types), for the type tag -> vectors map and the
-        nonunit resultants `moduli` that nonunit gives.  With no
-        `earlier`, every factor m of phi_N(-t) mod p is keyed, for each
-        prime p of the moduli that the branch accepts and that does not
-        divide N: a hit puts m in gcd(D_l, phi_N(-t)) mod p, so p divides
-        that |Res|.  With `earlier`, only the (p, m) of its triples are
-        keyed, and those of its triples whose type is carried are kept."""
-        if earlier is None:
+    def carried(self, vecs, moduli, branch, held=None):
+        """(p, k) -> the type tags T such that one branch's vectors carry
+        (p, m, T), for m the k-th factor of phi_N(-t) mod p (see
+        carried_types), given the type tag -> vectors map and the nonunit
+        resultants `moduli` that nonunit gives.  With no `held`, every
+        factor of phi_N(-t) mod p is keyed, for each prime p of the moduli
+        that the branch accepts and that does not divide N: a hit puts m
+        in gcd(D_l, phi_N(-t)) mod p, so p divides that |Res|.  With
+        `held`, such a map of the sets before, only its (p, k) are keyed,
+        and its tags intersected with those carried."""
+        if held is None:
             primes = set()
             for r in moduli:
                 if r not in self.primes:
                     self.primes[r] = [p for p in prime_factors(r) if self.N % p]
                 primes.update(p for p in self.primes[r] if branch.accepts_prime(p))
-            return {ExceptionalTriple(p, m, tag)
-                    for p in primes
-                    for k, m in enumerate(self.cyclotomic_factors(p))
-                    for tag in self.carried_types(vecs, p, k)}
-        held = {}  # (p, factor index) -> the earlier triples there
-        for tr in earlier:
-            k = self.factor_index(tr.p)[tr.min_poly.coeffs]
-            held.setdefault((tr.p, k), []).append(tr)
-        shown = set()
-        for (p, k), triples in held.items():
-            types = self.carried_types(vecs, p, k)
-            shown.update(tr for tr in triples if tr.type_tag in types)
-        return shown
+            held = {(p, k): set(vecs) for p in primes
+                    for k in range(len(self.cyclotomic_factors(p)))}
+        kept = {}
+        for (p, k), tags in held.items():
+            types = self.carried_types(vecs, p, k) & tags
+            if types:
+                kept[p, k] = types
+        return kept
+
+    def triples(self, held):
+        """The ExceptionalTriples of a (p, k) -> type tags map (see
+        carried)."""
+        return {ExceptionalTriple(p, self.cyclotomic_factors(p)[k], tag)
+                for (p, k), tags in held.items() for tag in tags}
 
     def carried_types(self, vecs, p, k):
         """The type tags T of vecs with a vector u such that the k-th factor
@@ -355,31 +356,23 @@ class _SievePass:
             self.cyclotomic[p] = cyclotomic_factors(self.N, p)
         return self.cyclotomic[p]
 
-    def factor_index(self, p):
-        """The coefficients of each factor of phi_N(-t) mod p -> its index
-        in cyclotomic_factors(p), once per pass."""
-        if p not in self.factor_indices:
-            self.factor_indices[p] = {m.coeffs: k for k, m in
-                                      enumerate(self.cyclotomic_factors(p))}
-        return self.factor_indices[p]
-
     def sieve(self, word_sets):
         """Split the word sets into the informative ones and the rest, and
         map each branch to the triples that every informative set recorded
         on it (a genuine root is caught by every informative set).  The
-        first informative set's triples are found in full; each later set
-        keeps only those of the earlier triples it also carries."""
-        usable, rejected, by_branch = [], [], {}
+        first informative set's (p, k) -> types are found in full; each
+        later set keys only those and keeps the types it also carries."""
+        usable, rejected, held = [], [], {}
         for words in word_sets:
             nonunit = self.nonunit(words)
             if nonunit is None:
                 rejected.append(words)
                 continue
-            by_branch = {branch: self.carried(vecs, moduli, branch,
-                                              by_branch.get(branch))
-                         for branch, (vecs, moduli) in nonunit.items()}
+            held = {branch: self.carried(vecs, moduli, branch, held.get(branch))
+                    for branch, (vecs, moduli) in nonunit.items()}
             usable.append(words)
-        return usable, rejected, by_branch
+        return usable, rejected, {branch: self.triples(kept)
+                                  for branch, kept in held.items()}
 
 
 def is_informative(words, N, branch):

@@ -120,12 +120,12 @@ class Skeleton:
 
     The region permutation is determined by the other two through the fixed
     convention region = white o black^-1 (acting on the right by s1 =
-    (s2 s1)^-1 (s2 s1^2)); the constructor asserts that identity.
+    (s2 s1)^-1 (s2 s1^2)); the constructor derives it.
     """
 
     __slots__ = ("edge_count", "black", "white", "region", "_cycles")
 
-    def __init__(self, black, white, region=None):
+    def __init__(self, black, white):
         """Check and keep the permutations, given as sequences of ints.
 
         Every check but connectedness is a C-level pass, and the only
@@ -133,12 +133,10 @@ class Skeleton:
         types, then min and max put the values in range(n), and there
         black^3 = 1 and white^2 = 1 make both permutations of range(n),
         since each has an inverse.  black^2 = black^-1 is composed once,
-        for black^3 and for region = white o black^2.  Region is always
-        derived: a given one is only compared with it, so the kept one
-        holds black's and white's ints.  Only a rejected pair is diagnosed,
-        by `_permutation_fault`'s set-based tests, so that the message
-        names the first check it fails.  Raises ValueError, also for a
-        bool or a float entry, although True == 1 and 0.0 == 0.
+        for black^3 and for region = white o black^2.  Only a rejected pair
+        is diagnosed, by `_permutation_fault`'s set-based tests, so that
+        the message names the first check it fails.  Raises ValueError,
+        also for a bool or a float entry, although True == 1 and 0.0 == 0.
         """
         black = tuple(black)
         white = tuple(white)
@@ -156,10 +154,6 @@ class Skeleton:
                 and _compose(white, white) == black3):
             raise ValueError(_permutation_fault(black, white))
         del black3
-        derived = _compose(white, black2)
-        if region is not None and tuple(region) != derived:
-            raise ValueError("region permutation violates the composition "
-                             "convention")
         # connectedness under the two actions
         seen = bytearray(n)
         seen[0] = 1
@@ -175,7 +169,7 @@ class Skeleton:
                 reached.append(f)
         if len(reached) != n:
             raise ValueError("skeleton is not connected")
-        self._keep(black, white, derived)
+        self._keep(black, white, _compose(white, black2))
 
     @classmethod
     def _certified(cls, black, white):

@@ -263,7 +263,11 @@ def covector_bfs(spec, state_cap):
     black = tuple(index[canon(*act(states[k], g_black))] for k in range(n))
     white = tuple(index[canon(*act(states[k], g_white))] for k in range(n))
     region = tuple(index[canon(*act(states[k], g_region))] for k in range(n))
-    return Skeleton(black, white, region=region)
+    sk = Skeleton(black, white)
+    if sk.region != region:
+        raise AssertionError("region permutation violates the composition "
+                             "convention")
+    return sk
 
 
 def product_skeletons(s1, s2):

@@ -8,14 +8,14 @@ power as a polynomial product of the last, is the reference for the field
 tables the package steps by a linear map.  `sigma1_power`,
 `sieve_determinant`, `determinant_D` and `resultant_with_cyclotomic`
 build one sieve determinant and take its resultant in isolation, where
-the sieve evaluates each (u, w) pair once for every l;
-`nonunit_entries` lists a word set's nonunit resultants one by one,
-and `reference_triples` takes its triples by the gcd of each
+the sieve evaluates each unordered {u, w} once for every l;
+`ordered_resultants` reads the pass's tuple of {u, w} in the orientation
+(u, w), `nonunit_entries` lists a word set's nonunit resultants one by
+one, and `reference_triples` takes its triples by the gcd of each
 determinant with phi_N(-t) mod p, the reference for the sieve's orbit
-rule; `sweep_pairs`
-flattens a sweep to its classification; `check_type_specification` and
-`type_ii_odd_width_excluded` state lifting conditions of the paper that
-the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
+rule; `sweep_pairs` flattens a sweep to its classification;
+`check_type_specification` and `type_ii_odd_width_excluded` state
+lifting conditions of the paper that the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
 word's degree, a Burau matrix's determinant and the smallest skeleton;
 `reference_skeleton_fault` is the Skeleton constructor's checks made
 with sets, the reference for the constructor's set-free ones;
@@ -197,7 +197,7 @@ def single_edge():
     return Skeleton((0,), (0,))
 
 
-def reference_skeleton_fault(black, white, region=None):
+def reference_skeleton_fault(black, white):
     """The Skeleton constructor's checks as sets, lists and a breadth-first
     walk, in its order: the ValueError message it raises for these
     permutations, or None when it accepts them.  The reference for the
@@ -217,9 +217,6 @@ def reference_skeleton_fault(black, white, region=None):
         return "black permutation has order > 3"
     if list(map(white.__getitem__, white)) != identity:
         return "white permutation has order > 2"
-    if region is not None and tuple(region) != tuple(
-            map(white.__getitem__, black2)):
-        return "region permutation violates the composition convention"
     reached = {0}
     frontier = [0]
     while frontier:
@@ -304,16 +301,27 @@ def reference_resultants(u, w, N):
     return tuple(out)
 
 
+def ordered_resultants(sieve_pass, u, w):
+    """|Res(phi_N(-t), D_l(u, w))| for each l, as exactalg.resultant(u, w, N)
+    gives them, from the pass's one tuple for {u, w}: when the pass holds
+    (w, u), each l is read at -l mod N, by the swap identity
+    exactalg.resultant(w, u, N)[l] == exactalg.resultant(u, w, N)[-l % N]."""
+    res = sieve_pass.resultants_of(u, w)
+    if (u, w) in sieve_pass.resultants:
+        return res
+    return tuple(res[-l % sieve_pass.N] for l in range(sieve_pass.N))
+
+
 def nonunit_entries(sieve_pass, words, branch):
     """The (T', u, w, l, |Res|) of each nonunit resultant of the word set on
     one branch, for every (T', T'', i, j, l) but the zero (T, T, i, i, 0),
-    read from the pass's resultants_of, where the sieve keeps only the
-    distinct |Res|."""
+    each ordered pair read by ordered_resultants, where the sieve reads
+    each unordered pair once and keeps only the distinct |Res|."""
     vecs = sieve_pass.vectors(words, branch)
     out = []
     for t1, t2 in product(branch.types, repeat=2):
         for (i, u), (j, w) in product(enumerate(vecs[t1]), enumerate(vecs[t2])):
-            res = sieve_pass.resultants_of(u, w)
+            res = ordered_resultants(sieve_pass, u, w)
             out += [(t1, u, w, l, res[l])
                     for l in range(int(t1 == t2 and i == j), sieve_pass.N)
                     if res[l] != 1]

@@ -191,33 +191,35 @@ def test_criterion_7_sieve_soundness(sweep):
 
 def test_sweep_resultants_match_the_prs(monkeypatch):
     """Every resultant of the sweep 7..26, taken by evaluation at the roots
-    of unity, equals the subresultant PRS of its determinant: each (u, w)
-    the sieve reads is compared at every l, whether it was evaluated or
-    served from its swap (w, u), which covers all 24,541 keys the sieve
-    reads."""
-    groups, calls = {}, []
+    of unity, equals the subresultant PRS of its determinant: each
+    unordered pair {u, w} the sieve reads is evaluated once, in the
+    orientation (u, w) of its first read, and its tuple is compared at
+    every l with the PRS of D_l(u, w); every one of the sieve's 1,889 reads
+    returns that tuple."""
+    reads, calls = [], []
     real_of, real = sieve._SievePass.resultants_of, sieve.resultant
 
     def recording_resultants_of(self, u, w):
         values = real_of(self, u, w)
-        groups[u, w, self.N] = values
+        reads.append((frozenset((u, w)), self.N, values))
         return values
 
     def counting_resultant(u, w, N, **kwargs):
-        calls.append((u, w, N))
-        return real(u, w, N, **kwargs)
+        values = real(u, w, N, **kwargs)
+        calls.append((u, w, N, values))
+        return values
 
     monkeypatch.setattr(sieve._SievePass, "resultants_of", recording_resultants_of)
     monkeypatch.setattr(sieve, "resultant", counting_resultant)
     full_sweep((7, 26), raw=True)
     # each unordered pair is evaluated once, and serves both orientations
-    evaluated = {(frozenset((u, w)), N) for u, w, N in calls}
-    assert len(groups) == 1975 and len(evaluated) == len(calls) == 1131
-    assert {(frozenset((u, w)), N) for u, w, N in groups} == evaluated
-    for (u, w, N), values in groups.items():
+    evaluated = {(frozenset((u, w)), N): values for u, w, N, values in calls}
+    assert len(reads) == 1889 and len(evaluated) == len(calls) == 1131
+    assert all(evaluated[pair, N] is values for pair, N, values in reads)
+    for u, w, N, values in calls:
         assert values == reference_resultants(u, w, N), (u, w, N)
-    assert sum(len(values) for values in groups.values()) == 24828
-    print("\nresultants by evaluation = PRS on 24,828 sweep values: PASS")
+    assert sum(len(values) for *_, values in calls) == 14663
+    print("\nresultants by evaluation = PRS on 14,663 sweep values: PASS")
 
 
 def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):

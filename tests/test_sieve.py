@@ -8,8 +8,9 @@ import pytest
 import sympy
 from covector_oracle import FieldElem, Presentation, element_order
 from helpers import count_calls, determinant_D, nonunit_entries, \
-    reference_fp_gcd, reference_resultants, reference_triples, \
-    resultant_with_cyclotomic, sieve_determinant, sweep_pairs
+    ordered_resultants, reference_fp_gcd, reference_resultants, \
+    reference_triples, resultant_with_cyclotomic, sieve_determinant, \
+    sweep_pairs
 
 from burausieve import exactalg, sieve
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
@@ -168,6 +169,28 @@ class TestInformativeness:
         with pytest.raises(ValueError):
             is_informative(words, 9, branch(9, "p odd"))
 
+    def test_a_repeated_vector_is_informative_for_no_n(self):
+        # s2 T^-1 s2 T^-1 fixes e2 = v_I, and its modular projection
+        # (1, 0, -2, 1) is not that of e: so {e, s2 T^-1 s2 T^-1} has v_I
+        # twice under type I, whose pair has D_0 = 0.  Below k_N the set is
+        # too small; from N = 9 on, the pass finds the repeated vector on
+        # every branch and evaluates no resultant
+        words = parse_word_set(["e", "s2 T^-1 s2 T^-1"])
+        for N in range(7, 27):
+            sieve_pass = sieve._SievePass(N)
+            assert sieve_pass.nonunit(words) is None, N
+            assert sieve_pass.resultants == {}, N
+            if len(words) < k_threshold(N):
+                continue
+            for b in sieve_pass.branches:
+                u, w = sieve_pass.vectors(words, b)["I"]
+                assert u is w and sieve_determinant(u, w, 0).is_zero
+        texts = [str(w) for w in words]
+        results = full_sweep((13, 13), informative_sets={13: [texts, ["e"]]},
+                             raw=True)
+        assert results[13]["rejected"] == [texts]
+        assert results[13]["sets"] == [["e"]]
+
     def test_default_sets_are_informative(self):
         for N in (7, 8, 9, 10):
             for texts in DEFAULT_INFORMATIVE_SETS[N]:
@@ -268,7 +291,8 @@ class TestOrderRule:
             sieve_pass = sieve._SievePass(N)
             for i, words in enumerate(candidate_sets_for(N)):
                 for branch, (vecs, moduli) in (sieve_pass.nonunit(words) or {}).items():
-                    assert sieve_pass.carried(vecs, moduli, branch) \
+                    held = sieve_pass.carried(vecs, moduli, branch)
+                    assert sieve_pass.triples(held) \
                         == reference_sets[N, i, branch], (N, words, branch)
         assert sum(map(len, reference_sets.values())) > 0
 
@@ -317,7 +341,7 @@ class TestOrderRule:
             keys = [sieve_pass.orbit_key(v, p, k) for v in vs]
             for (u, key_u), (w, key_w) in product(zip(vs, keys), repeat=2):
                 if (N, u, w, p) not in divisors:
-                    res = sieve_pass.resultants_of(u, w)
+                    res = ordered_resultants(sieve_pass, u, w)
                     gcds = [reference_fp_gcd(sieve_determinant(u, w, l).reduce_mod(p),
                                              cyc, p)
                             for l in range(int(u is w), N) if res[l] % p == 0]
@@ -402,10 +426,12 @@ class TestOrbitRule:
         for vecs, want in cases:
             assert sieve_pass.carried_types(vecs, p, 0) == want, vecs
             assert divided_types(vecs, N, p, m.coeffs) == want, vecs
-            # every factor of phi_N(-t) mod p, as carried keys them
+            # every factor of phi_N(-t) mod p, by its index, as carried
+            # keys them
+            divided = {(p, k): divided_types(vecs, N, p, f.coeffs)
+                       for k, f in enumerate(factors)}
             assert sieve_pass.carried(vecs, {p}, branch) == {
-                ExceptionalTriple(p, f, tag) for f in factors
-                for tag in divided_types(vecs, N, p, f.coeffs)}
+                key: tags for key, tags in divided.items() if tags}
 
     def test_random_word_sets_match_the_slow_path(self):
         # for each N of the sweep, the first two informative sets of k_N
@@ -435,7 +461,8 @@ class TestOrbitRule:
             for words in sets:
                 for b, (vecs, moduli) in sieve_pass.nonunit(words).items():
                     found = reference_triples(sieve_pass, words, b)
-                    assert sieve_pass.carried(vecs, moduli, b) == found, (N, words)
+                    held = sieve_pass.carried(vecs, moduli, b)
+                    assert sieve_pass.triples(held) == found, (N, words)
                     slow[b] = slow[b] & found if b in slow else found
                     degrees.update(tr.min_poly.degree for tr in found)
             usable, _, by_branch = sieve._SievePass(N).sieve(sets)
@@ -473,36 +500,53 @@ class TestSweep:
                        for f in row.factors}
 
     def test_one_resultant_per_determinant_of_n(self, monkeypatch):
-        # every word set and branch of an N shares each (u, w, l): the raw
-        # sweep of N = 7..10 reads one resultant per distinct (u, w, l),
-        # 9,190, where a pass per (set, branch) took 16,794; one evaluation
-        # per (u, w) serves all its l, and also (w, u): 606 resultant calls
-        # on as many unordered pairs, where one per ordered pair took 1,132
-        calls, keys = [], set()
+        # every word set and branch of an N shares each unordered pair
+        # {u, w} of its vectors, and reads it once: the raw sweep of
+        # N = 7..10 makes 1,166 reads, where reading both orientations took
+        # 2,126, of 606 pairs.  One evaluation per pair serves all its l
+        # and both orientations, and every read returns its one tuple: 606
+        # resultant calls, where one per ordered pair took 1,132
+        reads, calls = [], []
         real, real_of = sieve.resultant, sieve._SievePass.resultants_of
 
         def counting_resultant(u, w, N, **kwargs):
             calls.append((u, w, N))
             return real(u, w, N, **kwargs)
 
-        class Reads(tuple):
-            def __getitem__(self, l):
-                keys.add(self.key + (l,))
-                return tuple.__getitem__(self, l)
-
         def recording_resultants_of(self, u, w):
-            values = Reads(real_of(self, u, w))
-            values.key = (self.N, u, w)
+            values = real_of(self, u, w)
+            reads.append((self.N, frozenset((u, w)), values))
             return values
 
         monkeypatch.setattr(sieve, "resultant", counting_resultant)
         monkeypatch.setattr(sieve._SievePass, "resultants_of",
                             recording_resultants_of)
         full_sweep((7, 10), raw=True)
-        assert len(keys) == 9190
-        assert len({(N, u, w) for N, u, w, _ in keys}) == 1132
-        assert len({(frozenset((u, w)), N) for u, w, N in calls}) \
-            == len(calls) == 606
+        held = {}
+        for N, pair, values in reads:
+            assert held.setdefault((N, pair), values) is values, (N, pair)
+        assert len(reads) == 1166
+        assert len({(N, frozenset((u, w))) for u, w, N in calls}) \
+            == len(calls) == len(held) == 606
+
+    @pytest.mark.parametrize("N", [9, 13])
+    def test_a_reversed_set_reads_the_held_tuples(self, monkeypatch, N):
+        # the sweep's sets list e first, so it meets no pair in both
+        # orders; a set read after its reverse asks for every pair the
+        # other way round, and gets the tuples held for the first order,
+        # with no new resultant and the same nonunit values
+        calls = count_calls(monkeypatch, sieve, "resultant")
+        words = parse_word_set(["e", "T s2^-1 s1"])
+        sieve_pass = sieve._SievePass(N)
+        first = sieve_pass.nonunit(words)
+        evaluated, held = len(calls), dict(sieve_pass.resultants)
+        second = sieve_pass.nonunit(words[::-1])
+        assert evaluated > 0 and len(calls) == evaluated
+        assert sieve_pass.resultants == held
+        assert {b: moduli for b, (_, moduli) in second.items()} \
+            == {b: moduli for b, (_, moduli) in first.items()}
+        for u, w in held:
+            assert sieve_pass.resultants_of(w, u) is held[u, w]
 
     def test_no_gcd_and_one_split_per_prime_of_n(self, monkeypatch):
         # every informative set keys its vectors' points at the factors of
@@ -547,23 +591,25 @@ class TestSweep:
         assert (len(keys), degrees[False], degrees[True]) == (7181, 5851, 562)
 
     def test_later_sets_key_only_the_earlier_factors(self, monkeypatch):
-        # a later set keys its points only at the (p, m) of the triples the
-        # sets before it kept: 715 of the raw sweep's 1,891 (set, p, m),
-        # where the first sets key every factor of each prime of their
-        # nonunit resultants
+        # a later set keys its points only at the (p, k) that the sets
+        # before it held, and keeps a subset of their types: 715 of the raw
+        # sweep's 1,891 (set, p, m), where the first sets key every factor
+        # of each prime of their nonunit resultants
         keyed, earlier = [], []
         real_carried = sieve._SievePass.carried
         real_types = sieve._SievePass.carried_types
 
         def recording_carried(self, vecs, moduli, branch, before=None):
             earlier.append(before)
-            return real_carried(self, vecs, moduli, branch, before)
+            kept = real_carried(self, vecs, moduli, branch, before)
+            if before is not None:
+                assert all(tags <= before[key] for key, tags in kept.items())
+            return kept
 
         def recording_types(self, vecs, p, k):
             before = earlier[-1]
             if before is not None:
-                m = self.cyclotomic_factors(p)[k]
-                assert any((tr.p, tr.min_poly) == (p, m) for tr in before)
+                assert (p, k) in before
             keyed.append(before is not None)
             return real_types(self, vecs, p, k)
 
@@ -574,23 +620,28 @@ class TestSweep:
         assert (sum(keyed), len(keyed)) == (715, 1891)
 
     def test_resultants_match_the_reference_on_every_key(self, monkeypatch):
-        # every (u, w) the raw sweep of N = 7..10 reads, at every l, against
-        # the subresultant PRS of the determinant D_l, whether evaluated or
-        # served from its swap (w, u)
-        groups = {}
-        real_of = sieve._SievePass.resultants_of
+        # every tuple the raw sweep of N = 7..10 holds, one per unordered
+        # pair in the orientation (u, w) it was evaluated in, against the
+        # subresultant PRS of each D_l(u, w); and (w, u) read from it at
+        # -l mod N, against the PRS of each D_l(w, u): 606 tuples of 4,973
+        # values
+        passes = []
+        real_init = sieve._SievePass.__init__
 
-        def recording_resultants_of(self, u, w):
-            values = real_of(self, u, w)
-            groups[u, w, self.N] = values
-            return values
+        def recording_init(self, N):
+            real_init(self, N)
+            passes.append(self)
 
-        monkeypatch.setattr(sieve._SievePass, "resultants_of",
-                            recording_resultants_of)
+        monkeypatch.setattr(sieve._SievePass, "__init__", recording_init)
         full_sweep((7, 10), raw=True)
-        assert len(groups) == 1132
-        for (u, w, N), values in groups.items():
+        held = [(sieve_pass, u, w, values) for sieve_pass in passes
+                for (u, w), values in sieve_pass.resultants.items()]
+        assert len(held) == 606 and sum(len(v) for *_, v in held) == 4973
+        for sieve_pass, u, w, values in held:
+            N = sieve_pass.N
             assert values == reference_resultants(u, w, N), (u, w, N)
+            assert ordered_resultants(sieve_pass, w, u) \
+                == reference_resultants(w, u, N), (w, u, N)
 
     @pytest.mark.parametrize("N", [7, 9])
     def test_uninformative_config_falls_back_to_the_built_in_sets(self, N):
@@ -628,9 +679,9 @@ class TestSweep:
     def test_sweep_barely_hashes_polynomials(self, monkeypatch):
         # a pass interns its vectors and keys every memo by them, so the
         # sweep hashes a polynomial only to intern a vector, to look up a
-        # word's vector by its a_T or to hold a triple: 11,129 times, where
-        # a scan over every nonunit resultant took 15,852 and memos keyed
-        # by IntPoly 211,531
+        # word's vector by its a_T or to build a final triple: 9,297 times,
+        # where triples held between sets took 11,129, a scan over every
+        # nonunit resultant 15,852 and memos keyed by IntPoly 211,531
         hashes = count_calls(monkeypatch, IntPoly, "__hash__")
         full_sweep((7, 26))
         assert len(hashes) <= 21153

@@ -95,14 +95,6 @@ class TestSkeletonStructure:
         with pytest.raises(ValueError, match="must hold ints"):
             Skeleton(black, white)
 
-    def test_keeps_the_derived_region(self):
-        # a given region is only compared with white o black^-1, so
-        # booleans equal to it leave no bool in the skeleton
-        sk = Skeleton((0, 1), (1, 0), region=(True, False))
-        assert sk.region == (1, 0)
-        assert {type(e) for e in sk.region} == {int}
-        assert {type(e) for e in sk.region_cycles().flat} == {int}
-
     def test_rejects_black_of_order_two(self):
         with pytest.raises(ValueError, match="order > 3"):
             Skeleton((1, 0), (1, 0))
@@ -114,10 +106,6 @@ class TestSkeletonStructure:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="not connected"):
             Skeleton((0, 1), (0, 1))
-
-    def test_rejects_wrong_region_permutation(self):
-        with pytest.raises(ValueError, match="composition convention"):
-            Skeleton((0, 1), (1, 0), region=(0, 1))
 
     def test_checks_match_the_set_based_reference(self):
         # The constructor builds no set; on thousands of small inputs it
@@ -159,27 +147,22 @@ class TestSkeletonStructure:
         for _ in range(4000):
             n = rng.randint(1, 7)
             black, white = cycle_perm(n, 3), cycle_perm(n, 2)
-            region = [white[black[black[i]]] for i in range(n)]
-            picked = rng.choice(["black", "white", "region", "both"])
+            picked = rng.choice(["black", "white", "both"])
             if picked in ("black", "both"):
                 mutate(black, n)
             if picked in ("white", "both"):
                 mutate(white, n)
-            if picked == "region" and rng.random() < 0.5:
-                mutate(region, n)
-            if rng.random() < 0.5:
-                region = None
-            expected = reference_skeleton_fault(black, white, region)
+            expected = reference_skeleton_fault(black, white)
             seen[expected] += 1
             if expected is None:
-                sk = Skeleton(black, white, region)
+                sk = Skeleton(black, white)
                 assert sk.region == tuple(white[black[black[i]]]
                                           for i in range(n))
             else:
                 with pytest.raises(ValueError) as info:
-                    Skeleton(black, white, region)
+                    Skeleton(black, white)
                 assert str(info.value) == expected
-        assert min(seen.values()) >= 50 and len(seen) == 7, seen
+        assert min(seen.values()) >= 50 and len(seen) == 6, seen
 
     def test_region_composition_convention(self):
         sk = enumerate_row(2, 7)
