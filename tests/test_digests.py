@@ -41,6 +41,10 @@ CONFIGS = {
         "13": [["s1^-1 T s2^-1 s1"]],
         "21": [["T s2 s1^-1"], ["T s2^-1 s1 T s2 s1^-1"]],
         "24": [["s2 T s2 s1^-1"]]}},
+    # ["s2 s1"] has a zero resultant on its pair (u, u) at N = 11 on every
+    # branch, so it is rejected between two informative sets
+    "later11.json": {"informative_sets": {
+        "11": [["T s2^-1 s1"], ["s2 s1"], ["s1 s2"]]}},
 }
 
 COMMANDS = [
@@ -65,6 +69,8 @@ COMMANDS = [
     # {"e"} is not informative for N = 9, so the built-in sets of N = 9 run
     ("--config", "{config}/sets9.json", "sieve", "--n-range", "9..9", "--json"),
     ("--config", "{config}/wide.json", "sieve", "--n-range", "11..24", "--raw",
+     "--json"),
+    ("--config", "{config}/later11.json", "sieve", "--n-range", "11..11",
      "--json"),
 ]
 
