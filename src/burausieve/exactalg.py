@@ -673,18 +673,19 @@ def _root_pairs(N, index):
 
 
 def unity_values(f, N, index):
-    """The Laurent polynomial f = t^e g at each zero x = -zeta of
-    phi_N(-t) modulo P = unity_prime(N, index)[0], in resultant's order: g
-    by Horner, and x^e read off the powers of zeta,
-    x^e = (-1)^e zeta^(e mod N)."""
+    """The Laurent polynomial f at each zero -zeta of phi_N(-t) modulo
+    P = unity_prime(N, index)[0], in resultant's order (unity_value)."""
     P, roots = _unity_tables(N, index)
+    return tuple(unity_value(f, zeta_powers, P) for zeta_powers, _ in roots)
+
+
+def unity_value(f, zeta_powers, P):
+    """The Laurent polynomial f = t^e g at x = -zeta mod P, given the
+    powers zeta^0..zeta^(N-1) of a root of _unity_tables: g by Horner, and
+    x^e read off the powers, x^e = (-1)^e zeta^(e mod N)."""
     e = f.shift
-    out = []
-    for zeta_powers, _ in roots:
-        x_e = zeta_powers[e % N]
-        out.append(_fp_eval(f.coeffs, P - zeta_powers[1], P)
-                   * (P - x_e if e % 2 else x_e) % P)
-    return tuple(out)
+    x_e = zeta_powers[e % len(zeta_powers)]
+    return _fp_eval(f.coeffs, P - zeta_powers[1], P) * (P - x_e if e % 2 else x_e) % P
 
 
 def _deg(c):

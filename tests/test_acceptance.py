@@ -191,13 +191,19 @@ def test_criterion_7_sieve_soundness(sweep):
 
 def test_sweep_resultants_match_the_prs(monkeypatch):
     """Every resultant of the sweep 7..26, taken by evaluation at the roots
-    of unity, equals the subresultant PRS of its determinant: each
-    unordered pair {u, w} the sieve reads is evaluated once, in the
+    of unity, equals the subresultant PRS of its determinant, and every
+    pair certified nonzero at one root has a nonzero PRS resultant.  Only
+    the first informative set of each N and branch reads its pairs'
+    tuples: each unordered pair {u, w} is evaluated once, in the
     orientation (u, w) of its first read, and its tuple is compared at
-    every l with the PRS of D_l(u, w); every one of the sieve's 1,889 reads
-    returns that tuple."""
-    reads, calls = [], []
+    every l with the PRS of D_l(u, w); every one of the 750 reads returns
+    that tuple, where reading every set's pairs took 1,889 reads of 1,131
+    tuples.  A later set reads a held tuple or certifies the pair: 834
+    certificates of 609 pairs, each checked against the PRS at every l it
+    reads, 8,522 values, with no fallback to an exact resultant."""
+    reads, calls, certified = [], [], []
     real_of, real = sieve._SievePass.resultants_of, sieve.resultant
+    real_nonzero = sieve._SievePass.nonzero
 
     def recording_resultants_of(self, u, w):
         values = real_of(self, u, w)
@@ -209,17 +215,34 @@ def test_sweep_resultants_match_the_prs(monkeypatch):
         calls.append((u, w, N, values))
         return values
 
+    def recording_nonzero(self, u, w):
+        held = (u, w) in self.resultants or (w, u) in self.resultants
+        evaluated = len(calls)
+        verdict = real_nonzero(self, u, w)
+        if not held:
+            certified.append((u, w, self.N, verdict, len(calls) - evaluated))
+        return verdict
+
     monkeypatch.setattr(sieve._SievePass, "resultants_of", recording_resultants_of)
     monkeypatch.setattr(sieve, "resultant", counting_resultant)
+    monkeypatch.setattr(sieve._SievePass, "nonzero", recording_nonzero)
     full_sweep((7, 26), raw=True)
     # each unordered pair is evaluated once, and serves both orientations
     evaluated = {(frozenset((u, w)), N): values for u, w, N, values in calls}
-    assert len(reads) == 1889 and len(evaluated) == len(calls) == 1131
+    assert len(reads) == 750 and len(evaluated) == len(calls) == 522
     assert all(evaluated[pair, N] is values for pair, N, values in reads)
     for u, w, N, values in calls:
         assert values == reference_resultants(u, w, N), (u, w, N)
-    assert sum(len(values) for *_, values in calls) == 14663
-    print("\nresultants by evaluation = PRS on 14,663 sweep values: PASS")
+    assert sum(len(values) for *_, values in calls) == 5974
+    # every certificate is a true nonzero verdict that evaluated nothing
+    pairs = {(u, w, N) for u, w, N, *_ in certified}
+    assert len(certified) == 834 and len(pairs) == 609
+    assert all(verdict and not fallback for *_, verdict, fallback in certified)
+    for u, w, N in pairs:
+        assert 0 not in reference_resultants(u, w, N)[int(u is w):], (u, w, N)
+    assert sum(N - int(u is w) for u, w, N in pairs) == 8522
+    print("\nresultants by evaluation = PRS on 5,974 sweep values, and "
+          "8,522 certified nonzero: PASS")
 
 
 def test_voltage_walk_matches_bfs_on_sweep_candidates(sweep):

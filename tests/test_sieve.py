@@ -199,6 +199,95 @@ class TestInformativeness:
                     assert is_informative(words, N, b), (N, texts, b.char_class)
 
 
+def random_poly(rng):
+    """A Laurent polynomial of 1 to 5 coefficients in -3..3, t^-2..t^2."""
+    return IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 5))],
+                   rng.randint(-2, 2))
+
+
+def certificate_pairs(N, rng):
+    """Seeded vector pairs (u, w) for the certificate at N: two random
+    pairs, a random (u, u), and three with a genuine zero resultant:
+    w = s1^l u (D_l = 0), w = s1^l u + phi_N(-t) (r, r') (D_l a multiple
+    of phi_N(-t)), and (u, u) with phi_N(-t) dividing u1, so that every
+    D_l(u, u) is a multiple of it."""
+    cyc = substitute_neg(cyclotomic(N))
+    u, w = (sieve._Vector((random_poly(rng), random_poly(rng)))
+            for _ in range(2))
+    s1_l = to_burau(BraidWord.parse(f"s1^{rng.randrange(N)}"))
+    shifted = s1_l.apply(u)
+    moved = sieve._Vector(f + cyc * random_poly(rng) for f in shifted)
+    fixed = sieve._Vector((random_poly(rng), cyc * random_poly(rng)))
+    return [(u, w), (w, u), (u, u), (u, sieve._Vector(shifted)), (u, moved),
+            (fixed, fixed)]
+
+
+class TestCertificate:
+    """A pair that no earlier set evaluated is certified nonzero at one
+    root of unity mod P (_SievePass.nonzero); its verdict is exact."""
+
+    def test_verdict_matches_the_prs_for_every_n(self, monkeypatch):
+        # for N = 2..40, on seeded random pairs and pairs with a genuine
+        # zero, the verdict is whether no PRS resultant is 0 (l >= 1 for
+        # (u, u)); a zero is found only by the exact fallback, and no
+        # random pair needs it
+        calls = count_calls(monkeypatch, sieve, "resultant")
+        rng = random.Random(35)
+        verdicts = Counter()
+        for N in range(2, 41):
+            for i, (u, w) in enumerate(certificate_pairs(N, rng)):
+                evaluated = len(calls)
+                verdict = sieve._SievePass(N).nonzero(u, w)
+                assert verdict == (0 not in reference_resultants(u, w, N)[
+                    int(u is w):]), (N, u, w)
+                assert len(calls) - evaluated == (not verdict), (N, u, w)
+                verdicts[i < 3, verdict] += 1
+        assert verdicts[False, True] == 0 and verdicts[False, False] == 117
+        assert verdicts[True, True] > 0
+
+    def test_a_zero_mod_p_falls_back_to_the_exact_resultant(self, monkeypatch):
+        # with every root value 0 mod P, no pair is certified: each one
+        # the sweep's later sets read unevaluated falls back to
+        # resultant, which decides it, and the sweep's sets and triples are
+        # unchanged.  So every pair is evaluated, 1,131 resultants, as when
+        # every set was decided by its resultants
+        want = {N: sieve._SievePass(N).sieve(candidate_sets_for(N))
+                for N in range(7, 27)}
+        calls = count_calls(monkeypatch, sieve, "resultant")
+        monkeypatch.setattr(sieve, "unity_value", lambda f, zeta_powers, P: P)
+        for N in range(7, 27):
+            assert sieve._SievePass(N).sieve(candidate_sets_for(N)) == want[N]
+        assert len(calls) == 1131
+        rng = random.Random(35)
+        for N in range(2, 41):
+            for u, w in certificate_pairs(N, rng):
+                assert sieve._SievePass(N).nonzero(u, w) == (
+                    0 not in reference_resultants(u, w, N)[int(u is w):])
+
+    def test_no_fallback_on_the_default_sweep(self, monkeypatch):
+        # every pair a later set of the default sweep reads unevaluated is
+        # certified at its one root: none falls back to resultant
+        fallbacks, certifying = [], []
+        real, real_nonzero = sieve.resultant, sieve._SievePass.nonzero
+
+        def counting_resultant(u, w, N, **kwargs):
+            if certifying:
+                fallbacks.append((u, w, N))
+            return real(u, w, N, **kwargs)
+
+        def recording_nonzero(self, u, w):
+            certifying.append((u, w))
+            try:
+                return real_nonzero(self, u, w)
+            finally:
+                certifying.pop()
+
+        monkeypatch.setattr(sieve, "resultant", counting_resultant)
+        monkeypatch.setattr(sieve._SievePass, "nonzero", recording_nonzero)
+        full_sweep((7, 26))
+        assert fallbacks == []
+
+
 @pytest.fixture(scope="module")
 def reference_sets():
     """(N, i, branch) -> reference_triples of the i-th built-in word set of
@@ -500,12 +589,13 @@ class TestSweep:
                        for f in row.factors}
 
     def test_one_resultant_per_determinant_of_n(self, monkeypatch):
-        # every word set and branch of an N shares each unordered pair
-        # {u, w} of its vectors, and reads it once: the raw sweep of
-        # N = 7..10 makes 1,166 reads, where reading both orientations took
-        # 2,126, of 606 pairs.  One evaluation per pair serves all its l
-        # and both orientations, and every read returns its one tuple: 606
-        # resultant calls, where one per ordered pair took 1,132
+        # only the first informative set of an N reads its pairs' tuples,
+        # each unordered pair {u, w} of its vectors once on all branches:
+        # the raw sweep of N = 7..10 makes 509 reads of 347 pairs, where
+        # reading every set's pairs took 1,166 reads of 606, and reading
+        # both orientations 2,126.  One evaluation per pair serves all its
+        # l and both orientations, and every read returns its one tuple:
+        # 347 resultant calls, where one per ordered pair took 1,132
         reads, calls = [], []
         real, real_of = sieve.resultant, sieve._SievePass.resultants_of
 
@@ -525,9 +615,9 @@ class TestSweep:
         held = {}
         for N, pair, values in reads:
             assert held.setdefault((N, pair), values) is values, (N, pair)
-        assert len(reads) == 1166
+        assert len(reads) == 509
         assert len({(N, frozenset((u, w))) for u, w, N in calls}) \
-            == len(calls) == len(held) == 606
+            == len(calls) == len(held) == 347
 
     @pytest.mark.parametrize("N", [9, 13])
     def test_a_reversed_set_reads_the_held_tuples(self, monkeypatch, N):
@@ -623,8 +713,8 @@ class TestSweep:
         # every tuple the raw sweep of N = 7..10 holds, one per unordered
         # pair in the orientation (u, w) it was evaluated in, against the
         # subresultant PRS of each D_l(u, w); and (w, u) read from it at
-        # -l mod N, against the PRS of each D_l(w, u): 606 tuples of 4,973
-        # values
+        # -l mod N, against the PRS of each D_l(w, u): 347 tuples of 2,744
+        # values, where evaluating every set's pairs held 606 of 4,973
         passes = []
         real_init = sieve._SievePass.__init__
 
@@ -636,7 +726,7 @@ class TestSweep:
         full_sweep((7, 10), raw=True)
         held = [(sieve_pass, u, w, values) for sieve_pass in passes
                 for (u, w), values in sieve_pass.resultants.items()]
-        assert len(held) == 606 and sum(len(v) for *_, v in held) == 4973
+        assert len(held) == 347 and sum(len(v) for *_, v in held) == 2744
         for sieve_pass, u, w, values in held:
             N = sieve_pass.N
             assert values == reference_resultants(u, w, N), (u, w, N)
@@ -688,21 +778,22 @@ class TestSweep:
 
     def test_norms_once_per_vector(self, monkeypatch):
         # resultant's bound reads the 1-norms of each vector's two entries
-        # from the pass, which takes them once per vector: 287 vectors for
-        # the raw sweep's 1,131 resultants, where each call took the norms
-        # of both its vectors
+        # from the pass, which takes them once per vector: 120 vectors for
+        # the raw sweep's 522 resultants, where every set's 1,131 took
+        # 287, and each call taking the norms of both its vectors 2,262
         norms = count_calls(monkeypatch, sieve, "vector_norms")
         calls = count_calls(monkeypatch, sieve, "resultant")
         full_sweep((7, 26), raw=True)
         vectors = {id(v): v for u, w, _ in calls for v in (u, w)}
-        assert len(calls) == 1131
-        assert len(norms) == 287 and {id(v) for v, in norms} == set(vectors)
+        assert len(calls) == 522
+        assert len(norms) == 120 and {id(v) for v, in norms} == set(vectors)
 
     def test_sweep_resultants_need_few_primes(self, monkeypatch):
         # every |Res| of the sweep lies within resultant's bound B, and the
         # product of primes that exceeds 2B is one prime below 2^62 for
-        # 1,047 of the 1,131 calls and two for 84: 1,215 CRT passes, where
-        # B = (|u0||w1| + (N-1)|u1||w1| + |u1||w0|)^phi(N) took 1,440
+        # 521 of the 522 calls and two for 1: 523 CRT passes.  Every set's
+        # 1,131 calls took 1,215 passes, 1,047 with one prime and 84 with
+        # two, and B = (|u0||w1| + (N-1)|u1||w1| + |u1||w0|)^phi(N) 1,440
         passes = []
         real = sieve.resultant
 
@@ -719,7 +810,7 @@ class TestSweep:
 
         monkeypatch.setattr(sieve, "resultant", checking_resultant)
         full_sweep((7, 26), raw=True)
-        assert Counter(passes) == {1: 1047, 2: 84}
+        assert Counter(passes) == {1: 521, 2: 1}
 
     def test_flatness_identity_is_checked(self, monkeypatch):
         real = sieve.orbit_signatures
