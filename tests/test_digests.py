@@ -72,6 +72,16 @@ COMMANDS = [
      "--json"),
     ("--config", "{config}/later11.json", "sieve", "--n-range", "11..11",
      "--json"),
+    # root_spec's edge paths: a reducible modulus and one with a square
+    # factor (exit 2), N = 1 (walked), a closed form over F_169 (N = 168)
+    # and over the largest closed-form prime field, and a prime field over
+    # the default cap (exit 3)
+    ("skeleton", "--p", "5", "--min-poly", "t^2+1"),
+    ("skeleton", "--p", "2", "--min-poly", "t^4+t^2+1"),
+    ("skeleton", "--p", "2", "--min-poly", "t+1"),
+    ("skeleton", "--p", "13", "--min-poly", "t^2+t+2"),
+    ("skeleton", "--p", "4651", "--min-poly", "t+3978"),
+    ("skeleton", "--p", "1000000007", "--min-poly", "t+2"),
 ]
 
 
