@@ -23,6 +23,7 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .exactalg import cyclotomic_factors, cyclotomic_split_cost, monic_modulus
 from .golden import GOLDEN_ROWS, self_check
@@ -109,6 +110,42 @@ def _cycle_template(length):
     return "[\n      " + ",\n      ".join(["%d"] * length) + "\n    ]"
 
 
+def _json_text(value, pad):
+    """The text of json.dumps(value, sort_keys=True, indent=2) with pad
+    after each newline, for a value built of dicts with str keys, lists,
+    tuples, str, int, bool and None; None for any other value.  Strings
+    and keys go through encode_basestring_ascii, which json's encoders
+    call for them, and ints through int.__repr__, as json's do; the
+    containers are laid out here, so no encoder is built."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if type(value) in (list, tuple):
+        if not value:
+            return "[]"
+        parts = [_json_text(item, inner) for item in value]
+        opening, closing = "[", "]"
+    elif type(value) is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        parts = [None if (text := _json_text(value[key], inner)) is None
+                 else f"{encode_basestring_ascii(key)}: {text}"
+                 for key in sorted(value)]
+        opening, closing = "{", "}"
+    else:
+        return None
+    if None in parts:
+        return None
+    return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + \
+        f"\n{pad}{closing}"
+
+
 def _dump(payload):
     """The text of json.dumps(payload, sort_keys=True, indent=2), yielded
     piece by piece, for a non-empty dict with str keys: the one printer of
@@ -119,9 +156,12 @@ def _dump(payload):
     they are printed _CYCLES_PER_PIECE cycles at a time: the piece's
     _cycle_templates, one per cycle length, are joined and filled with %
     straight from the matching slice of Cycles.flat, at C speed, and no
-    piece holds more than that many cycles' text.  Every other value goes
-    through json's indenting encoder, which is pure Python; %d would print
-    True as 1.
+    piece holds more than that many cycles' text; %d would print True as
+    1.  Every other value is laid out by _json_text, which builds no
+    encoder: json's indenting encoder is pure Python, and its mutually
+    referencing closures are garbage that only the cyclic collector
+    frees.  A value _json_text does not know, such as a float, goes
+    through that encoder.
     """
     sep = "{\n"
     for key in sorted(payload):
@@ -141,8 +181,9 @@ def _dump(payload):
                 between = ",\n    "
             yield "\n  ]"
         else:
+            text = _json_text(value, "  ")
             yield json.dumps(value, sort_keys=True, indent=2).replace(
-                "\n", "\n  ")
+                "\n", "\n  ") if text is None else text
     yield "\n}"
 
 
@@ -259,7 +300,8 @@ def cmd_factors(args, cfg, out):
 
 def cmd_skeleton(args, cfg, out):
     q = args.p ** (len(monic_modulus(args.p, args.min_poly)) - 1)
-    # checked before the field's O(q) tables, which prove m irreducible
+    # checked before root_spec's proof of irreducibility, which factors
+    # q - 1, and before any walk's or lift's O(q) field tables
     if q > cfg.state_cap:
         raise EnumerationCapExceeded(f"the field of order {q} for p={args.p} "
                                      f"m={args.min_poly} exceeds the state cap")

@@ -2,12 +2,16 @@
 
 The package's own number theory, integer Laurent polynomials, cyclotomic
 polynomials, the sieve's resultants against phi_N(-t), the factors of
-phi_N(-t) over F_p, and finite fields: a field is presented as a quotient
-F_p[t]/(m), and its elements are integer codes with one arithmetic, by log
-tables.  The table of a generator's powers is also the proof that m is
-irreducible: the quotient is a field exactly when some unit reaches every
-nonzero element.  Everything here is exact: integer coefficients are
-arbitrary precision, so results can be compared bit for bit.
+phi_N(-t) over F_p, and finite fields.  The ring F_p[t]/(m) has one
+arithmetic with no table, on ints mod p when deg m = 1 and on coefficient
+tuples otherwise (quotient_ring): the sieve's orbit keys, the proof that
+m is irreducible (root_order), multiplicative orders and the roots of
+quadratics all use it, at a cost polynomial in log q.  A field is
+presented as a quotient F_p[t]/(m) whose elements are also integer codes,
+and a walk over its lines multiplies codes through O(q) log tables, which
+FieldSpec builds only when a walk first asks for them.  Everything here
+is exact: integer coefficients are arbitrary precision, so results can be
+compared bit for bit.
 
 Primality is trial division by the primes below 1000, then Miller-Rabin
 to the first 13 prime bases, which proves primality below 3.3e24
@@ -572,7 +576,7 @@ def resultant(u, w, N, evaluate=None, norms=vector_norms):
     bound = 2 * _resultant_bound(u, w, N, norms)
     values, modulus, index = None, 1, 0
     while modulus <= bound:
-        P, roots = _unity_tables(N, index)
+        P, roots = unity_tables(N, index)
         (a0s, a1s), (b0s, b1s) = evaluate(u, index), evaluate(w, index)
         xy = [((a0 * b1 + (c := a1 * b1 * inv)) % P, (a1 * b0 + c) % P)
               for (_, inv), a0, a1, b0, b1 in zip(roots, a0s, a1s, b0s, b1s)]
@@ -641,7 +645,7 @@ def _inverse_sines(N):
 
 
 @lru_cache(maxsize=None)
-def _unity_tables(N, index):
+def unity_tables(N, index):
     """unity_prime(N, index) laid out for resultant: P, and for each zero
     -zeta of phi_N(-t) mod P, the powers zeta^0..zeta^(N-1) and
     1/(zeta - 1)."""
@@ -656,16 +660,16 @@ def _unity_tables(N, index):
 
 @lru_cache(maxsize=None)
 def _root_pairs(N, index):
-    """The roots of _unity_tables(N, index), each next to its inverse, for
+    """The roots of unity_tables(N, index), each next to its inverse, for
     resultant: (pairs, unpaired).  Each pair is (i, j, zeta_i powers,
     zeta_j powers) for positions i < j with zeta_i zeta_j = 1, so that
     zeta_j^l = zeta_i^-l.  The units k prime to N are listed in order, and
     N - k is a unit with k, so position i pairs with the mirrored position
     j = phi(N) - 1 - i.  For N >= 3 no unit k equals N - k and unpaired is
     empty; N = 2's one root, -1, is its own inverse and is the one entry
-    (i, zeta_i powers) of unpaired.  The powers are _unity_tables' own
+    (i, zeta_i powers) of unpaired.  The powers are unity_tables' own
     tuples."""
-    roots = _unity_tables(N, index)[1]
+    roots = unity_tables(N, index)[1]
     half, last = len(roots) // 2, len(roots) - 1
     pairs = tuple((i, last - i, roots[i][0], roots[last - i][0]) for i in range(half))
     unpaired = tuple((i, roots[i][0]) for i in range(half, len(roots) - half))
@@ -675,13 +679,13 @@ def _root_pairs(N, index):
 def unity_values(f, N, index):
     """The Laurent polynomial f at each zero -zeta of phi_N(-t) modulo
     P = unity_prime(N, index)[0], in resultant's order (unity_value)."""
-    P, roots = _unity_tables(N, index)
+    P, roots = unity_tables(N, index)
     return tuple(unity_value(f, zeta_powers, P) for zeta_powers, _ in roots)
 
 
 def unity_value(f, zeta_powers, P):
     """The Laurent polynomial f = t^e g at x = -zeta mod P, given the
-    powers zeta^0..zeta^(N-1) of a root of _unity_tables: g by Horner, and
+    powers zeta^0..zeta^(N-1) of a root of unity_tables: g by Horner, and
     x^e read off the powers, x^e = (-1)^e zeta^(e mod N)."""
     e = f.shift
     x_e = zeta_powers[e % len(zeta_powers)]
@@ -890,13 +894,426 @@ def _prime_free_part(N, p):
 
 
 # ---------------------------------------------------------------------------
+# F_p[t]/(m) with no table
+
+
+def quotient_ring(p, modulus):
+    """The ring F_p[t]/(m) for a monic coefficient tuple m = modulus with
+    m(0) != 0, so that xi, the class of t, is a unit: its elements are
+    ints mod p when deg m = 1, where xi = -m(0), and otherwise trimmed
+    coefficient tuples of degree below deg m, with 0 the empty tuple in
+    both; over F_2 they are the ints whose bit i is the coefficient of t^i,
+    the same as FieldSpec's codes.  Every operation costs a polynomial in
+    log q and deg m, q the number of elements; nothing of size q is
+    built.  It is a field exactly when m is irreducible; root_order
+    decides that."""
+    if len(modulus) == 2:
+        return _LinearRing(p, modulus)
+    if p == 2:
+        return _BinaryRing(p, modulus)
+    return _PolyRing(p, modulus)
+
+
+def order_plan(n, primes):
+    """What _Residues.unit_order reads to find orders dividing n >= 1,
+    given its distinct primes: (l, n / l^e, e) for each prime l, with l^e
+    exactly dividing n."""
+    plan = []
+    for l in primes:
+        e, m = 0, n
+        while m % l == 0:
+            e, m = e + 1, m // l
+        plan.append((l, m, e))
+    return tuple(plan)
+
+
+class _Residues:
+    """What the rings of quotient_ring share: the algorithms written in
+    their add, sub, mul, pow, element and residue alone.  A field keeps
+    the non-square of odd q and the element of trace 1 of even q once
+    one is found."""
+
+    non_square = trace_one = None
+
+    def evaluate(self, f):
+        """The Laurent polynomial f at xi: t^e g is the residue of its
+        coefficients shifted up for e >= 0, and g's times (1/xi)^-e
+        otherwise."""
+        if f.shift >= 0:
+            return self.residue([0] * f.shift + list(f.coeffs))
+        return self.mul(self.residue(f.coeffs), self.pow(self.gen, f.shift))
+
+    def unit_order(self, a, plan, b=None):
+        """The multiplicative order of x = a, or of x = a / b for a unit b,
+        when x^n = 1, and None otherwise, for plan = order_plan(n, primes
+        of n).  For each prime l with l^e exactly dividing n,
+        y = x^(n / l^e) has order l^j, j the first exponent up to e with
+        y^(l^j) = 1, and the order of x is the product of those l^j.  If
+        x^n != 1, then some l^(e+1) or a prime outside n divides the order
+        of x, and some y does not reach 1.  x^j = 1 exactly when
+        a^j = b^j, so a / b is never formed."""
+        one, power, found = self.one, self.pow, 1
+        if b is None or b == one:
+            if a == one:
+                return 1
+            b = None
+        for l, m, e in plan:
+            y, z = power(a, m), one if b is None else power(b, m)
+            for _ in range(e):
+                if y == z:
+                    break
+                y, z = power(y, l), one if b is None else power(z, l)
+                found *= l
+            if y != z:
+                return None
+        return found if plan or a == b else None  # n = 1 has no primes
+
+    def quadratic_roots(self, b, c):
+        """The distinct roots of x^2 - b x + c in the field, 0, 1 or 2 of
+        them.
+
+        For odd q they are (b +- s) / 2 for a square root s of the
+        discriminant b^2 - 4c: one root when it is 0, none when it is not
+        a square (_sqrt).  For q = 2^d, if b = 0 the one root is the square
+        root c^(q/2), as squaring is a bijection; otherwise x = b y turns
+        the equation into y^2 + y = k, k = c / b^2, whose roots y and y + 1
+        exist exactly when the absolute trace Tr(k) = k + k^2 + ... +
+        k^(2^(d-1)) is 0 (Lidl-Niederreiter, Finite Fields, Thm 2.25).
+        Then y = sum over 1 <= i < d of k^(2^i) S_i, with
+        S_i = delta + delta^2 + ... + delta^(2^(i-1)), is a root: the sum
+        telescopes to y^2 + y = k Tr(delta) + delta Tr(k), which is k when
+        Tr(delta) = 1.  delta = 1 serves when d is odd, and for even d the
+        first power xi^i of trace 1, 0 < i < d, which exists because the
+        trace is a nonzero linear form and Tr(1) = 0."""
+        if self.p == 2:
+            if not b:
+                return [self.pow(c, self.order // 2)]
+            k = self.mul(c, self.pow(self.mul(b, b), -1))
+            if self._trace(k):
+                return []
+            if self.trace_one is None:
+                self.trace_one = self.one if self.degree % 2 else next(
+                    x for x in (self.pow(self.gen, i)
+                                for i in range(1, self.degree))
+                    if self._trace(x))
+            delta = self.trace_one
+            y = s = self.zero
+            power, step = k, delta
+            for _ in range(1, self.degree):
+                s = self.add(s, step)
+                step = self.mul(step, step)
+                power = self.mul(power, power)
+                y = self.add(y, self.mul(power, s))
+            return [self.mul(b, y), self.mul(b, self.add(y, self.one))]
+        half = self.residue(((self.p + 1) // 2,))
+        disc = self.sub(self.mul(b, b), self.mul(self.residue((4,)), c))
+        if not disc:
+            return [self.mul(b, half)]
+        s = self._sqrt(disc)
+        if s is None:
+            return []
+        return [self.mul(self.add(b, s), half), self.mul(self.sub(b, s), half)]
+
+    def _trace(self, k):
+        """Tr(k) = k + k^2 + ... + k^(2^(d-1)) for q = 2^d, as an element
+        of F_2."""
+        total = power = k
+        for _ in range(1, self.degree):
+            power = self.mul(power, power)
+            total = self.add(total, power)
+        return total
+
+    def _sqrt(self, a):
+        """A square root of the nonzero a for odd q, or None when a is not
+        a square, by Tonelli-Shanks: q - 1 = 2^e Q with Q odd, w =
+        a^((Q-1)/2), x = a w and u = x w = a^Q; a is a square exactly when
+        u^(2^(e-1)) = a^((q-1)/2) is 1 (Euler), and then each step
+        multiplies x by a power of z^Q, z a non-square, until u = 1,
+        keeping x^2 = a u."""
+        e, Q = 0, self.order - 1
+        while Q % 2 == 0:
+            e, Q = e + 1, Q // 2
+        w = self.pow(a, (Q - 1) // 2)
+        x = self.mul(a, w)
+        u = self.mul(x, w)
+        check = u
+        for _ in range(e - 1):
+            check = self.mul(check, check)
+        if check != self.one:
+            return None
+        if u == self.one:
+            return x
+        if self.non_square is None:
+            minus_one = self.sub(self.zero, self.one)
+            self.non_square = next(
+                z for z in map(self.element, range(
+                    2 if self.degree == 1 else self.p, self.order))
+                if self.pow(z, (self.order - 1) // 2) == minus_one)
+        c = self.pow(self.non_square, Q)
+        while u != self.one:
+            i, t = 0, u
+            while t != self.one:
+                i, t = i + 1, self.mul(t, t)
+            for _ in range(e - i - 1):
+                c = self.mul(c, c)
+            x, c = self.mul(x, c), self.mul(c, c)
+            u, e = self.mul(u, c), i
+        return x
+
+
+class _LinearRing(_Residues):
+    """F_p = F_p[t]/(t + m0) on ints mod p (see quotient_ring)."""
+
+    zero, one, degree = 0, 1, 1
+
+    def __init__(self, p, modulus):
+        self.p = self.order = p
+        self.gen = -modulus[0] % p
+
+    def element(self, code):
+        """The element whose code (FieldSpec) is code: itself."""
+        return code
+
+    def code(self, a):
+        """a itself."""
+        return a
+
+    def residue(self, coeffs):
+        """The class of the polynomial with these integer coefficients,
+        ascending: its value at xi, by Horner."""
+        return _fp_eval(coeffs, self.gen, self.p)
+
+    def evaluate(self, f):
+        """The Laurent polynomial f at xi, as g(xi) xi^e for f = t^e g."""
+        p = self.p
+        return _fp_eval(f.coeffs, self.gen, p) * pow(self.gen, f.shift, p) % p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def pow(self, a, n):
+        """a^n for any integer n, a a unit when n < 0."""
+        return pow(a, n, self.p)
+
+
+class _PolyRing(_Residues):
+    """F_p[t]/(m), deg m >= 2, on trimmed coefficient tuples (see
+    quotient_ring).  A product is formed without reduction and then folded
+    from its top coefficient down by t^d = -(m - t^d), d = deg m, each
+    folded coefficient taken mod p once, so no term product is reduced on
+    its own; at d = 2 and 3 that is written out (_mul2, _mul3)."""
+
+    zero, one, gen = (), (1,), (0, 1)
+
+    def __init__(self, p, modulus):
+        self.p = p
+        self.modulus = modulus
+        self.degree = d = len(modulus) - 1
+        self.order = p ** d
+        self.low = [-c % p for c in modulus[:d]]  # t^d = sum low[j] t^j
+        # 1/xi = -(m - m(0)) / (m(0) t), read off the modulus
+        inverse = pow(-modulus[0], -1, p)
+        self.inv_gen = tuple(c * inverse % p for c in modulus[1:])
+        if d == 2:
+            self.mul = self._mul2
+        elif d == 3:
+            self.mul = self._mul3
+            # t^4 = t t^3 = l2 l0 + (l0 + l2 l1) t + (l1 + l2^2) t^2
+            l0, l1, l2 = self.low
+            self.t4 = (l2 * l0 % p, (l0 + l2 * l1) % p, (l1 + l2 * l2) % p)
+
+    def element(self, code):
+        """The element whose code (FieldSpec) is code: its base-p digits."""
+        return _code_digits(code, self.p)
+
+    def code(self, a):
+        """The base-p number whose digits are a's coefficients."""
+        code = 0
+        for c in reversed(a):
+            code = code * self.p + c
+        return code
+
+    def residue(self, coeffs):
+        """The class of the polynomial with these integer coefficients,
+        ascending."""
+        return self._fold([c % self.p for c in coeffs])
+
+    def _fold(self, c):
+        """The reduced tuple of the list c, modified in place."""
+        p, d, low = self.p, self.degree, self.low
+        for top in range(len(c) - 1, d - 1, -1):
+            x = c.pop() % p
+            if x:
+                for j, y in enumerate(low, top - d):
+                    c[j] += x * y
+        return self._trimmed(c)
+
+    def _trimmed(self, c):
+        """The tuple of the list c of degree below d, reduced mod p."""
+        p = self.p
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return tuple(c)
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return self._trimmed([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    def sub(self, a, b):
+        return self.add(a, [-y for y in b])
+
+    def _mul2(self, a, b):
+        """mul at d = 2, with t^2 = low[0] + low[1] t."""
+        if not a or not b:
+            return ()
+        a0, a1 = a if len(a) == 2 else (a[0], 0)
+        b0, b1 = b if len(b) == 2 else (b[0], 0)
+        p, (l0, l1), h = self.p, self.low, a1 * b1
+        c0, c1 = (a0 * b0 + h * l0) % p, (a0 * b1 + a1 * b0 + h * l1) % p
+        return (c0, c1) if c1 else (c0,) if c0 else ()
+
+    def _mul3(self, a, b):
+        """mul at d = 3, with t^3 = low[0] + low[1] t + low[2] t^2 and t^4
+        folded likewise (t4)."""
+        if not a or not b:
+            return ()
+        a0, a1, a2 = a + (0,) * (3 - len(a))
+        b0, b1, b2 = b + (0,) * (3 - len(b))
+        p, (l0, l1, l2), (k0, k1, k2) = self.p, self.low, self.t4
+        c3, c4 = a1 * b2 + a2 * b1, a2 * b2
+        c0 = (a0 * b0 + c3 * l0 + c4 * k0) % p
+        c1 = (a0 * b1 + a1 * b0 + c3 * l1 + c4 * k1) % p
+        c2 = (a0 * b2 + a1 * b1 + a2 * b0 + c3 * l2 + c4 * k2) % p
+        return (c0, c1, c2) if c2 else (c0, c1) if c1 else (c0,) if c0 else ()
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        c = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    c[j] += x * y
+        return self._fold(c)
+
+    def pow(self, a, n):
+        """a^n for any integer n, a a unit when n < 0, whose inverse is
+        taken by the extended Euclid."""
+        if n < 0:
+            a, n = (self.inv_gen if a == self.gen
+                    else _fp_inverse(a, self.modulus, self.p)), -n
+        return power_by_squaring(a, n, self.mul, self.one)
+
+
+class _BinaryRing(_Residues):
+    """F_2[t]/(m), deg m >= 2, on ints whose bit i is the coefficient of
+    t^i (see quotient_ring): a sum is an exclusive or, and a product is
+    carry-less, with the shifted factor reduced by m's bits at each step;
+    an inverse is a^(q-2)."""
+
+    zero, one, gen = 0, 1, 2
+
+    def __init__(self, p, modulus):
+        self.p = p
+        self.degree = d = len(modulus) - 1
+        self.order = 1 << d
+        self.bits = _bits(modulus)
+        self.inv_gen = self.bits >> 1  # 1/xi = (m - 1) / t, m(0) = 1
+
+    def element(self, code):
+        """The element whose code (FieldSpec) is code: itself."""
+        return code
+
+    def code(self, a):
+        """a itself."""
+        return a
+
+    def residue(self, coeffs):
+        """The class of the polynomial with these integer coefficients,
+        ascending."""
+        r, bits, d = _bits(coeffs), self.bits, self.degree
+        while r.bit_length() > d:
+            r ^= bits << (r.bit_length() - 1 - d)
+        return r
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def mul(self, a, b):
+        bits, top, r = self.bits, self.order, 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= bits
+        return r
+
+    def pow(self, a, n):
+        """a^n for any integer n, a a unit when n < 0."""
+        if n < 0:
+            a, n = (self.inv_gen if a == self.gen
+                    else power_by_squaring(a, self.order - 2, self.mul, 1)), -n
+        return power_by_squaring(a, n, self.mul, 1)
+
+
+def _bits(coeffs):
+    """The int whose bit i is the i-th of these integer coefficients mod
+    2."""
+    return sum(c % 2 << i for i, c in enumerate(coeffs))
+
+
+def root_order(ring, plan):
+    """N = ord(-xi) in ring = quotient_ring(p, m), given
+    plan = order_plan(q - 1, primes of q - 1), when m is irreducible,
+    that is when the ring is the field F_q, and None otherwise: the proof
+    of irreducibility, with no table.
+
+    m is accepted exactly when (-xi)^(q-1) = 1, m divides phi_N(-t) mod p
+    for the order N of -xi, and deg m = ord_N(p).  If m is irreducible,
+    -xi lies in F_q*, of order q - 1, so its order N divides q - 1 and is
+    prime to p; -xi is then a primitive N-th root of unity, a root of
+    phi_N, and F_p(xi) = F_p(-xi) has degree ord_N(p).  Conversely,
+    N | q - 1 makes p prime to N, so phi_N(-t) is squarefree mod p and
+    its irreducible factors all have degree ord_N(p) (Lidl-Niederreiter,
+    Finite Fields, Thm 2.47); a divisor m of that degree is one of them.
+    N is read over the primes of q - 1 (_Residues.unit_order).
+    """
+    minus_xi = ring.sub(ring.zero, ring.gen)
+    N = ring.unit_order(minus_xi, plan)
+    if N is None or ring.residue(_neg_cyclotomic(N)):
+        return None
+    # a linear m is irreducible, and there N | p - 1 gives ord_N(p) = 1
+    if ring.degree > 1 and order_mod(ring.p, N) != ring.degree:
+        return None
+    return N
+
+
+@lru_cache(maxsize=None)
+def _neg_cyclotomic(N):
+    """The coefficients of phi_N(-t), once per N."""
+    return substitute_neg(cyclotomic(N)).coeffs
+
+
+# ---------------------------------------------------------------------------
 # finite fields
 
 
 def monic_modulus(p, modulus):
     """A modulus (text or IntPoly) as its coefficients mod p; ValueError
     unless p is prime and it is monic, of degree >= 1 and not t.  Only
-    FieldSpec's unit table proves it irreducible."""
+    FieldSpec's proof (root_order) shows it irreducible."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(modulus, str):
@@ -918,19 +1335,25 @@ class FieldSpec:
     """The field F_p[t]/(modulus), its elements coded as integers.
 
     The modulus must be monic irreducible over F_p and distinct from t, so
-    the class of t, xi, is an invertible generator of the presentation.
+    the class of t, xi, is an invertible generator of the presentation;
+    the constructor proves it irreducible with no table (root_order) and
+    raises ValueError otherwise, keeping N = ord(-xi) from the proof as
+    neg_gen_order.  ring is its quotient_ring, whose arithmetic costs
+    polynomial time in log q and serves evaluate and order_of.
     The code of an element is the base-p number whose digits are the
     coefficients of its residue, lowest power first: 0..p-1 are the prime
-    field, and gen is the code of xi.  log[c] is the discrete logarithm of
-    the nonzero code c to the first code whose powers reach all q - 1
-    nonzero codes, and exp inverts it; extension fields multiply through
-    them.  Those tables are the proof that the modulus is irreducible (see
-    _unit_tables): a modulus whose tables fail raises ValueError.  They
-    cost O(q) time and memory.  matrix_codes memoizes the codes of
-    specialized Burau matrices, keyed by the matrix, for the walks over
-    this field, and generator_cycles the cycles of the braid generators
-    on its lines and trace_generates whether its trace field is all of
-    it, once skeleton has read them.
+    field, and gen is the code of xi.  add, mul and inv act on codes: over
+    F_p directly, and over an extension through log[c], the discrete
+    logarithm of the nonzero code c to the first code whose powers reach
+    all q - 1 nonzero codes, and exp, which inverts it (_unit_tables).
+    Those tables cost O(q) time and memory and are built on their first
+    use, by a walk over lines or a lift, and never for a closed form.
+    matrix_codes memoizes the codes of the braid generators' specialized
+    Burau matrices, keyed by name, for the walks and closed forms over
+    this field, generator_cycles the cycles of the braid generators on its
+    lines, fiber_cycles their voltages' orders in each fiber, and
+    trace_generates whether its trace field is all of it, once skeleton
+    has read them.
     """
 
     def __init__(self, p, modulus):
@@ -938,22 +1361,35 @@ class FieldSpec:
         self.modulus = coeffs = monic_modulus(p, modulus)
         self.degree = d = _deg(coeffs)
         self.order = q = p ** d
-        self.matrix_codes = {}
-        self.generator_cycles = None
-        self.trace_generates = None
-        tables = _unit_tables(q, p, coeffs)
-        if tables is None:
+        self.ring = ring = quotient_ring(p, coeffs)
+        self.unit_plan = order_plan(q - 1, prime_factors(q - 1))
+        self.neg_gen_order = root_order(ring, self.unit_plan)
+        if self.neg_gen_order is None:
             raise ValueError(f"modulus {poly_text(coeffs)} is reducible "
                              f"over F_{p}")
-        self.exp, self.log = tables
+        self.gen = ring.code(ring.gen)
+        self.matrix_codes = {}
+        self.generator_cycles = None
+        self.fiber_cycles = {}
+        self.trace_generates = None
         if d == 1:
-            self.gen = -coeffs[0] % p
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: (a * b) % p
             self.inv = lambda a: pow(a, p - 2, p)
-        else:
-            self.gen = p
+
+    def __getattr__(self, name):
+        """exp and log, and over an extension add, mul and inv, built on
+        first use and then kept as plain attributes, so a walk reads each
+        once, outside its loops."""
+        if name not in ("exp", "log", "add", "mul", "inv"):
+            raise AttributeError(name)
+        tables = _unit_tables(self.order, self.p, self.modulus)
+        if tables is None:  # unreachable: the constructor proved m irreducible
+            raise AssertionError(f"no unit tables for {self!r}")
+        self.exp, self.log = tables
+        if self.degree > 1:
             self._extension_arithmetic()
+        return getattr(self, name)
 
     def _extension_arithmetic(self):
         p, d, q = self.p, self.degree, self.order
@@ -994,23 +1430,16 @@ class FieldSpec:
     def min_poly(self):
         return IntPoly(self.modulus)
 
-    def power(self, a, n):
-        """a^n for a nonzero code a and any integer n."""
-        return self.exp[self.log[a] * n % (self.order - 1)]
-
     def order_of(self, a):
-        """The multiplicative order of the nonzero code a."""
+        """The multiplicative order of the nonzero code a, over the primes
+        of q - 1."""
         if a == 0:
             raise ValueError("order of zero")
-        return (self.order - 1) // gcd(self.order - 1, self.log[a])
+        return self.ring.unit_order(self.ring.element(a), self.unit_plan)
 
     def evaluate(self, f):
         """The code of the Laurent polynomial f at xi."""
-        add, mul, xi, p = self.add, self.mul, self.gen, self.p
-        acc = 0
-        for c in reversed(f.coeffs):
-            acc = add(mul(acc, xi), c % p)
-        return mul(acc, self.power(xi, f.shift))
+        return self.ring.code(self.ring.evaluate(f))
 
 
 def _unit_tables(q, p, modulus):
@@ -1018,6 +1447,9 @@ def _unit_tables(q, p, modulus):
     q - 1 nonzero codes of F_p[t]/(m), q = p^deg m, for the coefficients
     m = modulus, and their discrete logarithms (log[0] is unused); None
     when no code's powers do, which is exactly when m is reducible.
+    FieldSpec builds them only on their first use, by a walk over lines
+    or a lift, for a modulus root_order has already proved irreducible;
+    no closed form reads them.
 
     The code tried is the first g with g^((q - 1) / l) != 1 for every
     prime l | q - 1.  If m is irreducible, F_q* is cyclic

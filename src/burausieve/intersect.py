@@ -23,8 +23,8 @@ from math import gcd, lcm
 
 from .golden import GOLDEN_ROWS
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, _euler_genus, \
-    _fiber_order, _generator_cycles, _LineWalk, _trace_generates, \
-    orbit_signatures
+    _fiber_cycles, _fiber_order, _generator_cycles, _LineWalk, \
+    _trace_generates, _voltage_order, orbit_signatures
 from .typesys import admissible_types, root_spec
 
 
@@ -52,10 +52,10 @@ def _reciprocal(modulus, p):
 
 
 def _cycle_count(cycles, r1, r2):
-    """The cycles over base cycles (a, b, count) of net voltage (a, b) in
-    Z/r1 x Z/r2: each lifts to r1 r2 / o cycles, o the order of (a, b)."""
-    return sum(count * r1 * r2 // lcm(r1 // gcd(r1, a), r2 // gcd(r2, b))
-               for a, b, count in cycles)
+    """The cycles over base cycles (o1, o2, count) whose net voltage in
+    Z/r1 x Z/r2 has coordinates of orders o1 and o2: each lifts to
+    r1 r2 / o cycles, o = lcm(o1, o2) the order of the voltage."""
+    return sum(count * r1 * r2 // lcm(o1, o2) for o1, o2, count in cycles)
 
 
 def _components(n, vertices, edges, faces):
@@ -71,12 +71,16 @@ def fibered_product(spec1, spec2):
 
     Both roots must pass _trace_generates, so each factor is transitive on
     its (q + 1) r edges, the nonzero covectors modulo the scalars S, and
-    _generator_cycles gives the cycles (L, mu, count) of black, white and
-    region on its q + 1 lines.  These act coordinatewise on edge pairs:
-    cycles of lengths L1 and L2 meet in gcd(L1, L2) cycles of line pairs,
-    of length l = lcm(L1, L2) and voltage (mu1 l / L1, mu2 l / L2) in
-    Z/r1 x Z/r2, and one of voltage of order o lifts to r1 r2 / o cycles.
-    That gives V and F of all components together, with E = E1 E2.
+    _fiber_cycles gives the cycles (L, o, count) of black, white and
+    region on its q + 1 lines, o the order of the net voltage mu in Z/r.
+    These act coordinatewise on edge pairs: cycles of lengths L1 and L2
+    meet in gcd(L1, L2) cycles of line pairs, of length l = lcm(L1, L2)
+    and voltage (mu1 l / L1, mu2 l / L2) in Z/r1 x Z/r2, whose coordinates
+    have the orders o1 / gcd(o1, l / L1) and o2 / gcd(o2, l / L2), as
+    j k mu = 0 in a cyclic group exactly when o divides j k, that is when
+    o / gcd(o, k) divides j; and one of voltage of order o lifts to
+    r1 r2 / o cycles.  That gives V and F
+    of all components together, with E = E1 E2, from orders alone.
 
     Unlinked roots (m2 neither m1 nor its monic reciprocal) give one
     component.  The commutator subgroup of the braid group maps onto
@@ -102,13 +106,17 @@ def fibered_product(spec1, spec2):
     voltage d has voltage d - log det there.  PSL2(F_p) is 2-transitive on
     lines, so the line pairs form the diagonal D = {(l, phi(l))} and one
     other orbit O.  On D the cycles are factor 1's, with
-    mu2 = mu1 - L log det g and det g = (-xi)^k, k = 2, 3, 1.  A braid
-    fixing l acts over (l, phi(l)) by (lambda, lambda / det): diag(a, 1/a)
-    in SL2 makes lambda any unit at det 1, and the determinants are the
-    powers of -xi, so r / [<-xi> S : S] = gcd(r, log(-xi)) isomorphic
-    components lie over D.  A braid fixing l and m != l has eigenvalues
-    lambda and mu there and acts over (l, phi(m)) by (lambda, 1 / lambda),
-    so r lie over O, sharing the cycles not on D.
+    mu2 = mu1 - L log det g and det g = (-xi)^k, k = 2, 3, 1, so a cycle
+    of voltage log x in factor 1 has voltage log x (-xi)^(-L k) in factor
+    2, whose order in Z/r is found as _fiber_cycles finds factor 1's
+    (_voltage_order): x^(2 n0 N) = 1 and (-xi)^N = 1.  A braid fixing l
+    acts over (l, phi(l)) by (lambda, lambda / det): diag(a, 1/a) in SL2
+    makes lambda any unit at det 1, and the determinants are the powers
+    of -xi, so r / [<-xi> S : S] = gcd(r, log(-xi)) isomorphic components
+    lie over D, where [<-xi> S : S] = N / gcd(N, |S|) is the order of
+    -xi S.  A braid fixing l and m != l has eigenvalues lambda and mu
+    there and acts over (l, phi(m)) by (lambda, 1 / lambda), so r lie
+    over O, sharing the cycles not on D.
 
     Any other pair raises ValueError: a root failing _trace_generates, the
     same root twice, or reciprocal roots over an extension field or in two
@@ -121,13 +129,14 @@ def fibered_product(spec1, spec2):
     r1, r2 = _fiber_order(spec1), _fiber_order(spec2)
     e1 = (spec1.root.field.order + 1) * r1
     e2 = (spec2.root.field.order + 1) * r2
-    cycles1 = _generator_cycles(spec1.root)
     black, white, region = (_cycle_count(
-        [(mu1 * l // L1, mu2 * l // L2, c1 * c2 * gcd(L1, L2))
-         for L1, mu1, c1 in base1 for L2, mu2, c2 in base2
+        [(o1 // gcd(o1, l // L1), o2 // gcd(o2, l // L2),
+          c1 * c2 * gcd(L1, L2))
+         for L1, o1, c1 in base1 for L2, o2, c2 in base2
          for l in [lcm(L1, L2)]], r1, r2)
-        for base1, base2 in zip(cycles1, _generator_cycles(spec2.root)))
-    field, p = spec1.root.field, spec1.root.p
+        for base1, base2 in zip(_fiber_cycles(spec1), _fiber_cycles(spec2)))
+    root = spec1.root
+    field, p, N = root.field, root.p, root.N
     m1, m2 = field.modulus, spec2.root.field.modulus
     if spec2.root.p != p or m2 not in (m1, _reciprocal(m1, p)):
         return FiberedProduct(e1, e2, tuple(
@@ -135,13 +144,19 @@ def fibered_product(spec1, spec2):
     if field.degree > 1 or m2 == m1 or spec1.ambient != spec2.ambient:
         raise ValueError(f"no closed-form product of the linked {spec1} "
                          f"and {spec2}")
-    log_s1 = field.log[-field.gen % p]  # log det s1 = log(-xi)
-    black_d, white_d, region_d = (_cycle_count(
-        [(mu, mu - L * k * log_s1, count) for L, mu, count in base], r1, r1)
-        for base, k in zip(cycles1, (2, 3, 1)))
+    s = (field.order - 1) // r1  # |S|
+    minus_xi = -field.gen % p  # det s1
+    diagonal = []
+    for base, orders, k, n0 in zip(_generator_cycles(root),
+                                   _fiber_cycles(spec1), (2, 3, 1), (3, 2, N)):
+        diagonal.append(_cycle_count(
+            [(o, _voltage_order(field.ring, x * pow(minus_xi, -L * k, p) % p,
+                                s, 2 * n0 * N), count)
+             for (L, x, count), (_, o, _) in zip(base, orders)], r1, r1))
+    black_d, white_d, region_d = diagonal
     e_d = (field.order + 1) * r1 * r1
     return FiberedProduct(e1, e2, tuple(
-        _components(gcd(r1, log_s1), black_d + white_d, e_d, region_d)
+        _components(r1 // (N // gcd(N, s)), black_d + white_d, e_d, region_d)
         + _components(r1, black + white - black_d - white_d, e1 * e2 - e_d,
                       region - region_d)))
 

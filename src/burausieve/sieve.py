@@ -66,8 +66,9 @@ So are the primes dividing N: phi_N is separable mod p exactly when p
 does not divide N, and its roots are then the primitive N-th roots of
 unity, so every factor of phi_N(-t) mod such a p has ord(-xi) = N and
 degree ord_N(p), while for p | N none has ord(-xi) = N.  The sieve builds
-no field; the genus filter builds one per candidate and asserts the order
-there.
+no field; the genus filter builds one per candidate, which proves the
+factor irreducible and finds its order with no table (typesys.root_spec),
+and asserts the order there.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burau import BraidWord, modular_projection, to_burau
-from .exactalg import IntPoly, cyclotomic_factors, prime_factors, resultant, \
-    unity_value, unity_values, vector_norms, _fp_eval, _fp_inverse, _fp_mod, \
-    _fp_mul, _fp_pow_mod, _unity_tables
+from .exactalg import IntPoly, cyclotomic_factors, prime_factors, \
+    quotient_ring, resultant, unity_tables, unity_value, unity_values, \
+    vector_norms
 from .skeleton import DEFAULT_STATE_CAP, euler_lhs, orbit_signatures
 from .typesys import epsilon_p, k_threshold, root_spec, \
     type_coefficient_laurent, type_tags
@@ -189,6 +190,7 @@ class _SievePass:
         self.cyclotomic = {}  # p -> the irreducible factors of phi_N(-t) mod p
         self.points = {}  # v -> the coefficients of alpha(v), beta(v)
         self.keys = {}  # (v, p, factor index) -> the orbit key of v's point
+        self.rings = {}  # (p, factor index) -> F_p[t]/(that factor)
 
     def vectors(self, words, branch):
         """Type tag -> the vectors b_i v_T of the words, on this branch, each
@@ -250,7 +252,7 @@ class _SievePass:
         primitive N-th root of unity z, a zero of phi_N mod P, so
         zeta -> z is a ring map Z[zeta] -> F_P, and it sends D_l(-zeta) to
         D_l(-z) mod P: a nonzero D_l(-z) mod P proves D_l(-zeta) nonzero.
-        At the first root of _unity_tables(N, 0), D_l(-z) = z^l X - Y mod P
+        At the first root of unity_tables(N, 0), D_l(-z) = z^l X - Y mod P
         with resultant's X and Y, free of l, from u's and w's values there
         (root_value).  Only a pair with some z^l X - Y = 0 mod P falls back
         to resultants_of, which decides exactly; a certified pair holds
@@ -258,7 +260,7 @@ class _SievePass:
         first = int(w is u)
         res = self.resultants.get((u, w)) or self.resultants.get((w, u))
         if res is None:
-            P, roots = _unity_tables(self.N, 0)
+            P, roots = unity_tables(self.N, 0)
             zeta_powers, inv = roots[0]
             (a0, a1), (b0, b1) = self.root_value(u), self.root_value(w)
             c = a1 * b1 * inv
@@ -272,7 +274,7 @@ class _SievePass:
         """Both entries of the vector v at the zero -z of phi_N(-t) mod
         P = unity_prime(N, 0)[0] that nonzero reads, once per pass."""
         if v not in self.root_values:
-            P, roots = _unity_tables(self.N, 0)
+            P, roots = unity_tables(self.N, 0)
             self.root_values[v] = [unity_value(f, roots[0][0], P) for f in v]
         return self.root_values[v]
 
@@ -363,29 +365,25 @@ class _SievePass:
         carried_types), once per pass: _UNDEFINED, _ZERO or _INFINITY at
         the fixed points, and otherwise sigma^N for sigma = alpha/beta,
         the same for two points exactly when they lie in one orbit, since
-        mu_N is the whole N-torsion of the cyclic group F_q^*.  For a
-        linear m, theta is in F_p and the key an int; otherwise it is a
-        coefficient tuple modulo m, reached by list arithmetic over F_p,
-        with no table of F_q."""
+        mu_N is the whole N-torsion of the cyclic group F_q^*.  It is
+        reached in exactalg.quotient_ring(p, m), one per factor and pass:
+        for a linear m, theta is in F_p and the key an int; otherwise it is
+        a coefficient tuple modulo m, with no table of F_q."""
         key = (v, p, k)
         if key not in self.keys:
-            m = self.cyclotomic_factors(p)[k].coeffs
+            ring = self.rings.get((p, k))
+            if ring is None:
+                ring = self.rings[p, k] = quotient_ring(
+                    p, self.cyclotomic_factors(p)[k].coeffs)
             alpha, beta = self.point(v)
-            if len(m) == 2:
-                theta = -m[0] % p
-                x, y = _fp_eval(alpha, theta, p), _fp_eval(beta, theta, p)
-            else:
-                x = _fp_mod([c % p for c in alpha], m, p)
-                y = _fp_mod([c % p for c in beta], m, p)
+            x, y = ring.residue(alpha), ring.residue(beta)
             if not y:
                 self.keys[key] = _INFINITY if x else _UNDEFINED
             elif not x:
                 self.keys[key] = _ZERO
-            elif len(m) == 2:
-                self.keys[key] = pow(x * pow(y, -1, p), self.N, p)
             else:
-                sigma = _fp_mod(_fp_mul(x, _fp_inverse(y, m, p), p), m, p)
-                self.keys[key] = _fp_pow_mod(sigma, self.N, m, p)
+                self.keys[key] = ring.pow(ring.mul(x, ring.pow(y, -1)),
+                                          self.N)
         return self.keys[key]
 
     def point(self, v):

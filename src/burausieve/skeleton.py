@@ -18,7 +18,10 @@ come from a walk or in closed form:
 - When the trace field F_p(xi + 1/xi) is F_q, the braid image holds
   PSL2(F_q) and is transitive on lines, and `_generator_cycles` reads
   the cycles off each generator's eigenvalues and projective order, once
-  per field, for `_closed_form` and `intersect`'s fibered products.
+  per field, for `_closed_form` and `intersect`'s fibered products.  It
+  works in the field's table-free ring and takes no log: a voltage
+  enters a signature only through its order in the fiber
+  (`_fiber_cycles`), so only walks and lifts build the field's tables.
 `orbit_signatures` dispatches between the two, so the sweep's genus
 filter, the table check and text-mode `skeleton` walk only the roots
 whose trace field is smaller than F_q, and the addendum walks none.
@@ -29,20 +32,21 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from math import gcd
 from operator import countOf, eq, itemgetter
 
 from .burau import BraidWord, specialize, to_burau
+from .exactalg import order_plan, prime_factors
 from .typesys import RootSpec, root_spec, type_coefficient_laurent, \
     type_vector
 
 DEFAULT_STATE_CAP = 10 ** 6
 
-# The Burau images of the black, white and region generators
-_BLACK = to_burau(BraidWord.parse("s2 s1"))
-_WHITE = to_burau(BraidWord.parse("s2 s1 s1"))
-_REGION = to_burau(BraidWord.parse("s1"))
+# The Burau images of the black, white and region generators, by name
+_GENERATORS = {name: to_burau(BraidWord.parse(word)) for name, word in (
+    ("black", "s2 s1"), ("white", "s2 s1 s1"), ("region", "s1"))}
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -325,12 +329,13 @@ class UniversalGroupSpec:
                 f"in {self.ambient}")
 
 
-def _spec_matrix_codes(m, field):
-    """The codes of m specialized to field, computed once per field and
-    shared by every walk over it (all tags, both ambients)."""
-    codes = field.matrix_codes.get(m)
+def _spec_matrix_codes(name, field):
+    """The codes of the generator name's matrix specialized to field,
+    computed once per field and shared by every walk over it and its
+    closed form (all tags, both ambients)."""
+    codes = field.matrix_codes.get(name)
     if codes is None:
-        codes = field.matrix_codes[m] = specialize(m, field)
+        codes = field.matrix_codes[name] = specialize(_GENERATORS[name], field)
     return codes
 
 
@@ -346,20 +351,19 @@ def _fiber_order(spec):
 
 
 def _signature_of(spec, lines, k, cycles):
-    """(SkeletonSignature, genus) of spec's orbit, from the (length, net
-    voltage, count) cycles of black, white and region on its lines.
+    """(SkeletonSignature, genus) of spec's orbit, from the (length, order,
+    count) cycles of black, white and region on its lines: count cycles
+    of that length whose net voltage has that order in the fiber Z/r.
 
     Its local group K <= Z/r has order k, and k edges lie over each line.
     A cycle of length L and net voltage mu in K lifts to k / o cycles of
-    length L o, where o = r / gcd(r, mu) is the order of mu.  This is
-    exact on every orbit, transitive or not.
+    length L o, where o is the order of mu.  This is exact on every orbit,
+    transitive or not.
     """
-    r = _fiber_order(spec)
     lifted = []  # length -> number of cycles, for black, white and region
     for base in cycles:
         lifts = Counter()
-        for length, mu, count in base:
-            o = r // gcd(r, mu)
+        for length, o, count in base:
             if k % o:
                 raise AssertionError(f"cycle voltage outside the local group "
                                      f"for {spec}")
@@ -416,8 +420,8 @@ class _LineWalk:
                 return mul(a1, inv(a0)), log[a0] % r
             return q, log[a1] % r
 
-        g_black = _spec_matrix_codes(_BLACK, field)
-        g_white = _spec_matrix_codes(_WHITE, field)
+        g_black = _spec_matrix_codes("black", field)
+        g_white = _spec_matrix_codes("white", field)
         seed = _seed_line(root, spec.type_tag)
         index = {seed: 0}
         lines = [seed]
@@ -436,7 +440,7 @@ class _LineWalk:
                     potential.append((potential[i] + d) % r)
                 images.append((j, d))
             i += 1
-        g_region = _spec_matrix_codes(_REGION, field)
+        g_region = _spec_matrix_codes("region", field)
         region = []
         for line in lines:
             line2, d = move(line, g_region)
@@ -452,8 +456,8 @@ class _LineWalk:
         self.black, self.white, self.region = black, white, region
 
     def cycles(self, step):
-        """The cycles of step on the walk's lines, in the shape that
-        _closed_form_cycles gives: (length, net voltage, 1) for each."""
+        """The cycles of step on the walk's lines: (length, net voltage, 1)
+        for each, the voltage a sum of logs, not reduced mod r."""
         seen = bytearray(len(step))
         cycles = []
         for start in range(len(step)):
@@ -470,10 +474,13 @@ class _LineWalk:
 
     def signature(self):
         """(SkeletonSignature, genus) of the orbit, lifted from the cycles
-        of black, white and region on its lines."""
-        return _signature_of(self.spec, len(self.lines), self.k,
-                             [self.cycles(step) for step in
-                              (self.black, self.white, self.region)])
+        of black, white and region on its lines; a net voltage mu has the
+        order r / gcd(r, mu) in Z/r."""
+        r = self.r
+        return _signature_of(self.spec, len(self.lines), self.k, [
+            [(length, r // gcd(r, mu), count)
+             for length, mu, count in self.cycles(step)]
+            for step in (self.black, self.white, self.region)])
 
     def edge_steps(self, step):
         """The lift of step to the edges (i, t), numbered i * k + t, as an
@@ -616,65 +623,83 @@ def _trace_generates(root):
     """Whether _closed_form applies to root: N >= 7, and s = xi + 1/xi,
     which generates the trace field of the braid image, generates F_q.
     That is, s lies in no proper subfield: s^(p^e) != s for every proper
-    divisor e of deg m.  Both depend on the field alone (N = ord(-xi)), so
-    the answer is read once per field and kept on it."""
+    divisor e of deg m, by powers in the field's ring, with no table.
+    Both depend on the field alone (N = ord(-xi)), so the answer is read
+    once per field and kept on it."""
     field = root.field
     if field.trace_generates is None:
-        s = field.add(field.gen, field.inv(field.gen))
+        ring = field.ring
+        s = ring.add(ring.gen, ring.pow(ring.gen, -1))
         d, p = field.degree, field.p
         field.trace_generates = root.N >= 7 and all(
-            s and field.power(s, p ** e) != s
+            s and ring.pow(s, p ** e) != s
             for e in range(1, d) if d % e == 0)
     return field.trace_generates
 
 
-def _closed_form_cycles(g, n0, root):
-    """The (length, net voltage, count) cycles of the codes g of black,
-    white or region on all q + 1 lines.
+@lru_cache(maxsize=None)
+def _plan(e):
+    """order_plan(e), once per exponent: e divides 2 N^2 or N, so its
+    primes are found by trial division at once."""
+    return order_plan(e, prime_factors(e))
 
-    g's projective order n divides n0 (3, 2 and N), and g^n = c I.  If
-    n > 1, g's fixed lines are its eigenlines: the eigenvalues are the n-th
-    roots lambda of c, read off the log table, that solve
-    lambda^2 - tr lambda + det = 0, and each fixed line has the voltage
-    log lambda.  A power g^L with L < n is not scalar, so it fixes only g's
-    eigenlines, and the other lines form cycles of length n, each of net
-    voltage log c.  The voltages are logs in F_q*, not yet reduced mod r.
+
+def _closed_form_cycles(g, n0, root):
+    """The (length, x, count) cycles of the codes g of black, white or
+    region on all q + 1 lines: count cycles of that length, each of net
+    voltage log x for the x in F_q* given.  Worked in the field's ring,
+    with no table and no log.
+
+    g's fixed lines are its eigenlines unless g is scalar, one for each
+    distinct root lambda of lambda^2 - tr lambda + det in F_q
+    (quadratic_roots; the diagonal if g is triangular), and each has the
+    voltage log lambda.  g's projective order n divides n0 (3, 2 and N),
+    and g^n = c I.  A power g^L with L < n is not scalar, so it fixes
+    only g's eigenlines, and the other lines form cycles of length n,
+    each of net voltage log c.  With two eigenvalues lambda1 != lambda2,
+    g^j is scalar exactly when (lambda1 / lambda2)^j = 1, so n is the
+    order of that ratio, which lies in F_q* and so divides
+    gcd(n0, q - 1), and c = lambda1^n.  Otherwise
+    g^j = a_j g + b_j I by g^2 = tr g - det I, with a_1 = 1, b_1 = 0,
+    a_(j+1) = tr a_j + b_j and b_(j+1) = -det a_j, and a non-scalar g
+    has g^j scalar exactly when a_j = 0: n is the first such j, c = b_n,
+    or n = 1 and c = g's diagonal for a scalar g.
     """
-    field = root.field
-    q, minus_one, log, exp = field.order, field.p - 1, field.log, field.exp
-    add, mul = field.add, field.mul
-    power, n = g, 1
-    while power[1] or power[2] or power[0] != power[3]:
-        if n == n0:
+    ring, q = root.field.ring, root.field.order
+    add, mul, sub = ring.add, ring.mul, ring.sub
+    a0, a1, a2, a3 = map(ring.element, g)
+    tr, det = add(a0, a3), sub(mul(a0, a3), mul(a1, a2))
+    scalar = not (a1 or a2) and a0 == a3
+    if scalar:
+        eigen = []
+    elif not a1 or not a2:  # triangular: the eigenvalues are the diagonal
+        eigen = [a0, a3] if a0 != a3 else [a0]
+    else:
+        eigen = ring.quadratic_roots(tr, det)
+    if len(eigen) == 2:
+        n = ring.unit_order(eigen[0], _plan(gcd(n0, q - 1)), eigen[1])
+        if n is None:
             raise AssertionError(f"projective order of a generator does not "
                                  f"divide {n0} for {root}")
-        a0, a1, a2, a3 = power
-        power = (add(mul(a0, g[0]), mul(a1, g[2])),
-                 add(mul(a0, g[1]), mul(a1, g[3])),
-                 add(mul(a2, g[0]), mul(a3, g[2])),
-                 add(mul(a2, g[1]), mul(a3, g[3])))
-        n += 1
-    if n0 % n:
-        raise AssertionError(f"projective order {n} does not divide {n0} "
-                             f"for {root}")
-    e = log[power[0]]  # g^n = c I, e = log c
-    eigen = []  # the logs of g's eigenvalues in F_q
-    h = gcd(n, q - 1)
-    if n > 1 and e % h == 0:
-        tr = add(g[0], g[3])
-        det = add(mul(g[0], g[3]), mul(minus_one, mul(g[1], g[2])))
-        m = (q - 1) // h  # n x = e mod q - 1 iff x = x0 mod m
-        x0 = e // h * pow(n // h, -1, m) % m
-        for x in range(x0, q - 1, m):
-            lam = exp[x]
-            if not add(add(mul(lam, lam), mul(minus_one, mul(tr, lam))),
-                       det):
-                eigen.append(x)
+        c = ring.pow(eigen[0], n)
+    elif scalar:
+        c, n = a0, 1
+    else:
+        a, c, n = ring.one, ring.zero, 1
+        while a:
+            if n == n0:
+                raise AssertionError(f"projective order of a generator does "
+                                     f"not divide {n0} for {root}")
+            a, c = add(mul(tr, a), c), sub(ring.zero, mul(det, a))
+            n += 1
+        if n0 % n:
+            raise AssertionError(f"projective order {n} does not divide {n0} "
+                                 f"for {root}")
     rest = q + 1 - len(eigen)
     if rest % n:
         raise AssertionError(f"{rest} lines do not fall into cycles of "
                              f"length {n} for {root}")
-    return [(1, x, 1) for x in eigen] + [(n, e, rest // n)]
+    return [(1, lam, 1) for lam in eigen] + [(n, c, rest // n)]
 
 
 def _generator_cycles(root):
@@ -684,9 +709,46 @@ def _generator_cycles(root):
     field = root.field
     if field.generator_cycles is None:
         field.generator_cycles = [
-            _closed_form_cycles(_spec_matrix_codes(word, field), n0, root)
-            for word, n0 in ((_BLACK, 3), (_WHITE, 2), (_REGION, root.N))]
+            _closed_form_cycles(_spec_matrix_codes(name, field), n0, root)
+            for name, n0 in (("black", 3), ("white", 2), ("region", root.N))]
     return field.generator_cycles
+
+
+def _voltage_order(ring, x, s, e):
+    """The order of log x mod r in the fiber Z/r = F_q*/S, |S| = s, for a
+    voltage x with x^e = 1: that of x S, the order of x^s, which is
+    ord(x) / gcd(ord(x), s), since x^j lies in S exactly when
+    x^(j s) = 1, the one subgroup of order s being the s-th roots of 1.
+    x^s has order dividing gcd(e, r), as (x^s)^r = x^(q-1) = 1, so its
+    order is found over the primes of e that divide r, and q - 1 is
+    never factored."""
+    if x == ring.one:
+        return 1
+    r = (ring.order - 1) // s
+    o = ring.unit_order(ring.pow(x, s), _plan(gcd(e, r)))
+    if o is None:
+        raise AssertionError(f"a voltage's order does not divide {e}")
+    return o
+
+
+def _fiber_cycles(spec):
+    """_generator_cycles of spec's root as (length, order, count), each
+    order that of the net voltage in spec's fiber Z/r (_voltage_order),
+    once per field and |S|.  A voltage of black, white or region, of
+    projective order n dividing n0, has x^(2 n0 N) = 1: det g = (-xi)^k
+    with k = 2, 3, 1 has order dividing N, g^n = c I gives
+    c^2 = det(g)^n, and lambda^n = c, so c^(2N) = 1 and lambda^(2nN) = 1;
+    over the sweep, 2 n0 N <= 2 * 26^2 = 1352."""
+    root = spec.root
+    field, N = root.field, root.N
+    s = (field.order - 1) // _fiber_order(spec)
+    cycles = field.fiber_cycles.get(s)
+    if cycles is None:
+        cycles = field.fiber_cycles[s] = [
+            [(length, _voltage_order(field.ring, x, s, 2 * n0 * N), count)
+             for length, x, count in base]
+            for base, n0 in zip(_generator_cycles(root), (3, 2, N))]
+    return cycles
 
 
 def _closed_form(spec, state_cap):
@@ -716,7 +778,7 @@ def _closed_form(spec, state_cap):
     lines, r = spec.root.field.order + 1, _fiber_order(spec)
     if lines * r > state_cap:
         raise _cap_exceeded(state_cap, spec)
-    return _signature_of(spec, lines, r, _generator_cycles(spec.root))
+    return _signature_of(spec, lines, r, _fiber_cycles(spec))
 
 
 def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP):

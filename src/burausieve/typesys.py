@@ -1,8 +1,9 @@
 """Root bookkeeping and the four special types.
 
 A root is tracked by the pair of multiplicative orders N = ord(-xi) and
-M = ord(xi), read off its field's log table and linked by the
-parity-sensitive involution epsilon_p.  Each special skeleton fragment
+M = ord(xi), found with no table over the primes of q - 1 (N by the
+field's proof of irreducibility) and linked by the parity-sensitive
+involution epsilon_p.  Each special skeleton fragment
 (essential region or monovalent vertex) pins the one-dimensional module to
 a vector v_T = a_T(xi)*e1 + e2, with a_T given by a short table of Laurent
 monomials; the sieve uses a_T over Z[t, 1/t], and the walk over lines the
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import FieldSpec, IntPoly, _fp_mod, cyclotomic, substitute_neg
+from .exactalg import FieldSpec, IntPoly
 
 TYPE_TAGS = ("I", "II", "III+", "III-", "III3", "IV")
 
@@ -53,20 +54,20 @@ class RootSpec:
 
 
 def root_spec(p, min_poly):
-    """Build a RootSpec from a prime and an irreducible minimal polynomial.
+    """Build a RootSpec from a prime and an irreducible minimal polynomial;
+    ValueError when it is reducible.
 
-    Reads N = ord(-xi) and M = ord(xi) off the field's log table, then
-    verifies the epsilon-involution between them and that the minimal
-    polynomial divides the N-th cyclotomic polynomial in -t over F_p.
+    Builds no table.  FieldSpec proves the minimal polynomial m
+    irreducible (exactalg.root_order): N = ord(-xi) divides q - 1, m
+    divides the N-th cyclotomic polynomial in -t over F_p, and deg m is
+    ord_N(p).  M = ord(xi) is then found over the primes of q - 1, and
+    the epsilon-involution between N and M is verified.
     """
     field = FieldSpec(p, min_poly)
-    N = field.order_of(field.evaluate(IntPoly((-1,), 1)))
+    N = field.neg_gen_order
     M = field.order_of(field.gen)
     if M != epsilon_p(N, p) or N != epsilon_p(M, p):
         raise AssertionError("order bookkeeping violated")  # unreachable
-    cyc = substitute_neg(cyclotomic(N)).reduce_mod(p)
-    if _fp_mod(cyc, field.modulus, p):
-        raise AssertionError("minimal polynomial does not divide phi_N(-t)")
     return RootSpec(p=p, min_poly=field.min_poly, N=N, M=M, field=field)
 
 

@@ -28,8 +28,11 @@ skeletons, pair by pair, the reference for the package's closed-form
 product and the only product of the pairs it refuses; `count_calls`
 records the calls of a package function; `realized_types_alone` is the
 addendum's conjugacy check with each type lifted and tested on its own;
-`closed_form_certified` compares the closed form with the walk over
-lines, cycle by cycle.
+`reference_generator_cycles` reads the generator cycles off the field's
+log tables, the closed form the package had before it read them with no
+table, and `reference_root_orders` reads N = ord(-xi) and M = ord(xi)
+off `reference_unit_tables`; `closed_form_certified` compares the closed
+form with the walk over lines and with that reference, cycle by cycle.
 """
 
 import sys
@@ -46,8 +49,10 @@ from burausieve.exactalg import IntPoly, _fp_divmod, _fp_mod, _fp_monic, \
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
 from burausieve.sieve import ExceptionalTriple, _SievePass, \
     _require_distinct_projections
-from burausieve.skeleton import Skeleton, UniversalGroupSpec, _closed_form, \
-    _euler_genus, _generator_cycles, _LineWalk, enumerate_universal, genus
+from burausieve.skeleton import Skeleton, \
+    UniversalGroupSpec, _closed_form, _euler_genus, _fiber_cycles, \
+    _fiber_order, _generator_cycles, _LineWalk, _signature_of, \
+    _spec_matrix_codes, enumerate_universal, genus
 from burausieve.typesys import admissible_types
 
 
@@ -148,6 +153,18 @@ def reference_fp_gcd(a, b, p):
     while b:
         a, b = b, _fp_divmod(a, b, p)[1]
     return _fp_monic(a, p)
+
+
+def reference_root_orders(p, modulus):
+    """(N, M) = (ord(-xi), ord(xi)) read off reference_unit_tables, or None
+    when they refuse the monic modulus as reducible."""
+    tables = reference_unit_tables(p, modulus)
+    if tables is None:
+        return None
+    d, q, log = len(modulus) - 1, p ** (len(modulus) - 1), tables[1]
+    xi = -modulus[0] % p if d == 1 else p
+    minus_xi = -xi % p if d == 1 else (p - 1) * p
+    return tuple((q - 1) // gcd(q - 1, log[code]) for code in (minus_xi, xi))
 
 
 def reference_unit_tables(p, modulus):
@@ -502,11 +519,89 @@ def reference_fibered_product(s1, s2):
     return FiberedProduct(e1, e2, tuple(components))
 
 
+def reference_closed_form_cycles(g, n0, root):
+    """The (length, net voltage, count) cycles of the codes g of black,
+    white or region on all q + 1 lines, read off the field's log tables.
+
+    g's projective order n divides n0 (3, 2 and N), and g^n = c I.  If
+    n > 1, g's fixed lines are its eigenlines: the eigenvalues are the n-th
+    roots lambda of c, read off the log table, that solve
+    lambda^2 - tr lambda + det = 0, and each fixed line has the voltage
+    log lambda.  A power g^L with L < n is not scalar, so it fixes only g's
+    eigenlines, and the other lines form cycles of length n, each of net
+    voltage log c.  The voltages are logs in F_q*, not yet reduced mod r.
+    """
+    field = root.field
+    q, minus_one, log, exp = field.order, field.p - 1, field.log, field.exp
+    add, mul = field.add, field.mul
+    power, n = g, 1
+    while power[1] or power[2] or power[0] != power[3]:
+        assert n < n0, str(root)
+        a0, a1, a2, a3 = power
+        power = (add(mul(a0, g[0]), mul(a1, g[2])),
+                 add(mul(a0, g[1]), mul(a1, g[3])),
+                 add(mul(a2, g[0]), mul(a3, g[2])),
+                 add(mul(a2, g[1]), mul(a3, g[3])))
+        n += 1
+    assert n0 % n == 0, str(root)
+    e = log[power[0]]  # g^n = c I, e = log c
+    eigen = []  # the logs of g's eigenvalues in F_q
+    h = gcd(n, q - 1)
+    if n > 1 and e % h == 0:
+        tr = add(g[0], g[3])
+        det = add(mul(g[0], g[3]), mul(minus_one, mul(g[1], g[2])))
+        m = (q - 1) // h  # n x = e mod q - 1 iff x = x0 mod m
+        x0 = e // h * pow(n // h, -1, m) % m
+        for x in range(x0, q - 1, m):
+            lam = exp[x]
+            if not add(add(mul(lam, lam), mul(minus_one, mul(tr, lam))),
+                       det):
+                eigen.append(x)
+    rest = q + 1 - len(eigen)
+    assert rest % n == 0, str(root)
+    return [(1, x, 1) for x in eigen] + [(n, e, rest // n)]
+
+
+def reference_generator_cycles(root):
+    """reference_closed_form_cycles of black, white and region."""
+    return [reference_closed_form_cycles(_spec_matrix_codes(name, root.field),
+                                         n0, root)
+            for name, n0 in (("black", 3), ("white", 2), ("region", root.N))]
+
+
+def reference_closed_form(spec):
+    """The closed form's signature and genus from
+    reference_generator_cycles: each voltage mu has the order
+    r / gcd(r, mu) in Z/r."""
+    r = _fiber_order(spec)
+    return _signature_of(spec, spec.root.field.order + 1, r, [
+        [(length, r // gcd(r, mu), count) for length, mu, count in base]
+        for base in reference_generator_cycles(spec.root)])
+
+
+def generator_cycles_certified(spec):
+    """The table-free generator cycles of spec's root are the reference's
+    (reference_generator_cycles): the same lengths and counts, with each
+    element's log the reference's voltage; and in spec's ambient their
+    orders in Z/r are those of the reference's voltages mod r."""
+    field, r = spec.root.field, _fiber_order(spec)
+    ring, log = field.ring, field.log
+    reference = reference_generator_cycles(spec.root)
+    assert [Counter(base) for base in reference] == \
+        [Counter((length, log[ring.code(x)], count)
+                 for length, x, count in base)
+         for base in _generator_cycles(spec.root)], str(spec)
+    assert [Counter((length, r // gcd(r, mu), count)
+                    for length, mu, count in base) for base in reference] == \
+        [Counter(base) for base in _fiber_cycles(spec)], str(spec)
+
+
 def closed_form_certified(spec):
-    """The walk of spec reaches all q + 1 lines with K = Z/r, and it and
-    the closed form agree on each generator's cycles on lines, counted by
-    (length, net voltage mod r), and on the signature and genus; returns
-    the walk's signature and genus."""
+    """The walk of spec reaches all q + 1 lines with K = Z/r; it and the
+    reference closed form agree on each generator's cycles on lines,
+    counted by (length, net voltage mod r); the table-free cycles are the
+    reference's (generator_cycles_certified); and the closed form gives
+    the walk's signature and genus, which it returns."""
     walk = _LineWalk(spec)
     assert len(walk.lines) == spec.root.field.order + 1 and walk.k == walk.r, \
         str(spec)
@@ -519,7 +614,9 @@ def closed_form_certified(spec):
 
     assert [counted(walk.cycles(step))
             for step in (walk.black, walk.white, walk.region)] == \
-        [counted(cycles) for cycles in _generator_cycles(spec.root)], str(spec)
+        [counted(cycles) for cycles in reference_generator_cycles(spec.root)], \
+        str(spec)
+    generator_cycles_certified(spec)
     walked = walk.signature()
     assert _closed_form(spec, 10 ** 6) == walked, str(spec)
     return walked

@@ -12,7 +12,8 @@ import pytest
 from covector_oracle import covector_bfs, product_skeletons, \
     verify_region_widths
 from helpers import bdeg, closed_form_certified, count_calls, det, \
-    realized_types_alone, reference_fibered_product, reference_resultants, \
+    generator_cycles_certified, realized_types_alone, reference_closed_form, \
+    reference_fibered_product, reference_resultants, \
     resultant_with_cyclotomic, single_edge, sweep_pairs
 
 from burausieve import sieve, skeleton
@@ -334,6 +335,28 @@ def test_closed_form_is_certified(sweep):
     assert factors == 2 * 52
     print(f"\nclosed form = walk, cycle by cycle, on {closed} sweep tags "
           f"and {factors} golden factor groups: PASS")
+
+
+def test_closed_form_is_the_table_reference_on_the_sweep(sweep):
+    """On all 257 roots of the sweep, in bu3 and b3, the generator cycles
+    read with no table are those the field's log tables give
+    (generator_cycles_certified), the walked roots' included, and on the
+    252 roots whose trace field is F_q the closed form's signature and
+    genus are the reference closed form's."""
+    results, _, _ = sweep
+    roots = closed = 0
+    for root, tags in sweep_roots(results):
+        for ambient in ("bu3", "b3"):
+            spec = UniversalGroupSpec(root, tags[0], ambient)
+            generator_cycles_certified(spec)
+            if _trace_generates(root):
+                assert skeleton._closed_form(spec, 10 ** 6) == \
+                    reference_closed_form(spec), str(spec)
+                closed += 1
+        roots += 1
+    assert (roots, closed) == (257, 2 * 252)
+    print(f"\nclosed form = table reference on {roots} sweep roots, "
+          f"{closed} closed forms: PASS")
 
 
 def test_trace_field_test_is_walk_transitivity(sweep):

@@ -1,8 +1,9 @@
 """Every public top-level name in the package, and every public method or
 property in its class bodies, has a caller in the package; every private
 top-level name is referenced in the package; no check in
-the package is an `assert` statement, which `python -O` strips; and
-`cli._dump` is the package's one indenting JSON printer.
+the package is an `assert` statement, which `python -O` strips;
+`cli._dump` is the package's one indenting JSON printer; and no module
+imports a private name of `exactalg`.
 
 A function or method only the tests call belongs in a tests helper module.
 The allowed exceptions are wrapped by name by `perfbench/layertrace.py`.
@@ -97,3 +98,17 @@ def test_one_indenting_json_printer():
                       and node.func.attr in ("dumps", "dump")
                       and any(kw.arg == "indent" for kw in node.keywords)]
     assert found == ["cli._dump"], found
+
+
+def test_no_private_imports_from_exactalg():
+    # exactalg's public names are its interface to the other modules
+    found = []
+    for path in SOURCES:
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [f"{module}: {alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "exactalg"
+                  for alias in node.names if alias.name.startswith("_")]
+    assert SOURCES and not found, found

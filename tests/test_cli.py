@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, caching, determinism."""
 
 import contextlib
+import gc
 import json
 import os
 import random
@@ -12,7 +13,8 @@ from array import array
 import pytest
 from helpers import count_calls, cycle_tuples, reference_unit_tables
 
-from burausieve import burau, cli, exactalg, sieve, skeleton
+from burausieve import burau, cli, exactalg, intersect, sieve, skeleton, \
+    typesys
 from burausieve.cli import _cache_key, _dump, main
 from burausieve.exactalg import IntPoly
 from burausieve.golden import GOLDEN_ROWS
@@ -303,10 +305,16 @@ class TestSkeleton:
         assert f"field of order {2 ** 600} for p=2" in run.err
 
     def test_one_irreducibility_test_per_run(self, run, monkeypatch):
-        # the field's one unit table is its irreducibility test
+        # the field's one irreducibility test needs no table: text mode
+        # reads t^3+t+1 over F_2 in closed form and builds none, and the
+        # lift builds the one table its walk multiplies through
+        proofs = count_calls(monkeypatch, exactalg, "root_order")
         tables = count_calls(monkeypatch, exactalg, "_unit_tables")
         assert run("skeleton", "--p", "2", "--min-poly", "t^3+t+1")[0] == 0
-        assert len(tables) == 1 and tables[0][0] == 8
+        assert len(proofs) == 1 and proofs[0][0].order == 8 and tables == []
+        assert run("skeleton", "--p", "2", "--min-poly", "t^3+t+1",
+                   "--json")[0] == 0
+        assert len(proofs) == 2 and len(tables) == 1 and tables[0][0] == 8
 
     def test_field_over_the_cap_is_resource_error(self, run, monkeypatch):
         # q = 2^17 exceeds the cap, so the field's O(q) tables are never built
@@ -362,16 +370,29 @@ class TestSkeleton:
 
 
 class TestFieldTables:
+    def test_only_walks_and_lifts_build_tables(self, monkeypatch):
+        # the sweep builds the tables of the five fields it walks, of
+        # 257; table --verify and addendum --all-groups read closed forms
+        # only and build none
+        tables = count_calls(monkeypatch, exactalg, "_unit_tables")
+        sieve.full_sweep((7, 26))
+        assert sorted(q for q, _, _ in tables) == [49, 49, 64, 81, 729]
+        tables.clear()
+        skeleton.table_verify()
+        intersect.addendum_report(all_groups=True)
+        assert tables == []
+
     def test_tables_match_the_reference(self, run, monkeypatch):
         # every field the sweep, table --verify and addendum --all-groups
-        # build has the exp and log tables that stepping each power by a
-        # polynomial product gives, with the same generator
-        tables = count_calls(monkeypatch, exactalg, "_unit_tables")
+        # build has, once a walk asks for them, the exp and log tables that
+        # stepping each power by a polynomial product gives, with the same
+        # generator
+        roots = count_calls(monkeypatch, typesys, "root_spec")
         for argv in (("sieve", "--n-range", "7..26", "--json"),
                      ("table", "--verify", "--json"),
                      ("addendum", "--all-groups", "--json")):
             assert run(*argv)[0] == 0
-        fields = {(p, modulus) for _, p, modulus in tables}
+        fields = {(p, exactalg.monic_modulus(p, m)) for p, m in roots}
         assert len(fields) == 257
         assert sum(len(m) > 2 for _, m in fields) == 35  # extension fields
         for p, modulus in fields:
@@ -588,6 +609,27 @@ class TestPrinter:
         assert code == 0 and len(payloads) == 1
         text = _reference_text(payloads[0])
         assert "".join(_dump(payloads[0])) == text and out == text + "\n"
+
+    def test_printing_leaves_no_cyclic_garbage(self, run, monkeypatch):
+        # the non-Cycles values are laid out with no encoder, so with the
+        # cyclic collector off, printing a sweep payload leaves nothing for
+        # it to free; json's indenting encoder, the negative control, does
+        payloads = []
+        monkeypatch.setattr(cli, "_dump", lambda payload: payloads.append(
+            payload) or iter(()))
+        assert run("sieve", "--n-range", "7..26", "--json")[0] == 0
+        payload, = payloads
+        gc.collect()
+        gc.disable()
+        try:
+            text = "".join(_dump(payload))
+            garbage = gc.collect()
+            json.dumps(payload, sort_keys=True, indent=2)
+            control = gc.collect()
+        finally:
+            gc.enable()
+        assert (garbage, control > 0) == (0, True)
+        assert text == json.dumps(payload, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [
         [["a", "b"]],

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
-from covector_oracle import FieldElem, element_order, evaluate
+from covector_oracle import FieldElem, Presentation, element_order, evaluate
 from helpers import reference_fp_gcd, reference_resultants, resultant, \
     sieve_determinant
 
@@ -355,12 +355,12 @@ class TestResultantByEvaluation:
                     (u, w, N)
 
     def test_root_pairs_cover_each_root_next_to_its_inverse(self):
-        # each root of _unity_tables once: paired with its inverse for
+        # each root of unity_tables once: paired with its inverse for
         # N >= 3, where no unit k is N - k, and left alone only for N = 2,
         # whose root -1 is its own inverse; the powers are the tables' own
         for N in range(2, 41):
             for index in range(2):
-                P, roots = exactalg._unity_tables(N, index)
+                P, roots = exactalg.unity_tables(N, index)
                 pairs, unpaired = exactalg._root_pairs(N, index)
                 positions = [i for i, *_ in unpaired]
                 for i, j, zeta_powers, inverse_powers in pairs:
@@ -705,9 +705,104 @@ class TestFieldSpec:
 
     def test_element_text(self):
         spec = FieldSpec(2, "t^3+t+1")
-        cube = spec.power(spec.gen, 3)
+        cube = spec.evaluate(IntPoly.t(3))
         assert str(FieldElem.decode(spec, cube)) == "t+1"
         assert cube == (FieldElem.xi(spec) ** 3).code()
+
+
+# F_p[t]/(m) for each ring class of quotient_ring: linear, written out at
+# degree 2 and 3, generic at degree 4 and 5, and bits over F_2 at even and
+# odd degree; the last two moduli are reducible
+QUOTIENTS = [(13, (2, 1)), (2, (1, 1)), (5, (2, 0, 1)), (3, (2, 2, 1)),
+             (3, (1, 2, 0, 1)), (3, (2, 0, 0, 1, 1)), (3, (1, 2, 0, 0, 0, 1)),
+             (2, (1, 1, 0, 1)), (2, (1, 1, 0, 0, 1)), (2, (1, 1, 0, 0, 0, 0, 1)),
+             (5, (1, 2, 1)), (2, (1, 0, 1, 0, 1))]
+
+
+class TestQuotientRing:
+    """exactalg.quotient_ring against FieldElem, the tests' own tuple
+    arithmetic, and against brute force over all q elements."""
+
+    @pytest.mark.parametrize("p, modulus", QUOTIENTS)
+    def test_arithmetic_against_the_reference(self, p, modulus):
+        ring = exactalg.quotient_ring(p, modulus)
+        spec = Presentation.of(p, modulus)
+        q = spec.order
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(300)]
+        for a, b in pairs:
+            x, y = ring.element(a), ring.element(b)
+            ref_a, ref_b = FieldElem.decode(spec, a), FieldElem.decode(spec, b)
+            assert ring.code(x) == a
+            assert ring.code(ring.add(x, y)) == (ref_a + ref_b).code()
+            assert ring.code(ring.sub(x, y)) == (ref_a - ref_b).code()
+            assert ring.code(ring.mul(x, y)) == (ref_a * ref_b).code()
+            assert ring.code(ring.pow(x, b)) == (ref_a ** b).code()
+            assert bool(x) == bool(a)  # 0 is the one falsy element
+        xi = FieldElem.xi(spec)
+        for shift in range(-4, 5):
+            f = IntPoly((3, -1, 2), shift)
+            assert ring.code(ring.evaluate(f)) == evaluate(f, xi).code()
+            assert ring.code(ring.residue([5, -7, 0, 1, 4])) == \
+                FieldElem(spec, (5, -7, 0, 1, 4)).code()
+
+    @pytest.mark.parametrize("p, modulus", [
+        (p, m) for p, m in QUOTIENTS[:10] if p ** (len(m) - 1) <= 81])
+    def test_field_inverse_orders_and_roots(self, p, modulus):
+        # unit_order, of an element and of a ratio, against stepping powers, and
+        # quadratic_roots against every element, for every b and c of a
+        # small field or a seeded sample of a larger one
+        ring = exactalg.quotient_ring(p, modulus)
+        q = p ** (len(modulus) - 1)
+        elements = [ring.element(code) for code in range(q)]
+        plan = exactalg.order_plan(q - 1, exactalg.prime_factors(q - 1))
+
+        def order(x):
+            n, y = 1, x
+            while y != ring.one:
+                n, y = n + 1, ring.mul(y, x)
+            return n
+
+        orders = {code: order(x) for code, x in enumerate(elements) if code}
+        # n = 1 has no primes: only 1, and a / a, have order 1
+        assert ring.unit_order(ring.one, ()) == 1
+        assert ring.unit_order(elements[-1], (), elements[-1]) == 1
+        if q > 2:
+            assert ring.unit_order(elements[-1], ()) is None
+            assert ring.unit_order(elements[-1], (), ring.one) is None
+        for code, x in enumerate(elements[1:], 1):
+            assert ring.mul(x, ring.pow(x, -1)) == ring.one
+            assert ring.unit_order(x, plan) == orders[code]
+            # a plan for a proper divisor n of q - 1 refuses x unless x^n = 1
+            for l in exactalg.prime_factors(q - 1):
+                n = (q - 1) // l
+                sub = exactalg.order_plan(n, exactalg.prime_factors(n))
+                want = orders[code] if n % orders[code] == 0 else None
+                assert ring.unit_order(x, sub) == want
+        rng = random.Random(p)
+        for _ in range(50):
+            a, b = rng.sample(range(1, q), 2) if q > 2 else (1, 1)
+            ratio = ring.mul(elements[a], ring.pow(elements[b], -1))
+            assert ring.unit_order(elements[a], plan, elements[b]) == \
+                orders[ring.code(ratio)]
+        cases = product(range(q), repeat=2) if q <= 32 else \
+            [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+        for b, c in cases:
+            x_b, x_c = elements[b], elements[c]
+            roots = ring.quadratic_roots(x_b, x_c)
+            want = {code for code, x in enumerate(elements)
+                    if ring.add(ring.sub(ring.mul(x, x), ring.mul(x_b, x)),
+                                x_c) == ring.zero}
+            assert sorted(map(ring.code, roots)) == sorted(want), (b, c)
+
+    def test_root_order_refuses_reducible_moduli(self):
+        # (t+1)^2 over F_2 and t^2 + 2t + 1 = (t+1)^2 over F_5: -xi = 1 has
+        # order 1, and phi_1(-t) = t + 1 is not 0 mod m
+        for p, modulus in ((2, (1, 0, 1)), (5, (1, 2, 1)), (2, (1, 1, 1, 1))):
+            ring = exactalg.quotient_ring(p, modulus)
+            q = ring.order
+            plan = exactalg.order_plan(q - 1, exactalg.prime_factors(q - 1))
+            assert exactalg.root_order(ring, plan) is None
 
 
 class TestElementOrder:
@@ -737,5 +832,5 @@ class TestElementOrder:
         spec = FieldSpec(3, "t^2+2t+2")
         xi = FieldElem.xi(spec)
         for n in range(-10, 11):
-            assert spec.power(spec.gen, n) == (xi ** n).code()
+            assert spec.evaluate(IntPoly.t(n)) == (xi ** n).code()
             assert spec.evaluate(IntPoly.t(n)) == evaluate(IntPoly.t(n), xi).code()

@@ -594,6 +594,33 @@ class TestClosedFormOverSmallFields:
         assert (closed, rejected) == (2984, 20)
 
 
+class TestClosedFormOverHigherDegrees:
+    """The closed form against the walk where its ring is the bit
+    arithmetic of F_(2^d) at even d or the general tuple product: every
+    monic irreducible m of degree 4 or 6 over F_2 and of degree 4 over
+    F_3, both ambients."""
+
+    def test_closed_form_is_the_walk(self):
+        closed = rejected = 0
+        for p, d in ((2, 4), (2, 6), (3, 4)):
+            for low in product(range(p), repeat=d):
+                if not low[0]:
+                    continue
+                try:
+                    root = root_spec(p, IntPoly((*low, 1)))
+                except ValueError:
+                    continue
+                tag = type_tags(root.M, p == 3)[0]
+                for ambient in ("bu3", "b3"):
+                    spec = UniversalGroupSpec(root, tag, ambient)
+                    if _trace_generates(root):
+                        closed_form_certified(spec)
+                        closed += 1
+                    else:
+                        rejected += 1
+        assert (closed, rejected) == (52, 8)
+
+
 class TestLiftOverSmallFields:
     """The lift against the covector BFS on the roots a user may pass to
     `skeleton --json`, not only the classification's, N < 7 included."""

@@ -1,10 +1,16 @@
 """Order bookkeeping, admissible types, type vectors, lifting conditions."""
 
+import random
+from itertools import product
+from math import gcd
+
 import pytest
 from covector_oracle import FieldElem, element_order, type_coefficient
-from helpers import check_type_specification, single_edge, \
-    type_ii_odd_width_excluded
+from helpers import check_type_specification, reference_root_orders, \
+    reference_unit_tables, single_edge, type_ii_odd_width_excluded
 
+from burausieve import exactalg
+from burausieve.exactalg import IntPoly
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import branches_for
 from burausieve.skeleton import Skeleton
@@ -60,6 +66,93 @@ class TestRootSpec:
     def test_rejects_reducible(self):
         with pytest.raises(ValueError):
             root_spec(2, "t^2+1")
+
+    def test_accepts_exactly_the_reference_fields(self, monkeypatch):
+        # every monic m of degree 1 to 3 over F_p, p <= 13, but t, reducible
+        # moduli, square factors and multiples of t included: root_spec
+        # accepts m exactly
+        # when reference_unit_tables does, with the N = ord(-xi) and
+        # M = ord(xi) of its log table, and builds no table itself.  Each
+        # reference table costs O(q) polynomial products, so the 3,528
+        # cubics over F_11 and F_13 are compared with the minimal
+        # polynomials of the elements of one reference field each
+        # (cubic_reference), and a seeded sample of them with
+        # reference_unit_tables itself
+        tables = []
+        real = exactalg._unit_tables
+        monkeypatch.setattr(exactalg, "_unit_tables",
+                            lambda *args: tables.append(args) or real(*args))
+        rng = random.Random(36)
+        accepted = checked = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            for d in (1, 2, 3):
+                cubics = cubic_reference(p) if p ** d > 343 else None
+                for low in product(range(p), repeat=d):
+                    modulus = (*low, 1)
+                    if modulus == (0, 1):
+                        continue
+                    if cubics is None or rng.random() < 0.01:
+                        want = reference_root_orders(p, modulus)
+                        if cubics is not None:
+                            assert want == cubics.get(modulus), modulus
+                    else:
+                        want = cubics.get(modulus)
+                    try:
+                        root = root_spec(p, IntPoly(modulus))
+                        got = root.N, root.M
+                    except ValueError as exc:
+                        # t divides m when m(0) = 0, and xi is no unit
+                        assert "is reducible over" in str(exc) or (
+                            modulus[0] == 0
+                            and "root must be invertible" in str(exc)), modulus
+                        got = None
+                    assert got == want, (p, modulus)
+                    accepted += got is not None
+                    checked += 1
+        assert (checked, accepted) == (4443, 1533) and tables == []
+        with pytest.raises(ValueError, match="root must be invertible"):
+            root_spec(5, "t")
+
+
+def cubic_reference(p):
+    """{m: (N, M)} for the monic irreducible cubics m over F_p, read off
+    the reference tables of one of them: each is the minimal polynomial
+    (t - y)(t - y^p)(t - y^(p^2)) of the three elements y of F_(p^3)
+    outside F_p that it has as roots, with N and M the orders of -y and
+    y."""
+    first = next((*low, 1) for low in product(range(p), repeat=3)
+                 if low[0] and all(sum(c * a ** i for i, c in enumerate(
+                     (*low, 1))) % p for a in range(p)))
+    exp, log = reference_unit_tables(p, first)
+    q = p ** 3
+
+    def digits(code):
+        return [code // p ** i % p for i in range(3)]
+
+    def code(coeffs):
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+    def add(*codes):
+        return code([sum(col) for col in zip(*map(digits, codes))])
+
+    def mul(*codes):
+        if 0 in codes:
+            return 0
+        return exp[sum(log[c] for c in codes) % (q - 1)]
+
+    def order(c):
+        return (q - 1) // gcd(q - 1, log[c])
+
+    orders = {}
+    for y in range(p, q):
+        y1, y2 = (exp[log[y] * p ** i % (q - 1)] for i in (1, 2))
+        e1, e2, e3 = (add(y, y1, y2), add(mul(y, y1), mul(y, y2), mul(y1, y2)),
+                      mul(y, y1, y2))
+        m = (-e3 % p, e2, -e1 % p, 1)  # e1, e2 and e3 lie in F_p
+        assert max(e1, e2, e3) < p
+        neg_y = code([-c for c in digits(y)])
+        orders.setdefault(m, (order(neg_y), order(y)))
+    return orders
 
 
 class TestAdmissibleTypes:
