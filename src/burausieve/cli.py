@@ -125,25 +125,24 @@ def _json_text(value, pad):
         return "true" if value else "false"
     if type(value) is int:
         return int.__repr__(value)
-    inner = pad + "  "
     if type(value) in (list, tuple):
-        if not value:
-            return "[]"
-        parts = [_json_text(item, inner) for item in value]
-        opening, closing = "[", "]"
+        keys, items, brackets = None, value, "[]"
     elif type(value) is dict and all(type(key) is str for key in value):
-        if not value:
-            return "{}"
-        parts = [None if (text := _json_text(value[key], inner)) is None
-                 else f"{encode_basestring_ascii(key)}: {text}"
-                 for key in sorted(value)]
-        opening, closing = "{", "}"
+        keys = sorted(value)
+        items, brackets = [value[key] for key in keys], "{}"
     else:
         return None
+    if not items:
+        return brackets
+    inner = pad + "  "
+    parts = [_json_text(item, inner) for item in items]
     if None in parts:
         return None
-    return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + \
-        f"\n{pad}{closing}"
+    if keys is not None:
+        parts = [f"{encode_basestring_ascii(key)}: {text}"
+                 for key, text in zip(keys, parts)]
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + \
+        f"\n{pad}{brackets[1]}"
 
 
 def _dump(payload):

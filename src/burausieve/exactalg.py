@@ -3,10 +3,11 @@
 The package's own number theory, integer Laurent polynomials, cyclotomic
 polynomials, the sieve's resultants against phi_N(-t), the factors of
 phi_N(-t) over F_p, and finite fields.  The ring F_p[t]/(m) has one
-arithmetic with no table, on ints mod p when deg m = 1 and on coefficient
-tuples otherwise (quotient_ring): the sieve's orbit keys, the proof that
-m is irreducible (root_order), multiplicative orders and the roots of
-quadratics all use it, at a cost polynomial in log q.  A field is
+arithmetic with no table, on ints mod p when deg m = 1, on bits over F_2
+and on coefficient tuples otherwise (quotient_ring): the sieve's orbit
+keys, the proof that m is irreducible (root_order), multiplicative
+orders and the roots of quadratics all use it, at a cost polynomial in
+log q.  A field is
 presented as a quotient F_p[t]/(m) whose elements are also integer codes,
 and a walk over its lines multiplies codes through O(q) log tables, which
 FieldSpec builds only when a walk first asks for them.  Everything here
