@@ -30,9 +30,12 @@ records the calls of a package function; `realized_types_alone` is the
 addendum's conjugacy check with each type lifted and tested on its own;
 `reference_generator_cycles` reads the generator cycles off the field's
 log tables, the closed form the package had before it read them with no
-table, and `reference_root_orders` reads N = ord(-xi) and M = ord(xi)
-off `reference_unit_tables`; `closed_form_certified` compares the closed
-form with the walk over lines and with that reference, cycle by cycle.
+table, `reference_closed_form` lifts them to a signature, and
+`reference_root_orders` reads N = ord(-xi) and M = ord(xi) off
+`reference_unit_tables`; `generator_cycles_certified` compares the
+package's table-free cycles with that reference, and
+`closed_form_certified` compares the closed form with the walk over
+lines and with the reference, cycle by cycle.
 """
 
 import sys
@@ -49,10 +52,9 @@ from burausieve.exactalg import IntPoly, _fp_divmod, _fp_mod, _fp_monic, \
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
 from burausieve.sieve import ExceptionalTriple, _SievePass, \
     _require_distinct_projections
-from burausieve.skeleton import Skeleton, \
-    UniversalGroupSpec, _closed_form, _euler_genus, _fiber_cycles, \
-    _fiber_order, _generator_cycles, _LineWalk, _signature_of, \
-    _spec_matrix_codes, enumerate_universal, genus
+from burausieve.skeleton import Skeleton, UniversalGroupSpec, _closed_form, \
+    _euler_genus, _fiber_cycles, _fiber_order, _generator_cycles, _LineWalk, \
+    _signature_of, _spec_matrix_codes, enumerate_universal, genus
 from burausieve.typesys import admissible_types
 
 

@@ -6,8 +6,9 @@ from math import gcd
 
 import pytest
 from covector_oracle import FieldElem, element_order, type_coefficient
-from helpers import check_type_specification, reference_root_orders, \
-    reference_unit_tables, single_edge, type_ii_odd_width_excluded
+from helpers import check_type_specification, count_calls, \
+    reference_root_orders, reference_unit_tables, single_edge, \
+    type_ii_odd_width_excluded
 
 from burausieve import exactalg
 from burausieve.exactalg import IntPoly
@@ -70,18 +71,14 @@ class TestRootSpec:
     def test_accepts_exactly_the_reference_fields(self, monkeypatch):
         # every monic m of degree 1 to 3 over F_p, p <= 13, but t, reducible
         # moduli, square factors and multiples of t included: root_spec
-        # accepts m exactly
-        # when reference_unit_tables does, with the N = ord(-xi) and
-        # M = ord(xi) of its log table, and builds no table itself.  Each
-        # reference table costs O(q) polynomial products, so the 3,528
-        # cubics over F_11 and F_13 are compared with the minimal
-        # polynomials of the elements of one reference field each
-        # (cubic_reference), and a seeded sample of them with
+        # accepts m exactly when reference_unit_tables does, with the
+        # N = ord(-xi) and M = ord(xi) of its log table, and builds no
+        # table itself.  Each reference table costs O(q) polynomial
+        # products, so the 3,528 cubics over F_11 and F_13 are compared
+        # with the minimal polynomials of the elements of one reference
+        # field each (cubic_reference), and a seeded sample of them with
         # reference_unit_tables itself
-        tables = []
-        real = exactalg._unit_tables
-        monkeypatch.setattr(exactalg, "_unit_tables",
-                            lambda *args: tables.append(args) or real(*args))
+        tables = count_calls(monkeypatch, exactalg, "_unit_tables")
         rng = random.Random(36)
         accepted = checked = 0
         for p in (2, 3, 5, 7, 11, 13):
