@@ -6,8 +6,9 @@ phi_N(-t) over F_p, and finite fields.  The ring F_p[t]/(m) has one
 arithmetic with no table, on ints mod p when deg m = 1, on bits over F_2
 and on coefficient tuples otherwise (quotient_ring): the sieve's orbit
 keys, the proof that m is irreducible (root_order), multiplicative
-orders and the roots of quadratics all use it, at a cost polynomial in
-log q.  A field is
+orders, the roots of quadratics, the powers of the equal-degree split
+and the search for a generator of F_q* all use it, at a cost polynomial
+in log q.  A field is
 presented as a quotient F_p[t]/(m) whose elements are also integer codes,
 and a walk over its lines multiplies codes through O(q) log tables, which
 FieldSpec builds only when a walk first asks for them.  Everything here
@@ -740,12 +741,6 @@ def _fp_divmod(a, b, p):
     return _fp_trim(q), _fp_trim(a[:len(b) - 1])
 
 
-def _fp_mod(a, b, p):
-    if not b:
-        raise ZeroDivisionError
-    return tuple(_fp_reduce(list(a), b, p))
-
-
 def _fp_eval(a, x, p):
     """a(x) mod p by Horner, for coefficients a, ascending powers."""
     acc = 0
@@ -801,39 +796,31 @@ def _fp_monic(a, p):
     return _fp_trim([(c * inv) % p for c in a])
 
 
-def _fp_pow_mod(a, n, mod, p):
-    def mul(x, y):
-        return _fp_mod(_fp_mul(x, y, p), mod, p)
-    return power_by_squaring(_fp_mod(a, mod, p), n, mul, (1,))
-
-
 def _fp_equal_degree(f, d, p, rng):
     """Cantor-Zassenhaus split of a product of distinct irreducibles of
-    degree d."""
+    degree d, with its powers taken in quotient_ring(p, f): f divides
+    phi_m(-t) mod p, whose constant term is +-1, so f(0) != 0."""
     n = _deg(f)
     if n <= 0 or n % d:
         raise AssertionError(f"degree {n} is not a positive multiple of {d}")
     if n == d:
         return [f]
+    ring = quotient_ring(p, f)
     while True:
         u = _fp_trim([rng.randrange(p) for _ in range(n)])
         if _deg(u) < 1:
             continue
         g = _fp_gcd(u, f, p)
-        if 0 < _deg(g) < n:
-            pass
-        elif p == 2:
-            # trace map over F_{2^d}
-            v = u
-            tr = u
-            for _ in range(d - 1):
-                v = _fp_mod(_fp_mul(v, v, p), f, p)
-                tr = _fp_add(tr, v, p)
-            g = _fp_gcd(tr, f, p)
-        else:
-            e = (p ** d - 1) // 2
-            v = _fp_pow_mod(u, e, f, p)
-            g = _fp_gcd(_fp_add(v, (p - 1,), p), f, p)
+        if not 0 < _deg(g) < n:
+            v = ring.residue(u)
+            if p == 2:  # the trace map over F_{2^d}
+                w = v
+                for _ in range(d - 1):
+                    v = ring.mul(v, v)
+                    w = ring.add(w, v)
+            else:
+                w = ring.sub(ring.pow(v, (p ** d - 1) // 2), ring.one)
+            g = _fp_gcd(_code_digits(ring.code(w), p), f, p)
         if 0 < _deg(g) < n:
             left = _fp_equal_degree(g, d, p, rng)
             right = _fp_equal_degree(_fp_divmod(f, g, p)[0], d, p, rng)
@@ -904,10 +891,11 @@ def quotient_ring(p, modulus):
     ints mod p when deg m = 1, where xi = -m(0), and otherwise trimmed
     coefficient tuples of degree below deg m, with 0 the empty tuple in
     both; over F_2 they are the ints whose bit i is the coefficient of t^i,
-    the same as FieldSpec's codes.  Every operation costs a polynomial in
-    log q and deg m, q the number of elements; nothing of size q is
-    built.  It is a field exactly when m is irreducible; root_order
-    decides that."""
+    the same as FieldSpec's codes.  A caller that needs an element's
+    coefficients reads them off its code.  Every operation costs a
+    polynomial in log q and deg m, q the number of elements; nothing of
+    size q is built.  It is a field exactly when m is irreducible;
+    root_order decides that."""
     if len(modulus) == 2:
         return _LinearRing(p, modulus)
     if p == 2:
@@ -1084,11 +1072,6 @@ class _LinearRing(_Residues):
         ascending: its value at xi, by Horner."""
         return _fp_eval(coeffs, self.gen, self.p)
 
-    def evaluate(self, f):
-        """The Laurent polynomial f at xi, as g(xi) xi^e for f = t^e g."""
-        p = self.p
-        return _fp_eval(f.coeffs, self.gen, p) * pow(self.gen, f.shift, p) % p
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -1108,7 +1091,8 @@ class _PolyRing(_Residues):
     quotient_ring).  A product is formed without reduction and then folded
     from its top coefficient down by t^d = -(m - t^d), d = deg m, each
     folded coefficient taken mod p once, so no term product is reduced on
-    its own; at d = 2 and 3 that is written out (_mul2, _mul3)."""
+    its own; at d = 2, the most frequent degree, that is written out
+    (_mul2)."""
 
     zero, one, gen = (), (1,), (0, 1)
 
@@ -1123,11 +1107,6 @@ class _PolyRing(_Residues):
         self.inv_gen = tuple(c * inverse % p for c in modulus[1:])
         if d == 2:
             self.mul = self._mul2
-        elif d == 3:
-            self.mul = self._mul3
-            # t^4 = t t^3 = l2 l0 + (l0 + l2 l1) t + (l1 + l2^2) t^2
-            l0, l1, l2 = self.low
-            self.t4 = (l2 * l0 % p, (l0 + l2 * l1) % p, (l1 + l2 * l2) % p)
 
     def element(self, code):
         """The element whose code (FieldSpec) is code: its base-p digits."""
@@ -1180,20 +1159,6 @@ class _PolyRing(_Residues):
         p, (l0, l1), h = self.p, self.low, a1 * b1
         c0, c1 = (a0 * b0 + h * l0) % p, (a0 * b1 + a1 * b0 + h * l1) % p
         return (c0, c1) if c1 else (c0,) if c0 else ()
-
-    def _mul3(self, a, b):
-        """mul at d = 3, with t^3 = low[0] + low[1] t + low[2] t^2 and t^4
-        folded likewise (t4)."""
-        if not a or not b:
-            return ()
-        a0, a1, a2 = a + (0,) * (3 - len(a))
-        b0, b1, b2 = b + (0,) * (3 - len(b))
-        p, (l0, l1, l2), (k0, k1, k2) = self.p, self.low, self.t4
-        c3, c4 = a1 * b2 + a2 * b1, a2 * b2
-        c0 = (a0 * b0 + c3 * l0 + c4 * k0) % p
-        c1 = (a0 * b1 + a1 * b0 + c3 * l1 + c4 * k1) % p
-        c2 = (a0 * b2 + a1 * b1 + a2 * b0 + c3 * l2 + c4 * k2) % p
-        return (c0, c1, c2) if c2 else (c0, c1) if c1 else (c0,) if c0 else ()
 
     def mul(self, a, b):
         if not a or not b:
@@ -1384,10 +1349,7 @@ class FieldSpec:
         once, outside its loops."""
         if name not in ("exp", "log", "add", "mul", "inv"):
             raise AttributeError(name)
-        tables = _unit_tables(self.order, self.p, self.modulus)
-        if tables is None:  # unreachable: the constructor proved m irreducible
-            raise AssertionError(f"no unit tables for {self!r}")
-        self.exp, self.log = tables
+        self.exp, self.log = _unit_tables(self)
         if self.degree > 1:
             self._extension_arithmetic()
         return getattr(self, name)
@@ -1443,57 +1405,46 @@ class FieldSpec:
         return self.ring.code(self.ring.evaluate(f))
 
 
-def _unit_tables(q, p, modulus):
-    """(exp, log): the powers of the first code whose powers reach all
-    q - 1 nonzero codes of F_p[t]/(m), q = p^deg m, for the coefficients
-    m = modulus, and their discrete logarithms (log[0] is unused); None
-    when no code's powers do, which is exactly when m is reducible.
-    FieldSpec builds them only on their first use, by a walk over lines
-    or a lift, for a modulus root_order has already proved irreducible;
-    no closed form reads them.
+def _unit_tables(field):
+    """(exp, log) of the field F_q = F_p[t]/(m): the powers of the first
+    code whose powers reach all q - 1 nonzero codes, and their discrete
+    logarithms (log[0] is unused).  FieldSpec builds them only on their
+    first use, by a walk over lines or a lift, for a modulus root_order
+    has already proved irreducible; no closed form reads them.
 
-    The code tried is the first g with g^((q - 1) / l) != 1 for every
-    prime l | q - 1.  If m is irreducible, F_q* is cyclic
-    (Lidl-Niederreiter, Finite Fields, Thm 2.8) and g generates it; if not,
-    a proper factor of m is a zero divisor, no power of which is 1, so
-    some g is found.  For deg m > 1 the codes below p are the prime field,
-    whose units have order dividing p - 1, and are skipped.  The powers
-    g^0..g^(q - 2) are tabled, and they close with g^(q - 1) = 1 exactly
-    when g is a unit of order q - 1.  They are then q - 1 distinct units,
-    so every nonzero code is a unit and the quotient is a field.
+    F_q* is cyclic (Lidl-Niederreiter, Finite Fields, Thm 2.8), and the
+    code tried is the first g of order q - 1 in the field's ring, read
+    over the primes of q - 1 (FieldSpec.unit_plan).  For deg m > 1 the
+    codes below p are the prime field, whose units have order dividing
+    p - 1, and are skipped.  The powers g^0..g^(q - 2) are tabled.
 
     Each power is stepped from the last with no polynomial product or
     reduction.  Over F_p it is the last one times g mod p.  Over
     F_p[t]/(m) multiplication by g is F_p-linear, so a power's digits are
     the last one's times the matrix whose column i holds the digits of
-    g t^i mod m: deg m dot products mod p.
+    g xi^i: deg m dot products mod p.
     """
-    d = _deg(modulus)
-    cofactors = [(q - 1) // l for l in prime_factors(q - 1)]
-    exp_t = [1] * q  # g^0..g^(q - 1), the last of which must be 1
+    p, d, q, ring = field.p, field.degree, field.order, field.ring
+    g = next(g for g in range(1 if d == 1 else p, q)
+             if ring.unit_order(ring.element(g), field.unit_plan) == q - 1)
+    exp_t = [1] * (q - 1)
     if d == 1:
-        g = next(g for g in range(1, p)
-                 if all(pow(g, c, p) != 1 for c in cofactors))
         code = 1
-        for i in range(1, q):
+        for i in range(1, q - 1):
             code = code * g % p
             exp_t[i] = code
     else:
-        g = next(g for g in range(p, q)
-                 if all(_fp_pow_mod(_code_digits(g, p), c, modulus, p) != (1,)
-                        for c in cofactors))
-        g_digits = _code_digits(g, p)
-        columns = [_fp_mod(_fp_mul((0,) * i + (1,), g_digits, p), modulus, p)
-                   for i in range(d)]
-        rows = [[col[j] if j < len(col) else 0 for col in columns]
-                for j in range(d)]
+        columns, column = [], ring.element(g)
+        for _ in range(d):
+            digits = _code_digits(ring.code(column), p)
+            columns.append(digits + (0,) * (d - len(digits)))
+            column = ring.mul(column, ring.gen)
+        rows = list(zip(*columns))
         places = [p ** j for j in range(d)]
         v = [1] + [0] * (d - 1)
-        for i in range(1, q):
+        for i in range(1, q - 1):
             v = [sum(map(operator.mul, row, v)) % p for row in rows]
             exp_t[i] = sum(map(operator.mul, v, places))
-    if exp_t.pop() != 1:
-        return None
     log_t = [0] * q
     for i, code in enumerate(exp_t):
         log_t[code] = i

@@ -24,7 +24,6 @@ from burausieve.burau import BraidWord, to_burau
 from burausieve.exactalg import (
     _fp_add,
     _fp_divmod,
-    _fp_mod,
     _fp_mul,
     _fp_trim,
     poly_text,
@@ -56,7 +55,7 @@ class FieldElem:
             coeffs = (coeffs,)
         c = tuple(x % spec.p for x in coeffs)
         if len(c) > spec.degree:
-            c = _fp_mod(c, spec.modulus, spec.p)
+            c = _fp_divmod(c, spec.modulus, spec.p)[1]
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", _fp_trim(c))
 

@@ -46,7 +46,7 @@ from math import gcd, lcm
 import sympy
 
 from burausieve.burau import BurauMatrix
-from burausieve.exactalg import IntPoly, _fp_divmod, _fp_mod, _fp_monic, \
+from burausieve.exactalg import IntPoly, _fp_divmod, _fp_monic, \
     _fp_mul, cyclotomic, fp_factor, order_mod, power_by_squaring, \
     substitute_neg
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
@@ -170,16 +170,17 @@ def reference_root_orders(p, modulus):
 
 
 def reference_unit_tables(p, modulus):
-    """(exp, log) of F_p[t]/(modulus), or None when the monic modulus is
-    reducible, as FieldSpec's _unit_tables defines them, with each power
-    stepped from the last by a product and a reduction of polynomials and
-    the primes of q - 1 taken from sympy."""
+    """(exp, log) of F_p[t]/(modulus) for the generator FieldSpec's
+    _unit_tables picks, or None when the monic modulus is reducible, so
+    that the powers of no code reach all q - 1 nonzero codes; each power
+    is stepped from the last by a product and a reduction of polynomials,
+    and the primes of q - 1 are taken from sympy."""
     d = len(modulus) - 1
     q = p ** d
     digits = [tuple(code // p ** i % p for i in range(d)) for code in range(q)]
 
     def times(a, b):
-        prod = _fp_mod(_fp_mul(digits[a], digits[b], p), modulus, p)
+        prod = _fp_divmod(_fp_mul(digits[a], digits[b], p), modulus, p)[1]
         return sum(c * p ** i for i, c in enumerate(prod))
 
     cofactors = [(q - 1) // l for l in sympy.primefactors(q - 1)]

@@ -563,7 +563,8 @@ class TestFpRemainders:
                 a = self.random_poly(rng, p, rng.randrange(-1, 30))
                 b = self.random_poly(rng, p, rng.randrange(0, 12)) or (1,)
                 q, r = exactalg._fp_divmod(a, b, p)
-                assert exactalg._fp_mod(a, b, p) == r, (a, b, p)
+                reduced = exactalg._fp_reduce(list(a), b, p)
+                assert tuple(reduced) == r, (a, b, p)
                 assert len(r) < len(b)
                 assert exactalg._fp_add(exactalg._fp_mul(q, b, p), r, p) == a
 
@@ -578,7 +579,8 @@ class TestFpRemainders:
                 g = exactalg._fp_gcd(a, b, p)
                 assert g == reference_fp_gcd(a, b, p), (a, b, p)
                 if common:
-                    assert not exactalg._fp_mod(g, common, p), (a, b, p)
+                    assert not exactalg._fp_reduce(list(g), common, p), \
+                        (a, b, p)
 
     def test_zero_and_equal_inputs(self):
         f = (3, 0, 5, 2)  # 2t^3 + 5t^2 + 3, not monic
@@ -611,7 +613,8 @@ class TestFpRemainders:
                     a = self.random_poly(rng, p, len(m) - 2) or (1,)
                     inverse = exactalg._fp_inverse(a, m, p)
                     assert len(inverse) < len(m)
-                    assert exactalg._fp_mod(exactalg._fp_mul(a, inverse, p), m, p) == (1,)
+                    product = exactalg._fp_mul(a, inverse, p)
+                    assert exactalg._fp_divmod(product, m, p)[1] == (1,)
                     want = sympy.Poly(sympy.invert(
                         sympy.Poly(a[::-1], t, modulus=p).as_expr(),
                         sympy.Poly(m[::-1], t, modulus=p).as_expr(), t, modulus=p),
@@ -710,9 +713,9 @@ class TestFieldSpec:
         assert cube == (FieldElem.xi(spec) ** 3).code()
 
 
-# F_p[t]/(m) for each ring class of quotient_ring: linear, written out at
-# degree 2 and 3, generic at degree 4 and 5, and bits over F_2 at even and
-# odd degree; the last two moduli are reducible
+# F_p[t]/(m) for each path of quotient_ring: linear, written out at degree
+# 2, generic at degree 3 to 5, and bits over F_2 at even and odd degree;
+# the last two moduli are reducible
 QUOTIENTS = [(13, (2, 1)), (2, (1, 1)), (5, (2, 0, 1)), (3, (2, 2, 1)),
              (3, (1, 2, 0, 1)), (3, (2, 0, 0, 1, 1)), (3, (1, 2, 0, 0, 0, 1)),
              (2, (1, 1, 0, 1)), (2, (1, 1, 0, 0, 1)), (2, (1, 1, 0, 0, 0, 0, 1)),
