@@ -1317,9 +1317,8 @@ class FieldSpec:
     matrix_codes memoizes the codes of the braid generators' specialized
     Burau matrices, keyed by name, for the walks and closed forms over
     this field, generator_cycles the cycles of the braid generators on its
-    lines, fiber_cycles their voltages' orders in each fiber, and
-    trace_generates whether its trace field is all of it, once skeleton
-    has read them.
+    lines, and fiber_cycles their voltages' orders in each fiber, once
+    skeleton has read them.
     """
 
     def __init__(self, p, modulus):
@@ -1337,7 +1336,6 @@ class FieldSpec:
         self.matrix_codes = {}
         self.generator_cycles = None
         self.fiber_cycles = {}
-        self.trace_generates = None
         if d == 1:
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: (a * b) % p

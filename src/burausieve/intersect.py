@@ -7,7 +7,9 @@ component must have positive genus.  fibered_product reads the product in
 closed form from the two factors' generator cycles on lines, the cycles
 skeleton._closed_form lifts a signature from, and visits no pair of lines
 or edges.  Those cycles are read once per field and kept on it, so every
-product over a field, and that field's own orbits, share them.
+product over a field, and that field's own orbits, share them, and
+verify_addendum_pairwise computes each unlinked product once per
+distinct pair of inputs.
 Conjugacy of a module to the span of e2 is decided on the projective
 line, where scalars act trivially: it is membership of e2's line in the
 braid orbit of the module's line.  addendum_report runs both
@@ -66,6 +68,30 @@ def _components(n, vertices, edges, faces):
     return [(edges, _euler_genus(vertices // n, edges, faces // n))] * n
 
 
+def _require_closed(spec):
+    """ValueError unless spec's root passes _trace_generates, so that its
+    product has a closed form."""
+    if not _trace_generates(spec.root):
+        raise ValueError(f"no closed-form product for {spec}: its trace "
+                         f"field is smaller than its field")
+
+
+def _linked(spec1, spec2):
+    """Whether the roots share p and m2 is m1 or its monic reciprocal."""
+    p, m1 = spec1.root.p, spec1.root.field.modulus
+    return spec2.root.p == p and spec2.root.field.modulus in (
+        m1, _reciprocal(m1, p))
+
+
+def _product_input(spec):
+    """All that an unlinked fibered_product reads of spec: q, r and its
+    _fiber_cycles, each as a sorted tuple; ValueError as fibered_product
+    raises for spec."""
+    _require_closed(spec)
+    return (spec.root.field.order, _fiber_order(spec),
+            tuple(tuple(sorted(base)) for base in _fiber_cycles(spec)))
+
+
 def fibered_product(spec1, spec2):
     """Edges and genus of each component of the product over the one-edge base.
 
@@ -122,10 +148,8 @@ def fibered_product(spec1, spec2):
     same root twice, or reciprocal roots over an extension field or in two
     ambients.
     """
-    for spec in (spec1, spec2):
-        if not _trace_generates(spec.root):
-            raise ValueError(f"no closed-form product for {spec}: its trace "
-                             f"field is smaller than its field")
+    _require_closed(spec1)
+    _require_closed(spec2)
     r1, r2 = _fiber_order(spec1), _fiber_order(spec2)
     e1 = (spec1.root.field.order + 1) * r1
     e2 = (spec2.root.field.order + 1) * r2
@@ -135,13 +159,13 @@ def fibered_product(spec1, spec2):
          for L1, o1, c1 in base1 for L2, o2, c2 in base2
          for l in [lcm(L1, L2)]], r1, r2)
         for base1, base2 in zip(_fiber_cycles(spec1), _fiber_cycles(spec2)))
-    root = spec1.root
-    field, p, N = root.field, root.p, root.N
-    m1, m2 = field.modulus, spec2.root.field.modulus
-    if spec2.root.p != p or m2 not in (m1, _reciprocal(m1, p)):
+    if not _linked(spec1, spec2):
         return FiberedProduct(e1, e2, tuple(
             _components(1, black + white, e1 * e2, region)))
-    if field.degree > 1 or m2 == m1 or spec1.ambient != spec2.ambient:
+    root = spec1.root
+    field, p, N = root.field, root.p, root.N
+    if (field.degree > 1 or spec2.root.field.modulus == field.modulus
+            or spec1.ambient != spec2.ambient):
         raise ValueError(f"no closed-form product of the linked {spec1} "
                          f"and {spec2}")
     s = (field.order - 1) // r1  # |S|
@@ -180,14 +204,24 @@ def verify_addendum_pairwise(row_specs):
     table row.  Each pair must produce components of genus >= 1 only; a
     genus-zero component would mean two distinct factors coexisting in one
     subgroup.  Returns a report dict with per-pair component counts and
-    minimum genus.
+    minimum genus.  An unlinked product reads only its factors'
+    _product_input, so it is computed once per distinct pair of inputs
+    in one call; a linked pair is computed on its own.
     """
     report = {"pairs": [], "ok": True}
+    inputs = [_product_input(spec) for _, spec in row_specs]
+    unlinked = {}  # each unlinked product, by its pair of inputs
     for i in range(len(row_specs)):
         for j in range(i + 1, len(row_specs)):
             label_a, spec_a = row_specs[i]
             label_b, spec_b = row_specs[j]
-            prod = fibered_product(spec_a, spec_b)
+            if _linked(spec_a, spec_b):
+                prod = fibered_product(spec_a, spec_b)
+            else:
+                key = inputs[i], inputs[j]
+                prod = unlinked.get(key)
+                if prod is None:
+                    prod = unlinked[key] = fibered_product(spec_a, spec_b)
             if sum(e for e, _ in prod.components) != prod.total_edges:
                 raise AssertionError("component edges do not partition the product")
             mg = prod.min_genus()

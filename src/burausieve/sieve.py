@@ -68,7 +68,11 @@ unity, so every factor of phi_N(-t) mod such a p has ord(-xi) = N and
 degree ord_N(p), while for p | N none has ord(-xi) = N.  The sieve builds
 no field; the genus filter builds one per candidate, which proves the
 factor irreducible and finds its order with no table (typesys.root_spec),
-and asserts the order there.
+and asserts the order there.  All factors of one (N, p) share the field
+size q, and a closed form depends only on q, N, M and the ambient
+(skeleton._closed_form), so the filter reads one per (N, p), 65 for the
+sweep's 252 closed roots, and checks each root's tags and flatness on
+its own.
 """
 
 from __future__ import annotations
@@ -539,19 +543,23 @@ def _genus_filter(candidates, N, state_cap):
     root whose trace field is smaller is walked, once per orbit.
     Conjugate types agree on genus, so any recorded type certifies the
     pair.  Every orbit's signature must satisfy
-    the flatness identity euler_lhs = 12 - 12 * genus.
+    the flatness identity euler_lhs = 12 - 12 * genus.  A closed form
+    depends only on the field size, N, M and the ambient, so one is read
+    per (N, p) and shared by that pair's roots, for this call only; each
+    root is still built, checked and tested on its own.
     """
     by_pair = {}
     for tr in sorted(candidates, key=ExceptionalTriple.sort_key):
         by_pair.setdefault((tr.p, tr.min_poly), []).append(tr.type_tag)
-    survivors = []
+    survivors, closed_forms = [], {}
     for (p, m), tags in sorted(by_pair.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         root = root_spec(p, m)
         if root.N != N:
             raise AssertionError(f"candidate ({p}, {m}) has order {root.N}, "
                                  f"not {N}")
         zero_tags = []
-        for sig, g, orbit in orbit_signatures(root, tags, "bu3", state_cap):
+        for sig, g, orbit in orbit_signatures(root, tags, "bu3", state_cap,
+                                              closed_forms):
             if euler_lhs(sig, N) != 12 - 12 * g:
                 raise AssertionError(
                     f"p={p} m={m} types {','.join(orbit)} in bu3: signature "

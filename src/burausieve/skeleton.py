@@ -22,6 +22,9 @@ come from a walk or in closed form:
   works in the field's table-free ring and takes no log: a voltage
   enters a signature only through its order in the fiber
   (`_fiber_cycles`), so only walks and lifts build the field's tables.
+  Those orders depend on (q, N, M, |S|) alone, not on the root
+  (`_closed_form`), so a caller may share one closed form among the
+  roots of one field size and ambient.
 `orbit_signatures` dispatches between the two, so the sweep's genus
 filter, the table check and text-mode `skeleton` walk only the roots
 whose trace field is smaller than F_q, and the addendum walks none.
@@ -33,7 +36,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
 from operator import countOf, eq, itemgetter
 
@@ -371,8 +374,10 @@ def _signature_of(spec, lines, k, cycles):
         lifted.append(lifts)
     black, white, region = lifted
     edges = lines * k
-    sig = SkeletonSignature(edges, white[1], black[1],
-                            tuple(sorted(region.elements())))
+    widths = []  # each distinct width, repeated, in increasing order
+    for width in sorted(region):
+        widths += repeat(width, region[width])
+    sig = SkeletonSignature(edges, white[1], black[1], tuple(widths))
     return sig, _euler_genus(sum(black.values()) + sum(white.values()),
                              edges, sum(region.values()))
 
@@ -622,19 +627,21 @@ def _orbit_walks(root, tags, ambient, state_cap):
 def _trace_generates(root):
     """Whether _closed_form applies to root: N >= 7, and s = xi + 1/xi,
     which generates the trace field of the braid image, generates F_q.
-    That is, s lies in no proper subfield: s^(p^e) != s for every proper
-    divisor e of deg m, by powers in the field's ring, with no table.
-    Both depend on the field alone (N = ord(-xi)), so the answer is read
-    once per field and kept on it."""
-    field = root.field
-    if field.trace_generates is None:
-        ring = field.ring
-        s = ring.add(ring.gen, ring.pow(ring.gen, -1))
-        d, p = field.degree, field.p
-        field.trace_generates = root.N >= 7 and all(
-            s and ring.pow(s, p ** e) != s
-            for e in range(1, d) if d % e == 0)
-    return field.trace_generates
+    That is, p^e is neither 1 nor -1 mod M = ord(xi) for every proper
+    divisor e of d = deg m, which integer arithmetic decides.
+
+    s lies in the subfield F_(p^e), e dividing d, exactly when the
+    Frobenius x -> x^(p^e) fixes it.  That map is a field automorphism,
+    so it sends s to y + 1/y with y = xi^(p^e), and
+    y + 1/y - xi - 1/xi = (y - xi)(1 - 1/(xi y)) is 0 exactly when
+    y = xi or y = 1/xi: when xi^(p^e - 1) = 1 or xi^(p^e + 1) = 1, that is
+    p^e = 1 or -1 mod M.  So s generates F_q exactly when that fails for
+    every proper divisor e.  N >= 7 gives M >= 4, where 1 and M - 1 are
+    distinct residues.  The answer depends on (p, d, N, M) alone, the
+    same for every root of one (N, p)."""
+    p, d, M = root.p, root.field.degree, root.M
+    return root.N >= 7 and all(pow(p, e, M) not in (1, M - 1)
+                               for e in range(1, d) if d % e == 0)
 
 
 @lru_cache(maxsize=None)
@@ -774,6 +781,38 @@ def _closed_form(spec, state_cap):
     orbit has (q + 1) r edges, and _signature_of lifts the generator cycles
     with k = r.  Raises EnumerationCapExceeded exactly when _LineWalk
     would: when (q + 1) r exceeds state_cap.
+
+    The result depends only on (q, N, M, |S|), not on the root.  Its
+    input is the multiset of (length, voltage order in Z/r, count) of
+    each generator: a (1, ord(lambda S), 1) for each eigenvalue lambda in
+    F_q, and (n, ord(c S), (q + 1 - #eigenvalues) / n) for its projective
+    order n and g^n = c I; with lines = q + 1 and k = r = (q - 1) / |S|.
+    The generators, as burau.to_burau builds them, give:
+    - region s1 = [[-xi, 1], [0, 1]] is triangular, with the eigenvalues
+      -xi and 1, distinct as ord(-xi) = N; so n = N and c = 1;
+    - black s2 s1 = [[-xi, 1], [-xi^2, 0]] has trace -xi, determinant
+      xi^2 and black^3 = xi^3 I, and is not scalar; so n = 3, c = xi^3,
+      and its eigenvalues are the xi u for the roots u in F_q of
+      u^2 + u + 1: the elements of order 3 when p != 3, as
+      u^3 - 1 = (u - 1)(u^2 + u + 1), and u = 1 alone when p = 3, where
+      u^2 + u + 1 = (u - 1)^2;
+    - white s2 s1^2 = [[xi^2, 1 - xi], [xi^3, -xi^2]] has trace 0 and
+      white^2 = xi^3 I, and is not scalar (xi != 1); so n = 2, c = xi^3,
+      and its eigenvalues are the square roots of xi^3 in F_q, one of
+      them when p = 2.
+    Every set above, and S = <xi> or <xi^3>, is defined from xi in the
+    group F_q* alone, with -1.  Let xi' be another root of the same q,
+    N and M.  F_q* is cyclic, so xi' = xi^i with i prime to M, and some
+    j = i mod M is prime to q - 1 (add to i M times the primes of q - 1
+    that divide neither i nor M); x -> x^j is then an automorphism of
+    F_q* that sends xi to xi'.  It fixes -1, the one element of order 2
+    (or 1 when p = 2), so it carries -xi, the elements of order 3, 1,
+    the square roots of xi^3 and S to their counterparts for xi'.  As a
+    group automorphism it keeps each order modulo S, so each generator's
+    multiset, the projective orders and the counts are the same for xi
+    and xi', in characteristics 2 and 3 too.  _trace_generates, read
+    from (p, d, N, M), is shared as well.  So orbit_signatures may read
+    one closed form per (q, N, M, ambient) when asked to.
     """
     lines, r = spec.root.field.order + 1, _fiber_order(spec)
     if lines * r > state_cap:
@@ -781,7 +820,8 @@ def _closed_form(spec, state_cap):
     return _signature_of(spec, lines, r, _fiber_cycles(spec))
 
 
-def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP):
+def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP,
+                     closed_forms=None):
     """[(signature, genus, tags)], one entry per braid orbit of type lines.
 
     The one dispatcher between the closed form and the walk.  Conjugate
@@ -790,14 +830,24 @@ def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP):
     whose signature _closed_form gives without a walk; only the roots whose
     trace field is smaller than F_q are walked, once per orbit, by
     _orbit_walks, and each walk is dropped once its signature is read.
-    Raises EnumerationCapExceeded as _LineWalk does on the orbit's first
-    tag.
+    A closed form depends only on (q, N, M, ambient) (see _closed_form),
+    so a caller may pass a dict as closed_forms, which then keeps one per
+    key for the roots it is passed with, under one state_cap; the tags
+    are still checked for each root.  Raises EnumerationCapExceeded as _LineWalk does on the
+    orbit's first tag.
     """
     if tags and _trace_generates(root):
         for tag in tags:  # rejects an inadmissible tag, as a walk would
             type_coefficient_laurent(tag, root.M, root.p == 3)
         spec = UniversalGroupSpec(root, tags[0], ambient)
-        return [(*_closed_form(spec, state_cap), list(tags))]
+        if closed_forms is None:
+            form = _closed_form(spec, state_cap)
+        else:
+            key = (root.field.order, root.N, root.M, ambient)
+            form = closed_forms.get(key)
+            if form is None:
+                form = closed_forms[key] = _closed_form(spec, state_cap)
+        return [(*form, list(tags))]
     return [(*walk.signature(), members)
             for walk, members in _orbit_walks(root, tags, ambient, state_cap)]
 

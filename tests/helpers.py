@@ -28,8 +28,10 @@ skeletons, pair by pair, the reference for the package's closed-form
 product and the only product of the pairs it refuses; `count_calls`
 records the calls of a package function; `realized_types_alone` is the
 addendum's conjugacy check with each type lifted and tested on its own;
-`reference_generator_cycles` reads the generator cycles off the field's
-log tables, the closed form the package had before it read them with no
+`reference_trace_generates` decides by powers in the field's ring
+whether xi + 1/xi generates F_q, the reference for the package's test on
+p^e mod M; `reference_generator_cycles` reads the generator cycles off
+the field's log tables, the closed form the package had before it read them with no
 table, `reference_closed_form` lifts them to a signature, and
 `reference_root_orders` reads N = ord(-xi) and M = ord(xi) off
 `reference_unit_tables`; `generator_cycles_certified` compares the
@@ -520,6 +522,18 @@ def reference_fibered_product(s1, s2):
         vertices = (edges + 2 * fix_black) // 3 + (edges + fix_white) // 2
         components.append((edges, _euler_genus(vertices, edges, faces_l // L)))
     return FiberedProduct(e1, e2, tuple(components))
+
+
+def reference_trace_generates(root):
+    """N >= 7, and s = xi + 1/xi lies in no proper subfield of F_q:
+    s^(p^e) != s for every proper divisor e of deg m, by powers in the
+    field's ring."""
+    field = root.field
+    ring = field.ring
+    s = ring.add(ring.gen, ring.pow(ring.gen, -1))
+    d, p = field.degree, field.p
+    return root.N >= 7 and all(s and ring.pow(s, p ** e) != s
+                               for e in range(1, d) if d % e == 0)
 
 
 def reference_closed_form_cycles(g, n0, root):

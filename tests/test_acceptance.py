@@ -14,7 +14,8 @@ from covector_oracle import covector_bfs, product_skeletons, \
 from helpers import bdeg, closed_form_certified, count_calls, det, \
     generator_cycles_certified, realized_types_alone, reference_closed_form, \
     reference_fibered_product, reference_resultants, \
-    resultant_with_cyclotomic, single_edge, sweep_pairs
+    reference_trace_generates, resultant_with_cyclotomic, single_edge, \
+    sweep_pairs
 
 from burausieve import sieve, skeleton
 from burausieve.burau import BraidWord, specialize, to_burau
@@ -357,6 +358,19 @@ def test_closed_form_is_the_table_reference_on_the_sweep(sweep):
     assert (roots, closed) == (257, 2 * 252)
     print(f"\nclosed form = table reference on {roots} sweep roots, "
           f"{closed} closed forms: PASS")
+
+
+def test_trace_field_test_is_the_ring_reference(sweep):
+    """The trace-field test on p^e mod M agrees with powers of
+    xi + 1/xi in the field's ring on all 257 roots of the sweep and on
+    every golden factor."""
+    results, _, _ = sweep
+    roots = [root for root, _ in sweep_roots(results)] + [
+        root_spec(row.p, text) for row in GOLDEN_ROWS for text in row.factors]
+    assert [_trace_generates(root) for root in roots] == \
+        [reference_trace_generates(root) for root in roots]
+    assert len(roots) == 257 + 52
+    assert sum(map(_trace_generates, roots)) == 252 + 52
 
 
 def test_trace_field_test_is_walk_transitivity(sweep):

@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 from covector_oracle import product_skeletons, skeleton_isomorphic
-from helpers import realized_types_alone, reference_fibered_product, \
-    single_edge
+from helpers import count_calls, realized_types_alone, \
+    reference_fibered_product, single_edge
 
+from burausieve import intersect
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import (
     addendum_report,
@@ -178,6 +179,31 @@ class TestAddendumPairs:
         assert len(report["pairs"]) == 3
         for pair in report["pairs"]:
             assert pair["minGenus"] >= 1
+
+
+    def test_one_unlinked_product_per_distinct_input(self, monkeypatch):
+        # the 465 pairs of iso-class representatives have 86 distinct pairs
+        # of unlinked inputs; each is multiplied once, each of the 5 linked
+        # pairs on its own, and every entry is the pair's own product
+        reps = [(grp[0], UniversalGroupSpec(root_spec(row.p, grp[0]), "I",
+                                            "bu3"))
+                for row in GOLDEN_ROWS for grp in row.factor_groups]
+        pairs = [(a, b) for n, (_, a) in enumerate(reps)
+                 for _, b in reps[n + 1:]]
+        linked = sum(intersect._linked(a, b) for a, b in pairs)
+        calls = count_calls(monkeypatch, intersect, "fibered_product")
+        report = verify_addendum_pairwise(reps)
+        assert (len(calls), linked) == (86 + 5, 5)
+        for entry, (a, b) in zip(report["pairs"], pairs, strict=True):
+            fp = fibered_product(a, b)
+            assert (entry["components"], entry["minGenus"]) == \
+                (len(fp.components), fp.min_genus()), (a, b)
+
+    def test_refuses_a_representative_it_cannot_read(self):
+        reps = [("a", factor(2, "t^3+t+1")[0]),
+                ("b", UniversalGroupSpec(root_spec(5, "t-1"), "I", "bu3"))]
+        with pytest.raises(ValueError, match="no closed-form product"):
+            verify_addendum_pairwise(reps)
 
 
 class TestConjugacy:

@@ -12,7 +12,7 @@ from helpers import count_calls, determinant_D, nonunit_entries, \
     reference_triples, resultant_with_cyclotomic, sieve_determinant, \
     sweep_pairs
 
-from burausieve import exactalg, sieve
+from burausieve import exactalg, sieve, skeleton
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
 from burausieve.exactalg import IntPoly, _fp_divmod, _fp_gcd, \
     _resultant_bound, cyclotomic, cyclotomic_factors, fp_factor, order_mod, \
@@ -836,3 +836,55 @@ class TestSweep:
             13: [["e"], ["T s2^-1 s1"]]})
         assert results[13]["survivors"] == []
         assert len(results[13]["sets"]) == 2
+
+
+@pytest.fixture(scope="module")
+def filtered_sweep():
+    """The orbit_signatures calls of full_sweep((7, 26)), each with its
+    arguments and result, and the sweep's _closed_form and _LineWalk
+    calls."""
+    real = sieve.orbit_signatures
+    recorded = []
+
+    def recording(root, tags, *args):
+        out = real(root, tags, *args)
+        recorded.append((root, list(tags), args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        closed = count_calls(mp, skeleton, "_closed_form")
+        walks = count_calls(mp, skeleton, "_LineWalk")
+        mp.setattr(sieve, "orbit_signatures", recording)
+        full_sweep((7, 26))
+    return recorded, closed, walks
+
+
+class TestGenusFilterSharing:
+    """The genus filter reads one closed form per (N, p) of the sweep and
+    shares it among the pair's roots."""
+
+    def test_one_closed_form_per_field_size(self, filtered_sweep):
+        # 252 closed roots in 65 pairs (N, p); the 5 other roots still
+        # make their 7 walks
+        recorded, closed, walks = filtered_sweep
+        assert len(recorded) == 257
+        assert len(closed) == 65 and len(walks) == 7
+        assert len({(spec.root.N, spec.root.p) for spec, _ in closed}) == 65
+        # one memo for the whole call of the filter per N
+        memos = {id(args[-1]) for _, _, args, _ in recorded}
+        assert len(memos) == 20
+
+    def test_shared_value_is_each_roots_own_closed_form(self, filtered_sweep):
+        # each closed root, rebuilt on a field of its own, gets the
+        # signature and genus the filter read for its class
+        recorded, _, _ = filtered_sweep
+        shared = 0
+        for root, tags, args, out in recorded:
+            if not skeleton._trace_generates(root):
+                continue
+            own = root_spec(root.p, root.min_poly)
+            spec = skeleton.UniversalGroupSpec(own, tags[0], "bu3")
+            assert out == [(*skeleton._closed_form(spec, 10 ** 6), tags)], \
+                str(spec)
+            shared += 1
+        assert shared == 252

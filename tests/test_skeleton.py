@@ -13,10 +13,10 @@ from covector_oracle import (
     verify_region_widths,
 )
 from helpers import closed_form_certified, cycle_tuples, reference_cycles, \
-    reference_skeleton_fault, single_edge
+    reference_skeleton_fault, reference_trace_generates, single_edge
 
 from burausieve import skeleton
-from burausieve.exactalg import IntPoly
+from burausieve.exactalg import IntPoly, cyclotomic_factors, order_mod
 from burausieve.golden import GOLDEN_ROWS, self_check
 from burausieve.intersect import conjugate_to_e2
 from burausieve.skeleton import (
@@ -25,6 +25,7 @@ from burausieve.skeleton import (
     SkeletonSignature,
     UniversalGroupSpec,
     _closed_form,
+    _fiber_cycles,
     _fiber_order,
     _LineWalk,
     _trace_generates,
@@ -592,6 +593,55 @@ class TestClosedFormOverSmallFields:
                             (str(root), tag, ambient)
                     rejected += 1
         assert (closed, rejected) == (2984, 20)
+
+
+def field_size_classes(max_prime, max_degree, max_order):
+    """(N, p, roots) for N = 7..26 and each prime p < max_prime that does
+    not divide N, with ord_N(p) <= max_degree and q <= max_order: a root
+    for every irreducible factor of phi_N(-t) mod p, all of one field
+    size q = p^ord_N(p)."""
+    for N in range(7, 27):
+        for p in sympy.primerange(2, max_prime):
+            d = order_mod(p, N) if N % p else 0
+            if d and d <= max_degree and p ** d <= max_order:
+                yield N, p, [root_spec(p, m)
+                             for m in sorted(set(cyclotomic_factors(N, p)),
+                                             key=str)]
+
+
+class TestClosedFormPerFieldSize:
+    """A closed form depends only on (q, N, M, |S|): the roots of one
+    (N, p) share their fiber cycles, signature and genus in each ambient,
+    so the genus filter reads one per class."""
+
+    def test_closed_form_depends_on_the_field_size_alone(self):
+        # every irreducible factor of phi_N(-t) mod p, N = 7..26, p < 400,
+        # degree <= 4, q <= 20,000, both ambients: per (N, p), the
+        # trace-field test agrees with its ring reference and on all the
+        # class's roots, and each root's own closed form has the class's
+        # fiber-cycle multisets, signature and genus
+        closed = classes = 0
+        for N, p, roots in field_size_classes(400, 4, 20000):
+            verdicts = [_trace_generates(root) for root in roots]
+            assert verdicts == [reference_trace_generates(root)
+                                for root in roots], (N, p)
+            assert len(set(verdicts)) == 1, (N, p)
+            if not verdicts[0]:
+                continue
+            assert {(r.field.order, r.N, r.M) for r in roots} == \
+                {(roots[0].field.order, N, roots[0].M)}
+            for ambient in ("bu3", "b3"):
+                first = None
+                for root in roots:
+                    spec = UniversalGroupSpec(root, "I", ambient)
+                    got = ([Counter(base) for base in _fiber_cycles(spec)],
+                           _closed_form(spec, 10 ** 9))
+                    if first is None:
+                        first = got
+                    assert got == first, (str(spec), first[0])
+                    closed += 1
+            classes += 1
+        assert (classes, closed) == (277, 3212)
 
 
 class TestClosedFormOverHigherDegrees:
