@@ -2,9 +2,9 @@
 
 Thirteen (p, N) rows, each with its list of minimal-polynomial factors,
 the star flag (realizable inside the braid group itself), and the skeleton
-signature (e; v_white, v_black; region widths).  Factors are grouped so
-that polynomials inside one group have isomorphic skeletons; the signature
-is shared by the whole row.
+signature (e; v_white, v_black; region width partition).  Factors are
+grouped so that polynomials inside one group have isomorphic skeletons;
+the signature is shared by the whole row.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class GoldenRow:
     edges: int
     v_white: int
     v_black: int
-    widths: tuple  # sorted ascending, with repeats
+    partition: tuple  # ((width, count), ...), widths ascending
 
     @property
     def factors(self):
@@ -35,32 +35,32 @@ class GoldenRow:
 
 GOLDEN_ROWS = (
     GoldenRow(1, 2, 7, (("t^3+t+1", "t^3+t^2+1"),), True,
-              9, 1, 0, (1, 1, 7)),
+              9, 1, 0, ((1, 2), (7, 1))),
     GoldenRow(2, 2, 15, (("t^4+t+1", "t^4+t^3+1"),), True,
-              17, 1, 2, (1, 1, 15)),
+              17, 1, 2, ((1, 2), (15, 1))),
     GoldenRow(3, 3, 8, (("t^2+2t+2", "t^2+t+2"),), True,
-              10, 0, 1, (1, 1, 8)),
+              10, 0, 1, ((1, 2), (8, 1))),
     GoldenRow(4, 5, 8, (("t^2+2", "t^2+3"),), True,
-              78, 0, 0, (1,) * 6 + (8,) * 9),
+              78, 0, 0, ((1, 6), (8, 9))),
     GoldenRow(5, 5, 12, (("t^2+2t+4", "t^2+3t+4"),), False,
-              52, 0, 4, (1,) * 4 + (12,) * 4),
+              52, 0, 4, ((1, 4), (12, 4))),
     GoldenRow(6, 11, 10, (("t+2",), ("t+6",), ("t+7",), ("t+8",)), True,
-              24, 2, 0, (1, 1, 2, 10, 10)),
+              24, 2, 0, ((1, 2), (2, 1), (10, 2))),
     GoldenRow(7, 13, 12, (("t+2", "t+7"), ("t+6", "t+11")), True,
-              14, 0, 2, (1, 1, 12)),
+              14, 0, 2, ((1, 2), (12, 1))),
     GoldenRow(8, 17, 8, (("t+2", "t+9"), ("t+8", "t+15")), True,
-              36, 0, 0, (1,) * 4 + (8,) * 4),
+              36, 0, 0, ((1, 4), (8, 4))),
     GoldenRow(9, 19, 9, (("t+4", "t+5"), ("t+6", "t+16"), ("t+9", "t+17")),
-              False, 20, 0, 2, (1, 1, 9, 9)),
+              False, 20, 0, 2, ((1, 2), (9, 2))),
     GoldenRow(10, 19, 18, (("t+2",), ("t+3",), ("t+10",), ("t+13",),
                            ("t+14",), ("t+15",)), False,
-              40, 2, 4, (1, 1, 2, 18, 18)),
+              40, 2, 4, ((1, 2), (2, 1), (18, 2))),
     GoldenRow(11, 29, 7, (("t+7", "t+25"), ("t+16", "t+20"), ("t+23", "t+24")),
-              True, 60, 0, 0, (1,) * 4 + (7,) * 8),
+              True, 60, 0, 0, ((1, 4), (7, 8))),
     GoldenRow(12, 37, 9, (("t+7", "t+16"), ("t+9", "t+33"), ("t+12", "t+34")),
-              False, 76, 0, 4, (1,) * 4 + (9,) * 8),
+              False, 76, 0, 4, ((1, 4), (9, 8))),
     GoldenRow(13, 43, 7, (("t+4", "t+11"), ("t+16", "t+35"), ("t+21", "t+41")),
-              True, 132, 0, 0, (1,) * 6 + (7,) * 18),
+              True, 132, 0, 0, ((1, 6), (7, 18))),
 )
 
 STARRED_COUNT = sum(1 for r in GOLDEN_ROWS if r.starred)
@@ -70,9 +70,14 @@ def self_check():
     """Structural sanity of the embedded data (run at CLI startup)."""
     from .skeleton import SkeletonSignature, euler_lhs
     for row in GOLDEN_ROWS:
-        if sum(row.widths) != row.edges:
+        widths, counts = zip(*row.partition)
+        if list(widths) != sorted(set(widths)) or min(counts) < 1:
+            raise AssertionError(f"partition of row {row.index} is not in "
+                                 f"increasing width with positive counts")
+        if sum(w * n for w, n in row.partition) != row.edges:
             raise AssertionError(f"width sum mismatch in row {row.index}")
-        sig = SkeletonSignature(row.edges, row.v_white, row.v_black, row.widths)
+        sig = SkeletonSignature(row.edges, row.v_white, row.v_black,
+                                row.partition)
         if euler_lhs(sig, row.N) != 12:
             raise AssertionError(f"row {row.index} is not genus zero")
     if STARRED_COUNT != 9:

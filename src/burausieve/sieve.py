@@ -49,7 +49,7 @@ zeta^l [alpha(u) : beta(u)] = [alpha(w) : beta(w)] on P^1(F_q),
 F_q = F_p[t]/(m), or one point is undefined (alpha = beta = 0).
 Some l works exactly when the two points lie in one orbit of mu_N = <zeta>:
 {0}, {infinity}, or the points of one value of sigma^N, sigma = alpha/beta.
-So each vector gets one key per factor (_SievePass.orbit_key), and a type
+So each vector gets one key per factor (_SievePass.orbit_keys), and a type
 is carried when one of its vectors has a point fixed by mu_N (0, infinity
 or undefined: the pair (u, u), l > 0) or shares its key with another
 vector of the set; an undefined point carries every type.  A hit forces p
@@ -90,7 +90,7 @@ from .typesys import epsilon_p, k_threshold, root_spec, \
 SWEEP_RANGE = (7, 26)
 
 # the orbit keys of the points of P^1(F_q) that mu_N fixes (see
-# _SievePass.orbit_key); every other key is an element of F_q^*
+# _SievePass.orbit_keys); every other key is an element of F_q^*
 _UNDEFINED, _ZERO, _INFINITY = "undefined", "zero", "infinity"
 _FIXED = frozenset((_UNDEFINED, _ZERO, _INFINITY))
 
@@ -193,8 +193,7 @@ class _SievePass:
         self.primes = {}  # |Res| -> its primes not dividing N
         self.cyclotomic = {}  # p -> the irreducible factors of phi_N(-t) mod p
         self.points = {}  # v -> the coefficients of alpha(v), beta(v)
-        self.keys = {}  # (v, p, factor index) -> the orbit key of v's point
-        self.rings = {}  # (p, factor index) -> F_p[t]/(that factor)
+        self.keys = {}  # (p, factor index) -> {v: the orbit key of v's point}
 
     def vectors(self, words, branch):
         """Type tag -> the vectors b_i v_T of the words, on this branch, each
@@ -350,45 +349,71 @@ class _SievePass:
         m of phi_N(-t) mod p divides D_l(u, w) mod p for some vector w of
         vecs and some l, l > 0 when w is u, by the orbit rule (see the
         module docstring): w is hit from u exactly when their points on
-        P^1(F_q) lie in one mu_N-orbit, that is share an orbit_key; u is
+        P^1(F_q) lie in one mu_N-orbit, that is share an orbit key; u is
         hit from itself exactly when mu_N fixes its point (0, infinity or
         undefined); and an undefined point is hit from every u, so it
         carries every type."""
-        keys = [(tag, self.orbit_key(v, p, k))
-                for tag, vs in vecs.items() for v in vs]
+        keys = self.orbit_keys([v for vs in vecs.values() for v in vs], p, k)
         seen, shared = set(), set()
-        for _, key in keys:
+        for key in keys:
             (shared if key in seen else seen).add(key)
         if _UNDEFINED in seen:
             return set(vecs)
-        return {tag for tag, key in keys if key in shared or key in _FIXED}
+        tags = [tag for tag, vs in vecs.items() for _ in vs]
+        return {tag for tag, key in zip(tags, keys)
+                if key in shared or key in _FIXED}
 
-    def orbit_key(self, v, p, k):
-        """The mu_N-orbit of the point [alpha(v) : beta(v)] of P^1(F_q) at
-        the root theta of the k-th factor m of phi_N(-t) mod p (see
-        carried_types), once per pass: _UNDEFINED, _ZERO or _INFINITY at
-        the fixed points, and otherwise sigma^N for sigma = alpha/beta,
-        the same for two points exactly when they lie in one orbit, since
-        mu_N is the whole N-torsion of the cyclic group F_q^*.  It is
-        reached in exactalg.quotient_ring(p, m), one per factor and pass:
-        for a linear m, theta is in F_p and the key an int; otherwise it is
-        a coefficient tuple modulo m, with no table of F_q."""
-        key = (v, p, k)
-        if key not in self.keys:
-            ring = self.rings.get((p, k))
-            if ring is None:
-                ring = self.rings[p, k] = quotient_ring(
-                    p, self.cyclotomic_factors(p)[k].coeffs)
-            alpha, beta = self.point(v)
-            x, y = ring.residue(alpha), ring.residue(beta)
-            if not y:
-                self.keys[key] = _INFINITY if x else _UNDEFINED
-            elif not x:
-                self.keys[key] = _ZERO
+    def orbit_keys(self, vectors, p, k):
+        """The mu_N-orbit keys of the points [alpha(v) : beta(v)] of
+        P^1(F_q) of the vectors v, in order, at the root theta of the k-th
+        factor m of phi_N(-t) mod p (see carried_types), each once per
+        pass, in one loop per call: _UNDEFINED, _ZERO or _INFINITY at the
+        fixed points, and otherwise sigma^N for sigma = alpha/beta, the
+        same for two points exactly when they lie in one orbit, since mu_N
+        is the whole N-torsion of the cyclic group F_q^*.
+
+        For a linear m, theta = -m(0) is in F_p: alpha and beta are read
+        at it by Horner and the key is an int.  Otherwise the key is
+        reached in exactalg.quotient_ring(p, m), with no table of F_q and
+        no inverse: N divides q - 1, as zeta = -theta has order N in F_q^*,
+        so let g = (q - 1) / N.  A nonzero y has y^(q-1) = 1, so
+        y^-N = y^(q-1-N) = y^(N(g-1)) and
+
+            (x / y)^N = x^N y^(N(g-1)) = (x y^(g-1))^N.
+
+        When g = 1, mu_N is all of F_q^*, which is then one orbit: every
+        point off 0 and infinity has the key 1 = (x y^0)^N = x^(q-1)."""
+        known = self.keys.setdefault((p, k), {})
+        new = [v for v in vectors if v not in known]
+        if new:
+            N, points = self.N, self.points
+            m = self.cyclotomic_factors(p)[k].coeffs
+            if len(m) == 2:
+                theta = -m[0] % p
+                for v in new:
+                    alpha, beta = points[v] if v in points else self.point(v)
+                    x = y = 0
+                    for c in reversed(alpha):
+                        x = (x * theta + c) % p
+                    for c in reversed(beta):
+                        y = (y * theta + c) % p
+                    known[v] = (pow(x * pow(y, -1, p), N, p) if x and y
+                                else _ZERO if y else
+                                _INFINITY if x else _UNDEFINED)
             else:
-                self.keys[key] = ring.pow(ring.mul(x, ring.pow(y, -1)),
-                                          self.N)
-        return self.keys[key]
+                ring = quotient_ring(p, m)
+                residue, mul, power = ring.residue, ring.mul, ring.pow
+                g = (ring.order - 1) // N
+                for v in new:
+                    alpha, beta = points[v] if v in points else self.point(v)
+                    x, y = residue(alpha), residue(beta)
+                    if x and y:
+                        known[v] = (ring.one if g == 1
+                                    else power(mul(x, power(y, g - 1)), N))
+                    else:
+                        known[v] = (_ZERO if y else
+                                    _INFINITY if x else _UNDEFINED)
+        return [known[v] for v in vectors]
 
     def point(self, v):
         """The coefficient lists of alpha(v) = (1 + t) v0 - v1 and

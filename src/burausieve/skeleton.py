@@ -36,7 +36,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd
 from operator import countOf, eq, itemgetter
 
@@ -268,16 +268,16 @@ class Skeleton:
 
 @dataclass(frozen=True)
 class SkeletonSignature:
-    """(e; v_white, v_black; region width partition)."""
+    """(e; v_white, v_black; region width partition), the partition as
+    ((width, count), ...) in increasing width, each count positive."""
 
     edges: int
     v_white: int
     v_black: int
-    widths: tuple
+    partition: tuple
 
     def partition_text(self):
-        counts = Counter(self.widths)
-        return " ".join(f"{w}^{counts[w]}" for w in sorted(counts))
+        return " ".join(f"{w}^{n}" for w, n in self.partition)
 
     def __str__(self):
         return (f"({self.edges};{self.v_white},{self.v_black};"
@@ -288,8 +288,8 @@ def signature(sk):
     """Monovalent vertex counts and the region width partition."""
     v_black = countOf(sk.black_cycles().lengths, 1)
     v_white = countOf(sk.white_cycles().lengths, 1)
-    widths = tuple(sk.region_widths())
-    return SkeletonSignature(sk.edge_count, v_white, v_black, widths)
+    partition = tuple(Counter(sk.region_widths()).items())  # widths sorted
+    return SkeletonSignature(sk.edge_count, v_white, v_black, partition)
 
 
 def genus(sk):
@@ -308,11 +308,10 @@ def _euler_genus(V, E, F):
 
 def euler_lhs(sig, N):
     """3*v_white + 4*v_black + sum (6 - i) n_i; equals 12 iff genus zero."""
-    if sig.widths and max(sig.widths) > N:
+    if sig.partition and sig.partition[-1][0] > N:
         raise ValueError("region width exceeds N")
-    counts = Counter(sig.widths)
     return (3 * sig.v_white + 4 * sig.v_black
-            + sum((6 - w) * n for w, n in counts.items()))
+            + sum((6 - w) * n for w, n in sig.partition))
 
 
 @dataclass(frozen=True)
@@ -374,10 +373,8 @@ def _signature_of(spec, lines, k, cycles):
         lifted.append(lifts)
     black, white, region = lifted
     edges = lines * k
-    widths = []  # each distinct width, repeated, in increasing order
-    for width in sorted(region):
-        widths += repeat(width, region[width])
-    sig = SkeletonSignature(edges, white[1], black[1], tuple(widths))
+    sig = SkeletonSignature(edges, white[1], black[1],
+                            tuple(sorted(region.items())))
     return sig, _euler_genus(sum(black.values()) + sum(white.values()),
                              edges, sum(region.values()))
 
@@ -871,7 +868,7 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
     report = {"rows": [], "ok": True}
     for row in wanted:
         want_sig = SkeletonSignature(row.edges, row.v_white, row.v_black,
-                                     tuple(row.widths))
+                                     row.partition)
         entry = {
             "row": row.index, "p": row.p, "N": row.N,
             "starred": row.starred, "expected": str(want_sig), "factors": [],
@@ -888,7 +885,7 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
                 "signature": str(sig),
                 "genus": g0,
                 "b3Genus": g3,
-                "widthsDivideN": all(row.N % w == 0 for w in sig.widths),
+                "widthsDivideN": all(row.N % w == 0 for w, _ in sig.partition),
                 "tableAmbient": "bu3" if sig == want_sig else "unmatched",
                 "ok": ok,
             }

@@ -13,7 +13,9 @@ the sieve evaluates each unordered {u, w} once for every l;
 (u, w), `nonunit_entries` lists a word set's nonunit resultants one by
 one, and `reference_triples` takes its triples by the gcd of each
 determinant with phi_N(-t) mod p, the reference for the sieve's orbit
-rule; `sweep_pairs` flattens a sweep to its classification;
+rule, and `reference_orbit_key` keys one vector with an inverse of beta,
+the reference for the pass's keys, which take none over an extension
+field; `sweep_pairs` flattens a sweep to its classification;
 `check_type_specification` and `type_ii_odd_width_excluded` state
 lifting conditions of the paper that the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
 word's degree, a Burau matrix's determinant and the smallest skeleton;
@@ -50,10 +52,10 @@ import sympy
 from burausieve.burau import BurauMatrix
 from burausieve.exactalg import IntPoly, _fp_divmod, _fp_monic, \
     _fp_mul, cyclotomic, fp_factor, order_mod, power_by_squaring, \
-    substitute_neg
+    quotient_ring, substitute_neg
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
-from burausieve.sieve import ExceptionalTriple, _SievePass, \
-    _require_distinct_projections
+from burausieve.sieve import _INFINITY, _UNDEFINED, _ZERO, \
+    ExceptionalTriple, _SievePass, _require_distinct_projections
 from burausieve.skeleton import Skeleton, UniversalGroupSpec, _closed_form, \
     _euler_genus, _fiber_cycles, _fiber_order, _generator_cycles, _LineWalk, \
     _signature_of, _spec_matrix_codes, enumerate_universal, genus
@@ -372,6 +374,22 @@ def reference_triples(sieve_pass, words, branch):
                 triples.update(ExceptionalTriple(p, IntPoly(f), tag)
                                for f in fp_factor(g, order_mod(p, N), p))
     return triples
+
+
+def reference_orbit_key(sieve_pass, v, p, k):
+    """The orbit key of the vector v's point [alpha(v) : beta(v)] at the
+    k-th factor m of phi_N(-t) mod p, one vector at a time: sigma^N for
+    sigma = alpha / beta, with beta inverted in quotient_ring(p, m) (by
+    the extended Euclid, or as b^(q-2) over F_2), and the pass's markers
+    at the points mu_N fixes."""
+    ring = quotient_ring(p, sieve_pass.cyclotomic_factors(p)[k].coeffs)
+    alpha, beta = sieve_pass.point(v)
+    x, y = ring.residue(alpha), ring.residue(beta)
+    if not y:
+        return _INFINITY if x else _UNDEFINED
+    if not x:
+        return _ZERO
+    return ring.pow(ring.mul(x, ring.pow(y, -1)), sieve_pass.N)
 
 
 def sweep_pairs(results):

@@ -156,7 +156,7 @@ def test_criterion_6_property_suites(row_skeletons):
         root = root_spec(row.p, row.factors[0])
         sig = signature(sk)
         assert (euler_lhs(sig, row.N) == 12) == (genus(sk) == 0)
-        assert sum(sig.widths) == sk.edge_count
+        assert sum(w * n for w, n in sig.partition) == sk.edge_count
         assert verify_region_widths(sk, row.N)
         q = root.field.order
         assert sk.edge_count == (q * q - 1) // root.M

@@ -8,9 +8,9 @@ import pytest
 import sympy
 from covector_oracle import FieldElem, Presentation, element_order
 from helpers import count_calls, determinant_D, nonunit_entries, \
-    ordered_resultants, reference_fp_gcd, reference_resultants, \
-    reference_triples, resultant_with_cyclotomic, sieve_determinant, \
-    sweep_pairs
+    ordered_resultants, reference_fp_gcd, reference_orbit_key, \
+    reference_resultants, reference_triples, resultant_with_cyclotomic, \
+    sieve_determinant, sweep_pairs
 
 from burausieve import exactalg, sieve, skeleton
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
@@ -427,7 +427,7 @@ class TestOrderRule:
             N, m = sieve_pass.N, sieve_pass.cyclotomic_factors(p)[k].coeffs
             degrees.add(len(m) - 1)
             cyc = substitute_neg(cyclotomic(N)).reduce_mod(p)
-            keys = [sieve_pass.orbit_key(v, p, k) for v in vs]
+            keys = sieve_pass.orbit_keys(vs, p, k)
             for (u, key_u), (w, key_w) in product(zip(vs, keys), repeat=2):
                 if (N, u, w, p) not in divisors:
                     res = ordered_resultants(sieve_pass, u, w)
@@ -497,7 +497,8 @@ class TestOrbitRule:
             "generic": sieve._Vector((one, one)),
             "rotated": sieve._Vector((one - t, one)),
         }
-        keys = {name: sieve_pass.orbit_key(v, p, 0) for name, v in points.items()}
+        keys = dict(zip(points, sieve_pass.orbit_keys(list(points.values()),
+                                                      p, 0)))
         assert keys["zero"] == sieve._ZERO and keys["infinity"] == sieve._INFINITY
         assert keys["undefined"] == sieve._UNDEFINED
         assert keys["generic"] == keys["rotated"] not in sieve._FIXED
@@ -558,10 +559,99 @@ class TestOrbitRule:
                     degrees.update(tr.min_poly.degree for tr in found)
             usable, _, by_branch = sieve._SievePass(N).sieve(sets)
             assert usable == sets and by_branch == slow, N
-            fixed.update(key for key in sieve_pass.keys.values()
-                         if key in sieve._FIXED)
+            fixed.update(key for known in sieve_pass.keys.values()
+                         for key in known.values() if key in sieve._FIXED)
         assert fixed[sieve._ZERO] == fixed[sieve._INFINITY] == 27
         assert degrees == {1, 2, 3, 4, 5, 6}
+
+
+class TestOrbitKeys:
+    """The pass's keys, one loop per (p, k) with no inverse over an
+    extension field, against reference_orbit_key, which keys one vector at
+    a time with an inverse of beta."""
+
+    def test_raw_sweep_keys_are_the_reference(self, monkeypatch):
+        # every (set, p, k) that the raw sweep N = 7..26 keys: 1,891 of
+        # them and 7,181 keys, 562 distinct at factors of degree >= 2, where
+        # g = (q - 1) / N is 1 at 186 and at most 104
+        keyed = []
+        real = sieve._SievePass.orbit_keys
+
+        def recording(self, vectors, p, k):
+            keys = real(self, vectors, p, k)
+            keyed.append((self, vectors, p, k, keys))
+            return keys
+
+        monkeypatch.setattr(sieve._SievePass, "orbit_keys", recording)
+        for N in range(7, 27):
+            full_sweep((N, N), raw=True)
+        extension = {}
+        for sieve_pass, vectors, p, k, keys in keyed:
+            assert keys == [reference_orbit_key(sieve_pass, v, p, k)
+                            for v in vectors], (sieve_pass.N, p, k)
+            d = sieve_pass.cyclotomic_factors(p)[k].degree
+            if d > 1:
+                g = (p ** d - 1) // sieve_pass.N
+                extension.update(((sieve_pass.N, v, p, k), g) for v in vectors)
+        assert (len(keyed), sum(len(vs) for _, vs, *_ in keyed)) == (1891, 7181)
+        assert len(extension) == 562
+        assert Counter(g == 1 for g in extension.values())[True] == 186
+        assert max(extension.values()) == 104
+
+    def test_random_vectors_keys_are_the_reference(self):
+        # the vectors of seeded random words on every branch of each N of
+        # the sweep, keyed at every factor of phi_N(-t) mod p for the
+        # primes p < 30 not dividing N: factors of degree 1 to 22, with
+        # g = (q - 1) / N both 1 and larger, at degree 1 and above
+        rng = random.Random(38)
+        letters = parse_word_set(["T s2 s1^-1", "T s2^-1 s1", "s1", "s2^-1",
+                                  "T"])
+        kinds, degrees = Counter(), set()
+        for N in range(7, 27):
+            sieve_pass, words = sieve._SievePass(N), []
+            for _ in range(3):
+                word = BraidWord.identity()
+                for _ in range(rng.randint(1, 4)):
+                    word = word * rng.choice(letters)
+                words.append(word)
+            vectors = list(dict.fromkeys(
+                v for b in sieve_pass.branches
+                for vs in sieve_pass.vectors(words, b).values() for v in vs))
+            for p in sympy.primerange(2, 30):
+                if N % p == 0:
+                    continue
+                for k, m in enumerate(sieve_pass.cyclotomic_factors(p)):
+                    keys = sieve_pass.orbit_keys(vectors, p, k)
+                    assert keys == [reference_orbit_key(sieve_pass, v, p, k)
+                                    for v in vectors], (N, p, m)
+                    g = (p ** m.degree - 1) // N
+                    kinds[min(m.degree, 2), g == 1] += len(vectors)
+                    degrees.add(m.degree)
+        assert set(kinds) == {(1, True), (1, False), (2, True), (2, False)}
+        assert degrees == {1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 16, 18, 20, 22}
+
+    @pytest.mark.parametrize("N, p, g", [(8, 3, 1), (8, 5, 3), (7, 2, 1),
+                                         (13, 3, 2)],
+                             ids=["quadratic-g1", "quadratic-g3", "cubic-g1",
+                                  "cubic-g2"])
+    def test_points_at_zero_infinity_and_undefined(self, N, p, g):
+        # at the first factor m of degree 2 or 3, vectors at 0, infinity
+        # and no point (see TestOrbitRule) and at five other points: the
+        # keys are the reference's, and the other points share one key
+        # exactly when g = (q - 1) / N is 1, where mu_N is all of F_q^*
+        sieve_pass = sieve._SievePass(N)
+        m = sieve_pass.cyclotomic_factors(p)[0]
+        assert m.degree in (2, 3) and (p ** m.degree - 1) // N == g
+        one, t = IntPoly.one(), IntPoly.t()
+        vectors = [sieve._Vector(v) for v in (
+            (one, one + t - m), (one, m), (m, m),
+            (one, one), (one - t, one), (t * t, one), (one, t), (one, t * t))]
+        keys = sieve_pass.orbit_keys(vectors, p, 0)
+        assert keys == [reference_orbit_key(sieve_pass, v, p, 0)
+                        for v in vectors]
+        assert keys[:3] == [sieve._ZERO, sieve._INFINITY, sieve._UNDEFINED]
+        assert not sieve._FIXED & set(keys[3:])
+        assert (len(set(keys[3:])) == 1) == (g == 1)
 
 
 class TestSweep:
@@ -646,13 +736,13 @@ class TestSweep:
         # read off a root of unity when ord_N(p) = 1, split otherwise.  The
         # raw sweep takes no gcd outside those splits, makes 19 splits and
         # 6,413 orbit keys, one per (vector, p, factor) it reads 7,181
-        # times: 5,851 at a linear factor by evaluation and 562 at a longer
-        # one by arithmetic modulo it.  A divisibility test per determinant
-        # took 15,754 evaluations and 892 divisions, and a gcd of each
-        # determinant 1,277 gcds, 463 splits and 506 divisions
-        gcds, splits, splitting, keys = [], [], [], []
+        # times, and holds each: 5,851 at a linear factor by evaluation and
+        # 562 at a longer one by arithmetic modulo it.  A divisibility test
+        # per determinant took 15,754 evaluations and 892 divisions, and a
+        # gcd of each determinant 1,277 gcds, 463 splits and 506 divisions
+        gcds, splits, splitting, keys, passes = [], [], [], [], set()
         real_gcd, real_factor = exactalg._fp_gcd, exactalg.fp_factor
-        real_key = sieve._SievePass.orbit_key
+        real_keys = sieve._SievePass.orbit_keys
 
         def counting_gcd(a, b, p):
             if not splitting:
@@ -667,20 +757,23 @@ class TestSweep:
             finally:
                 splitting.pop()
 
-        def counting_key(self, v, p, k):
+        def counting_keys(self, vectors, p, k):
             degree = len(self.cyclotomic_factors(p)[k].coeffs) - 1
-            keys.append((self.N, v, p, k, degree))
-            return real_key(self, v, p, k)
+            keys.extend((self.N, v, p, k, degree) for v in vectors)
+            passes.add(self)
+            return real_keys(self, vectors, p, k)
 
         monkeypatch.setattr(exactalg, "_fp_gcd", counting_gcd)
         monkeypatch.setattr(exactalg, "fp_factor", counting_factor)
-        monkeypatch.setattr(sieve._SievePass, "orbit_key", counting_key)
+        monkeypatch.setattr(sieve._SievePass, "orbit_keys", counting_keys)
         for N in range(7, 27):
             full_sweep((N, N), raw=True)
         assert gcds == []
         assert len(splits) == len(set(splits)) == 19
         degrees = Counter(key[4] > 1 for key in set(keys))
         assert (len(keys), degrees[False], degrees[True]) == (7181, 5851, 562)
+        assert sum(len(known) for sieve_pass in passes
+                   for known in sieve_pass.keys.values()) == 6413
 
     def test_later_sets_key_only_the_earlier_factors(self, monkeypatch):
         # a later set keys its points only at the (p, k) that the sets

@@ -253,15 +253,15 @@ class TestSignatureAndGenus:
 
 class TestEulerFormula:
     def test_row1_signature(self):
-        sig = SkeletonSignature(9, 1, 0, (1, 1, 7))
+        sig = SkeletonSignature(9, 1, 0, ((1, 2), (7, 1)))
         assert euler_lhs(sig, 7) == 12
 
     def test_row_p11_signature(self):
-        sig = SkeletonSignature(24, 2, 0, (1, 1, 2, 10, 10))
+        sig = SkeletonSignature(24, 2, 0, ((1, 2), (2, 1), (10, 2)))
         assert euler_lhs(sig, 10) == 12
 
     def test_regular_width7_only_is_not_flat(self):
-        sig = SkeletonSignature(14, 0, 0, (7, 7))
+        sig = SkeletonSignature(14, 0, 0, ((7, 2),))
         assert euler_lhs(sig, 7) == -2
 
     def test_equivalence_with_genus(self):
@@ -273,7 +273,7 @@ class TestEulerFormula:
 
     def test_rejects_overwide_regions(self):
         with pytest.raises(ValueError):
-            euler_lhs(SkeletonSignature(8, 0, 0, (8,)), 7)
+            euler_lhs(SkeletonSignature(8, 0, 0, ((8, 1),)), 7)
 
 
 class TestWidthAndDistinctness:
@@ -376,6 +376,24 @@ class TestGoldenTable:
         for entry, row in zip(report["rows"], GOLDEN_ROWS):
             for fac in entry["factors"]:
                 assert (fac["b3Genus"] == 0) == row.starred
+
+    def test_signature_text_of_every_row(self):
+        # the text that table --verify prints for each row's signature and
+        # each factor's, the same as when a signature spelled out every
+        # region width
+        texts = ["(9;1,0;1^2 7^1)", "(17;1,2;1^2 15^1)", "(10;0,1;1^2 8^1)",
+                 "(78;0,0;1^6 8^9)", "(52;0,4;1^4 12^4)",
+                 "(24;2,0;1^2 2^1 10^2)", "(14;0,2;1^2 12^1)",
+                 "(36;0,0;1^4 8^4)", "(20;0,2;1^2 9^2)",
+                 "(40;2,4;1^2 2^1 18^2)", "(60;0,0;1^4 7^8)",
+                 "(76;0,4;1^4 9^8)", "(132;0,0;1^6 7^18)"]
+        report = table_verify()
+        assert len(report["rows"]) == len(texts) == 13
+        for entry, row, text in zip(report["rows"], GOLDEN_ROWS, texts):
+            sig = SkeletonSignature(row.edges, row.v_white, row.v_black,
+                                    row.partition)
+            assert str(sig) == entry["expected"] == text
+            assert {fac["signature"] for fac in entry["factors"]} == {text}
 
 
 # sweep candidates whose covector orbit is not the whole space
@@ -691,3 +709,18 @@ class TestLiftOverSmallFields:
             assert_voltage_walk_matches(spec)
         assert len(specs) == 10324
         assert sum(spec.root.N < 7 for spec in sample) == 45
+
+    def test_partition_counts_the_lifted_region_widths(self):
+        # on the same sample, the partition that _signature_of builds once
+        # per distinct width is the Counter of the lifted skeleton's region
+        # widths, in increasing width with positive counts
+        specs = [UniversalGroupSpec(root, tag, ambient)
+                 for root in small_field_roots(113, 125)
+                 for tag in sorted(admissible_types(root))
+                 for ambient in ("bu3", "b3")]
+        for spec in random.Random(30).sample(specs, 500):
+            (sig, _), sk = _LineWalk(spec).signature(), enumerate_universal(spec)
+            widths = [w for w, _ in sig.partition]
+            assert widths == sorted(set(widths))
+            assert dict(sig.partition) == Counter(sk.region_cycles().lengths)
+            assert sum(w * n for w, n in sig.partition) == sk.edge_count
