@@ -373,16 +373,18 @@ class _SievePass:
         is the whole N-torsion of the cyclic group F_q^*.
 
         For a linear m, theta = -m(0) is in F_p: alpha and beta are read
-        at it by Horner and the key is an int.  Otherwise the key is
-        reached in exactalg.quotient_ring(p, m), with no table of F_q and
-        no inverse: N divides q - 1, as zeta = -theta has order N in F_q^*,
-        so let g = (q - 1) / N.  A nonzero y has y^(q-1) = 1, so
+        at it by Horner inline (as exactalg._fp_eval), with no call per
+        vector, and the key is an int; this path is kept apart from the
+        one below on a paired measurement (see CHANGES.md).  Otherwise the
+        key is reached in exactalg.quotient_ring(p, m), with no table of
+        F_q and no inverse: N divides q - 1, as zeta = -theta has order N
+        in F_q^*, so let g = (q - 1) / N.  A nonzero y has y^(q-1) = 1, so
         y^-N = y^(q-1-N) = y^(N(g-1)) and
 
             (x / y)^N = x^N y^(N(g-1)) = (x y^(g-1))^N.
 
         When g = 1, mu_N is all of F_q^*, which is then one orbit: every
-        point off 0 and infinity has the key 1 = (x y^0)^N = x^(q-1)."""
+        point off 0 and infinity has the key (x y^0)^N = x^(q-1) = 1."""
         known = self.keys.setdefault((p, k), {})
         new = [v for v in vectors if v not in known]
         if new:
@@ -407,12 +409,9 @@ class _SievePass:
                 for v in new:
                     alpha, beta = points[v] if v in points else self.point(v)
                     x, y = residue(alpha), residue(beta)
-                    if x and y:
-                        known[v] = (ring.one if g == 1
-                                    else power(mul(x, power(y, g - 1)), N))
-                    else:
-                        known[v] = (_ZERO if y else
-                                    _INFINITY if x else _UNDEFINED)
+                    known[v] = (power(mul(x, power(y, g - 1)), N) if x and y
+                                else _ZERO if y else
+                                _INFINITY if x else _UNDEFINED)
         return [known[v] for v in vectors]
 
     def point(self, v):

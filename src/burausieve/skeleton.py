@@ -276,6 +276,13 @@ class SkeletonSignature:
     v_black: int
     partition: tuple
 
+    def __post_init__(self):
+        widths = [w for w, _ in self.partition]
+        if widths != sorted(set(widths)) or any(n < 1 for _, n in
+                                                self.partition):
+            raise ValueError(f"partition {self.partition} is not in "
+                             f"increasing width with positive counts")
+
     def partition_text(self):
         return " ".join(f"{w}^{n}" for w, n in self.partition)
 
@@ -308,7 +315,7 @@ def _euler_genus(V, E, F):
 
 def euler_lhs(sig, N):
     """3*v_white + 4*v_black + sum (6 - i) n_i; equals 12 iff genus zero."""
-    if sig.partition and sig.partition[-1][0] > N:
+    if max((w for w, _ in sig.partition), default=0) > N:
         raise ValueError("region width exceeds N")
     return (3 * sig.v_white + 4 * sig.v_black
             + sum((6 - w) * n for w, n in sig.partition))

@@ -275,6 +275,13 @@ class TestEulerFormula:
         with pytest.raises(ValueError):
             euler_lhs(SkeletonSignature(8, 0, 0, ((8, 1),)), 7)
 
+    @pytest.mark.parametrize("partition", [((7, 1), (1, 2)), ((1, 2), (1, 7)),
+                                           ((1, 0), (7, 1))])
+    def test_partition_in_increasing_width_with_positive_counts(
+            self, partition):
+        with pytest.raises(ValueError):
+            SkeletonSignature(9, 1, 0, partition)
+
 
 class TestWidthAndDistinctness:
     def test_golden_widths_divide_n(self):

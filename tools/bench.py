@@ -1,12 +1,12 @@
 """End-to-end timings of the package, written as BENCH_<n>.json.
 
-    python tools/bench.py --out BENCH_38.json [--baseline DIR] [--runs 5]
+    python tools/bench.py --out BENCH_38.json [--baseline DIR]
 
 It measures the checkout it lives in and, with --baseline, a second
 checkout (say, the parent commit unpacked by `git archive`) in the same
 session, so the two can be compared pair by pair.  For each checkout it
 records the tier-1 suite's wall time and pass count (one run), and for each
-command in COMMANDS the median, minimum and maximum wall time of `--runs`
+command in COMMANDS the median, minimum and maximum wall time of RUNS
 runs and the sha256 of its stdout, cut to 16 hex digits.  The runs are
 interleaved: run i times every command on both checkouts, the baseline
 first on odd i, so slow drift of the machine falls on both sides.  Each
@@ -38,6 +38,10 @@ COMMANDS = (
     ("table", "--verify", "--json"),
     ("addendum", "--all-groups", "--json"),
 )
+# fewer runs cannot resolve a 0.02 s change of the sieve on a shared
+# 2-core machine: with 5 against its parent, a change 0.02 s faster read
+# 0.311 s against 0.247 s in the median
+RUNS = 15
 TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors")
 
@@ -89,12 +93,12 @@ def run_tier1(checkout):
             "summary": summary}
 
 
-def measure(checkouts, runs):
+def measure(checkouts):
     """label -> report, the commands' runs interleaved across checkouts."""
     times = {label: {argv: [] for argv in COMMANDS} for label in checkouts}
     digests = {label: {argv: set() for argv in COMMANDS} for label in checkouts}
     labels = list(checkouts)
-    for i in range(runs):
+    for i in range(RUNS):
         order = labels if i % 2 == 0 else labels[::-1]
         for argv in COMMANDS:
             for label in order:
@@ -125,11 +129,7 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--baseline", help="a second checkout to measure, "
                         "interleaved with this one")
-    parser.add_argument("--runs", type=int, default=5,
-                        help="runs of each command per checkout (at least 5)")
     args = parser.parse_args(argv)
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
     checkouts = {"change": ROOT}
     if args.baseline:
         if not os.path.isfile(os.path.join(args.baseline, "src", "burausieve",
@@ -141,9 +141,9 @@ def main(argv=None):
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
-        "runs": args.runs,
+        "runs": RUNS,
         "commands": [" ".join(argv) for argv in COMMANDS],
-        "checkouts": measure(checkouts, args.runs),
+        "checkouts": measure(checkouts),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
