@@ -6,9 +6,8 @@ phi_N(-t) over F_p, and finite fields.  The ring F_p[t]/(m) has one
 arithmetic with no table, on ints mod p when deg m = 1, on bits over F_2
 and on coefficient tuples otherwise (quotient_ring): the sieve's orbit
 keys, the proof that m is irreducible (root_order), multiplicative
-orders, the roots of quadratics, the powers of the equal-degree split
-and the search for a generator of F_q* all use it, at a cost polynomial
-in log q.  A field is
+orders, the powers of the equal-degree split and the search for a
+generator of F_q* all use it, at a cost polynomial in log q.  A field is
 presented as a quotient F_p[t]/(m) whose elements are also integer codes,
 and a walk over its lines multiplies codes through O(q) log tables, which
 FieldSpec builds only when a walk first asks for them.  Everything here
@@ -918,11 +917,7 @@ def order_plan(n, primes):
 
 class _Residues:
     """What the rings of quotient_ring share: the algorithms written in
-    their add, sub, mul, pow, element and residue alone.  A field keeps
-    the non-square of odd q and the element of trace 1 of even q once
-    one is found."""
-
-    non_square = trace_one = None
+    their add, sub, mul, pow, element and residue alone."""
 
     def evaluate(self, f):
         """The Laurent polynomial f at xi: t^e g is the residue of its
@@ -932,122 +927,25 @@ class _Residues:
             return self.residue([0] * f.shift + list(f.coeffs))
         return self.mul(self.residue(f.coeffs), self.pow(self.gen, f.shift))
 
-    def unit_order(self, a, plan, b=None):
-        """The multiplicative order of x = a, or of x = a / b for a unit b,
-        when x^n = 1, and None otherwise, for plan = order_plan(n, primes
-        of n).  For each prime l with l^e exactly dividing n,
-        y = x^(n / l^e) has order l^j, j the first exponent up to e with
-        y^(l^j) = 1, and the order of x is the product of those l^j.  If
-        x^n != 1, then some l^(e+1) or a prime outside n divides the order
-        of x, and some y does not reach 1.  x^j = 1 exactly when
-        a^j = b^j, so a / b is never formed."""
+    def unit_order(self, a, plan):
+        """The multiplicative order of a when a^n = 1, and None otherwise,
+        for plan = order_plan(n, primes of n).  For each prime l with l^e
+        exactly dividing n, y = a^(n / l^e) has order l^j, j the first
+        exponent up to e with y^(l^j) = 1, and the order of a is the
+        product of those l^j.  If a^n != 1, then some l^(e+1) or a prime
+        outside n divides the order of a, and some y does not reach 1."""
         one, power, found = self.one, self.pow, 1
-        if b is None or b == one:
-            if a == one:
-                return 1
-            b = None
+        if a == one:
+            return 1
         for l, m, e in plan:
-            y, z = power(a, m), one if b is None else power(b, m)
+            y = power(a, m)
             for _ in range(e):
-                if y == z:
+                if y == one:
                     break
-                y, z = power(y, l), one if b is None else power(z, l)
-                found *= l
-            if y != z:
+                y, found = power(y, l), found * l
+            if y != one:
                 return None
-        return found if plan or a == b else None  # n = 1 has no primes
-
-    def quadratic_roots(self, b, c):
-        """The distinct roots of x^2 - b x + c in the field, 0, 1 or 2 of
-        them.
-
-        For odd q they are (b +- s) / 2 for a square root s of the
-        discriminant b^2 - 4c: one root when it is 0, none when it is not
-        a square (_sqrt).  For q = 2^d, if b = 0 the one root is the square
-        root c^(q/2), as squaring is a bijection; otherwise x = b y turns
-        the equation into y^2 + y = k, k = c / b^2, whose roots y and y + 1
-        exist exactly when the absolute trace Tr(k) = k + k^2 + ... +
-        k^(2^(d-1)) is 0 (Lidl-Niederreiter, Finite Fields, Thm 2.25).
-        Then y = sum over 1 <= i < d of k^(2^i) S_i, with
-        S_i = delta + delta^2 + ... + delta^(2^(i-1)), is a root: the sum
-        telescopes to y^2 + y = k Tr(delta) + delta Tr(k), which is k when
-        Tr(delta) = 1.  delta = 1 serves when d is odd, and for even d the
-        first power xi^i of trace 1, 0 < i < d, which exists because the
-        trace is a nonzero linear form and Tr(1) = 0."""
-        if self.p == 2:
-            if not b:
-                return [self.pow(c, self.order // 2)]
-            k = self.mul(c, self.pow(self.mul(b, b), -1))
-            if self._trace(k):
-                return []
-            if self.trace_one is None:
-                self.trace_one = self.one if self.degree % 2 else next(
-                    x for x in (self.pow(self.gen, i)
-                                for i in range(1, self.degree))
-                    if self._trace(x))
-            delta = self.trace_one
-            y = s = self.zero
-            power, step = k, delta
-            for _ in range(1, self.degree):
-                s = self.add(s, step)
-                step = self.mul(step, step)
-                power = self.mul(power, power)
-                y = self.add(y, self.mul(power, s))
-            return [self.mul(b, y), self.mul(b, self.add(y, self.one))]
-        half = self.residue(((self.p + 1) // 2,))
-        disc = self.sub(self.mul(b, b), self.mul(self.residue((4,)), c))
-        if not disc:
-            return [self.mul(b, half)]
-        s = self._sqrt(disc)
-        if s is None:
-            return []
-        return [self.mul(self.add(b, s), half), self.mul(self.sub(b, s), half)]
-
-    def _trace(self, k):
-        """Tr(k) = k + k^2 + ... + k^(2^(d-1)) for q = 2^d, as an element
-        of F_2."""
-        total = power = k
-        for _ in range(1, self.degree):
-            power = self.mul(power, power)
-            total = self.add(total, power)
-        return total
-
-    def _sqrt(self, a):
-        """A square root of the nonzero a for odd q, or None when a is not
-        a square, by Tonelli-Shanks: q - 1 = 2^e Q with Q odd, w =
-        a^((Q-1)/2), x = a w and u = x w = a^Q; a is a square exactly when
-        u^(2^(e-1)) = a^((q-1)/2) is 1 (Euler), and then each step
-        multiplies x by a power of z^Q, z a non-square, until u = 1,
-        keeping x^2 = a u."""
-        e, Q = 0, self.order - 1
-        while Q % 2 == 0:
-            e, Q = e + 1, Q // 2
-        w = self.pow(a, (Q - 1) // 2)
-        x = self.mul(a, w)
-        u = self.mul(x, w)
-        check = u
-        for _ in range(e - 1):
-            check = self.mul(check, check)
-        if check != self.one:
-            return None
-        if u == self.one:
-            return x
-        if self.non_square is None:
-            minus_one = self.sub(self.zero, self.one)
-            self.non_square = next(
-                z for z in map(self.element, range(
-                    2 if self.degree == 1 else self.p, self.order))
-                if self.pow(z, (self.order - 1) // 2) == minus_one)
-        c = self.pow(self.non_square, Q)
-        while u != self.one:
-            i, t = 0, u
-            while t != self.one:
-                i, t = i + 1, self.mul(t, t)
-            for _ in range(e - i - 1):
-                c = self.mul(c, c)
-            x, c = self.mul(x, c), self.mul(c, c)
-            u, e = self.mul(u, c), i
-        return x
+        return found if plan else None  # n = 1 has no primes
 
 
 class _LinearRing(_Residues):
@@ -1314,11 +1212,6 @@ class FieldSpec:
     all q - 1 nonzero codes, and exp, which inverts it (_unit_tables).
     Those tables cost O(q) time and memory and are built on their first
     use, by a walk over lines or a lift, and never for a closed form.
-    matrix_codes memoizes the codes of the braid generators' specialized
-    Burau matrices, keyed by name, for the walks and closed forms over
-    this field, generator_cycles the cycles of the braid generators on its
-    lines, and fiber_cycles their voltages' orders in each fiber, once
-    skeleton has read them.
     """
 
     def __init__(self, p, modulus):
@@ -1333,9 +1226,6 @@ class FieldSpec:
             raise ValueError(f"modulus {poly_text(coeffs)} is reducible "
                              f"over F_{p}")
         self.gen = ring.code(ring.gen)
-        self.matrix_codes = {}
-        self.generator_cycles = None
-        self.fiber_cycles = {}
         if d == 1:
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: (a * b) % p

@@ -5,11 +5,10 @@ skeletons of the intersections of conjugates are exactly the connected
 components of the fibered product over the one-edge base, and every such
 component must have positive genus.  fibered_product reads the product in
 closed form from the two factors' generator cycles on lines, the cycles
-skeleton._closed_form lifts a signature from, and visits no pair of lines
-or edges.  Those cycles are read once per field and kept on it, so every
-product over a field, and that field's own orbits, share them, and
-verify_addendum_pairwise computes each unlinked product once per
-distinct pair of inputs.
+skeleton._closed_form lifts a signature from, integer logs in
+Z/(q - 1), and visits no pair of lines or edges, specializes no matrix
+and builds no field table.  verify_addendum_pairwise computes each
+unlinked product once per distinct pair of inputs.
 Conjugacy of a module to the span of e2 is decided on the projective
 line, where scalars act trivially: it is membership of e2's line in the
 braid orbit of the module's line.  addendum_report runs both
@@ -26,7 +25,7 @@ from math import gcd, lcm
 from .golden import GOLDEN_ROWS
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, _euler_genus, \
     _fiber_cycles, _fiber_order, _generator_cycles, _LineWalk, \
-    _trace_generates, _voltage_order, orbit_signatures
+    _trace_generates, _xi_logs, orbit_signatures
 from .typesys import admissible_types, root_spec
 
 
@@ -133,9 +132,9 @@ def fibered_product(spec1, spec2):
     lines, so the line pairs form the diagonal D = {(l, phi(l))} and one
     other orbit O.  On D the cycles are factor 1's, with
     mu2 = mu1 - L log det g and det g = (-xi)^k, k = 2, 3, 1, so a cycle
-    of voltage log x in factor 1 has voltage log x (-xi)^(-L k) in factor
-    2, whose order in Z/r is found as _fiber_cycles finds factor 1's
-    (_voltage_order): x^(2 n0 N) = 1 and (-xi)^N = 1.  A braid fixing l
+    of voltage a in factor 1 has voltage a - L k x in factor 2, for the
+    logs a and x = log(-xi) to one generator of F_p* (skeleton._xi_logs),
+    and its order in Z/r is r / gcd(r, a - L k x).  A braid fixing l
     acts over (l, phi(l)) by (lambda, lambda / det): diag(a, 1/a) in SL2
     makes lambda any unit at det 1, and the determinants are the powers
     of -xi, so r / [<-xi> S : S] = gcd(r, log(-xi)) isomorphic components
@@ -163,21 +162,17 @@ def fibered_product(spec1, spec2):
         return FiberedProduct(e1, e2, tuple(
             _components(1, black + white, e1 * e2, region)))
     root = spec1.root
-    field, p, N = root.field, root.p, root.N
+    field, N = root.field, root.N
     if (field.degree > 1 or spec2.root.field.modulus == field.modulus
             or spec1.ambient != spec2.ambient):
         raise ValueError(f"no closed-form product of the linked {spec1} "
                          f"and {spec2}")
     s = (field.order - 1) // r1  # |S|
-    minus_xi = -field.gen % p  # det s1
-    diagonal = []
-    for base, orders, k, n0 in zip(_generator_cycles(root),
-                                   _fiber_cycles(spec1), (2, 3, 1), (3, 2, N)):
-        diagonal.append(_cycle_count(
-            [(o, _voltage_order(field.ring, x * pow(minus_xi, -L * k, p) % p,
-                                s, 2 * n0 * N), count)
-             for (L, x, count), (_, o, _) in zip(base, orders)], r1, r1))
-    black_d, white_d, region_d = diagonal
+    x = _xi_logs(root)[2]  # log -xi = log det s1
+    black_d, white_d, region_d = (_cycle_count(
+        [(r1 // gcd(r1, a), r1 // gcd(r1, a - L * k * x), count)
+         for L, a, count in base], r1, r1)
+        for base, k in zip(_generator_cycles(root), (2, 3, 1)))
     e_d = (field.order + 1) * r1 * r1
     return FiberedProduct(e1, e2, tuple(
         _components(r1 // (N // gcd(N, s)), black_d + white_d, e_d, region_d)

@@ -17,14 +17,14 @@ come from a walk or in closed form:
   lines share a skeleton up to isomorphism.
 - When the trace field F_p(xi + 1/xi) is F_q, the braid image holds
   PSL2(F_q) and is transitive on lines, and `_generator_cycles` reads
-  the cycles off each generator's eigenvalues and projective order, once
-  per field, for `_closed_form` and `intersect`'s fibered products.  It
-  works in the field's table-free ring and takes no log: a voltage
-  enters a signature only through its order in the fiber
-  (`_fiber_cycles`), so only walks and lifts build the field's tables.
-  Those orders depend on (q, N, M, |S|) alone, not on the root
-  (`_closed_form`), so a caller may share one closed form among the
-  roots of one field size and ambient.
+  the cycles off each generator's eigenvalues and projective order, for
+  `_closed_form` and `intersect`'s fibered products.  It is integer
+  arithmetic on logs in Z/(q - 1), with no matrix and no field element:
+  a voltage enters a signature only through its order in the fiber
+  (`_fiber_cycles`), so only walks and lifts specialize the generators
+  or build the field's tables.  Those orders depend on (q, N, M, |S|)
+  alone, not on the root (`_closed_form`), so a caller may share one
+  closed form among the roots of one field size and ambient.
 `orbit_signatures` dispatches between the two, so the sweep's genus
 filter, the table check and text-mode `skeleton` walk only the roots
 whose trace field is smaller than F_q, and the addendum walks none.
@@ -35,13 +35,11 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from math import gcd
 from operator import countOf, eq, itemgetter
 
 from .burau import BraidWord, specialize, to_burau
-from .exactalg import order_plan, prime_factors
 from .typesys import RootSpec, root_spec, type_coefficient_laurent, \
     type_vector
 
@@ -338,16 +336,6 @@ class UniversalGroupSpec:
                 f"in {self.ambient}")
 
 
-def _spec_matrix_codes(name, field):
-    """The codes of the generator name's matrix specialized to field,
-    computed once per field and shared by every walk over it and its
-    closed form (all tags, both ambients)."""
-    codes = field.matrix_codes.get(name)
-    if codes is None:
-        codes = field.matrix_codes[name] = specialize(_GENERATORS[name], field)
-    return codes
-
-
 def _cap_exceeded(state_cap, spec):
     return EnumerationCapExceeded(f"more than {state_cap} cosets for {spec}")
 
@@ -429,8 +417,8 @@ class _LineWalk:
                 return mul(a1, inv(a0)), log[a0] % r
             return q, log[a1] % r
 
-        g_black = _spec_matrix_codes("black", field)
-        g_white = _spec_matrix_codes("white", field)
+        g_black, g_white, g_region = (specialize(_GENERATORS[name], field)
+                                      for name in ("black", "white", "region"))
         seed = _seed_line(root, spec.type_tag)
         index = {seed: 0}
         lines = [seed]
@@ -449,7 +437,6 @@ class _LineWalk:
                     potential.append((potential[i] + d) % r)
                 images.append((j, d))
             i += 1
-        g_region = _spec_matrix_codes("region", field)
         region = []
         for line in lines:
             line2, d = move(line, g_region)
@@ -648,118 +635,53 @@ def _trace_generates(root):
                                for e in range(1, d) if d % e == 0)
 
 
-@lru_cache(maxsize=None)
-def _plan(e):
-    """order_plan(e), once per exponent: e divides 2 N^2 or N, so its
-    primes are found by trial division at once."""
-    return order_plan(e, prime_factors(e))
-
-
-def _closed_form_cycles(g, n0, root):
-    """The (length, x, count) cycles of the codes g of black, white or
-    region on all q + 1 lines: count cycles of that length, each of net
-    voltage log x for the x in F_q* given.  Worked in the field's ring,
-    with no table and no log.
-
-    g's fixed lines are its eigenlines unless g is scalar, one for each
-    distinct root lambda of lambda^2 - tr lambda + det in F_q
-    (quadratic_roots; the diagonal if g is triangular), and each has the
-    voltage log lambda.  g's projective order n divides n0 (3, 2 and N),
-    and g^n = c I.  A power g^L with L < n is not scalar, so it fixes
-    only g's eigenlines, and the other lines form cycles of length n,
-    each of net voltage log c.  With two eigenvalues lambda1 != lambda2,
-    g^j is scalar exactly when (lambda1 / lambda2)^j = 1, so n is the
-    order of that ratio, which lies in F_q* and so divides
-    gcd(n0, q - 1), and c = lambda1^n.  Otherwise
-    g^j = a_j g + b_j I by g^2 = tr g - det I, with a_1 = 1, b_1 = 0,
-    a_(j+1) = tr a_j + b_j and b_(j+1) = -det a_j, and a non-scalar g
-    has g^j scalar exactly when a_j = 0: n is the first such j, c = b_n,
-    or n = 1 and c = g's diagonal for a scalar g.
-    """
-    ring, q = root.field.ring, root.field.order
-    add, mul, sub = ring.add, ring.mul, ring.sub
-    a0, a1, a2, a3 = map(ring.element, g)
-    tr, det = add(a0, a3), sub(mul(a0, a3), mul(a1, a2))
-    scalar = not (a1 or a2) and a0 == a3
-    if scalar:
-        eigen = []
-    elif not a1 or not a2:  # triangular: the eigenvalues are the diagonal
-        eigen = [a0, a3] if a0 != a3 else [a0]
-    else:
-        eigen = ring.quadratic_roots(tr, det)
-    if len(eigen) == 2:
-        n = ring.unit_order(eigen[0], _plan(gcd(n0, q - 1)), eigen[1])
-        if n is None:
-            raise AssertionError(f"projective order of a generator does not "
-                                 f"divide {n0} for {root}")
-        c = ring.pow(eigen[0], n)
-    elif scalar:
-        c, n = a0, 1
-    else:
-        a, c, n = ring.one, ring.zero, 1
-        while a:
-            if n == n0:
-                raise AssertionError(f"projective order of a generator does "
-                                     f"not divide {n0} for {root}")
-            a, c = add(mul(tr, a), c), sub(ring.zero, mul(det, a))
-            n += 1
-        if n0 % n:
-            raise AssertionError(f"projective order {n} does not divide {n0} "
-                                 f"for {root}")
-    rest = q + 1 - len(eigen)
-    if rest % n:
-        raise AssertionError(f"{rest} lines do not fall into cycles of "
-                             f"length {n} for {root}")
-    return [(1, lam, 1) for lam in eigen] + [(n, c, rest // n)]
+def _xi_logs(root):
+    """(q - 1, log xi, log -xi) in Z/(q - 1), for a generator w of F_q*
+    with xi = w^((q - 1) / M) (see _closed_form); AssertionError unless
+    -xi has order N.  -1 is w^((q - 1) / 2) for odd q and 1 for even q."""
+    n1 = root.field.order - 1
+    c = n1 // root.M
+    x = (c + (n1 // 2 if root.p != 2 else 0)) % n1
+    if n1 // gcd(n1, x) != root.N:
+        raise AssertionError(f"log -xi has not the order N for {root}")
+    return n1, c, x
 
 
 def _generator_cycles(root):
-    """_closed_form_cycles of black, white and region, in that order: the
-    same for every tag and ambient, so read once per field and kept on it,
-    next to the generators' codes."""
-    field = root.field
-    if field.generator_cycles is None:
-        field.generator_cycles = [
-            _closed_form_cycles(_spec_matrix_codes(name, field), n0, root)
-            for name, n0 in (("black", 3), ("white", 2), ("region", root.N))]
-    return field.generator_cycles
-
-
-def _voltage_order(ring, x, s, e):
-    """The order of log x mod r in the fiber Z/r = F_q*/S, |S| = s, for a
-    voltage x with x^e = 1: that of x S, the order of x^s, which is
-    ord(x) / gcd(ord(x), s), since x^j lies in S exactly when
-    x^(j s) = 1, the one subgroup of order s being the s-th roots of 1.
-    x^s has order dividing gcd(e, r), as (x^s)^r = x^(q-1) = 1, so its
-    order is found over the primes of e that divide r, and q - 1 is
-    never factored."""
-    if x == ring.one:
-        return 1
-    r = (ring.order - 1) // s
-    o = ring.unit_order(ring.pow(x, s), _plan(gcd(e, r)))
-    if o is None:
-        raise AssertionError(f"a voltage's order does not divide {e}")
-    return o
+    """The (length, log, count) cycles of black, white and region on all
+    q + 1 lines, in that order: count cycles of that length, each of net
+    voltage w^log, the logs in Z/(q - 1) as _xi_logs takes them.  Integer
+    arithmetic; _closed_form proves it."""
+    n1, c, x = _xi_logs(root)
+    if root.p == 3:
+        black = [c]
+    elif n1 % 3:
+        black = []
+    else:
+        black = [(c + n1 // 3) % n1, (c + 2 * n1 // 3) % n1]
+    if root.p == 2:
+        white = [3 * c * pow(2, -1, n1) % n1]
+    elif c % 2:
+        white = []
+    else:
+        white = [3 * c // 2 % n1, (3 * c // 2 + n1 // 2) % n1]
+    cycles = []
+    for eigen, n, log_c in ((black, 3, 3 * c % n1), (white, 2, 3 * c % n1),
+                            ([x, 0], root.N, 0)):
+        rest = root.field.order + 1 - len(eigen)
+        if rest % n:
+            raise AssertionError(f"{rest} lines do not fall into cycles of "
+                                 f"length {n} for {root}")
+        cycles.append([(1, a, 1) for a in eigen] + [(n, log_c, rest // n)])
+    return cycles
 
 
 def _fiber_cycles(spec):
     """_generator_cycles of spec's root as (length, order, count), each
-    order that of the net voltage in spec's fiber Z/r (_voltage_order),
-    once per field and |S|.  A voltage of black, white or region, of
-    projective order n dividing n0, has x^(2 n0 N) = 1: det g = (-xi)^k
-    with k = 2, 3, 1 has order dividing N, g^n = c I gives
-    c^2 = det(g)^n, and lambda^n = c, so c^(2N) = 1 and lambda^(2nN) = 1;
-    over the sweep, 2 n0 N <= 2 * 26^2 = 1352."""
-    root = spec.root
-    field, N = root.field, root.N
-    s = (field.order - 1) // _fiber_order(spec)
-    cycles = field.fiber_cycles.get(s)
-    if cycles is None:
-        cycles = field.fiber_cycles[s] = [
-            [(length, _voltage_order(field.ring, x, s, 2 * n0 * N), count)
-             for length, x, count in base]
-            for base, n0 in zip(_generator_cycles(root), (3, 2, N))]
-    return cycles
+    order that of the log a in spec's fiber Z/r: r / gcd(r, a)."""
+    r = _fiber_order(spec)
+    return [[(length, r // gcd(r, a), count) for length, a, count in base]
+            for base in _generator_cycles(spec.root)]
 
 
 def _closed_form(spec, state_cap):
@@ -786,37 +708,50 @@ def _closed_form(spec, state_cap):
     with k = r.  Raises EnumerationCapExceeded exactly when _LineWalk
     would: when (q + 1) r exceeds state_cap.
 
-    The result depends only on (q, N, M, |S|), not on the root.  Its
-    input is the multiset of (length, voltage order in Z/r, count) of
-    each generator: a (1, ord(lambda S), 1) for each eigenvalue lambda in
-    F_q, and (n, ord(c S), (q + 1 - #eigenvalues) / n) for its projective
-    order n and g^n = c I; with lines = q + 1 and k = r = (q - 1) / |S|.
-    The generators, as burau.to_burau builds them, give:
+    Its input is, for each generator g, its fixed lines and its cycles.
+    If g^n = c_g I for its projective order n, no power g^L with L < n
+    is scalar, so g^L fixes only g's eigenlines, one for each distinct
+    eigenvalue lambda in F_q, each a cycle of length 1 and voltage
+    lambda; the other q + 1 - #eigenvalues lines fall into cycles of
+    length n, each of net voltage c_g.  A voltage enters the signature
+    only through its order in Z/r = F_q*/S, with lines = q + 1 and
+    k = r = (q - 1) / |S|.  The generators, as burau.to_burau builds
+    them, give:
     - region s1 = [[-xi, 1], [0, 1]] is triangular, with the eigenvalues
-      -xi and 1, distinct as ord(-xi) = N; so n = N and c = 1;
+      -xi and 1, distinct as ord(-xi) = N; so n = N and c_g = 1;
     - black s2 s1 = [[-xi, 1], [-xi^2, 0]] has trace -xi, determinant
-      xi^2 and black^3 = xi^3 I, and is not scalar; so n = 3, c = xi^3,
+      xi^2 and black^3 = xi^3 I, and is not scalar; so n = 3, c_g = xi^3,
       and its eigenvalues are the xi u for the roots u in F_q of
       u^2 + u + 1: the elements of order 3 when p != 3, as
       u^3 - 1 = (u - 1)(u^2 + u + 1), and u = 1 alone when p = 3, where
       u^2 + u + 1 = (u - 1)^2;
     - white s2 s1^2 = [[xi^2, 1 - xi], [xi^3, -xi^2]] has trace 0 and
-      white^2 = xi^3 I, and is not scalar (xi != 1); so n = 2, c = xi^3,
+      white^2 = xi^3 I, and is not scalar (xi != 1); so n = 2, c_g = xi^3,
       and its eigenvalues are the square roots of xi^3 in F_q, one of
       them when p = 2.
+
     Every set above, and S = <xi> or <xi^3>, is defined from xi in the
-    group F_q* alone, with -1.  Let xi' be another root of the same q,
-    N and M.  F_q* is cyclic, so xi' = xi^i with i prime to M, and some
-    j = i mod M is prime to q - 1 (add to i M times the primes of q - 1
-    that divide neither i nor M); x -> x^j is then an automorphism of
-    F_q* that sends xi to xi'.  It fixes -1, the one element of order 2
-    (or 1 when p = 2), so it carries -xi, the elements of order 3, 1,
-    the square roots of xi^3 and S to their counterparts for xi'.  As a
-    group automorphism it keeps each order modulo S, so each generator's
-    multiset, the projective orders and the counts are the same for xi
-    and xi', in characteristics 2 and 3 too.  _trace_generates, read
-    from (p, d, N, M), is shared as well.  So orbit_signatures may read
-    one closed form per (q, N, M, ambient) when asked to.
+    cyclic group F_q* alone, with -1, so each is a set of logs in
+    Z/(q - 1) (_generator_cycles).  Let n1 = q - 1 and c = n1 / M.  For
+    a generator w0 of F_q*, xi = w0^(c i) with i prime to M, and some
+    j = i mod M is prime to n1 (add to i M times the primes of n1 that
+    divide neither i nor M), so w = w0^j is a generator with xi = w^c.
+    So xi may be taken as any element of order M.  In logs to w: -1 is
+    h = n1 / 2 for odd q and 0 for even q, the one element of
+    order 2 (or 1), so -xi is x = c + h; the elements of order 3 are
+    n1 / 3 and 2 n1 / 3 when 3 divides n1, and there are none otherwise;
+    a square root y of xi^3 solves 2 y = 3 c mod n1, which has the one
+    solution 3 c 2^-1 for even q (n1 odd), the two 3 c / 2 and
+    3 c / 2 + n1 / 2 for odd q and even c, and none for odd c.  So black
+    has the eigenvalues {c + n1 / 3, c + 2 n1 / 3} when p != 3 and
+    3 | n1, {c} when p = 3 and none otherwise, white those just listed,
+    region {x, 0}, and log c_g is 3 c, 3 c and 0.  S is the subgroup of
+    order |S| = n1 / r, which is <w^r>, so w^a S has the order
+    r / gcd(r, a) in Z/r.  Every log depends on (q, N, M) alone, and
+    _trace_generates, read from (p, d, N, M), is shared as well, so the
+    result depends only on (q, N, M, |S|), not on the root, and
+    orbit_signatures may read one closed form per (q, N, M, ambient)
+    when asked to.
     """
     lines, r = spec.root.field.order + 1, _fiber_order(spec)
     if lines * r > state_cap:

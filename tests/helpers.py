@@ -37,7 +37,7 @@ the field's log tables, the closed form the package had before it read them with
 table, `reference_closed_form` lifts them to a signature, and
 `reference_root_orders` reads N = ord(-xi) and M = ord(xi) off
 `reference_unit_tables`; `generator_cycles_certified` compares the
-package's table-free cycles with that reference, and
+package's integer logs with that reference, and
 `closed_form_certified` compares the closed form with the walk over
 lines and with the reference, cycle by cycle.
 """
@@ -49,16 +49,16 @@ from math import gcd, lcm
 
 import sympy
 
-from burausieve.burau import BurauMatrix
+from burausieve.burau import BurauMatrix, specialize
 from burausieve.exactalg import IntPoly, _fp_divmod, _fp_monic, \
     _fp_mul, cyclotomic, fp_factor, order_mod, power_by_squaring, \
     quotient_ring, substitute_neg
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
 from burausieve.sieve import _INFINITY, _UNDEFINED, _ZERO, \
     ExceptionalTriple, _SievePass, _require_distinct_projections
-from burausieve.skeleton import Skeleton, UniversalGroupSpec, _closed_form, \
-    _euler_genus, _fiber_cycles, _fiber_order, _generator_cycles, _LineWalk, \
-    _signature_of, _spec_matrix_codes, enumerate_universal, genus
+from burausieve.skeleton import _GENERATORS, Skeleton, UniversalGroupSpec, \
+    _closed_form, _euler_genus, _fiber_cycles, _fiber_order, \
+    _generator_cycles, _LineWalk, _signature_of, enumerate_universal, genus
 from burausieve.typesys import admissible_types
 
 
@@ -599,8 +599,8 @@ def reference_closed_form_cycles(g, n0, root):
 
 def reference_generator_cycles(root):
     """reference_closed_form_cycles of black, white and region."""
-    return [reference_closed_form_cycles(_spec_matrix_codes(name, root.field),
-                                         n0, root)
+    return [reference_closed_form_cycles(specialize(_GENERATORS[name],
+                                                    root.field), n0, root)
             for name, n0 in (("black", 3), ("white", 2), ("region", root.N))]
 
 
@@ -615,17 +615,24 @@ def reference_closed_form(spec):
 
 
 def generator_cycles_certified(spec):
-    """The table-free generator cycles of spec's root are the reference's
-    (reference_generator_cycles): the same lengths and counts, with each
-    element's log the reference's voltage; and in spec's ambient their
-    orders in Z/r are those of the reference's voltages mod r."""
-    field, r = spec.root.field, _fiber_order(spec)
-    ring, log = field.ring, field.log
-    reference = reference_generator_cycles(spec.root)
+    """The integer generator cycles of spec's root are the reference's
+    (reference_generator_cycles) up to the choice of generator: the same
+    lengths and counts, with each log times a unit j of Z/(q - 1) that
+    takes c = (q - 1) / M, the package's log of xi, to the table's log of
+    xi; and in spec's ambient their orders in Z/r are those of the
+    reference's voltages mod r."""
+    root = spec.root
+    field, r = root.field, _fiber_order(spec)
+    n1 = field.order - 1
+    c, log_xi = n1 // root.M, field.log[field.gen]
+    assert log_xi % c == 0 and gcd(log_xi // c, root.M) == 1, str(spec)
+    j = log_xi // c % root.M
+    while gcd(j, n1) != 1:
+        j += root.M
+    reference = reference_generator_cycles(root)
     assert [Counter(base) for base in reference] == \
-        [Counter((length, log[ring.code(x)], count)
-                 for length, x, count in base)
-         for base in _generator_cycles(spec.root)], str(spec)
+        [Counter((length, j * a % n1, count) for length, a, count in base)
+         for base in _generator_cycles(root)], str(spec)
     assert [Counter((length, r // gcd(r, mu), count)
                     for length, mu, count in base) for base in reference] == \
         [Counter(base) for base in _fiber_cycles(spec)], str(spec)
@@ -634,7 +641,7 @@ def generator_cycles_certified(spec):
 def closed_form_certified(spec):
     """The walk of spec reaches all q + 1 lines with K = Z/r; it and the
     reference closed form agree on each generator's cycles on lines,
-    counted by (length, net voltage mod r); the table-free cycles are the
+    counted by (length, net voltage mod r); the integer cycles are the
     reference's (generator_cycles_certified); and the closed form gives
     the walk's signature and genus, which it returns."""
     walk = _LineWalk(spec)

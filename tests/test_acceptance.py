@@ -340,7 +340,7 @@ def test_closed_form_is_certified(sweep):
 
 def test_closed_form_is_the_table_reference_on_the_sweep(sweep):
     """On all 257 roots of the sweep, in bu3 and b3, the generator cycles
-    read with no table are those the field's log tables give
+    read as integer logs are those the field's log tables give
     (generator_cycles_certified), the walked roots' included, and on the
     252 roots whose trace field is F_q the closed form's signature and
     genus are the reference closed form's."""

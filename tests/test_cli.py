@@ -459,13 +459,14 @@ class TestTable:
         code, _ = run("table", "--verify", "--row", "99")
         assert code == 2
 
-    def test_three_specializations_per_field(self, run, monkeypatch):
-        # the bu3 and b3 walks of a golden factor share its field, and so
-        # its specialized s2 s1, s2 s1^2 and s1
-        calls = count_calls(monkeypatch, burau, "specialize")
+    def test_verify_specializes_nothing(self, run, monkeypatch):
+        # every golden factor is read in closed form, integer logs in
+        # Z/(q - 1), so no generator matrix is specialized and no field
+        # table is built
+        specialized = count_calls(monkeypatch, burau, "specialize")
+        tables = count_calls(monkeypatch, exactalg, "_unit_tables")
         assert run("table", "--verify", "--json")[0] == 0
-        assert len(calls) == 3 * sum(len(row.factors) for row in GOLDEN_ROWS)
-        assert len({id(spec) for _, spec in calls}) == len(calls) // 3
+        assert specialized == [] and tables == []
 
     def test_config_file(self, run, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -508,18 +509,15 @@ class TestAddendum:
             assert run(*argv)[0] == 0
         assert lifts == [] and walks == []
 
-    def test_reads_each_fields_cycles_once(self, run, monkeypatch):
-        # every field keeps its generator cycles, shared by its orbits, both
-        # ambients and every product over it: 31 fields for --all-groups,
-        # one per row, one per table factor, three generators each.  Each
-        # command builds its fields afresh, so nothing outlives it.
-        calls = count_calls(monkeypatch, skeleton, "_closed_form_cycles")
-        counts = []
-        for argv in (("addendum", "--all-groups"), ("addendum",),
-                     ("table", "--verify"), ("addendum", "--all-groups")):
+    def test_specializes_nothing(self, run, monkeypatch):
+        # the rows' orbits and every product are read from integer logs in
+        # Z/(q - 1), so no generator matrix is specialized and no field
+        # table is built
+        specialized = count_calls(monkeypatch, burau, "specialize")
+        tables = count_calls(monkeypatch, exactalg, "_unit_tables")
+        for argv in (("addendum",), ("addendum", "--all-groups")):
             assert run(*argv)[0] == 0
-            counts.append(len(calls))
-        assert counts == [93, 93 + 39, 93 + 39 + 156, 93 + 39 + 156 + 93]
+        assert specialized == [] and tables == []
 
     @pytest.mark.parametrize("argv, skeletons", [
         (("addendum", "--json"), 0),
