@@ -82,6 +82,14 @@ COMMANDS = [
     ("skeleton", "--p", "13", "--min-poly", "t^2+t+2"),
     ("skeleton", "--p", "4651", "--min-poly", "t+3978"),
     ("skeleton", "--p", "1000000007", "--min-poly", "t+2"),
+    # lifts over odd-characteristic extension fields: the sweep's walked
+    # F_729, F_81 in B_3, and F_169 with 680 edges
+    ("skeleton", "--p", "3", "--min-poly", "t^6+2t^5+t^4+2t^3+t^2+2t+1",
+     "--type", "III3", "--json"),
+    ("skeleton", "--p", "3", "--min-poly", "t^4+t^3+t^2+t+1", "--type",
+     "III3", "--ambient", "b3", "--json"),
+    ("skeleton", "--p", "13", "--min-poly", "t^2+11t+3", "--type", "III+",
+     "--json"),
 ]
 
 
