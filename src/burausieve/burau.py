@@ -4,8 +4,8 @@ Words live in the central product of the three-strand braid group with the
 scalar matrices <t*id>; the alphabet is {s1, s2, s1^-1, s2^-1, T, T^-1}
 with T the scalar generator.  Words are never normalized: equality of
 group elements is decided on Burau images, which is faithful for braids.
-A matrix is specialized to a finite field entrywise, as the integer codes
-of its entries at xi (see exactalg.FieldSpec).
+A matrix is specialized to a finite field entrywise, as its entries at
+xi in the field's ring (exactalg.quotient_ring).
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def modular_projection(word):
     return (a, b, c, d)
 
 
-def specialize(m, field):
-    """The codes of the entries a, b, c, d of m evaluated at xi, the class
-    of t in the FieldSpec field."""
-    return (field.evaluate(m.a), field.evaluate(m.b),
-            field.evaluate(m.c), field.evaluate(m.d))
+def specialize(m, ring):
+    """The entries a, b, c, d of m evaluated at xi, the class of t in
+    ring, an exactalg.quotient_ring."""
+    return (ring.evaluate(m.a), ring.evaluate(m.b),
+            ring.evaluate(m.c), ring.evaluate(m.d))

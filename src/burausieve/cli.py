@@ -300,7 +300,7 @@ def cmd_factors(args, cfg, out):
 def cmd_skeleton(args, cfg, out):
     q = args.p ** (len(monic_modulus(args.p, args.min_poly)) - 1)
     # checked before root_spec's proof of irreducibility, which factors
-    # q - 1, and before any walk's or lift's O(q) field tables
+    # q - 1, and before a walk builds the field's O(q) exp and log tables
     if q > cfg.state_cap:
         raise EnumerationCapExceeded(f"the field of order {q} for p={args.p} "
                                      f"m={args.min_poly} exceeds the state cap")

@@ -7,12 +7,12 @@ arithmetic with no table, on ints mod p when deg m = 1, on bits over F_2
 and on coefficient tuples otherwise (quotient_ring): the sieve's orbit
 keys, the proof that m is irreducible (root_order), multiplicative
 orders, the powers of the equal-degree split and the search for a
-generator of F_q* all use it, at a cost polynomial in log q.  A field is
-presented as a quotient F_p[t]/(m) whose elements are also integer codes,
-and a walk over its lines multiplies codes through O(q) log tables, which
-FieldSpec builds only when a walk first asks for them.  Everything here
-is exact: integer coefficients are arbitrary precision, so results can be
-compared bit for bit.
+generator of F_q* all use it, at a cost polynomial in log q.  Its
+elements are the only field elements of the package: a walk over the
+lines of F_q adds them in the ring and multiplies them through O(q)
+exp and log tables (_unit_tables), built once per root on a walk's
+first read.  Everything here is exact: integer coefficients are
+arbitrary precision, so results can be compared bit for bit.
 
 Primality is trial division by the primes below 1000, then Miller-Rabin
 to the first 13 prime bases, which proves primality below 3.3e24
@@ -42,8 +42,8 @@ import math
 import operator
 import random
 import re
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import islice, product
 from math import gcd
 
 # The largest exponent in braid-word or polynomial text.  s1^k has a Burau
@@ -819,7 +819,9 @@ def _fp_equal_degree(f, d, p, rng):
                     w = ring.add(w, v)
             else:
                 w = ring.sub(ring.pow(v, (p ** d - 1) // 2), ring.one)
-            g = _fp_gcd(_code_digits(ring.code(w), p), f, p)
+            # over F_2 an element is the int of its coefficients' bits
+            g = _fp_gcd([w >> i & 1 for i in range(w.bit_length())]
+                        if p == 2 else w, f, p)
         if 0 < _deg(g) < n:
             left = _fp_equal_degree(g, d, p, rng)
             right = _fp_equal_degree(_fp_divmod(f, g, p)[0], d, p, rng)
@@ -889,12 +891,10 @@ def quotient_ring(p, modulus):
     m(0) != 0, so that xi, the class of t, is a unit: its elements are
     ints mod p when deg m = 1, where xi = -m(0), and otherwise trimmed
     coefficient tuples of degree below deg m, with 0 the empty tuple in
-    both; over F_2 they are the ints whose bit i is the coefficient of t^i,
-    the same as FieldSpec's codes.  A caller that needs an element's
-    coefficients reads them off its code.  Every operation costs a
-    polynomial in log q and deg m, q the number of elements; nothing of
-    size q is built.  It is a field exactly when m is irreducible;
-    root_order decides that."""
+    both; over F_2 they are the ints whose bit i is the coefficient of t^i.
+    Every operation costs a polynomial in log q and deg m, q the number
+    of elements; nothing of size q is built.  It is a field exactly when
+    m is irreducible; root_order decides that."""
     if len(modulus) == 2:
         return _LinearRing(p, modulus)
     if p == 2:
@@ -916,8 +916,20 @@ def order_plan(n, primes):
 
 
 class _Residues:
-    """What the rings of quotient_ring share: the algorithms written in
-    their add, sub, mul, pow, element and residue alone."""
+    """What the rings of quotient_ring share: p, the modulus, its degree
+    and the order q = p^deg m, and the algorithms written in their add,
+    sub, mul, pow and residue alone."""
+
+    def __init__(self, p, modulus):
+        self.p, self.modulus = p, modulus
+        self.degree = len(modulus) - 1
+        self.order = p ** self.degree
+
+    @cached_property
+    def unit_tables(self):
+        """The (exp, log) tables of a field (_unit_tables), built on a
+        walk's first read and then kept with the ring, one per root."""
+        return _unit_tables(self)
 
     def evaluate(self, f):
         """The Laurent polynomial f at xi: t^e g is the residue of its
@@ -951,19 +963,11 @@ class _Residues:
 class _LinearRing(_Residues):
     """F_p = F_p[t]/(t + m0) on ints mod p (see quotient_ring)."""
 
-    zero, one, degree = 0, 1, 1
+    zero, one = 0, 1
 
     def __init__(self, p, modulus):
-        self.p = self.order = p
+        super().__init__(p, modulus)
         self.gen = -modulus[0] % p
-
-    def element(self, code):
-        """The element whose code (FieldSpec) is code: itself."""
-        return code
-
-    def code(self, a):
-        """a itself."""
-        return a
 
     def residue(self, coeffs):
         """The class of the polynomial with these integer coefficients,
@@ -995,27 +999,14 @@ class _PolyRing(_Residues):
     zero, one, gen = (), (1,), (0, 1)
 
     def __init__(self, p, modulus):
-        self.p = p
-        self.modulus = modulus
-        self.degree = d = len(modulus) - 1
-        self.order = p ** d
+        super().__init__(p, modulus)
+        d = self.degree
         self.low = [-c % p for c in modulus[:d]]  # t^d = sum low[j] t^j
         # 1/xi = -(m - m(0)) / (m(0) t), read off the modulus
         inverse = pow(-modulus[0], -1, p)
         self.inv_gen = tuple(c * inverse % p for c in modulus[1:])
         if d == 2:
             self.mul = self._mul2
-
-    def element(self, code):
-        """The element whose code (FieldSpec) is code: its base-p digits."""
-        return _code_digits(code, self.p)
-
-    def code(self, a):
-        """The base-p number whose digits are a's coefficients."""
-        code = 0
-        for c in reversed(a):
-            code = code * self.p + c
-        return code
 
     def residue(self, coeffs):
         """The class of the polynomial with these integer coefficients,
@@ -1086,19 +1077,9 @@ class _BinaryRing(_Residues):
     zero, one, gen = 0, 1, 2
 
     def __init__(self, p, modulus):
-        self.p = p
-        self.degree = d = len(modulus) - 1
-        self.order = 1 << d
+        super().__init__(p, modulus)
         self.bits = _bits(modulus)
         self.inv_gen = self.bits >> 1  # 1/xi = (m - 1) / t, m(0) = 1
-
-    def element(self, code):
-        """The element whose code (FieldSpec) is code: itself."""
-        return code
-
-    def code(self, a):
-        """a itself."""
-        return a
 
     def residue(self, coeffs):
         """The class of the polynomial with these integer coefficients,
@@ -1177,7 +1158,7 @@ def _neg_cyclotomic(N):
 def monic_modulus(p, modulus):
     """A modulus (text or IntPoly) as its coefficients mod p; ValueError
     unless p is prime and it is monic, of degree >= 1 and not t.  Only
-    FieldSpec's proof (root_order) shows it irreducible."""
+    root_order's proof shows it irreducible."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(modulus, str):
@@ -1195,154 +1176,28 @@ def monic_modulus(p, modulus):
     return coeffs
 
 
-class FieldSpec:
-    """The field F_p[t]/(modulus), its elements coded as integers.
+def _unit_tables(ring):
+    """(exp, log) of the field F_q = quotient_ring(p, m), for a modulus
+    root_order has proved irreducible: the list of the powers
+    w^0..w^(q - 2) of the first element w of order q - 1, and the dict
+    from each of them to its discrete logarithm.  They cost O(q) time and
+    memory; a walk over lines builds them on its first read
+    (_Residues.unit_tables), and no closed form reads them.
 
-    The modulus must be monic irreducible over F_p and distinct from t, so
-    the class of t, xi, is an invertible generator of the presentation;
-    the constructor proves it irreducible with no table (root_order) and
-    raises ValueError otherwise, keeping N = ord(-xi) from the proof as
-    neg_gen_order.  ring is its quotient_ring, whose arithmetic costs
-    polynomial time in log q and serves evaluate and order_of.
-    The code of an element is the base-p number whose digits are the
-    coefficients of its residue, lowest power first: 0..p-1 are the prime
-    field, and gen is the code of xi.  add, mul and inv act on codes: over
-    F_p directly, and over an extension through log[c], the discrete
-    logarithm of the nonzero code c to the first code whose powers reach
-    all q - 1 nonzero codes, and exp, which inverts it (_unit_tables).
-    Those tables cost O(q) time and memory and are built on their first
-    use, by a walk over lines or a lift, and never for a closed form.
+    F_q* is cyclic (Lidl-Niederreiter, Finite Fields, Thm 2.8).  The
+    elements are tried in the order of the base-p numbers whose digits are
+    their coefficients, lowest power first, each order read over the
+    primes of q - 1.  For deg m > 1 the first p, the prime field, whose
+    units have orders dividing p - 1, are skipped.  Each power is the last
+    one times w, by ring.mul.
     """
-
-    def __init__(self, p, modulus):
-        self.p = p
-        self.modulus = coeffs = monic_modulus(p, modulus)
-        self.degree = d = _deg(coeffs)
-        self.order = q = p ** d
-        self.ring = ring = quotient_ring(p, coeffs)
-        self.unit_plan = order_plan(q - 1, prime_factors(q - 1))
-        self.neg_gen_order = root_order(ring, self.unit_plan)
-        if self.neg_gen_order is None:
-            raise ValueError(f"modulus {poly_text(coeffs)} is reducible "
-                             f"over F_{p}")
-        self.gen = ring.code(ring.gen)
-        if d == 1:
-            self.add = lambda a, b: (a + b) % p
-            self.mul = lambda a, b: (a * b) % p
-            self.inv = lambda a: pow(a, p - 2, p)
-
-    def __getattr__(self, name):
-        """exp and log, and over an extension add, mul and inv, built on
-        first use and then kept as plain attributes, so a walk reads each
-        once, outside its loops."""
-        if name not in ("exp", "log", "add", "mul", "inv"):
-            raise AttributeError(name)
-        self.exp, self.log = _unit_tables(self)
-        if self.degree > 1:
-            self._extension_arithmetic()
-        return getattr(self, name)
-
-    def _extension_arithmetic(self):
-        p, d, q = self.p, self.degree, self.order
-        exp_t, log_t = self.exp, self.log
-        # product() counts with its last place fastest, a code with its first
-        digits = [c[::-1] for c in product(range(p), repeat=d)]
-
-        def add(a, b):
-            da, db = digits[a], digits[b]
-            v = 0
-            for i in range(d - 1, -1, -1):
-                v = v * p + (da[i] + db[i]) % p
-            return v
-
-        def mul(a, b):
-            if a == 0 or b == 0:
-                return 0
-            return exp_t[(log_t[a] + log_t[b]) % (q - 1)]
-
-        def inv(a):
-            if a == 0:
-                raise ZeroDivisionError
-            return exp_t[(-log_t[a]) % (q - 1)]
-
-        self.add, self.mul, self.inv = add, mul, inv
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldSpec) and self.p == other.p
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.modulus))
-
-    def __repr__(self):
-        return f"FieldSpec(p={self.p}, modulus={poly_text(self.modulus)})"
-
-    @property
-    def min_poly(self):
-        return IntPoly(self.modulus)
-
-    def order_of(self, a):
-        """The multiplicative order of the nonzero code a, over the primes
-        of q - 1."""
-        if a == 0:
-            raise ValueError("order of zero")
-        return self.ring.unit_order(self.ring.element(a), self.unit_plan)
-
-    def evaluate(self, f):
-        """The code of the Laurent polynomial f at xi."""
-        return self.ring.code(self.ring.evaluate(f))
-
-
-def _unit_tables(field):
-    """(exp, log) of the field F_q = F_p[t]/(m): the powers of the first
-    code whose powers reach all q - 1 nonzero codes, and their discrete
-    logarithms (log[0] is unused).  FieldSpec builds them only on their
-    first use, by a walk over lines or a lift, for a modulus root_order
-    has already proved irreducible; no closed form reads them.
-
-    F_q* is cyclic (Lidl-Niederreiter, Finite Fields, Thm 2.8), and the
-    code tried is the first g of order q - 1 in the field's ring, read
-    over the primes of q - 1 (FieldSpec.unit_plan).  For deg m > 1 the
-    codes below p are the prime field, whose units have order dividing
-    p - 1, and are skipped.  The powers g^0..g^(q - 2) are tabled.
-
-    Each power is stepped from the last with no polynomial product or
-    reduction.  Over F_p it is the last one times g mod p.  Over
-    F_p[t]/(m) multiplication by g is F_p-linear, so a power's digits are
-    the last one's times the matrix whose column i holds the digits of
-    g xi^i: deg m dot products mod p.
-    """
-    p, d, q, ring = field.p, field.degree, field.order, field.ring
-    g = next(g for g in range(1 if d == 1 else p, q)
-             if ring.unit_order(ring.element(g), field.unit_plan) == q - 1)
-    exp_t = [1] * (q - 1)
-    if d == 1:
-        code = 1
-        for i in range(1, q - 1):
-            code = code * g % p
-            exp_t[i] = code
-    else:
-        columns, column = [], ring.element(g)
-        for _ in range(d):
-            digits = _code_digits(ring.code(column), p)
-            columns.append(digits + (0,) * (d - len(digits)))
-            column = ring.mul(column, ring.gen)
-        rows = list(zip(*columns))
-        places = [p ** j for j in range(d)]
-        v = [1] + [0] * (d - 1)
-        for i in range(1, q - 1):
-            v = [sum(map(operator.mul, row, v)) % p for row in rows]
-            exp_t[i] = sum(map(operator.mul, v, places))
-    log_t = [0] * q
-    for i, code in enumerate(exp_t):
-        log_t[code] = i
-    return exp_t, log_t
-
-
-def _code_digits(code, p):
-    """The coefficients of the residue with this code, trimmed."""
-    digits = []
-    while code:
-        code, digit = divmod(code, p)
-        digits.append(digit)
-    return tuple(digits)
+    p, d, q = ring.p, ring.degree, ring.order
+    plan = order_plan(q - 1, prime_factors(q - 1))
+    # product() counts with its last place fastest, a number with its first
+    tried = (ring.residue(c[::-1]) for c in product(range(p), repeat=d))
+    w = next(a for a in islice(tried, 1 if d == 1 else p, None)
+             if ring.unit_order(a, plan) == q - 1)
+    exp_t = [ring.one]
+    for _ in range(q - 2):
+        exp_t.append(ring.mul(exp_t[-1], w))
+    return exp_t, {a: i for i, a in enumerate(exp_t)}

@@ -77,8 +77,8 @@ def _require_closed(spec):
 
 def _linked(spec1, spec2):
     """Whether the roots share p and m2 is m1 or its monic reciprocal."""
-    p, m1 = spec1.root.p, spec1.root.field.modulus
-    return spec2.root.p == p and spec2.root.field.modulus in (
+    p, m1 = spec1.root.p, spec1.root.ring.modulus
+    return spec2.root.p == p and spec2.root.ring.modulus in (
         m1, _reciprocal(m1, p))
 
 
@@ -87,7 +87,7 @@ def _product_input(spec):
     _fiber_cycles, each as a sorted tuple; ValueError as fibered_product
     raises for spec."""
     _require_closed(spec)
-    return (spec.root.field.order, _fiber_order(spec),
+    return (spec.root.ring.order, _fiber_order(spec),
             tuple(tuple(sorted(base)) for base in _fiber_cycles(spec)))
 
 
@@ -150,8 +150,8 @@ def fibered_product(spec1, spec2):
     _require_closed(spec1)
     _require_closed(spec2)
     r1, r2 = _fiber_order(spec1), _fiber_order(spec2)
-    e1 = (spec1.root.field.order + 1) * r1
-    e2 = (spec2.root.field.order + 1) * r2
+    e1 = (spec1.root.ring.order + 1) * r1
+    e2 = (spec2.root.ring.order + 1) * r2
     black, white, region = (_cycle_count(
         [(o1 // gcd(o1, l // L1), o2 // gcd(o2, l // L2),
           c1 * c2 * gcd(L1, L2))
@@ -162,18 +162,18 @@ def fibered_product(spec1, spec2):
         return FiberedProduct(e1, e2, tuple(
             _components(1, black + white, e1 * e2, region)))
     root = spec1.root
-    field, N = root.field, root.N
-    if (field.degree > 1 or spec2.root.field.modulus == field.modulus
+    ring, N = root.ring, root.N
+    if (ring.degree > 1 or spec2.root.ring.modulus == ring.modulus
             or spec1.ambient != spec2.ambient):
         raise ValueError(f"no closed-form product of the linked {spec1} "
                          f"and {spec2}")
-    s = (field.order - 1) // r1  # |S|
+    s = (ring.order - 1) // r1  # |S|
     x = _xi_logs(root)[2]  # log -xi = log det s1
     black_d, white_d, region_d = (_cycle_count(
         [(r1 // gcd(r1, a), r1 // gcd(r1, a - L * k * x), count)
          for L, a, count in base], r1, r1)
         for base, k in zip(_generator_cycles(root), (2, 3, 1)))
-    e_d = (field.order + 1) * r1 * r1
+    e_d = (ring.order + 1) * r1 * r1
     return FiberedProduct(e1, e2, tuple(
         _components(r1 // (N // gcd(N, s)), black_d + white_d, e_d, region_d)
         + _components(r1, black + white - black_d - white_d, e1 * e2 - e_d,
@@ -186,10 +186,11 @@ def conjugate_to_e2(spec):
     Decided on the dual side: g e2 is proportional to v_T iff
     e2_perp g^-1 is proportional to v_T_perp, s2 s1 and s2 s1^2 generate
     the same group as s1 and s2, and T acts trivially on lines, so the
-    answer is whether the annihilator line of e2, the covector (1, 0)
-    with code 0, is among the lines the walk of spec reaches.
+    answer is whether the annihilator line of e2, the covector (1, 0),
+    the line of the ring's zero, is among the lines the walk of spec
+    reaches.
     """
-    return 0 in _LineWalk(spec).index
+    return spec.root.ring.zero in _LineWalk(spec).index
 
 
 def verify_addendum_pairwise(row_specs):

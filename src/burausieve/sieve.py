@@ -572,11 +572,11 @@ def _genus_filter(candidates, N, state_cap):
     per (N, p) and shared by that pair's roots, for this call only; each
     root is still built, checked and tested on its own.
     """
-    by_pair = {}
+    by_pair = {}  # in (p, str(m)) order, as filled from the sorted triples
     for tr in sorted(candidates, key=ExceptionalTriple.sort_key):
         by_pair.setdefault((tr.p, tr.min_poly), []).append(tr.type_tag)
     survivors, closed_forms = [], {}
-    for (p, m), tags in sorted(by_pair.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
+    for (p, m), tags in by_pair.items():
         root = root_spec(p, m)
         if root.N != N:
             raise AssertionError(f"candidate ({p}, {m}) has order {root.N}, "

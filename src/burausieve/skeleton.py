@@ -343,7 +343,7 @@ def _cap_exceeded(state_cap, spec):
 def _fiber_order(spec):
     """r = |F_q*/S|, with S the scalars: xi in bu3, xi^3 in b3."""
     M = spec.root.M
-    return (spec.root.field.order - 1) // (
+    return (spec.root.ring.order - 1) // (
         M // gcd(M, 3 if spec.ambient == "b3" else 1))
 
 
@@ -375,10 +375,11 @@ def _signature_of(spec, lines, k, cycles):
 
 
 def _seed_line(root, tag):
-    """The code of the line of v_T_perp, where a walk of type tag starts."""
-    field = root.field
+    """The line of v_T_perp = (-1, a_T(xi)), where a walk of type tag
+    starts: the element -a_T(xi)."""
+    ring = root.ring
     vp0, vp1 = type_vector(tag, root)
-    return field.mul(vp1, field.inv(vp0)) if vp0 else field.order
+    return ring.mul(vp1, ring.pow(vp0, -1))
 
 
 class _LineWalk:
@@ -387,37 +388,43 @@ class _LineWalk:
     The cosets of a universal subgroup are its annihilator covectors modulo
     the scalar subgroup S, a cyclic cover of P^1(F_q) with fiber
     F_q*/S = Z/r.  The walk follows s2 s1 and s2 s1^2 breadth-first over
-    the base, so it visits at most q + 1 lines.  The line (1, x) has code x
-    and the line (0, 1) has code q; lines[i] is the i-th line reached and
-    index[line] its position.  black[i], white[i] and region[i] are the
-    steps (j, d) of s2 s1, s2 s1^2 and s1, where
-    rep(lines[i]) g = lambda rep(lines[j]) and d is the discrete log of
-    lambda mod r; potential[i] is the net voltage of the tree path from the
-    seed line.  The net voltages of the non-tree steps generate the orbit's
-    local group K <= Z/r, of order k, and the orbit has lines * k edges.
+    the base, so it visits at most q + 1 lines.  The line (1, x) is the
+    element x of the root's ring and the line (0, 1) is None; lines[i] is
+    the i-th line reached and index[line] its position.  black[i],
+    white[i] and region[i] are the steps (j, d) of s2 s1, s2 s1^2 and s1,
+    where rep(lines[i]) g = lambda rep(lines[j]) and d is the discrete log
+    of lambda mod r, read off the field's log table like every product
+    and quotient of the walk (exactalg._unit_tables); potential[i] is the
+    net voltage of the tree path from the seed line.  The net voltages of
+    the non-tree steps generate the orbit's local group K <= Z/r, of
+    order k, and the orbit has lines * k edges.
     The walk raises EnumerationCapExceeded when that exceeds state_cap,
     and already once it holds more than state_cap lines, since k >= 1.
     """
 
     def __init__(self, spec, state_cap=DEFAULT_STATE_CAP):
         root = spec.root
-        field = root.field
-        q, log = field.order, field.log
-        add, mul, inv = field.add, field.mul, field.inv
+        ring = root.ring
+        add, zero, n1 = ring.add, ring.zero, ring.order - 1
+        exp, log = ring.unit_tables
         r = _fiber_order(spec)
+
+        def times(a, b):
+            return exp[(log[a] + log[b]) % n1] if a and b else zero
 
         def move(line, g):
             """(line', d) with rep(line) g = lambda rep(line'), d = log lambda."""
-            if line < q:
-                a0 = add(g[0], mul(line, g[2]))
-                a1 = add(g[1], mul(line, g[3]))
-            else:
+            if line is None:
                 a0, a1 = g[2], g[3]
+            else:
+                a0 = add(g[0], times(line, g[2]))
+                a1 = add(g[1], times(line, g[3]))
             if a0:
-                return mul(a1, inv(a0)), log[a0] % r
-            return q, log[a1] % r
+                e = log[a0]
+                return (exp[(log[a1] - e) % n1] if a1 else zero), e % r
+            return None, log[a1] % r
 
-        g_black, g_white, g_region = (specialize(_GENERATORS[name], field)
+        g_black, g_white, g_region = (specialize(_GENERATORS[name], ring)
                                       for name in ("black", "white", "region"))
         seed = _seed_line(root, spec.type_tag)
         index = {seed: 0}
@@ -630,7 +637,7 @@ def _trace_generates(root):
     every proper divisor e.  N >= 7 gives M >= 4, where 1 and M - 1 are
     distinct residues.  The answer depends on (p, d, N, M) alone, the
     same for every root of one (N, p)."""
-    p, d, M = root.p, root.field.degree, root.M
+    p, d, M = root.p, root.ring.degree, root.M
     return root.N >= 7 and all(pow(p, e, M) not in (1, M - 1)
                                for e in range(1, d) if d % e == 0)
 
@@ -639,7 +646,7 @@ def _xi_logs(root):
     """(q - 1, log xi, log -xi) in Z/(q - 1), for a generator w of F_q*
     with xi = w^((q - 1) / M) (see _closed_form); AssertionError unless
     -xi has order N.  -1 is w^((q - 1) / 2) for odd q and 1 for even q."""
-    n1 = root.field.order - 1
+    n1 = root.ring.order - 1
     c = n1 // root.M
     x = (c + (n1 // 2 if root.p != 2 else 0)) % n1
     if n1 // gcd(n1, x) != root.N:
@@ -668,7 +675,7 @@ def _generator_cycles(root):
     cycles = []
     for eigen, n, log_c in ((black, 3, 3 * c % n1), (white, 2, 3 * c % n1),
                             ([x, 0], root.N, 0)):
-        rest = root.field.order + 1 - len(eigen)
+        rest = root.ring.order + 1 - len(eigen)
         if rest % n:
             raise AssertionError(f"{rest} lines do not fall into cycles of "
                                  f"length {n} for {root}")
@@ -753,7 +760,7 @@ def _closed_form(spec, state_cap):
     orbit_signatures may read one closed form per (q, N, M, ambient)
     when asked to.
     """
-    lines, r = spec.root.field.order + 1, _fiber_order(spec)
+    lines, r = spec.root.ring.order + 1, _fiber_order(spec)
     if lines * r > state_cap:
         raise _cap_exceeded(state_cap, spec)
     return _signature_of(spec, lines, r, _fiber_cycles(spec))
@@ -782,7 +789,7 @@ def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP,
         if closed_forms is None:
             form = _closed_form(spec, state_cap)
         else:
-            key = (root.field.order, root.N, root.M, ambient)
+            key = (root.ring.order, root.N, root.M, ambient)
             form = closed_forms.get(key)
             if form is None:
                 form = closed_forms[key] = _closed_form(spec, state_cap)

@@ -7,14 +7,15 @@ involution epsilon_p.  Each special skeleton fragment
 (essential region or monovalent vertex) pins the one-dimensional module to
 a vector v_T = a_T(xi)*e1 + e2, with a_T given by a short table of Laurent
 monomials; the sieve uses a_T over Z[t, 1/t], and the walk over lines the
-codes of the annihilator covector (-1, a_T(xi)).
+annihilator covector (-1, a_T(xi)) in the root's ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .exactalg import FieldSpec, IntPoly
+from .exactalg import IntPoly, monic_modulus, order_plan, poly_text, \
+    prime_factors, quotient_ring, root_order
 
 TYPE_TAGS = ("I", "II", "III+", "III-", "III3", "IV")
 
@@ -41,13 +42,14 @@ def k_threshold(N):
 
 @dataclass(frozen=True)
 class RootSpec:
-    """A verified root: prime, minimal polynomial, orders, and its field."""
+    """A verified root: prime, minimal polynomial, orders, and its field,
+    ring = exactalg.quotient_ring(p, m), proved a field."""
 
     p: int
     min_poly: IntPoly
     N: int
     M: int
-    field: FieldSpec
+    ring: object = field(compare=False, repr=False)
 
     def __str__(self):
         return f"(p={self.p}, m={self.min_poly})"
@@ -57,18 +59,22 @@ def root_spec(p, min_poly):
     """Build a RootSpec from a prime and an irreducible minimal polynomial;
     ValueError when it is reducible.
 
-    Builds no table.  FieldSpec proves the minimal polynomial m
-    irreducible (exactalg.root_order): N = ord(-xi) divides q - 1, m
-    divides the N-th cyclotomic polynomial in -t over F_p, and deg m is
+    Builds no table.  The minimal polynomial m is proved irreducible in
+    quotient_ring(p, m) (exactalg.root_order): N = ord(-xi) divides q - 1,
+    m divides the N-th cyclotomic polynomial in -t over F_p, and deg m is
     ord_N(p).  M = ord(xi) is then found over the primes of q - 1, and
     the epsilon-involution between N and M is verified.
     """
-    field = FieldSpec(p, min_poly)
-    N = field.neg_gen_order
-    M = field.order_of(field.gen)
+    modulus = monic_modulus(p, min_poly)
+    ring = quotient_ring(p, modulus)
+    plan = order_plan(ring.order - 1, prime_factors(ring.order - 1))
+    N = root_order(ring, plan)
+    if N is None:
+        raise ValueError(f"modulus {poly_text(modulus)} is reducible over F_{p}")
+    M = ring.unit_order(ring.gen, plan)
     if M != epsilon_p(N, p) or N != epsilon_p(M, p):
         raise AssertionError("order bookkeeping violated")  # unreachable
-    return RootSpec(p=p, min_poly=field.min_poly, N=N, M=M, field=field)
+    return RootSpec(p=p, min_poly=IntPoly(modulus), N=N, M=M, ring=ring)
 
 
 def type_tags(M, p_is_3):
@@ -119,8 +125,8 @@ def type_coefficient_laurent(tag, M, p_is_3):
 
 
 def type_vector(tag, spec):
-    """The codes of v_T_perp = (-1, a_T(xi)), the covector annihilating
-    v_T = a_T(xi) e1 + e2."""
+    """v_T_perp = (-1, a_T(xi)), the covector annihilating
+    v_T = a_T(xi) e1 + e2, as elements of the root's ring."""
     a_poly = type_coefficient_laurent(tag, spec.M, spec.p == 3)
-    field = spec.field
-    return field.evaluate(IntPoly.const(-1)), field.evaluate(a_poly)
+    ring = spec.ring
+    return ring.evaluate(IntPoly.const(-1)), ring.evaluate(a_poly)

@@ -1,11 +1,12 @@
 """Reference implementations the tests hold the package to.
 
 `FieldElem` is finite-field arithmetic on reduced coefficient tuples with
-an extended-Euclid inverse; it shares no table with the package's integer
-codes, which the tests check against it.  `covector_bfs` is the
+an extended-Euclid inverse; it shares no code with the package's
+`quotient_ring`, which the tests check against it.  `covector_bfs` is the
 breadth-first coset enumeration over covectors that the package replaced
-by the lift of its walk over projective lines; the tests compare the
-lift's permutations with it edge for edge.  `product_skeletons` builds
+by the lift of its walk over projective lines; it computes in the
+root's `quotient_ring`, with no exp or log table, and the tests compare
+the lift's permutations with it edge for edge.  `product_skeletons` builds
 every component of a fibered product as a skeleton, which the package
 replaced by counting each component's edges and genus in one labelling
 pass.  The skeleton checks at the end (width divisibility, the incidence
@@ -34,8 +35,9 @@ from burausieve.typesys import type_coefficient_laurent
 
 
 class Presentation(namedtuple("Presentation", "p modulus degree order")):
-    """F_p[t]/(modulus) as the reference sees it: a FieldSpec without its
-    O(q) tables, so a field of any size can be checked."""
+    """F_p[t]/(modulus) as the reference sees it: p, the modulus, its
+    degree and the order, as a quotient_ring holds them, with no
+    arithmetic of the package's."""
 
     @staticmethod
     def of(p, modulus):
@@ -45,7 +47,7 @@ class Presentation(namedtuple("Presentation", "p modulus degree order")):
 
 
 class FieldElem:
-    """An element of a FieldSpec's (or a Presentation's) field, always
+    """An element of a quotient_ring's (or a Presentation's) field, always
     reduced modulo its modulus."""
 
     __slots__ = ("spec", "coeffs")
@@ -81,6 +83,16 @@ class FieldElem:
         for c in reversed(self.coeffs):
             v = v * self.spec.p + c
         return v
+
+    def element(self):
+        """The element as quotient_ring holds it: an int mod p over F_p,
+        the int whose bit i is the coefficient of t^i over F_2, and the
+        coefficient tuple otherwise."""
+        if self.spec.degree == 1:
+            return self.coeffs[0] if self.coeffs else 0
+        if self.spec.p == 2:
+            return sum(c << i for i, c in enumerate(self.coeffs))
+        return self.coeffs
 
     @property
     def is_zero(self):
@@ -174,20 +186,27 @@ def element_order(x):
     return n
 
 
+def field_elements(spec):
+    """Every element of the field of spec (a quotient_ring), as it holds
+    them, 0 first, in the order of FieldElem.code."""
+    return [FieldElem.decode(spec, code).element() for code in range(spec.order)]
+
+
 def specialize(m, spec):
-    """The codes of the BurauMatrix m evaluated entrywise at xi."""
+    """The BurauMatrix m evaluated entrywise at xi, as elements of spec (a
+    quotient_ring)."""
     xi = FieldElem.xi(spec)
-    return tuple(evaluate(e, xi).code() for e in (m.a, m.b, m.c, m.d))
+    return tuple(evaluate(e, xi).element() for e in (m.a, m.b, m.c, m.d))
 
 
 def type_coefficient(tag, root):
     """a_T(xi) of a RootSpec, evaluated by the reference arithmetic."""
     a = type_coefficient_laurent(tag, root.M, root.p == 3)
-    return evaluate(a, FieldElem.xi(root.field))
+    return evaluate(a, FieldElem.xi(root.ring))
 
 
-def _codes(text, field):
-    return specialize(to_burau(BraidWord.parse(text)), field)
+def _specialized(text, ring):
+    return specialize(to_burau(BraidWord.parse(text)), ring)
 
 
 def covector_bfs(spec, state_cap):
@@ -197,43 +216,41 @@ def covector_bfs(spec, state_cap):
     xi^s (s in Z for the bu3 ambient, s in 3Z for b3), seeded at w = v_T_perp
     and expanded by right multiplication by the specialized images of s2*s1
     and s2*s1^2; the region permutation is the action of s1 on the same
-    states and is cross-checked against the composition convention.
+    states and is cross-checked against the composition convention.  It
+    computes in the root's quotient_ring, inverses by its pow, with no
+    exp or log table.
     """
     root = spec.root
-    field = root.field
-    q = field.order
+    ring = root.ring
+    add, mul, one = ring.add, ring.mul, ring.one
 
     step = 3 if spec.ambient == "b3" else 1
-    scalar = (FieldElem.xi(field) ** step).code()
-    scalars = [1]
+    scalar = (FieldElem.xi(ring) ** step).element()
+    scalars = [one]
     x = scalar
-    while x != 1:
+    while x != one:
         scalars.append(x)
-        x = field.mul(x, scalar)
+        x = mul(x, scalar)
 
-    # canonical scalar-class representatives: one lookup per nonzero element
-    mu = [0] * q
-    assigned = [False] * q
-    inv_scalars = [field.inv(s) for s in scalars]
-    for leader in range(1, q):
-        if assigned[leader]:
+    # canonical scalar-class representatives: mu[y] y is the first element
+    # of y's scalar class, for each nonzero y
+    mu = {}
+    inv_scalars = [ring.pow(s, -1) for s in scalars]
+    for leader in field_elements(ring)[1:]:
+        if leader in mu:
             continue
         for s, s_inv in zip(scalars, inv_scalars):
-            y = field.mul(s, leader)
-            if not assigned[y]:
-                assigned[y] = True
-                mu[y] = s_inv
-    add, mul = field.add, field.mul
+            mu[mul(s, leader)] = s_inv
 
     def canon(w0, w1):
         if w0:
             m = mu[w0]
             return (mul(m, w0), mul(m, w1))
-        return (0, mul(mu[w1], w1))
+        return (w0, mul(mu[w1], w1))
 
-    g_black = _codes("s2 s1", field)
-    g_white = _codes("s2 s1 s1", field)
-    g_region = _codes("s1", field)
+    g_black = _specialized("s2 s1", ring)
+    g_white = _specialized("s2 s1 s1", ring)
+    g_region = _specialized("s1", ring)
 
     def act(w, g):
         w0, w1 = w
@@ -241,8 +258,8 @@ def covector_bfs(spec, state_cap):
                 add(mul(w0, g[1]), mul(w1, g[3])))
 
     # v_T_perp = (-1, a_T(xi)) annihilates v_T = a_T(xi) e1 + e2
-    seed = canon(FieldElem(field, -1).code(),
-                 type_coefficient(spec.type_tag, root).code())
+    seed = canon(FieldElem(ring, -1).element(),
+                 type_coefficient(spec.type_tag, root).element())
     index = {seed: 0}
     states = [seed]
     i = 0

@@ -4,8 +4,9 @@
 resultants by evaluation at the roots of unity, and `reference_fp_gcd`,
 Euclid by quotient and remainder, is the reference for the package's
 remainder-only gcd over F_p; `reference_unit_tables`, which takes each
-power as a polynomial product of the last, is the reference for the field
-tables the package steps by a linear map.  `sigma1_power`,
+power as a polynomial product of the last with a division, on base-p
+codes, is the reference for the field tables the package steps by its
+ring's product.  `sigma1_power`,
 `sieve_determinant`, `determinant_D` and `resultant_with_cyclotomic`
 build one sieve determinant and take its resultant in isolation, where
 the sieve evaluates each unordered {u, w} once for every l;
@@ -174,11 +175,12 @@ def reference_root_orders(p, modulus):
 
 
 def reference_unit_tables(p, modulus):
-    """(exp, log) of F_p[t]/(modulus) for the generator FieldSpec's
-    _unit_tables picks, or None when the monic modulus is reducible, so
-    that the powers of no code reach all q - 1 nonzero codes; each power
-    is stepped from the last by a product and a reduction of polynomials,
-    and the primes of q - 1 are taken from sympy."""
+    """(exp, log) of F_p[t]/(modulus) on base-p codes, for the generator
+    exactalg._unit_tables picks, or None when the monic modulus is
+    reducible, so that the powers of no code reach all q - 1 nonzero
+    codes; each power is stepped from the last by a product and a
+    reduction of polynomials, and the primes of q - 1 are taken from
+    sympy."""
     d = len(modulus) - 1
     q = p ** d
     digits = [tuple(code // p ** i % p for i in range(d)) for code in range(q)]
@@ -546,17 +548,17 @@ def reference_trace_generates(root):
     """N >= 7, and s = xi + 1/xi lies in no proper subfield of F_q:
     s^(p^e) != s for every proper divisor e of deg m, by powers in the
     field's ring."""
-    field = root.field
-    ring = field.ring
+    ring = root.ring
     s = ring.add(ring.gen, ring.pow(ring.gen, -1))
-    d, p = field.degree, field.p
+    d, p = ring.degree, ring.p
     return root.N >= 7 and all(s and ring.pow(s, p ** e) != s
                                for e in range(1, d) if d % e == 0)
 
 
 def reference_closed_form_cycles(g, n0, root):
-    """The (length, net voltage, count) cycles of the codes g of black,
-    white or region on all q + 1 lines, read off the field's log tables.
+    """The (length, net voltage, count) cycles of the specialized matrix g
+    of black, white or region on all q + 1 lines, read off the field's log
+    tables.
 
     g's projective order n divides n0 (3, 2 and N), and g^n = c I.  If
     n > 1, g's fixed lines are its eigenlines: the eigenvalues are the n-th
@@ -566,9 +568,9 @@ def reference_closed_form_cycles(g, n0, root):
     eigenlines, and the other lines form cycles of length n, each of net
     voltage log c.  The voltages are logs in F_q*, not yet reduced mod r.
     """
-    field = root.field
-    q, minus_one, log, exp = field.order, field.p - 1, field.log, field.exp
-    add, mul = field.add, field.mul
+    ring = root.ring
+    q, (exp, log) = ring.order, ring.unit_tables
+    add, sub, mul = ring.add, ring.sub, ring.mul
     power, n = g, 1
     while power[1] or power[2] or power[0] != power[3]:
         assert n < n0, str(root)
@@ -584,13 +586,12 @@ def reference_closed_form_cycles(g, n0, root):
     h = gcd(n, q - 1)
     if n > 1 and e % h == 0:
         tr = add(g[0], g[3])
-        det = add(mul(g[0], g[3]), mul(minus_one, mul(g[1], g[2])))
+        det = sub(mul(g[0], g[3]), mul(g[1], g[2]))
         m = (q - 1) // h  # n x = e mod q - 1 iff x = x0 mod m
         x0 = e // h * pow(n // h, -1, m) % m
         for x in range(x0, q - 1, m):
             lam = exp[x]
-            if not add(add(mul(lam, lam), mul(minus_one, mul(tr, lam))),
-                       det):
+            if not add(sub(mul(lam, lam), mul(tr, lam)), det):
                 eigen.append(x)
     rest = q + 1 - len(eigen)
     assert rest % n == 0, str(root)
@@ -600,7 +601,7 @@ def reference_closed_form_cycles(g, n0, root):
 def reference_generator_cycles(root):
     """reference_closed_form_cycles of black, white and region."""
     return [reference_closed_form_cycles(specialize(_GENERATORS[name],
-                                                    root.field), n0, root)
+                                                    root.ring), n0, root)
             for name, n0 in (("black", 3), ("white", 2), ("region", root.N))]
 
 
@@ -609,7 +610,7 @@ def reference_closed_form(spec):
     reference_generator_cycles: each voltage mu has the order
     r / gcd(r, mu) in Z/r."""
     r = _fiber_order(spec)
-    return _signature_of(spec, spec.root.field.order + 1, r, [
+    return _signature_of(spec, spec.root.ring.order + 1, r, [
         [(length, r // gcd(r, mu), count) for length, mu, count in base]
         for base in reference_generator_cycles(spec.root)])
 
@@ -622,9 +623,9 @@ def generator_cycles_certified(spec):
     xi; and in spec's ambient their orders in Z/r are those of the
     reference's voltages mod r."""
     root = spec.root
-    field, r = root.field, _fiber_order(spec)
-    n1 = field.order - 1
-    c, log_xi = n1 // root.M, field.log[field.gen]
+    r = _fiber_order(spec)
+    n1 = root.ring.order - 1
+    c, log_xi = n1 // root.M, root.ring.unit_tables[1][root.ring.gen]
     assert log_xi % c == 0 and gcd(log_xi // c, root.M) == 1, str(spec)
     j = log_xi // c % root.M
     while gcd(j, n1) != 1:
@@ -645,7 +646,7 @@ def closed_form_certified(spec):
     reference's (generator_cycles_certified); and the closed form gives
     the walk's signature and genus, which it returns."""
     walk = _LineWalk(spec)
-    assert len(walk.lines) == spec.root.field.order + 1 and walk.k == walk.r, \
+    assert len(walk.lines) == spec.root.ring.order + 1 and walk.k == walk.r, \
         str(spec)
 
     def counted(cycles):

@@ -146,11 +146,12 @@ def test_criterion_6_property_suites(row_skeletons):
     # specialized s1 has order exactly N on every golden field
     for row, sk in row_skeletons:
         root = root_spec(row.p, row.factors[0])
-        identity = (1, 0, 0, 1)
-        assert specialize(to_burau(s1 ** root.N), root.field) == identity
+        ring = root.ring
+        identity = (ring.one, ring.zero, ring.zero, ring.one)
+        assert specialize(to_burau(s1 ** root.N), ring) == identity
         for d in range(1, root.N):
             if root.N % d == 0 and d < root.N:
-                assert specialize(to_burau(s1 ** d), root.field) != identity
+                assert specialize(to_burau(s1 ** d), ring) != identity
     # Euler identity, width partition, width divisibility, edge formula
     for row, sk in row_skeletons:
         root = root_spec(row.p, row.factors[0])
@@ -158,7 +159,7 @@ def test_criterion_6_property_suites(row_skeletons):
         assert (euler_lhs(sig, row.N) == 12) == (genus(sk) == 0)
         assert sum(w * n for w, n in sig.partition) == sk.edge_count
         assert verify_region_widths(sk, row.N)
-        q = root.field.order
+        q = root.ring.order
         assert sk.edge_count == (q * q - 1) // root.M
     # base-change identity of the fibered product, pair by pair on the
     # lifted skeletons: the one-edge base is no root, so the closed form
@@ -382,7 +383,7 @@ def test_trace_field_test_is_walk_transitivity(sweep):
     failing = []
     orbits = 0
     for root, tags in sweep_roots(results):
-        q = root.field.order
+        q = root.ring.order
         for walk, _ in _orbit_walks(root, tags, "bu3", 10 ** 6):
             transitive = len(walk.lines) == q + 1 and walk.k == walk.r
             assert _trace_generates(root) == transitive, str(walk.spec)

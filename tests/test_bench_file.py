@@ -1,8 +1,9 @@
 """The newest BENCH_<n>.json at the root of the repository has the schema
 that tools/bench.py writes: the Python version and processor count, and
 for each measured checkout the tier-1 suite's wall time and counts and,
-per command, the median, minimum and maximum of at least 5 runs with the
-digest of its stdout."""
+per command, and for the package's import alone, the median, minimum and
+maximum of at least 5 runs with the digest of its stdout (empty for the
+import)."""
 
 import json
 import os
@@ -11,7 +12,9 @@ import statistics
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ["sieve --n-range 7..26 --json", "table --verify --json",
-            "addendum --all-groups --json"]
+            "addendum --all-groups --json", "import burausieve.cli"]
+# the sha256 of empty stdout, cut to 16 hex digits
+EMPTY = "e3b0c44298fc1c14"
 HEX16 = re.compile(r"[0-9a-f]{16}")
 
 
@@ -49,3 +52,4 @@ def test_newest_bench_file_has_the_schema():
             assert entry["min_s"] == min(times) and entry["max_s"] == max(times)
             assert abs(entry["median_s"] - statistics.median(times)) < 1e-3
             assert HEX16.fullmatch(entry["digest"]), (label, text)
+        assert report["commands"]["import burausieve.cli"]["digest"] == EMPTY

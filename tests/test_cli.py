@@ -11,12 +11,12 @@ import tracemalloc
 from array import array
 
 import pytest
+from covector_oracle import FieldElem
 from helpers import count_calls, cycle_tuples, reference_unit_tables
 
 from burausieve import burau, cli, exactalg, intersect, sieve, skeleton, \
     typesys
 from burausieve.cli import _cache_key, _dump, main
-from burausieve.exactalg import IntPoly
 from burausieve.golden import GOLDEN_ROWS
 
 
@@ -377,7 +377,7 @@ class TestFieldTables:
         # only and build none
         tables = count_calls(monkeypatch, exactalg, "_unit_tables")
         sieve.full_sweep((7, 26))
-        assert sorted(field.order for field, in tables) == \
+        assert sorted(ring.order for ring, in tables) == \
             [49, 49, 64, 81, 729]
         tables.clear()
         skeleton.table_verify()
@@ -387,8 +387,8 @@ class TestFieldTables:
     def test_tables_match_the_reference(self, run, monkeypatch):
         # every field the sweep, table --verify and addendum --all-groups
         # build has, once a walk asks for them, the exp and log tables that
-        # stepping each power by a polynomial product gives, with the same
-        # generator
+        # stepping each power by a polynomial product and division of base-p
+        # codes gives, with the same generator
         roots = count_calls(monkeypatch, typesys, "root_spec")
         for argv in (("sieve", "--n-range", "7..26", "--json"),
                      ("table", "--verify", "--json"),
@@ -398,9 +398,12 @@ class TestFieldTables:
         assert len(fields) == 257
         assert sum(len(m) > 2 for _, m in fields) == 35  # extension fields
         for p, modulus in fields:
-            field = exactalg.FieldSpec(p, IntPoly(modulus))
-            assert (field.exp, field.log) == reference_unit_tables(p, modulus), \
-                (p, modulus)
+            ring = exactalg.quotient_ring(p, modulus)
+            exp, log = exactalg._unit_tables(ring)
+            want = [FieldElem.decode(ring, code).element()
+                    for code in reference_unit_tables(p, modulus)[0]]
+            assert exp == want, (p, modulus)
+            assert log == {a: i for i, a in enumerate(want)}, (p, modulus)
 
 
 class TestSieve:

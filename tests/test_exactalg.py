@@ -11,13 +11,13 @@ import mpmath
 import pytest
 import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
-from covector_oracle import FieldElem, Presentation, element_order, evaluate
+from covector_oracle import FieldElem, Presentation, element_order, \
+    evaluate, field_elements
 from helpers import reference_fp_gcd, reference_resultants, resultant, \
     sieve_determinant
 
 from burausieve import exactalg
 from burausieve.exactalg import (
-    FieldSpec,
     IntPoly,
     cyclotomic,
     cyclotomic_factors,
@@ -28,6 +28,19 @@ from burausieve.exactalg import (
     unity_prime,
 )
 from burausieve.golden import GOLDEN_ROWS
+from burausieve.typesys import root_spec
+
+
+def field(p, modulus):
+    """The quotient_ring of F_p[t]/(modulus), proved a field by
+    root_spec."""
+    return root_spec(p, modulus).ring
+
+
+def unit_plan(ring):
+    """The order_plan of q - 1 that unit_order reads in ring."""
+    q = ring.order
+    return exactalg.order_plan(q - 1, exactalg.prime_factors(q - 1))
 
 
 # -- independent resultant oracle: Sylvester matrix determinant (Bareiss) ----
@@ -105,13 +118,13 @@ class TestIntPoly:
             assert parse_poly(poly_text(f.coeffs, f.shift)) == f
 
     def test_evaluate_with_negative_shift(self):
-        spec = FieldSpec(5, "t+2")  # xi = 3
+        ring = field(5, "t+2")  # xi = 3
         p = IntPoly((1, 1), -1)  # t^-1 + 1
-        xi = spec.gen
+        xi = ring.gen
         assert xi == 3
-        assert spec.evaluate(p) == spec.mul(spec.inv(xi), spec.add(xi, 1))
-        ref_xi = FieldElem.xi(spec)
-        assert spec.evaluate(p) == (ref_xi.inverse() * (ref_xi + 1)).code()
+        assert ring.evaluate(p) == ring.mul(ring.pow(xi, -1), ring.add(xi, 1))
+        ref_xi = FieldElem.xi(ring)
+        assert ring.evaluate(p) == (ref_xi.inverse() * (ref_xi + 1)).element()
 
 
 class TestCyclotomic:
@@ -632,26 +645,30 @@ class TestFpRemainders:
 
 
 class TestFieldSpec:
+    """The field of a root: root_spec's proof that m is irreducible, the
+    arithmetic of its quotient_ring, and the exp and log tables a walk
+    reads (exactalg._unit_tables)."""
+
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
-            FieldSpec(6, "t+1")
+            field(6, "t+1")
 
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):
-            FieldSpec(2, "t^2+1")  # (t+1)^2
+            field(2, "t^2+1")  # (t+1)^2
 
     def test_rejects_modulus_t(self):
         with pytest.raises(ValueError):
-            FieldSpec(5, "t")
+            field(5, "t")
 
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
-            FieldSpec(5, "2t+1")
+            field(5, "2t+1")
 
     def test_accepts_exactly_the_irreducible_moduli(self):
-        # the unit table is the proof of irreducibility: it must accept
-        # each monic modulus with a nonzero constant term exactly when
-        # sympy finds it irreducible, and refuse the rest as reducible
+        # the proof of irreducibility must accept each monic modulus with
+        # a nonzero constant term exactly when sympy finds it irreducible,
+        # and refuse the rest as reducible
         t = sympy.Symbol("t")
         checked = 0
         for p, degrees in ((2, range(2, 7)), (3, range(2, 5)),
@@ -662,7 +679,7 @@ class TestFieldSpec:
                     irreducible = sympy.Poly(coeffs[::-1], t,
                                              modulus=p).is_irreducible
                     try:
-                        FieldSpec(p, IntPoly(coeffs))
+                        field(p, IntPoly(coeffs))
                         accepted = True
                     except ValueError as exc:
                         assert "is reducible over" in str(exc)
@@ -672,46 +689,55 @@ class TestFieldSpec:
         assert checked == 302
 
     def test_field_axioms_random_sampling(self):
-        spec = FieldSpec(2, "t^3+t+1")
-        q = spec.order
+        ring = field(2, "t^3+t+1")
+        q = ring.order
         assert q == 8
-        add, mul, inv = spec.add, spec.mul, spec.inv
+        add, mul = ring.add, ring.mul
+        elements = field_elements(ring)
         rng = random.Random(3)
         for _ in range(200):
-            a, b, c = (rng.randrange(q) for _ in range(3))
+            a, b, c = (rng.choice(elements) for _ in range(3))
             assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
             assert mul(a, b) == mul(b, a)
             assert add(a, add(b, c)) == add(add(a, b), c)
             if a:
-                assert mul(a, inv(a)) == 1
+                assert mul(a, ring.pow(a, -1)) == 1
 
     @pytest.mark.parametrize("p, modulus", [
         (2, "t^3+t+1"), (3, "t^2+2t+2"), (5, "t^2+2"), (13, "t+2"),
     ])
     def test_arithmetic_against_the_reference(self, p, modulus):
-        spec = FieldSpec(p, modulus)
-        q = spec.order
-        ref = [FieldElem.decode(spec, c) for c in range(q)]
+        # every sum, every product as a walk takes it from the exp and log
+        # tables, and every inverse, on all pairs of elements
+        ring = field(p, modulus)
+        q = ring.order
+        exp, log = exactalg._unit_tables(ring)
+        ref = [FieldElem.decode(ring, c) for c in range(q)]
         assert [x.code() for x in ref] == list(range(q))
-        for a in range(q):
-            for b in range(q):
-                assert spec.add(a, b) == (ref[a] + ref[b]).code()
-                assert spec.mul(a, b) == (ref[a] * ref[b]).code()
+        elements = [x.element() for x in ref]
+        for a, x in zip(elements, ref):
+            for b, y in zip(elements, ref):
+                assert ring.add(a, b) == (x + y).element()
+                prod = exp[(log[a] + log[b]) % (q - 1)] if a and b else ring.zero
+                assert prod == (x * y).element()
             if a:
-                assert spec.inv(a) == ref[a].inverse().code()
+                assert exp[-log[a] % (q - 1)] == x.inverse().element()
 
     def test_log_tables_are_inverse(self):
         for p, modulus in ((2, "t^3+t+1"), (3, "t^2+2t+2"), (13, "t+2")):
-            spec = FieldSpec(p, modulus)
-            assert sorted(spec.exp) == list(range(1, spec.order))
-            for i, code in enumerate(spec.exp):
-                assert spec.log[code] == i
+            ring = field(p, modulus)
+            exp, log = exactalg._unit_tables(ring)
+            assert sorted(exp) == sorted(field_elements(ring)[1:])
+            assert len(log) == ring.order - 1
+            for i, a in enumerate(exp):
+                assert log[a] == i
 
     def test_element_text(self):
-        spec = FieldSpec(2, "t^3+t+1")
-        cube = spec.evaluate(IntPoly.t(3))
-        assert str(FieldElem.decode(spec, cube)) == "t+1"
-        assert cube == (FieldElem.xi(spec) ** 3).code()
+        ring = field(2, "t^3+t+1")
+        cube = ring.evaluate(IntPoly.t(3))
+        assert cube == 0b011  # bit i is the coefficient of t^i
+        assert str(FieldElem.xi(ring) ** 3) == "t+1"
+        assert cube == (FieldElem.xi(ring) ** 3).element()
 
 
 # F_p[t]/(m) for each path of quotient_ring: linear, written out at degree
@@ -735,20 +761,20 @@ class TestQuotientRing:
         rng = random.Random(q)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(300)]
         for a, b in pairs:
-            x, y = ring.element(a), ring.element(b)
             ref_a, ref_b = FieldElem.decode(spec, a), FieldElem.decode(spec, b)
-            assert ring.code(x) == a
-            assert ring.code(ring.add(x, y)) == (ref_a + ref_b).code()
-            assert ring.code(ring.sub(x, y)) == (ref_a - ref_b).code()
-            assert ring.code(ring.mul(x, y)) == (ref_a * ref_b).code()
-            assert ring.code(ring.pow(x, b)) == (ref_a ** b).code()
+            x, y = ref_a.element(), ref_b.element()
+            assert ring.residue(ref_a.coeffs) == x
+            assert ring.add(x, y) == (ref_a + ref_b).element()
+            assert ring.sub(x, y) == (ref_a - ref_b).element()
+            assert ring.mul(x, y) == (ref_a * ref_b).element()
+            assert ring.pow(x, b) == (ref_a ** b).element()
             assert bool(x) == bool(a)  # 0 is the one falsy element
         xi = FieldElem.xi(spec)
         for shift in range(-4, 5):
             f = IntPoly((3, -1, 2), shift)
-            assert ring.code(ring.evaluate(f)) == evaluate(f, xi).code()
-            assert ring.code(ring.residue([5, -7, 0, 1, 4])) == \
-                FieldElem(spec, (5, -7, 0, 1, 4)).code()
+            assert ring.evaluate(f) == evaluate(f, xi).element()
+            assert ring.residue([5, -7, 0, 1, 4]) == \
+                FieldElem(spec, (5, -7, 0, 1, 4)).element()
 
     @pytest.mark.parametrize("p, modulus", [
         (p, m) for p, m in QUOTIENTS[:10] if p ** (len(m) - 1) <= 81])
@@ -757,8 +783,8 @@ class TestQuotientRing:
         # roots of unity it finds, for every element of a small field
         ring = exactalg.quotient_ring(p, modulus)
         q = p ** (len(modulus) - 1)
-        elements = [ring.element(code) for code in range(q)]
-        plan = exactalg.order_plan(q - 1, exactalg.prime_factors(q - 1))
+        elements = field_elements(Presentation.of(p, modulus))
+        plan = unit_plan(ring)
 
         def order(x):
             n, y = 1, x
@@ -797,30 +823,36 @@ class TestQuotientRing:
 
 class TestElementOrder:
     def test_generator_of_f8(self):
-        spec = FieldSpec(2, "t^3+t+1")
-        assert spec.order_of(spec.gen) == 7
+        ring = field(2, "t^3+t+1")
+        assert ring.unit_order(ring.gen, unit_plan(ring)) == 7
 
     def test_neg_xi_order_mod_11(self):
-        spec = FieldSpec(11, "t+2")
-        assert spec.order_of(spec.evaluate(parse_poly("-t"))) == 10
-        assert element_order(-FieldElem.xi(spec)) == 10
+        ring = field(11, "t+2")
+        assert ring.unit_order(ring.evaluate(parse_poly("-t")),
+                               unit_plan(ring)) == 10
+        assert element_order(-FieldElem.xi(ring)) == 10
 
     def test_one(self):
-        assert FieldSpec(13, "t+2").order_of(1) == 1
+        ring = field(13, "t+2")
+        assert ring.unit_order(ring.one, unit_plan(ring)) == 1
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            FieldSpec(5, "t+2").order_of(0)
+        # 0 is no unit: no power of it reaches 1
+        ring = field(5, "t+2")
+        assert ring.unit_order(ring.zero, unit_plan(ring)) is None
 
     def test_divides_group_order(self):
-        spec = FieldSpec(3, "t^2+2t+2")
-        for x in range(1, spec.order):
-            assert (spec.order - 1) % spec.order_of(x) == 0
-            assert spec.order_of(x) == element_order(FieldElem.decode(spec, x))
+        ring = field(3, "t^2+2t+2")
+        for code in range(1, ring.order):
+            x = FieldElem.decode(ring, code)
+            order = ring.unit_order(x.element(), unit_plan(ring))
+            assert (ring.order - 1) % order == 0
+            assert order == element_order(x)
 
     def test_power_against_the_reference(self):
-        spec = FieldSpec(3, "t^2+2t+2")
-        xi = FieldElem.xi(spec)
+        ring = field(3, "t^2+2t+2")
+        xi = FieldElem.xi(ring)
         for n in range(-10, 11):
-            assert spec.evaluate(IntPoly.t(n)) == (xi ** n).code()
-            assert spec.evaluate(IntPoly.t(n)) == evaluate(IntPoly.t(n), xi).code()
+            assert ring.evaluate(IntPoly.t(n)) == (xi ** n).element()
+            assert ring.evaluate(IntPoly.t(n)) == \
+                evaluate(IntPoly.t(n), xi).element()

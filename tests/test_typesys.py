@@ -60,7 +60,7 @@ class TestRootSpec:
                 r = root_spec(row.p, f)
                 assert r.N == row.N
                 assert r.M == epsilon_p(row.N, row.p)
-                xi = FieldElem.xi(r.field)
+                xi = FieldElem.xi(r.ring)
                 assert element_order(-xi) == r.N
                 assert element_order(xi) == r.M
 
@@ -182,43 +182,43 @@ class TestAdmissibleTypes:
 
 
 class TestTypeVector:
-    """type_vector gives the codes of v_T_perp = (-1, a_T(xi))."""
+    """type_vector gives v_T_perp = (-1, a_T(xi)) in the root's ring."""
 
     def test_type_i_is_e2(self):
         # a = 0, so v_T = e2 and v_T_perp = (-1, 0)
         r = root_spec(2, "t^3+t+1")
-        assert type_vector("I", r) == (FieldElem(r.field, -1).code(), 0)
+        assert type_vector("I", r) == (FieldElem(r.ring, -1).element(), 0)
 
     def test_type_ii_value_in_f8(self):
         r = root_spec(2, "t^3+t+1")
         _, a = type_vector("II", r)
-        xi = FieldElem.xi(r.field)
-        assert a == (xi.inverse() * (xi + 1)).code()
-        assert a == (xi * xi).code()  # reduced form in this field
+        xi = FieldElem.xi(r.ring)
+        assert a == (xi.inverse() * (xi + 1)).element()
+        assert a == (xi * xi).element()  # reduced form in this field
 
     def test_type_iv_exponent(self):
         r = root_spec(2, "t^3+t+1")  # M = 7
         _, a = type_vector("IV", r)
-        assert a == (FieldElem.xi(r.field) ** 3).code()
+        assert a == (FieldElem.xi(r.ring) ** 3).element()
 
     def test_annihilator(self):
         for row in GOLDEN_ROWS:
             r = root_spec(row.p, row.factors[0])
-            field = r.field
+            ring = r.ring
             for tag in sorted(admissible_types(r)):
                 vp = type_vector(tag, r)
-                a = type_coefficient(tag, r).code()
-                assert vp == (FieldElem(field, -1).code(), a)
+                a = type_coefficient(tag, r).element()
+                assert vp == (FieldElem(ring, -1).element(), a)
                 # v_T = (a, 1)
-                assert field.add(field.mul(vp[0], a), field.mul(vp[1], 1)) == 0
+                assert ring.add(ring.mul(vp[0], a), vp[1]) == ring.zero
 
     def test_iii_exponent_identity(self):
         # xi^(3(s+1)) = 1 since s = +-M/3 - 1
         r = root_spec(19, "t+4")  # M = 18
-        xi = FieldElem.xi(r.field)
+        xi = FieldElem.xi(r.ring)
         for tag, s in (("III+", r.M // 3 - 1), ("III-", -(r.M // 3) - 1)):
             _, a = type_vector(tag, r)
-            assert a == (-(xi ** s)).code()
+            assert a == (-(xi ** s)).element()
             assert xi ** (3 * (s + 1)) == 1
 
     def test_inadmissible_rejected(self):

@@ -1,19 +1,21 @@
 """End-to-end timings of the package, written as BENCH_<n>.json.
 
-    python tools/bench.py --out BENCH_38.json [--baseline DIR]
+    python tools/bench.py --out BENCH_40.json [--baseline DIR]
 
 It measures the checkout it lives in and, with --baseline, a second
 checkout (say, the parent commit unpacked by `git archive`) in the same
 session, so the two can be compared pair by pair.  For each checkout it
 records the tier-1 suite's wall time and pass count (one run), and for each
-command in COMMANDS the median, minimum and maximum wall time of RUNS
-runs and the sha256 of its stdout, cut to 16 hex digits.  The runs are
-interleaved: run i times every command on both checkouts, the baseline
-first on odd i, so slow drift of the machine falls on both sides.  Each
-command runs as `python -m burausieve.cli` in a fresh process with
-PYTHONPATH set to the checkout's src and bytecode writing off, so both
-sides compile the package alike and no __pycache__ is left behind.  A
-command that exits nonzero stops the run: a failed run has no time.
+command in COMMANDS, and for IMPORT, the package's import alone, the
+median, minimum and maximum wall time of RUNS runs and the sha256 of its
+stdout, cut to 16 hex digits.  The runs are interleaved: run i times
+every command on both checkouts, the baseline first on odd i, so slow
+drift of the machine falls on both sides.  Each command runs as
+`python -m burausieve.cli`, and IMPORT as `python -c "import
+burausieve.cli"`, in a fresh process with PYTHONPATH set to the
+checkout's src and bytecode writing off, so both sides compile the
+package alike and no __pycache__ is left behind.  A command that exits
+nonzero stops the run: a failed run has no time.
 
 Only the standard library is used.
 """
@@ -38,6 +40,11 @@ COMMANDS = (
     ("table", "--verify", "--json"),
     ("addendum", "--all-groups", "--json"),
 )
+# the start-up every command pays: the interpreter and the package's import
+IMPORT = "import burausieve.cli"
+# each timed run as (label, the interpreter's arguments)
+TIMED = tuple((" ".join(argv), ("-m", "burausieve.cli", *argv))
+              for argv in COMMANDS) + ((IMPORT, ("-c", IMPORT)),)
 # fewer runs cannot resolve a 0.02 s change of the sieve on a shared
 # 2-core machine: with 5 against its parent, a change 0.02 s faster read
 # 0.311 s against 0.247 s in the median
@@ -63,15 +70,15 @@ def src_digest(checkout):
     return h.hexdigest()[:16]
 
 
-def run_command(checkout, argv):
-    """(seconds, stdout digest) of one run of the CLI with argv."""
+def run_command(checkout, label, args):
+    """(seconds, stdout digest) of one run of the interpreter with args."""
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "burausieve.cli", *argv],
+    done = subprocess.run([sys.executable, *args],
                           cwd=checkout, env=environment(checkout),
                           capture_output=True, check=False)
     seconds = time.perf_counter() - start
     if done.returncode != 0:
-        raise SystemExit(f"{checkout}: {' '.join(argv)} exited "
+        raise SystemExit(f"{checkout}: {label} exited "
                          f"{done.returncode}: {done.stderr.decode()[-500:]}")
     return seconds, hashlib.sha256(done.stdout).hexdigest()[:16]
 
@@ -94,30 +101,30 @@ def run_tier1(checkout):
 
 
 def measure(checkouts):
-    """label -> report, the commands' runs interleaved across checkouts."""
-    times = {label: {argv: [] for argv in COMMANDS} for label in checkouts}
-    digests = {label: {argv: set() for argv in COMMANDS} for label in checkouts}
+    """label -> report, the timed runs interleaved across checkouts."""
+    times = {label: {text: [] for text, _ in TIMED} for label in checkouts}
+    digests = {label: {text: set() for text, _ in TIMED} for label in checkouts}
     labels = list(checkouts)
     for i in range(RUNS):
         order = labels if i % 2 == 0 else labels[::-1]
-        for argv in COMMANDS:
+        for text, args in TIMED:
             for label in order:
-                seconds, digest = run_command(checkouts[label], argv)
-                times[label][argv].append(seconds)
-                digests[label][argv].add(digest)
+                seconds, digest = run_command(checkouts[label], text, args)
+                times[label][text].append(seconds)
+                digests[label][text].add(digest)
     report = {}
     for label, checkout in checkouts.items():
         commands = {}
-        for argv in COMMANDS:
-            if len(digests[label][argv]) != 1:
-                raise SystemExit(f"{checkout}: {' '.join(argv)} printed "
+        for text, _ in TIMED:
+            if len(digests[label][text]) != 1:
+                raise SystemExit(f"{checkout}: {text} printed "
                                  f"different stdout across runs")
-            ts = times[label][argv]
-            commands[" ".join(argv)] = {
+            ts = times[label][text]
+            commands[text] = {
                 "median_s": round(statistics.median(ts), 4),
                 "min_s": round(min(ts), 4), "max_s": round(max(ts), 4),
                 "runs_s": [round(t, 4) for t in ts],
-                "digest": digests[label][argv].pop(),
+                "digest": digests[label][text].pop(),
             }
         report[label] = {"src_sha256": src_digest(checkout),
                          "tier1": run_tier1(checkout), "commands": commands}
@@ -142,7 +149,7 @@ def main(argv=None):
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
         "runs": RUNS,
-        "commands": [" ".join(argv) for argv in COMMANDS],
+        "commands": [text for text, _ in TIMED],
         "checkouts": measure(checkouts),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
