@@ -152,15 +152,18 @@ def _dump(payload):
     byte.
 
     A skeleton's cycles, a value of type Cycles, hold nothing but ints, so
-    they are printed _CYCLES_PER_PIECE cycles at a time: the piece's
-    _cycle_templates, one per cycle length, are joined and filled with %
-    straight from the matching slice of Cycles.flat, at C speed, and no
-    piece holds more than that many cycles' text; %d would print True as
-    1.  Every other value is laid out by _json_text, which builds no
-    encoder: json's indenting encoder is pure Python, and its mutually
-    referencing closures are garbage that only the cyclic collector
-    frees.  A value _json_text does not know, such as a float, goes
-    through that encoder.
+    they are printed _CYCLES_PER_PIECE cycles at a time, and no piece
+    holds more than that many cycles' text: the piece's template is
+    filled with % straight from the matching slice of Cycles.flat, at C
+    speed; %d would print True as 1.  A piece whose cycles all have one
+    length, as nearly every piece of black's and white's does, repeats
+    that length's _cycle_template, and only another piece looks one up
+    per cycle.  The piece's template is built for it and dropped with
+    it, so only the per-length templates are kept.  Every other value is
+    laid out by _json_text, which builds no encoder: json's indenting
+    encoder is pure Python, and its mutually referencing closures are
+    garbage that only the cyclic collector frees.  A value _json_text
+    does not know, such as a float, goes through that encoder.
     """
     sep = "{\n"
     for key in sorted(payload):
@@ -175,8 +178,11 @@ def _dump(payload):
                 piece = lengths[start:start + _CYCLES_PER_PIECE]
                 begin, stop = stop, stop + sum(piece)
                 yield between
-                yield ",\n    ".join(map(_cycle_template, piece)) \
-                    % flat[begin:stop]
+                if piece.count(piece[0]) == len(piece):  # one length
+                    cells = [_cycle_template(piece[0])] * len(piece)
+                else:
+                    cells = map(_cycle_template, piece)
+                yield ",\n    ".join(cells) % flat[begin:stop]
                 between = ",\n    "
             yield "\n  ]"
         else:
@@ -209,24 +215,27 @@ def _read_cached(path):
     """The skeleton cached at path, or None when the entry is missing or
     corrupt: unreadable, shorter than one edge, a body that is not whole
     (black, white) records, a wrong header (a foreign file, an old JSON
-    entry, another byte order), or permutations that the Skeleton
-    constructor rejects.  The arrays are read with fromfile, with no
-    intermediate bytes, and every read is validated by the constructor."""
+    entry, another byte order), or permutations that Skeleton._from_entry
+    refuses.  The entry is read with fromfile into array('Q')s, with no
+    intermediate bytes: the bytes the writer's array('q') wrote, read as
+    ints >= 0, so an image with the top bit set is one >= 2^63 and out
+    of range.  _from_entry checks the rest with compositions and the
+    lift's breadth-first certificate of connectedness."""
     try:
         with open(path, "rb") as fh:
             n, rest = divmod(os.fstat(fh.fileno()).st_size - _INT_BYTES,
                              2 * _INT_BYTES)
             if n < 1 or rest:
                 return None
-            header, black, white = array("q"), array("q"), array("q")
+            header, black, white = array("Q"), array("Q"), array("Q")
             header.fromfile(fh, 1)
             if header[0] != _CACHE_HEADER:
                 return None
             black.fromfile(fh, n)
             white.fromfile(fh, n)
-        return Skeleton(black, white)
-    except (OSError, EOFError, ValueError):
+    except (OSError, EOFError):
         return None
+    return Skeleton._from_entry(black, white)
 
 
 def _write_cached(path, sk):
@@ -256,8 +265,8 @@ def cached_enumerate(root, tag, ambient, state_cap, cache_dir):
     cannot be made (a regular file, an empty name) raises OSError before
     the lift.  A missing or corrupt entry is a miss and gets overwritten.
     A cached skeleton with more than state_cap edges raises, as the cold
-    walk would; the cap is compared after the constructor has validated
-    the entry, so a corrupt entry of any size stays a miss.
+    walk would; the cap is compared after the entry has been checked, so
+    a corrupt entry of any size stays a miss.
     """
     spec = UniversalGroupSpec(root, tag, ambient)
     if cache_dir is None:

@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
-from operator import countOf, eq, itemgetter
+from operator import countOf, eq, ge, itemgetter
 
 from .burau import BraidWord, specialize, to_burau
 from .typesys import RootSpec, root_spec, type_coefficient_laurent, \
@@ -54,22 +54,6 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised when the coset enumeration outgrows the configured cap."""
 
 
-def _permutation_fault(black, white):
-    """Why the Skeleton constructor rejects black and white, two tuples of
-    ints of one nonempty length: the message of the first check they fail,
-    in the constructor's order, tested with sets and lists.  The
-    constructor calls it only for a pair it rejects, so white fails its
-    order when nothing else does."""
-    identity = list(range(len(black)))
-    edges = set(identity)
-    if set(black) != edges or set(white) != edges:
-        return "not a permutation of the edge set"
-    black2 = list(map(black.__getitem__, black))
-    if list(map(black.__getitem__, black2)) != identity:
-        return "black permutation has order > 3"
-    return "white permutation has order > 2"
-
-
 def _compose(outer, inner):
     """The tuple of outer[i] for i in inner, at C speed: the permutation
     inner, then outer.  itemgetter of one index would return no tuple."""
@@ -83,8 +67,8 @@ class Cycles:
     holds each cycle's length and flat the cycles' ints one after another,
     as a tuple of the ints the permutation holds, with no tuple per cycle.
     Only Skeleton._cycles_of builds one, on permutations proved to hold
-    ints, by the constructor or, for a lifted skeleton, by the lift's
-    numbering, so the type marks cycle lists that cli._dump may print with
+    ints, by the lift's numbering or, for a cache entry, by its typecode,
+    so the type marks cycle lists that cli._dump may print with
     %d templates, straight from slices of flat."""
 
     __slots__ = ("lengths", "flat")
@@ -125,77 +109,68 @@ class Skeleton:
 
     The region permutation is determined by the other two through the fixed
     convention region = white o black^-1 (acting on the right by s1 =
-    (s2 s1)^-1 (s2 s1^2)); the constructor derives it.
+    (s2 s1)^-1 (s2 s1^2)); _certified derives it.  A Skeleton is built by
+    enumerate_universal or, from a cache entry, by _from_entry.
     """
 
     __slots__ = ("edge_count", "black", "white", "region", "_cycles")
 
-    def __init__(self, black, white):
-        """Check and keep the permutations, given as sequences of ints.
+    @classmethod
+    def _certified(cls, black, white, black2=None):
+        """The Skeleton of black and white, sequences of ints that the
+        caller proved to be permutations of range(n), n >= 1, with
+        black^3 = 1 and white^2 = 1, acting transitively: enumerate_universal
+        proves that on the walk's lines, and _from_entry on the edges.
+        Every Skeleton is built here.  Only region = white o black^2 is
+        derived, from black2 = black o black when the caller composed it,
+        with no further pass over the edges."""
+        self = object.__new__(cls)
+        black = tuple(black)
+        white = tuple(white)
+        if black2 is None:
+            black2 = _compose(black, black)
+        object.__setattr__(self, "edge_count", len(black))
+        object.__setattr__(self, "black", black)
+        object.__setattr__(self, "white", white)
+        object.__setattr__(self, "region", _compose(white, black2))
+        object.__setattr__(self, "_cycles", {})
+        return self
 
-        Every check but connectedness is a C-level pass, and the only
-        temporaries are compositions, tuples of n entries: the entries'
-        types, then min and max put the values in range(n), and there
-        black^3 = 1 and white^2 = 1 make both permutations of range(n),
-        since each has an inverse.  black^2 = black^-1 is composed once,
-        for black^3 and for region = white o black^2.  Only a rejected pair
-        is diagnosed, by `_permutation_fault`'s set-based tests, so that
-        the message names the first check it fails.  Raises ValueError,
-        also for a bool or a float entry, although True == 1 and 0.0 == 0.
+    @classmethod
+    def _from_entry(cls, black, white):
+        """The Skeleton of a cache entry's black and white, two array('Q')s
+        of one length n >= 1, or None unless they are permutations that
+        the lift could have written, each check a C-level pass.
+
+        The typecode makes every image an int >= 0, and composing black and
+        white with themselves indexes with every image, which raises
+        IndexError for one >= n, so both map range(n) into itself.  Then
+        black^3 = 1 and white^2 = 1 make both permutations.  Connectedness
+        has a certificate in the lift's breadth-first numbering: every edge
+        e >= 1 is the black or the white image of an earlier edge, that is
+        black^2[e] < e or white[e] < e, so by induction on e every edge is
+        reached from edge 0.  black^3, proved to be the identity, supplies
+        each e for those comparisons.  An entry numbered any other way is
+        refused, and the lift writes it again.
         """
         black = tuple(black)
         white = tuple(white)
         n = len(black)
-        if len(white) != n or n == 0:
-            raise ValueError("permutations must share a nonempty edge set")
-        if {*map(type, black), *map(type, white)} != {int}:
-            raise ValueError("permutations must hold ints")
-        if not (0 <= min(black) and max(black) < n
-                and 0 <= min(white) and max(white) < n):
-            raise ValueError(_permutation_fault(black, white))
-        black2 = _compose(black, black)
-        black3 = _compose(black, black2)
-        if not (all(map(eq, black3, range(n)))
-                and _compose(white, white) == black3):
-            raise ValueError(_permutation_fault(black, white))
-        del black3
-        # connectedness under the two actions
-        seen = bytearray(n)
-        seen[0] = 1
-        reached = [0]
-        for e in reached:
-            f = black[e]
-            if not seen[f]:
-                seen[f] = 1
-                reached.append(f)
-            f = white[e]
-            if not seen[f]:
-                seen[f] = 1
-                reached.append(f)
-        if len(reached) != n:
-            raise ValueError("skeleton is not connected")
-        self._keep(black, white, _compose(white, black2))
-
-    @classmethod
-    def _certified(cls, black, white):
-        """The Skeleton of black and white, lists of ints that the caller
-        proved to be permutations of range(n), n >= 1, with black^3 = 1
-        and white^2 = 1, acting transitively: enumerate_universal proves
-        that on the walk's lines.  Only region = white o black^2 is
-        derived, by two compositions; no check is repeated on the edges."""
-        self = object.__new__(cls)
-        black = tuple(black)
-        white = tuple(white)
-        self._keep(black, white, _compose(white, _compose(black, black)))
-        return self
-
-    def _keep(self, black, white, region):
-        """Set the attributes of an immutable Skeleton, once."""
-        object.__setattr__(self, "edge_count", len(black))
-        object.__setattr__(self, "black", black)
-        object.__setattr__(self, "white", white)
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "_cycles", {})
+        try:
+            black2 = _compose(black, black)
+            white2 = _compose(white, white)
+        except IndexError:
+            return None
+        identity = _compose(black, black2)
+        if not (all(map(eq, identity, range(n))) and white2 == identity):
+            return None
+        # the edges e with black^2[e] >= e, each telling whether also
+        # white[e] >= e; edge 0, the first, needs no earlier edge
+        late = compress(map(ge, white, identity), map(ge, black2, identity))
+        next(late)
+        if any(late):
+            return None
+        return cls._certified(black, white, black2)
 
     def __setattr__(self, name, value):
         raise AttributeError("Skeleton is immutable")
@@ -205,8 +180,8 @@ class Skeleton:
         edge, in the order of those edges.  flat holds the permutation's
         own ints: a cycle's first edge i is read back as the image of its
         last, so no new int is made.  black^3 = 1 and white^2 = 1 were
-        proved by the constructor on the edges or, for a lifted skeleton,
-        by _LineWalk.check_relations on the walk's lines, so their cycle
+        proved by _LineWalk.check_relations on the walk's lines or, for a
+        cache entry, by Skeleton._from_entry on the edges, so their cycle
         starts are the edges i no greater than black[i] and black^2[i], or
         than white[i], and _short_cycles composes the rest; region's are
         walked from the edges no earlier cycle holds, appending to one
@@ -514,7 +489,7 @@ class _LineWalk:
 
         In the braid group (s2 s1)^2 (s2 s1^2) = (s2 s1)^3 s1, and
         (s2 s1)^3 maps to the scalar xi^3, which lies in S; so on the cover
-        s1 is white o black^2, the Skeleton constructor's convention.  Each
+        s1 is white o black^2, the convention of Skeleton._certified.  Each
         check is exact for the lifts.  A step (j, d) from line i lifts to
         (i, t) -> (j, t + (potential[i] + d - potential[j]) / m) mod k,
         where m divides every black and white step's numerator, being
@@ -561,9 +536,11 @@ def enumerate_universal(spec, state_cap=DEFAULT_STATE_CAP):
     The numbering must reach all lines * k edges, so it is a bijection
     onto range(lines * k), the skeleton is connected, and the numbered
     black and white are permutations of the orders the line check proved.
-    That is every check the Skeleton constructor makes, so the skeleton
-    is built by Skeleton._certified, which only derives region, with no
-    edge-level pass.  The lifts and the numbering are dropped first,
+    So the skeleton is built by Skeleton._certified, which only derives
+    region, with no edge-level check.  The numbering is also the
+    certificate of connectedness that Skeleton._from_entry checks on a
+    cache entry: each edge but 0 is first met as an image of an earlier
+    edge.  The lifts and the numbering are dropped first,
     which bounds the peak memory.
     """
     walk = _LineWalk(spec, state_cap)

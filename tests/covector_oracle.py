@@ -19,7 +19,7 @@ from collections import namedtuple
 
 import sympy
 
-from helpers import cycle_tuples
+from helpers import checked_skeleton, cycle_tuples
 
 from burausieve.burau import BraidWord, to_burau
 from burausieve.exactalg import (
@@ -30,7 +30,7 @@ from burausieve.exactalg import (
     poly_text,
     power_by_squaring,
 )
-from burausieve.skeleton import EnumerationCapExceeded, Skeleton
+from burausieve.skeleton import EnumerationCapExceeded
 from burausieve.typesys import type_coefficient_laurent
 
 
@@ -279,7 +279,7 @@ def covector_bfs(spec, state_cap):
     black = tuple(index[canon(*act(states[k], g_black))] for k in range(n))
     white = tuple(index[canon(*act(states[k], g_white))] for k in range(n))
     region = tuple(index[canon(*act(states[k], g_region))] for k in range(n))
-    sk = Skeleton(black, white)
+    sk = checked_skeleton(black, white)
     if sk.region != region:
         raise AssertionError("region permutation violates the composition "
                              "convention")
@@ -325,7 +325,7 @@ def product_skeletons(s1, s2):
         local = {k: idx for idx, k in enumerate(members)}
         b = tuple(local[black(k)] for k in members)
         w = tuple(local[white(k)] for k in members)
-        skeletons.append(Skeleton(b, w))
+        skeletons.append(checked_skeleton(b, w))
     return tuple(skeletons)
 
 

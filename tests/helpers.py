@@ -20,8 +20,12 @@ field; `sweep_pairs` flattens a sweep to its classification;
 `check_type_specification` and `type_ii_odd_width_excluded` state
 lifting conditions of the paper that the pipeline does not apply; `bdeg`, `det` and `single_edge` are a braid
 word's degree, a Burau matrix's determinant and the smallest skeleton;
-`reference_skeleton_fault` is the Skeleton constructor's checks made
-with sets, the reference for the constructor's set-free ones;
+`checked_skeleton` builds a Skeleton from any pair of sequences after
+checking it on the edges, the validating constructor the package had
+before its cache entries carried a certificate;
+`reference_skeleton_fault` is its checks made with sets, the reference
+for its set-free ones; `discovery_ordered` is the reference for the
+breadth-first certificate of a cache entry;
 `reference_cycles` walks the cycles of any permutation, the reference for
 the skeleton's cycles, which read black's and white's off their orders,
 and `cycle_tuples` cuts a skeleton's flat `Cycles` into one tuple per
@@ -47,6 +51,7 @@ import sys
 from collections import Counter
 from itertools import islice, product
 from math import gcd, lcm
+from operator import eq
 
 import sympy
 
@@ -58,7 +63,7 @@ from burausieve.intersect import FiberedProduct, conjugate_to_e2
 from burausieve.sieve import _INFINITY, _UNDEFINED, _ZERO, \
     ExceptionalTriple, _SievePass, _require_distinct_projections
 from burausieve.skeleton import _GENERATORS, Skeleton, UniversalGroupSpec, \
-    _closed_form, _euler_genus, _fiber_cycles, _fiber_order, \
+    _closed_form, _compose, _euler_genus, _fiber_cycles, _fiber_order, \
     _generator_cycles, _LineWalk, _signature_of, enumerate_universal, genus
 from burausieve.typesys import admissible_types
 
@@ -220,14 +225,80 @@ def det(m):
 
 def single_edge():
     """The one-edge skeleton of the full modular group."""
-    return Skeleton((0,), (0,))
+    return checked_skeleton((0,), (0,))
+
+
+def checked_skeleton(black, white):
+    """The Skeleton of black and white, sequences of ints, checked on the
+    edges: the validating constructor, which the package no longer needs
+    once the lift certifies its skeletons and Skeleton._from_entry checks
+    cache entries.
+
+    Every check but connectedness is a C-level pass, and the only
+    temporaries are compositions, tuples of n entries: the entries'
+    types, then min and max put the values in range(n), and there
+    black^3 = 1 and white^2 = 1 make both permutations of range(n),
+    since each has an inverse.  black^2 = black^-1 is composed once,
+    for black^3 and for region = white o black^2.  Only a rejected pair
+    is diagnosed, by `_permutation_fault`'s set-based tests, so that
+    the message names the first check it fails.  Raises ValueError,
+    also for a bool or a float entry, although True == 1 and 0.0 == 0.
+    """
+    black = tuple(black)
+    white = tuple(white)
+    n = len(black)
+    if len(white) != n or n == 0:
+        raise ValueError("permutations must share a nonempty edge set")
+    if {*map(type, black), *map(type, white)} != {int}:
+        raise ValueError("permutations must hold ints")
+    if not (0 <= min(black) and max(black) < n
+            and 0 <= min(white) and max(white) < n):
+        raise ValueError(_permutation_fault(black, white))
+    black2 = _compose(black, black)
+    black3 = _compose(black, black2)
+    if not (all(map(eq, black3, range(n)))
+            and _compose(white, white) == black3):
+        raise ValueError(_permutation_fault(black, white))
+    del black3
+    # connectedness under the two actions
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    for e in reached:
+        f = black[e]
+        if not seen[f]:
+            seen[f] = 1
+            reached.append(f)
+        f = white[e]
+        if not seen[f]:
+            seen[f] = 1
+            reached.append(f)
+    if len(reached) != n:
+        raise ValueError("skeleton is not connected")
+    return Skeleton._certified(black, white, black2)
+
+
+def _permutation_fault(black, white):
+    """Why checked_skeleton rejects black and white, two tuples of ints of
+    one nonempty length: the message of the first check they fail, in
+    its order, tested with sets and lists.  checked_skeleton calls it
+    only for a pair it rejects, so white fails its order when nothing
+    else does."""
+    identity = list(range(len(black)))
+    edges = set(identity)
+    if set(black) != edges or set(white) != edges:
+        return "not a permutation of the edge set"
+    black2 = list(map(black.__getitem__, black))
+    if list(map(black.__getitem__, black2)) != identity:
+        return "black permutation has order > 3"
+    return "white permutation has order > 2"
 
 
 def reference_skeleton_fault(black, white):
-    """The Skeleton constructor's checks as sets, lists and a breadth-first
-    walk, in its order: the ValueError message it raises for these
-    permutations, or None when it accepts them.  The reference for the
-    constructor's min/max and lazy comparisons."""
+    """checked_skeleton's checks as sets, lists and a breadth-first walk,
+    in its order: the ValueError message it raises for these
+    permutations, or None when it accepts them.  The reference for its
+    min/max and lazy comparisons."""
     black, white = tuple(black), tuple(white)
     n = len(black)
     if len(white) != n or n == 0:
@@ -254,6 +325,20 @@ def reference_skeleton_fault(black, white):
     if len(reached) != n:
         return "skeleton is not connected"
     return None
+
+
+def discovery_ordered(black, white):
+    """Whether each edge e >= 1 is black[f] or white[f] for some f < e:
+    the labels in the order a walk from edge 0 can first meet them,
+    tested by collecting images label by label.  The reference for
+    Skeleton._from_entry's certificate, which compares each edge with
+    its preimages."""
+    images = set()
+    for e in range(1, len(black)):
+        images.update((black[e - 1], white[e - 1]))
+        if e not in images:
+            return False
+    return True
 
 
 def cycle_tuples(cycles):

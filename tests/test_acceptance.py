@@ -7,6 +7,8 @@ except for the wall-clock budgets, which are asserted as stated.
 
 import random
 import time
+from array import array
+from collections import Counter
 
 import pytest
 from covector_oracle import covector_bfs, product_skeletons, \
@@ -14,8 +16,8 @@ from covector_oracle import covector_bfs, product_skeletons, \
 from helpers import bdeg, closed_form_certified, count_calls, det, \
     generator_cycles_certified, realized_types_alone, reference_closed_form, \
     reference_fibered_product, reference_resultants, \
-    reference_trace_generates, resultant_with_cyclotomic, single_edge, \
-    sweep_pairs
+    discovery_ordered, reference_trace_generates, resultant_with_cyclotomic, \
+    single_edge, sweep_pairs
 
 from burausieve import sieve, skeleton
 from burausieve.burau import BraidWord, specialize, to_burau
@@ -24,7 +26,7 @@ from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import verify_addendum_pairwise
 from burausieve.sieve import ExceptionalTriple, branches_for, full_sweep, \
     is_informative
-from burausieve.skeleton import UniversalGroupSpec, _LineWalk, \
+from burausieve.skeleton import Skeleton, UniversalGroupSpec, _LineWalk, \
     _orbit_walks, _trace_generates, enumerate_universal, euler_lhs, genus, orbit_signatures, signature, \
     table_verify
 from burausieve.typesys import root_spec
@@ -359,6 +361,79 @@ def test_closed_form_is_the_table_reference_on_the_sweep(sweep):
     assert (roots, closed) == (257, 2 * 252)
     print(f"\nclosed form = table reference on {roots} sweep roots, "
           f"{closed} closed forms: PASS")
+
+
+def _relabelled(black, white, order):
+    """black and white with edge order[i] relabelled i."""
+    label = [0] * len(order)
+    for i, e in enumerate(order):
+        label[e] = i
+    return ([label[black[e]] for e in order],
+            [label[white[e]] for e in order])
+
+
+def _breadth_first(black, white, start):
+    """The edges reached from start, breadth-first, black before white."""
+    order, seen = [start], {start}
+    for e in order:
+        for f in (black[e], white[e]):
+            if f not in seen:
+                seen.add(f)
+                order.append(f)
+    return order
+
+
+def _as_entry(black, white):
+    """Skeleton._from_entry of black and white as a cache entry holds them."""
+    return Skeleton._from_entry(array("Q", black), array("Q", white))
+
+
+def test_lifts_carry_the_breadth_first_certificate(sweep):
+    """Skeleton._from_entry accepts the lift of each of a seeded sample of
+    60 sweep candidates (tags of the sweep's roots in bu3 and b3, of at
+    most 50,000 edges) as a cache entry, and builds the lift's skeleton.
+    On random relabellings of those of at most 2,000 edges, and of two
+    disjoint copies of them, it accepts exactly the labellings in which
+    each edge but 0 is an image of an earlier edge (the reference walks
+    the labels in order): never the disconnected copies, and every
+    breadth-first renumbering, from any edge."""
+    results, _, _ = sweep
+    specs = [(UniversalGroupSpec(root, tag, ambient), sig.edges)
+             for root, tags in sweep_roots(results)
+             for ambient in ("bu3", "b3")
+             for sig, _, orbit in orbit_signatures(root, tags, ambient)
+             for tag in orbit]
+    rng = random.Random(41)
+    sample = rng.sample([spec for spec, edges in specs if edges <= 50000], 60)
+    outcomes = Counter()
+    for spec in sample:
+        sk = enumerate_universal(spec)
+        entry = _as_entry(sk.black, sk.white)
+        assert entry is not None, str(spec)
+        assert (entry.black, entry.white, entry.region) == \
+            (sk.black, sk.white, sk.region), str(spec)
+        n = sk.edge_count
+        if n > 2000:
+            continue
+        labellings = [rng.sample(range(n), n), [0, *rng.sample(range(1, n),
+                                                               n - 1)],
+                      _breadth_first(sk.black, sk.white, rng.randrange(n))]
+        for order in labellings:
+            black, white = _relabelled(sk.black, sk.white, order)
+            ordered = discovery_ordered(black, white)
+            assert (_as_entry(black, white) is not None) == ordered, str(spec)
+            outcomes[ordered] += 1
+        twice = (list(sk.black) + [e + n for e in sk.black],
+                 list(sk.white) + [e + n for e in sk.white])
+        black, white = _relabelled(*twice, rng.sample(range(2 * n), 2 * n))
+        assert _as_entry(black, white) is None, str(spec)
+        assert _as_entry(*twice) is None, str(spec)
+        outcomes["disconnected"] += 1
+    assert len(specs) == 2 * 586
+    assert outcomes[True] >= 50 and outcomes[False] >= 100, outcomes
+    assert outcomes["disconnected"] >= 50, outcomes
+    print(f"\nbreadth-first certificate on 60 sampled lifts, "
+          f"{sum(outcomes.values())} relabellings: PASS")
 
 
 def test_trace_field_test_is_the_ring_reference(sweep):

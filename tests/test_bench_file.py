@@ -12,7 +12,9 @@ import statistics
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ["sieve --n-range 7..26 --json", "table --verify --json",
-            "addendum --all-groups --json", "import burausieve.cli"]
+            "addendum --all-groups --json",
+            "skeleton --p 4651 --min-poly t+3978 --json",
+            "import burausieve.cli"]
 # the sha256 of empty stdout, cut to 16 hex digits
 EMPTY = "e3b0c44298fc1c14"
 HEX16 = re.compile(r"[0-9a-f]{16}")

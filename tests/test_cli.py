@@ -12,7 +12,8 @@ from array import array
 
 import pytest
 from covector_oracle import FieldElem
-from helpers import count_calls, cycle_tuples, reference_unit_tables
+from helpers import checked_skeleton, count_calls, cycle_tuples, \
+    reference_unit_tables
 
 from burausieve import burau, cli, exactalg, intersect, sieve, skeleton, \
     typesys
@@ -133,6 +134,29 @@ def _two_copies(data):
                         white + [e + n for e in white])
 
 
+def _not_breadth_first(data):
+    """An entry whose edges 1 and n - 1 swap labels: the same skeleton,
+    valid and connected, but edge n - 1, now labelled 1, is no black or
+    white image of edge 0, so the numbering is not the lift's."""
+    header, black, white = _entry_ints(data)
+    n = len(black)
+    swap = list(range(n))
+    swap[1], swap[n - 1] = n - 1, 1
+    black = [swap[black[swap[e]]] for e in range(n)]
+    white = [swap[white[swap[e]]] for e in range(n)]
+    checked_skeleton(black, white)
+    return _entry_bytes(header, black, white)
+
+
+def _top_bit_set(data):
+    """An entry whose white image w of edge 0 is written as w - n: the
+    signed 'q' the writer uses reads it as a negative index of the same
+    edge, and read unsigned it has its top bit set, 2^64 + w - n."""
+    header, black, white = _entry_ints(data)
+    white[0] -= len(white)
+    return _entry_bytes(header, black, white)
+
+
 def _old_json_entry(data):
     """The same skeleton in the JSON format that cache entries had before."""
     _, black, white = _entry_ints(data)
@@ -188,7 +212,7 @@ class TestSkeleton:
         # the text line is read off the orbit: no skeleton is lifted or
         # built, and the cache is neither read nor written
         lifts = count_calls(monkeypatch, skeleton, "enumerate_universal")
-        skeletons = count_calls(monkeypatch, skeleton.Skeleton, "__init__")
+        skeletons = count_calls(monkeypatch, skeleton.Skeleton, "_certified")
         code, out = run("--cache-dir", str(tmp_path / "cache"), "skeleton",
                         "--p", "19", "--min-poly", "t+4")
         assert (code, out) == (0, "(20;0,2;1^2 9^2)  genus=0\n")
@@ -253,9 +277,12 @@ class TestSkeleton:
         _repeat_first_black_image,
         _black_of_order_twelve,
         _two_copies,
+        _not_breadth_first,
+        _top_bit_set,
     ], ids=["truncated", "partial-record", "no-edges", "short-header",
             "old-json", "wrong-header", "other-byte-order", "out-of-range",
-            "bad-permutation", "black-of-order-12", "disconnected"])
+            "bad-permutation", "black-of-order-12", "disconnected",
+            "not-breadth-first", "image-over-2^63"])
     def test_corrupt_cache_entry_is_a_miss(self, run, tmp_path, corrupt):
         args = ("--cache-dir", str(tmp_path / "cache"), "skeleton", "--p",
                 "19", "--min-poly", "t+4", "--json")
@@ -532,7 +559,7 @@ class TestAddendum:
         # representatives are lifted to skeletons, on any run
         cache = str(tmp_path / "addendum-cache")
         assert run("--cache-dir", cache, *argv)[0] == 0
-        calls = count_calls(monkeypatch, skeleton.Skeleton, "__init__")
+        calls = count_calls(monkeypatch, skeleton.Skeleton, "_certified")
         assert run("--cache-dir", cache, *argv)[0] == 0
         assert len(calls) == skeletons
 
@@ -579,7 +606,7 @@ def _random_skeleton(rng, n, fixed_black, fixed_white):
         for a, b in zip(edges[fixed_white::2], edges[fixed_white + 1::2]):
             white[a], white[b] = b, a
         try:
-            return skeleton.Skeleton(black, white)
+            return checked_skeleton(black, white)
         except ValueError as exc:
             assert str(exc) == "skeleton is not connected"
 
@@ -682,6 +709,23 @@ class TestPrinter:
             assert payload["white"].lengths.count(1) == fixed_white
             assert len(set(payload["regions"].lengths)) > 2
             assert "".join(_dump(payload)) == _reference_text(payload)
+
+    @pytest.mark.parametrize("lengths, lookups", [
+        ([3] * 4101, 2),
+        ([2] * 4095 + [1], 4096),
+        ([1] + [2] * 8191, 4097),
+        ([25] * 4096 + [1, 25], 3),
+    ], ids=["runs", "mixed-last", "mixed-then-run", "region-runs"])
+    def test_a_run_of_one_length_takes_one_template(self, monkeypatch,
+                                                    lengths, lookups):
+        # a piece whose cycles all have one length looks up its template
+        # once, any other piece once per cycle; the text is json's
+        flat = tuple(range(sum(lengths)))
+        payload = {"schemaVersion": 1,
+                   "cycles": skeleton.Cycles(lengths, flat)}
+        calls = count_calls(monkeypatch, cli, "_cycle_template")
+        assert "".join(_dump(payload)) == _reference_text(payload)
+        assert len(calls) == lookups
 
     def test_error_after_output_leaves_stdout_empty(self, run, monkeypatch):
         # main writes nothing until the command returns, so a command that

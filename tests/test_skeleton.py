@@ -1,6 +1,7 @@
 """Skeleton structure, enumeration, signatures, genus, golden comparison."""
 
 import random
+from array import array
 from collections import Counter
 from itertools import chain, product
 
@@ -12,8 +13,9 @@ from covector_oracle import (
     verify_distinct_lemma,
     verify_region_widths,
 )
-from helpers import closed_form_certified, cycle_tuples, reference_cycles, \
-    reference_skeleton_fault, reference_trace_generates, single_edge
+from helpers import checked_skeleton, closed_form_certified, count_calls, \
+    cycle_tuples, reference_cycles, reference_skeleton_fault, \
+    reference_trace_generates, single_edge
 
 from burausieve import skeleton
 from burausieve.exactalg import IntPoly, cyclotomic_factors, order_mod
@@ -81,7 +83,7 @@ class TestSkeletonStructure:
             "negative-black", "negative-white"])
     def test_rejects_a_bad_edge_set(self, black, white, message):
         with pytest.raises(ValueError, match=message):
-            Skeleton(black, white)
+            checked_skeleton(black, white)
 
     @pytest.mark.parametrize("black, white", [
         ((False, True), (1, 0)),
@@ -94,22 +96,22 @@ class TestSkeletonStructure:
         assert reference_skeleton_fault(black, white) == \
             "permutations must hold ints"
         with pytest.raises(ValueError, match="must hold ints"):
-            Skeleton(black, white)
+            checked_skeleton(black, white)
 
     def test_rejects_black_of_order_two(self):
         with pytest.raises(ValueError, match="order > 3"):
-            Skeleton((1, 0), (1, 0))
+            checked_skeleton((1, 0), (1, 0))
 
     def test_rejects_white_of_order_three(self):
         with pytest.raises(ValueError, match="order > 2"):
-            Skeleton((1, 2, 0), (1, 2, 0))
+            checked_skeleton((1, 2, 0), (1, 2, 0))
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="not connected"):
-            Skeleton((0, 1), (0, 1))
+            checked_skeleton((0, 1), (0, 1))
 
     def test_checks_match_the_set_based_reference(self):
-        # The constructor builds no set; on thousands of small inputs it
+        # checked_skeleton builds no set; on thousands of small inputs it
         # accepts exactly what the set-based checks accept and raises
         # their message otherwise.
         rng = random.Random(20261019)
@@ -156,12 +158,12 @@ class TestSkeletonStructure:
             expected = reference_skeleton_fault(black, white)
             seen[expected] += 1
             if expected is None:
-                sk = Skeleton(black, white)
+                sk = checked_skeleton(black, white)
                 assert sk.region == tuple(white[black[black[i]]]
                                           for i in range(n))
             else:
                 with pytest.raises(ValueError) as info:
-                    Skeleton(black, white)
+                    checked_skeleton(black, white)
                 assert str(info.value) == expected
         assert min(seen.values()) >= 50 and len(seen) == 6, seen
 
@@ -205,7 +207,7 @@ class TestSkeletonStructure:
                 a, b = edges[2 * k:2 * k + 2]
                 white[a], white[b] = b, a
             try:
-                sk = Skeleton(black, white)
+                sk = checked_skeleton(black, white)
             except ValueError as exc:
                 assert str(exc) == "skeleton is not connected"
                 continue
@@ -292,7 +294,7 @@ class TestWidthAndDistinctness:
         # one black trivalent vertex, two monovalent blacks, a pair of
         # white bonds: the single region has width 5, which does not
         # divide 7
-        sk = Skeleton((1, 2, 0, 3, 4), (4, 1, 3, 2, 0))
+        sk = checked_skeleton((1, 2, 0, 3, 4), (4, 1, 3, 2, 0))
         assert sk.region_widths() == [5]
         assert not verify_region_widths(sk, 7)
         assert verify_region_widths(sk, 10)
@@ -509,19 +511,25 @@ class TestVoltageWalk:
 
     def test_lift_makes_no_edge_level_checks_but_passes_them(
             self, monkeypatch):
-        # the lift builds its Skeleton without the validating constructor,
-        # whose checks the unpatched constructor then passes on its pair
+        # the lift builds its Skeleton by _certified alone, with no check on
+        # the edges; its pair then passes the validating checks and, as a
+        # cache entry, the breadth-first certificate
         spec = UniversalGroupSpec(root_spec(593, "t+201"), "I", "bu3")
 
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("Skeleton.__init__ called by the lift")
+        def refuse(*args, **kwargs):
+            raise AssertionError("Skeleton._from_entry called by the lift")
 
         with monkeypatch.context() as patch:
-            patch.setattr(Skeleton, "__init__", refuse)
+            patch.setattr(Skeleton, "_from_entry", refuse)
+            built = count_calls(patch, Skeleton, "_certified")
             sk = enumerate_universal(spec)
-        assert sk.edge_count == 43956
-        checked = Skeleton(sk.black, sk.white)
+        assert len(built) == 1 and sk.edge_count == 43956
+        checked = checked_skeleton(sk.black, sk.white)
         assert checked.region == sk.region
+        entry = Skeleton._from_entry(array("Q", sk.black),
+                                     array("Q", sk.white))
+        assert (entry.black, entry.white, entry.region) == \
+            (sk.black, sk.white, sk.region)
 
     def test_state_cap_boundary(self):
         # the orbit has 43,956 edges; both paths accept exactly that many

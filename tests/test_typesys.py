@@ -6,15 +6,14 @@ from math import gcd
 
 import pytest
 from covector_oracle import FieldElem, element_order, type_coefficient
-from helpers import check_type_specification, count_calls, \
-    reference_root_orders, reference_unit_tables, single_edge, \
+from helpers import check_type_specification, checked_skeleton, \
+    count_calls, reference_root_orders, reference_unit_tables, single_edge, \
     type_ii_odd_width_excluded
 
 from burausieve import exactalg
 from burausieve.exactalg import IntPoly
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import branches_for
-from burausieve.skeleton import Skeleton
 from burausieve.typesys import (
     admissible_types,
     epsilon_p,
@@ -273,6 +272,6 @@ class TestTypeSpecification:
     def test_two_edge_skeleton(self):
         # two monovalent blacks joined through one bivalent white: a single
         # width-2 region, black types forced to 0 at depth 2
-        sk = Skeleton((0, 1), (1, 0))
+        sk = checked_skeleton((0, 1), (1, 0))
         assert check_type_specification(sk, 2, [2], [0, 0], [], ambient="bu3")
         assert not check_type_specification(sk, 2, [2], [0, 1], [], ambient="bu3")

@@ -1,6 +1,6 @@
 """End-to-end timings of the package, written as BENCH_<n>.json.
 
-    python tools/bench.py --out BENCH_40.json [--baseline DIR]
+    python tools/bench.py --out BENCH_41.json [--baseline DIR]
 
 It measures the checkout it lives in and, with --baseline, a second
 checkout (say, the parent commit unpacked by `git archive`) in the same
@@ -39,6 +39,9 @@ COMMANDS = (
     ("sieve", "--n-range", "7..26", "--json"),
     ("table", "--verify", "--json"),
     ("addendum", "--all-groups", "--json"),
+    # the largest skeleton of the sweep, 432,636 edges, lifted and printed
+    # with no cache: the cold path of skeleton --json
+    ("skeleton", "--p", "4651", "--min-poly", "t+3978", "--json"),
 )
 # the start-up every command pays: the interpreter and the package's import
 IMPORT = "import burausieve.cli"
