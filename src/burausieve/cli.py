@@ -110,13 +110,29 @@ def _cycle_template(length):
     return "[\n      " + ",\n      ".join(["%d"] * length) + "\n    ]"
 
 
+@cache
+def _dict_template(keys, pad):
+    """The %-template of a non-empty dict with these sorted keys in
+    _json_text's layout at pad, one %s per value: the keys' text through
+    encode_basestring_ascii, with each % doubled.  The cache holds one
+    per shape met, a tuple of keys at one depth: 8 over every command's
+    payloads."""
+    inner = f",\n{pad}  "
+    return "{" + inner[1:] + inner.join(
+        [encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+         for key in keys]) + f"\n{pad}}}"
+
+
 def _json_text(value, pad):
     """The text of json.dumps(value, sort_keys=True, indent=2) with pad
     after each newline, for a value built of dicts with str keys, lists,
     tuples, str, int, bool and None; None for any other value.  Strings
     and keys go through encode_basestring_ascii, which json's encoders
     call for them, and ints through int.__repr__, as json's do; the
-    containers are laid out here, so no encoder is built."""
+    containers are laid out here, so no encoder is built.  A dict fills
+    its shape's _dict_template with its values' text, so dicts of one
+    key set, such as the 465 pairs of addendum --all-groups, share one
+    layout."""
     if type(value) is str:
         return encode_basestring_ascii(value)
     if value is None:
@@ -126,23 +142,23 @@ def _json_text(value, pad):
     if type(value) is int:
         return int.__repr__(value)
     if type(value) in (list, tuple):
-        keys, items, brackets = None, value, "[]"
-    elif type(value) is dict and all(type(key) is str for key in value):
-        keys = sorted(value)
-        items, brackets = [value[key] for key in keys], "{}"
-    else:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        parts = [_json_text(item, inner) for item in value]
+        if None in parts:
+            return None
+        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
+    if type(value) is not dict or not all(type(key) is str for key in value):
         return None
-    if not items:
-        return brackets
+    if not value:
+        return "{}"
+    keys = tuple(sorted(value))
     inner = pad + "  "
-    parts = [_json_text(item, inner) for item in items]
+    parts = tuple([_json_text(value[key], inner) for key in keys])
     if None in parts:
         return None
-    if keys is not None:
-        parts = [f"{encode_basestring_ascii(key)}: {text}"
-                 for key, text in zip(keys, parts)]
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + \
-        f"\n{pad}{brackets[1]}"
+    return _dict_template(keys, pad) % parts
 
 
 def _dump(payload):
@@ -160,10 +176,11 @@ def _dump(payload):
     that length's _cycle_template, and only another piece looks one up
     per cycle.  The piece's template is built for it and dropped with
     it, so only the per-length templates are kept.  Every other value is
-    laid out by _json_text, which builds no encoder: json's indenting
-    encoder is pure Python, and its mutually referencing closures are
-    garbage that only the cyclic collector frees.  A value _json_text
-    does not know, such as a float, goes through that encoder.
+    laid out by _json_text, which builds no encoder: up to Python 3.12,
+    json indents with its pure-Python encoder, whose mutually
+    referencing closures are garbage that only the cyclic collector
+    frees (3.13 indents in C).  A value _json_text does not know, such
+    as a float, goes through json.dumps.
     """
     sep = "{\n"
     for key in sorted(payload):

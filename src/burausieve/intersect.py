@@ -7,8 +7,10 @@ component must have positive genus.  fibered_product reads the product in
 closed form from the two factors' generator cycles on lines, the cycles
 skeleton._closed_form lifts a signature from, integer logs in
 Z/(q - 1), and visits no pair of lines or edges, specializes no matrix
-and builds no field table.  verify_addendum_pairwise computes each
-unlinked product once per distinct pair of inputs.
+and builds no field table.  verify_addendum_pairwise reads each
+representative's inputs once, its trace-field test, fiber cycles and
+link data (_product_input), and computes each unlinked product once per
+distinct pair of them.
 Conjugacy of a module to the span of e2 is decided on the projective
 line, where scalars act trivially: it is membership of e2's line in the
 braid orbit of the module's line.  addendum_report runs both
@@ -75,24 +77,31 @@ def _require_closed(spec):
                          f"field is smaller than its field")
 
 
-def _linked(spec1, spec2):
-    """Whether the roots share p and m2 is m1 or its monic reciprocal."""
-    p, m1 = spec1.root.p, spec1.root.ring.modulus
-    return spec2.root.p == p and spec2.root.ring.modulus in (
-        m1, _reciprocal(m1, p))
+def _linked(link1, link2):
+    """Whether two roots share p and m2 is m1 or its monic reciprocal,
+    given the link (p, m, monic reciprocal of m) of each (_product_input)."""
+    return link2[0] == link1[0] and link2[1] in link1[1:]
 
 
 def _product_input(spec):
-    """All that an unlinked fibered_product reads of spec: q, r and its
-    _fiber_cycles, each as a sorted tuple; ValueError as fibered_product
-    raises for spec."""
+    """(product, link): all that fibered_product reads of spec but a
+    linked root's logs.  product is what an unlinked product reads, q, r
+    and its _fiber_cycles, each as a sorted tuple; link is what _linked
+    reads, p, the modulus m and its monic reciprocal.  ValueError as
+    fibered_product raises for spec."""
     _require_closed(spec)
-    return (spec.root.ring.order, _fiber_order(spec),
-            tuple(tuple(sorted(base)) for base in _fiber_cycles(spec)))
+    p, m = spec.root.p, spec.root.ring.modulus
+    return ((spec.root.ring.order, _fiber_order(spec),
+             tuple(tuple(sorted(base)) for base in _fiber_cycles(spec))),
+            (p, m, _reciprocal(m, p)))
 
 
-def fibered_product(spec1, spec2):
+def fibered_product(spec1, spec2, inputs=None):
     """Edges and genus of each component of the product over the one-edge base.
+
+    inputs, if given, is the pair of the factors' _product_input, which a
+    caller that multiplies one factor many times reads once; otherwise
+    they are read here.
 
     Both roots must pass _trace_generates, so each factor is transitive on
     its (q + 1) r edges, the nonzero covectors modulo the scalars S, and
@@ -147,23 +156,21 @@ def fibered_product(spec1, spec2):
     same root twice, or reciprocal roots over an extension field or in two
     ambients.
     """
-    _require_closed(spec1)
-    _require_closed(spec2)
-    r1, r2 = _fiber_order(spec1), _fiber_order(spec2)
-    e1 = (spec1.root.ring.order + 1) * r1
-    e2 = (spec2.root.ring.order + 1) * r2
+    (q1, r1, fiber1), link1 = inputs[0] if inputs else _product_input(spec1)
+    (q2, r2, fiber2), link2 = inputs[1] if inputs else _product_input(spec2)
+    e1, e2 = (q1 + 1) * r1, (q2 + 1) * r2
     black, white, region = (_cycle_count(
         [(o1 // gcd(o1, l // L1), o2 // gcd(o2, l // L2),
           c1 * c2 * gcd(L1, L2))
          for L1, o1, c1 in base1 for L2, o2, c2 in base2
          for l in [lcm(L1, L2)]], r1, r2)
-        for base1, base2 in zip(_fiber_cycles(spec1), _fiber_cycles(spec2)))
-    if not _linked(spec1, spec2):
+        for base1, base2 in zip(fiber1, fiber2))
+    if not _linked(link1, link2):
         return FiberedProduct(e1, e2, tuple(
             _components(1, black + white, e1 * e2, region)))
     root = spec1.root
     ring, N = root.ring, root.N
-    if (ring.degree > 1 or spec2.root.ring.modulus == ring.modulus
+    if (ring.degree > 1 or link2[1] == link1[1]
             or spec1.ambient != spec2.ambient):
         raise ValueError(f"no closed-form product of the linked {spec1} "
                          f"and {spec2}")
@@ -193,6 +200,14 @@ def conjugate_to_e2(spec):
     return spec.root.ring.zero in _LineWalk(spec).index
 
 
+def _counts(prod):
+    """(components, minimum genus) of a fibered product, whose components'
+    edges must partition it."""
+    if sum(e for e, _ in prod.components) != prod.total_edges:
+        raise AssertionError("component edges do not partition the product")
+    return len(prod.components), prod.min_genus()
+
+
 def verify_addendum_pairwise(row_specs):
     """Fibered products of every unordered pair of row representatives.
 
@@ -200,35 +215,34 @@ def verify_addendum_pairwise(row_specs):
     table row.  Each pair must produce components of genus >= 1 only; a
     genus-zero component would mean two distinct factors coexisting in one
     subgroup.  Returns a report dict with per-pair component counts and
-    minimum genus.  An unlinked product reads only its factors'
-    _product_input, so it is computed once per distinct pair of inputs
-    in one call; a linked pair is computed on its own.
+    minimum genus.  Each representative's _product_input is read once and
+    handed to every fibered_product of it, so no product tests a root's
+    trace field or reads its fiber cycles again.  An unlinked product
+    reads only its factors' product inputs, so it is computed once per
+    distinct pair of them in one call; a linked pair is computed on its
+    own.
     """
     report = {"pairs": [], "ok": True}
     inputs = [_product_input(spec) for _, spec in row_specs]
-    unlinked = {}  # each unlinked product, by its pair of inputs
-    for i in range(len(row_specs)):
+    numbers = {}  # each distinct product input, numbered once
+    ids = [numbers.setdefault(product, len(numbers)) for product, _ in inputs]
+    unlinked = {}  # each unlinked product's counts, by its pair of ids
+    for i, (label_a, spec_a) in enumerate(row_specs):
         for j in range(i + 1, len(row_specs)):
-            label_a, spec_a = row_specs[i]
             label_b, spec_b = row_specs[j]
-            if _linked(spec_a, spec_b):
-                prod = fibered_product(spec_a, spec_b)
+            pair = inputs[i], inputs[j]
+            if _linked(inputs[i][1], inputs[j][1]):
+                counts = _counts(fibered_product(spec_a, spec_b, pair))
             else:
-                key = inputs[i], inputs[j]
-                prod = unlinked.get(key)
-                if prod is None:
-                    prod = unlinked[key] = fibered_product(spec_a, spec_b)
-            if sum(e for e, _ in prod.components) != prod.total_edges:
-                raise AssertionError("component edges do not partition the product")
-            mg = prod.min_genus()
-            entry = {
-                "rowA": label_a,
-                "rowB": label_b,
-                "components": len(prod.components),
-                "minGenus": mg,
-            }
-            report["pairs"].append(entry)
-            if mg < 1:
+                key = ids[i], ids[j]
+                counts = unlinked.get(key)
+                if counts is None:
+                    counts = unlinked[key] = _counts(
+                        fibered_product(spec_a, spec_b, pair))
+            report["pairs"].append({"rowA": label_a, "rowB": label_b,
+                                    "components": counts[0],
+                                    "minGenus": counts[1]})
+            if counts[1] < 1:
                 report["ok"] = False
     return report
 

@@ -782,7 +782,12 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
     must reproduce the printed signature with genus zero, and the b3-ambient
     genus must vanish exactly for the starred rows.  Both come from
     orbit_signatures on the tag I: the closed form when the factor's trace
-    field is F_q, else the walk over lines; no skeleton is built.
+    field is F_q, else the walk over lines; no skeleton is built.  The
+    closed forms are shared through one closed_forms dict, one per
+    (q, N, M, ambient), as a closed form reads nothing else (see
+    _closed_form): 26 for the 52 golden factors in both ambients.  Each
+    factor still gets its own root, its trace-field test and tag check,
+    and its own comparison with its row.
     Returns a report dict; report['ok'] is the overall verdict.
     """
     from .golden import GOLDEN_ROWS
@@ -792,6 +797,7 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
     if rows is not None and len(wanted) != len(set(rows)):
         raise ValueError("unknown row index requested")
     report = {"rows": [], "ok": True}
+    closed_forms = {}
     for row in wanted:
         want_sig = SkeletonSignature(row.edges, row.v_white, row.v_black,
                                      row.partition)
@@ -802,8 +808,10 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
         row_ok = True
         for text in row.factors:
             root = root_spec(row.p, text)
-            (sig, g0, _), = orbit_signatures(root, ["I"], "bu3", state_cap)
-            (_, g3, _), = orbit_signatures(root, ["I"], "b3", state_cap)
+            (sig, g0, _), = orbit_signatures(root, ["I"], "bu3", state_cap,
+                                             closed_forms)
+            (_, g3, _), = orbit_signatures(root, ["I"], "b3", state_cap,
+                                           closed_forms)
             ok = (sig == want_sig and g0 == 0 and (g3 == 0) == row.starred
                   and root.N == row.N)
             fac_entry = {

@@ -643,7 +643,9 @@ class TestPrinter:
     def test_printing_leaves_no_cyclic_garbage(self, run, monkeypatch):
         # the non-Cycles values are laid out with no encoder, so with the
         # cyclic collector off, printing a sweep payload leaves nothing for
-        # it to free; json's indenting encoder, the negative control, does
+        # it to free; json's pure-Python encoder, the negative control,
+        # does.  With c_make_encoder gone, json.dumps takes that encoder on
+        # every version; from 3.13 on it would otherwise indent in C
         payloads = []
         monkeypatch.setattr(cli, "_dump", lambda payload: payloads.append(
             payload) or iter(()))
@@ -654,7 +656,9 @@ class TestPrinter:
         try:
             text = "".join(_dump(payload))
             garbage = gc.collect()
-            json.dumps(payload, sort_keys=True, indent=2)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(json.encoder, "c_make_encoder", None)
+                json.dumps(payload, sort_keys=True, indent=2)
             control = gc.collect()
         finally:
             gc.enable()
@@ -683,6 +687,55 @@ class TestPrinter:
     ])
     def test_hand_made_payloads(self, value):
         payload = {"schemaVersion": 1, "value": value, "after": [[1, 2]]}
+        assert "".join(_dump(payload)) == json.dumps(payload, sort_keys=True,
+                                                     indent=2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_payloads(self, seed):
+        # nested dicts, lists and tuples whose keys hold %, %s, a mapping
+        # key, quotes, backslashes and non-ASCII text, drawn from a few key
+        # sets at every depth, with empty containers, bools, None and ints
+        # beyond 2^64; a float anywhere sends its top-level value through
+        # json's encoder.  Each text is json's, byte for byte
+        rng = random.Random(seed)
+        names = ["a", "b", "%", "%s", "%d%%", "%(a)s", '"', "\\", "\n",
+                 "é", "日本", "\x7f", ""]
+        key_sets = [rng.sample(names, rng.randint(1, 5)) for _ in range(4)]
+
+        def value(depth):
+            kind = rng.randrange(11 if depth < 5 else 6)
+            if kind < 6:
+                return rng.choice([
+                    rng.randint(-9, 9), rng.randint(2 ** 64, 2 ** 80),
+                    -rng.randint(2 ** 64, 2 ** 80), rng.choice(names),
+                    True, False, None])
+            if kind < 8:
+                return {key: value(depth + 1) for key in rng.choice(key_sets)}
+            items = [value(depth + 1) for _ in range(rng.randrange(4))]
+            return tuple(items) if kind == 8 else items
+
+        floats = 0
+        for _ in range(40):
+            payload = {key: value(1) for key in rng.choice(key_sets)}
+            if rng.random() < 0.2:
+                payload[rng.choice(names)] = [{"x": value(2)}, 0.5, value(2)]
+                floats += 1
+            assert "".join(_dump(payload)) == json.dumps(
+                payload, sort_keys=True, indent=2), payload
+        assert floats > 0
+
+    def test_one_key_set_at_several_depths(self):
+        # one key set at three depths and three key sets at one depth, each
+        # with a key that % would read as a conversion; the float sends
+        # only its own top-level value to json's encoder
+        keys = {"%": 1, "%s": "%s", "%(a)s": None, "\\\"é": [], "b": {}}
+        payload = {
+            "%s": [dict(keys, b={"%": dict(keys)}), {"%": 2 ** 65, "b": ()}],
+            "%": [keys, {"%d": [True, False]}, {"é": {"%s": {}}}],
+            "f": {"%s": [1.5, keys]},
+        }
+        assert cli._json_text(payload["f"], "  ") is None
+        assert cli._json_text(payload["%"], "  ") is not None
         assert "".join(_dump(payload)) == json.dumps(payload, sort_keys=True,
                                                      indent=2)
 

@@ -7,7 +7,7 @@ from covector_oracle import product_skeletons, skeleton_isomorphic
 from helpers import count_calls, realized_types_alone, \
     reference_fibered_product, single_edge
 
-from burausieve import intersect
+from burausieve import intersect, skeleton
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import (
     addendum_report,
@@ -190,7 +190,9 @@ class TestAddendumPairs:
                 for row in GOLDEN_ROWS for grp in row.factor_groups]
         pairs = [(a, b) for n, (_, a) in enumerate(reps)
                  for _, b in reps[n + 1:]]
-        linked = sum(intersect._linked(a, b) for a, b in pairs)
+        linked = sum(intersect._linked(intersect._product_input(a)[1],
+                                       intersect._product_input(b)[1])
+                     for a, b in pairs)
         calls = count_calls(monkeypatch, intersect, "fibered_product")
         report = verify_addendum_pairwise(reps)
         assert (len(calls), linked) == (86 + 5, 5)
@@ -198,6 +200,27 @@ class TestAddendumPairs:
             fp = fibered_product(a, b)
             assert (entry["components"], entry["minGenus"]) == \
                 (len(fp.components), fp.min_genus()), (a, b)
+
+    @pytest.mark.parametrize("all_groups, reps, linked", [
+        (False, 13, 0), (True, 31, 5)], ids=["rows", "all-groups"])
+    def test_each_representative_is_read_once(self, monkeypatch, all_groups,
+                                              reps, linked):
+        # the conjugacy check reads each row's orbits in one closed form,
+        # 13 in all; the pairwise check then tests each representative's
+        # trace field and reads its fiber cycles once, and only a linked
+        # product reads its first root's generator cycles again
+        fibers = count_calls(monkeypatch, skeleton, "_fiber_cycles")
+        traces = count_calls(monkeypatch, skeleton, "_trace_generates")
+        cycles = count_calls(monkeypatch, skeleton, "_generator_cycles")
+        products = count_calls(monkeypatch, intersect, "fibered_product")
+        report = addendum_report(all_groups=all_groups)
+        assert report["ok"] and len(report["pairs"]) == reps * (reps - 1) // 2
+        assert (len(fibers), len(traces), len(cycles)) == \
+            (13 + reps, 13 + reps, 13 + reps + linked)
+        assert len({(spec.root.p, spec.root.ring.modulus)
+                    for spec, in fibers[13:]}) == reps
+        assert len({id(root) for root, in traces[13:]}) == reps
+        assert len(products) == (86 + 5 if all_groups else 78)
 
     def test_refuses_a_representative_it_cannot_read(self):
         reps = [("a", factor(2, "t^3+t+1")[0]),

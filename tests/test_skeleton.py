@@ -361,6 +361,56 @@ class TestEnumeration:
         assert a.black == b.black and a.white == b.white
 
 
+@pytest.fixture(scope="module")
+def verified_table():
+    """table_verify()'s report, its orbit_signatures calls, each with its
+    arguments and result, and its _closed_form calls."""
+    real = skeleton.orbit_signatures
+    recorded = []
+
+    def recording(root, tags, *args):
+        out = real(root, tags, *args)
+        recorded.append((root, list(tags), args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        closed = count_calls(mp, skeleton, "_closed_form")
+        mp.setattr(skeleton, "orbit_signatures", recording)
+        report = table_verify()
+    return report, recorded, closed
+
+
+class TestTableSharing:
+    """table --verify reads one closed form per (q, N, M, ambient) and
+    shares it among the golden factors of that key."""
+
+    def test_one_closed_form_per_key(self, verified_table):
+        # 52 factors in two ambients, all closed, in 26 keys: one per row
+        # and ambient; one memo for the whole call
+        report, recorded, closed = verified_table
+        assert report["ok"] and len(recorded) == 104 and len(closed) == 26
+        assert len({(spec.root.ring.order, spec.root.N, spec.root.M,
+                     spec.ambient) for spec, _ in closed}) == 26
+        assert len({id(args[-1]) for _, _, args, _ in recorded}) == 1
+
+    def test_shared_value_is_each_factors_own_closed_form(self,
+                                                          verified_table):
+        # each golden factor in each ambient, rebuilt on a field of its own,
+        # gets the signature and genus the check read for its key
+        _, recorded, _ = verified_table
+        seen = set()
+        for root, tags, args, out in recorded:
+            assert _trace_generates(root) and tags == ["I"], str(root)
+            own = root_spec(root.p, root.min_poly)
+            spec = UniversalGroupSpec(own, "I", args[0])
+            assert out == [(*_closed_form(spec, 10 ** 6), tags)], str(spec)
+            seen.add((root.p, str(root.min_poly), args[0]))
+        assert seen == {(row.p, str(root_spec(row.p, text).min_poly), ambient)
+                        for row in GOLDEN_ROWS for text in row.factors
+                        for ambient in ("bu3", "b3")}
+        assert len(seen) == 104
+
+
 class TestGoldenTable:
     def test_self_check(self):
         assert self_check()
