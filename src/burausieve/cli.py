@@ -85,7 +85,9 @@ def positive_int(text):
 
 def _checked_word_sets(raw):
     """informative_sets {"N": [[word, ...], ...]}; the sweep rejects a bad
-    word, or two words with one modular projection, with ValueError."""
+    word, or two words with one modular projection, with ValueError.  N
+    is in decimal digits with no leading zero, so no two keys name one
+    N."""
     if not isinstance(raw, dict) or not all(
             isinstance(sets, list) and all(isinstance(ws, list) and all(
                 isinstance(w, str) for w in ws) for ws in sets)
@@ -93,9 +95,9 @@ def _checked_word_sets(raw):
         raise ValueError("informative_sets must map N to lists of braid words")
     lo, hi = SWEEP_RANGE
     for key in raw:
-        if not (re.fullmatch(r"[0-9]+", key) and lo <= int(key) <= hi):
+        if not (re.fullmatch(r"[1-9][0-9]*", key) and lo <= int(key) <= hi):
             raise ValueError(f"informative_sets key {key!r} is not an N in "
-                             f"{lo}..{hi}")
+                             f"{lo}..{hi} with no leading zero")
     return {int(key): sets for key, sets in raw.items()}
 
 

@@ -7,8 +7,10 @@ arithmetic with no table, on ints mod p when deg m = 1, on bits over F_2
 and on coefficient tuples otherwise (quotient_ring): the sieve's orbit
 keys, the proof that m is irreducible (root_order), multiplicative
 orders, the powers of the equal-degree split and the search for a
-generator of F_q* all use it, at a cost polynomial in log q.  Its
-elements are the only field elements of the package: a walk over the
+generator of F_q* all use it, at a cost polynomial in log q.  It
+inverts xi by a polynomial read off m, and a field's other units as
+a^(q-2); outside it, the split's gcd is the one arithmetic on F_p[t].
+Its elements are the only field elements of the package: a walk over the
 lines of F_q adds them in the ring and multiplies them through O(q)
 exp and log tables (_unit_tables), built once per root on a walk's
 first read.  Everything here is exact: integer coefficients are
@@ -33,7 +35,9 @@ Thm 2.47): for p not dividing N its irreducible factors are distinct and
 all of degree ord_N(p), and for N = p^a m with p not dividing m,
 phi_N = phi_m^(p^(a-1) (p-1)) mod p.  So one equal-degree split at the
 known degree factors each of them, and at degree 1 the factors are read
-off a primitive root of unity mod p with no split.
+off a primitive root of unity mod p with no split.  The split takes two
+gcds per draw and divides nothing (Cantor and Zassenhaus, Math. Comp.
+36, 1981).
 """
 
 from __future__ import annotations
@@ -698,7 +702,8 @@ def _deg(c):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_p (coefficient tuples, ascending powers)
+# dense polynomials over F_p (coefficient tuples, ascending powers):
+# Horner's rule, Euclid by remainders and the equal-degree split
 
 
 def _fp_trim(c):
@@ -706,38 +711,6 @@ def _fp_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return _fp_trim([( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = (a[i + len(b) - 1] * inv) % p
-        q[i] = c
-        if c:
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return _fp_trim(q), _fp_trim(a[:len(b) - 1])
 
 
 def _fp_eval(a, x, p):
@@ -771,34 +744,26 @@ def _fp_gcd(a, b, p):
     a, b = list(_fp_trim(a)), list(_fp_trim(b))
     while b:
         a, b = b, _fp_reduce(a, b, p)
-    return _fp_monic(a, p)
-
-
-def _fp_inverse(a, m, p):
-    """1/a modulo m over F_p, for a reduced, nonzero and prime to m, by the
-    extended Euclid: the cofactor s of a in s a + r m = c, c a nonzero
-    constant, divided by c."""
-    r0, r1 = list(m), list(a)
-    s0, s1 = (), (1,)
-    while len(r1) > 1:
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, list(r)
-        s0, s1 = s1, _fp_add(s0, [-c % p for c in _fp_mul(q, s1, p)], p)
-    inv = pow(r1[0], -1, p)
-    return tuple(c * inv % p for c in s1)
-
-
-def _fp_monic(a, p):
-    if not a or a[-1] == 1:
-        return _fp_trim(a)
-    inv = pow(a[-1], p - 2, p)
-    return _fp_trim([(c * inv) % p for c in a])
+    if not a:
+        return ()
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
 
 
 def _fp_equal_degree(f, d, p, rng):
-    """Cantor-Zassenhaus split of a product of distinct irreducibles of
+    """Cantor-Zassenhaus split of a product f of distinct irreducibles of
     degree d, with its powers taken in quotient_ring(p, f): f divides
-    phi_m(-t) mod p, whose constant term is +-1, so f(0) != 0."""
+    phi_m(-t) mod p, whose constant term is +-1, so f(0) != 0.
+
+    A draw u is 0 or a unit modulo each factor f_i, as F_p[t]/(f_i) is
+    the field F_{p^d}.  For odd p, w = u^((p^d - 1)/2) is then 0, or +-1
+    as w^2 = u^(p^d - 1), modulo f_i, and the coprime gcd(w - 1, f) and
+    gcd(w + 1, f) are the products of the f_i where w is 1 and -1.  For
+    p = 2 the trace w = u + u^2 + ... + u^(2^(d-1)) is 0 or 1 modulo
+    f_i, and gcd(w, f) and gcd(w + 1, f) are the products where it is 0
+    and 1.  So the two gcds multiply to f, and no division is needed,
+    exactly when their degrees add up to deg f; u is drawn again unless
+    they do and both are proper."""
     n = _deg(f)
     if n <= 0 or n % d:
         raise AssertionError(f"degree {n} is not a positive multiple of {d}")
@@ -806,26 +771,21 @@ def _fp_equal_degree(f, d, p, rng):
         return [f]
     ring = quotient_ring(p, f)
     while True:
-        u = _fp_trim([rng.randrange(p) for _ in range(n)])
-        if _deg(u) < 1:
-            continue
-        g = _fp_gcd(u, f, p)
-        if not 0 < _deg(g) < n:
-            v = ring.residue(u)
-            if p == 2:  # the trace map over F_{2^d}
-                w = v
-                for _ in range(d - 1):
-                    v = ring.mul(v, v)
-                    w = ring.add(w, v)
-            else:
-                w = ring.sub(ring.pow(v, (p ** d - 1) // 2), ring.one)
+        u = ring.residue([rng.randrange(p) for _ in range(n)])
+        if p == 2:  # the trace map over F_{2^d}
+            w = v = u
+            for _ in range(d - 1):
+                v = ring.mul(v, v)
+                w = ring.add(w, v)
             # over F_2 an element is the int of its coefficients' bits
-            g = _fp_gcd([w >> i & 1 for i in range(w.bit_length())]
-                        if p == 2 else w, f, p)
-        if 0 < _deg(g) < n:
-            left = _fp_equal_degree(g, d, p, rng)
-            right = _fp_equal_degree(_fp_divmod(f, g, p)[0], d, p, rng)
-            return left + right
+            g, h = (_fp_gcd([x >> i & 1 for i in range(x.bit_length())], f, p)
+                    for x in (w, ring.add(w, ring.one)))
+        else:
+            w = ring.pow(u, (p ** d - 1) // 2)
+            g, h = (_fp_gcd(x, f, p)
+                    for x in (ring.sub(w, ring.one), ring.add(w, ring.one)))
+        if _deg(g) > 0 and _deg(h) > 0 and _deg(g) + _deg(h) == n:
+            return _fp_equal_degree(g, d, p, rng) + _fp_equal_degree(h, d, p, rng)
 
 
 def fp_factor(g, d, p):
@@ -861,7 +821,8 @@ def cyclotomic_split_cost(N, p):
     N = p^a m, p not dividing m: phi(m) log2(p), one power per root, when
     ord_m(p) = 1; 0 when phi_m(-t) mod p is irreducible; otherwise
     phi(m)^2 ord_m(p) log2(p), as the split raises polynomials of degree
-    phi(m) to about the power p^ord_m(p), by squarings of cost phi(m)^2."""
+    phi(m) to about the power p^ord_m(p), by squarings of cost phi(m)^2,
+    and each draw's two gcds cost phi(m)^2 more."""
     m, _ = _prime_free_part(N, p)
     phi, d = totient(m), order_mod(p, m)
     if d == 1:
@@ -918,7 +879,7 @@ def order_plan(n, primes):
 class _Residues:
     """What the rings of quotient_ring share: p, the modulus, its degree
     and the order q = p^deg m, and the algorithms written in their add,
-    sub, mul, pow and residue alone."""
+    sub, mul and residue alone, pow among them."""
 
     def __init__(self, p, modulus):
         self.p, self.modulus = p, modulus
@@ -938,6 +899,15 @@ class _Residues:
         if f.shift >= 0:
             return self.residue([0] * f.shift + list(f.coeffs))
         return self.mul(self.residue(f.coeffs), self.pow(self.gen, f.shift))
+
+    def pow(self, a, n):
+        """a^n for any integer n.  For n < 0, a is xi, whose inverse
+        inv_gen is read off the modulus in every ring, or a unit of a
+        field, whose inverse is a^(q-2)."""
+        if n < 0:
+            a, n = (self.inv_gen if a == self.gen
+                    else power_by_squaring(a, self.order - 2, self.mul, self.one)), -n
+        return power_by_squaring(a, n, self.mul, self.one)
 
     def unit_order(self, a, plan):
         """The multiplicative order of a when a^n = 1, and None otherwise,
@@ -1059,20 +1029,11 @@ class _PolyRing(_Residues):
                     c[j] += x * y
         return self._fold(c)
 
-    def pow(self, a, n):
-        """a^n for any integer n, a a unit when n < 0, whose inverse is
-        taken by the extended Euclid."""
-        if n < 0:
-            a, n = (self.inv_gen if a == self.gen
-                    else _fp_inverse(a, self.modulus, self.p)), -n
-        return power_by_squaring(a, n, self.mul, self.one)
-
 
 class _BinaryRing(_Residues):
     """F_2[t]/(m), deg m >= 2, on ints whose bit i is the coefficient of
     t^i (see quotient_ring): a sum is an exclusive or, and a product is
-    carry-less, with the shifted factor reduced by m's bits at each step;
-    an inverse is a^(q-2)."""
+    carry-less, with the shifted factor reduced by m's bits at each step."""
 
     zero, one, gen = 0, 1, 2
 
@@ -1104,13 +1065,6 @@ class _BinaryRing(_Residues):
             if a & top:
                 a ^= bits
         return r
-
-    def pow(self, a, n):
-        """a^n for any integer n, a a unit when n < 0."""
-        if n < 0:
-            a, n = (self.inv_gen if a == self.gen
-                    else power_by_squaring(a, self.order - 2, self.mul, 1)), -n
-        return power_by_squaring(a, n, self.mul, 1)
 
 
 def _bits(coeffs):

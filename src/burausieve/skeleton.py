@@ -353,8 +353,7 @@ def _seed_line(root, tag):
     """The line of v_T_perp = (-1, a_T(xi)), where a walk of type tag
     starts: the element -a_T(xi)."""
     ring = root.ring
-    vp0, vp1 = type_vector(tag, root)
-    return ring.mul(vp1, ring.pow(vp0, -1))
+    return ring.sub(ring.zero, type_vector(tag, root))
 
 
 class _LineWalk:

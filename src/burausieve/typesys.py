@@ -6,8 +6,9 @@ field's proof of irreducibility) and linked by the parity-sensitive
 involution epsilon_p.  Each special skeleton fragment
 (essential region or monovalent vertex) pins the one-dimensional module to
 a vector v_T = a_T(xi)*e1 + e2, with a_T given by a short table of Laurent
-monomials; the sieve uses a_T over Z[t, 1/t], and the walk over lines the
-annihilator covector (-1, a_T(xi)) in the root's ring.
+monomials; the sieve uses a_T over Z[t, 1/t], and the walk over lines
+a_T(xi) in the root's ring, the second entry of the annihilator covector
+(-1, a_T(xi)).
 """
 
 from __future__ import annotations
@@ -125,8 +126,7 @@ def type_coefficient_laurent(tag, M, p_is_3):
 
 
 def type_vector(tag, spec):
-    """v_T_perp = (-1, a_T(xi)), the covector annihilating
-    v_T = a_T(xi) e1 + e2, as elements of the root's ring."""
-    a_poly = type_coefficient_laurent(tag, spec.M, spec.p == 3)
-    ring = spec.ring
-    return ring.evaluate(IntPoly.const(-1)), ring.evaluate(a_poly)
+    """a_T(xi) in the root's ring: the covector v_T_perp = (-1, a_T(xi))
+    annihilates v_T = a_T(xi) e1 + e2, and its first entry is always -1,
+    so a_T(xi) alone gives its line, that of (1, -a_T(xi))."""
+    return spec.ring.evaluate(type_coefficient_laurent(tag, spec.M, spec.p == 3))

@@ -1,8 +1,9 @@
 """Reference implementations the tests hold the package to.
 
 `FieldElem` is finite-field arithmetic on reduced coefficient tuples with
-an extended-Euclid inverse; it shares no code with the package's
-`quotient_ring`, which the tests check against it.  `covector_bfs` is the
+an extended-Euclid inverse, on the tests' own polynomial arithmetic
+(`fp_reference`); it shares no code with the package's `quotient_ring`,
+which the tests check against it.  `covector_bfs` is the
 breadth-first coset enumeration over covectors that the package replaced
 by the lift of its walk over projective lines; it computes in the
 root's `quotient_ring`, with no exp or log table, and the tests compare
@@ -19,17 +20,11 @@ from collections import namedtuple
 
 import sympy
 
+from fp_reference import fp_add, fp_divmod, fp_mul, fp_trim
 from helpers import checked_skeleton, cycle_tuples
 
 from burausieve.burau import BraidWord, to_burau
-from burausieve.exactalg import (
-    _fp_add,
-    _fp_divmod,
-    _fp_mul,
-    _fp_trim,
-    poly_text,
-    power_by_squaring,
-)
+from burausieve.exactalg import poly_text, power_by_squaring
 from burausieve.skeleton import EnumerationCapExceeded
 from burausieve.typesys import type_coefficient_laurent
 
@@ -57,9 +52,9 @@ class FieldElem:
             coeffs = (coeffs,)
         c = tuple(x % spec.p for x in coeffs)
         if len(c) > spec.degree:
-            c = _fp_divmod(c, spec.modulus, spec.p)[1]
+            c = fp_divmod(c, spec.modulus, spec.p)[1]
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", _fp_trim(c))
+        object.__setattr__(self, "coeffs", fp_trim(c))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
@@ -100,7 +95,7 @@ class FieldElem:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return FieldElem(self.spec, _fp_add(self.coeffs, other.coeffs, self.spec.p))
+        return FieldElem(self.spec, fp_add(self.coeffs, other.coeffs, self.spec.p))
 
     __radd__ = __add__
 
@@ -113,7 +108,7 @@ class FieldElem:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return FieldElem(self.spec, _fp_mul(self.coeffs, other.coeffs, self.spec.p))
+        return FieldElem(self.spec, fp_mul(self.coeffs, other.coeffs, self.spec.p))
 
     __rmul__ = __mul__
 
@@ -128,9 +123,9 @@ class FieldElem:
         r0, r1 = self.spec.modulus, self.coeffs
         s0, s1 = (), (1,)
         while r1:
-            q, r = _fp_divmod(r0, r1, p)
+            q, r = fp_divmod(r0, r1, p)
             r0, r1 = r1, r
-            s0, s1 = s1, _fp_add(s0, [-c for c in _fp_mul(q, s1, p)], p)
+            s0, s1 = s1, fp_add(s0, [-c for c in fp_mul(q, s1, p)], p)
         inv_lead = pow(r0[0], p - 2, p)
         return FieldElem(self.spec, tuple((c * inv_lead) % p for c in s0))
 

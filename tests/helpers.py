@@ -3,7 +3,10 @@
 `resultant` is the subresultant PRS over Z, the reference for the sieve's
 resultants by evaluation at the roots of unity, and `reference_fp_gcd`,
 Euclid by quotient and remainder, is the reference for the package's
-remainder-only gcd over F_p; `reference_unit_tables`, which takes each
+remainder-only gcd over F_p; `reference_fp_factor`, the equal-degree
+split that divides f by one gcd, on the tests' own arithmetic
+(`fp_reference`), is the reference for the package's split, which
+divides nothing; `reference_unit_tables`, which takes each
 power as a polynomial product of the last with a division, on base-p
 codes, is the reference for the field tables the package steps by its
 ring's product.  `sigma1_power`,
@@ -47,6 +50,7 @@ package's integer logs with that reference, and
 lines and with the reference, cycle by cycle.
 """
 
+import random
 import sys
 from collections import Counter
 from itertools import islice, product
@@ -54,11 +58,11 @@ from math import gcd, lcm
 from operator import eq
 
 import sympy
+from fp_reference import fp_add, fp_divmod, fp_mul, fp_trim
 
 from burausieve.burau import BurauMatrix, specialize
-from burausieve.exactalg import IntPoly, _fp_divmod, _fp_monic, \
-    _fp_mul, cyclotomic, fp_factor, order_mod, power_by_squaring, \
-    quotient_ring, substitute_neg
+from burausieve.exactalg import IntPoly, cyclotomic, fp_factor, order_mod, \
+    power_by_squaring, quotient_ring, substitute_neg
 from burausieve.intersect import FiberedProduct, conjugate_to_e2
 from burausieve.sieve import _INFINITY, _UNDEFINED, _ZERO, \
     ExceptionalTriple, _SievePass, _require_distinct_projections
@@ -163,8 +167,48 @@ def reference_fp_gcd(a, b, p):
     """The monic gcd over F_p of two trimmed coefficient tuples, by
     Euclid with polynomial division."""
     while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    return _fp_monic(a, p)
+        a, b = b, fp_divmod(a, b, p)[1]
+    # a divided by its leading coefficient
+    return fp_divmod(a, a[-1:], p)[0] if a else ()
+
+
+def reference_fp_factor(f, d, p):
+    """The monic irreducible factors of f over F_p, sorted as fp_factor
+    sorts them, for f a product of distinct monic irreducibles of degree
+    d, none of them t: the equal-degree split that divides.  A draw u of
+    degree >= 1 is tried by gcd(u, f) first, and then by the gcd of f
+    with u^((p^d - 1)/2) - 1, or with u's trace into F_2 for p = 2; a
+    proper gcd g splits f into g and the quotient f / g.  Products are
+    reduced by division, and gcds are reference_fp_gcd."""
+    rng = random.Random(0x5EED)
+
+    def split(f):
+        n = len(f) - 1
+        if n == d:
+            return [f]
+
+        def times(a, b):
+            return fp_divmod(fp_mul(a, b, p), f, p)[1]
+
+        while True:
+            u = fp_trim([rng.randrange(p) for _ in range(n)])
+            if len(u) < 2:
+                continue
+            g = reference_fp_gcd(u, f, p)
+            if not 0 < len(g) - 1 < n:
+                if p == 2:  # the trace map over F_{2^d}
+                    w = v = u
+                    for _ in range(d - 1):
+                        v = times(v, v)
+                        w = fp_add(w, v, p)
+                else:
+                    w = fp_add(power_by_squaring(u, (p ** d - 1) // 2, times, (1,)),
+                               (p - 1,), p)
+                g = reference_fp_gcd(w, f, p)
+            if 0 < len(g) - 1 < n:
+                return split(g) + split(fp_divmod(f, g, p)[0])
+
+    return sorted(split(tuple(f)), key=lambda c: (len(c), c[::-1]))
 
 
 def reference_root_orders(p, modulus):
@@ -191,7 +235,7 @@ def reference_unit_tables(p, modulus):
     digits = [tuple(code // p ** i % p for i in range(d)) for code in range(q)]
 
     def times(a, b):
-        prod = _fp_divmod(_fp_mul(digits[a], digits[b], p), modulus, p)[1]
+        prod = fp_divmod(fp_mul(digits[a], digits[b], p), modulus, p)[1]
         return sum(c * p ** i for i, c in enumerate(prod))
 
     cofactors = [(q - 1) // l for l in sympy.primefactors(q - 1)]

@@ -14,6 +14,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = ["sieve --n-range 7..26 --json", "table --verify --json",
             "addendum --all-groups --json",
             "skeleton --p 4651 --min-poly t+3978 --json",
+            "factors --n 59 --p 4651 --json",
             "import burausieve.cli"]
 # the sha256 of empty stdout, cut to 16 hex digits
 EMPTY = "e3b0c44298fc1c14"

@@ -906,11 +906,14 @@ class TestBadInput:
         # keys are ASCII digits, as --n-range takes them
         ('{"informative_sets": {"٩": [["e"]]}}', "informative_sets key '٩'"),
         ('{"state_cap": "12"}', "state_cap must be a positive integer"),
+        # "09" would name the N of "9" a second time, and one set be lost
+        ('{"informative_sets": {"9": [["e", "T s2^-1 s1"]], '
+         '"09": [["s1 s1 s1"]]}}', "informative_sets key '09'"),
     ], ids=["state-cap-text", "unknown-letter", "shared-projection",
             "unknown-key", "n-out-of-range", "n-not-an-integer",
             "exponent-too-large", "exponent-too-small", "exponent-empty",
             "exponent-underscore", "exponent-non-ascii", "cache-dir-key",
-            "nested", "n-non-ascii", "state-cap-digit-text"])
+            "nested", "n-non-ascii", "state-cap-digit-text", "n-leading-zero"])
     def test_bad_config(self, run, tmp_path, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text, encoding="utf-8")

@@ -13,8 +13,9 @@ import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
 from covector_oracle import FieldElem, Presentation, element_order, \
     evaluate, field_elements
-from helpers import reference_fp_gcd, reference_resultants, resultant, \
-    sieve_determinant
+from fp_reference import fp_add, fp_divmod, fp_mul, fp_trim
+from helpers import reference_fp_factor, reference_fp_gcd, \
+    reference_resultants, resultant, sieve_determinant
 
 from burausieve import exactalg
 from burausieve.exactalg import (
@@ -547,6 +548,41 @@ class TestFactorOverPrime:
                 got = [f.coeffs for f in cyclotomic_factors(N, p)]
                 assert got == want, (N, p)
 
+    def test_against_the_reference_split(self):
+        # seeded random products of 3 to 5 distinct monic irreducibles of
+        # degree d, none of them t, against the split that divides.  At
+        # p = 2 and 3 a draw is often 0 modulo a factor, which the degrees
+        # of the two gcds then show.  (2, 1), (2, 2), (2, 3) and (3, 1)
+        # have fewer than 3 such irreducibles, and take all of them
+        rng = random.Random(44)
+        t = sympy.Symbol("t")
+
+        def irreducible(c):
+            return sympy.Poly(c[::-1], t, modulus=p).is_irreducible
+
+        for p in (2, 3, 5, 4651):
+            for d in range(1, 5):
+                if p ** d <= 625:
+                    pool = [c + (1,) for c in product(range(p), repeat=d)
+                            if c[0] and irreducible(c + (1,))]
+                for _ in range(3):
+                    k = rng.randint(3, 5)
+                    if p ** d <= 625:
+                        chosen = rng.sample(pool, min(len(pool), k))
+                    else:
+                        chosen = set()
+                        while len(chosen) < k:
+                            c = (rng.randrange(1, p),) + tuple(
+                                rng.randrange(p) for _ in range(d - 1)) + (1,)
+                            if irreducible(c):
+                                chosen.add(c)
+                    f = (1,)
+                    for c in chosen:
+                        f = fp_mul(f, c, p)
+                    want = sorted(chosen, key=lambda c: (len(c), c[::-1]))
+                    assert fp_factor(f, d, p) == want == \
+                        reference_fp_factor(f, d, p), (p, d, f)
+
     def test_split_rejects_a_degree_off_the_order(self):
         # t^3+t+1 divides phi_7(-t) mod 2, whose factors have degree 3
         with pytest.raises(AssertionError):
@@ -560,7 +596,7 @@ class TestFpRemainders:
 
     @staticmethod
     def random_poly(rng, p, degree):
-        return exactalg._fp_trim([rng.randrange(p) for _ in range(degree + 1)])
+        return fp_trim([rng.randrange(p) for _ in range(degree + 1)])
 
     def test_random_inputs(self):
         rng = random.Random(12)
@@ -576,11 +612,11 @@ class TestFpRemainders:
             for _ in range(150):
                 a = self.random_poly(rng, p, rng.randrange(-1, 30))
                 b = self.random_poly(rng, p, rng.randrange(0, 12)) or (1,)
-                q, r = exactalg._fp_divmod(a, b, p)
+                q, r = fp_divmod(a, b, p)
                 reduced = exactalg._fp_reduce(list(a), b, p)
                 assert tuple(reduced) == r, (a, b, p)
                 assert len(r) < len(b)
-                assert exactalg._fp_add(exactalg._fp_mul(q, b, p), r, p) == a
+                assert fp_add(fp_mul(q, b, p), r, p) == a
 
     def test_common_factors(self):
         # products with a shared factor, so the gcd is rarely 1
@@ -588,7 +624,7 @@ class TestFpRemainders:
         for p in self.PRIMES:
             for _ in range(60):
                 common = self.random_poly(rng, p, rng.randrange(1, 6))
-                a, b = (exactalg._fp_mul(common, self.random_poly(
+                a, b = (fp_mul(common, self.random_poly(
                     rng, p, rng.randrange(0, 12)), p) for _ in range(2))
                 g = exactalg._fp_gcd(a, b, p)
                 assert g == reference_fp_gcd(a, b, p), (a, b, p)
@@ -598,7 +634,7 @@ class TestFpRemainders:
 
     def test_zero_and_equal_inputs(self):
         f = (3, 0, 5, 2)  # 2t^3 + 5t^2 + 3, not monic
-        monic = exactalg._fp_monic(f, 7)
+        monic = (5, 0, 6, 1)  # 4 f, as 4 = 1/2 mod 7
         assert exactalg._fp_gcd((), (), 7) == ()
         assert exactalg._fp_gcd(f, (), 7) == monic
         assert exactalg._fp_gcd((), f, 7) == monic
@@ -607,8 +643,8 @@ class TestFpRemainders:
 
     def test_non_monic_inputs(self):
         # (2t + 2)(t + 3) and 5(t + 1)(t + 4) over F_7 share t + 1
-        a = exactalg._fp_mul((2, 2), (3, 1), 7)
-        b = exactalg._fp_mul((5, 5), (4, 1), 7)
+        a = fp_mul((2, 2), (3, 1), 7)
+        b = fp_mul((5, 5), (4, 1), 7)
         assert exactalg._fp_gcd(a, b, 7) == (1, 1) == reference_fp_gcd(a, b, 7)
 
     def test_untrimmed_and_list_inputs(self):
@@ -616,24 +652,26 @@ class TestFpRemainders:
         assert exactalg._fp_gcd([1, 2, 1, 0, 0], [1, 1, 0], 5) == (1, 1)
 
     def test_inverse_modulo_an_irreducible(self):
-        # a * (1/a) = 1 modulo each factor of phi_N(-t) mod p of degree 1
-        # to 6, for random nonzero residues a, and against sympy's invert
+        # a * (1/a) = 1 in quotient_ring(p, m) for each factor m of
+        # phi_N(-t) mod p of degree 1 to 6, which covers every kind of
+        # ring, for random nonzero residues a, and against sympy's invert
         rng = random.Random(14)
         t = sympy.Symbol("t")
         for N, p in ((9, 19), (8, 3), (7, 2), (10, 3), (21, 2), (11, 3)):
             for m in cyclotomic_factors(N, p):
                 m = m.coeffs
+                ring, spec = exactalg.quotient_ring(p, m), Presentation.of(p, m)
                 for _ in range(8):
                     a = self.random_poly(rng, p, len(m) - 2) or (1,)
-                    inverse = exactalg._fp_inverse(a, m, p)
-                    assert len(inverse) < len(m)
-                    product = exactalg._fp_mul(a, inverse, p)
-                    assert exactalg._fp_divmod(product, m, p)[1] == (1,)
+                    x = FieldElem(spec, a).element()
+                    inverse = ring.pow(x, -1)
+                    assert ring.mul(x, inverse) == ring.one
                     want = sympy.Poly(sympy.invert(
                         sympy.Poly(a[::-1], t, modulus=p).as_expr(),
                         sympy.Poly(m[::-1], t, modulus=p).as_expr(), t, modulus=p),
                         t, modulus=p)
-                    assert inverse == tuple(c % p for c in want.all_coeffs()[::-1])
+                    assert inverse == FieldElem(
+                        spec, [c % p for c in want.all_coeffs()[::-1]]).element()
 
     def test_determinant_zero_mod_p_keeps_all_of_phi(self):
         # D = 19 t + 38 is 0 mod 19: its gcd is all of phi_9(-t) mod 19,

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 import sympy
 from covector_oracle import FieldElem, Presentation, element_order
+from fp_reference import fp_divmod
 from helpers import count_calls, determinant_D, nonunit_entries, \
     ordered_resultants, reference_fp_gcd, reference_orbit_key, \
     reference_resultants, reference_triples, resultant_with_cyclotomic, \
@@ -14,7 +15,7 @@ from helpers import count_calls, determinant_D, nonunit_entries, \
 
 from burausieve import exactalg, sieve, skeleton
 from burausieve.burau import BraidWord, BurauMatrix, to_burau
-from burausieve.exactalg import IntPoly, _fp_divmod, _fp_gcd, \
+from burausieve.exactalg import IntPoly, _fp_gcd, \
     _resultant_bound, cyclotomic, cyclotomic_factors, fp_factor, order_mod, \
     parse_poly, substitute_neg, unity_prime
 from burausieve.golden import GOLDEN_ROWS
@@ -345,7 +346,7 @@ class TestOrderRule:
             if N % p:
                 return fp_factor(g, order_mod(p, N), p)
             return {f.coeffs for f in cyclotomic_factors(N, p)
-                    if not _fp_divmod(g, f.coeffs, p)[1]}
+                    if not fp_divmod(g, f.coeffs, p)[1]}
 
         divisible = set()
         for N in (7, 10, 25):
@@ -436,7 +437,7 @@ class TestOrderRule:
                             for l in range(int(u is w), N) if res[l] % p == 0]
                     assert all(len(g) > 1 for g in gcds), (N, p, u, w)
                     divisors[N, u, w, p] = gcds
-                divides = any(not _fp_divmod(g, m, p)[1]
+                divides = any(not fp_divmod(g, m, p)[1]
                               for g in divisors[N, u, w, p])
                 if u is w:
                     orbit = key_u in sieve._FIXED
@@ -470,8 +471,8 @@ def divided_types(vecs, N, p, m):
     some vector w of vecs and some l (l > 0 when w is u), by division."""
     tagged = [(tag, v) for tag, vs in vecs.items() for v in vs]
     return {tag for tag, u in tagged for _, w in tagged
-            if any(not _fp_divmod(sieve_determinant(u, w, l).reduce_mod(p),
-                                  m, p)[1]
+            if any(not fp_divmod(sieve_determinant(u, w, l).reduce_mod(p),
+                                 m, p)[1]
                    for l in range(int(u is w), N))}
 
 

@@ -1,6 +1,6 @@
 """End-to-end timings of the package, written as BENCH_<n>.json.
 
-    python tools/bench.py --out BENCH_41.json [--baseline DIR]
+    python tools/bench.py --out BENCH_44.json [--baseline DIR]
 
 It measures the checkout it lives in and, with --baseline, a second
 checkout (say, the parent commit unpacked by `git archive`) in the same
@@ -42,6 +42,9 @@ COMMANDS = (
     # the largest skeleton of the sweep, 432,636 edges, lifted and printed
     # with no cache: the cold path of skeleton --json
     ("skeleton", "--p", "4651", "--min-poly", "t+3978", "--json"),
+    # the equal-degree split's heaviest documented input: phi_59(-t) mod
+    # 4651 in 2 factors of degree 29
+    ("factors", "--n", "59", "--p", "4651", "--json"),
 )
 # the start-up every command pays: the interpreter and the package's import
 IMPORT = "import burausieve.cli"
