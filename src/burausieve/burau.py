@@ -11,7 +11,6 @@ xi in the field's ring (exactalg.quotient_ring).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .exactalg import MAX_EXPONENT, IntPoly
 
@@ -21,11 +20,24 @@ _BASE_NAMES = {"s1": 1, "s2": 2, "T": 3}
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """A word over {s1, s2, T} and inverses."""
 
-    letters: tuple = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters=()):
+        self.letters = letters
+
+    def __eq__(self, other):
+        if type(other) is not BraidWord:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.letters,))
+
+    def __repr__(self):
+        return f"BraidWord(letters={self.letters!r})"
 
     @staticmethod
     def identity():
@@ -73,14 +85,26 @@ class BraidWord:
         return BraidWord(self.letters * n)
 
 
-@dataclass(frozen=True)
 class BurauMatrix:
     """A 2x2 matrix of integer Laurent polynomials, row-major."""
 
-    a: IntPoly
-    b: IntPoly
-    c: IntPoly
-    d: IntPoly
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other):
+        if type(other) is not BurauMatrix:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == \
+            (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return (f"BurauMatrix(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"d={self.d!r})")
 
     @staticmethod
     def identity():

@@ -21,7 +21,6 @@ import sys
 import tempfile
 from array import array
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
@@ -43,12 +42,14 @@ EXIT_RESOURCE = 3
 EXIT_PIPE = 141
 
 
-@dataclass
 class RunConfig:
     """Sweep settings, optionally loaded from a JSON file."""
 
-    informative_sets: dict = field(default_factory=dict)
-    state_cap: int = DEFAULT_STATE_CAP
+    __slots__ = ("informative_sets", "state_cap")
+
+    def __init__(self):
+        self.informative_sets = {}
+        self.state_cap = DEFAULT_STATE_CAP
 
     @staticmethod
     def load(path):
@@ -128,22 +129,27 @@ def _dict_template(keys, pad):
 def _json_text(value, pad):
     """The text of json.dumps(value, sort_keys=True, indent=2) with pad
     after each newline, for a value built of dicts with str keys, lists,
-    tuples, str, int, bool and None; None for any other value.  Strings
-    and keys go through encode_basestring_ascii, which json's encoders
-    call for them, and ints through int.__repr__, as json's do; the
-    containers are laid out here, so no encoder is built.  A dict fills
-    its shape's _dict_template with its values' text, so dicts of one
-    key set, such as the 465 pairs of addendum --all-groups, share one
+    tuples, str, int, bool and None; None for any other value, and
+    TypeError, as json.dumps(sort_keys=True) raises, for a dict whose
+    keys do not sort.  Strings and keys go through
+    encode_basestring_ascii, which json's encoders call for them, and
+    ints through int.__repr__, as json's do; the containers are laid out
+    here, so no encoder is built.  The type is read once, str and int,
+    most of every payload's leaves, are tested first, and a dict's keys
+    are tested in one loop over its sorted keys.  A dict fills its
+    shape's _dict_template with its values' text, so dicts of one key
+    set, such as the 465 pairs of addendum --all-groups, share one
     layout."""
-    if type(value) is str:
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
     if value is None:
         return "null"
-    if value is True or value is False:
+    if kind is bool:
         return "true" if value else "false"
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) in (list, tuple):
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = pad + "  "
@@ -151,11 +157,14 @@ def _json_text(value, pad):
         if None in parts:
             return None
         return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
-    if type(value) is not dict or not all(type(key) is str for key in value):
+    if kind is not dict:
         return None
     if not value:
         return "{}"
     keys = tuple(sorted(value))
+    for key in keys:
+        if type(key) is not str:
+            return None
     inner = pad + "  "
     parts = tuple([_json_text(value[key], inner) for key in keys])
     if None in parts:

@@ -9,20 +9,37 @@ the signature is shared by the whole row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class GoldenRow:
-    index: int
-    p: int
-    N: int
-    factor_groups: tuple  # tuple of tuples of canonical polynomial text
-    starred: bool
-    edges: int
-    v_white: int
-    v_black: int
-    partition: tuple  # ((width, count), ...), widths ascending
+    """One row: factor_groups is a tuple of tuples of canonical polynomial
+    text, partition ((width, count), ...) with widths ascending."""
+
+    __slots__ = ("index", "p", "N", "factor_groups", "starred", "edges",
+                 "v_white", "v_black", "partition")
+
+    def __init__(self, index, p, N, factor_groups, starred, edges, v_white,
+                 v_black, partition):
+        self.index, self.p, self.N = index, p, N
+        self.factor_groups, self.starred = factor_groups, starred
+        self.edges, self.v_white, self.v_black = edges, v_white, v_black
+        self.partition = partition
+
+    def _fields(self):
+        return (self.index, self.p, self.N, self.factor_groups, self.starred,
+                self.edges, self.v_white, self.v_black, self.partition)
+
+    def __eq__(self, other):
+        if type(other) is not GoldenRow:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "GoldenRow(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields())) + ")"
 
     @property
     def factors(self):

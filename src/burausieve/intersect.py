@@ -10,7 +10,8 @@ Z/(q - 1), and visits no pair of lines or edges, specializes no matrix
 and builds no field table.  verify_addendum_pairwise reads each
 representative's inputs once, its trace-field test, fiber cycles and
 link data (_product_input), and computes each unlinked product once per
-distinct pair of them.
+distinct pair of them; addendum_report reads a row's first factor once
+for both of its checks.
 Conjugacy of a module to the span of e2 is decided on the projective
 line, where scalars act trivially: it is membership of e2's line in the
 braid orbit of the module's line.  addendum_report runs both
@@ -21,7 +22,6 @@ is conjugate to e2 when its orbit holds I, whose line is e2's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .golden import GOLDEN_ROWS
@@ -31,13 +31,29 @@ from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, _euler_genus, \
 from .typesys import admissible_types, root_spec
 
 
-@dataclass(frozen=True)
 class FiberedProduct:
-    """Connected components of the product action on edge pairs."""
+    """Connected components of the product action on edge pairs, as a
+    tuple of (edges, genus)."""
 
-    left_edges: int
-    right_edges: int
-    components: tuple  # of (edges, genus)
+    __slots__ = ("left_edges", "right_edges", "components")
+
+    def __init__(self, left_edges, right_edges, components):
+        self.left_edges, self.right_edges = left_edges, right_edges
+        self.components = components
+
+    def __eq__(self, other):
+        if type(other) is not FiberedProduct:
+            return NotImplemented
+        return (self.left_edges, self.right_edges, self.components) == \
+            (other.left_edges, other.right_edges, other.components)
+
+    def __hash__(self):
+        return hash((self.left_edges, self.right_edges, self.components))
+
+    def __repr__(self):
+        return (f"FiberedProduct(left_edges={self.left_edges!r}, "
+                f"right_edges={self.right_edges!r}, "
+                f"components={self.components!r})")
 
     @property
     def total_edges(self):
@@ -54,11 +70,20 @@ def _reciprocal(modulus, p):
     return tuple(c * inverse % p for c in reversed(modulus))
 
 
-def _cycle_count(cycles, r1, r2):
-    """The cycles over base cycles (o1, o2, count) whose net voltage in
-    Z/r1 x Z/r2 has coordinates of orders o1 and o2: each lifts to
-    r1 r2 / o cycles, o = lcm(o1, o2) the order of the voltage."""
-    return sum(count * r1 * r2 // lcm(o1, o2) for o1, o2, count in cycles)
+def _product_count(base1, base2, r1, r2):
+    """The cycles of one generator on the edge pairs, from its cycles
+    (L, o, count) on each factor's lines with fibers Z/r1 and Z/r2, in
+    one pass with no list (see fibered_product): c1 c2 g pair cycles of
+    orders a and b, g = gcd(L1, L2), each lifting to r1 r2 / lcm(a, b)
+    cycles."""
+    rr = r1 * r2
+    total = 0
+    for L1, o1, c1 in base1:
+        for L2, o2, c2 in base2:
+            g = gcd(L1, L2)
+            total += c1 * c2 * g * (rr // lcm(o1 // gcd(o1, L2 // g),
+                                              o2 // gcd(o2, L1 // g)))
+    return total
 
 
 def _components(n, vertices, edges, faces):
@@ -108,13 +133,15 @@ def fibered_product(spec1, spec2, inputs=None):
     _fiber_cycles gives the cycles (L, o, count) of black, white and
     region on its q + 1 lines, o the order of the net voltage mu in Z/r.
     These act coordinatewise on edge pairs: cycles of lengths L1 and L2
-    meet in gcd(L1, L2) cycles of line pairs, of length l = lcm(L1, L2)
-    and voltage (mu1 l / L1, mu2 l / L2) in Z/r1 x Z/r2, whose coordinates
-    have the orders o1 / gcd(o1, l / L1) and o2 / gcd(o2, l / L2), as
+    meet in g = gcd(L1, L2) cycles of line pairs, of length l = lcm(L1, L2)
+    and voltage (mu1 l / L1, mu2 l / L2) in Z/r1 x Z/r2.  As l = L1 L2 / g,
+    l / L1 = L2 / g and l / L2 = L1 / g, so the coordinates have the
+    orders a = o1 / gcd(o1, L2 / g) and b = o2 / gcd(o2, L1 / g), as
     j k mu = 0 in a cyclic group exactly when o divides j k, that is when
-    o / gcd(o, k) divides j; and one of voltage of order o lifts to
-    r1 r2 / o cycles.  That gives V and F
-    of all components together, with E = E1 E2, from orders alone.
+    o / gcd(o, k) divides j; and one of voltage of order lcm(a, b) lifts
+    to r1 r2 / lcm(a, b) cycles.  _product_count sums that over the
+    cycle pairs of each generator, which gives V and F of all components
+    together, with E = E1 E2, from orders alone.
 
     Unlinked roots (m2 neither m1 nor its monic reciprocal) give one
     component.  The commutator subgroup of the braid group maps onto
@@ -159,12 +186,8 @@ def fibered_product(spec1, spec2, inputs=None):
     (q1, r1, fiber1), link1 = inputs[0] if inputs else _product_input(spec1)
     (q2, r2, fiber2), link2 = inputs[1] if inputs else _product_input(spec2)
     e1, e2 = (q1 + 1) * r1, (q2 + 1) * r2
-    black, white, region = (_cycle_count(
-        [(o1 // gcd(o1, l // L1), o2 // gcd(o2, l // L2),
-          c1 * c2 * gcd(L1, L2))
-         for L1, o1, c1 in base1 for L2, o2, c2 in base2
-         for l in [lcm(L1, L2)]], r1, r2)
-        for base1, base2 in zip(fiber1, fiber2))
+    black, white, region = (_product_count(base1, base2, r1, r2)
+                            for base1, base2 in zip(fiber1, fiber2))
     if not _linked(link1, link2):
         return FiberedProduct(e1, e2, tuple(
             _components(1, black + white, e1 * e2, region)))
@@ -176,9 +199,9 @@ def fibered_product(spec1, spec2, inputs=None):
                          f"and {spec2}")
     s = (ring.order - 1) // r1  # |S|
     x = _xi_logs(root)[2]  # log -xi = log det s1
-    black_d, white_d, region_d = (_cycle_count(
-        [(r1 // gcd(r1, a), r1 // gcd(r1, a - L * k * x), count)
-         for L, a, count in base], r1, r1)
+    black_d, white_d, region_d = (sum(
+        count * r1 * r1 // lcm(r1 // gcd(r1, a), r1 // gcd(r1, a - L * k * x))
+        for L, a, count in base)
         for base, k in zip(_generator_cycles(root), (2, 3, 1)))
     e_d = (ring.order + 1) * r1 * r1
     return FiberedProduct(e1, e2, tuple(
@@ -208,22 +231,24 @@ def _counts(prod):
     return len(prod.components), prod.min_genus()
 
 
-def verify_addendum_pairwise(row_specs):
+def verify_addendum_pairwise(row_specs, inputs=None):
     """Fibered products of every unordered pair of row representatives.
 
     Input: list of (label, UniversalGroupSpec), one representative per
     table row.  Each pair must produce components of genus >= 1 only; a
     genus-zero component would mean two distinct factors coexisting in one
     subgroup.  Returns a report dict with per-pair component counts and
-    minimum genus.  Each representative's _product_input is read once and
-    handed to every fibered_product of it, so no product tests a root's
-    trace field or reads its fiber cycles again.  An unlinked product
-    reads only its factors' product inputs, so it is computed once per
-    distinct pair of them in one call; a linked pair is computed on its
-    own.
+    minimum genus.  Each representative's _product_input is read once, or
+    taken from inputs, their list in the same order, when the caller has
+    read them, and handed to every fibered_product of it, so no product
+    tests a root's trace field or reads its fiber cycles again.  An
+    unlinked product reads only its factors' product inputs, so it is
+    computed once per distinct pair of them in one call; a linked pair is
+    computed on its own.
     """
     report = {"pairs": [], "ok": True}
-    inputs = [_product_input(spec) for _, spec in row_specs]
+    if inputs is None:
+        inputs = [_product_input(spec) for _, spec in row_specs]
     numbers = {}  # each distinct product input, numbered once
     ids = [numbers.setdefault(product, len(numbers)) for product, _ in inputs]
     unlinked = {}  # each unlinked product's counts, by its pair of ids
@@ -258,14 +283,20 @@ def addendum_report(state_cap=DEFAULT_STATE_CAP, all_groups=False):
     genus-zero braid orbits of type lines, from orbit_signatures, which
     raises at the state cap.  v_I = e2 and I is always admissible, so a
     realized type is conjugate to e2 exactly when its orbit holds I.
-    Returns {"pairs", "conjugacy", "ok"}.
+    Each representative's _product_input is read once; for a row's first
+    factor it also hands orbit_signatures its fiber cycles, as its trace
+    field test has passed, so the first factor is read once for both
+    checks.  Returns {"pairs", "conjugacy", "ok"}.
     """
-    reps, conjugacy = [], []
+    reps, inputs, conjugacy = [], [], []
     for row in GOLDEN_ROWS:
         root = root_spec(row.p, row.factors[0])
+        first = UniversalGroupSpec(root, "I", "bu3")
+        first_input = _product_input(first)
         realized, ok = [], True
         tags = sorted(admissible_types(root))
-        for _, g, orbit in orbit_signatures(root, tags, "bu3", state_cap):
+        for _, g, orbit in orbit_signatures(root, tags, "bu3", state_cap,
+                                            cycles=first_input[0][2]):
             if g == 0:
                 realized.extend(orbit)
                 ok = ok and "I" in orbit
@@ -274,9 +305,14 @@ def addendum_report(state_cap=DEFAULT_STATE_CAP, all_groups=False):
         groups = row.factor_groups if all_groups else row.factor_groups[:1]
         for n, grp in enumerate(groups):
             label = f"{row.label} {grp[0]}" if all_groups else row.label
-            reps.append((label, UniversalGroupSpec(
-                root if n == 0 else root_spec(row.p, grp[0]), "I", "bu3")))
-    report = verify_addendum_pairwise(reps)
+            if n == 0:
+                spec, product_input = first, first_input
+            else:
+                spec = UniversalGroupSpec(root_spec(row.p, grp[0]), "I", "bu3")
+                product_input = _product_input(spec)
+            reps.append((label, spec))
+            inputs.append(product_input)
+    report = verify_addendum_pairwise(reps, inputs)
     report["conjugacy"] = conjugacy
     report["ok"] = report["ok"] and all(c["ok"] for c in conjugacy)
     return report

@@ -77,8 +77,6 @@ its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .burau import BraidWord, modular_projection, to_burau
 from .exactalg import IntPoly, cyclotomic_factors, prime_factors, \
     quotient_ring, resultant, unity_tables, unity_value, unity_values, \
@@ -95,13 +93,27 @@ _UNDEFINED, _ZERO, _INFINITY = "undefined", "zero", "infinity"
 _FIXED = frozenset((_UNDEFINED, _ZERO, _INFINITY))
 
 
-@dataclass(frozen=True)
 class SieveBranch:
-    """One characteristic class of a sweep value N, with its fixed M."""
+    """One characteristic class of a sweep value N, with its fixed M;
+    char_class is "p=2", "p odd" or "p=3"."""
 
-    char_class: str  # "p=2" | "p odd" | "p=3"
-    M: int
-    types: tuple
+    __slots__ = ("char_class", "M", "types")
+
+    def __init__(self, char_class, M, types):
+        self.char_class, self.M, self.types = char_class, M, types
+
+    def __eq__(self, other):
+        if type(other) is not SieveBranch:
+            return NotImplemented
+        return (self.char_class, self.M, self.types) == \
+            (other.char_class, other.M, other.types)
+
+    def __hash__(self):
+        return hash((self.char_class, self.M, self.types))
+
+    def __repr__(self):
+        return (f"SieveBranch(char_class={self.char_class!r}, M={self.M!r}, "
+                f"types={self.types!r})")
 
     def accepts_prime(self, p):
         if self.char_class == "p=2":
@@ -127,13 +139,26 @@ def branches_for(N):
     return out
 
 
-@dataclass(frozen=True)
 class ExceptionalTriple:
     """A sieve survivor candidate: prime, minimal polynomial, type tag."""
 
-    p: int
-    min_poly: IntPoly
-    type_tag: str
+    __slots__ = ("p", "min_poly", "type_tag")
+
+    def __init__(self, p, min_poly, type_tag):
+        self.p, self.min_poly, self.type_tag = p, min_poly, type_tag
+
+    def __eq__(self, other):
+        if type(other) is not ExceptionalTriple:
+            return NotImplemented
+        return (self.p, self.min_poly, self.type_tag) == \
+            (other.p, other.min_poly, other.type_tag)
+
+    def __hash__(self):
+        return hash((self.p, self.min_poly, self.type_tag))
+
+    def __repr__(self):
+        return (f"ExceptionalTriple(p={self.p!r}, min_poly={self.min_poly!r}, "
+                f"type_tag={self.type_tag!r})")
 
     def sort_key(self):
         return (self.p, str(self.min_poly), self.type_tag)

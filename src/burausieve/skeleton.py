@@ -34,13 +34,12 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from operator import countOf, eq, ge, itemgetter
 
 from .burau import BraidWord, specialize, to_burau
-from .typesys import RootSpec, root_spec, type_coefficient_laurent, \
+from .typesys import root_spec, type_coefficient_laurent, type_tags, \
     type_vector
 
 DEFAULT_STATE_CAP = 10 ** 6
@@ -149,9 +148,12 @@ class Skeleton:
         has a certificate in the lift's breadth-first numbering: every edge
         e >= 1 is the black or the white image of an earlier edge, that is
         black^2[e] < e or white[e] < e, so by induction on e every edge is
-        reached from edge 0.  black^3, proved to be the identity, supplies
-        each e for those comparisons.  An entry numbered any other way is
-        refused, and the lift writes it again.
+        reached from edge 0.  The edges with white[e] >= e are white's
+        cycle starts, listed once here, so the certificate is black^2[e] < e
+        for every start e >= 1, and the starts go on to _cycles_of.
+        black^3, proved to be the identity, supplies each e for those
+        comparisons.  An entry numbered any other way is refused, and the
+        lift writes it again.
         """
         black = tuple(black)
         white = tuple(white)
@@ -164,18 +166,18 @@ class Skeleton:
         identity = _compose(black, black2)
         if not (all(map(eq, identity, range(n))) and white2 == identity):
             return None
-        # the edges e with black^2[e] >= e, each telling whether also
-        # white[e] >= e; edge 0, the first, needs no earlier edge
-        late = compress(map(ge, white, identity), map(ge, black2, identity))
-        next(late)
-        if any(late):
+        starts = list(compress(identity, map(ge, white, identity)))
+        later = starts[1:]  # edge 0, the first, needs no earlier edge
+        if later and any(map(ge, _compose(black2, later), later)):
             return None
-        return cls._certified(black, white, black2)
+        sk = cls._certified(black, white, black2)
+        sk._cycles_of("white", starts)
+        return sk
 
     def __setattr__(self, name, value):
         raise AttributeError("Skeleton is immutable")
 
-    def _cycles_of(self, which):
+    def _cycles_of(self, which, starts=None):
         """The Cycles of black, white or region, each from its smallest
         edge, in the order of those edges.  flat holds the permutation's
         own ints: a cycle's first edge i is read back as the image of its
@@ -183,9 +185,10 @@ class Skeleton:
         proved by _LineWalk.check_relations on the walk's lines or, for a
         cache entry, by Skeleton._from_entry on the edges, so their cycle
         starts are the edges i no greater than black[i] and black^2[i], or
-        than white[i], and _short_cycles composes the rest; region's are
-        walked from the edges no earlier cycle holds, appending to one
-        list."""
+        than white[i], and _short_cycles composes the rest; white's starts
+        are the given ones when _from_entry has listed them.  Region's
+        cycles are walked from the edges no earlier cycle holds, appending
+        to one list."""
         cycles = self._cycles.get(which)
         if cycles is None:
             perm = getattr(self, which)
@@ -194,8 +197,9 @@ class Skeleton:
                     i for i, b in enumerate(perm) if i <= b and i <= perm[b]],
                     3)
             elif which == "white":
-                cycles = _short_cycles(
-                    perm, [i for i, w in enumerate(perm) if i <= w], 2)
+                if starts is None:
+                    starts = [i for i, w in enumerate(perm) if i <= w]
+                cycles = _short_cycles(perm, starts, 2)
             else:
                 unseen = bytearray(b"\x01") * self.edge_count
                 flat, lengths = [], []
@@ -239,22 +243,34 @@ class Skeleton:
             "genus": genus(self),
         }
 
-@dataclass(frozen=True)
+
 class SkeletonSignature:
     """(e; v_white, v_black; region width partition), the partition as
     ((width, count), ...) in increasing width, each count positive."""
 
-    edges: int
-    v_white: int
-    v_black: int
-    partition: tuple
+    __slots__ = ("edges", "v_white", "v_black", "partition")
 
-    def __post_init__(self):
-        widths = [w for w, _ in self.partition]
-        if widths != sorted(set(widths)) or any(n < 1 for _, n in
-                                                self.partition):
-            raise ValueError(f"partition {self.partition} is not in "
+    def __init__(self, edges, v_white, v_black, partition):
+        widths = [w for w, _ in partition]
+        if widths != sorted(set(widths)) or any(n < 1 for _, n in partition):
+            raise ValueError(f"partition {partition} is not in "
                              f"increasing width with positive counts")
+        self.edges, self.v_white, self.v_black = edges, v_white, v_black
+        self.partition = partition
+
+    def __eq__(self, other):
+        if type(other) is not SkeletonSignature:
+            return NotImplemented
+        return (self.edges, self.v_white, self.v_black, self.partition) == \
+            (other.edges, other.v_white, other.v_black, other.partition)
+
+    def __hash__(self):
+        return hash((self.edges, self.v_white, self.v_black, self.partition))
+
+    def __repr__(self):
+        return (f"SkeletonSignature(edges={self.edges!r}, "
+                f"v_white={self.v_white!r}, v_black={self.v_black!r}, "
+                f"partition={self.partition!r})")
 
     def partition_text(self):
         return " ".join(f"{w}^{n}" for w, n in self.partition)
@@ -294,17 +310,29 @@ def euler_lhs(sig, N):
             + sum((6 - w) * n for w, n in sig.partition))
 
 
-@dataclass(frozen=True)
 class UniversalGroupSpec:
-    """A root, a type tag, and the ambient group (bu3 or b3)."""
+    """A root (a typesys.RootSpec), a type tag, and the ambient group (bu3
+    or b3)."""
 
-    root: RootSpec
-    type_tag: str
-    ambient: str = "bu3"
+    __slots__ = ("root", "type_tag", "ambient")
 
-    def __post_init__(self):
-        if self.ambient not in ("bu3", "b3"):
+    def __init__(self, root, type_tag, ambient="bu3"):
+        if ambient not in ("bu3", "b3"):
             raise ValueError("ambient must be 'bu3' or 'b3'")
+        self.root, self.type_tag, self.ambient = root, type_tag, ambient
+
+    def __eq__(self, other):
+        if type(other) is not UniversalGroupSpec:
+            return NotImplemented
+        return (self.root, self.type_tag, self.ambient) == \
+            (other.root, other.type_tag, other.ambient)
+
+    def __hash__(self):
+        return hash((self.root, self.type_tag, self.ambient))
+
+    def __repr__(self):
+        return (f"UniversalGroupSpec(root={self.root!r}, "
+                f"type_tag={self.type_tag!r}, ambient={self.ambient!r})")
 
     def __str__(self):
         return (f"p={self.root.p} m={self.root.min_poly} type {self.type_tag} "
@@ -667,9 +695,10 @@ def _fiber_cycles(spec):
             for base in _generator_cycles(spec.root)]
 
 
-def _closed_form(spec, state_cap):
+def _closed_form(spec, state_cap, cycles=None):
     """(SkeletonSignature, genus) of a root whose trace field is F_q,
-    without a walk over lines.
+    without a walk over lines, lifted from cycles, spec's _fiber_cycles,
+    which are read here unless the caller has them.
 
     Black, white and region have projective orders 3, 2 and N >= 7, so the
     braid image in PGL2(F_q) is a quotient of the (2, 3, N) triangle group.
@@ -739,11 +768,12 @@ def _closed_form(spec, state_cap):
     lines, r = spec.root.ring.order + 1, _fiber_order(spec)
     if lines * r > state_cap:
         raise _cap_exceeded(state_cap, spec)
-    return _signature_of(spec, lines, r, _fiber_cycles(spec))
+    return _signature_of(spec, lines, r,
+                         _fiber_cycles(spec) if cycles is None else cycles)
 
 
 def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP,
-                     closed_forms=None):
+                     closed_forms=None, cycles=None):
     """[(signature, genus, tags)], one entry per braid orbit of type lines.
 
     The one dispatcher between the closed form and the walk.  Conjugate
@@ -755,20 +785,26 @@ def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP,
     A closed form depends only on (q, N, M, ambient) (see _closed_form),
     so a caller may pass a dict as closed_forms, which then keeps one per
     key for the roots it is passed with, under one state_cap; the tags
-    are still checked for each root.  Raises EnumerationCapExceeded as _LineWalk does on the
-    orbit's first tag.
+    are still checked for each root.  A caller that has proved
+    _trace_generates(root) and read root's _fiber_cycles in ambient, as
+    intersect._product_input does, may pass them as cycles, so that
+    neither is done again; they do not depend on the tag.  Raises
+    EnumerationCapExceeded as _LineWalk does on the orbit's first tag.
     """
-    if tags and _trace_generates(root):
-        for tag in tags:  # rejects an inadmissible tag, as a walk would
-            type_coefficient_laurent(tag, root.M, root.p == 3)
+    if tags and (cycles is not None or _trace_generates(root)):
+        admissible = type_tags(root.M, root.p == 3)
+        for tag in tags:  # raises for an inadmissible tag, as a walk would
+            if tag not in admissible:
+                type_coefficient_laurent(tag, root.M, root.p == 3)
         spec = UniversalGroupSpec(root, tags[0], ambient)
         if closed_forms is None:
-            form = _closed_form(spec, state_cap)
+            form = _closed_form(spec, state_cap, cycles=cycles)
         else:
             key = (root.ring.order, root.N, root.M, ambient)
             form = closed_forms.get(key)
             if form is None:
-                form = closed_forms[key] = _closed_form(spec, state_cap)
+                form = closed_forms[key] = _closed_form(spec, state_cap,
+                                                        cycles=cycles)
         return [(*form, list(tags))]
     return [(*walk.signature(), members)
             for walk, members in _orbit_walks(root, tags, ambient, state_cap)]

@@ -13,8 +13,6 @@ a_T(xi) in the root's ring, the second entry of the annihilator covector
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exactalg import IntPoly, monic_modulus, order_plan, poly_text, \
     prime_factors, quotient_ring, root_order
 
@@ -41,16 +39,29 @@ def k_threshold(N):
     return -(-5 // (N - 6))
 
 
-@dataclass(frozen=True)
 class RootSpec:
     """A verified root: prime, minimal polynomial, orders, and its field,
-    ring = exactalg.quotient_ring(p, m), proved a field."""
+    ring = exactalg.quotient_ring(p, m), proved a field.  Equality, hash
+    and repr read the rest, not the ring."""
 
-    p: int
-    min_poly: IntPoly
-    N: int
-    M: int
-    ring: object = field(compare=False, repr=False)
+    __slots__ = ("p", "min_poly", "N", "M", "ring")
+
+    def __init__(self, p, min_poly, N, M, ring):
+        self.p, self.min_poly, self.N, self.M, self.ring = \
+            p, min_poly, N, M, ring
+
+    def __eq__(self, other):
+        if type(other) is not RootSpec:
+            return NotImplemented
+        return (self.p, self.min_poly, self.N, self.M) == \
+            (other.p, other.min_poly, other.N, other.M)
+
+    def __hash__(self):
+        return hash((self.p, self.min_poly, self.N, self.M))
+
+    def __repr__(self):
+        return (f"RootSpec(p={self.p!r}, min_poly={self.min_poly!r}, "
+                f"N={self.N!r}, M={self.M!r})")
 
     def __str__(self):
         return f"(p={self.p}, m={self.min_poly})"
@@ -75,7 +86,7 @@ def root_spec(p, min_poly):
     M = ring.unit_order(ring.gen, plan)
     if M != epsilon_p(N, p) or N != epsilon_p(M, p):
         raise AssertionError("order bookkeeping violated")  # unreachable
-    return RootSpec(p=p, min_poly=IntPoly(modulus), N=N, M=M, ring=ring)
+    return RootSpec(p, IntPoly(modulus), N, M, ring)
 
 
 def type_tags(M, p_is_3):

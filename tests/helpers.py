@@ -35,7 +35,10 @@ and `cycle_tuples` cuts a skeleton's flat `Cycles` into one tuple per
 cycle;
 `reference_fibered_product` is the fibered product of two lifted
 skeletons, pair by pair, the reference for the package's closed-form
-product and the only product of the pairs it refuses; `count_calls`
+product and the only product of the pairs it refuses, and
+`reference_product_count` is the list-based count of one generator's
+cycles on the edge pairs, the reference for the package's fused count;
+`count_calls`
 records the calls of a package function; `realized_types_alone` is the
 addendum's conjugacy check with each type lifted and tested on its own;
 `reference_trace_generates` decides by powers in the field's ring
@@ -614,6 +617,21 @@ def _region_lengths(sk):
         for e in cyc:
             out[e] = len(cyc)
     return out
+
+
+def reference_product_count(base1, base2, r1, r2):
+    """The cycles of one generator on the edge pairs of two factors, from
+    its (L, o, count) cycles on each factor's lines with fibers Z/r1 and
+    Z/r2, as the package counted them before it fused the count: a list
+    of (order 1, order 2, count) for the gcd(L1, L2) pair cycles of each
+    two cycles, of length l = lcm(L1, L2), whose voltage has the orders
+    o1 / gcd(o1, l / L1) and o2 / gcd(o2, l / L2), then r1 r2 / lcm of
+    them lifted cycles for each."""
+    cycles = [(o1 // gcd(o1, l // L1), o2 // gcd(o2, l // L2),
+               c1 * c2 * gcd(L1, L2))
+              for L1, o1, c1 in base1 for L2, o2, c2 in base2
+              for l in [lcm(L1, L2)]]
+    return sum(count * r1 * r2 // lcm(o1, o2) for o1, o2, count in cycles)
 
 
 def reference_fibered_product(s1, s2):

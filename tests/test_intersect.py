@@ -1,11 +1,12 @@
 """Fibered products, pairwise exclusion, and conjugacy to the e2 line."""
 
+import random
 from collections import Counter
 
 import pytest
 from covector_oracle import product_skeletons, skeleton_isomorphic
 from helpers import count_calls, realized_types_alone, \
-    reference_fibered_product, single_edge
+    reference_fibered_product, reference_product_count, single_edge
 
 from burausieve import intersect, skeleton
 from burausieve.golden import GOLDEN_ROWS
@@ -169,6 +170,38 @@ class TestFiberedProduct:
             fibered_product(spec1, spec2)
 
 
+class TestProductCount:
+    @staticmethod
+    def random_cycles(rng, r):
+        # (L, o, count) with o the order of a voltage in Z/r, so o | r
+        orders = [o for o in range(1, r + 1) if r % o == 0]
+        return [(rng.randint(1, 40), rng.choice(orders), rng.randint(1, 9))
+                for _ in range(rng.randint(1, 6))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fused_count_matches_the_list_based_count(self, seed):
+        # random cycle lists beyond the golden pairs, in fibers of every
+        # size up to 72, with cycle lengths sharing and lacking factors
+        rng = random.Random(seed)
+        for _ in range(250):
+            r1, r2 = rng.randint(1, 72), rng.randint(1, 72)
+            base1 = self.random_cycles(rng, r1)
+            base2 = self.random_cycles(rng, r2)
+            assert intersect._product_count(base1, base2, r1, r2) == \
+                reference_product_count(base1, base2, r1, r2), \
+                (base1, base2, r1, r2)
+
+    def test_golden_representatives_match_the_list_based_count(self):
+        inputs = [intersect._product_input(UniversalGroupSpec(
+            root_spec(row.p, grp[0]), "I", "bu3"))[0]
+            for row in GOLDEN_ROWS for grp in row.factor_groups]
+        for q1, r1, fiber1 in inputs:
+            for q2, r2, fiber2 in inputs:
+                for base1, base2 in zip(fiber1, fiber2):
+                    assert intersect._product_count(base1, base2, r1, r2) \
+                        == reference_product_count(base1, base2, r1, r2)
+
+
 class TestAddendumPairs:
     def test_three_row_sample(self):
         reps = []
@@ -205,10 +238,10 @@ class TestAddendumPairs:
         (False, 13, 0), (True, 31, 5)], ids=["rows", "all-groups"])
     def test_each_representative_is_read_once(self, monkeypatch, all_groups,
                                               reps, linked):
-        # the conjugacy check reads each row's orbits in one closed form,
-        # 13 in all; the pairwise check then tests each representative's
-        # trace field and reads its fiber cycles once, and only a linked
-        # product reads its first root's generator cycles again
+        # each representative's trace field is tested and its fiber cycles
+        # read once, and a row's first factor shares them between the
+        # conjugacy check's closed form and the pairwise check; only a
+        # linked product reads its first root's generator cycles again
         fibers = count_calls(monkeypatch, skeleton, "_fiber_cycles")
         traces = count_calls(monkeypatch, skeleton, "_trace_generates")
         cycles = count_calls(monkeypatch, skeleton, "_generator_cycles")
@@ -216,10 +249,10 @@ class TestAddendumPairs:
         report = addendum_report(all_groups=all_groups)
         assert report["ok"] and len(report["pairs"]) == reps * (reps - 1) // 2
         assert (len(fibers), len(traces), len(cycles)) == \
-            (13 + reps, 13 + reps, 13 + reps + linked)
+            (reps, reps, reps + linked)
         assert len({(spec.root.p, spec.root.ring.modulus)
-                    for spec, in fibers[13:]}) == reps
-        assert len({id(root) for root, in traces[13:]}) == reps
+                    for spec, in fibers}) == reps
+        assert len({id(root) for root, in traces}) == reps
         assert len(products) == (86 + 5 if all_groups else 78)
 
     def test_refuses_a_representative_it_cannot_read(self):

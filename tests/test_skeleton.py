@@ -1,6 +1,7 @@
 """Skeleton structure, enumeration, signatures, genus, golden comparison."""
 
 import random
+import re
 from array import array
 from collections import Counter
 from itertools import chain, product
@@ -182,11 +183,16 @@ class TestSkeletonStructure:
     @pytest.mark.parametrize("ambient", ["bu3", "b3"])
     def test_cycles_match_the_general_walk(self, ambient):
         # black's and white's cycles are read off their orders 3 and 2,
-        # region's walked; all three equal the walk over any permutation
+        # region's walked; all three equal the walk over any permutation,
+        # also as a cache entry, whose white cycles start at the edges its
+        # certificate listed
         for row in GOLDEN_ROWS:
             for factor in range(len(row.factors)):
-                assert_cycles_match_the_walk(enumerate_row(
-                    row.p, row.N, ambient=ambient, factor=factor))
+                sk = enumerate_row(row.p, row.N, ambient=ambient,
+                                   factor=factor)
+                assert_cycles_match_the_walk(sk)
+                assert_cycles_match_the_walk(Skeleton._from_entry(
+                    array("Q", sk.black), array("Q", sk.white)))
 
     def test_flat_cycles_of_random_skeletons(self):
         # up to all edges fixed under black or white, down to one edge;
@@ -676,6 +682,24 @@ class TestClosedFormOverSmallFields:
                             (str(root), tag, ambient)
                     rejected += 1
         assert (closed, rejected) == (2984, 20)
+
+    @pytest.mark.parametrize("p, m, tag, message", [
+        (2, "t^3+t+1", "III+", "type 'III+' is not admissible for M=7"),
+        (2, "t^3+t+1", "III3", "type 'III3' is not admissible for M=7"),
+        (3, "t^2+2t+2", "IV", "type 'IV' is not admissible for M=8 and p=3"),
+        (3, "t^2+2t+2", "III-",
+         "type 'III-' is not admissible for M=8 and p=3"),
+        (5, "t-1", "III+", "type 'III+' is not admissible for M=1"),
+    ], ids=["closed-2", "closed-2-iii3", "closed-3", "closed-3-iii", "walked"])
+    def test_an_inadmissible_tag_raises_on_either_path(self, p, m, tag,
+                                                       message):
+        # the closed form tests each tag against type_tags; the walk meets
+        # it when it seeds the tag's line; both raise type_coefficient_laurent's
+        # error, also after an admissible first tag
+        root = root_spec(p, m)
+        for ambient in ("bu3", "b3"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                orbit_signatures(root, ["I", tag], ambient)
 
 
 def field_size_classes(max_prime, max_degree, max_order):
