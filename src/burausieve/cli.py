@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from array import array
 from contextlib import suppress
 from functools import cache
@@ -134,12 +133,11 @@ def _json_text(value, pad):
     keys do not sort.  Strings and keys go through
     encode_basestring_ascii, which json's encoders call for them, and
     ints through int.__repr__, as json's do; the containers are laid out
-    here, so no encoder is built.  The type is read once, str and int,
-    most of every payload's leaves, are tested first, and a dict's keys
-    are tested in one loop over its sorted keys.  A dict fills its
-    shape's _dict_template with its values' text, so dicts of one key
-    set, such as the 465 pairs of addendum --all-groups, share one
-    layout."""
+    here, so no encoder is built.  The type is read once, and str and
+    int, most of every payload's leaves, are tested first.  A dict fills
+    its shape's _dict_template with its values' text; a list of dicts of
+    one key set, such as the 465 pairs of addendum --all-groups, is laid
+    out by column (_rows_text), its keys sorted and tested once."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -153,8 +151,14 @@ def _json_text(value, pad):
         if not value:
             return "[]"
         inner = pad + "  "
-        parts = [_json_text(item, inner) for item in value]
-        if None in parts:
+        first = value[0]
+        if type(first) is dict and first and all(
+                type(item) is dict and item.keys() == first.keys()
+                for item in value):
+            parts = _rows_text(value, tuple(sorted(first)), inner)
+        else:
+            parts = [_json_text(item, inner) for item in value]
+        if parts is None or None in parts:
             return None
         return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
     if kind is not dict:
@@ -170,6 +174,28 @@ def _json_text(value, pad):
     if None in parts:
         return None
     return _dict_template(keys, pad) % parts
+
+
+def _rows_text(rows, keys, pad):
+    """_json_text of each of rows, dicts of these sorted keys, at pad, or
+    None: a column of exact strs or exact ints (not bools) by one map,
+    others cell by cell; each row fills one _dict_template."""
+    inner, columns = pad + "  ", []
+    for key in keys:
+        if type(key) is not str:
+            return None
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            column = list(map(encode_basestring_ascii, column))
+        elif kinds == {int}:
+            column = list(map(int.__repr__, column))
+        else:
+            column = [_json_text(cell, inner) for cell in column]
+            if None in column:
+                return None
+        columns.append(column)
+    return list(map(_dict_template(keys, pad).__mod__, zip(*columns)))
 
 
 def _dump(payload):
@@ -270,6 +296,7 @@ def _write_cached(path, sk):
     """Write sk's entry at path through a temp file unique to this writer,
     moved into place by os.replace, so that concurrent writers of one
     entry never share a file and a reader sees a whole entry or none."""
+    import tempfile  # here, as no other code needs it
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
                                suffix=".tmp", dir=os.path.dirname(path))
     try:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 import re
 from functools import cached_property, lru_cache
 from itertools import islice, product
@@ -320,12 +319,6 @@ class IntPoly:
         if not self.coeffs:
             return None
         return self.shift
-
-    def coefficient(self, exp):
-        i = exp - self.shift
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
 
     # -- arithmetic
 
@@ -794,6 +787,7 @@ def fp_factor(g, d, p):
     g is a monic divisor of phi_N(-t) mod a prime p that does not divide N,
     and d = ord_N(p), so its factors are distinct and all of degree d.
     """
+    import random  # here, as only this split draws
     return sorted(_fp_equal_degree(g, d, p, random.Random(0x5EED)),
                   key=lambda f: (len(f), tuple(reversed(f))))
 
@@ -1093,8 +1087,11 @@ def root_order(ring, plan):
     N = ring.unit_order(minus_xi, plan)
     if N is None or ring.residue(_neg_cyclotomic(N)):
         return None
-    # a linear m is irreducible, and there N | p - 1 gives ord_N(p) = 1
-    if ring.degree > 1 and order_mod(ring.p, N) != ring.degree:
+    # a linear m is irreducible, and there N | p - 1 gives ord_N(p) = 1;
+    # ord_N(p) = d when p^d = 1 mod N and p^(d/l) != 1 for each prime l | d
+    d, p = ring.degree, ring.p
+    if d > 1 and (pow(p, d, N) != 1 or any(
+            pow(p, d // l, N) == 1 for l in prime_factors(d))):
         return None
     return N
 
@@ -1119,8 +1116,7 @@ def monic_modulus(p, modulus):
         modulus = parse_poly(modulus)
     if modulus.is_zero or modulus.valuation < 0:
         raise ValueError("modulus must be an ordinary polynomial")
-    coeffs = _fp_trim(modulus.coefficient(e) % p
-                      for e in range(modulus.degree + 1))
+    coeffs = _fp_trim([0] * modulus.shift + [c % p for c in modulus.coeffs])
     if _deg(coeffs) < 1:
         raise ValueError("modulus must have degree >= 1")
     if coeffs[-1] != 1:

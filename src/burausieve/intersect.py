@@ -75,14 +75,21 @@ def _product_count(base1, base2, r1, r2):
     (L, o, count) on each factor's lines with fibers Z/r1 and Z/r2, in
     one pass with no list (see fibered_product): c1 c2 g pair cycles of
     orders a and b, g = gcd(L1, L2), each lifting to r1 r2 / lcm(a, b)
-    cycles."""
+    cycles.  As o | r, a | o1 and b | o2, r1 r2 = 1 makes every order 1
+    and the count the sum of c1 c2 g; an order o = 1 gives a or b
+    o / gcd(o, k) = 1 with no gcd; and lcm(a, b) = a b when a or b is 1."""
     rr = r1 * r2
+    if rr == 1:
+        return sum([c1 * c2 * gcd(L1, L2)
+                    for L1, _, c1 in base1 for L2, _, c2 in base2])
     total = 0
     for L1, o1, c1 in base1:
         for L2, o2, c2 in base2:
             g = gcd(L1, L2)
-            total += c1 * c2 * g * (rr // lcm(o1 // gcd(o1, L2 // g),
-                                              o2 // gcd(o2, L1 // g)))
+            a = o1 // gcd(o1, L2 // g) if o1 > 1 else 1
+            b = o2 // gcd(o2, L1 // g) if o2 > 1 else 1
+            ab = lcm(a, b) if a > 1 and b > 1 else a * b
+            total += c1 * c2 * g * (rr // ab)
     return total
 
 
@@ -238,38 +245,42 @@ def verify_addendum_pairwise(row_specs, inputs=None):
     table row.  Each pair must produce components of genus >= 1 only; a
     genus-zero component would mean two distinct factors coexisting in one
     subgroup.  Returns a report dict with per-pair component counts and
-    minimum genus.  Each representative's _product_input is read once, or
-    taken from inputs, their list in the same order, when the caller has
-    read them, and handed to every fibered_product of it, so no product
-    tests a root's trace field or reads its fiber cycles again.  An
-    unlinked product reads only its factors' product inputs, so it is
-    computed once per distinct pair of them in one call; a linked pair is
-    computed on its own.
+    minimum genus, ok when the lowest genus seen is >= 1.  Each
+    representative's _product_input is read once, or taken from inputs,
+    their list in the same order, when the caller has read them, and
+    handed to every fibered_product of it, so no product tests a root's
+    trace field or reads its fiber cycles again.  Its link and the number
+    of its product input are listed once, and the pair loop tests
+    linkage inline, as _linked does.  An unlinked product is computed
+    once per distinct pair of product inputs, a linked one on its own,
+    and each through _counts' partition check.
     """
-    report = {"pairs": [], "ok": True}
     if inputs is None:
         inputs = [_product_input(spec) for _, spec in row_specs]
     numbers = {}  # each distinct product input, numbered once
     ids = [numbers.setdefault(product, len(numbers)) for product, _ in inputs]
-    unlinked = {}  # each unlinked product's counts, by its pair of ids
+    links = [link for _, link in inputs]
+    pairs, unlinked, lowest = [], {}, 1  # unlinked products' counts by ids
     for i, (label_a, spec_a) in enumerate(row_specs):
+        p, m, reciprocal = links[i]
+        id_a, input_a = ids[i], inputs[i]
         for j in range(i + 1, len(row_specs)):
             label_b, spec_b = row_specs[j]
-            pair = inputs[i], inputs[j]
-            if _linked(inputs[i][1], inputs[j][1]):
-                counts = _counts(fibered_product(spec_a, spec_b, pair))
+            p_b, m_b, _ = links[j]
+            if p_b == p and (m_b == m or m_b == reciprocal):
+                counts = _counts(fibered_product(spec_a, spec_b,
+                                                 (input_a, inputs[j])))
             else:
-                key = ids[i], ids[j]
+                key = id_a, ids[j]
                 counts = unlinked.get(key)
                 if counts is None:
-                    counts = unlinked[key] = _counts(
-                        fibered_product(spec_a, spec_b, pair))
-            report["pairs"].append({"rowA": label_a, "rowB": label_b,
-                                    "components": counts[0],
-                                    "minGenus": counts[1]})
-            if counts[1] < 1:
-                report["ok"] = False
-    return report
+                    counts = unlinked[key] = _counts(fibered_product(
+                        spec_a, spec_b, (input_a, inputs[j])))
+            pairs.append({"rowA": label_a, "rowB": label_b,
+                          "components": counts[0], "minGenus": counts[1]})
+            if counts[1] < lowest:
+                lowest = counts[1]
+    return {"pairs": pairs, "ok": lowest >= 1}
 
 
 def addendum_report(state_cap=DEFAULT_STATE_CAP, all_groups=False):

@@ -684,6 +684,13 @@ class TestPrinter:
         [[7]],
         None,
         ((True,), (2,)),
+        # lists of dicts of one key set, laid out by column
+        [{"a": 1, "b": "x"}, {"a": True, "b": "y"}, {"a": 2, "b": "z"}],
+        [{"n": 2 ** 70}, {"n": -(2 ** 65)}, {"n": 0}],
+        [{"a": 1, "f": 0.5}, {"a": 2, "f": 1}],
+        [{"a": 1, "b": [2, {"c": None}]}, {"b": "%s", "a": 3}],
+        [{"a": 1, "b": 2}, {"a": 3, "c": 4}, {"a": 5, "b": 6}],
+        [{}, {}],
     ])
     def test_hand_made_payloads(self, value):
         payload = {"schemaVersion": 1, "value": value, "after": [[1, 2]]}
@@ -695,15 +702,16 @@ class TestPrinter:
         # nested dicts, lists and tuples whose keys hold %, %s, a mapping
         # key, quotes, backslashes and non-ASCII text, drawn from a few key
         # sets at every depth, with empty containers, bools, None and ints
-        # beyond 2^64; a float anywhere sends its top-level value through
-        # json's encoder.  Each text is json's, byte for byte
+        # beyond 2^64, and lists that repeat one key set in every item, in
+        # shuffled insertion orders; a float anywhere sends its top-level
+        # value through json's encoder.  Each text is json's, byte for byte
         rng = random.Random(seed)
         names = ["a", "b", "%", "%s", "%d%%", "%(a)s", '"', "\\", "\n",
                  "é", "日本", "\x7f", ""]
         key_sets = [rng.sample(names, rng.randint(1, 5)) for _ in range(4)]
 
         def value(depth):
-            kind = rng.randrange(11 if depth < 5 else 6)
+            kind = rng.randrange(12 if depth < 5 else 6)
             if kind < 6:
                 return rng.choice([
                     rng.randint(-9, 9), rng.randint(2 ** 64, 2 ** 80),
@@ -711,6 +719,10 @@ class TestPrinter:
                     True, False, None])
             if kind < 8:
                 return {key: value(depth + 1) for key in rng.choice(key_sets)}
+            if kind == 11:  # one key set in every item: laid out by column
+                keys = rng.choice(key_sets)
+                return [{key: value(depth + 1) for key in rng.sample(
+                    keys, len(keys))} for _ in range(rng.randrange(1, 5))]
             items = [value(depth + 1) for _ in range(rng.randrange(4))]
             return tuple(items) if kind == 8 else items
 
@@ -1025,3 +1037,22 @@ def test_closed_stdout_exits_141_without_a_traceback():
     _, err = proc.communicate(timeout=120)
     assert err == b""  # no traceback, no error line
     assert proc.returncode == cli.EXIT_PIPE == 141
+
+
+def test_start_up_loads_no_tempfile_or_random():
+    # tempfile is imported by the cache writer alone and random by the
+    # split over F_p alone, so neither the import nor a command that
+    # does neither loads them; -S keeps out site, whose modules may
+    # load either
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    script = ("import sys, burausieve.cli\n"
+              "loaded = lambda: [m for m in ('tempfile', 'random')"
+              " if m in sys.modules]\n"
+              "after_import = loaded()\n"
+              "code = burausieve.cli.main(['table', '--verify', '--json'])\n"
+              "print(code, after_import, loaded())\n")
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 [] []"

@@ -161,8 +161,10 @@ class TestFiberedProduct:
         ((43, "t+41", "bu3"), (43, "t+21", "b3")),
         ((5, "t-1", "bu3"), (2, "t^3+t+1", "bu3")),
         ((2, "t^3+t+1", "bu3"), (5, "t-1", "bu3")),
+        ((5, "t^2+2", "bu3"), (5, "t^2+3", "bu3")),
     ], ids=["same-root", "extension-reciprocals", "two-ambients",
-            "non-transitive-left", "non-transitive-right"])
+            "non-transitive-left", "non-transitive-right",
+            "quadratic-reciprocals"])
     def test_refuses_what_it_cannot_read(self, f1, f2):
         spec1, spec2 = (UniversalGroupSpec(root_spec(p, m), "I", ambient)
                         for p, m, ambient in (f1, f2))
@@ -185,6 +187,20 @@ class TestProductCount:
         rng = random.Random(seed)
         for _ in range(250):
             r1, r2 = rng.randint(1, 72), rng.randint(1, 72)
+            base1 = self.random_cycles(rng, r1)
+            base2 = self.random_cycles(rng, r2)
+            assert intersect._product_count(base1, base2, r1, r2) == \
+                reference_product_count(base1, base2, r1, r2), \
+                (base1, base2, r1, r2)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_trivial_fibers_match_the_list_based_count(self, seed):
+        # the fast paths, which the draws above meet about once in 5,184:
+        # r1 = r2 = 1, where every order is 1, and r = 1 on one side only
+        rng = random.Random(100 + seed)
+        for n in range(240):
+            r = rng.randint(2, 72)
+            r1, r2 = ((1, 1), (1, r), (r, 1))[n % 3]
             base1 = self.random_cycles(rng, r1)
             base2 = self.random_cycles(rng, r2)
             assert intersect._product_count(base1, base2, r1, r2) == \
