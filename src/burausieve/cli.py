@@ -155,7 +155,10 @@ def _json_text(value, pad):
         if type(first) is dict and first and all(
                 type(item) is dict and item.keys() == first.keys()
                 for item in value):
-            parts = _rows_text(value, tuple(sorted(first)), inner)
+            keys = _str_keys(first)
+            if keys is None:
+                return None
+            parts = _rows_text(value, keys, inner)
         else:
             parts = [_json_text(item, inner) for item in value]
         if parts is None or None in parts:
@@ -165,10 +168,9 @@ def _json_text(value, pad):
         return None
     if not value:
         return "{}"
-    keys = tuple(sorted(value))
-    for key in keys:
-        if type(key) is not str:
-            return None
+    keys = _str_keys(value)
+    if keys is None:
+        return None
     inner = pad + "  "
     parts = tuple([_json_text(value[key], inner) for key in keys])
     if None in parts:
@@ -176,14 +178,19 @@ def _json_text(value, pad):
     return _dict_template(keys, pad) % parts
 
 
+def _str_keys(mapping):
+    """mapping's keys, sorted, or None if one is not a str; TypeError, as
+    json.dumps(sort_keys=True) raises, when they do not sort."""
+    keys = tuple(sorted(mapping))
+    return keys if set(map(type, keys)) == {str} else None
+
+
 def _rows_text(rows, keys, pad):
-    """_json_text of each of rows, dicts of these sorted keys, at pad, or
-    None: a column of exact strs or exact ints (not bools) by one map,
+    """_json_text of each of rows, dicts of these sorted str keys, at pad,
+    or None: a column of exact strs or exact ints (not bools) by one map,
     others cell by cell; each row fills one _dict_template."""
     inner, columns = pad + "  ", []
     for key in keys:
-        if type(key) is not str:
-            return None
         column = [row[key] for row in rows]
         kinds = set(map(type, column))
         if kinds == {str}:

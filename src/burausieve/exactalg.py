@@ -242,6 +242,14 @@ def order_mod(p, N):
     return order
 
 
+def has_order(p, d, N):
+    """Whether ord_N(p) = d >= 1, for a unit p mod N, with no phi(N) as in
+    order_mod: p^d = 1 mod N, and p^(d/l) != 1 for each prime l | d, as
+    each proper divisor of d divides some d / l."""
+    return pow(p, d, N) == 1 and all(
+        pow(p, d // l, N) != 1 for l in prime_factors(d))
+
+
 def totient(N):
     """Euler's phi(N) for N >= 1."""
     phi = N
@@ -1087,11 +1095,8 @@ def root_order(ring, plan):
     N = ring.unit_order(minus_xi, plan)
     if N is None or ring.residue(_neg_cyclotomic(N)):
         return None
-    # a linear m is irreducible, and there N | p - 1 gives ord_N(p) = 1;
-    # ord_N(p) = d when p^d = 1 mod N and p^(d/l) != 1 for each prime l | d
-    d, p = ring.degree, ring.p
-    if d > 1 and (pow(p, d, N) != 1 or any(
-            pow(p, d // l, N) == 1 for l in prime_factors(d))):
+    # a linear m is irreducible, and there N | p - 1 gives ord_N(p) = 1
+    if ring.degree > 1 and not has_order(ring.p, ring.degree, N):
         return None
     return N
 

@@ -75,13 +75,9 @@ def _product_count(base1, base2, r1, r2):
     (L, o, count) on each factor's lines with fibers Z/r1 and Z/r2, in
     one pass with no list (see fibered_product): c1 c2 g pair cycles of
     orders a and b, g = gcd(L1, L2), each lifting to r1 r2 / lcm(a, b)
-    cycles.  As o | r, a | o1 and b | o2, r1 r2 = 1 makes every order 1
-    and the count the sum of c1 c2 g; an order o = 1 gives a or b
-    o / gcd(o, k) = 1 with no gcd; and lcm(a, b) = a b when a or b is 1."""
+    cycles.  An order o = 1, as most are, gives a or b = 1 with no gcd,
+    and then lcm(a, b) = a b."""
     rr = r1 * r2
-    if rr == 1:
-        return sum([c1 * c2 * gcd(L1, L2)
-                    for L1, _, c1 in base1 for L2, _, c2 in base2])
     total = 0
     for L1, o1, c1 in base1:
         for L2, o2, c2 in base2:
@@ -249,11 +245,9 @@ def verify_addendum_pairwise(row_specs, inputs=None):
     representative's _product_input is read once, or taken from inputs,
     their list in the same order, when the caller has read them, and
     handed to every fibered_product of it, so no product tests a root's
-    trace field or reads its fiber cycles again.  Its link and the number
-    of its product input are listed once, and the pair loop tests
-    linkage inline, as _linked does.  An unlinked product is computed
-    once per distinct pair of product inputs, a linked one on its own,
-    and each through _counts' partition check.
+    trace field or reads its fiber cycles again.  An unlinked product is
+    computed once per distinct pair of product inputs, a linked one on
+    its own, and each through _counts' partition check.
     """
     if inputs is None:
         inputs = [_product_input(spec) for _, spec in row_specs]
@@ -262,20 +256,18 @@ def verify_addendum_pairwise(row_specs, inputs=None):
     links = [link for _, link in inputs]
     pairs, unlinked, lowest = [], {}, 1  # unlinked products' counts by ids
     for i, (label_a, spec_a) in enumerate(row_specs):
-        p, m, reciprocal = links[i]
-        id_a, input_a = ids[i], inputs[i]
+        link_a, id_a, input_a = links[i], ids[i], inputs[i]
         for j in range(i + 1, len(row_specs)):
             label_b, spec_b = row_specs[j]
-            p_b, m_b, _ = links[j]
-            if p_b == p and (m_b == m or m_b == reciprocal):
-                counts = _counts(fibered_product(spec_a, spec_b,
-                                                 (input_a, inputs[j])))
+            pair = input_a, inputs[j]
+            if _linked(link_a, links[j]):
+                counts = _counts(fibered_product(spec_a, spec_b, pair))
             else:
                 key = id_a, ids[j]
                 counts = unlinked.get(key)
                 if counts is None:
-                    counts = unlinked[key] = _counts(fibered_product(
-                        spec_a, spec_b, (input_a, inputs[j])))
+                    counts = unlinked[key] = _counts(
+                        fibered_product(spec_a, spec_b, pair))
             pairs.append({"rowA": label_a, "rowB": label_b,
                           "components": counts[0], "minGenus": counts[1]})
             if counts[1] < lowest:

@@ -691,6 +691,7 @@ class TestPrinter:
         [{"a": 1, "b": [2, {"c": None}]}, {"b": "%s", "a": 3}],
         [{"a": 1, "b": 2}, {"a": 3, "c": 4}, {"a": 5, "b": 6}],
         [{}, {}],
+        [{1: "a", 2: True}, {2: None, 1: "b"}],
     ])
     def test_hand_made_payloads(self, value):
         payload = {"schemaVersion": 1, "value": value, "after": [[1, 2]]}

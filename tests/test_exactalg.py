@@ -339,6 +339,16 @@ class TestNumberTheory:
         assert exactalg.order_mod(5, 1) == 1
         assert exactalg.order_mod(2 ** 127 - 1, 9) == sympy.n_order(2 ** 127 - 1, 9)
 
+    def test_has_order_against_order_mod(self):
+        # every d up to 24, prime powers and products of several primes
+        for N in range(2, 60):
+            for p in range(1, 60):
+                if gcd(p, N) == 1:
+                    order = exactalg.order_mod(p, N)
+                    for d in range(1, 25):
+                        assert exactalg.has_order(p, d, N) == (d == order), \
+                            (p, d, N)
+
     @pytest.mark.parametrize("p, N", [(3, 9), (6, 4), (0, 5), (5, 0)])
     def test_order_mod_rejects_a_non_unit(self, p, N):
         with pytest.raises(ValueError):

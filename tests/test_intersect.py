@@ -195,8 +195,9 @@ class TestProductCount:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_trivial_fibers_match_the_list_based_count(self, seed):
-        # the fast paths, which the draws above meet about once in 5,184:
-        # r1 = r2 = 1, where every order is 1, and r = 1 on one side only
+        # orders of 1, which skip their gcd, on every cycle of a side, as
+        # the draws above meet about once in 5,184: r1 = r2 = 1, where
+        # every order is 1, and r = 1 on one side only
         rng = random.Random(100 + seed)
         for n in range(240):
             r = rng.randint(2, 72)
