@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .exactalg import MAX_EXPONENT, IntPoly
+from .exactalg import MAX_EXPONENT, IntPoly, Value
 
 # letter codes: +-1 = s1, +-2 = s2, +-3 = T
 _LETTER_NAMES = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1", 3: "T", -3: "T^-1"}
@@ -20,24 +20,13 @@ _BASE_NAMES = {"s1": 1, "s2": 2, "T": 3}
 _EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
-class BraidWord:
+class BraidWord(Value):
     """A word over {s1, s2, T} and inverses."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
         self.letters = letters
-
-    def __eq__(self, other):
-        if type(other) is not BraidWord:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash((self.letters,))
-
-    def __repr__(self):
-        return f"BraidWord(letters={self.letters!r})"
 
     @staticmethod
     def identity():
@@ -85,26 +74,13 @@ class BraidWord:
         return BraidWord(self.letters * n)
 
 
-class BurauMatrix:
+class BurauMatrix(Value):
     """A 2x2 matrix of integer Laurent polynomials, row-major."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = a, b, c, d
-
-    def __eq__(self, other):
-        if type(other) is not BurauMatrix:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == \
-            (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return (f"BurauMatrix(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
-                f"d={self.d!r})")
 
     @staticmethod
     def identity():

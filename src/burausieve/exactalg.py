@@ -1,8 +1,9 @@
 """Exact arithmetic foundation.
 
-The package's own number theory, integer Laurent polynomials, cyclotomic
-polynomials, the sieve's resultants against phi_N(-t), the factors of
-phi_N(-t) over F_p, and finite fields.  The ring F_p[t]/(m) has one
+The package's own number theory, the base of its value classes (Value),
+integer Laurent polynomials, cyclotomic polynomials, the sieve's
+resultants against phi_N(-t), the factors of phi_N(-t) over F_p, and
+finite fields.  The ring F_p[t]/(m) has one
 arithmetic with no table, on ints mod p when deg m = 1, on bits over F_2
 and on coefficient tuples otherwise (quotient_ring): the sieve's orbit
 keys, the proof that m is irreducible (root_order), multiplicative
@@ -259,10 +260,47 @@ def totient(N):
 
 
 # ---------------------------------------------------------------------------
+# value classes
+
+
+class Value:
+    """Base of the package's value classes.  An instance compares, hashes
+    and prints by the fields that _fields names, by default the class's
+    own __slots__: equality holds only within one class (NotImplemented
+    for any other), the hash is the hash of the fields' tuple, and the
+    repr is Cls(name=value!r, ...)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        names = cls.__dict__.get("_fields", cls.__slots__)
+        get = operator.attrgetter(*names)
+        cls._fields = names
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        cls._values = get if len(names) > 1 else \
+            staticmethod(lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self._values(self))) + ")"
+
+
+# ---------------------------------------------------------------------------
 # integer (Laurent) polynomials
 
 
-class IntPoly:
+class IntPoly(Value):
     """A Laurent polynomial in Z[t, t^-1].
 
     Stored as a shift exponent plus a dense coefficient tuple (ascending
@@ -373,14 +411,7 @@ class IntPoly:
         """Shift-cleared coefficients reduced into 0..p-1."""
         return _fp_trim(tuple(c % p for c in self.coeffs))
 
-    # -- comparisons and text
-
-    def __eq__(self, other):
-        return (isinstance(other, IntPoly) and self.coeffs == other.coeffs
-                and self.shift == other.shift)
-
-    def __hash__(self):
-        return hash((self.coeffs, self.shift))
+    # -- text
 
     def __str__(self):
         return poly_text(self.coeffs, self.shift)

@@ -9,8 +9,10 @@ the signature is shared by the whole row.
 
 from __future__ import annotations
 
+from .exactalg import Value
 
-class GoldenRow:
+
+class GoldenRow(Value):
     """One row: factor_groups is a tuple of tuples of canonical polynomial
     text, partition ((width, count), ...) with widths ascending."""
 
@@ -23,23 +25,6 @@ class GoldenRow:
         self.factor_groups, self.starred = factor_groups, starred
         self.edges, self.v_white, self.v_black = edges, v_white, v_black
         self.partition = partition
-
-    def _fields(self):
-        return (self.index, self.p, self.N, self.factor_groups, self.starred,
-                self.edges, self.v_white, self.v_black, self.partition)
-
-    def __eq__(self, other):
-        if type(other) is not GoldenRow:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "GoldenRow(" + ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(self.__slots__, self._fields())) + ")"
 
     @property
     def factors(self):

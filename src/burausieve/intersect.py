@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
+from .exactalg import Value
 from .golden import GOLDEN_ROWS
 from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, _euler_genus, \
     _fiber_cycles, _fiber_order, _generator_cycles, _LineWalk, \
@@ -31,7 +32,7 @@ from .skeleton import DEFAULT_STATE_CAP, UniversalGroupSpec, _euler_genus, \
 from .typesys import admissible_types, root_spec
 
 
-class FiberedProduct:
+class FiberedProduct(Value):
     """Connected components of the product action on edge pairs, as a
     tuple of (edges, genus)."""
 
@@ -40,20 +41,6 @@ class FiberedProduct:
     def __init__(self, left_edges, right_edges, components):
         self.left_edges, self.right_edges = left_edges, right_edges
         self.components = components
-
-    def __eq__(self, other):
-        if type(other) is not FiberedProduct:
-            return NotImplemented
-        return (self.left_edges, self.right_edges, self.components) == \
-            (other.left_edges, other.right_edges, other.components)
-
-    def __hash__(self):
-        return hash((self.left_edges, self.right_edges, self.components))
-
-    def __repr__(self):
-        return (f"FiberedProduct(left_edges={self.left_edges!r}, "
-                f"right_edges={self.right_edges!r}, "
-                f"components={self.components!r})")
 
     @property
     def total_edges(self):

@@ -69,7 +69,7 @@ degree ord_N(p), while for p | N none has ord(-xi) = N.  The sieve builds
 no field; the genus filter builds one per candidate, which proves the
 factor irreducible and finds its order with no table (typesys.root_spec),
 and asserts the order there.  All factors of one (N, p) share the field
-size q, and a closed form depends only on q, N, M and the ambient
+size q, and a closed form depends only on q, N and the ambient
 (skeleton._closed_form), so the filter reads one per (N, p), 65 for the
 sweep's 252 closed roots, and checks each root's tags and flatness on
 its own.
@@ -78,7 +78,7 @@ its own.
 from __future__ import annotations
 
 from .burau import BraidWord, modular_projection, to_burau
-from .exactalg import IntPoly, cyclotomic_factors, prime_factors, \
+from .exactalg import IntPoly, Value, cyclotomic_factors, prime_factors, \
     quotient_ring, resultant, unity_tables, unity_value, unity_values, \
     vector_norms
 from .skeleton import DEFAULT_STATE_CAP, euler_lhs, orbit_signatures
@@ -93,7 +93,7 @@ _UNDEFINED, _ZERO, _INFINITY = "undefined", "zero", "infinity"
 _FIXED = frozenset((_UNDEFINED, _ZERO, _INFINITY))
 
 
-class SieveBranch:
+class SieveBranch(Value):
     """One characteristic class of a sweep value N, with its fixed M;
     char_class is "p=2", "p odd" or "p=3"."""
 
@@ -101,19 +101,6 @@ class SieveBranch:
 
     def __init__(self, char_class, M, types):
         self.char_class, self.M, self.types = char_class, M, types
-
-    def __eq__(self, other):
-        if type(other) is not SieveBranch:
-            return NotImplemented
-        return (self.char_class, self.M, self.types) == \
-            (other.char_class, other.M, other.types)
-
-    def __hash__(self):
-        return hash((self.char_class, self.M, self.types))
-
-    def __repr__(self):
-        return (f"SieveBranch(char_class={self.char_class!r}, M={self.M!r}, "
-                f"types={self.types!r})")
 
     def accepts_prime(self, p):
         if self.char_class == "p=2":
@@ -139,26 +126,13 @@ def branches_for(N):
     return out
 
 
-class ExceptionalTriple:
+class ExceptionalTriple(Value):
     """A sieve survivor candidate: prime, minimal polynomial, type tag."""
 
     __slots__ = ("p", "min_poly", "type_tag")
 
     def __init__(self, p, min_poly, type_tag):
         self.p, self.min_poly, self.type_tag = p, min_poly, type_tag
-
-    def __eq__(self, other):
-        if type(other) is not ExceptionalTriple:
-            return NotImplemented
-        return (self.p, self.min_poly, self.type_tag) == \
-            (other.p, other.min_poly, other.type_tag)
-
-    def __hash__(self):
-        return hash((self.p, self.min_poly, self.type_tag))
-
-    def __repr__(self):
-        return (f"ExceptionalTriple(p={self.p!r}, min_poly={self.min_poly!r}, "
-                f"type_tag={self.type_tag!r})")
 
     def sort_key(self):
         return (self.p, str(self.min_poly), self.type_tag)
@@ -234,12 +208,15 @@ class _SievePass:
         """b v_T = b (a_T, 1) for the word b and a = a_T, built once per
         pass from the word's one Burau matrix."""
         key = (word, a)
-        if key not in self.word_vectors:
-            if word not in self.matrices:
-                self.matrices[word] = to_burau(word)
-            v = self.matrices[word].apply((a, IntPoly.one()))
-            self.word_vectors[key] = self.interned.setdefault(v, _Vector(v))
-        return self.word_vectors[key]
+        v = self.word_vectors.get(key)
+        if v is None:
+            matrix = self.matrices.get(word)
+            if matrix is None:
+                matrix = self.matrices[word] = to_burau(word)
+            v = matrix.apply((a, IntPoly.one()))
+            v = self.interned.setdefault(v, _Vector(v))
+            self.word_vectors[key] = v
+        return v
 
     def resultants_of(self, u, w):
         """|Res(phi_N(-t), D_l)| for D_l = det[s1^l u | w], indexed by l and
@@ -593,7 +570,7 @@ def _genus_filter(candidates, N, state_cap):
     Conjugate types agree on genus, so any recorded type certifies the
     pair.  Every orbit's signature must satisfy
     the flatness identity euler_lhs = 12 - 12 * genus.  A closed form
-    depends only on the field size, N, M and the ambient, so one is read
+    depends only on the field size, N and the ambient, so one is read
     per (N, p) and shared by that pair's roots, for this call only; each
     root is still built, checked and tested on its own.
     """

@@ -39,6 +39,7 @@ from math import gcd
 from operator import countOf, eq, ge, itemgetter
 
 from .burau import BraidWord, specialize, to_burau
+from .exactalg import Value
 from .typesys import root_spec, type_coefficient_laurent, type_tags, \
     type_vector
 
@@ -244,7 +245,7 @@ class Skeleton:
         }
 
 
-class SkeletonSignature:
+class SkeletonSignature(Value):
     """(e; v_white, v_black; region width partition), the partition as
     ((width, count), ...) in increasing width, each count positive."""
 
@@ -257,20 +258,6 @@ class SkeletonSignature:
                              f"increasing width with positive counts")
         self.edges, self.v_white, self.v_black = edges, v_white, v_black
         self.partition = partition
-
-    def __eq__(self, other):
-        if type(other) is not SkeletonSignature:
-            return NotImplemented
-        return (self.edges, self.v_white, self.v_black, self.partition) == \
-            (other.edges, other.v_white, other.v_black, other.partition)
-
-    def __hash__(self):
-        return hash((self.edges, self.v_white, self.v_black, self.partition))
-
-    def __repr__(self):
-        return (f"SkeletonSignature(edges={self.edges!r}, "
-                f"v_white={self.v_white!r}, v_black={self.v_black!r}, "
-                f"partition={self.partition!r})")
 
     def partition_text(self):
         return " ".join(f"{w}^{n}" for w, n in self.partition)
@@ -310,7 +297,7 @@ def euler_lhs(sig, N):
             + sum((6 - w) * n for w, n in sig.partition))
 
 
-class UniversalGroupSpec:
+class UniversalGroupSpec(Value):
     """A root (a typesys.RootSpec), a type tag, and the ambient group (bu3
     or b3)."""
 
@@ -320,19 +307,6 @@ class UniversalGroupSpec:
         if ambient not in ("bu3", "b3"):
             raise ValueError("ambient must be 'bu3' or 'b3'")
         self.root, self.type_tag, self.ambient = root, type_tag, ambient
-
-    def __eq__(self, other):
-        if type(other) is not UniversalGroupSpec:
-            return NotImplemented
-        return (self.root, self.type_tag, self.ambient) == \
-            (other.root, other.type_tag, other.ambient)
-
-    def __hash__(self):
-        return hash((self.root, self.type_tag, self.ambient))
-
-    def __repr__(self):
-        return (f"UniversalGroupSpec(root={self.root!r}, "
-                f"type_tag={self.type_tag!r}, ambient={self.ambient!r})")
 
     def __str__(self):
         return (f"p={self.root.p} m={self.root.min_poly} type {self.type_tag} "
@@ -762,8 +736,9 @@ def _closed_form(spec, state_cap, cycles=None):
     r / gcd(r, a) in Z/r.  Every log depends on (q, N, M) alone, and
     _trace_generates, read from (p, d, N, M), is shared as well, so the
     result depends only on (q, N, M, |S|), not on the root, and
-    orbit_signatures may read one closed form per (q, N, M, ambient)
-    when asked to.
+    orbit_signatures may read one closed form per (q, N, ambient) when
+    asked to: M adds nothing to that key, as q fixes p and root_spec
+    asserts M = epsilon_p(N, p), and M with the ambient fixes |S|.
     """
     lines, r = spec.root.ring.order + 1, _fiber_order(spec)
     if lines * r > state_cap:
@@ -782,7 +757,7 @@ def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP,
     whose signature _closed_form gives without a walk; only the roots whose
     trace field is smaller than F_q are walked, once per orbit, by
     _orbit_walks, and each walk is dropped once its signature is read.
-    A closed form depends only on (q, N, M, ambient) (see _closed_form),
+    A closed form depends only on (q, N, ambient) (see _closed_form),
     so a caller may pass a dict as closed_forms, which then keeps one per
     key for the roots it is passed with, under one state_cap; the tags
     are still checked for each root.  A caller that has proved
@@ -800,7 +775,7 @@ def orbit_signatures(root, tags, ambient="bu3", state_cap=DEFAULT_STATE_CAP,
         if closed_forms is None:
             form = _closed_form(spec, state_cap, cycles=cycles)
         else:
-            key = (root.ring.order, root.N, root.M, ambient)
+            key = (root.ring.order, root.N, ambient)
             form = closed_forms.get(key)
             if form is None:
                 form = closed_forms[key] = _closed_form(spec, state_cap,
@@ -819,7 +794,7 @@ def table_verify(state_cap=DEFAULT_STATE_CAP, rows=None):
     orbit_signatures on the tag I: the closed form when the factor's trace
     field is F_q, else the walk over lines; no skeleton is built.  The
     closed forms are shared through one closed_forms dict, one per
-    (q, N, M, ambient), as a closed form reads nothing else (see
+    (q, N, ambient), as a closed form reads nothing else (see
     _closed_form): 26 for the 52 golden factors in both ambients.  Each
     factor still gets its own root, its trace-field test and tag check,
     and its own comparison with its row.

@@ -13,8 +13,8 @@ a_T(xi) in the root's ring, the second entry of the annihilator covector
 
 from __future__ import annotations
 
-from .exactalg import IntPoly, monic_modulus, order_plan, poly_text, \
-    prime_factors, quotient_ring, root_order
+from .exactalg import IntPoly, Value, monic_modulus, order_plan, \
+    poly_text, prime_factors, quotient_ring, root_order
 
 TYPE_TAGS = ("I", "II", "III+", "III-", "III3", "IV")
 
@@ -39,29 +39,17 @@ def k_threshold(N):
     return -(-5 // (N - 6))
 
 
-class RootSpec:
+class RootSpec(Value):
     """A verified root: prime, minimal polynomial, orders, and its field,
     ring = exactalg.quotient_ring(p, m), proved a field.  Equality, hash
     and repr read the rest, not the ring."""
 
     __slots__ = ("p", "min_poly", "N", "M", "ring")
+    _fields = ("p", "min_poly", "N", "M")
 
     def __init__(self, p, min_poly, N, M, ring):
         self.p, self.min_poly, self.N, self.M, self.ring = \
             p, min_poly, N, M, ring
-
-    def __eq__(self, other):
-        if type(other) is not RootSpec:
-            return NotImplemented
-        return (self.p, self.min_poly, self.N, self.M) == \
-            (other.p, other.min_poly, other.N, other.M)
-
-    def __hash__(self):
-        return hash((self.p, self.min_poly, self.N, self.M))
-
-    def __repr__(self):
-        return (f"RootSpec(p={self.p!r}, min_poly={self.min_poly!r}, "
-                f"N={self.N!r}, M={self.M!r})")
 
     def __str__(self):
         return f"(p={self.p}, m={self.min_poly})"

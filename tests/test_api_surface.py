@@ -2,8 +2,9 @@
 property in its class bodies, has a caller in the package; every private
 top-level name is referenced in the package; no check in
 the package is an `assert` statement, which `python -O` strips;
-`cli._dump` is the package's one indenting JSON printer; and no module
-imports a private name of `exactalg`.
+`cli._dump` is the package's one indenting JSON printer; no module
+imports a private name of `exactalg`; and `exactalg.Value` is the one class
+that defines `__eq__` or `__hash__`.
 
 A function or method only the tests call belongs in a tests helper module.
 The allowed exceptions are wrapped by name by `perfbench/layertrace.py`.
@@ -112,3 +113,18 @@ def test_no_private_imports_from_exactalg():
                   and (node.module or "").split(".")[-1] == "exactalg"
                   for alias in node.names if alias.name.startswith("_")]
     assert SOURCES and not found, found
+
+
+def test_equality_and_hash_are_written_once():
+    # the value classes inherit both from exactalg.Value; sieve._Vector
+    # assigns object's identity methods and defines neither
+    found = []
+    for path in SOURCES:
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [f"{module}.{node.name}.{item.name}"
+                  for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for item in node.body if isinstance(item, ast.FunctionDef)
+                  and item.name in ("__eq__", "__hash__")]
+    assert found == ["exactalg.Value.__eq__", "exactalg.Value.__hash__"], found

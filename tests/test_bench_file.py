@@ -1,9 +1,10 @@
 """The newest BENCH_<n>.json at the root of the repository has the schema
 that tools/bench.py writes: the Python version and processor count, and
 for each measured checkout the tier-1 suite's wall time and counts, from
-a run without this file, and, per command, and for the package's import
-alone, the median, minimum and maximum of at least 5 runs with the digest
-of its stdout (empty for the import)."""
+a run without this file, and, per command, for the package's import
+alone, and for the interpreter's start-up and the import without site,
+the median, minimum and maximum of at least 5 runs with the digest of its
+stdout (empty for the three start-up entries)."""
 
 import json
 import os
@@ -15,7 +16,11 @@ COMMANDS = ["sieve --n-range 7..26 --json", "table --verify --json",
             "addendum --all-groups --json",
             "skeleton --p 4651 --min-poly t+3978 --json",
             "factors --n 59 --p 4651 --json",
-            "import burausieve.cli"]
+            "import burausieve.cli", "python -S -c pass",
+            "python -S -c import burausieve.cli"]
+# the entries that print nothing: the import with and without site, and
+# the bare interpreter
+STARTUP = COMMANDS[-3:]
 # the sha256 of empty stdout, cut to 16 hex digits
 EMPTY = "e3b0c44298fc1c14"
 HEX16 = re.compile(r"[0-9a-f]{16}")
@@ -57,4 +62,5 @@ def test_newest_bench_file_has_the_schema():
             assert entry["min_s"] == min(times) and entry["max_s"] == max(times)
             assert abs(entry["median_s"] - statistics.median(times)) < 1e-3
             assert HEX16.fullmatch(entry["digest"]), (label, text)
-        assert report["commands"]["import burausieve.cli"]["digest"] == EMPTY
+        for text in STARTUP:
+            assert report["commands"][text]["digest"] == EMPTY, (label, text)

@@ -99,6 +99,16 @@ class TestIntPoly:
         assert (t ** 3).shift == 3
         assert -(t - IntPoly.one()) == parse_poly("1-t")
 
+    def test_equality_and_hash_by_value(self):
+        p, q = IntPoly((1, 0, 1), -1), IntPoly((1, 0, 1), -1)
+        assert p is not q and p == q and hash(p) == hash(q)
+        assert hash(p) == hash(((1, 0, 1), -1))
+        assert p != IntPoly((1, 0, 1)) and p != ((1, 0, 1), -1)
+        assert ((1, 0, 1), -1) != p
+        assert repr(p) == "IntPoly(t+t^-1)"
+        with pytest.raises(AttributeError, match="immutable"):
+            p.shift = 0
+
     def test_laurent_negative_shift(self):
         p = IntPoly((1, 1), -1)  # t^-1 + 1
         assert str(p) == "1+t^-1"

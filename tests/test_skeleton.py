@@ -387,7 +387,7 @@ def verified_table():
 
 
 class TestTableSharing:
-    """table --verify reads one closed form per (q, N, M, ambient) and
+    """table --verify reads one closed form per (q, N, ambient) and
     shares it among the golden factors of that key."""
 
     def test_one_closed_form_per_key(self, verified_table):
@@ -395,8 +395,8 @@ class TestTableSharing:
         # and ambient; one memo for the whole call
         report, recorded, closed = verified_table
         assert report["ok"] and len(recorded) == 104 and len(closed) == 26
-        assert len({(spec.root.ring.order, spec.root.N, spec.root.M,
-                     spec.ambient) for spec, _ in closed}) == 26
+        assert len({(spec.root.ring.order, spec.root.N, spec.ambient)
+                    for spec, _ in closed}) == 26
         assert len({id(args[-1]) for _, _, args, _ in recorded}) == 1
 
     def test_shared_value_is_each_factors_own_closed_form(self,

@@ -6,13 +6,15 @@ It measures the checkout it lives in and, with --baseline, a second
 checkout (say, the parent commit unpacked by `git archive`) in the same
 session, so the two can be compared pair by pair.  For each checkout it
 records the tier-1 suite's wall time and pass count (one run, without the
-TIER1_IGNORED tests), and for each command in COMMANDS, and for IMPORT,
-the package's import alone, the median, minimum and maximum wall time of
-RUNS runs and the sha256 of its stdout, cut to 16 hex digits.  The runs
+TIER1_IGNORED tests), and for each command in COMMANDS, for IMPORT, the
+package's import alone, and for the two BARE runs, the median, minimum
+and maximum wall time of RUNS runs and the sha256 of its stdout, cut to
+16 hex digits.  The runs
 are interleaved: run i times every command on both checkouts, the
 baseline first on odd i, so slow drift of the machine falls on both
-sides.  Each command runs as `python -m burausieve.cli`, and IMPORT as
-`python -c "import burausieve.cli"`, in a fresh process with PYTHONPATH
+sides.  Each command runs as `python -m burausieve.cli`, IMPORT as
+`python -c "import burausieve.cli"`, and BARE as `python -S -c pass` and
+`python -S -c "import burausieve.cli"`, in a fresh process with PYTHONPATH
 set to the checkout's src and bytecode writing off, so both sides compile
 the package alike and no __pycache__ is left behind.  A command that exits
 nonzero stops the run: a failed run has no time.
@@ -48,9 +50,14 @@ COMMANDS = (
 )
 # the start-up every command pays: the interpreter and the package's import
 IMPORT = "import burausieve.cli"
+# the same start-up without site (-S), whose .pth hooks may import modules
+# before the package does and so hide their cost; the bare interpreter's
+# start-up lets BENCH files of different sessions and machines be compared
+BARE = (("python -S -c pass", ("-S", "-c", "pass")),
+        (f"python -S -c {IMPORT}", ("-S", "-c", IMPORT)))
 # each timed run as (label, the interpreter's arguments)
 TIMED = tuple((" ".join(argv), ("-m", "burausieve.cli", *argv))
-              for argv in COMMANDS) + ((IMPORT, ("-c", IMPORT)),)
+              for argv in COMMANDS) + ((IMPORT, ("-c", IMPORT)),) + BARE
 # fewer runs cannot resolve a 0.02 s change of the sieve on a shared
 # 2-core machine: with 5 against its parent, a change 0.02 s faster read
 # 0.311 s against 0.247 s in the median
