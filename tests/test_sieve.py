@@ -867,8 +867,8 @@ class TestSweep:
         # sweep hashes a polynomial only to intern a vector, to look up a
         # word's vector by its a_T or to build a final triple: 2,569 times,
         # where two lookups of each word's vector took 3,105, triples held
-        # between sets 11,129, a scan over every
-        # nonunit resultant 15,852 and memos keyed by IntPoly 211,531
+        # between sets 11,129, a scan over every nonunit resultant 15,852
+        # and memos keyed by IntPoly 211,531
         hashes = count_calls(monkeypatch, IntPoly, "__hash__")
         full_sweep((7, 26))
         assert len(hashes) <= 21153

@@ -9,10 +9,9 @@ records the tier-1 suite's wall time and pass count (one run, without the
 TIER1_IGNORED tests), and for each command in COMMANDS, for IMPORT, the
 package's import alone, and for the two BARE runs, the median, minimum
 and maximum wall time of RUNS runs and the sha256 of its stdout, cut to
-16 hex digits.  The runs
-are interleaved: run i times every command on both checkouts, the
-baseline first on odd i, so slow drift of the machine falls on both
-sides.  Each command runs as `python -m burausieve.cli`, IMPORT as
+16 hex digits.  The runs are interleaved: run i times every command on
+both checkouts, the baseline first on odd i, so slow drift of the machine
+falls on both sides.  Each command runs as `python -m burausieve.cli`, IMPORT as
 `python -c "import burausieve.cli"`, and BARE as `python -S -c pass` and
 `python -S -c "import burausieve.cli"`, in a fresh process with PYTHONPATH
 set to the checkout's src and bytecode writing off, so both sides compile
