@@ -20,7 +20,7 @@ import re
 import sys
 from array import array
 from contextlib import suppress
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
 from .exactalg import cyclotomic_factors, cyclotomic_split_cost, monic_modulus
@@ -470,9 +470,34 @@ def cmd_addendum(args, cfg, out):
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
+def _help_width():
+    """The width argparse's default formatter wraps help to, found as
+    shutil.get_terminal_size finds the columns: COLUMNS when it is a
+    positive integer, else the terminal's columns (80 if it reports 0),
+    else 80; minus 2.  Only os is needed, so building the parser loads no
+    shutil."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        except (AttributeError, ValueError, OSError):
+            columns = 80
+    return columns - 2
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's default formatter, given its width (_help_width)."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=_help_width())
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
-        prog="burau-sieve",
+        prog="burau-sieve", formatter_class=_HelpFormatter,
         description="Exact re-execution of the exceptional-root classification: "
                     "resultant sieve, universal-subgroup skeletons, genus filter, "
                     "and pairwise exclusion.")
@@ -482,13 +507,14 @@ def build_parser():
     ap.add_argument("--state-cap", type=positive_int,
                     help="coset enumeration state cap")
     sub = ap.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    p = sub.add_parser("factors", help="factor phi_N(-t) over F_p")
+    p = add_parser("factors", help="factor phi_N(-t) over F_p")
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--p", type=positive_int, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("skeleton", help="enumerate one universal subgroup")
+    p = add_parser("skeleton", help="enumerate one universal subgroup")
     p.add_argument("--p", type=positive_int, required=True)
     p.add_argument("--min-poly", required=True)
     p.add_argument("--type", default="I", choices=list(TYPE_TAGS))
@@ -496,18 +522,18 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-cache", action="store_true")
 
-    p = sub.add_parser("sieve", help="run the resultant sieve over a range of N")
+    p = add_parser("sieve", help="run the resultant sieve over a range of N")
     p.add_argument("--n-range", default=f"{SWEEP_RANGE[0]}..{SWEEP_RANGE[1]}")
     p.add_argument("--raw", action="store_true",
                    help="report candidates only, skip the genus filter")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("table", help="print or verify the embedded table")
+    p = add_parser("table", help="print or verify the embedded table")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--row", type=positive_int)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("addendum", help="pairwise exclusion and conjugacy checks")
+    p = add_parser("addendum", help="pairwise exclusion and conjugacy checks")
     p.add_argument("--all-groups", action="store_true",
                    help="one representative per skeleton iso-class instead of per row")
     p.add_argument("--json", action="store_true")

@@ -306,7 +306,11 @@ class IntPoly(Value):
     Stored as a shift exponent plus a dense coefficient tuple (ascending
     powers), so the value is t**shift * sum(coeffs[i] * t**i).  Canonical
     form: the zero polynomial is (shift=0, coeffs=()); otherwise both the
-    first and the last stored coefficient are nonzero.
+    first and the last stored coefficient are nonzero.  The constructor
+    canonicalises any input.  Arithmetic builds its results canonical
+    (_canonical) and checks only what can cancel: a product's end
+    coefficients are products of nonzero integers, and a sum's ends
+    vanish only when both terms share that end and cancel there.
     """
 
     __slots__ = ("coeffs", "shift")
@@ -319,11 +323,11 @@ class IntPoly(Value):
         while lead_zeros < len(coeffs) and coeffs[lead_zeros] == 0:
             lead_zeros += 1
         if lead_zeros == len(coeffs):
-            object.__setattr__(self, "coeffs", ())
-            object.__setattr__(self, "shift", 0)
+            _set_coeffs(self, ())
+            _set_shift(self, 0)
         else:
-            object.__setattr__(self, "coeffs", tuple(coeffs[lead_zeros:]))
-            object.__setattr__(self, "shift", shift + lead_zeros)
+            _set_coeffs(self, tuple(coeffs[lead_zeros:]))
+            _set_shift(self, shift + lead_zeros)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -332,19 +336,19 @@ class IntPoly(Value):
 
     @staticmethod
     def zero():
-        return IntPoly()
+        return _ZERO
 
     @staticmethod
     def one():
-        return IntPoly((1,))
+        return _canonical((1,), 0)
 
     @staticmethod
     def t(exp=1):
-        return IntPoly((1,), shift=exp)
+        return _canonical((1,), exp)
 
     @staticmethod
     def const(c):
-        return IntPoly((c,))
+        return _canonical((c,), 0) if c else _ZERO
 
     # -- structure
 
@@ -369,21 +373,21 @@ class IntPoly(Value):
     # -- arithmetic
 
     def __add__(self, other):
-        if self.is_zero:
+        if not self.coeffs:
             return other
-        if other.is_zero:
+        if not other.coeffs:
             return self
-        lo = min(self.shift, other.shift)
-        hi = max(self.shift + len(self.coeffs), other.shift + len(other.coeffs))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.shift - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.shift - lo + i] += c
-        return IntPoly(out, lo)
+        low, high = (self, other) if self.shift <= other.shift else (other, self)
+        start, out = high.shift - low.shift, list(low.coeffs)
+        out += [0] * (start + len(high.coeffs) - len(out))  # none if negative
+        for i, c in enumerate(high.coeffs, start):
+            out[i] += c
+        if out[0] and out[-1]:
+            return _canonical(tuple(out), low.shift)
+        return IntPoly(out, low.shift)
 
     def __neg__(self):
-        return IntPoly([-c for c in self.coeffs], self.shift)
+        return _canonical(tuple([-c for c in self.coeffs]), self.shift)
 
     def __sub__(self, other):
         return self + (-other)
@@ -391,14 +395,20 @@ class IntPoly(Value):
     def __mul__(self, other):
         if isinstance(other, int):
             other = IntPoly.const(other)
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out, self.shift + other.shift)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _ZERO
+        if len(a) == 1 or len(b) == 1:  # one term scales the other factor
+            (x,), b = (a, b) if len(a) == 1 else (b, a)
+            coeffs = b if x == 1 else tuple([x * y for y in b])
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            coeffs = tuple(out)
+        return _canonical(coeffs, self.shift + other.shift)
 
     __rmul__ = __mul__
 
@@ -418,6 +428,23 @@ class IntPoly(Value):
 
     def __repr__(self):
         return f"IntPoly({self})"
+
+
+# the slots' own setters, which IntPoly.__setattr__ does not intercept
+_set_coeffs, _set_shift = IntPoly.coeffs.__set__, IntPoly.shift.__set__
+
+
+def _canonical(coeffs, shift):
+    """The IntPoly of a coefficient tuple already in canonical form, empty
+    with shift 0 or with nonzero ends; nothing is checked."""
+    f = object.__new__(IntPoly)
+    _set_coeffs(f, coeffs)
+    _set_shift(f, shift)
+    return f
+
+
+# the zero polynomial of zero(), and of every product with a zero factor
+_ZERO = _canonical((), 0)
 
 
 def poly_text(coeffs, shift=0):
@@ -846,7 +873,8 @@ def cyclotomic_factors(N, p):
         factors = sorted((pow(z, k, p), 1) for k in range(m) if gcd(k, m) == 1)
     else:
         factors = fp_factor(substitute_neg(cyclotomic(m)).reduce_mod(p), d, p)
-    return [IntPoly(f) for f in factors for _ in range(mult)]
+    # monic, and f(0) != 0 as f divides phi_m(-t): canonical as they are
+    return [_canonical(f, 0) for f in factors for _ in range(mult)]
 
 
 def cyclotomic_split_cost(N, p):
@@ -1014,33 +1042,40 @@ class _PolyRing(_Residues):
     def residue(self, coeffs):
         """The class of the polynomial with these integer coefficients,
         ascending."""
-        return self._fold([c % self.p for c in coeffs])
+        return self._fold(list(coeffs))
 
     def _fold(self, c):
-        """The reduced tuple of the list c, modified in place."""
+        """The reduced tuple of the integer list c, which is modified: its
+        coefficients from the top down to t^d folded into the lower ones,
+        each taken mod p as it is folded, then the zeros left on top
+        dropped and the rest taken mod p."""
         p, d, low = self.p, self.degree, self.low
         for top in range(len(c) - 1, d - 1, -1):
             x = c.pop() % p
             if x:
                 for j, y in enumerate(low, top - d):
                     c[j] += x * y
-        return self._trimmed(c)
+        while c and not c[-1] % p:
+            c.pop()
+        return tuple([x % p for x in c])
 
-    def _trimmed(self, c):
-        """The tuple of the list c of degree below d, reduced mod p."""
+    def add(self, a, b):
+        """a + b in one pass, each coefficient sum taken mod p once: the
+        longer term's own top coefficients are already reduced and end
+        nonzero, and only terms of one length can cancel on top."""
         p = self.p
-        c = [x % p for x in c]
+        if len(a) != len(b):
+            if len(a) < len(b):
+                a, b = b, a
+            return tuple([(x + y) % p for x, y in zip(a, b)]) + a[len(b):]
+        c = [(x + y) % p for x, y in zip(a, b)]
         while c and not c[-1]:
             c.pop()
         return tuple(c)
 
-    def add(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        return self._trimmed([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
     def sub(self, a, b):
-        return self.add(a, [-y for y in b])
+        p = self.p
+        return self.add(a, tuple([-y % p for y in b]))
 
     def _mul2(self, a, b):
         """mul at d = 2, with t^2 = low[0] + low[1] t."""
@@ -1172,17 +1207,20 @@ def _unit_tables(ring):
 
     F_q* is cyclic (Lidl-Niederreiter, Finite Fields, Thm 2.8).  The
     elements are tried in the order of the base-p numbers whose digits are
-    their coefficients, lowest power first, each order read over the
-    primes of q - 1.  For deg m > 1 the first p, the prime field, whose
-    units have orders dividing p - 1, are skipped.  Each power is the last
-    one times w, by ring.mul.
+    their coefficients, lowest power first.  For deg m > 1 the first p,
+    the prime field, whose units have orders dividing p - 1, are skipped;
+    so is 0.  A unit's order divides q - 1, and it is q - 1 exactly when
+    no w^((q - 1)/l), l a prime of q - 1, is 1, as every proper divisor
+    of q - 1 divides some (q - 1)/l; no order is computed.  Each power is
+    the last one times w, by ring.mul.
     """
     p, d, q = ring.p, ring.degree, ring.order
-    plan = order_plan(q - 1, prime_factors(q - 1))
+    one, power = ring.one, ring.pow
+    cofactors = [(q - 1) // l for l in prime_factors(q - 1)]
     # product() counts with its last place fastest, a number with its first
     tried = (ring.residue(c[::-1]) for c in product(range(p), repeat=d))
     w = next(a for a in islice(tried, 1 if d == 1 else p, None)
-             if ring.unit_order(a, plan) == q - 1)
+             if all(power(a, n) != one for n in cofactors))
     exp_t = [ring.one]
     for _ in range(q - 2):
         exp_t.append(ring.mul(exp_t[-1], w))

@@ -62,8 +62,11 @@ def root_spec(p, min_poly):
     Builds no table.  The minimal polynomial m is proved irreducible in
     quotient_ring(p, m) (exactalg.root_order): N = ord(-xi) divides q - 1,
     m divides the N-th cyclotomic polynomial in -t over F_p, and deg m is
-    ord_N(p).  M = ord(xi) is then found over the primes of q - 1, and
-    the epsilon-involution between N and M is verified.
+    ord_N(p).  M = ord(xi) = epsilon_p(N, p) is then proved with no
+    search: xi^M = 1 and xi^(M/l) != 1 for each prime l of M, as every
+    proper divisor of M divides some M / l.  M must divide q - 1, as
+    every order in F_q* does, so its primes are read off q - 1's.  The
+    epsilon-involution back to N is verified too.
     """
     modulus = monic_modulus(p, min_poly)
     ring = quotient_ring(p, modulus)
@@ -71,8 +74,10 @@ def root_spec(p, min_poly):
     N = root_order(ring, plan)
     if N is None:
         raise ValueError(f"modulus {poly_text(modulus)} is reducible over F_{p}")
-    M = ring.unit_order(ring.gen, plan)
-    if M != epsilon_p(N, p) or N != epsilon_p(M, p):
+    M, xi, one = epsilon_p(N, p), ring.gen, ring.one
+    if (ring.order - 1) % M or ring.pow(xi, M) != one or \
+            N != epsilon_p(M, p) or any(ring.pow(xi, M // l) == one
+                                        for l, _, _ in plan if M % l == 0):
         raise AssertionError("order bookkeeping violated")  # unreachable
     return RootSpec(p, IntPoly(modulus), N, M, ring)
 

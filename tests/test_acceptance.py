@@ -21,7 +21,8 @@ from helpers import bdeg, closed_form_certified, count_calls, det, \
 
 from burausieve import sieve, skeleton
 from burausieve.burau import BraidWord, specialize, to_burau
-from burausieve.exactalg import IntPoly, cyclotomic_factors
+from burausieve.exactalg import IntPoly, cyclotomic_factors, order_plan, \
+    prime_factors
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.intersect import verify_addendum_pairwise
 from burausieve.sieve import ExceptionalTriple, branches_for, full_sweep, \
@@ -447,6 +448,22 @@ def test_trace_field_test_is_the_ring_reference(sweep):
         [reference_trace_generates(root) for root in roots]
     assert len(roots) == 257 + 52
     assert sum(map(_trace_generates, roots)) == 252 + 52
+
+
+def test_root_orders_are_the_order_search(sweep):
+    """root_spec proves M = ord(xi) = epsilon_p(N, p) by xi^M = 1 and
+    xi^(M/l) != 1 for the primes l of M; on all 257 roots of the sweep and
+    on every golden factor that M, and N = ord(-xi), are the orders that
+    unit_order's search over the primes of q - 1 finds."""
+    results, _, _ = sweep
+    roots = [root for root, _ in sweep_roots(results)] + [
+        root_spec(row.p, text) for row in GOLDEN_ROWS for text in row.factors]
+    for root in roots:
+        ring, q = root.ring, root.ring.order
+        plan = order_plan(q - 1, prime_factors(q - 1))
+        assert ring.unit_order(ring.gen, plan) == root.M, str(root)
+        assert ring.unit_order(ring.sub(ring.zero, ring.gen), plan) == root.N
+    assert len(roots) == 257 + 52
 
 
 def test_trace_field_test_is_walk_transitivity(sweep):

@@ -2,9 +2,10 @@
 that tools/bench.py writes: the Python version and processor count, and
 for each measured checkout the tier-1 suite's wall time and counts, from
 a run without this file, and, per command, for the package's import
-alone, and for the interpreter's start-up and the import without site,
-the median, minimum and maximum of at least 5 runs with the digest of its
-stdout (empty for the three start-up entries)."""
+alone, for the interpreter's start-up and the import without site, and
+for that import from cached bytecode, the median, minimum and maximum of
+at least 5 runs with the digest of its stdout (empty for the four
+start-up entries)."""
 
 import json
 import os
@@ -17,10 +18,11 @@ COMMANDS = ["sieve --n-range 7..26 --json", "table --verify --json",
             "skeleton --p 4651 --min-poly t+3978 --json",
             "factors --n 59 --p 4651 --json",
             "import burausieve.cli", "python -S -c pass",
-            "python -S -c import burausieve.cli"]
-# the entries that print nothing: the import with and without site, and
-# the bare interpreter
-STARTUP = COMMANDS[-3:]
+            "python -S -c import burausieve.cli",
+            "python -S -c import burausieve.cli, warm bytecode"]
+# the entries that print nothing: the import with and without site, the
+# bare interpreter, and the import without site from cached bytecode
+STARTUP = COMMANDS[-4:]
 # the sha256 of empty stdout, cut to 16 hex digits
 EMPTY = "e3b0c44298fc1c14"
 HEX16 = re.compile(r"[0-9a-f]{16}")

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, caching, determinism."""
 
+import argparse
 import contextlib
 import gc
 import json
@@ -1043,12 +1044,13 @@ def test_closed_stdout_exits_141_without_a_traceback():
 def test_start_up_loads_no_tempfile_or_random():
     # tempfile is imported by the cache writer alone and random by the
     # split over F_p alone, so neither the import nor a command that
-    # does neither loads them; -S keeps out site, whose modules may
-    # load either
+    # does neither loads them; nor does either load shutil, which
+    # argparse's own formatter imports for the terminal's width; -S
+    # keeps out site, whose modules may load any of them
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     script = ("import sys, burausieve.cli\n"
-              "loaded = lambda: [m for m in ('tempfile', 'random')"
+              "loaded = lambda: [m for m in ('tempfile', 'random', 'shutil')"
               " if m in sys.modules]\n"
               "after_import = loaded()\n"
               "code = burausieve.cli.main(['table', '--verify', '--json'])\n"
@@ -1057,3 +1059,27 @@ def test_start_up_loads_no_tempfile_or_random():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "0 [] []"
+
+
+@pytest.mark.parametrize("columns", ["50", "130", None])
+def test_help_is_argparse_default_layout(monkeypatch, columns):
+    # the parser and its five subparsers wrap help at the width argparse's
+    # own formatter reads through shutil, COLUMNS or else the terminal's
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    parsers = [parser, *commands.choices.values()]
+    assert len(parsers) == 6
+    for each in parsers:
+        assert each.formatter_class is cli._HelpFormatter
+        text = each.format_help()
+        each.formatter_class = argparse.HelpFormatter
+        assert text == each.format_help(), each.prog
+    widest = max(len(line) for each in parsers
+                 for line in each.format_help().splitlines())
+    # only COLUMNS=130 lets lines run past the fallback's width of 78
+    assert (widest > 78) == (columns == "130")

@@ -109,6 +109,80 @@ class TestIntPoly:
         with pytest.raises(AttributeError, match="immutable"):
             p.shift = 0
 
+    def test_arithmetic_is_canonical_on_random_terms(self):
+        # sums, differences and products build their results canonical
+        # without a second pass: each equals, field for field, the
+        # reference value rebuilt by IntPoly(coeffs, shift), on zero,
+        # one-term factors, interior zeros, and sums whose low end, high
+        # end or every coefficient cancels
+        rng = random.Random(48)
+
+        def dense(f):
+            return {f.shift + i: c for i, c in enumerate(f.coeffs)}
+
+        def rebuilt(terms):
+            terms = {e: c for e, c in terms.items() if c}
+            if not terms:
+                return IntPoly((0, 0), 3)  # the constructor's own zero
+            lo = min(terms)
+            return IntPoly([terms.get(e, 0) for e in range(lo, max(terms) + 1)], lo)
+
+        def draw():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return rng.choice([IntPoly.zero(), IntPoly(), IntPoly((0, 0), 4)])
+            if kind == 1:
+                return IntPoly((rng.choice([1, -1, 2, -3]),), rng.randint(-4, 4))
+            return IntPoly([rng.choice([0, 0, 1, -1, 2, -5, 7])
+                            for _ in range(rng.randint(1, 6))], rng.randint(-4, 4))
+
+        def partner(f):
+            # -f, or a term that cancels f's low end, high end or both,
+            # plus a random middle
+            if f.is_zero or rng.random() < 0.25:
+                return -f
+            low = IntPoly((-f.coeffs[0],), f.shift)
+            high = IntPoly((-f.coeffs[-1],), f.degree)
+            middle = IntPoly(draw().coeffs, f.shift + 1)
+            return rng.choice([low, high, low + high]) + middle
+
+        def combined(f, g, sign):
+            terms = dense(f)
+            for e, c in dense(g).items():
+                terms[e] = terms.get(e, 0) + sign * c
+            return terms
+
+        def multiplied(f, g):
+            terms = {}
+            for (e1, c1), (e2, c2) in product(dense(f).items(), dense(g).items()):
+                terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+            return terms
+
+        kinds = Counter()
+        for _ in range(3000):
+            f = draw()
+            g = partner(f) if rng.random() < 0.4 else draw()
+            k = rng.randint(-3, 3)
+            scaled = {e: k * c for e, c in dense(f).items()}
+            for got, want in ((f + g, combined(f, g, 1)),
+                              (f - g, combined(f, g, -1)),
+                              (f * g, multiplied(f, g)),
+                              (-f, combined(IntPoly.zero(), f, -1)),
+                              (f * k, scaled), (k * f, scaled)):
+                ref = rebuilt(want)
+                assert type(got.coeffs) is tuple
+                assert (got.coeffs, got.shift) == (ref.coeffs, ref.shift), (f, g)
+            if f.coeffs and g.coeffs:
+                ends = f.shift == g.shift and f.coeffs[0] + g.coeffs[0] == 0, \
+                    f.degree == g.degree and f.coeffs[-1] + g.coeffs[-1] == 0
+                kinds["low end cancels"] += ends[0]
+                kinds["high end cancels"] += ends[1]
+                kinds["one term"] += min(len(f.coeffs), len(g.coeffs)) == 1
+            kinds["zero"] += f.is_zero or g.is_zero
+            kinds["sum is zero"] += (f + g).is_zero and not f.is_zero
+        assert min(kinds.values()) >= 100, kinds
+        assert IntPoly.zero() is IntPoly.zero() is IntPoly.t() * IntPoly.zero()
+
     def test_laurent_negative_shift(self):
         p = IntPoly((1, 1), -1)  # t^-1 + 1
         assert str(p) == "1+t^-1"
@@ -833,6 +907,36 @@ class TestQuotientRing:
             assert ring.evaluate(f) == evaluate(f, xi).element()
             assert ring.residue([5, -7, 0, 1, 4]) == \
                 FieldElem(spec, (5, -7, 0, 1, 4)).element()
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 4651])
+    def test_one_pass_sums_and_products_against_fp_reference(self, p):
+        # add, sub, mul and residue of the tuple ring at degrees 2-12 are
+        # fp_reference's sum, product and remainder, on random elements,
+        # zero, pairs of one length whose top coefficients cancel, and
+        # integer lists of any sign and size
+        rng = random.Random(p)
+        tops = Counter()
+        for d in range(2, 13):
+            modulus = (rng.randrange(1, p), *(rng.randrange(p)
+                                             for _ in range(d - 1)), 1)
+            ring = exactalg.quotient_ring(p, modulus)
+            for _ in range(40):
+                a = fp_trim(rng.randrange(p) for _ in range(rng.randint(0, d)))
+                b = fp_trim(rng.randrange(p) for _ in range(rng.randint(0, d)))
+                if a and rng.random() < 0.4:  # -a above a random bottom
+                    bottom = rng.randint(0, len(a) - 1)
+                    b = tuple([rng.randrange(p) for _ in range(bottom)] +
+                              [-x % p for x in a[bottom:]])
+                neg_b = fp_trim([-y % p for y in b])
+                assert ring.add(a, b) == fp_add(a, b, p)
+                assert ring.sub(a, b) == fp_add(a, neg_b, p)
+                assert ring.mul(a, b) == fp_divmod(fp_mul(a, b, p), modulus, p)[1]
+                c = [rng.randint(-10 ** 30, 10 ** 30)
+                     for _ in range(rng.randint(0, 3 * d))]
+                assert ring.residue(c) == \
+                    fp_divmod(fp_trim([x % p for x in c]), modulus, p)[1]
+                tops[len(fp_add(a, b, p)) < max(len(a), len(b))] += 1
+        assert tops[True] >= 50, tops
 
     @pytest.mark.parametrize("p, modulus", [
         (p, m) for p, m in QUOTIENTS[:10] if p ** (len(m) - 1) <= 81])

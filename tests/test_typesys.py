@@ -10,7 +10,7 @@ from helpers import check_type_specification, checked_skeleton, \
     count_calls, reference_root_orders, reference_unit_tables, single_edge, \
     type_ii_odd_width_excluded
 
-from burausieve import exactalg, skeleton
+from burausieve import exactalg, skeleton, typesys
 from burausieve.exactalg import IntPoly
 from burausieve.golden import GOLDEN_ROWS
 from burausieve.sieve import branches_for
@@ -66,6 +66,24 @@ class TestRootSpec:
     def test_rejects_reducible(self):
         with pytest.raises(ValueError):
             root_spec(2, "t^2+1")
+
+    @pytest.mark.parametrize("p, text", [
+        (3, "t^4+t^3+t^2+t+1"), (13, "t^2+11t+3"), (2, "t^4+t+1"),
+        (19, "t+4"), (5, "t^2+2")])
+    def test_a_wrong_order_fails_the_proof(self, monkeypatch, p, text):
+        # root_spec proves M = epsilon_p(N, p) instead of trusting it: a
+        # proper multiple or divisor of the true M, handed over by an
+        # epsilon_p that still maps it back to N, fails the proof
+        spec = root_spec(p, text)
+        N, M = spec.N, spec.M
+        wrongs = {2 * M, 7 * M, 1} | {M // l for l in exactalg.prime_factors(M)}
+        wrongs.discard(M)
+        for wrong in wrongs:
+            monkeypatch.setattr(typesys, "epsilon_p",
+                                lambda n, _: wrong if n == N else N)
+            with pytest.raises(AssertionError, match="bookkeeping"):
+                root_spec(p, text)
+        assert len(wrongs) >= 3
 
     def test_accepts_exactly_the_reference_fields(self, monkeypatch):
         # every monic m of degree 1 to 3 over F_p, p <= 13, but t, reducible

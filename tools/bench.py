@@ -7,16 +7,20 @@ checkout (say, the parent commit unpacked by `git archive`) in the same
 session, so the two can be compared pair by pair.  For each checkout it
 records the tier-1 suite's wall time and pass count (one run, without the
 TIER1_IGNORED tests), and for each command in COMMANDS, for IMPORT, the
-package's import alone, and for the two BARE runs, the median, minimum
-and maximum wall time of RUNS runs and the sha256 of its stdout, cut to
-16 hex digits.  The runs are interleaved: run i times every command on
-both checkouts, the baseline first on odd i, so slow drift of the machine
-falls on both sides.  Each command runs as `python -m burausieve.cli`, IMPORT as
-`python -c "import burausieve.cli"`, and BARE as `python -S -c pass` and
-`python -S -c "import burausieve.cli"`, in a fresh process with PYTHONPATH
-set to the checkout's src and bytecode writing off, so both sides compile
-the package alike and no __pycache__ is left behind.  A command that exits
-nonzero stops the run: a failed run has no time.
+package's import alone, for the two BARE runs and for WARM, the median,
+minimum and maximum wall time of RUNS runs and the sha256 of its stdout,
+cut to 16 hex digits.  The runs are interleaved: run i times every
+command on both checkouts, the baseline first on odd i, so slow drift of
+the machine falls on both sides.  Each command runs as
+`python -m burausieve.cli`, IMPORT as `python -c "import burausieve.cli"`,
+and BARE as `python -S -c pass` and `python -S -c "import burausieve.cli"`,
+in a fresh process with PYTHONPATH set to the checkout's src and bytecode
+writing off, so both sides compile the package alike and no __pycache__
+is left behind.  WARM is the -S import again from cached bytecode, as an
+installed package imports: PYTHONPYCACHEPREFIX points at a temporary
+directory per checkout, which one untimed run fills before the timed
+runs and which is removed afterwards.  A command that exits nonzero
+stops the run: a failed run has no time.
 
 Only the standard library is used.
 """
@@ -29,9 +33,11 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -54,9 +60,12 @@ IMPORT = "import burausieve.cli"
 # start-up lets BENCH files of different sessions and machines be compared
 BARE = (("python -S -c pass", ("-S", "-c", "pass")),
         (f"python -S -c {IMPORT}", ("-S", "-c", IMPORT)))
+# the -S import from bytecode cached outside the tree (see above)
+WARM = (f"python -S -c {IMPORT}, warm bytecode", ("-S", "-c", IMPORT))
 # each timed run as (label, the interpreter's arguments)
 TIMED = tuple((" ".join(argv), ("-m", "burausieve.cli", *argv))
-              for argv in COMMANDS) + ((IMPORT, ("-c", IMPORT)),) + BARE
+              for argv in COMMANDS) + ((IMPORT, ("-c", IMPORT)),) + BARE \
+    + (WARM,)
 # fewer runs cannot resolve a 0.02 s change of the sieve on a shared
 # 2-core machine: with 5 against its parent, a change 0.02 s faster read
 # 0.311 s against 0.247 s in the median
@@ -70,9 +79,15 @@ TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
          *(f"--ignore={path}" for path in TIER1_IGNORED))
 
 
-def environment(checkout):
-    return dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
-                PYTHONDONTWRITEBYTECODE="1")
+def environment(checkout, pycache=None):
+    """The checkout's environment: bytecode writing off, or with pycache,
+    bytecode written to and read from that directory."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    if pycache:
+        del env["PYTHONDONTWRITEBYTECODE"]
+        env["PYTHONPYCACHEPREFIX"] = pycache
+    return env
 
 
 def src_digest(checkout):
@@ -87,11 +102,12 @@ def src_digest(checkout):
     return h.hexdigest()[:16]
 
 
-def run_command(checkout, label, args):
-    """(seconds, stdout digest) of one run of the interpreter with args."""
+def run_command(checkout, label, args, pycache=None):
+    """(seconds, stdout digest) of one run of the interpreter with args,
+    in environment(checkout, pycache)."""
     start = time.perf_counter()
     done = subprocess.run([sys.executable, *args],
-                          cwd=checkout, env=environment(checkout),
+                          cwd=checkout, env=environment(checkout, pycache),
                           capture_output=True, check=False)
     seconds = time.perf_counter() - start
     if done.returncode != 0:
@@ -122,13 +138,23 @@ def measure(checkouts):
     times = {label: {text: [] for text, _ in TIMED} for label in checkouts}
     digests = {label: {text: set() for text, _ in TIMED} for label in checkouts}
     labels = list(checkouts)
-    for i in range(RUNS):
-        order = labels if i % 2 == 0 else labels[::-1]
-        for text, args in TIMED:
-            for label in order:
-                seconds, digest = run_command(checkouts[label], text, args)
-                times[label][text].append(seconds)
-                digests[label][text].add(digest)
+    caches = {label: tempfile.mkdtemp(prefix=f"bench-{label}-pycache-")
+              for label in labels}
+    try:
+        for label in labels:  # the untimed run that fills the cache
+            run_command(checkouts[label], WARM[0], WARM[1], caches[label])
+        for i in range(RUNS):
+            order = labels if i % 2 == 0 else labels[::-1]
+            for text, args in TIMED:
+                for label in order:
+                    seconds, digest = run_command(
+                        checkouts[label], text, args,
+                        caches[label] if text == WARM[0] else None)
+                    times[label][text].append(seconds)
+                    digests[label][text].add(digest)
+    finally:
+        for cache in caches.values():
+            shutil.rmtree(cache, ignore_errors=True)
     report = {}
     for label, checkout in checkouts.items():
         commands = {}
